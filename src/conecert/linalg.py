@@ -90,37 +90,25 @@ def _precondition(a: IMatrix) -> tuple[np.ndarray, IMatrix, float]:
 
 
 def solve_interval_linear(a: IMatrix, b: IVector) -> IVector:
-    """Enclosure of {x : A x = v, A in a, v in b} via the Krawczyk step
-    with midpoint preconditioning.
+    """Enclosure of {x : A x = v, A in a, v in b}: the one-column case of
+    solve_interval_linear_cols.
 
     Raises SingularEnclosure when invertibility cannot be certified.  The
     returned box contains the solution for every selection, which also proves
     each such selection of A is invertible on the relevant right-hand sides.
     """
-    y, e, rho = _precondition(a)
-    n = a.shape[0]
-    xhat = y @ np.array(b.mid(), dtype=float)
-    xhat_iv = IVector.from_floats(xhat.tolist())
-    ym = IMatrix.from_floats(y.tolist())
-    # r0 = Y (b - A xhat): residual pushed through the preconditioner.
-    r0 = ym.matvec(b - a.matvec(xhat_iv))
-    r0_norm = vec_norm_sup(r0).hi
-    bound = r0_norm / (1.0 - rho)
-    bound = np.nextafter(bound, np.inf)
-    ball = IVector([Interval(-bound, bound) for _ in range(n)])
-    enclosure = xhat_iv + r0 + e.matvec(ball)
-    # Two tightening sweeps of the contraction x -> xhat + r0 + E (x - xhat).
-    for _ in range(2):
-        refined = xhat_iv + r0 + e.matvec(enclosure - xhat_iv)
-        inter = box_intersect(refined, enclosure)
-        if inter is None:  # pragma: no cover - contraction keeps them nested
-            break
-        enclosure = inter
-    return enclosure
+    x = solve_interval_linear_cols(a, IMatrix([[v] for v in b]))
+    return IVector(x.col(0))
 
 
 def solve_interval_linear_cols(a: IMatrix, b: IMatrix) -> IMatrix:
-    """Columnwise solve A X = B sharing one preconditioning of A."""
+    """Columnwise solve A X = B sharing one preconditioning of A.
+
+    Each column takes one Krawczyk step with midpoint preconditioning,
+    then two tightening sweeps of the contraction
+    x -> xhat + r0 + E (x - xhat), where r0 = Y (b - A xhat) is the
+    residual pushed through the preconditioner.
+    """
     y, e, rho = _precondition(a)
     n = a.shape[0]
     ym = IMatrix.from_floats(y.tolist())

@@ -16,8 +16,8 @@ selection inside the interval inputs.
 from __future__ import annotations
 
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 from .cones import FlowConeCertificate, flow_cone_check
@@ -65,6 +65,8 @@ __all__ = [
     "build_N",
     "enclose_DF_over_N",
     "certify_unstable",
+    "Launch",
+    "launch_chain",
     "chart_seeded_enclosure",
     "poincare_image",
     "run_endpoint",
@@ -96,14 +98,33 @@ _RECOVERABLE = (
 )
 
 
+def _slice_cuts(lo: float, hi: float, k: int) -> list[tuple[float, float]]:
+    """k consecutive float pairs covering [lo, hi] exactly.
+
+    The first pair starts at lo, the last ends at hi, neighbours share
+    their cut, and the cuts never decrease.  This is the one way the
+    proof splits an interval: mass bands, mass fragments, the unstable
+    axis of N and the transversal axes of a launch window.
+    """
+    w = hi - lo
+    cuts = [lo]
+    for i in range(1, k):
+        if w < math.inf:
+            t = lo + w * i / k
+        else:  # hi - lo overflows: weight the endpoints instead
+            t = lo * ((k - i) / k) + hi * (i / k)
+        cuts.append(min(hi, max(cuts[-1], t)))
+    cuts.append(hi)
+    return list(zip(cuts, cuts[1:]))
+
+
 @dataclass(frozen=True)
 class ProofConfig:
     """Frozen parameters of one proof attempt.
 
     The mass endpoints are decimal strings so the enclosed rationals are
     reproducible across platforms; everything else is plain floats and
-    counts.  threads only fans out independent fragments; results are
-    merged by index so output is identical at any thread count.
+    counts.
 
     Fragments run their cone stage at fragment_alpha_h instead of
     alpha_h.  An interval-valued mass parameter decorrelates the chart
@@ -146,7 +167,6 @@ class ProofConfig:
     h_min: float = 1e-9
     h_max: float = 0.12
     max_flight_time: float = 12.0
-    threads: int = 1
 
     def __post_init__(self):
         left = decimal_to_interval(self.mu_left)
@@ -169,7 +189,7 @@ class ProofConfig:
             raise ValueError("need 0 < c_h < c_v")
         for name in (
             "endpoint_subdivision", "fragment_subdivision", "fragments",
-            "fragment_mu_slices", "threads",
+            "fragment_mu_slices",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -199,10 +219,7 @@ class ProofConfig:
     def fragment_intervals(self) -> list[tuple[float, float]]:
         """Consecutive float pairs covering [mu_left, mu_right] exactly."""
         hull = self.mu_interval()
-        n = self.fragments
-        cuts = [hull.lo + (hull.hi - hull.lo) * i / n for i in range(n + 1)]
-        cuts[0], cuts[n] = hull.lo, hull.hi
-        return [(cuts[i], cuts[i + 1]) for i in range(n)]
+        return _slice_cuts(hull.lo, hull.hi, self.fragments)
 
 
 @dataclass(frozen=True)
@@ -464,12 +481,8 @@ def enclose_DF_over_N(
     """
     if subdivision < 1:
         raise ValueError("subdivision must be at least 1")
-    lo, hi = n_box[0].lo, n_box[0].hi
-    w = (hi - lo) / subdivision
     out = None
-    for i in range(subdivision):
-        a = lo if i == 0 else lo + i * w
-        b = hi if i == subdivision - 1 else lo + (i + 1) * w
+    for a, b in _slice_cuts(n_box[0].lo, n_box[0].hi, subdivision):
         piece = IVector([Interval(a, b), n_box[1], n_box[2], n_box[3]])
         m = local_jacobian(piece, chart, params)
         out = m if out is None else out.hull(m)
@@ -550,7 +563,6 @@ def poincare_image(
     params: RtbpParams,
     u_local: Box,
     cfg: ProofConfig,
-    observer=None,
 ) -> CrossingResult:
     """Certified first crossing of {Y = 0} for the chart image of
     u_local, with the crossing direction derived from the starting side.
@@ -572,33 +584,28 @@ def poincare_image(
         h_min=cfg.h_min,
         h_max=cfg.h_max,
         max_time=cfg.max_flight_time,
-        observer=observer,
     )
     return CrossingResult(crossing.as_box(), crossing.time, direction)
 
 
 def _split_transversal(u_local: Box) -> list:
     """One halving level of the three transversal axes: 8 subboxes."""
-    out = [u_local]
-    for axis in (1, 2, 3):
-        nxt = []
-        for box in out:
-            c = box[axis]
-            m = c.mid
-            left = list(box)
-            right = list(box)
-            left[axis] = Interval(c.lo, m)
-            right[axis] = Interval(m, c.hi)
-            nxt.append(IVector(left))
-            nxt.append(IVector(right))
-        out = nxt
-    return out
+    halves = [
+        [Interval(a, b) for a, b in _slice_cuts(c.lo, c.hi, 2)]
+        for c in u_local[1:]
+    ]
+    return [
+        IVector([u_local[0], y1, y2, y3])
+        for y1 in halves[0]
+        for y2 in halves[1]
+        for y3 in halves[2]
+    ]
 
 
-# -- endpoint and fragment runs ---------------------------------------------------
+# -- the launch chain -------------------------------------------------------------
 
 
-def _timed(stages: list, name: str, fn, progress=None):
+def _timed(stages: list, name: str, fn):
     t0 = time.perf_counter()
     try:
         value, detail = fn()
@@ -609,16 +616,91 @@ def _timed(stages: list, name: str, fn, progress=None):
             )
         )
         raise
-    dt = time.perf_counter() - t0
-    stages.append(StageResult(name, True, dt, detail))
-    if progress is not None:
-        progress(f"    {name}: ok ({dt:.2f} s)")
+    stages.append(StageResult(name, True, time.perf_counter() - t0, detail))
     return value
 
 
-def run_endpoint(
-    side: str, mu_decimal: str, cfg: ProofConfig, progress=None
-) -> EndpointResult:
+@dataclass
+class Launch:
+    """What the launch chain certified for one mass enclosure.
+
+    Fields past the first failed stage stay None; failure then says why.
+    """
+
+    chart: LocalChart | None = None
+    B: Box | None = None
+    dfn: IMatrix | None = None
+    unstable: CertifiedUnstable | None = None
+    failure: str | None = None
+
+
+def launch_chain(
+    params: RtbpParams, cfg: ProofConfig, subdivision: int, stages: list
+) -> Launch:
+    """Chart, fixed point, N, [DF(N)] split into `subdivision` pieces, and
+    the cone certificate with its launch window, for one mass enclosure.
+
+    Every stage appends its StageResult to `stages`.  A recoverable
+    failure ends the chain and is reported in Launch.failure; the flight
+    from the window is left to the caller.
+    """
+    out = Launch()
+    try:
+        def mk_chart():
+            chart = jordan_basis(params)
+            return chart, {
+                "lambda": chart.lam.to_json(),
+                "v": chart.v.to_json(),
+            }
+
+        out.chart = _timed(stages, "chart", mk_chart)
+
+        def mk_fixed():
+            b = enclose_fixed_point(out.chart, params, cfg)
+            return b, {"half_widths": [0.5 * w for w in b.widths()]}
+
+        out.B = _timed(stages, "fixed_point", mk_fixed)
+
+        def mk_dfn():
+            n_box = build_N(out.B, cfg)
+            dfn = enclose_DF_over_N(out.chart, params, n_box, subdivision)
+            return (n_box, dfn), {
+                "subdivision": subdivision,
+                "unstable_diag": dfn.rows[0][0].to_json(),
+                "center_rotation": dfn.rows[2][3].to_json(),
+            }
+
+        n_box, out.dfn = _timed(stages, "derivative", mk_dfn)
+
+        def mk_cones():
+            cu = certify_unstable(out.chart, out.B, n_box, out.dfn, cfg)
+            return cu, {"margins": cu.cones.margins}
+
+        out.unstable = _timed(stages, "cones", mk_cones)
+    except _RECOVERABLE as exc:
+        out.failure = str(exc)
+    return out
+
+
+# -- endpoint and fragment runs ---------------------------------------------------
+
+
+def _signed_image(chart, params, u_local, cfg, want_negative):
+    """One endpoint flight whose P_X image must certify the wanted sign."""
+    cr = poincare_image(chart, params, u_local, cfg)
+    px = cr.image[2]
+    if px.hi < 0.0 if want_negative else px.lo > 0.0:
+        return cr
+    if not px.contains_zero():
+        # certified, but the wrong sign outright: subdividing the launch
+        # set cannot help
+        raise SignViolation(
+            f"P_X certified with the wrong sign: [{px.lo:.3e}, {px.hi:.3e}]"
+        )
+    raise StageFailure(f"P_X sign indefinite: [{px.lo:.3e}, {px.hi:.3e}]")
+
+
+def run_endpoint(side: str, mu_decimal: str, cfg: ProofConfig) -> EndpointResult:
     """Full certified chain for one mass endpoint, with the strict P_X
     sign check (negative on the left endpoint, positive on the right).
 
@@ -632,125 +714,59 @@ def run_endpoint(
     stages: list = []
     result = EndpointResult(side=side, mu=mu_decimal, verified=False,
                             stages=stages)
-    if progress is not None:
-        progress(f"  endpoint {side}: mu = {mu_decimal}")
+    params = RtbpParams(decimal_to_interval(mu_decimal))
+    launch = launch_chain(params, cfg, cfg.endpoint_subdivision, stages)
+    result.B = launch.B
+    result.dfn = launch.dfn
+    if launch.failure is not None:
+        result.failure = launch.failure
+        return result
+    cu = launch.unstable
+    result.cones = cu.cones
+    result.manifold = cu.manifold
+    result.U_local = cu.U_local
+    result.U_original = cu.U_original
+
+    def mk_flight():
+        try:
+            pieces = [cu.U_local]
+            crossings = [_signed_image(launch.chart, params, cu.U_local, cfg,
+                                       want_negative)]
+        except SignViolation:
+            raise
+        except _RECOVERABLE:
+            pieces = _split_transversal(cu.U_local)
+            crossings = [
+                _signed_image(launch.chart, params, sub, cfg, want_negative)
+                for sub in pieces
+            ]
+        image = crossings[0].image
+        tspan = crossings[0].time
+        for cr in crossings[1:]:
+            image = image.hull(cr.image)
+            tspan = tspan.hull(cr.time)
+        direction = crossings[0].direction
+        return (image, tspan, len(pieces)), {
+            "px": image[2].to_json(),
+            "subboxes": len(pieces),
+            "direction": direction,
+        }
+
     try:
-        params = RtbpParams(decimal_to_interval(mu_decimal))
-
-        def mk_chart():
-            chart = jordan_basis(params)
-            return chart, {
-                "lambda": chart.lam.to_json(),
-                "v": chart.v.to_json(),
-            }
-
-        chart = _timed(stages, "chart", mk_chart, progress)
-
-        def mk_fixed():
-            b = enclose_fixed_point(chart, params, cfg)
-            return b, {"half_widths": [0.5 * w for w in b.widths()]}
-
-        b = _timed(stages, "fixed_point", mk_fixed, progress)
-        result.B = b
-
-        def mk_dfn():
-            n_box = build_N(b, cfg)
-            dfn = enclose_DF_over_N(
-                chart, params, n_box, cfg.endpoint_subdivision
-            )
-            return (n_box, dfn), {
-                "subdivision": cfg.endpoint_subdivision,
-                "unstable_diag": dfn.rows[0][0].to_json(),
-                "center_rotation": dfn.rows[2][3].to_json(),
-            }
-
-        n_box, dfn = _timed(stages, "derivative", mk_dfn, progress)
-        result.dfn = dfn
-
-        def mk_cones():
-            cu = certify_unstable(chart, b, n_box, dfn, cfg)
-            return cu, {"margins": cu.cones.margins}
-
-        cu = _timed(stages, "cones", mk_cones, progress)
-        result.cones = cu.cones
-        result.manifold = cu.manifold
-        result.U_local = cu.U_local
-        result.U_original = cu.U_original
-
-        def mk_flight():
-            subsets = [cu.U_local]
-            image = None
-            tspan = None
-            direction = 0
-            used = 1
-            for attempt in (0, 1):
-                try:
-                    pieces = []
-                    for sub in subsets:
-                        cr = poincare_image(chart, params, sub, cfg)
-                        px = cr.image[2]
-                        sign_ok = (
-                            px.hi < 0.0 if want_negative else px.lo > 0.0
-                        )
-                        if not sign_ok:
-                            if not px.contains_zero():
-                                # certified, but the wrong sign outright:
-                                # subdividing the launch set cannot help
-                                raise SignViolation(
-                                    f"P_X certified with the wrong sign: "
-                                    f"[{px.lo:.3e}, {px.hi:.3e}]"
-                                )
-                            raise StageFailure(
-                                f"P_X sign indefinite: "
-                                f"[{px.lo:.3e}, {px.hi:.3e}]"
-                            )
-                        pieces.append(cr)
-                    image = pieces[0].image
-                    tspan = pieces[0].time
-                    direction = pieces[0].direction
-                    for cr in pieces[1:]:
-                        image = image.hull(cr.image)
-                        tspan = tspan.hull(cr.time)
-                    used = len(subsets)
-                    break
-                except SignViolation:
-                    raise
-                except _RECOVERABLE:
-                    if attempt == 1:
-                        raise
-                    subsets = _split_transversal(cu.U_local)
-            px = image[2]
-            return (image, tspan, direction, used), {
-                "px": px.to_json(),
-                "subboxes": used,
-                "direction": direction,
-            }
-
-        image, tspan, direction, used = _timed(
-            stages, "poincare", mk_flight, progress
-        )
-        result.poincare_image = image
-        result.crossing_time = tspan
-        result.subboxes = used
-        result.px_sign = -1 if image[2].hi < 0.0 else 1
-        result.verified = True
+        image, tspan, used = _timed(stages, "poincare", mk_flight)
     except _RECOVERABLE as exc:
         result.failure = str(exc)
+        return result
+    result.poincare_image = image
+    result.crossing_time = tspan
+    result.subboxes = used
+    result.px_sign = -1 if image[2].hi < 0.0 else 1
+    result.verified = True
     return result
 
 
-def _slice_cuts(mu_lo: float, mu_hi: float, k: int) -> list[tuple[float, float]]:
-    cuts = [mu_lo + (mu_hi - mu_lo) * i / k for i in range(k + 1)]
-    cuts[0], cuts[k] = mu_lo, mu_hi
-    return [(cuts[i], cuts[i + 1]) for i in range(k)]
-
-
 def run_fragment(
-    index: int,
-    mu_lo: float,
-    mu_hi: float,
-    cfg: ProofConfig,
-    progress=None,
+    index: int, mu_lo: float, mu_hi: float, cfg: ProofConfig
 ) -> FragmentResult:
     """Well-definedness of the Poincare map on one mu subinterval.
 
@@ -770,12 +786,12 @@ def run_fragment(
             hull = None
             for lo, hi in _slice_cuts(mu_lo, mu_hi, slices):
                 params = RtbpParams(Interval(lo, hi))
-                chart = jordan_basis(params)
-                b = enclose_fixed_point(chart, params, eff)
-                n_box = build_N(b, eff)
-                dfn = enclose_DF_over_N(chart, params, n_box, subdivision)
-                cu = certify_unstable(chart, b, n_box, dfn, eff)
-                cr = poincare_image(chart, params, cu.U_local, eff)
+                launch = launch_chain(params, eff, subdivision, [])
+                if launch.failure is not None:
+                    raise StageFailure(launch.failure)
+                cr = poincare_image(
+                    launch.chart, params, launch.unstable.U_local, eff
+                )
                 hull = cr.time if hull is None else hull.hull(cr.time)
             out.verified = True
             out.slices = slices
@@ -790,16 +806,10 @@ def run_fragment(
                 subdivision *= 2
                 slices *= 2
     out.seconds = time.perf_counter() - t0
-    if progress is not None:
-        mark = "ok" if out.verified else "FAIL"
-        progress(
-            f"  fragment {index:02d}: {mark} ({out.seconds:.2f} s, "
-            f"{out.slices} slices{', retried' if out.retried else ''})"
-        )
     return out
 
 
-def check_homoclinic(cfg: ProofConfig, progress=None) -> ProofReport:
+def check_homoclinic(cfg: ProofConfig) -> ProofReport:
     """Run the whole proof: both endpoints, then every fragment.
 
     PROVED requires the left P_X image strictly negative, the right one
@@ -807,22 +817,12 @@ def check_homoclinic(cfg: ProofConfig, progress=None) -> ProofReport:
     fragment; anything less is NOT_PROVED (never a disproof).
     """
     t0 = time.perf_counter()
-    left = run_endpoint("left", cfg.mu_left, cfg, progress)
-    right = run_endpoint("right", cfg.mu_right, cfg, progress)
-    pieces = cfg.fragment_intervals()
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [
-                pool.submit(run_fragment, i, lo, hi, cfg, progress)
-                for i, (lo, hi) in enumerate(pieces)
-            ]
-            fragments = [f.result() for f in futures]
-    else:
-        fragments = [
-            run_fragment(i, lo, hi, cfg, progress)
-            for i, (lo, hi) in enumerate(pieces)
-        ]
-    fragments.sort(key=lambda f: f.index)
+    left = run_endpoint("left", cfg.mu_left, cfg)
+    right = run_endpoint("right", cfg.mu_right, cfg)
+    fragments = [
+        run_fragment(i, lo, hi, cfg)
+        for i, (lo, hi) in enumerate(cfg.fragment_intervals())
+    ]
     ok = (
         left.verified
         and left.px_sign < 0

@@ -19,6 +19,8 @@ every claim the proof relies on is unaffected.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conecert.interval import IVector, decimal_to_interval
@@ -26,6 +28,7 @@ from conecert.prover import (
     CertifiedUnstable,
     ProofConfig,
     StageFailure,
+    _slice_cuts,
     build_N,
     certify_unstable,
     check_homoclinic,
@@ -358,21 +361,41 @@ class TestConfig:
         data["surprise"] = 1
         with pytest.raises(ValueError):
             ProofConfig.from_json(data)
+        data = ProofConfig.default().to_json()
+        data["threads"] = 1  # the removed thread option is no key either
+        with pytest.raises(ValueError):
+            ProofConfig.from_json(data)
 
     def test_json_round_trip(self):
         c = ProofConfig.default()
         assert ProofConfig.from_json(c.to_json()) == c
 
     def test_fragment_intervals_cover_exactly(self):
+        # fragment_intervals is the shared split applied to the band hull
         c = ProofConfig.default()
-        pieces = c.fragment_intervals()
         hull = c.mu_interval()
-        assert len(pieces) == c.fragments
-        assert pieces[0][0] == hull.lo
-        assert pieces[-1][1] == hull.hi
-        for (a, b), (c2, d) in zip(pieces, pieces[1:]):
-            assert b == c2
-            assert a < b
+        pieces = _slice_cuts(hull.lo, hull.hi, c.fragments)
+        assert c.fragment_intervals() == pieces
+        assert all(a < b for a, b in pieces)
+        thin = math.nextafter(1.0, 2.0)
+        bounds = [
+            (hull.lo, hull.hi),
+            (1.0, thin),  # one ulp wide
+            (-5e-324, 5e-324),  # subnormal
+            (-1e300, 1e300),
+            (-1.7e308, 1.7e308),  # hi - lo overflows
+        ]
+        for lo, hi in bounds:
+            for k in (1, 2, 7, 256):
+                pieces = _slice_cuts(lo, hi, k)
+                assert len(pieces) == k
+                assert pieces[0][0] == lo
+                assert pieces[-1][1] == hi
+                for (a, b), (c2, d) in zip(pieces, pieces[1:]):
+                    assert b == c2
+                assert all(a <= b for a, b in pieces)
+        # a wide band is genuinely split, not collapsed onto one piece
+        assert _slice_cuts(-1.7e308, 1.7e308, 2)[0] == (-1.7e308, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -390,35 +413,24 @@ def narrow_reports():
     )
     first = check_homoclinic(narrow_cfg)
     second = check_homoclinic(narrow_cfg)
-    threaded = check_homoclinic(replace(narrow_cfg, threads=3))
-    return first, second, threaded
+    return first, second
 
 
 class TestReportDeterminism:
     def test_narrow_band_is_not_decidable_but_runs(self, narrow_reports):
         # signs cannot flip over 1/100 of the band; the report must be
         # NOT_PROVED (never a disproof) with every stage well formed
-        first, _, _ = narrow_reports
+        first, _ = narrow_reports
         assert first.verdict in ("PROVED", "NOT_PROVED")
         assert first.left.verified
         assert all(f.verified for f in first.fragments)
 
     def test_reruns_bit_identical(self, narrow_reports):
-        first, second, _ = narrow_reports
+        first, second = narrow_reports
         assert first.json_str() == second.json_str()
 
-    def test_threads_do_not_change_payload(self, narrow_reports):
-        first, _, threaded = narrow_reports
-        import json
-
-        a = json.loads(first.json_str())
-        b = json.loads(threaded.json_str())
-        a["config"].pop("threads")
-        b["config"].pop("threads")
-        assert a == b
-
     def test_render_text_mentions_verdict(self, narrow_reports):
-        first, _, _ = narrow_reports
+        first, _ = narrow_reports
         text = first.render_text()
         assert f"homoclinic verdict: {first.verdict}" in text
         assert "fragments:" in text
