@@ -249,6 +249,8 @@ class Interval:
         q2 = self.lo / other.hi
         q3 = self.hi / other.lo
         q4 = self.hi / other.hi
+        if q1 != q1 or q2 != q2 or q3 != q3 or q4 != q4:
+            return _div_unbounded(self, other)
         return _mk(
             _nextafter(min(q1, q2, q3, q4), _NINF),
             _nextafter(max(q1, q2, q3, q4), _INF),
@@ -284,6 +286,27 @@ class Interval:
 
     def to_json(self) -> list[float]:
         return [self.lo, self.hi]
+
+
+def _div_unbounded(a: Interval, b: Interval) -> Interval:
+    """a / b when an infinite endpoint of a meets one of b.
+
+    inf / inf has no value, but the quotients x / y with x and y running
+    off to those infinities fill a half-line, [0, inf] for like signs and
+    [-inf, 0] otherwise (IEEE 1788); that half-line stands in for the
+    NaN corner, so no NaN endpoint escapes.
+    """
+    lo, hi = _INF, _NINF
+    for x in (a.lo, a.hi):
+        for y in (b.lo, b.hi):
+            q = x / y
+            if q == q:
+                lo, hi = min(lo, q), max(hi, q)
+            elif (x > 0.0) == (y > 0.0):
+                lo, hi = min(lo, 0.0), _INF
+            else:
+                lo, hi = _NINF, max(hi, 0.0)
+    return _mk(_nextafter(lo, _NINF), _nextafter(hi, _INF))
 
 
 # -- elementary functions ----------------------------------------------------

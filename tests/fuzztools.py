@@ -49,6 +49,34 @@ def _rand_member(rng: random.Random, iv: Interval) -> float:
     return min(max(x, iv.lo), iv.hi)
 
 
+def extend(rng: random.Random, iv: Interval, keep_sign: bool = False) -> Interval:
+    """iv with its lower and/or upper endpoint sometimes moved to -inf/+inf.
+
+    keep_sign only opens the side away from zero, so an interval that
+    excludes zero keeps excluding it.
+    """
+    lo, hi = iv.lo, iv.hi
+    if rng.random() < 0.4 and not (keep_sign and iv.lo > 0.0):
+        lo = -math.inf
+    if rng.random() < 0.4 and not (keep_sign and iv.hi < 0.0):
+        hi = math.inf
+    return Interval(lo, hi)
+
+
+def finite_member(rng: random.Random, iv: Interval) -> float:
+    """A finite member of an interval whose endpoints may be infinite."""
+    far = 10.0 ** rng.uniform(0.0, 300.0)
+    lo = iv.lo if math.isfinite(iv.lo) else min(iv.hi, 0.0) - far
+    hi = iv.hi if math.isfinite(iv.hi) else max(lo, 0.0) + far
+    return _rand_member(rng, Interval(lo, hi))
+
+
+def _encloses(r: Interval, q: Fraction) -> bool:
+    return (r.lo == -math.inf or Fraction(r.lo) <= q) and (
+        r.hi == math.inf or q <= Fraction(r.hi)
+    )
+
+
 def fuzz_arith_containment(n: int, seed: int = 20260819) -> int:
     """n cases per operation; exact member results must land inside."""
     rng = random.Random(seed)
@@ -77,6 +105,16 @@ def fuzz_arith_containment(n: int, seed: int = 20260819) -> int:
                 pass
         r = sq(a)
         assert Fraction(r.lo) <= fx * fx <= Fraction(r.hi), (a, x, "sq")
+        # division over the extended reals: no NaN endpoint, and finite
+        # members still land inside
+        ea, eb = extend(rng, a), extend(rng, b, keep_sign=True)
+        if not (eb.lo <= 0.0 <= eb.hi):
+            r = ea / eb
+            assert r.lo == r.lo and r.hi == r.hi, (ea, eb, "/ NaN")
+            q = Fraction(finite_member(rng, ea)) / Fraction(
+                finite_member(rng, eb)
+            )
+            assert _encloses(r, q), (ea, eb, q, "/ unbounded")
         k = rng.randrange(0, 6)
         if k < 0 and a.lo <= 0.0 <= a.hi:
             k = 1

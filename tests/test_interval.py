@@ -104,6 +104,21 @@ def test_div_by_zero_interval_raises():
         Interval(1, 2) / Interval(0, 1)
 
 
+def test_div_unbounded_has_no_nan_endpoint():
+    # -inf / -inf is the corner where x, y -> -inf give every positive
+    # quotient; the other corners give -1, -0 and +inf.  [DERIVED]
+    r = Interval(-math.inf, 1.0) / Interval(-math.inf, -1.0)
+    assert not (math.isnan(r.lo) or math.isnan(r.hi))
+    assert r.contains_zero() and -1.0 in r and r.hi == math.inf
+    assert r.lo >= math.nextafter(-1.0, DOWN)
+    # opposite signs at the infinite corner fill the negative half-line
+    r = Interval(1.0, math.inf) / Interval(-math.inf, -2.0)
+    assert r == Interval(-math.inf, math.nextafter(0.0, UP))
+    # finite operands keep the four-corner result bit for bit
+    r = Interval(1.0, 3.0) / Interval(2.0, 4.0)
+    assert r == Interval(math.nextafter(0.25, DOWN), math.nextafter(1.5, UP))
+
+
 def test_neg_abs_exact():
     a = Interval(-3.0, 2.0)
     assert (-a) == Interval(-2.0, 3.0)
