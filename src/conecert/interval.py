@@ -41,7 +41,6 @@ __all__ = [
     "DivisionByZeroInterval",
     "sqrt",
     "exp",
-    "pow_int",
     "sq",
     "idot",
     "decimal_to_interval",
@@ -358,41 +357,6 @@ def sq(x: Interval) -> Interval:
         )
     m = max(-x.lo, x.hi)
     return _mk(0.0, _nextafter(m * m, _INF))
-
-
-def pow_int(x: Interval, n: int) -> Interval:
-    """x**n for integer n, resolving the even-power dependency.
-
-    Negative n requires 0 not in x, otherwise DomainError.
-    """
-    if n == 0:
-        return _mk(1.0, 1.0)
-    if n < 0:
-        if x.lo <= 0.0 <= x.hi:
-            raise DomainError(f"negative power of interval containing zero: {x!r}")
-        try:
-            return _mk(1.0, 1.0) / pow_int(x, -n)
-        except DivisionByZeroInterval as e:  # pragma: no cover - defensive
-            raise DomainError(str(e)) from e
-    if n == 1:
-        return _mk(x.lo, x.hi)
-    if n == 2:
-        return sq(x)
-    if n % 2 == 1:
-        lo = _pad2_down(math.pow(x.lo, n))
-        hi = _pad2_up(math.pow(x.hi, n))
-        return _mk(lo, hi)
-    # even power
-    if x.lo >= 0.0:
-        lo, hi = x.lo, x.hi
-    elif x.hi <= 0.0:
-        lo, hi = -x.hi, -x.lo
-    else:
-        lo, hi = 0.0, max(-x.lo, x.hi)
-    return _mk(
-        max(_pad2_down(math.pow(lo, n)), 0.0),
-        _pad2_up(math.pow(hi, n)),
-    )
 
 
 def idot(xs: Sequence[Interval], ys: Sequence[Interval]) -> Interval:

@@ -29,7 +29,6 @@ from conecert.interval import (
     exp,
     idot,
     mat_opnorm_upper,
-    pow_int,
     sq,
     sqrt,
     vec_norm_sup,
@@ -165,23 +164,6 @@ def test_exp_monotone_and_tight():
     assert r.lo <= 1.0 and math.e <= r.hi
     assert ulps_apart(r.lo, 1.0, 4)
     assert ulps_apart(r.hi, math.e, 4)
-
-
-def test_pow_int_even_dependency():
-    r = pow_int(Interval(-2.0, 3.0), 2)
-    assert r.lo == 0.0 and 9.0 <= r.hi <= 9.0 + 8 * math.ulp(9.0)
-    r = sq(Interval(-2.0, 3.0))
-    assert r.lo == 0.0 and 9.0 <= r.hi
-
-
-def test_pow_int_odd_and_negative():
-    r = pow_int(Interval(-2.0, 3.0), 3)
-    assert r.lo <= -8.0 and 27.0 <= r.hi
-    r = pow_int(Interval(2.0, 4.0), -1)
-    assert 0.25 in r and 0.5 in r
-    with pytest.raises(DomainError):
-        pow_int(Interval(-1.0, 1.0), -2)
-    assert pow_int(Interval(-5.0, 7.0), 0) == Interval(1.0, 1.0)
 
 
 # -- set operations ----------------------------------------------------------
