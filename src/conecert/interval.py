@@ -23,7 +23,6 @@ can be shared freely.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -46,10 +45,7 @@ __all__ = [
     "decimal_to_interval",
     "vec_norm_sup",
     "mat_opnorm_upper",
-    "box_hull",
     "box_intersect",
-    "box_subdivide",
-    "box_midpoint",
 ]
 
 
@@ -147,10 +143,6 @@ class Interval:
         return _nextafter(self.hi - self.lo, _INF) if self.hi != self.lo else 0.0
 
     @property
-    def rad(self) -> float:
-        return 0.5 * self.width
-
-    @property
     def mid(self) -> float:
         if self.lo == _NINF and self.hi == _INF:
             return 0.0
@@ -164,13 +156,6 @@ class Interval:
     def mag(self) -> float:
         """sup |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))
-
-    @property
-    def mig(self) -> float:
-        """inf |x| over the interval."""
-        if self.lo <= 0.0 <= self.hi:
-            return 0.0
-        return min(abs(self.lo), abs(self.hi))
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -626,10 +611,6 @@ def mat_opnorm_upper(m: IMatrix) -> float:
 # -- box operations ----------------------------------------------------------
 
 
-def box_hull(a: Box, b: Box) -> Box:
-    return a.hull(b)
-
-
 def box_intersect(a: Box, b: Box) -> Box | None:
     out = []
     for x, y in zip(a.c, b.c):
@@ -638,41 +619,3 @@ def box_intersect(a: Box, b: Box) -> Box | None:
             return None
         out.append(z)
     return IVector(out)
-
-
-def box_midpoint(a: Box) -> list[float]:
-    return a.mid()
-
-
-def box_subdivide(box: Box, axis: int, k: int) -> list[Box]:
-    """Split one axis into k pieces that share endpoints, so the union covers.
-
-    Interior cut points are floats between lo and hi; consecutive pieces share
-    them exactly, hence no gap can open.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    comp = box.c[axis]
-    lo, hi = comp.lo, comp.hi
-    cuts = [lo]
-    for i in range(1, k):
-        t = lo + (hi - lo) * (i / k)
-        t = min(max(t, cuts[-1]), hi)
-        cuts.append(t)
-    cuts.append(hi)
-    pieces = []
-    for i in range(k):
-        sub = list(box.c)
-        sub[axis] = Interval(cuts[i], cuts[i + 1])
-        pieces.append(IVector(sub))
-    return pieces
-
-
-# -- serialization helpers ---------------------------------------------------
-
-
-def dumps(obj) -> str:
-    """JSON text for Interval, IVector and IMatrix, shortest round-trip floats."""
-    if isinstance(obj, (Interval, IVector, IMatrix)):
-        obj = obj.to_json()
-    return json.dumps(obj)

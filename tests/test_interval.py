@@ -21,10 +21,7 @@ from conecert.interval import (
     IMatrix,
     Interval,
     IVector,
-    box_hull,
     box_intersect,
-    box_midpoint,
-    box_subdivide,
     decimal_to_interval,
     exp,
     idot,
@@ -318,20 +315,6 @@ def test_symmetrize():
 def test_box_ops():
     a: Box = IVector([Interval(0, 1), Interval(0, 1)])
     b: Box = IVector([Interval(0.5, 2), Interval(-1, 0.5)])
-    h = box_hull(a, b)
-    assert h[0] == Interval(0, 2) and h[1] == Interval(-1, 1)
     i = box_intersect(a, b)
     assert i is not None and i[0] == Interval(0.5, 1) and i[1] == Interval(0, 0.5)
     assert box_intersect(a, IVector([Interval(2, 3), Interval(0, 1)])) is None
-    assert box_midpoint(a) == [0.5, 0.5]
-
-
-def test_box_subdivide_covers():
-    box: Box = IVector([Interval(0, 1), Interval(-2, 2)])
-    pieces = box_subdivide(box, 1, 7)
-    assert len(pieces) == 7
-    assert pieces[0][1].lo == -2.0 and pieces[-1][1].hi == 2.0
-    for left, right in zip(pieces, pieces[1:]):
-        assert left[1].hi == right[1].lo  # shared endpoints, no gaps
-    for p in pieces:
-        assert p[0] == box[0]
