@@ -1,16 +1,14 @@
 """Validated integration and Poincare section tests.
 
 Oracle notes:
-  * [TRIVIAL]  zero fields, t=0 bounds, formula specializations, quarter
-               circle on the rotation field.
+  * [TRIVIAL]  zero and constant fields, quarter circle on the rotation
+               field.
   * [DERIVED]  closed-form flows (exp, harmonic oscillator, linear saddle),
-               scipy RK45 at rtol 1e-12 as a containment reference, float
-               RK4 pair sampling for the Gronwall consistency check.
+               scipy RK45 at rtol 1e-12 as a containment reference.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 
@@ -24,14 +22,10 @@ from conecert.flow import (
     LostCrossing,
     Section,
     TransversalityFailure,
-    VectorFieldBounds,
     a_priori_enclosure,
-    bounds_for,
-    gronwall_bounds,
     integrate_to_time,
     poincare_crossing,
     taylor_step,
-    write_trajectory_csv,
 )
 from conecert.rtbp import (
     RtbpParams,
@@ -63,11 +57,6 @@ class AffineField:
     def jacobian(self, x) -> IMatrix:
         return self.a
 
-    def hessians(self, x) -> list:
-        zero = Interval(0.0)
-        n = self.dim
-        return [IMatrix([[zero] * n for _ in range(n)]) for _ in range(n)]
-
     def expand(self, u0, order: int):
         coeffs = [u0 if isinstance(u0, IVector) else IVector.from_floats(u0)]
         for k in range(order):
@@ -95,125 +84,6 @@ class _Series:
 
 def harmonic() -> LinearTaylorField:
     return LinearTaylorField(IMatrix.from_floats([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-# -- Gronwall bounds -------------------------------------------------------------
-
-
-def test_gronwall_zero_time():
-    b = VectorFieldBounds(3.0, 2.0, 1.0)
-    assert gronwall_bounds(b, 0.0, 5.0) == (0.0, 0.0)  # [TRIVIAL]
-    assert gronwall_bounds(b, 1.0, 0.0) == (0.0, 0.0)
-
-
-def test_gronwall_scalar_linear_equality():
-    # x' = x has phi_t(p) = e^t p, so g1 at t=1 equals (e-1) dist exactly;
-    # the bound must sit just above it.  [DERIVED]
-    b = VectorFieldBounds(10.0, 1.0, 0.0)
-    for dist in (1.0, 0.25, 3.5e-7):
-        g1, g2 = gronwall_bounds(b, 1.0, dist)
-        exact = (math.e - 1.0) * dist
-        assert g1 >= exact
-        assert g1 - exact < 1e-12 * max(1.0, exact)
-        # mu*M = 0 specialization: g2 = L (e^{Lt} - 1) dist  [TRIVIAL]
-        assert abs(g2 - exact) < 1e-12 * max(1.0, exact)
-
-
-def test_gronwall_negative_time_symmetric():
-    b = VectorFieldBounds(1.0, 0.7, 2.0)
-    assert gronwall_bounds(b, -0.3, 1.0) == gronwall_bounds(b, 0.3, 1.0)
-
-
-def test_gronwall_rejects_negative_dist():
-    b = VectorFieldBounds(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        gronwall_bounds(b, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        VectorFieldBounds(-1.0, 1.0, 1.0)
-
-
-def test_bounds_for_rtbp_box():
-    # Certified sups dominate float samples inside the box.  [TRIVIAL]
-    field = rtbp_field()
-    box = IVector(
-        [
-            Interval(-0.82, -0.78),
-            Interval(0.08, 0.12),
-            Interval(0.03, 0.07),
-            Interval(-0.72, -0.68),
-        ]
-    )
-    vb = bounds_for(field, box)
-    rng = random.Random(1)
-    mu = field.params.mu.mid
-    for _ in range(100):
-        pt = [box[i].lo + rng.random() * box[i].width for i in range(4)]
-        f = vector_field_floats(pt, mu)
-        assert math.sqrt(sum(c * c for c in f)) <= vb.mu_bound
-    assert vb.L > 0.0 and vb.M > 0.0
-
-
-def test_gronwall_consistency_sampled_pairs():
-    # ||phi_t(p1) - phi_t(p2) - (p1 - p2)|| <= g1 over random pairs, with
-    # float RK4 standing in for the true flow.  [DERIVED]
-    field = rtbp_field()
-    mu = field.params.mu.mid
-    box = IVector(
-        [
-            Interval(-0.805, -0.795),
-            Interval(0.095, 0.105),
-            Interval(0.045, 0.055),
-            Interval(-0.705, -0.695),
-        ]
-    )
-    t = 0.2
-    tubes = []
-    integrate_to_time(
-        field,
-        FlowEnclosure.from_box(box),
-        t,
-        order=18,
-        tol=1e-12,
-        observer=lambda enc, tube: tubes.append(tube),
-    )
-    hull = tubes[0]
-    for tb in tubes[1:]:
-        hull = IVector([hull[i].hull(tb[i]) for i in range(4)])
-    vb = bounds_for(field, hull)
-
-    def rk4(x):
-        x = list(x)
-        n = 400
-        h = t / n
-        for _ in range(n):
-            k1 = vector_field_floats(x, mu)
-            k2 = vector_field_floats(
-                [x[i] + 0.5 * h * k1[i] for i in range(4)], mu
-            )
-            k3 = vector_field_floats(
-                [x[i] + 0.5 * h * k2[i] for i in range(4)], mu
-            )
-            k4 = vector_field_floats([x[i] + h * k3[i] for i in range(4)], mu)
-            x = [
-                x[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-                for i in range(4)
-            ]
-        return x
-
-    rng = random.Random(17)
-    for _ in range(25):
-        p1 = [box[i].lo + rng.random() * box[i].width for i in range(4)]
-        p2 = [box[i].lo + rng.random() * box[i].width for i in range(4)]
-        dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(p1, p2)))
-        g1, _ = gronwall_bounds(vb, t, dist)
-        q1, q2 = rk4(p1), rk4(p2)
-        dev = math.sqrt(
-            sum(
-                (q1[i] - q2[i] - (p1[i] - p2[i])) ** 2
-                for i in range(4)
-            )
-        )
-        assert dev <= g1
 
 
 # -- a priori enclosures -----------------------------------------------------------
@@ -495,28 +365,3 @@ def test_flow_enclosure_round_trip():
     assert back.max_width() <= box.max_width() + 1e-14
     assert e.dim == 2
     assert 0.0 in e.time
-
-
-def test_trajectory_csv(tmp_path):
-    path = tmp_path / "orbit.csv"
-    rows = []
-
-    def obs(enc, tube):
-        rows.append(enc)
-
-    e0 = FlowEnclosure.from_box(IVector.from_floats([1.0, 0.0]))
-    integrate_to_time(harmonic(), e0, 1.0, order=12, tol=1e-13, observer=obs)
-    write_trajectory_csv(path, rows)
-    with open(path) as fh:
-        data = list(csv.reader(fh))
-    assert data[0] == ["t_lo", "t_hi", "x0_lo", "x0_hi", "x1_lo", "x1_hi"]
-    assert len(data) == len(rows) + 1
-    last_t = 0.0
-    for row in data[1:]:
-        vals = [float(x) for x in row]
-        assert vals[0] <= vals[1]
-        assert vals[2] <= vals[3] and vals[4] <= vals[5]
-        assert vals[0] >= last_t
-        last_t = vals[0]
-    with pytest.raises(ValueError):
-        write_trajectory_csv(tmp_path / "empty.csv", [])
