@@ -50,7 +50,6 @@ __all__ = [
     "jacobi_constant",
     "vector_field",
     "jacobian",
-    "hessians",
     "vector_field_floats",
     "jacobian_floats",
     "libration_L1",
@@ -107,9 +106,6 @@ class State:
     @classmethod
     def from_ivector(cls, v: IVector) -> "State":
         return cls(v[0], v[1], v[2], v[3])
-
-    def as_ivector(self) -> IVector:
-        return IVector([self.X, self.Y, self.P_X, self.P_Y])
 
 
 def _coerce(s) -> tuple:
@@ -211,51 +207,6 @@ def jacobian(s, p: RtbpParams) -> IMatrix:
             [-uxy, -uyy, -one, z],
         ]
     )
-
-
-def hessians(s, p: RtbpParams) -> list:
-    """Hessians of the four field components; rows 0, 1 are linear.
-
-    Third partials of Omega with z = r^-7:
-      Omega_XXX = sum m (-9 d v + 15 d^3 z)
-      Omega_XXY = sum m (-3 Y v + 15 d^2 Y z)
-      Omega_XYY = sum m (-3 d v + 15 d Y^2 z)
-      Omega_YYY = sum m (-9 Y v + 15 Y^3 z)
-    """
-    x, y, px, py = _coerce(s)
-    mu = p.mu
-    m1 = 1.0 - mu
-    d1, d2, s1, s2 = _distance_squares(x, y, mu)
-    ysq = sq(y)
-    zero = Interval(0.0)
-    uxxx = uxxy = uxyy = uyyy = zero
-    for m, d, ssq in ((m1, d1, s1), (mu, d2, s2)):
-        w = _inv_r3(ssq)
-        v = w / ssq
-        zz = v / ssq
-        dsq = sq(d)
-        uxxx = uxxx + m * (d * v * (-9.0) + d * dsq * zz * 15.0)
-        uxxy = uxxy + m * (y * v * (-3.0) + dsq * y * zz * 15.0)
-        uxyy = uxyy + m * (d * v * (-3.0) + d * ysq * zz * 15.0)
-        uyyy = uyyy + m * (y * v * (-9.0) + y * ysq * zz * 15.0)
-    zmat = IMatrix([[zero] * 4 for _ in range(4)])
-    h2 = IMatrix(
-        [
-            [-uxxx, -uxxy, zero, zero],
-            [-uxxy, -uxyy, zero, zero],
-            [zero, zero, zero, zero],
-            [zero, zero, zero, zero],
-        ]
-    )
-    h3 = IMatrix(
-        [
-            [-uxxy, -uxyy, zero, zero],
-            [-uxyy, -uyyy, zero, zero],
-            [zero, zero, zero, zero],
-            [zero, zero, zero, zero],
-        ]
-    )
-    return [zmat, zmat, h2, h3]
 
 
 def vector_field_floats(x, mu: float) -> tuple:
@@ -805,10 +756,6 @@ class RtbpTaylorField:
     def jacobian(self, x) -> IMatrix:
         j = jacobian(x, self.params)
         return -j if self.reverse else j
-
-    def hessians(self, x) -> list:
-        hs = hessians(x, self.params)
-        return [-h for h in hs] if self.reverse else hs
 
     def expand(self, u0, order: int) -> RtbpSolutionSeries:
         series = RtbpSolutionSeries(u0, self.params.mu, self.sign)

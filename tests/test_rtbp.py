@@ -35,7 +35,6 @@ from conecert.rtbp import (
     d_total_change,
     dpsi,
     hamiltonian,
-    hessians,
     jacobi_constant,
     jacobian,
     jacobian_floats,
@@ -186,40 +185,6 @@ def test_jacobian_vs_finite_differences():
                 assert abs(jac.rows[i][j].mid - fd) < 5e-5 * max(
                     1.0, abs(fd)
                 )
-
-
-def test_hessians_vs_finite_differences():
-    # Second central differences of the momentum components at h=1e-4,
-    # position block only (the rest is exactly zero).  [DERIVED]
-    p = band_left()
-    mu = p.mu.mid
-    s = State.from_floats(-0.6, 0.35, 0.1, -0.5)
-    hs = hessians(s, p)
-    for comp in (0, 1):
-        assert all(
-            hs[comp].rows[i][j].lo == 0.0 == hs[comp].rows[i][j].hi
-            for i in range(4)
-            for j in range(4)
-        )
-    x0 = [-0.6, 0.35, 0.1, -0.5]
-    h = 1e-4
-    for comp in (2, 3):
-        for a in range(2):
-            for b in range(2):
-                pts = []
-                for da, db in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    x = list(x0)
-                    x[a] += da * h
-                    x[b] += db * h
-                    pts.append(vector_field_floats(x, mu)[comp])
-                fd = (pts[0] - pts[1] - pts[2] + pts[3]) / (4 * h * h)
-                got = hs[comp].rows[a][b].mid
-                assert abs(got - fd) < 1e-4 * max(1.0, abs(fd))
-        # momentum rows and columns vanish
-        for i in range(4):
-            for j in range(2, 4):
-                assert hs[comp].rows[i][j].lo == 0.0 == hs[comp].rows[i][j].hi
-                assert hs[comp].rows[j][i].lo == 0.0 == hs[comp].rows[j][i].hi
 
 
 # -- libration point and linear chart -------------------------------------------
