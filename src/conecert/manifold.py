@@ -1,4 +1,4 @@
-"""Manifold certificates and a numerical 1-D graph transform.
+"""Manifold certificates from verified cone conditions.
 
 certify() converts verified cone conditions into a strong stable or
 unstable manifold statement: over the window U the invariant set with the
@@ -13,25 +13,14 @@ The Lipschitz constant is sqrt(alpha_h) for unstable kinds and
 sqrt(alpha_v) for stable kinds.  Certificates record closed balls for both
 graph domains and targets; the stable theorem's target ball is open, so
 the closed record is the conservative one, the noted discrepancy aside.
-
-The graph transform here is plain floating point, restricted to a
-one-dimensional expanding direction, and exists for cross-checks and
-plots.  Certification never depends on it.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import math
 from dataclasses import dataclass
 
-from .cones import (
-    ConeCertificate,
-    FlowConeCertificate,
-    QuadForm,
-    contraction_constant,
-)
+from .cones import FlowConeCertificate, contraction_constant
 from .interval import Box, Interval, IVector, sqrt
 
 __all__ = [
@@ -39,12 +28,7 @@ __all__ = [
     "ManifoldCertificate",
     "RateOrderViolation",
     "UnverifiedCones",
-    "ResolutionError",
     "certify",
-    "phi_coords",
-    "phi_inverse",
-    "HorizontalDisc1D",
-    "graph_transform_1d",
 ]
 
 
@@ -54,10 +38,6 @@ class RateOrderViolation(ValueError):
 
 class UnverifiedCones(RuntimeError):
     """A certificate was requested from unverified cone conditions."""
-
-
-class ResolutionError(RuntimeError):
-    """Disc samples too coarse to bracket a re-parameterization root."""
 
 
 class ManifoldKind(enum.Enum):
@@ -230,230 +210,3 @@ def certify(
         u_dim=u_dim,
         s_dim=s_dim,
     )
-
-
-def _norm(v) -> float:
-    return math.hypot(*v) if len(v) > 1 else abs(v[0])
-
-
-def _g_of_s(s, q: QuadForm, c_star: float) -> float:
-    return math.sqrt((c_star + q.beta * sum(x * x for x in s)) / q.alpha)
-
-
-def phi_coords(u, s, q: QuadForm, c_star: float):
-    """phi(u, s): maps the unit cylinder ||u|| <= 1 onto {Q <= c_star}.
-
-    Floating point, used for the numerical graph transform only.
-    """
-    if c_star <= 0.0:
-        raise ValueError("c_star must be positive")
-    u = tuple(float(x) for x in u)
-    s = tuple(float(x) for x in s)
-    g = _g_of_s(s, q, c_star)
-    nu = _norm(u)
-    if nu <= 1.0:
-        scale = g
-    else:
-        scale = (g - 1.0) / nu + 1.0
-    return tuple(x * scale for x in u) + s
-
-
-def phi_inverse(p, q: QuadForm, c_star: float, u_dim: int | None = None):
-    """Inverse of phi_coords; returns the (u, s) pair."""
-    if c_star <= 0.0:
-        raise ValueError("c_star must be positive")
-    if u_dim is None:
-        u_dim = q.u_dim
-    px = tuple(float(x) for x in p[:u_dim])
-    s = tuple(float(x) for x in p[u_dim:])
-    g = _g_of_s(s, q, c_star)
-    npx = _norm(px)
-    if npx <= g:
-        u = tuple(x / g for x in px)
-    else:
-        # ||px|| = ||u|| + g - 1 on the outer branch
-        t = npx - g + 1.0
-        u = tuple(x * t / npx for x in px)
-    return u, s
-
-
-class HorizontalDisc1D:
-    """Sampled curve h: [-1, 1] -> R^{1+s} meant to be a horizontal disc.
-
-    Sample abscissae are Chebyshev points including both endpoints,
-    ascending.  The stored forms Q_h and Q_v are the ones the disc is
-    horizontal for and the one its radius is measured in.
-    """
-
-    def __init__(self, xs, points, q_h: QuadForm, q_v: QuadForm):
-        if len(xs) != len(points) or len(xs) < 2:
-            raise ValueError("need matching xs and points, at least two")
-        if q_h.u_dim != 1 or q_v.u_dim != 1:
-            raise ValueError("only one-dimensional expanding blocks")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("abscissae must be strictly ascending")
-        self.xs = tuple(float(x) for x in xs)
-        self.points = tuple(tuple(float(c) for c in p) for p in points)
-        dim = 1 + q_h.s_dim
-        if any(len(p) != dim for p in self.points):
-            raise ValueError("point dimension disagrees with the forms")
-        self.q_h = q_h
-        self.q_v = q_v
-
-    @staticmethod
-    def chebyshev_abscissae(n: int = 257) -> tuple:
-        if n < 2:
-            raise ValueError("need at least two samples")
-        return tuple(-math.cos(j * math.pi / (n - 1)) for j in range(n))
-
-    @classmethod
-    def from_function(cls, fun, q_h: QuadForm, q_v: QuadForm, n: int = 257):
-        xs = cls.chebyshev_abscissae(n)
-        return cls(xs, [fun(x) for x in xs], q_h, q_v)
-
-    @classmethod
-    def initial(
-        cls, alpha_h: float, alpha_v: float, s_dim: int, n: int = 257
-    ):
-        """h0(x) = (x sqrt(1 - alpha_v), 0, ..., 0), radius 1 - alpha_v."""
-        q_h = QuadForm.horizontal(alpha_h, 1, s_dim)
-        q_v = QuadForm.vertical(alpha_v, 1, s_dim)
-        r = math.sqrt(1.0 - alpha_v)
-        zeros = (0.0,) * s_dim
-        return cls.from_function(lambda x: (x * r,) + zeros, q_h, q_v, n)
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    def _q_of(self, form: QuadForm, d) -> float:
-        qx = d[0] * d[0]
-        qy = sum(c * c for c in d[1:])
-        return form.alpha * qx - form.beta * qy
-
-    def min_pairwise_q(self) -> float:
-        """min over sample pairs of Q_h(h(x_i) - h(x_j)); positive for a
-        genuine horizontal disc."""
-        best = math.inf
-        pts = self.points
-        for i in range(len(pts)):
-            pi = pts[i]
-            for j in range(i + 1, len(pts)):
-                d = tuple(a - b for a, b in zip(pi, pts[j]))
-                best = min(best, self._q_of(self.q_h, d))
-        return best
-
-    def center_offset(self) -> float:
-        """|pi_x h(0)| by linear interpolation between the two samples
-        bracketing x = 0."""
-        xs = self.xs
-        if xs[0] > 0.0 or xs[-1] < 0.0:
-            raise ValueError("abscissae do not bracket 0")
-        k = max(i for i, x in enumerate(xs) if x <= 0.0)
-        if xs[k] == 0.0:
-            return abs(self.points[k][0])
-        tau = (0.0 - xs[k]) / (xs[k + 1] - xs[k])
-        a, b = self.points[k][0], self.points[k + 1][0]
-        return abs(a + tau * (b - a))
-
-    def boundary_radius(self) -> tuple:
-        """Q_v at the two boundary samples; both equal the disc radius."""
-        return (
-            self._q_of(self.q_v, self.points[0]),
-            self._q_of(self.q_v, self.points[-1]),
-        )
-
-    def validate(self, pair_margin: float = 0.0, center_tol: float = 1e-9) -> bool:
-        return self.min_pairwise_q() > pair_margin and (
-            self.center_offset() <= center_tol
-        )
-
-    def interpolate(self, x: float) -> tuple:
-        """Piecewise-linear evaluation between samples."""
-        xs = self.xs
-        if x <= xs[0]:
-            return self.points[0]
-        if x >= xs[-1]:
-            return self.points[-1]
-        lo, hi = 0, len(xs) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        tau = (x - xs[lo]) / (xs[hi] - xs[lo])
-        a, b = self.points[lo], self.points[hi]
-        return tuple(pa + tau * (pb - pa) for pa, pb in zip(a, b))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = len(self.points[0])
-            writer.writerow(["x"] + [f"p{i}" for i in range(dim)])
-            for x, p in zip(self.xs, self.points):
-                writer.writerow([repr(x)] + [repr(c) for c in p])
-
-    @classmethod
-    def from_csv(cls, path, q_h: QuadForm, q_v: QuadForm):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            xs, points = [], []
-            for row in reader:
-                xs.append(float(row[0]))
-                points.append(tuple(float(c) for c in row[1:]))
-        return cls(xs, points, q_h, q_v)
-
-
-def graph_transform_1d(
-    f,
-    disc: HorizontalDisc1D,
-    q_v: QuadForm,
-    c: float,
-    iterations: int = 1,
-) -> HorizontalDisc1D:
-    """Numerical graph transform h -> h* with re-parameterization.
-
-    h*(u) = f(h(x(u))) where x(u) solves pi_u phi^-1(f(h(x))) = u, phi
-    built from q_v and c_star = c.  Roots are bracketed on the sampled
-    image curve and refined by bisection on the linear interpolant of h;
-    tolerance 1e-13 in x.  Floating point throughout; cross-check only.
-    """
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
-    out = disc
-    for _ in range(iterations):
-        out = _transform_once(f, out, q_v, c)
-    return out
-
-
-def _transform_once(f, disc, q_v, c):
-    def u_of(x: float) -> float:
-        return phi_inverse(f(disc.interpolate(x)), q_v, c)[0][0]
-
-    g = [phi_inverse(f(p), q_v, c)[0][0] for p in disc.points]
-    new_points = []
-    for u_target in disc.xs:
-        k = None
-        for i in range(len(g) - 1):
-            if (g[i] - u_target) * (g[i + 1] - u_target) <= 0.0:
-                k = i
-                break
-        if k is None:
-            raise ResolutionError(
-                f"no sample bracket for u={u_target}; image covers "
-                f"[{min(g)}, {max(g)}]"
-            )
-        a, b = disc.xs[k], disc.xs[k + 1]
-        fa = g[k] - u_target
-        for _ in range(60):
-            if b - a <= 1e-13 * max(1.0, abs(a)):
-                break
-            mid = 0.5 * (a + b)
-            fm = u_of(mid) - u_target
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        new_points.append(f(disc.interpolate(0.5 * (a + b))))
-    return HorizontalDisc1D(disc.xs, new_points, disc.q_h, disc.q_v)

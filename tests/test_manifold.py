@@ -1,14 +1,7 @@
-"""Manifold certificates and the numerical graph transform.
-
-Oracles: phi identities hold by construction and are checked against a
-numerical inversion oracle; graph-transform limits for linear maps are
-exact eigendirections (for the shear map (2x, 0.5y + 0.1x) the unstable
-eigenvector has slope 0.1 / 1.5).
-"""
+"""Manifold certificates built from verified cone conditions."""
 
 import json
 import math
-import random
 
 import pytest
 
@@ -20,16 +13,11 @@ from conecert.cones import (
 )
 from conecert.interval import IMatrix, Interval, IVector
 from conecert.manifold import (
-    HorizontalDisc1D,
     ManifoldCertificate,
     ManifoldKind,
     RateOrderViolation,
-    ResolutionError,
     UnverifiedCones,
     certify,
-    graph_transform_1d,
-    phi_coords,
-    phi_inverse,
 )
 
 
@@ -48,69 +36,6 @@ def toy_flow_cert(alpha_h=0.5, alpha_v=0.5, c_h=1.0, c_v=1.5, eps=0.0):
     b = IMatrix.from_floats([[-1.0]])
     e = IMatrix.from_floats([[eps]])
     return flow_cone_check(a, b, e, e, alpha_h, alpha_v, c_h, c_v)
-
-
-class TestPhi:
-    def test_inner_branch_s_zero(self):
-        # [TRIVIAL] phi(u, 0) = (u sqrt(c*/alpha), 0) for ||u|| <= 1.
-        q = QuadForm(2.0, 3.0, 1, 2)
-        out = phi_coords([0.5], [0.0, 0.0], q, 8.0)
-        assert out == (0.5 * 2.0, 0.0, 0.0)
-
-    def test_boundary_maps_onto_level_set(self):
-        # [TRIVIAL] ||u|| = 1 implies Q(phi(u, s)) = c*.
-        q = QuadForm(0.7, 1.3, 2, 2)
-        rng = random.Random(7)
-        for _ in range(200):
-            t = rng.uniform(0, 2 * math.pi)
-            u = (math.cos(t), math.sin(t))
-            s = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            p = phi_coords(u, s, q, 0.9)
-            qval = q.alpha * (p[0] ** 2 + p[1] ** 2) - q.beta * (
-                p[2] ** 2 + p[3] ** 2
-            )
-            assert abs(qval - 0.9) < 1e-10
-
-    def test_round_trip(self):
-        # [DERIVED] phi^-1(phi(u, s)) = (u, s) to 1e-12 on 1000 random
-        # inputs, both branches.
-        rng = random.Random(20260819)
-        for q in (QuadForm(1.0, 1e-4, 1, 3), QuadForm(0.5, 2.0, 2, 2)):
-            for _ in range(500):
-                u = tuple(rng.uniform(-2.5, 2.5) for _ in range(q.u_dim))
-                s = tuple(rng.uniform(-2.0, 2.0) for _ in range(q.s_dim))
-                p = phi_coords(u, s, q, 0.3)
-                u2, s2 = phi_inverse(p, q, 0.3)
-                for a, b in zip(u + s, u2 + s2):
-                    assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-    def test_vertical_slices_never_horizontal(self):
-        # Property: Q(phi(u, s1) - phi(u, s2)) <= 0 for random triples.
-        q = QuadForm(0.8, 1.7, 1, 2)
-        rng = random.Random(99)
-        for _ in range(10_000):
-            u = (rng.uniform(-2, 2),)
-            s1 = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            s2 = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            p1 = phi_coords(u, s1, q, 0.6)
-            p2 = phi_coords(u, s2, q, 0.6)
-            d = tuple(a - b for a, b in zip(p1, p2))
-            qval = q.alpha * d[0] ** 2 - q.beta * (d[1] ** 2 + d[2] ** 2)
-            assert qval <= 1e-12
-
-    def test_continuity_across_branch_seam(self):
-        q = QuadForm(1.0, 0.5, 1, 1)
-        s = (0.7,)
-        inner = phi_coords((1.0,), s, q, 0.4)
-        outer = phi_coords((1.0 + 1e-12,), s, q, 0.4)
-        assert abs(inner[0] - outer[0]) < 1e-10
-
-    def test_rejects_nonpositive_cstar(self):
-        q = QuadForm(1.0, 1.0, 1, 1)
-        with pytest.raises(ValueError):
-            phi_coords((0.5,), (0.0,), q, 0.0)
-        with pytest.raises(ValueError):
-            phi_inverse((0.5, 0.0), q, -1.0)
 
 
 class TestCertify:
@@ -206,101 +131,3 @@ class TestCertify:
             certify("MapUnstable", toy_flow_cert(), 0.5, 0.5)
         with pytest.raises(TypeError):
             certify("FlowUnstable", diag_certs(), 0.5, 0.5)
-
-
-class TestHorizontalDisc:
-    def test_initial_disc_geometry(self):
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 1)
-        assert len(disc) == 257
-        assert disc.xs[0] == -1.0 and disc.xs[-1] == 1.0
-        assert disc.min_pairwise_q() > 0.0
-        assert disc.center_offset() <= 1e-15
-        lo, hi = disc.boundary_radius()
-        assert abs(lo - 0.5) < 1e-15 and abs(hi - 0.5) < 1e-15
-        assert disc.validate()
-
-    def test_abscissae_are_chebyshev(self):
-        xs = HorizontalDisc1D.chebyshev_abscissae(5)
-        expect = [-1.0, -math.cos(math.pi / 4), 0.0, math.cos(math.pi / 4), 1.0]
-        for a, b in zip(xs, expect):
-            assert abs(a - b) < 1e-15
-
-    def test_rejects_bad_input(self):
-        q = QuadForm.horizontal(0.5, 1, 1)
-        qv = QuadForm.vertical(0.5, 1, 1)
-        with pytest.raises(ValueError):
-            HorizontalDisc1D([0.0, 0.0], [(0, 0), (0, 0)], q, qv)
-        with pytest.raises(ValueError):
-            HorizontalDisc1D([0.0, 1.0], [(0, 0, 0), (0, 0, 0)], q, qv)
-
-    def test_interpolation(self):
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 1, n=17)
-        r = math.sqrt(0.5)
-        p = disc.interpolate(0.3)
-        assert abs(p[0] - 0.3 * r) < 1e-12 and p[1] == 0.0
-
-    def test_csv_round_trip(self, tmp_path):
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 2, n=33)
-        path = tmp_path / "disc.csv"
-        disc.to_csv(path)
-        back = HorizontalDisc1D.from_csv(path, disc.q_h, disc.q_v)
-        assert back.xs == disc.xs
-        assert back.points == disc.points
-        header = path.read_text().splitlines()[0]
-        assert header == "x,p0,p1,p2"
-
-
-class TestGraphTransform:
-    def test_invariant_axis_is_fixed(self):
-        # [TRIVIAL] f = (2x, 0.5y) fixes h0 exactly.
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 1, n=65)
-        f = lambda p: (2.0 * p[0], 0.5 * p[1])
-        out = graph_transform_1d(f, disc, disc.q_v, 0.5, iterations=3)
-        for p, p0 in zip(out.points, disc.points):
-            assert abs(p[0] - p0[0]) < 1e-10
-            assert abs(p[1]) < 1e-12
-
-    def test_shear_converges_to_eigendirection(self):
-        # [DERIVED] unstable eigenvector of (2x, 0.5y + 0.1x) spans
-        # y = (0.1 / 1.5) x; contraction factor 1/4 per iterate.
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 1, n=129)
-        f = lambda p: (2.0 * p[0], 0.5 * p[1] + 0.1 * p[0])
-        out = graph_transform_1d(f, disc, disc.q_v, 0.5, iterations=25)
-        slope = 0.1 / 1.5
-        for p in out.points:
-            assert abs(p[1] - slope * p[0]) <= 1e-10
-
-    def test_transform_preserves_disc_properties(self):
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 1, n=65)
-        f = lambda p: (2.0 * p[0], 0.5 * p[1] + 0.1 * p[0])
-        out = graph_transform_1d(f, disc, disc.q_v, 0.5, iterations=5)
-        # still a horizontal disc, radius preserved within root tolerance
-        assert out.min_pairwise_q() > 0.0
-        assert out.center_offset() <= 1e-9
-        lo, hi = out.boundary_radius()
-        assert abs(lo - 0.5) < 1e-10 and abs(hi - 0.5) < 1e-10
-
-    def test_lipschitz_bound_on_samples(self):
-        # w^u from the transform obeys |w(x1) - w(x2)| <=
-        # sqrt(alpha_h) |x1 - x2| + slack.
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 1, n=65)
-        f = lambda p: (2.0 * p[0], 0.5 * p[1] + 0.1 * p[0])
-        out = graph_transform_1d(f, disc, disc.q_v, 0.5, iterations=20)
-        lip = math.sqrt(0.5)
-        pts = out.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                dx = abs(pts[i][0] - pts[j][0])
-                dy = abs(pts[i][1] - pts[j][1])
-                assert dy <= lip * dx + 1e-9
-
-    def test_resolution_error_when_image_misses_targets(self):
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 1, n=33)
-        shrink = lambda p: (0.4 * p[0], 0.5 * p[1])
-        with pytest.raises(ResolutionError):
-            graph_transform_1d(shrink, disc, disc.q_v, 0.5)
-
-    def test_rejects_zero_iterations(self):
-        disc = HorizontalDisc1D.initial(0.5, 0.5, 1, n=9)
-        with pytest.raises(ValueError):
-            graph_transform_1d(lambda p: p, disc, disc.q_v, 0.5, iterations=0)
