@@ -727,30 +727,28 @@ def run_endpoint(side: str, mu_decimal: str, cfg: ProofConfig) -> EndpointResult
     result.U_local = cu.U_local
     result.U_original = cu.U_original
 
-    def mk_flight():
-        try:
-            pieces = [cu.U_local]
-            crossings = [_signed_image(launch.chart, params, cu.U_local, cfg,
-                                       want_negative)]
-        except SignViolation:
-            raise
-        except _RECOVERABLE:
-            pieces = _split_transversal(cu.U_local)
-            crossings = [
-                _signed_image(launch.chart, params, sub, cfg, want_negative)
-                for sub in pieces
-            ]
-        image = crossings[0].image
-        tspan = crossings[0].time
+    def fly(pieces):
+        crossings = [
+            _signed_image(launch.chart, params, p, cfg, want_negative)
+            for p in pieces
+        ]
+        image, tspan = crossings[0].image, crossings[0].time
         for cr in crossings[1:]:
             image = image.hull(cr.image)
             tspan = tspan.hull(cr.time)
-        direction = crossings[0].direction
         return (image, tspan, len(pieces)), {
             "px": image[2].to_json(),
             "subboxes": len(pieces),
-            "direction": direction,
+            "direction": crossings[0].direction,
         }
+
+    def mk_flight():
+        try:
+            return fly([cu.U_local])
+        except SignViolation:
+            raise
+        except _RECOVERABLE:
+            return fly(_split_transversal(cu.U_local))
 
     try:
         image, tspan, used = _timed(stages, "poincare", mk_flight)

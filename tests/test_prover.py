@@ -23,12 +23,13 @@ import math
 
 import pytest
 
-from conecert.interval import IVector, decimal_to_interval
+from conecert.interval import Interval, IVector, decimal_to_interval
 from conecert.prover import (
     CertifiedUnstable,
     ProofConfig,
     StageFailure,
     _slice_cuts,
+    _split_transversal,
     build_N,
     certify_unstable,
     check_homoclinic,
@@ -396,6 +397,22 @@ class TestConfig:
                 assert all(a <= b for a, b in pieces)
         # a wide band is genuinely split, not collapsed onto one piece
         assert _slice_cuts(-1.7e308, 1.7e308, 2)[0] == (-1.7e308, 0.0)
+
+
+def test_transversal_split_covers_launch_window():
+    # the endpoint fallback halves axes 1..3 with the shared split
+    u = IVector([Interval(1.0, 2.0), Interval(-1e-9, 3e-9),
+                 Interval(5.0, 5.5), Interval(-2.0, -1.0)])
+    subs = _split_transversal(u)
+    assert len(subs) == 8 and len(set(map(repr, subs))) == 8
+    assert all(s[0] == u[0] for s in subs)
+    for axis in (1, 2, 3):
+        halves = sorted({(s[axis].lo, s[axis].hi) for s in subs})
+        assert halves == _slice_cuts(u[axis].lo, u[axis].hi, 2)
+    hull = subs[0]
+    for s in subs[1:]:
+        hull = hull.hull(s)
+    assert hull == u
 
 
 @pytest.fixture(scope="module")
