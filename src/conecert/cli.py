@@ -24,7 +24,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="conecert")
     commands = parser.add_subparsers(dest="command", required=True)
     prove = commands.add_parser("prove", help="run the homoclinic proof")
-    prove.add_argument("--config", type=Path, help="ProofConfig fields as JSON")
+    prove.add_argument("--config", type=Path, help="ProofConfig fields, JSON")
     prove.add_argument("--json", type=Path, help="write the JSON report here")
     args = parser.parse_args(argv)
 

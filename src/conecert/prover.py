@@ -700,7 +700,9 @@ def _signed_image(chart, params, u_local, cfg, want_negative):
     raise StageFailure(f"P_X sign indefinite: [{px.lo:.3e}, {px.hi:.3e}]")
 
 
-def run_endpoint(side: str, mu_decimal: str, cfg: ProofConfig) -> EndpointResult:
+def run_endpoint(
+    side: str, mu_decimal: str, cfg: ProofConfig
+) -> EndpointResult:
     """Full certified chain for one mass endpoint, with the strict P_X
     sign check (negative on the left endpoint, positive on the right).
 

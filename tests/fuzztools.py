@@ -46,7 +46,9 @@ def _rand_member(rng: random.Random, iv: Interval) -> float:
     return min(max(x, iv.lo), iv.hi)
 
 
-def extend(rng: random.Random, iv: Interval, keep_sign: bool = False) -> Interval:
+def _extend(
+    rng: random.Random, iv: Interval, keep_sign: bool = False
+) -> Interval:
     """iv with its lower and/or upper endpoint sometimes moved to -inf/+inf.
 
     keep_sign only opens the side away from zero, so an interval that
@@ -60,7 +62,7 @@ def extend(rng: random.Random, iv: Interval, keep_sign: bool = False) -> Interva
     return Interval(lo, hi)
 
 
-def finite_member(rng: random.Random, iv: Interval) -> float:
+def _finite_member(rng: random.Random, iv: Interval) -> float:
     """A finite member of an interval whose endpoints may be infinite."""
     far = 10.0 ** rng.uniform(0.0, 300.0)
     lo = iv.lo if math.isfinite(iv.lo) else min(iv.hi, 0.0) - far
@@ -104,12 +106,12 @@ def fuzz_arith_containment(n: int, seed: int = 20260819) -> int:
         assert Fraction(r.lo) <= fx * fx <= Fraction(r.hi), (a, x, "sq")
         # division over the extended reals: no NaN endpoint, and finite
         # members still land inside
-        ea, eb = extend(rng, a), extend(rng, b, keep_sign=True)
+        ea, eb = _extend(rng, a), _extend(rng, b, keep_sign=True)
         if not (eb.lo <= 0.0 <= eb.hi):
             r = ea / eb
             assert r.lo == r.lo and r.hi == r.hi, (ea, eb, "/ NaN")
-            q = Fraction(finite_member(rng, ea)) / Fraction(
-                finite_member(rng, eb)
+            q = Fraction(_finite_member(rng, ea)) / Fraction(
+                _finite_member(rng, eb)
             )
             assert _encloses(r, q), (ea, eb, q, "/ unbounded")
         checked += 1

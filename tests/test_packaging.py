@@ -20,7 +20,8 @@ def test_every_public_name_resolves():
         for info in pkgutil.iter_modules(conecert.__path__)
     ]
     for mod in modules:
-        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        names = getattr(mod, "__all__", ())
+        missing = [n for n in names if not hasattr(mod, n)]
         assert not missing, (mod.__name__, missing)
 
 
