@@ -42,6 +42,7 @@ __all__ = [
     "map_cone_check",
     "flow_cone_condition",
     "flow_cone_check",
+    "cone_membership",
     "contraction_constant",
 ]
 
@@ -244,6 +245,20 @@ def flow_cone_check(
     return FlowConeCertificate(
         constants, verified, conditions, domain, a.shape[0], b.shape[0]
     )
+
+
+def cone_membership(p: IVector, u_dim: int, alpha_h: float, alpha_v: float) -> bool:
+    """Certified sufficient condition for p in the unit product block.
+
+    True iff Q_h(p) >= alpha_h - 1 and Q_v(p) <= 1 - alpha_v are certified
+    in interval arithmetic; together they imply ||x|| <= 1 and ||y|| <= 1.
+    """
+    s_dim = len(p) - u_dim
+    qh = eval_Q(QuadForm.horizontal(alpha_h, u_dim, s_dim), p)
+    qv = eval_Q(QuadForm.vertical(alpha_v, u_dim, s_dim), p)
+    thr_h = Interval(alpha_h) - 1.0
+    thr_v = 1.0 - Interval(alpha_v)
+    return bool(qh.lo >= thr_h.hi and qv.hi <= thr_v.lo)
 
 
 def contraction_constant(alpha_h: float, alpha_v: float) -> float:

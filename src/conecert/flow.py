@@ -37,6 +37,7 @@ survive at widths where independent bounds would not.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -49,13 +50,16 @@ __all__ = [
     "EnclosureFailure",
     "TransversalityFailure",
     "LostCrossing",
+    "VectorFieldBounds",
     "FlowEnclosure",
     "Section",
     "LinearTaylorField",
+    "gronwall_bounds",
     "a_priori_enclosure",
     "taylor_step",
     "integrate_to_time",
     "poincare_crossing",
+    "write_trajectory_csv",
 ]
 
 
@@ -69,6 +73,45 @@ class TransversalityFailure(RuntimeError):
 
 class LostCrossing(RuntimeError):
     """No certified first crossing within the time or step budget."""
+
+
+@dataclass(frozen=True)
+class VectorFieldBounds:
+    """Certified bounds over a stated box.
+
+    mu_bound >= sup ||F||, L >= sup ||DF||, and
+    ||DF(p1) - DF(p2)|| <= M ||p1 - p2|| on the box.
+    """
+
+    mu_bound: float
+    L: float
+    M: float
+
+    def __post_init__(self):
+        if min(self.mu_bound, self.L, self.M) < 0.0:
+            raise ValueError("bounds must be nonnegative")
+
+
+def gronwall_bounds(b: VectorFieldBounds, t: float, dist: float):
+    """Upper bounds for the two flow-difference estimates.
+
+    g1 bounds ||phi_t(p1) - phi_t(p2) - (p1 - p2)|| by
+    (e^{|t|L} - 1) ||p1 - p2||; g2 bounds
+    ||F(phi_t(p1)) - F(phi_t(p2)) - (F(p1) - F(p2))|| by
+    (L (e^{L|t|} - 1) + |t| e^{L|t|} mu M) ||p1 - p2||.  Both are rounded
+    upward; both vanish exactly at t = 0.
+    """
+    if dist < 0.0:
+        raise ValueError("dist must be nonnegative")
+    if t == 0.0 or dist == 0.0:
+        return (0.0, 0.0)
+    at = abs(t)
+    e_lt = exp(Interval(b.L) * at)
+    g1 = ((e_lt - 1.0) * dist).hi
+    g2 = (
+        (Interval(b.L) * (e_lt - 1.0) + at * e_lt * b.mu_bound * b.M) * dist
+    ).hi
+    return (g1, g2)
 
 
 # -- set representation ----------------------------------------------------------
@@ -623,3 +666,26 @@ def poincare_crossing(
                 raise LostCrossing(
                     "section contact could not be resolved above h_min"
                 )
+
+
+# -- trajectory output --------------------------------------------------------------
+
+
+def write_trajectory_csv(path, enclosures) -> None:
+    """Stream per-step enclosures: t_lo, t_hi, then lo/hi per coordinate."""
+    rows = list(enclosures)
+    if not rows:
+        raise ValueError("no enclosures to write")
+    n = rows[0].dim
+    header = ["t_lo", "t_hi"]
+    for i in range(n):
+        header += [f"x{i}_lo", f"x{i}_hi"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for e in rows:
+            box = e.as_box()
+            row = [repr(e.time.lo), repr(e.time.hi)]
+            for i in range(n):
+                row += [repr(box[i].lo), repr(box[i].hi)]
+            writer.writerow(row)

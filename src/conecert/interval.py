@@ -5,17 +5,18 @@ value x op y lies in op(a, b).  Directed rounding is emulated by nudging
 endpoints with math.nextafter after each float operation, since CPython gives
 no access to hardware rounding modes.  The cost is at most one ulp of extra
 width per endpoint for rational operations (add, sub, mul, div, sqrt) and two
-ulps for exp, whose libm implementation is accurate to one ulp but not
-correctly rounded.
+ulps for transcendental kernels (exp, sin, cos), whose libm implementations
+are accurate to one ulp but not correctly rounded.
 
 Width growth per operation is therefore bounded by 4 ulp beyond the exact
-range for rational operations and 6 ulp for exp.  Intervals are closed and
-endpoints may be +-inf (unbounded enclosure).  No endpoint is ever NaN: the
-constructor rejects NaN, and the operations whose float kernels can produce
-one define it away -- inf - inf in add and sub rounds to the infinite
-endpoint, 0 * inf is 0 in mul, and inf / inf in div stands for its signed
-half-line.  The internal fast constructor _mk does not check.  Empty
-intersection is represented by None, never by an interval with lo > hi.
+range for rational operations and 6 ulp for transcendental ones.  Intervals
+are closed and endpoints may be +-inf (unbounded enclosure).  No endpoint is
+ever NaN: the constructor rejects NaN, and the operations whose float kernels
+can produce one define it away -- inf - inf in add and sub rounds to the
+infinite endpoint, 0 * inf is 0 in mul, inf / inf in div stands for its
+signed half-line, and sin and cos return [-1, 1] for an unbounded argument.
+The internal fast constructor _mk does not check.  Empty intersection is
+represented by None, never by an interval with lo > hi.
 
 Intervals are immutable by convention: no method mutates endpoints, so values
 can be shared freely.
@@ -40,6 +41,8 @@ __all__ = [
     "DivisionByZeroInterval",
     "sqrt",
     "exp",
+    "sin",
+    "cos",
     "sq",
     "idot",
     "decimal_to_interval",
@@ -326,6 +329,55 @@ def exp(x: Interval) -> Interval:
     except OverflowError:
         hi = _INF
     return _mk(max(lo, 0.0), hi)
+
+
+# math.pi rounds down from the true pi.
+_PI_LO = math.pi
+_PI_HI = _nextafter(math.pi, _INF)
+_TWO_PI_HI = _nextafter(2.0 * _PI_HI, _INF)
+
+
+def _trig_range(x: Interval, crit_offset: float, fn) -> Interval:
+    """Shared range enclosure for sin (crit_offset 0.5) and cos (0.0).
+
+    Critical points sit at (k + crit_offset) * pi.  The enclosure hulls the
+    padded endpoint values and +-1 for every critical point whose interval
+    enclosure meets x.
+    """
+    if x.hi - x.lo >= _TWO_PI_HI or max(abs(x.lo), abs(x.hi)) > 1e12:
+        # Full period covered, or argument reduction no longer trustworthy.
+        return _mk(-1.0, 1.0)
+    lo_v = fn(x.lo)
+    hi_v = fn(x.hi)
+    lo = min(lo_v, hi_v)
+    hi = max(lo_v, hi_v)
+    lo = _pad2_down(lo)
+    hi = _pad2_up(hi)
+    k_min = math.floor(x.lo / _PI_LO - crit_offset) - 1
+    k_max = math.ceil(x.hi / _PI_LO - crit_offset) + 1
+    for k in range(k_min, k_max + 1):
+        m = k + crit_offset  # dyadic, exact
+        if m >= 0:
+            c_lo, c_hi = m * _PI_LO, m * _PI_HI
+        else:
+            c_lo, c_hi = m * _PI_HI, m * _PI_LO
+        c_lo = _nextafter(c_lo, _NINF)
+        c_hi = _nextafter(c_hi, _INF)
+        if c_lo <= x.hi and x.lo <= c_hi:
+            # sin: extremum +1 at even k, -1 at odd k; cos: +1 at even, -1 odd.
+            if k % 2 == 0:
+                hi = 1.0
+            else:
+                lo = -1.0
+    return _mk(max(lo, -1.0), min(hi, 1.0))
+
+
+def sin(x: Interval) -> Interval:
+    return _trig_range(x, 0.5, math.sin)
+
+
+def cos(x: Interval) -> Interval:
+    return _trig_range(x, 0.0, math.cos)
 
 
 def sq(x: Interval) -> Interval:

@@ -3,8 +3,8 @@
 Oracles:
   * add/sub/mul/div/sq: exact rational arithmetic via Fraction.
   * sqrt: exact comparison of squared endpoints via Fraction.
-  * exp: mpmath at 40 significant digits, with a 1e-30 guard band for the
-    oracle's own final rounding.
+  * exp/sin/cos: mpmath at 40 significant digits, with a 1e-30 guard band
+    for the oracle's own final rounding.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from conecert.interval import (
     DivisionByZeroInterval,
     sqrt,
     exp,
+    sin,
+    cos,
     sq,
 )
 
@@ -135,7 +137,7 @@ _GUARD = mpmath.mpf("1e-30")
 
 
 def fuzz_elem_containment(n: int, seed: int = 4242) -> int:
-    """exp against mpmath; arguments kept in a sane range."""
+    """exp/sin/cos against mpmath; arguments kept in a sane range."""
     rng = random.Random(seed)
     old_dps = mpmath.mp.dps
     mpmath.mp.dps = 40
@@ -145,10 +147,12 @@ def fuzz_elem_containment(n: int, seed: int = 4242) -> int:
             hi = lo + abs(rng.gauss(0.0, 1.0)) * rng.choice([1e-12, 1e-3, 1.0])
             a = Interval(lo, hi)
             x = _rand_member(rng, a)
-            r = exp(a)
-            y = mpmath.exp(mpmath.mpf(x))
-            assert mpmath.mpf(r.lo) <= y + _GUARD, (a, x)
-            assert y - _GUARD <= mpmath.mpf(r.hi), (a, x)
+            mx = mpmath.mpf(x)
+            for op, oracle in ((exp, mpmath.exp), (sin, mpmath.sin), (cos, mpmath.cos)):
+                r = op(a)
+                y = oracle(mx)
+                assert mpmath.mpf(r.lo) <= y + _GUARD, (op.__name__, a, x)
+                assert y - _GUARD <= mpmath.mpf(r.hi), (op.__name__, a, x)
     finally:
         mpmath.mp.dps = old_dps
     return n

@@ -17,6 +17,7 @@ from conecert.cones import (
     ConeCertificate,
     FlowConeCertificate,
     QuadForm,
+    cone_membership,
     contraction_constant,
     eval_Q,
     flow_cone_check,
@@ -242,6 +243,29 @@ class TestFlowConeCheck:
 
 
 class TestMembershipAndContraction:
+    def test_membership_inside(self):
+        p = IVector.from_floats([0.5, 0.5])
+        assert cone_membership(p, 1, 0.25, 0.25)
+
+    def test_membership_outside_expanding(self):
+        p = IVector.from_floats([2.0, 0.0])
+        assert not cone_membership(p, 1, 0.25, 0.25)
+
+    def test_membership_outside_contracting(self):
+        p = IVector.from_floats([0.0, 1.5])
+        assert not cone_membership(p, 1, 0.25, 0.25)
+
+    def test_membership_four_dim(self):
+        p = IVector.from_floats([0.9, 0.1, 0.1, 0.1])
+        assert cone_membership(p, 1, 1e-8, 1e-4)
+
+    def test_membership_implies_unit_blocks(self):
+        # Property: the certified test implies ||x|| <= 1 and ||y|| <= 1.
+        for vals in ([0.5, 0.5], [0.9, 0.3], [0.1, 0.0], [0.7, -0.6]):
+            p = IVector.from_floats(vals)
+            if cone_membership(p, 1, 0.25, 0.25):
+                assert abs(vals[0]) <= 1.0 and abs(vals[1]) <= 1.0
+
     def test_contraction_constant_value(self):
         # [TRIVIAL] closed form sqrt(2 / (1 - 0.25)) = sqrt(8 / 3).
         c = contraction_constant(0.5, 0.5)

@@ -22,10 +22,12 @@ from conecert.interval import (
     Interval,
     IVector,
     box_intersect,
+    cos,
     decimal_to_interval,
     exp,
     idot,
     mat_opnorm_upper,
+    sin,
     sq,
     sqrt,
     vec_norm_sup,
@@ -161,6 +163,34 @@ def test_exp_monotone_and_tight():
     assert r.lo <= 1.0 and math.e <= r.hi
     assert ulps_apart(r.lo, 1.0, 4)
     assert ulps_apart(r.hi, math.e, 4)
+
+
+def test_sin_quarter_period():
+    r = sin(Interval(0.0, math.pi / 2))
+    assert r.lo <= 0.0 and 1.0 <= r.hi
+    # Width at most 1 plus 8 ulp.
+    assert r.hi - r.lo <= 1.0 + 8 * math.ulp(1.0)
+
+
+def test_sin_crosses_maximum():
+    r = sin(Interval(1.5, 1.7))  # pi/2 inside
+    assert r.hi == 1.0
+    assert r.lo <= math.sin(1.5)
+
+
+def test_cos_monotone_segment():
+    r = cos(Interval(0.1, 0.2))
+    assert math.cos(0.2) >= r.lo and math.cos(0.1) <= r.hi
+    assert r.hi <= 1.0
+
+
+def test_cos_full_period():
+    r = cos(Interval(0.0, 7.0))
+    assert r == Interval(-1.0, 1.0)
+
+
+def test_trig_huge_argument_sound():
+    assert sin(Interval(1e13, 1e13)) == Interval(-1.0, 1.0)
 
 
 # -- set operations ----------------------------------------------------------
