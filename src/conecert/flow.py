@@ -13,12 +13,17 @@ accumulate in the QR-rotated basis * remainder part.  Every operation
 keeps the invariant that the exact flow image of the initial set stays
 inside the represented set.
 
-One Taylor step uses four series expansions:
-  * a thin series at the midpoint (order p) plus a Lagrange coefficient of
-    order p+1 evaluated over the rough tube, enclosing phi_h(midpoint);
-  * an interval series at the current box (order p) for the variational
-    coefficients, plus the variational Lagrange coefficient of order p+1
-    over the tube with the a-priori matrix bound W, enclosing D(phi_h)
+One Taylor step uses five series expansions, in this order:
+  * an interval series over the rough tube (order p+1), whose last
+    coefficient is the Lagrange term of the solution; its magnitude
+    sol_err is tested first, so a step that fails it pays for no other
+    series;
+  * a thin series at the midpoint (order p), which with that Lagrange
+    coefficient encloses phi_h(midpoint);
+  * an interval series at the current box (order p) and its variational
+    series (order p), plus the variational series over the tube (order
+    p+1) started from the a-priori matrix bound W, whose last coefficient
+    is the variational Lagrange term; together they enclose D(phi_h)
     over the box.
 The mean value theorem then gives
 phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r), the products [V] C
@@ -348,14 +353,22 @@ class _StepData:
         self.var_err = var_err  # magnitude of the variational Lagrange term
 
 
-def _expand_step(field, enc: FlowEnclosure, h: float, order: int) -> _StepData:
+def _expand_step(
+    field, enc: FlowEnclosure, h: float, order: int, tol: float = math.inf
+) -> _StepData | None:
+    """The five expansions of one step, or None when the solution Lagrange
+    term exceeds tol; the tube series that decides it is expanded first."""
     n = enc.dim
     x0 = enc.as_box()
     tube = a_priori_enclosure(field, x0, h)
-
-    ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
     ser_z = field.expand(tube, order + 1)
     sol_tail = ser_z.coefficient(order + 1)
+    hp = h ** (order + 1)
+    sol_err = max(c.mag for c in sol_tail) * hp
+    if sol_err > tol:
+        return None
+
+    ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
     image = _horner_vec(ser_m, order, h, sol_tail)
 
     ser_x = field.expand(x0, order)
@@ -375,8 +388,6 @@ def _expand_step(field, enc: FlowEnclosure, h: float, order: int) -> _StepData:
     var_tail = v_z[order + 1]
     transport = _horner_mat(v_x, order, h, var_tail)
 
-    hp = h ** (order + 1)
-    sol_err = max(c.mag for c in sol_tail) * hp
     var_err = max(e.mag for row in var_tail.rows for e in row) * hp
     return _StepData(image, transport, tube, sol_err, var_err)
 
@@ -439,8 +450,8 @@ def _advance(field, enc, h_try, order, tol, h_min):
     diam = enc.max_width()
     while True:
         try:
-            data = _expand_step(field, enc, h, order)
-            if data.sol_err <= tol and data.var_err * max(diam, 1e-30) <= tol:
+            data = _expand_step(field, enc, h, order, tol)
+            if data is not None and data.var_err * max(diam, 1e-30) <= tol:
                 return _assemble(enc, data, h), data, h
         except EnclosureFailure:
             pass
@@ -632,14 +643,14 @@ def poincare_crossing(
         h = h_try
         while True:
             try:
-                data = _expand_step(field, enc, h, order)
+                data = _expand_step(field, enc, h, order, tol)
             except EnclosureFailure:
                 h *= 0.5
                 if h < h_min:
                     raise
                 continue
             diam = enc.max_width()
-            if data.sol_err > tol or data.var_err * max(diam, 1e-30) > tol:
+            if data is None or data.var_err * max(diam, 1e-30) > tol:
                 h *= 0.5
                 if h < h_min:
                     raise EnclosureFailure(
