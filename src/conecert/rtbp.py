@@ -18,10 +18,29 @@ into the Jordan form diag(lambda, -lambda, rot(v)), composed with a cubic
 polynomial change psi that straightens the unstable direction.  The local
 vector field and its Jacobian are obtained through verified linear solves
 against D(Phi), never by inverting Phi.
+
+The Taylor recurrences of the solution and of the variational matrix run
+in one kernel over float endpoint lists, not over Interval objects.  Its
+rounding model: each convolution sum_i a_i b_{n-1-i} of n interval terms
+is one fused dot.  The lower and upper corner product t_i of each term is
+picked by sign and added in round-to-nearest into a running sum s_i, and
+the dot is widened once at the end by the running bound
+
+  |err| <= u (sum |t_i| + sum |s_i|) (1 + O(n u)) + n eta,
+
+u = 2^-53 the unit roundoff and eta = 2^-1074 the smallest subnormal; it
+covers the rounding of every product, subnormal ones included, and of
+every partial sum (Ogita, Rump and Oishi, "Accurate sum and dot
+product", SISC 26, 2005).  The widening is itself an exact-directed sum,
+as in the Interval addition.  Division by the Taylor index k+1 divides by
+the exact integer and rounds outward, rather than multiplying by a rounded
+1/(k+1).  A dot with an infinite endpoint, or one whose sums overflow,
+falls back to the per-term outward rounding of idot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .interval import (
@@ -29,6 +48,10 @@ from .interval import (
     IMatrix,
     Interval,
     IVector,
+    _add_dn,
+    _add_up,
+    _mk,
+    _mul_ep,
     idot,
     sq,
     sqrt,
@@ -38,6 +61,10 @@ from .linalg import (
     solve_interval_linear,
     solve_interval_linear_cols,
 )
+
+_INF = math.inf
+_NINF = -math.inf
+_nextafter = math.nextafter
 
 __all__ = [
     "CollisionSingularity",
@@ -603,133 +630,292 @@ def symmetry_S(s):
     return IVector([x, -y, -px, py])
 
 
-# -- Taylor series recurrences --------------------------------------------------
+# -- Taylor series kernel ------------------------------------------------------
+#
+# The recurrences run on pairs of float lists (lo, hi), one pair per series,
+# never on Interval objects; the rounding model is in the module docstring.
+
+_U = 2.0**-53  # unit roundoff of round-to-nearest
+_ETA = 5e-324  # smallest positive subnormal
+# u (1 + 2^-20): the slack covers the rounding of the error sums themselves
+# and of their product with u, for any dot of fewer than 2^31 terms
+_C = _U + 2.0**-73
 
 
-def _conv(a: list, b: list, k: int) -> Interval:
-    """sum_{j=0..k} a[j] b[k-j]."""
-    return idot(a[: k + 1], b[k::-1])
+def _dot(alo: list, ahi: list, blo: list, bhi: list) -> tuple:
+    """Enclosure (lo, hi) of sum_i [alo_i, ahi_i] * [blo_i, bhi_i] over
+    the common length of the two sides."""
+    lo = hi = elo = ehi = 0.0
+    for a0, a1, b0, b1 in zip(alo, ahi, blo, bhi):
+        if a0 >= 0.0:
+            if b0 >= 0.0:
+                p = a0 * b0
+                q = a1 * b1
+            elif b1 <= 0.0:
+                p = a1 * b0
+                q = a0 * b1
+            else:
+                p = a1 * b0
+                q = a1 * b1
+        elif a1 <= 0.0:
+            if b0 >= 0.0:
+                p = a0 * b1
+                q = a1 * b0
+            elif b1 <= 0.0:
+                p = a1 * b1
+                q = a0 * b0
+            else:
+                p = a0 * b1
+                q = a0 * b0
+        elif b0 >= 0.0:
+            p = a0 * b1
+            q = a1 * b1
+        elif b1 <= 0.0:
+            p = a1 * b0
+            q = a0 * b0
+        else:
+            p = a0 * b1
+            t = a1 * b0
+            if t < p:
+                p = t
+            q = a0 * b0
+            t = a1 * b1
+            if t > q:
+                q = t
+        lo += p
+        hi += q
+        # conditionals in place of abs(), min() and max(): no call per term
+        elo += (p if p >= 0.0 else -p) + (lo if lo >= 0.0 else -lo)
+        ehi += (q if q >= 0.0 else -q) + (hi if hi >= 0.0 else -hi)
+    eta = min(len(alo), len(blo)) * _ETA
+    elo = elo * _C + eta
+    ehi = ehi * _C + eta
+    if elo < _INF and ehi < _INF:  # false when a sum is infinite or NaN
+        return _add_dn(lo, -elo), _add_up(hi, ehi)
+    # an infinite endpoint or an overflow: one outward nudge per term and
+    # exact-directed sums, with 0 * inf = 0
+    r = idot(list(map(_mk, alo, ahi)), list(map(_mk, blo, bhi)))
+    return r.lo, r.hi
 
 
-def _power_next(s: list, pw: list, a: float, k: int) -> Interval:
-    """Coefficient k of P = S^a given p[0..k-1]; k >= 1.
+def _add(a0: float, a1: float, b0: float, b1: float) -> tuple:
+    return _add_dn(a0, b0), _add_up(a1, b1)
 
-    k s0 p_k = sum_{j<k} (a (k - j) - j) s_{k-j} p_j.
+
+def _sub(a0: float, a1: float, b0: float, b1: float) -> tuple:
+    return _add_dn(a0, -b1), _add_up(a1, -b0)
+
+
+def _mul(a0: float, a1: float, b0: float, b1: float) -> tuple:
+    r = _mk(a0, a1) * _mk(b0, b1)
+    return r.lo, r.hi
+
+
+def _mul_pos(c0: float, c1: float, b0: float, b1: float) -> tuple:
+    """[c0, c1] * [b0, b1] for a constant with 0 < c0 <= c1 < inf."""
+    return (
+        _nextafter(b0 * (c0 if b0 >= 0.0 else c1), _NINF),
+        _nextafter(b1 * (c1 if b1 >= 0.0 else c0), _INF),
+    )
+
+
+def _div_pos(a0: float, a1: float, d0: float, d1: float) -> tuple:
+    """[a0, a1] / [d0, d1] for a divisor with 0 < d0 <= d1."""
+    q0 = a0 / (d1 if a0 >= 0.0 else d0)
+    q1 = a1 / (d0 if a1 >= 0.0 else d1)
+    if q0 != q0 or q1 != q1:  # inf / inf
+        r = _mk(a0, a1) / _mk(d0, d1)
+        return r.lo, r.hi
+    return _nextafter(q0, _NINF), _nextafter(q1, _INF)
+
+
+def _div_int(a0: float, a1: float, d: int, sign: float) -> tuple:
+    """sign * [a0, a1] / d for an integer d >= 1, which is exact as a float."""
+    if sign < 0.0:
+        a0, a1 = -a1, -a0
+    return _nextafter(a0 / d, _NINF), _nextafter(a1 / d, _INF)
+
+
+def _sq(a0: float, a1: float) -> tuple:
+    r = sq(_mk(a0, a1))
+    return r.lo, r.hi
+
+
+def _start(lo: float, hi: float) -> tuple:
+    """A series pair holding coefficient 0 only."""
+    return [lo], [hi]
+
+
+def _append(series: tuple, value: tuple) -> None:
+    series[0].append(value[0])
+    series[1].append(value[1])
+
+
+def _power_next(s: tuple, pw: tuple, a: float, k: int) -> tuple:
+    """Coefficient k >= 1 of P = S^a, a < -1, from p_0..p_{k-1}.
+
+    k s_0 p_k = sum_{j<k} (a (k - j) - j) s_{k-j} p_j, and every weight
+    is negative, so p_k = -(sum_j |w_j| s_{k-j} p_j) / (k s_0).
     """
-    terms = [s[k - j] * (a * (k - j) - j) for j in range(k)]
-    num = idot(terms, pw[:k])
-    return num / (s[0] * float(k))
+    (sl, sh), (pl, ph) = s, pw
+    ws = [j - a * (k - j) for j in range(k)]  # half-integers, exact
+    tl = [_nextafter(w * x, _NINF) for w, x in zip(ws, sl[k:0:-1])]
+    th = [_nextafter(w * x, _INF) for w, x in zip(ws, sh[k:0:-1])]
+    n0, n1 = _dot(tl, th, pl, ph)
+    q0, q1 = _div_pos(-n1, -n0, sl[0], sh[0])
+    return _div_int(q0, q1, k, 1.0)
 
 
 class RtbpSolutionSeries:
     """Taylor coefficients of one solution, with cached auxiliary series.
 
-    u[i][k] is the k-th coefficient of coordinate i.  The distance and
-    inverse-power series are kept for the variational recurrence.
+    u[i][k] is the k-th coefficient of coordinate i as an Interval.  The
+    distance and inverse-power series are kept, as (lo, hi) float lists,
+    for the variational recurrence.
     """
 
     __slots__ = (
-        "u",
-        "d1",
-        "d2",
-        "y2",
-        "d1sq",
-        "d2sq",
-        "s1",
-        "s2",
-        "w1",
-        "w2",
-        "order",
-        "mu",
-        "sign",
+        "_u", "d1", "d2", "y2", "d1sq", "d2sq", "s1", "s2", "w1", "w2",
+        "mu", "order", "sign",
     )
 
     def __init__(self, u0: IVector, mu: Interval, sign: float):
+        if not 0.0 < mu.lo <= mu.hi < 1.0:
+            raise ValueError("mu must lie strictly inside (0, 1)")
         x, y, px, py = _coerce(u0)
-        self.u = [[x], [y], [px], [py]]
+        self._u = [_start(c.lo, c.hi) for c in (x, y, px, py)]
         self.mu = mu
         self.sign = sign
         self.order = 0
         d1 = x - mu
         d2 = d1 + 1.0
-        self.d1 = [d1]
-        self.d2 = [d2]
-        self.y2 = [sq(y)]
-        self.d1sq = [sq(d1)]
-        self.d2sq = [sq(d2)]
-        s1 = self.d1sq[0] + self.y2[0]
-        s2 = self.d2sq[0] + self.y2[0]
+        y2 = sq(y)
+        d1sq = sq(d1)
+        d2sq = sq(d2)
+        s1 = d1sq + y2
+        s2 = d2sq + y2
         if s1.lo <= 0.0 or s2.lo <= 0.0:
             raise CollisionSingularity(
                 f"distance enclosure touches a primary: r1^2={s1}, r2^2={s2}"
             )
-        self.s1 = [s1]
-        self.s2 = [s2]
-        self.w1 = [_inv_r3(s1)]
-        self.w2 = [_inv_r3(s2)]
+        w1 = _inv_r3(s1)
+        w2 = _inv_r3(s2)
+        self.d1 = _start(d1.lo, d1.hi)
+        self.d2 = _start(d2.lo, d2.hi)
+        self.y2 = _start(y2.lo, y2.hi)
+        self.d1sq = _start(d1sq.lo, d1sq.hi)
+        self.d2sq = _start(d2sq.lo, d2sq.hi)
+        self.s1 = _start(s1.lo, s1.hi)
+        self.s2 = _start(s2.lo, s2.hi)
+        self.w1 = _start(w1.lo, w1.hi)
+        self.w2 = _start(w2.lo, w2.hi)
+
+    @property
+    def u(self) -> list:
+        return [list(map(_mk, lo, hi)) for lo, hi in self._u]
+
+    def _masses(self) -> tuple:
+        """(1 - mu) and mu as float pairs, both strictly positive."""
+        m1 = 1.0 - self.mu
+        return (m1.lo, m1.hi), (self.mu.lo, self.mu.hi)
 
     def extend(self) -> None:
         """Append coefficient order+1 to every series."""
         k = self.order
-        u = self.u
-        mu = self.mu
-        m1 = 1.0 - mu
-        d1w1 = _conv(self.d1, self.w1, k)
-        d2w2 = _conv(self.d2, self.w2, k)
-        yw1 = _conv(u[1], self.w1, k)
-        yw2 = _conv(u[1], self.w2, k)
-        f0 = u[2][k] + u[1][k]
-        f1 = u[3][k] - u[0][k]
-        f2 = u[3][k] - m1 * d1w1 - mu * d2w2
-        f3 = -u[2][k] - (m1 * yw1 + mu * yw2)
-        factor = self.sign / (k + 1.0)
-        u[0].append(f0 * factor)
-        u[1].append(f1 * factor)
-        u[2].append(f2 * factor)
-        u[3].append(f3 * factor)
-        self.order = k + 1
+        (xl, xh), (yl, yh), (pl, ph), (ql, qh) = self._u
+        m1, mu = self._masses()
+        w1l, w1h = self.w1
+        w2l, w2h = self.w2
+        rw1l, rw1h, rw2l, rw2h = w1l[::-1], w1h[::-1], w2l[::-1], w2h[::-1]
+        d1w1 = _dot(self.d1[0], self.d1[1], rw1l, rw1h)
+        d2w2 = _dot(self.d2[0], self.d2[1], rw2l, rw2h)
+        yw1 = _dot(yl, yh, rw1l, rw1h)
+        yw2 = _dot(yl, yh, rw2l, rw2h)
+        f = (
+            _add(pl[k], ph[k], yl[k], yh[k]),
+            _sub(ql[k], qh[k], xl[k], xh[k]),
+            _sub(
+                *_sub(ql[k], qh[k], *_mul_pos(*m1, *d1w1)),
+                *_mul_pos(*mu, *d2w2),
+            ),
+            _sub(
+                -ph[k], -pl[k],
+                *_add(*_mul_pos(*m1, *yw1), *_mul_pos(*mu, *yw2)),
+            ),
+        )
         kk = k + 1
-        self.d1.append(u[0][kk])
-        self.d2.append(u[0][kk])
-        self.y2.append(_conv(u[1], u[1], kk))
-        self.d1sq.append(_conv(self.d1, self.d1, kk))
-        self.d2sq.append(_conv(self.d2, self.d2, kk))
-        self.s1.append(self.d1sq[kk] + self.y2[kk])
-        self.s2.append(self.d2sq[kk] + self.y2[kk])
-        self.w1.append(_power_next(self.s1, self.w1, -1.5, kk))
-        self.w2.append(_power_next(self.s2, self.w2, -1.5, kk))
+        for series, fi in zip(self._u, f):
+            _append(series, _div_int(*fi, kk, self.sign))
+        self.order = kk
+        xk = (xl[kk], xh[kk])
+        _append(self.d1, xk)
+        _append(self.d2, xk)
+        # squares by symmetry: c_kk = 2 sum_{j <= h} a_j a_{kk-j}, plus
+        # a_{kk/2}^2 when kk is even; d1 and d2 differ only at index 0
+        h = (kk - 1) // 2
+        y2 = _dot(yl[: h + 1], yh[: h + 1], yl[kk:kk - h - 1:-1],
+                  yh[kk:kk - h - 1:-1])
+        mid = _dot(xl[1:h + 1], xh[1:h + 1], xl[kk - 1:kk - h - 1:-1],
+                   xh[kk - 1:kk - h - 1:-1])
+        y2 = _add(*y2, *y2)
+        if kk % 2 == 0:
+            y2 = _add(*y2, *_sq(yl[kk // 2], yh[kk // 2]))
+            sq_x = _sq(xl[kk // 2], xh[kk // 2])
+        else:
+            sq_x = (0.0, 0.0)
+        _append(self.y2, y2)
+        for dsq, d, s, w in (
+            (self.d1sq, self.d1, self.s1, self.w1),
+            (self.d2sq, self.d2, self.s2, self.w2),
+        ):
+            t = _add(*_mul(d[0][0], d[1][0], *xk), *mid)
+            c = _add(*_add(*t, *t), *sq_x)
+            _append(dsq, c)
+            _append(s, _add(*c, *y2))
+            _append(w, _power_next(s, w, -1.5, kk))
 
     def coefficient(self, k: int) -> IVector:
-        return IVector([self.u[i][k] for i in range(4)])
+        return IVector([_mk(lo[k], hi[k]) for lo, hi in self._u])
 
     def second_partial_series(self, upto: int) -> tuple:
         """Series of Omega_XX, Omega_XY, Omega_YY up to index upto."""
-        mu = self.mu
-        m1 = 1.0 - mu
-        v1 = [self.w1[0] / self.s1[0]]
-        v2 = [self.w2[0] / self.s2[0]]
+        return tuple(
+            list(map(_mk, lo, hi)) for lo, hi in self._partials(upto)
+        )
+
+    def _partials(self, upto: int) -> tuple:
+        """(lo, hi) series of Omega_XX, Omega_XY, Omega_YY, 0..upto."""
+        m1, mu = self._masses()
+        s1, s2, w1, w2 = self.s1, self.s2, self.w1, self.w2
+        # v = w / s = s^-5/2
+        v1 = _start(*_div_pos(w1[0][0], w1[1][0], s1[0][0], s1[1][0]))
+        v2 = _start(*_div_pos(w2[0][0], w2[1][0], s2[0][0], s2[1][0]))
         for k in range(1, upto + 1):
-            v1.append(_power_next(self.s1, v1, -2.5, k))
-            v2.append(_power_next(self.s2, v2, -2.5, k))
-        uxx, uxy, uyy = [], [], []
-        d1v1 = []
-        d2v2 = []
+            _append(v1, _power_next(s1, v1, -2.5, k))
+            _append(v2, _power_next(s2, v2, -2.5, k))
+        uxx = ([], [])
+        uyy = ([], [])
+        mix = ([], [])
         for k in range(upto + 1):
-            a1 = _conv(self.d1sq, v1, k)
-            a2 = _conv(self.d2sq, v2, k)
-            uxx.append(
-                m1 * (self.w1[k] - a1 * 3.0) + mu * (self.w2[k] - a2 * 3.0)
-            )
-            d1v1.append(_conv(self.d1, v1, k))
-            d2v2.append(_conv(self.d2, v2, k))
-            c1 = _conv(self.y2, v1, k)
-            c2 = _conv(self.y2, v2, k)
-            uyy.append(
-                m1 * (self.w1[k] - c1 * 3.0) + mu * (self.w2[k] - c2 * 3.0)
-            )
-        mix = [m1 * d1v1[k] + mu * d2v2[k] for k in range(upto + 1)]
+            rv1l, rv1h = v1[0][k::-1], v1[1][k::-1]
+            rv2l, rv2h = v2[0][k::-1], v2[1][k::-1]
+            for out, p1, p2 in (
+                (uxx, self.d1sq, self.d2sq),
+                (uyy, self.y2, self.y2),
+            ):
+                a1 = _dot(p1[0], p1[1], rv1l, rv1h)
+                a2 = _dot(p2[0], p2[1], rv2l, rv2h)
+                t1 = _sub(w1[0][k], w1[1][k], *_mul_pos(3.0, 3.0, *a1))
+                t2 = _sub(w2[0][k], w2[1][k], *_mul_pos(3.0, 3.0, *a2))
+                _append(out, _add(*_mul_pos(*m1, *t1), *_mul_pos(*mu, *t2)))
+            e1 = _dot(self.d1[0], self.d1[1], rv1l, rv1h)
+            e2 = _dot(self.d2[0], self.d2[1], rv2l, rv2h)
+            _append(mix, _add(*_mul_pos(*m1, *e1), *_mul_pos(*mu, *e2)))
+        yl, yh = self._u[1]
+        uxy = ([], [])
         for k in range(upto + 1):
-            uxy.append(_conv(self.u[1], mix, k) * (-3.0))
+            t = _mul_pos(3.0, 3.0, *_dot(yl, yh, mix[0][k::-1], mix[1][k::-1]))
+            _append(uxy, (-t[1], -t[0]))
         return uxx, uxy, uyy
 
 
@@ -769,25 +955,39 @@ class RtbpTaylorField:
         """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given."""
         if order > sol.order:
             raise ValueError("solution series too short for this order")
-        uxx, uxy, uyy = sol.second_partial_series(max(order - 1, 0))
-        v = [[[v0.rows[i][j]] for j in range(4)] for i in range(4)]
+        uxx, uxy, uyy = sol._partials(max(order - 1, 0))
+        # cols[j][i]: (lo, hi) series of entry (i, j)
+        cols = [
+            [_start(v0.rows[i][j].lo, v0.rows[i][j].hi) for i in range(4)]
+            for j in range(4)
+        ]
         sign = sol.sign
         for k in range(order):
-            factor = sign / (k + 1.0)
-            for j in range(4):
-                c0 = v[0][j]
-                c1 = v[1][j]
-                c2 = v[2][j]
-                c3 = v[3][j]
-                r0 = c1[k] + c2[k]
-                r1 = -c0[k] + c3[k]
-                r2 = -_conv(uxx, c0, k) - _conv(uxy, c1, k) + c3[k]
-                r3 = -_conv(uxy, c0, k) - _conv(uyy, c1, k) - c2[k]
-                c0.append(r0 * factor)
-                c1.append(r1 * factor)
-                c2.append(r2 * factor)
-                c3.append(r3 * factor)
+            kk = k + 1
+            a1l = uxx[0][:kk] + uxy[0][:kk]
+            a1h = uxx[1][:kk] + uxy[1][:kk]
+            a2l = uxy[0][:kk] + uyy[0][:kk]
+            a2h = uxy[1][:kk] + uyy[1][:kk]
+            for col in cols:
+                (c0l, c0h), (c1l, c1h), (c2l, c2h), (c3l, c3h) = col
+                bl = c0l[k::-1] + c1l[k::-1]
+                bh = c0h[k::-1] + c1h[k::-1]
+                t2 = _dot(a1l, a1h, bl, bh)
+                t3 = _dot(a2l, a2h, bl, bh)
+                r = (
+                    _add(c1l[k], c1h[k], c2l[k], c2h[k]),
+                    _sub(c3l[k], c3h[k], c0l[k], c0h[k]),
+                    _sub(c3l[k], c3h[k], *t2),
+                    _sub(-c2h[k], -c2l[k], *t3),
+                )
+                for series, ri in zip(col, r):
+                    _append(series, _div_int(*ri, kk, sign))
         return [
-            IMatrix([[v[i][j][k] for j in range(4)] for i in range(4)])
+            IMatrix(
+                [
+                    [_mk(cols[j][i][0][k], cols[j][i][1][k]) for j in range(4)]
+                    for i in range(4)
+                ]
+            )
             for k in range(order + 1)
         ]

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
+
+from conecert import rtbp
 
 from conecert.interval import (
     IMatrix,
@@ -599,6 +603,263 @@ def test_interval_initial_condition_containment():
         val = _horner(tf.expand(IVector.from_floats(pt), 12), 12, 0.005)
         for a, b in zip(val_box, val):
             assert b.is_subset_of(a)
+
+
+
+# -- the Taylor kernel against mpmath and exact sums ---------------------------
+
+_GUARD = mpmath.mpf("1e-30")  # the 40-digit oracle's own rounding
+
+
+def _mp_conv(a, b, k):
+    return mpmath.fsum(a[j] * b[k - j] for j in range(k + 1))
+
+
+def _mp_power_next(s, pw, a, k):
+    num = mpmath.fsum((a * (k - j) - j) * s[k - j] * pw[j] for j in range(k))
+    return num / (s[0] * k)
+
+
+def _mp_taylor(x0, mu, order, sign):
+    """Solution coefficients u[i][k] and variational coefficients
+    V[k][i][j] (V_0 = I) from a point, by the plain recurrences with full
+    convolutions, in mpmath at the caller's precision."""
+    u = [[mpmath.mpf(c)] for c in x0]
+    x, y, px, py = u
+    m1 = 1 - mu
+    d1 = [x[0] - mu]
+    d2 = [d1[0] + 1]
+    y2 = [y[0] ** 2]
+    d1sq = [d1[0] ** 2]
+    d2sq = [d2[0] ** 2]
+    s1 = [d1sq[0] + y2[0]]
+    s2 = [d2sq[0] + y2[0]]
+    w1 = [s1[0] ** mpmath.mpf(-1.5)]
+    w2 = [s2[0] ** mpmath.mpf(-1.5)]
+    for k in range(order):
+        f = (
+            px[k] + y[k],
+            py[k] - x[k],
+            py[k] - m1 * _mp_conv(d1, w1, k) - mu * _mp_conv(d2, w2, k),
+            -px[k] - m1 * _mp_conv(y, w1, k) - mu * _mp_conv(y, w2, k),
+        )
+        for i in range(4):
+            u[i].append(sign * f[i] / (k + 1))
+        kk = k + 1
+        d1.append(x[kk])
+        d2.append(x[kk])
+        y2.append(_mp_conv(y, y, kk))
+        d1sq.append(_mp_conv(d1, d1, kk))
+        d2sq.append(_mp_conv(d2, d2, kk))
+        s1.append(d1sq[kk] + y2[kk])
+        s2.append(d2sq[kk] + y2[kk])
+        w1.append(_mp_power_next(s1, w1, -1.5, kk))
+        w2.append(_mp_power_next(s2, w2, -1.5, kk))
+    v1 = [w1[0] / s1[0]]
+    v2 = [w2[0] / s2[0]]
+    for k in range(1, order):
+        v1.append(_mp_power_next(s1, v1, -2.5, k))
+        v2.append(_mp_power_next(s2, v2, -2.5, k))
+    uxx = [
+        m1 * (w1[k] - 3 * _mp_conv(d1sq, v1, k))
+        + mu * (w2[k] - 3 * _mp_conv(d2sq, v2, k))
+        for k in range(order)
+    ]
+    uyy = [
+        m1 * (w1[k] - 3 * _mp_conv(y2, v1, k))
+        + mu * (w2[k] - 3 * _mp_conv(y2, v2, k))
+        for k in range(order)
+    ]
+    mix = [
+        m1 * _mp_conv(d1, v1, k) + mu * _mp_conv(d2, v2, k)
+        for k in range(order)
+    ]
+    uxy = [-3 * _mp_conv(y, mix, k) for k in range(order)]
+    cols = [
+        [[mpmath.mpf(1 if i == j else 0)] for i in range(4)] for j in range(4)
+    ]
+    for k in range(order):
+        for c0, c1, c2, c3 in cols:
+            r = (
+                c1[k] + c2[k],
+                -c0[k] + c3[k],
+                -_mp_conv(uxx, c0, k) - _mp_conv(uxy, c1, k) + c3[k],
+                -_mp_conv(uxy, c0, k) - _mp_conv(uyy, c1, k) - c2[k],
+            )
+            for c, ri in zip((c0, c1, c2, c3), r):
+                c.append(sign * ri / (k + 1))
+    v = [
+        [[cols[j][i][k] for j in range(4)] for i in range(4)]
+        for k in range(order + 1)
+    ]
+    return u, v
+
+
+def _encloses_mp(iv: Interval, val) -> bool:
+    return (
+        mpmath.mpf(iv.lo) <= val + _GUARD and val - _GUARD <= mpmath.mpf(iv.hi)
+    )
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize(
+    "centre",
+    [
+        (-0.8, 0.1, 0.05, -0.7),
+        # where the endpoint flights meet {Y = 0}: Y straddles zero in the
+        # box, so every sign case of the interval products occurs
+        (0.8270258829, 0.0, -5.16e-8, 0.9251225636),
+    ],
+)
+def test_kernel_encloses_mpmath_coefficients(centre, reverse):
+    """Order-21 solution and variational coefficients from a point, and
+    from a box with V_0 a matrix box, enclose the 40-digit coefficients
+    of points sampled inside.  [DERIVED]"""
+    order = 21
+    p = band_left()
+    tf = RtbpTaylorField(p, reverse=reverse)
+    rng = random.Random(1401 + reverse)
+    r = 1e-6
+    box = IVector([Interval(c - r, c + r) for c in centre])
+    w = IMatrix(
+        [
+            [Interval(1.0 if i == j else 0.0) + Interval(-1e-3, 1e-3)
+             for j in range(4)]
+            for i in range(4)
+        ]
+    )
+    cases = [(IVector.from_floats(centre), IMatrix.identity(4), [centre])]
+    cases.append(
+        (box, w, [[rng.uniform(c.lo, c.hi) for c in box] for _ in range(3)])
+    )
+    old_dps = mpmath.mp.dps
+    mpmath.mp.dps = 40
+    try:
+        mu = mpmath.mpf(p.mu.lo)
+        for u0, v0, points in cases:
+            ser = tf.expand(u0, order)
+            var = tf.expand_variational(ser, v0, order)
+            for pt in points:
+                u, v = _mp_taylor(pt, mu, order, tf.sign)
+                # a member of V_0: the identity, or a sample of the box
+                w0 = [
+                    [mpmath.mpf(rng.uniform(e.lo, e.hi)) for e in row]
+                    for row in v0.rows
+                ]
+                for k in range(order + 1):
+                    ck = ser.coefficient(k)
+                    for i in range(4):
+                        assert _encloses_mp(ck[i], u[i][k]), (pt, k, i)
+                    for i in range(4):
+                        for j in range(4):
+                            exact = mpmath.fsum(
+                                v[k][i][m] * w0[m][j] for m in range(4)
+                            )
+                            assert _encloses_mp(var[k].rows[i][j], exact), (
+                                pt, k, i, j,
+                            )
+    finally:
+        mpmath.mp.dps = old_dps
+
+
+def _exact_dot_range(a: list, b: list) -> tuple:
+    lo = hi = Fraction(0)
+    for x, y in zip(a, b):
+        corners = [Fraction(p) * Fraction(q) for p in (x.lo, x.hi)
+                   for q in (y.lo, y.hi)]
+        lo += min(corners)
+        hi += max(corners)
+    return lo, hi
+
+
+def _fused_dot(a: list, b: list) -> Interval:
+    lo, hi = rtbp._dot([x.lo for x in a], [x.hi for x in a],
+                       [y.lo for y in b], [y.hi for y in b])
+    assert lo == lo and hi == hi, (a, b, "NaN endpoint")
+    return Interval(lo, hi)
+
+
+def _adversarial_dot_cases(rng: random.Random) -> list:
+    big = 2.0**70
+    cases = [
+        # heavy cancellation: the float sums lose every small term
+        ([Interval(big), Interval(1.0), Interval(-big), Interval(3e-5)],
+         [Interval(1.0)] * 4),
+        ([Interval(1e300), Interval(-1e300), Interval(1e-300)],
+         [Interval(1.5, 1.5000000000000002), Interval(1.5), Interval(1.0)]),
+        # products far below the smallest subnormal, and subnormal ones
+        ([Interval(1e-170, 2e-170), Interval(-3e-165, -1e-165)],
+         [Interval(-1e-160, 1e-160), Interval(2e-160, 3e-160)]),
+        ([Interval(5e-324), Interval(-1e-200, 1e-200)],
+         [Interval(0.5), Interval(1e-120, 1e-110)]),
+        # mixed signs: every sign class on both sides
+        ([Interval(-2.0, 3.0), Interval(1.0, 2.0), Interval(-4.0, -1.0),
+          Interval(0.0, 0.0), Interval(-0.0, 5.0)],
+         [Interval(-1.0, 1.0), Interval(-3.0, -2.0), Interval(-1.0, 7.0),
+          Interval(-9.0, 9.0), Interval(-2.0, -1.0)]),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 25)
+        a, b = [], []
+        for _ in range(n):
+            pair = []
+            for _ in range(2):
+                e = rng.uniform(-170.0, 150.0)
+                c = rng.choice([-1.0, 1.0]) * rng.random() * 10.0**e
+                w = rng.choice([0.0, 1e-16, 1e-8, 1.0, 3.0]) * abs(c)
+                kind = rng.random()
+                if kind < 0.1:
+                    c, w = 0.0, 0.0
+                elif kind < 0.2:
+                    c, w = 0.0, abs(c)
+                pair.append(Interval(c - w, c + w))
+            a.append(pair[0])
+            b.append(pair[1])
+        cases.append((a, b))
+    return cases
+
+
+def test_fused_dot_encloses_exact_sum():
+    """The running error bound of the fused dot holds against the exact
+    (Fraction) range, on cancelling, subnormal and mixed-sign terms."""
+    rng = random.Random(2005)
+    for a, b in _adversarial_dot_cases(rng):
+        r = _fused_dot(a, b)
+        lo, hi = _exact_dot_range(a, b)
+        assert Fraction(r.lo) <= lo and hi <= Fraction(r.hi), (a, b, r)
+
+
+def test_fused_dot_unbounded_terms():
+    """0 * inf counts as 0, inf - inf never appears, no endpoint is NaN,
+    and finite members still land inside."""
+    inf = math.inf
+    cases = [
+        ([Interval(0.0)], [Interval(1.0, inf)]),
+        ([Interval(-1.0, 0.0)], [Interval(0.0, inf)]),
+        ([Interval(0.0, 2.0), Interval(-inf, -1.0)],
+         [Interval(-inf, 3.0), Interval(0.0)]),
+        ([Interval(1.0, inf), Interval(1.0, inf)],
+         [Interval(1.0), Interval(-1.0)]),
+        ([Interval(-inf, inf), Interval(1e308)],
+         [Interval(0.0), Interval(1e308)]),
+    ]
+    rng = random.Random(7)
+    for a, b in cases:
+        r = _fused_dot(a, b)
+        for _ in range(20):
+            total = Fraction(0)
+            for x, y in zip(a, b):
+                members = []
+                for iv in (x, y):
+                    lo = iv.lo if iv.lo > -inf else min(iv.hi, 0.0) - 1e6
+                    hi = iv.hi if iv.hi < inf else max(lo, 0.0) + 1e6
+                    members.append(Fraction(rng.uniform(lo, hi)))
+                total += members[0] * members[1]
+            assert (r.lo == -inf or Fraction(r.lo) <= total) and (
+                r.hi == inf or total <= Fraction(r.hi)
+            ), (a, b, r)
+    zero = _fused_dot([Interval(0.0)], [Interval(1.0, inf)])
+    assert 0.0 in zero and zero.mag < 1e-300
 
 
 def test_jacobian_floats_twin():
