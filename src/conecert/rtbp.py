@@ -776,7 +776,7 @@ class RtbpSolutionSeries:
 
     __slots__ = (
         "_u", "d1", "d2", "y2", "d1sq", "d2sq", "s1", "s2", "w1", "w2",
-        "mu", "order", "sign",
+        "mu", "masses", "order", "sign",
     )
 
     def __init__(self, u0: IVector, mu: Interval, sign: float):
@@ -785,6 +785,9 @@ class RtbpSolutionSeries:
         x, y, px, py = _coerce(u0)
         self._u = [_start(c.lo, c.hi) for c in (x, y, px, py)]
         self.mu = mu
+        m1 = 1.0 - mu
+        # (1 - mu) and mu as float pairs, both strictly positive
+        self.masses = ((m1.lo, m1.hi), (mu.lo, mu.hi))
         self.sign = sign
         self.order = 0
         d1 = x - mu
@@ -814,16 +817,11 @@ class RtbpSolutionSeries:
     def u(self) -> list:
         return [list(map(_mk, lo, hi)) for lo, hi in self._u]
 
-    def _masses(self) -> tuple:
-        """(1 - mu) and mu as float pairs, both strictly positive."""
-        m1 = 1.0 - self.mu
-        return (m1.lo, m1.hi), (self.mu.lo, self.mu.hi)
-
     def extend(self) -> None:
         """Append coefficient order+1 to every series."""
         k = self.order
         (xl, xh), (yl, yh), (pl, ph), (ql, qh) = self._u
-        m1, mu = self._masses()
+        m1, mu = self.masses
         w1l, w1h = self.w1
         w2l, w2h = self.w2
         rw1l, rw1h, rw2l, rw2h = w1l[::-1], w1h[::-1], w2l[::-1], w2h[::-1]
@@ -885,7 +883,7 @@ class RtbpSolutionSeries:
 
     def _partials(self, upto: int) -> tuple:
         """(lo, hi) series of Omega_XX, Omega_XY, Omega_YY, 0..upto."""
-        m1, mu = self._masses()
+        m1, mu = self.masses
         s1, s2, w1, w2 = self.s1, self.s2, self.w1, self.w2
         # v = w / s = s^-5/2
         v1 = _start(*_div_pos(w1[0][0], w1[1][0], s1[0][0], s1[1][0]))
