@@ -829,6 +829,7 @@ class RtbpSolutionSeries:
         d2w2 = _dot(self.d2[0], self.d2[1], rw2l, rw2h)
         yw1 = _dot(yl, yh, rw1l, rw1h)
         yw2 = _dot(yl, yh, rw2l, rw2h)
+        # coefficient k of the vector field along the series
         f = (
             _add(pl[k], ph[k], yl[k], yh[k]),
             _sub(ql[k], qh[k], xl[k], xh[k]),
