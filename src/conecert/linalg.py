@@ -183,7 +183,7 @@ def _gershgorin_verdict(m: IMatrix) -> PDVerdict:
     return PDVerdict(bool(margin > 0.0), "Gershgorin", float(margin))
 
 
-def is_positive_definite(m: IMatrix, method: str = "auto") -> PDVerdict:
+def is_positive_definite(m: IMatrix) -> PDVerdict:
     """Verify x^T M x > 0 for all x != 0 and every selection of M.
 
     The matrix is symmetrized first (the quadratic form only sees the
@@ -192,12 +192,6 @@ def is_positive_definite(m: IMatrix, method: str = "auto") -> PDVerdict:
     verdict is always inconclusive rather than a disproof.
     """
     msym = m.symmetrize()
-    if method == "cholesky":
-        return _cholesky_verdict(msym)
-    if method == "gershgorin":
-        return _gershgorin_verdict(msym)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     verdict = _cholesky_verdict(msym)
     if verdict.verified:
         return verdict

@@ -133,11 +133,15 @@ def test_pd_wide_intervals_unverified():
 
 
 def test_pd_gershgorin_path():
-    m = IMatrix.from_floats([[2.0, 1.0], [1.0, 2.0]])
-    v = is_positive_definite(m, method="gershgorin")
+    # PD for every selection (smallest midpoint eigenvalue 0.146 against a
+    # perturbation norm of at most 0.06), but interval Cholesky loses the
+    # radius-0.02 entries to dependency growth; the Gershgorin discs after
+    # midpoint congruence preconditioning still clear zero.
+    mid = [[0.5, 0.5, -0.5], [0.5, 1.2, -1.0], [-0.5, -1.0, 1.1]]
+    m = IMatrix([[Interval(x - 0.02, x + 0.02) for x in row] for row in mid])
+    v = is_positive_definite(m)
     assert v.verified and v.method == "Gershgorin"
-    # Preconditioning maps the midpoint to the identity, margin close to 1.
-    assert v.margin > 0.9
+    assert v.margin > 0.3
 
 
 def test_pd_random_psd_oracle():
