@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import Box, IMatrix, Interval, IVector, exp, idot
+from .interval import Box, IMatrix, Interval, IVector, exp, eye, idot
 from .linalg import verified_inverse
 
 __all__ = [
@@ -151,9 +151,7 @@ class FlowEnclosure:
         self.remainder = remainder
         n = len(self.midpoint)
         if init_basis is None:
-            init_basis = [
-                [1.0 if i == j else 0.0 for j in range(n)] for i in range(n)
-            ]
+            init_basis = eye(n)
         if init_remainder is None:
             init_remainder = IVector([Interval(0.0)] * n)
         self.init_basis = [[float(x) for x in row] for row in init_basis]
@@ -168,7 +166,7 @@ class FlowEnclosure:
     def from_box(cls, box: Box, time: Interval | None = None) -> "FlowEnclosure":
         mid = box.mid()
         n = len(mid)
-        ident = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        ident = eye(n)
         r0 = IVector([box[i] - mid[i] for i in range(n)])
         zeros = IVector([Interval(0.0)] * n)
         return cls(
@@ -375,15 +373,8 @@ def _expand_step(
     v_x = field.expand_variational(ser_x, IMatrix.identity(n), order)
     l_inf = _opnorm_inf(field.jacobian(tube))
     b = (exp(Interval(l_inf) * h) - 1.0).hi
-    w0 = IMatrix(
-        [
-            [
-                Interval(1.0 if i == j else 0.0) + Interval(-b, b)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    ball = Interval(-b, b)
+    w0 = IMatrix([[x + ball for x in row] for row in IMatrix.identity(n).rows])
     v_z = field.expand_variational(ser_z, w0, order + 1)
     var_tail = v_z[order + 1]
     transport = _horner_mat(v_x, order, h, var_tail)
@@ -601,8 +592,7 @@ def _cross_in_step(field, enc, h_step, section, order):
             m = out_rows[i].mid
             mids.append(m)
             rems.append(out_rows[i] - m)
-    basis = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return FlowEnclosure(mids, basis, IVector(rems), time_cross)
+    return FlowEnclosure(mids, eye(n), IVector(rems), time_cross)
 
 
 def poincare_crossing(

@@ -45,6 +45,7 @@ __all__ = [
     "cos",
     "sq",
     "idot",
+    "eye",
     "decimal_to_interval",
     "vec_norm_sup",
     "mat_opnorm_upper",
@@ -435,6 +436,11 @@ def decimal_to_interval(s: str) -> Interval:
     return _mk(_nextafter(f, _NINF), f)
 
 
+def eye(n: int) -> list[list[float]]:
+    """The n x n identity matrix as float rows."""
+    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+
 # -- vectors and matrices ----------------------------------------------------
 
 
@@ -535,9 +541,7 @@ class IMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IMatrix":
-        return cls(
-            [[Interval(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-        )
+        return cls.from_floats(eye(n))
 
     @property
     def shape(self) -> tuple[int, int]:

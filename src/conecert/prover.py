@@ -35,6 +35,7 @@ from .interval import (
     Interval,
     IVector,
     decimal_to_interval,
+    eye,
     sqrt,
 )
 from .linalg import interval_newton
@@ -551,9 +552,8 @@ def chart_seeded_enclosure(chart: LocalChart, box_local: Box) -> FlowEnclosure:
     dc = dphi - IMatrix.from_floats(c0)
     r0 = box_local - q_mid
     err = (phi_qm - IVector.from_floats(mid)) + dc.matvec(r0)
-    identity = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
     return FlowEnclosure(
-        mid, identity, err, Interval(0.0),
+        mid, eye(4), err, Interval(0.0),
         init_basis=c0, init_remainder=r0,
     )
 
