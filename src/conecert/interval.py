@@ -20,13 +20,27 @@ represented by None, never by an interval with lo > hi.
 
 Intervals are immutable by convention: no method mutates endpoints, so values
 can be shared freely.
+
+IArray holds a batch of intervals as two float64 arrays, the batch along
+the leading axis, and shares this rounding model: each of its operations
+rounds every entry exactly as the Interval operation does (the same
+float kernels, the same TwoSum-exact sums, the same outward nudges and
+the same 0 * inf = 0 and inf / inf conventions), so a formula evaluated
+on a batch gives, entry by entry, the endpoints the per-entry Interval
+evaluation gives, bit for bit.  It raises the Interval operation's
+exception when any entry would, and never lets a numpy floating-point
+warning escape.  IArray.matmul is the batched twin of IMatrix.matmul
+with the rounding of idot.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 _INF = math.inf
 _NINF = -math.inf
@@ -34,6 +48,7 @@ _nextafter = math.nextafter
 
 __all__ = [
     "Interval",
+    "IArray",
     "IVector",
     "IMatrix",
     "Box",
@@ -194,8 +209,11 @@ class Interval:
 
     # -- arithmetic ----------------------------------------------------------
 
+    # A batch operand defers to IArray's reflected operation.
     def __add__(self, other) -> "Interval":
         if not isinstance(other, Interval):
+            if isinstance(other, IArray):
+                return NotImplemented
             other = _mk(float(other), float(other))
         return _mk(_add_dn(self.lo, other.lo), _add_up(self.hi, other.hi))
 
@@ -203,6 +221,8 @@ class Interval:
 
     def __sub__(self, other) -> "Interval":
         if not isinstance(other, Interval):
+            if isinstance(other, IArray):
+                return NotImplemented
             other = _mk(float(other), float(other))
         return _mk(_add_dn(self.lo, -other.hi), _add_up(self.hi, -other.lo))
 
@@ -212,6 +232,8 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         if not isinstance(other, Interval):
+            if isinstance(other, IArray):
+                return NotImplemented
             o = float(other)
             if o >= 0.0:
                 lo, hi = _mul_ep(self.lo, o), _mul_ep(self.hi, o)
@@ -231,6 +253,8 @@ class Interval:
 
     def __truediv__(self, other) -> "Interval":
         if not isinstance(other, Interval):
+            if isinstance(other, IArray):
+                return NotImplemented
             other = _mk(float(other), float(other))
         if other.lo <= 0.0 <= other.hi:
             raise DivisionByZeroInterval(f"denominator {other!r} contains zero")
@@ -303,6 +327,8 @@ def _div_unbounded(a: Interval, b: Interval) -> Interval:
 
 def sqrt(x: Interval) -> Interval:
     """Square root.  Requires x.lo >= 0, otherwise DomainError."""
+    if isinstance(x, IArray):
+        return x.sqrt()
     if x.lo < 0.0:
         raise DomainError(f"sqrt of interval containing negatives: {x!r}")
     # math.sqrt is correctly rounded, one nudge per endpoint suffices.
@@ -383,6 +409,8 @@ def cos(x: Interval) -> Interval:
 
 def sq(x: Interval) -> Interval:
     """x*x with the dependency resolved, result always >= 0."""
+    if isinstance(x, IArray):
+        return x.sq()
     if x.lo >= 0.0:
         return _mk(
             max(_nextafter(x.lo * x.lo, _NINF), 0.0),
@@ -441,6 +469,273 @@ def eye(n: int) -> list[list[float]]:
     return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
 
 
+# -- batches of intervals ----------------------------------------------------
+
+
+def _quiet(fn):
+    # Every special value is handled explicitly, so numpy's floating-point
+    # warnings (inf - inf, 0 * inf, overflow) carry no information here.
+    @functools.wraps(fn)
+    def wrapper(*args):
+        with np.errstate(all="ignore"):
+            return fn(*args)
+
+    return wrapper
+
+
+def _lowest(x) -> float:
+    """The lower endpoint of an Interval, the least one of an IArray."""
+    return x.lo if isinstance(x, Interval) else float(x.lo.min())
+
+
+def _ends(x):
+    """(lo, hi) of an operand: arrays for an IArray, floats otherwise."""
+    if isinstance(x, (IArray, Interval)):
+        return x.lo, x.hi
+    f = float(x)
+    return f, f
+
+
+def _a_add_dn(a, b):
+    # _add_dn entrywise.  An infinite or overflowed sum makes the TwoSum
+    # error NaN, so the nudge gives -inf and maxfloat as the scalar
+    # branches do; fmax turns the NaN of inf - inf into -inf.
+    s = a + b
+    bp = s - a
+    ap = s - bp
+    err = (a - ap) + (b - bp)
+    return np.fmax(np.where(err >= 0.0, s, np.nextafter(s, _NINF)), _NINF)
+
+
+def _a_add_up(a, b):
+    s = a + b
+    bp = s - a
+    ap = s - bp
+    err = (a - ap) + (b - bp)
+    return np.fmin(np.where(err <= 0.0, s, np.nextafter(s, _INF)), _INF)
+
+
+def _a_mul(alo, ahi, blo, bhi):
+    # Interval * Interval entrywise: min and max over the corner products
+    # with 0 * inf = 0, nudged outward; minimum propagates NaN, so a NaN
+    # minimum flags a 0 * inf corner
+    ps = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    lo = np.minimum(np.minimum(ps[0], ps[1]), np.minimum(ps[2], ps[3]))
+    hi = np.maximum(np.maximum(ps[0], ps[1]), np.maximum(ps[2], ps[3]))
+    if np.isnan(lo).any():
+        ps = [np.where(p == p, p, 0.0) for p in ps]
+        lo = np.minimum(np.minimum(ps[0], ps[1]), np.minimum(ps[2], ps[3]))
+        hi = np.maximum(np.maximum(ps[0], ps[1]), np.maximum(ps[2], ps[3]))
+    return np.nextafter(lo, _NINF), np.nextafter(hi, _INF)
+
+
+class IArray:
+    """A batch of closed intervals [lo, hi] held as two float64 arrays.
+
+    The batch runs along the leading axes; a vector or matrix of
+    intervals per batch entry adds trailing axes.  Operands may be
+    IArrays, Intervals or floats, broadcast as numpy arrays are, and
+    every operation follows the Interval rounding model entry by entry
+    (module docstring).  sq and sqrt dispatch here, so formulas written
+    for Interval evaluate on a batch unchanged.
+    """
+
+    __slots__ = ("lo", "hi")
+    # numpy operands defer to the reflected methods below
+    __array_ufunc__ = None
+
+    def __init__(self, lo, hi=None):
+        lo = np.asarray(lo, dtype=float)
+        hi = lo if hi is None else np.asarray(hi, dtype=float)
+        if lo.shape != hi.shape:
+            raise ValueError(f"endpoint shapes differ: {lo.shape}, {hi.shape}")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("NaN endpoint")
+        if (lo > hi).any():
+            raise ValueError("inverted endpoints")
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def _of(cls, lo, hi) -> "IArray":
+        # fast constructor, callers guarantee lo <= hi and no NaN
+        out = cls.__new__(cls)
+        out.lo = lo
+        out.hi = hi
+        return out
+
+    @classmethod
+    def stack(cls, entries) -> "IArray":
+        """One IArray from nested entries: Intervals or IArrays, in
+        sequences, IVectors or IMatrix rows.  The entries' batch shapes
+        broadcast and lead; the nesting becomes the trailing axes."""
+        flat = []
+
+        def walk(e) -> tuple:
+            if isinstance(e, (Interval, IArray)):
+                flat.append(e)
+                return ()
+            if isinstance(e, IVector):
+                e = e.c
+            elif isinstance(e, IMatrix):
+                e = e.rows
+            inner = [walk(x) for x in e]
+            return (len(inner),) + inner[0]
+
+        nest = walk(entries)
+        batch = np.broadcast_shapes(*(np.shape(e.lo) for e in flat))
+        lo = np.empty(batch + (len(flat),))
+        hi = np.empty(batch + (len(flat),))
+        for k, e in enumerate(flat):
+            lo[..., k] = e.lo
+            hi[..., k] = e.hi
+        return cls._of(lo.reshape(batch + nest), hi.reshape(batch + nest))
+
+    @property
+    def shape(self) -> tuple:
+        return self.lo.shape
+
+    def __getitem__(self, idx) -> "IArray":
+        return IArray._of(self.lo[idx], self.hi[idx])
+
+    def __repr__(self) -> str:
+        return f"IArray({self.lo!r}, {self.hi!r})"
+
+    @_quiet
+    def mid(self) -> np.ndarray:
+        """Interval.mid entrywise."""
+        lo, hi = self.lo, self.hi
+        m = 0.5 * (lo + hi)
+        m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
+        m = np.where(lo > m, lo, m)
+        m = np.where(hi < m, hi, m)
+        return np.where((lo == _NINF) & (hi == _INF), 0.0, m)
+
+    def hull_over(self, axis: int = 0) -> "IArray":
+        """Hull of the entries along one axis, which is removed.  Only
+        the sign of a zero endpoint can differ from a chain of
+        Interval.hull calls."""
+        return IArray._of(self.lo.min(axis=axis), self.hi.max(axis=axis))
+
+    def to_imatrix(self) -> "IMatrix":
+        """The Interval matrix of a 2-d IArray, with float endpoints."""
+        return IMatrix(
+            [
+                list(map(_mk, rl, rh))
+                for rl, rh in zip(self.lo.tolist(), self.hi.tolist())
+            ]
+        )
+
+    # -- arithmetic: the argument order of each kernel call is the one the
+    # Interval operation with the same operands uses
+
+    @_quiet
+    def __add__(self, other) -> "IArray":
+        olo, ohi = _ends(other)
+        return IArray._of(_a_add_dn(self.lo, olo), _a_add_up(self.hi, ohi))
+
+    @_quiet
+    def __radd__(self, other) -> "IArray":
+        olo, ohi = _ends(other)
+        if isinstance(other, Interval):
+            return IArray._of(_a_add_dn(olo, self.lo), _a_add_up(ohi, self.hi))
+        # float + Interval is Interval.__add__ with the float second
+        return IArray._of(_a_add_dn(self.lo, olo), _a_add_up(self.hi, ohi))
+
+    @_quiet
+    def __sub__(self, other) -> "IArray":
+        olo, ohi = _ends(other)
+        return IArray._of(_a_add_dn(self.lo, -ohi), _a_add_up(self.hi, -olo))
+
+    @_quiet
+    def __rsub__(self, other) -> "IArray":
+        olo, ohi = _ends(other)
+        return IArray._of(_a_add_dn(olo, -self.hi), _a_add_up(ohi, -self.lo))
+
+    @_quiet
+    def __mul__(self, other) -> "IArray":
+        if isinstance(other, (IArray, Interval)):
+            return IArray._of(*_a_mul(self.lo, self.hi, other.lo, other.hi))
+        o = float(other)
+        if o >= 0.0:
+            lo, hi = self.lo * o, self.hi * o
+        else:
+            lo, hi = self.hi * o, self.lo * o
+        if not (o != 0.0 and math.isfinite(o)):  # 0 * inf = 0
+            lo = np.where(lo == lo, lo, 0.0)
+            hi = np.where(hi == hi, hi, 0.0)
+        return IArray._of(np.nextafter(lo, _NINF), np.nextafter(hi, _INF))
+
+    __rmul__ = __mul__
+
+    @_quiet
+    def __truediv__(self, other) -> "IArray":
+        return _a_div(self.lo, self.hi, *_ends(other))
+
+    @_quiet
+    def __rtruediv__(self, other) -> "IArray":
+        return _a_div(*_ends(other), self.lo, self.hi)
+
+    def __neg__(self) -> "IArray":
+        return IArray._of(-self.hi, -self.lo)
+
+    @_quiet
+    def sq(self) -> "IArray":
+        """sq entrywise."""
+        lo, hi = self.lo, self.hi
+        ll, hh = lo * lo, hi * hi
+        pos = lo >= 0.0
+        neg = hi <= 0.0
+        small = np.maximum(np.nextafter(np.where(pos, ll, hh), _NINF), 0.0)
+        big = np.where(pos, hh, np.where(neg, ll, np.maximum(ll, hh)))
+        return IArray._of(
+            np.where(pos | neg, small, 0.0), np.nextafter(big, _INF)
+        )
+
+    @_quiet
+    def sqrt(self) -> "IArray":
+        """sqrt entrywise; DomainError if any entry reaches below zero."""
+        lo, hi = self.lo, self.hi
+        if (lo < 0.0).any():
+            raise DomainError("sqrt of a batch with negative entries")
+        rlo = np.where(lo != 0.0, np.nextafter(np.sqrt(lo), _NINF), 0.0)
+        rhi = np.where(hi != 0.0, np.nextafter(np.sqrt(hi), _INF), 0.0)
+        return IArray._of(np.maximum(rlo, 0.0), rhi)
+
+    @_quiet
+    def matmul(self, other: "IArray") -> "IArray":
+        """Batched twin of IMatrix.matmul: (..., n, k) times (..., k, m),
+        the batch axes broadcast, every entry summed as idot sums it."""
+        lo = hi = 0.0
+        for t in range(self.lo.shape[-1]):
+            plo, phi = _a_mul(
+                self.lo[..., :, t, None], self.hi[..., :, t, None],
+                other.lo[..., None, t, :], other.hi[..., None, t, :],
+            )
+            lo = np.nextafter(lo + plo, _NINF)
+            hi = np.nextafter(hi + phi, _INF)
+        return IArray._of(lo, hi)
+
+
+def _a_div(alo, ahi, blo, bhi) -> IArray:
+    # Interval.__truediv__ entrywise, with its inf / inf half-lines
+    if np.any((blo <= 0.0) & (bhi >= 0.0)):
+        raise DivisionByZeroInterval("a denominator in the batch contains zero")
+    qs = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+    lo = np.minimum(np.minimum(qs[0], qs[1]), np.minimum(qs[2], qs[3]))
+    hi = np.maximum(np.maximum(qs[0], qs[1]), np.maximum(qs[2], qs[3]))
+    lo = np.nextafter(lo, _NINF)
+    hi = np.nextafter(hi, _INF)
+    bad = np.isnan(lo)
+    if bad.any():
+        ends = np.broadcast_arrays(alo, ahi, blo, bhi)
+        for idx in zip(*np.nonzero(bad)):
+            a0, a1, b0, b1 = (float(e[idx]) for e in ends)
+            r = _div_unbounded(_mk(a0, a1), _mk(b0, b1))
+            lo[idx], hi[idx] = r.lo, r.hi
+    return IArray._of(lo, hi)
+
+
 # -- vectors and matrices ----------------------------------------------------
 
 
@@ -451,7 +746,8 @@ class IVector:
 
     def __init__(self, comps: Iterable[Interval | float]):
         self.c = [
-            x if isinstance(x, Interval) else Interval(float(x)) for x in comps
+            x if isinstance(x, (Interval, IArray)) else Interval(float(x))
+            for x in comps
         ]
 
     @classmethod
@@ -531,7 +827,10 @@ class IMatrix:
 
     def __init__(self, rows: Iterable[Iterable[Interval | float]]):
         self.rows = [
-            [x if isinstance(x, Interval) else Interval(float(x)) for x in row]
+            [
+                x if isinstance(x, (Interval, IArray)) else Interval(float(x))
+                for x in row
+            ]
             for row in rows
         ]
 
