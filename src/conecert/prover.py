@@ -31,6 +31,8 @@ from .flow import (
 )
 from .interval import (
     Box,
+    DomainError,
+    IArray,
     IMatrix,
     Interval,
     IVector,
@@ -49,6 +51,7 @@ from .rtbp import (
     jordan_basis,
     local_field,
     local_jacobian,
+    local_jacobian_batch,
     total_change,
 )
 
@@ -97,6 +100,10 @@ _RECOVERABLE = (
     LostCrossing,
     ArithmeticError,
 )
+
+
+# what local_jacobian raises on a box it cannot evaluate
+_PIECE_FAILURES = (ArithmeticError, DomainError)
 
 
 def _slice_cuts(lo: float, hi: float, k: int) -> list[tuple[float, float]]:
@@ -479,15 +486,41 @@ def enclose_DF_over_N(
     Only the unstable axis is split: it carries the whole r_u extent
     while the transversal axes are alpha_h-thin, so uniform splitting
     along axis 0 removes essentially all dependency overestimation.
+
+    The pieces run as one batch along a leading axis
+    (rtbp.local_jacobian_batch) and the hull is one min/max reduction
+    over that axis; each piece's derivative equals local_jacobian on
+    the piece, so the hull is the hull of the per-piece derivatives.  If
+    a piece fails, the raised exception is the one local_jacobian raises
+    on the first failing piece.
     """
     if subdivision < 1:
         raise ValueError("subdivision must be at least 1")
-    out = None
-    for a, b in _slice_cuts(n_box[0].lo, n_box[0].hi, subdivision):
+    cuts = _slice_cuts(n_box[0].lo, n_box[0].hi, subdivision)
+
+    def first(k: int) -> IVector:
+        # the first k pieces as one batch
+        axis0 = IArray([a for a, _ in cuts[:k]], [b for _, b in cuts[:k]])
+        return IVector([axis0, n_box[1], n_box[2], n_box[3]])
+
+    try:
+        batch = local_jacobian_batch(first(len(cuts)), chart, params)
+    except _PIECE_FAILURES:
+        # a prefix of pieces fails exactly when it holds a failing
+        # piece: bisect for the first one and let it raise on its own
+        ok, bad = 0, len(cuts)
+        while bad - ok > 1:
+            k = (ok + bad) // 2
+            try:
+                local_jacobian_batch(first(k), chart, params)
+                ok = k
+            except _PIECE_FAILURES:
+                bad = k
+        a, b = cuts[bad - 1]
         piece = IVector([Interval(a, b), n_box[1], n_box[2], n_box[3]])
-        m = local_jacobian(piece, chart, params)
-        out = m if out is None else out.hull(m)
-    return out
+        local_jacobian(piece, chart, params)
+        raise
+    return batch.hull_over(0).to_imatrix()
 
 
 def _split_blocks(dfn: IMatrix):

@@ -45,11 +45,13 @@ from dataclasses import dataclass
 
 from .interval import (
     Box,
+    IArray,
     IMatrix,
     Interval,
     IVector,
     _add_dn,
     _add_up,
+    _lowest,
     _mk,
     _mul_ep,
     idot,
@@ -57,6 +59,7 @@ from .interval import (
     sqrt,
 )
 from .linalg import (
+    BatchSolver,
     interval_newton,
     solve_interval_linear,
     solve_interval_linear_cols,
@@ -90,6 +93,7 @@ __all__ = [
     "d2_total_change",
     "local_field",
     "local_jacobian",
+    "local_jacobian_batch",
     "symmetry_S",
     "RtbpTaylorField",
     "RtbpSolutionSeries",
@@ -155,7 +159,7 @@ def _distance_squares(x: Interval, y: Interval, mu: Interval):
     ysq = sq(y)
     s1 = sq(d1) + ysq
     s2 = sq(d2) + ysq
-    if s1.lo <= 0.0 or s2.lo <= 0.0:
+    if _lowest(s1) <= 0.0 or _lowest(s2) <= 0.0:
         raise CollisionSingularity(
             f"distance enclosure touches a primary: r1^2={s1}, r2^2={s2}"
         )
@@ -619,6 +623,40 @@ def local_jacobian(
     tensor_rows = [list(d2phi[a].matvec(fhat)) for a in range(4)]
     rhs = jacobian(x, p).matmul(dphi) - IMatrix(tensor_rows)
     return solve_interval_linear_cols(dphi, rhs)
+
+
+def local_jacobian_batch(
+    q: IVector, chart: LocalChart, p: RtbpParams
+) -> IArray:
+    """local_jacobian over a batch of boxes, in one array pass.
+
+    Each component of q is an IArray along a leading batch axis or an
+    Interval that every box shares.  The formulas are the scalar ones
+    (psi, dpsi, d2psi, vector_field, jacobian) evaluated on IArrays, the
+    matrix products are IArray.matmul, and the F_hat solve and the
+    column solve share one BatchSolver preconditioning of D(Phi).  Entry
+    k of the (..., 4, 4) result equals local_jacobian of box k bit for
+    bit.  When boxes fail, the exception class is one that
+    local_jacobian raises on some failing box, not necessarily the
+    first.
+    """
+    c = IArray.stack(chart.C)
+    psi_q = IArray.stack(psi(q))
+    x = IArray.stack(chart.L1) + c.matmul(psi_q[..., None])[..., 0]
+    dphi = c.matmul(IArray.stack(dpsi(q)))
+    xs = IVector([x[..., i] for i in range(4)])
+    f = IArray.stack(vector_field(xs, p))
+    solver = BatchSolver(dphi)
+    fhat = solver.solve(f[..., None])
+    # D^2(Phi) as d2_total_change sums it: entry a is sum_b C[a, b]
+    # D^2(psi_b), axes (..., a, i, j)
+    h = IArray.stack(d2psi(q))
+    d2phi = h[..., None, 0, :, :] * c[:, 0, None, None]
+    for b in (1, 2, 3):
+        d2phi = d2phi + h[..., None, b, :, :] * c[:, b, None, None]
+    tensor = d2phi.matmul(fhat[..., None, :, :])[..., 0]
+    rhs = IArray.stack(jacobian(xs, p)).matmul(dphi) - tensor
+    return solver.solve(rhs)
 
 
 def symmetry_S(s):

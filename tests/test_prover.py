@@ -20,10 +20,11 @@ every claim the proof relies on is unaffected.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from conecert.interval import Interval, IVector, decimal_to_interval
+from conecert.interval import DomainError, Interval, IVector, decimal_to_interval
 from conecert.prover import (
     CertifiedUnstable,
     ProofConfig,
@@ -38,7 +39,13 @@ from conecert.prover import (
     run_endpoint,
     run_fragment,
 )
-from conecert.rtbp import RtbpParams, jordan_basis, libration_L1, local_field
+from conecert.rtbp import (
+    RtbpParams,
+    jordan_basis,
+    libration_L1,
+    local_field,
+    local_jacobian,
+)
 
 MU_LEFT = "0.0042538634220"
 MU_RIGHT = "0.0042538636220"
@@ -236,6 +243,83 @@ class TestDerivativeOverN:
         _, dfn = dfn64
         assert 2.8003 <= dfn[0, 0].lo and dfn[0, 0].hi <= 2.8004
         assert -2.2519 <= dfn[3, 2].lo and dfn[3, 2].hi <= -2.2517
+
+
+def _loop_hull(chart, params, n_box, k):
+    """[DF(N)] as the hull of one scalar local_jacobian per piece."""
+    out = None
+    for a, b in _slice_cuts(n_box[0].lo, n_box[0].hi, k):
+        piece = IVector([Interval(a, b), n_box[1], n_box[2], n_box[3]])
+        m = local_jacobian(piece, chart, params)
+        out = m if out is None else out.hull(m)
+    return out
+
+
+def _loop_failure(chart, params, n_box, k):
+    """Exception class the per-piece loop raises, None if none."""
+    try:
+        _loop_hull(chart, params, n_box, k)
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def slice_setup(cfg):
+    # the first interval-mass slice of the first fragment, at the
+    # fragments' cone aperture
+    frag = replace(cfg, alpha_h=cfg.fragment_alpha_h)
+    lo, hi = _slice_cuts(*cfg.fragment_intervals()[0], cfg.fragment_mu_slices)[0]
+    params = RtbpParams(Interval(lo, hi))
+    chart = jordan_basis(params)
+    b = enclose_fixed_point(chart, params, frag)
+    return params, chart, build_N(b, frag)
+
+
+class TestBatchedDerivative:
+    @pytest.mark.parametrize("k", [1, 7, 64])
+    def test_left_endpoint_equals_loop(self, cfg, left_setup, k):
+        # [TRIVIAL] one array pass gives the per-piece hull bit for bit
+        params, chart, b = left_setup
+        n_box = build_N(b, cfg)
+        got = enclose_DF_over_N(chart, params, n_box, k)
+        want = _loop_hull(chart, params, n_box, k)
+        for i in range(4):
+            for j in range(4):
+                assert got[i, j].lo == want[i, j].lo
+                assert got[i, j].hi == want[i, j].hi
+
+    @pytest.mark.parametrize("k", [1, 7, 64])
+    def test_mass_slice_equals_loop(self, slice_setup, k):
+        # [TRIVIAL] the same over an interval-valued mass parameter
+        params, chart, n_box = slice_setup
+        got = enclose_DF_over_N(chart, params, n_box, k)
+        want = _loop_hull(chart, params, n_box, k)
+        for i in range(4):
+            for j in range(4):
+                assert got[i, j].lo == want[i, j].lo
+                assert got[i, j].hi == want[i, j].hi
+
+    def _assert_loop_failure(self, chart, params, n_box):
+        want = _loop_failure(chart, params, n_box, 8)
+        assert want is not None
+        with pytest.raises(want) as info:
+            enclose_DF_over_N(chart, params, n_box, 8)
+        assert type(info.value) is want
+
+    def test_large_r_u_fails_as_loop(self, cfg, left_setup):
+        # [TRIVIAL] r_u = 1 at alpha_h = 0.04 reaches a primary
+        params, chart, b = left_setup
+        n_box = build_N(b, replace(cfg, r_u=1.0, alpha_h=0.04))
+        self._assert_loop_failure(chart, params, n_box)
+
+    def test_first_failing_piece_decides(self, left_setup):
+        # [TRIVIAL] piece 0 fails the preconditioner and piece 5 meets a
+        # primary; the batch evaluates the field before it solves, the
+        # loop stops at piece 0
+        params, chart, _ = left_setup
+        n_box = IVector([Interval(0.2, 1.0)] + [Interval(-0.2, 0.2)] * 3)
+        self._assert_loop_failure(chart, params, n_box)
 
 
 class TestConeStage:
@@ -451,3 +535,4 @@ class TestReportDeterminism:
         text = first.render_text()
         assert f"homoclinic verdict: {first.verdict}" in text
         assert "fragments:" in text
+
