@@ -418,10 +418,19 @@ class ProofReport:
             if ep.failure:
                 lines.append(f"  failure: {ep.failure}")
         lines.append("")
-        ok = sum(1 for f in self.fragments if f.verified)
-        lines.append(
-            f"fragments: {ok}/{len(self.fragments)} well defined"
-        )
+        if not self.fragments:
+            failed = [ep.side for ep in (self.left, self.right)
+                      if not ep.verified]
+            lines.append(
+                f"fragments: not run, the {' and '.join(failed)} endpoint"
+                f"{'s' if len(failed) > 1 else ''} failed, so no fragment "
+                "could change the verdict"
+            )
+        else:
+            ok = sum(1 for f in self.fragments if f.verified)
+            lines.append(
+                f"fragments: {ok}/{len(self.fragments)} well defined"
+            )
         for f in self.fragments:
             mark = "ok" if f.verified else "FAIL"
             retry = " (retried)" if f.retried else ""
@@ -847,22 +856,25 @@ def check_homoclinic(cfg: ProofConfig) -> ProofReport:
 
     PROVED requires the left P_X image strictly negative, the right one
     strictly positive, and the Poincare map well defined on every
-    fragment; anything less is NOT_PROVED (never a disproof).
+    fragment; anything less is NOT_PROVED (never a disproof).  The
+    fragments run only when both endpoints certified their signs; the
+    report then lists none.
     """
     t0 = time.perf_counter()
     left = run_endpoint("left", cfg.mu_left, cfg)
     right = run_endpoint("right", cfg.mu_right, cfg)
-    fragments = [
-        run_fragment(i, lo, hi, cfg)
-        for i, (lo, hi) in enumerate(cfg.fragment_intervals())
-    ]
-    ok = (
+    signs_ok = (
         left.verified
         and left.px_sign < 0
         and right.verified
         and right.px_sign > 0
-        and all(f.verified for f in fragments)
     )
+    # a failed endpoint already fixes NOT_PROVED: no fragment can change it
+    fragments = [
+        run_fragment(i, lo, hi, cfg)
+        for i, (lo, hi) in enumerate(cfg.fragment_intervals())
+    ] if signs_ok else []
+    ok = signs_ok and all(f.verified for f in fragments)
     verdict = "PROVED" if ok else "NOT_PROVED"
     return ProofReport(
         config=cfg,

@@ -536,3 +536,26 @@ class TestReportDeterminism:
         assert f"homoclinic verdict: {first.verdict}" in text
         assert "fragments:" in text
 
+
+def test_failed_endpoint_skips_fragments(monkeypatch):
+    # c_v = 2.9 fails the cone stage at both endpoints, which fixes
+    # NOT_PROVED before any fragment could matter
+    from conecert import prover
+
+    calls = []
+    run = prover.run_fragment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(prover, "run_fragment", counted)
+    cfg = ProofConfig.from_json(
+        {**ProofConfig.default().to_json(), "c_v": 2.9, "fragments": 1}
+    )
+    report = check_homoclinic(cfg)
+    assert calls == []
+    assert report.verdict == "NOT_PROVED"
+    assert report.fragments == []
+    text = report.render_text()
+    assert "fragments: not run, the left and right endpoints failed" in text
