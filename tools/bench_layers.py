@@ -1,4 +1,4 @@
-"""Layer bench of the Taylor integrator, one row per measured source tree.
+"""Layer bench of the Taylor integrator and of the derivative stage.
 
     python3 tools/bench_layers.py --label LABEL [--row NAME] [--src DIR]
 
@@ -19,6 +19,14 @@ A row holds:
     step of the left flight: expand of the thin midpoint (order p = 20)
     and of the rough tube (box, order p + 1), expand_variational of the
     tube series from V_0 = I (order p + 1), and one flow._expand_step;
+  * derivative, median milliseconds of the derivative-over-N stage:
+    prover.enclose_DF_over_N over the left endpoint's N in 256 pieces
+    and over the first default mass slice's N in 32 pieces (DFN_REPEATS
+    calls each), one scalar rtbp.local_jacobian on the whole left N, one
+    linalg.verified_inverse of D(Phi) over it, and, on trees that have
+    the array path, the same two computations as batches of one
+    (rtbp.local_jacobian_batch, linalg.BatchSolver), which is why single
+    boxes keep the scalar path;
   * the machine, the Python version and the commit.
 
 Times are wall clock as measured: run it with nothing else busy.
@@ -38,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 25
+DFN_REPEATS = 5
 
 
 def _commit(src: Path) -> str:
@@ -69,10 +78,10 @@ def _machine() -> dict:
     }
 
 
-def _median_ms(fn) -> float:
+def _median_ms(fn, repeats: int = REPEATS) -> float:
     fn()
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -135,6 +144,56 @@ def _fly_endpoints(flow, prover, cfg):
     return rows, left_steps
 
 
+def _derivative_layers(cfg) -> dict:
+    """Milliseconds of the derivative-over-N stage and its single-box
+    layers, scalar and (where the tree has it) batched."""
+    from dataclasses import replace
+
+    from conecert import interval, linalg, prover, rtbp
+
+    def setup(mu, c):
+        params = rtbp.RtbpParams(mu)
+        chart = rtbp.jordan_basis(params)
+        b = prover.enclose_fixed_point(chart, params, c)
+        return params, chart, prover.build_N(b, c)
+
+    params, chart, n_box = setup(interval.decimal_to_interval(cfg.mu_left), cfg)
+    frag = replace(cfg, alpha_h=cfg.fragment_alpha_h)
+    lo, hi = prover._slice_cuts(
+        *cfg.fragment_intervals()[0], cfg.fragment_mu_slices
+    )[0]
+    s_params, s_chart, s_n_box = setup(interval.Interval(lo, hi), frag)
+    dphi = rtbp.d_total_change(n_box, chart)
+    out = {
+        "enclose_DF_over_N_256": _median_ms(
+            lambda: prover.enclose_DF_over_N(chart, params, n_box, 256),
+            DFN_REPEATS,
+        ),
+        "enclose_DF_over_N_32_slice": _median_ms(
+            lambda: prover.enclose_DF_over_N(s_chart, s_params, s_n_box, 32),
+            DFN_REPEATS,
+        ),
+        "local_jacobian": _median_ms(
+            lambda: rtbp.local_jacobian(n_box, chart, params)
+        ),
+        "verified_inverse": _median_ms(lambda: linalg.verified_inverse(dphi)),
+        "local_jacobian_batch_of_one": None,
+        "batch_solver_inverse_of_one": None,
+    }
+    if hasattr(rtbp, "local_jacobian_batch"):
+        one = interval.IArray([n_box[0].lo], [n_box[0].hi])
+        q = interval.IVector([one, n_box[1], n_box[2], n_box[3]])
+        a = interval.IArray.stack(dphi)[None]
+        ident = interval.IArray.stack(interval.IMatrix.identity(4))[None]
+        out["local_jacobian_batch_of_one"] = _median_ms(
+            lambda: rtbp.local_jacobian_batch(q, chart, params)
+        )
+        out["batch_solver_inverse_of_one"] = _median_ms(
+            lambda: linalg.BatchSolver(a).solve(ident)
+        )
+    return out
+
+
 def measure(src: Path) -> dict:
     sys.path.insert(0, str(src))
     from conecert import flow, prover
@@ -163,6 +222,7 @@ def measure(src: Path) -> dict:
         "order": order,
         "step_h": h,
         "layers_ms": layers,
+        "derivative_ms": _derivative_layers(cfg),
         "flights": flights,
     }
 
