@@ -48,8 +48,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import Box, IMatrix, Interval, IVector, exp, eye, idot
-from .linalg import verified_inverse
+from .interval import (
+    Box,
+    IMatrix,
+    Interval,
+    IVector,
+    MatrixSeries,
+    _add_dn,
+    _add_up,
+    _mk,
+    _mul_ep,
+    exp,
+    eye,
+    idot,
+    mat_opnorm_upper,
+)
+
+_INF = math.inf
+_NINF = -math.inf
+_nextafter = math.nextafter
 
 __all__ = [
     "EnclosureFailure",
@@ -248,11 +265,11 @@ class LinearTaylorField:
             coeffs.append(self.a.matvec(coeffs[k]).scale(1.0 / (k + 1)))
         return _CoeffSeries(coeffs, 1.0)
 
-    def expand_variational(self, sol, v0: IMatrix, order: int) -> list:
+    def expand_variational(self, sol, v0: IMatrix, order: int) -> MatrixSeries:
         out = [v0]
         for k in range(order):
             out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
-        return out
+        return MatrixSeries.from_matrices(out)
 
 
 def _as_ivector(x, n: int) -> IVector:
@@ -333,11 +350,24 @@ def _horner_vec(series, order: int, h: float, tail: IVector) -> IVector:
     return acc
 
 
-def _horner_mat(mats: list, order: int, h: float, tail: IMatrix) -> IMatrix:
-    acc = tail
-    for k in range(order, -1, -1):
-        acc = acc.scale(Interval(h)) + mats[k]
-    return acc
+def _horner_transport(
+    v: MatrixSeries, order: int, h: float, tail: IMatrix
+) -> IMatrix:
+    """sum_{k <= order} V_k h^k + tail h^(order+1), by Horner on the float
+    series of each entry, rounded exactly as the IMatrix Horner
+    acc.scale(Interval(h)) + V_k is for h > 0: the product with h nudged
+    outward, then the exact-directed sums."""
+    rows = []
+    for entry_row, tail_row in zip(v.entries, tail.rows):
+        row = []
+        for (los, his), t in zip(entry_row, tail_row):
+            lo, hi = t.lo, t.hi
+            for k in range(order, -1, -1):
+                lo = _add_dn(_nextafter(_mul_ep(lo, h), _NINF), los[k])
+                hi = _add_up(_nextafter(_mul_ep(hi, h), _INF), his[k])
+            row.append(_mk(lo, hi))
+        rows.append(row)
+    return IMatrix(rows)
 
 
 class _StepData:
@@ -377,10 +407,32 @@ def _expand_step(
     w0 = IMatrix([[x + ball for x in row] for row in IMatrix.identity(n).rows])
     v_z = field.expand_variational(ser_z, w0, order + 1)
     var_tail = v_z[order + 1]
-    transport = _horner_mat(v_x, order, h, var_tail)
+    transport = _horner_transport(v_x, order, h, var_tail)
 
     var_err = max(e.mag for row in var_tail.rows for e in row) * hp
     return _StepData(image, transport, tube, sol_err, var_err)
+
+
+def _orthogonal_inverse(q: list) -> IMatrix:
+    """Enclosure of Q^-1 for a float matrix Q that is orthogonal up to
+    rounding: Q^T plus a ball of radius ||E|| / (1 - ||E||) ||Q^T||,
+    E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
+    spectral norm.  Q^-1 = (I - E)^-1 Q^T = Q^T + E (I - E)^-1 Q^T, and
+    the spectral norm bounds every entry.  Raises EnclosureFailure when
+    ||E|| >= 1/2."""
+    n = len(q)
+    qt = [[q[j][i] for j in range(n)] for i in range(n)]
+    qt_iv = IMatrix.from_floats(qt)
+    e = IMatrix.identity(n) - qt_iv.matmul(IMatrix.from_floats(q))
+    e_norm = mat_opnorm_upper(e)
+    if not e_norm < 0.5:
+        raise EnclosureFailure(
+            f"QR factor not orthogonal: ||I - Q^T Q|| <= {e_norm}"
+        )
+    en = Interval(e_norm)
+    r = (en / (1.0 - en) * mat_opnorm_upper(qt_iv)).hi
+    ball = Interval(-r, r)
+    return IMatrix([[x + ball for x in row] for row in qt_iv.rows])
 
 
 def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
@@ -414,7 +466,7 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
     a = np.array([[m_mid[i][perm[j]] for j in range(n)] for i in range(n)])
     q_np, _ = np.linalg.qr(a)
     q = [[float(q_np[i][j]) for j in range(n)] for i in range(n)]
-    q_inv = verified_inverse(IMatrix.from_floats(q))
+    q_inv = _orthogonal_inverse(q)
 
     rem = q_inv.matmul(IMatrix.from_floats(m_mid)).matvec(enc.remainder)
     rem = rem + q_inv.matvec(err)

@@ -51,6 +51,7 @@ __all__ = [
     "IArray",
     "IVector",
     "IMatrix",
+    "MatrixSeries",
     "Box",
     "DomainError",
     "DivisionByZeroInterval",
@@ -920,6 +921,45 @@ class IMatrix:
     @classmethod
     def from_json(cls, data) -> "IMatrix":
         return cls([[Interval.from_json(p) for p in row] for row in data])
+
+
+class MatrixSeries:
+    """Taylor coefficients V_0..V_order of an interval matrix function.
+
+    Entry (i, j) is held as a pair of float lists (lo, hi) indexed by the
+    order, as the Taylor kernels compute it; series[k] builds the IMatrix
+    of coefficient k on read.
+    """
+
+    __slots__ = ("entries", "order")
+
+    def __init__(self, entries):
+        self.entries = entries  # entries[i][j] = (lo list, hi list)
+        self.order = len(entries[0][0][0]) - 1
+
+    @classmethod
+    def from_matrices(cls, mats: Sequence[IMatrix]) -> "MatrixSeries":
+        n, m = mats[0].shape
+        return cls(
+            [
+                [
+                    (
+                        [a.rows[i][j].lo for a in mats],
+                        [a.rows[i][j].hi for a in mats],
+                    )
+                    for j in range(m)
+                ]
+                for i in range(n)
+            ]
+        )
+
+    def __len__(self) -> int:
+        return self.order + 1
+
+    def __getitem__(self, k: int) -> IMatrix:
+        return IMatrix(
+            [[_mk(lo[k], hi[k]) for lo, hi in row] for row in self.entries]
+        )
 
 
 # -- norms -------------------------------------------------------------------

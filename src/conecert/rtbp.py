@@ -49,6 +49,7 @@ from .interval import (
     IMatrix,
     Interval,
     IVector,
+    MatrixSeries,
     _add_dn,
     _add_up,
     _lowest,
@@ -988,8 +989,9 @@ class RtbpTaylorField:
 
     def expand_variational(
         self, sol: RtbpSolutionSeries, v0: IMatrix, order: int
-    ) -> list:
-        """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given."""
+    ) -> MatrixSeries:
+        """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given, as the
+        (lo, hi) float series the kernel computes."""
         if order > sol.order:
             raise ValueError("solution series too short for this order")
         uxx, uxy, uyy = sol._partials(max(order - 1, 0))
@@ -1019,12 +1021,4 @@ class RtbpTaylorField:
                 )
                 for series, ri in zip(col, r):
                     _append(series, _div_int(*ri, kk, sign))
-        return [
-            IMatrix(
-                [
-                    [_mk(cols[j][i][0][k], cols[j][i][1][k]) for j in range(4)]
-                    for i in range(4)
-                ]
-            )
-            for k in range(order + 1)
-        ]
+        return MatrixSeries([[cols[j][i] for j in range(4)] for i in range(4)])

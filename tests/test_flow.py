@@ -15,7 +15,13 @@ import random
 
 import pytest
 
-from conecert.interval import IMatrix, Interval, IVector, decimal_to_interval
+from conecert.interval import (
+    IMatrix,
+    Interval,
+    IVector,
+    MatrixSeries,
+    decimal_to_interval,
+)
 from conecert.flow import (
     EnclosureFailure,
     FlowEnclosure,
@@ -70,11 +76,11 @@ class AffineField:
             coeffs.append(nxt.scale(1.0 / (k + 1)))
         return _Series(coeffs)
 
-    def expand_variational(self, sol, v0: IMatrix, order: int) -> list:
+    def expand_variational(self, sol, v0: IMatrix, order: int) -> MatrixSeries:
         out = [v0]
         for k in range(order):
             out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
-        return out
+        return MatrixSeries.from_matrices(out)
 
 
 class _Series:
