@@ -25,14 +25,39 @@ One Taylor step uses five series expansions, in this order:
     p+1) started from the a-priori matrix bound W, whose last coefficient
     is the variational Lagrange term; together they enclose D(phi_h)
     over the box.
-The mean value theorem then gives
+The variational series come back as float (lo, hi) series per entry
+(MatrixSeries), and [V] is summed by Horner on those floats with the
+rounding of the Interval operations.  The mean value theorem then gives
 phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r), the products [V] C
 and [V] B are split into float midpoints plus interval defects, and the
 error basis is renewed by QR with sorted columns to control wrapping.
+The float QR factor Q is orthogonal up to rounding, so Q^-1 is enclosed
+as Q^T plus an entrywise ball of radius ||E|| / (1 - ||E||) ||Q^T||, with
+E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
+spectral norm (a Neumann series; EnclosureFailure if ||E|| >= 1/2).
 
-Poincare crossings monitor the rough tube of every step, land a float
-time on the section with the midpoint series, and project the set onto
-the section through the correlated mean-value form
+Step sizes.  A step of size h is accepted when its error ratio
+r = max(sol_err, var_err * diam) / tol is at most 1, diam the width of
+the current set.  After every step tried, accepted or not, the next size
+is predicted by the rule of Jorba and Zou (Exp. Math. 14, 2005) used in
+CAPD's Lohner step control: h * 0.7 r^(-1/(p+1)), at most 2 h after an
+acceptance, between 0.25 h and 0.9 h after a rejection, never above
+h_max; a rough enclosure that fails halves h.  integrate_to_time and
+poincare_crossing share this one acceptance loop, _advance, and the
+predicted size carries over from step to step.
+
+Poincare crossings monitor the rough tube of every step.  A step whose
+tube is clear of the section is accepted as it is.  When the tube meets
+the section, the end set decides: strictly past the section, the step
+holds the crossing; still wholly on the starting side, the step is
+halved; straddling the section, longer steps are tried in
+[h, smallest failing h] (doubling while none has failed), at most
+_STRADDLE_TRIES of them.  If none lands past the section, the flight
+closes in once with halved steps whose tubes stay clear and searches
+again from there; a second failed search, or a step below h_min, is
+LostCrossing.  The crossing step lands a float time on the section with
+the midpoint series and projects the set onto the section through the
+correlated mean-value form
 
     P_i in p_i - [F_i(Z)/F_k(Z)] (p_k - value),
 
@@ -371,6 +396,9 @@ def _horner_transport(
 
 
 class _StepData:
+    """The expansions of one step; image and transport are None, and
+    var_err is 0, for a step rejected on sol_err alone."""
+
     __slots__ = ("image", "transport", "tube", "sol_err", "var_err")
 
     def __init__(self, image, transport, tube, sol_err, var_err):
@@ -383,9 +411,9 @@ class _StepData:
 
 def _expand_step(
     field, enc: FlowEnclosure, h: float, order: int, tol: float = math.inf
-) -> _StepData | None:
-    """The five expansions of one step, or None when the solution Lagrange
-    term exceeds tol; the tube series that decides it is expanded first."""
+) -> _StepData:
+    """The five expansions of one step, or only the tube series when the
+    solution Lagrange term exceeds tol; that series is expanded first."""
     n = enc.dim
     x0 = enc.as_box()
     tube = a_priori_enclosure(field, x0, h)
@@ -394,7 +422,7 @@ def _expand_step(
     hp = h ** (order + 1)
     sol_err = max(c.mag for c in sol_tail) * hp
     if sol_err > tol:
-        return None
+        return _StepData(None, None, tube, sol_err, 0.0)
 
     ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
     image = _horner_vec(ser_m, order, h, sol_tail)
@@ -487,22 +515,70 @@ def taylor_step(field, enc: FlowEnclosure, h: float, order: int = 20):
     return _assemble(enc, data, h)
 
 
-def _advance(field, enc, h_try, order, tol, h_min):
-    """One accepted adaptive step: (enclosure, tube, h_used)."""
-    h = h_try
-    diam = enc.max_width()
+def _step_factor(r: float, order: int) -> float:
+    """Factor from the step size just tried to the next one, after an
+    error ratio r (accepted when r <= 1)."""
+    if r == 0.0:
+        return _GROWTH
+    f = _SAFETY * r ** (-1.0 / (order + 1))
+    if r <= 1.0:
+        return min(f, _GROWTH)
+    return min(max(f, _SHRINK_MIN), _SHRINK_MAX)
+
+
+# Step-size rule of Jorba and Zou (Exp. Math. 14, 2005), as in the Lohner
+# step control of CAPD: after an error ratio r = err / tol the next step
+# is h * _SAFETY * r^(-1/(p+1)), at most _GROWTH times h after an accepted
+# step and within [_SHRINK_MIN, _SHRINK_MAX] times h after a rejection.
+_SAFETY = 0.7
+_GROWTH = 2.0
+_SHRINK_MIN = 0.25
+_SHRINK_MAX = 0.9
+# longer steps tried for a set whose end straddles the section
+_STRADDLE_TRIES = 8
+
+
+def _step_factor(r: float, order: int) -> float:
+    """Factor from the step size just tried to the next one, after an
+    error ratio r (accepted when r <= 1)."""
+    if r == 0.0:
+        return _GROWTH
+    f = _SAFETY * r ** (-1.0 / (order + 1))
+    if r <= 1.0:
+        return min(f, _GROWTH)
+    return min(max(f, _SHRINK_MIN), _SHRINK_MAX)
+
+
+def _try_step(field, enc, h, order, tol, diam):
+    """The expansions of a step of size h and its error ratio
+    r = max(sol_err, var_err diam) / tol, accepted when r <= 1; (None, inf)
+    when the rough enclosure fails."""
+    try:
+        data = _expand_step(field, enc, h, order, tol)
+    except EnclosureFailure:
+        return None, math.inf
+    # an early rejection has sol_err > tol, hence r > 1
+    return data, max(data.sol_err, data.var_err * diam) / tol
+
+
+def _advance(field, enc, h, order, tol, h_min, h_max):
+    """One accepted step from enc, trying h first.
+
+    Returns (end, data, h, h_next, h_fail): the enclosure after the step,
+    its expansions, the step size used, the predicted next step size and
+    the smallest step size rejected on the way (inf when none was).
+    """
+    diam = max(enc.max_width(), 1e-30)
+    h_fail = math.inf
     while True:
-        try:
-            data = _expand_step(field, enc, h, order, tol)
-            if data is not None and data.var_err * max(diam, 1e-30) <= tol:
-                return _assemble(enc, data, h), data, h
-        except EnclosureFailure:
-            pass
-        h *= 0.5
         if h < h_min:
-            raise EnclosureFailure(
-                f"no acceptable step above h_min={h_min:g}"
-            )
+            raise EnclosureFailure(f"no acceptable step above h_min={h_min:g}")
+        data, r = _try_step(field, enc, h, order, tol, diam)
+        if r <= 1.0:
+            h_next = min(h * _step_factor(r, order), h_max)
+            return _assemble(enc, data, h), data, h, h_next, h_fail
+        h_fail = h
+        h *= 0.5 if data is None else _step_factor(r, order)
 
 
 def integrate_to_time(
@@ -526,19 +602,45 @@ def integrate_to_time(
         remaining = t_final - enc.time.hi
         if remaining <= slack:
             return enc
-        clipped = min(h_try, remaining)
-        enc, data, h_used = _advance(field, enc, clipped, order, tol, h_min)
+        enc, data, _, h_try, _ = _advance(
+            field, enc, min(h_try, remaining), order, tol, h_min, h_max
+        )
         if observer is not None:
             observer(enc, data.tube)
-        if h_used == clipped and h_used == h_try:
-            h_try = min(h_try * 1.4, h_max)
-        elif h_used < clipped:
-            h_try = h_used
-        if enc.time.hi >= t_final - 1e-15 * max(1.0, abs(t_final)):
-            return enc
 
 
 # -- Poincare crossings ------------------------------------------------------------
+
+
+def _past_section(end: FlowEnclosure, section: Section) -> str:
+    """Where the end set of a step lies: "all" of it strictly past the
+    section, "some" of it on or past the section, or "none"."""
+    gap = end.as_box()[section.index] - section.value
+    if section.direction < 0:
+        gap = -gap
+    if gap.lo > 0.0:
+        return "all"
+    return "some" if gap.hi >= 0.0 else "none"
+
+
+def _search_crossing(field, enc, h, h_fail, section, order, tol):
+    """A step size at which the end set lies strictly past the section, or
+    None after _STRADDLE_TRIES steps.
+
+    The end set of a step of size h straddles the section; the search
+    bisects [h, h_fail], doubling h while no failing step size is known.
+    """
+    diam = max(enc.max_width(), 1e-30)
+    for _ in range(_STRADDLE_TRIES):
+        trial = 2.0 * h if h_fail == math.inf else 0.5 * (h + h_fail)
+        data, r = _try_step(field, enc, trial, order, tol, diam)
+        if r > 1.0:
+            h_fail = trial
+        elif _past_section(_assemble(enc, data, trial), section) == "all":
+            return trial
+        else:
+            h = trial
+    return None
 
 
 def _float_newton_time(field, enc, h_step, section, order):
@@ -665,8 +767,10 @@ def poincare_crossing(
     checked: steps whose tube stays clear of the section cannot contain a
     crossing; the step that lands strictly past the section is refined
     into an on-section enclosure via the correlated mean-value projection.
-    Grazing or undecided steps are retried at half the step size down to
-    h_min, then reported as LostCrossing.
+    A step whose end set straddles the section starts the bounded search
+    for a longer step described in the module docstring; grazing steps
+    are retried at half the step size down to h_min, then reported as
+    LostCrossing.  observer(enc, tube) is called once per accepted step.
     """
     k = section.index
     g0 = enc.as_box()[k] - section.value
@@ -679,46 +783,41 @@ def poincare_crossing(
         )
     t_start = enc.time.lo
     h_try = min(h_init, h_max)
+    approach = "free"
     while True:
         if enc.time.hi - t_start > max_time:
             raise LostCrossing(f"no crossing within time budget {max_time}")
-        h = h_try
-        while True:
-            try:
-                data = _expand_step(field, enc, h, order, tol)
-            except EnclosureFailure:
-                h *= 0.5
-                if h < h_min:
-                    raise
-                continue
-            diam = enc.max_width()
-            if data is None or data.var_err * max(diam, 1e-30) > tol:
-                h *= 0.5
-                if h < h_min:
-                    raise EnclosureFailure(
-                        f"no acceptable step above h_min={h_min:g}"
-                    )
-                continue
-            tube_gap = data.tube[k] - section.value
-            if 0.0 not in tube_gap:
-                # tube clear of the section: certified no crossing here
-                enc = _assemble(enc, data, h)
-                if observer is not None:
-                    observer(enc, data.tube)
-                if h == h_try:
-                    h_try = min(h_try * 1.4, h_max)
-                break
-            enc_end = _assemble(enc, data, h)
-            end_gap = enc_end.as_box()[k] - section.value
-            crossed = (end_gap.hi < 0.0) if side > 0 else (end_gap.lo > 0.0)
-            if crossed:
-                return _cross_in_step(field, enc, h, section, order)
-            # grazing or undecided: shrink the step
-            h *= 0.5
-            if h < h_min:
-                raise LostCrossing(
-                    "section contact could not be resolved above h_min"
-                )
+        end, data, h, h_next, h_fail = _advance(
+            field, enc, h_try, order, tol, h_min, h_max
+        )
+        if 0.0 not in data.tube[k] - section.value:
+            # tube clear of the section: certified no crossing in this step
+            enc = end
+            if observer is not None:
+                observer(enc, data.tube)
+            h_try = h_next
+            if approach == "closing":
+                approach, h_try = "closed", h_resume
+            continue
+        past = _past_section(end, section)
+        if past == "all":
+            return _cross_in_step(field, enc, h, section, order)
+        if past == "some" and approach != "closing":
+            h_cross = _search_crossing(
+                field, enc, h, h_fail, section, order, tol
+            )
+            if h_cross is not None:
+                return _cross_in_step(field, enc, h_cross, section, order)
+            if approach == "closed":
+                raise LostCrossing("set straddles the section at every step")
+            # approach the section with shorter steps, then try again
+            approach, h_resume = "closing", h
+        # shrink the step until its tube clears the section
+        h_try = 0.5 * h
+        if h_try < h_min:
+            raise LostCrossing(
+                "section contact could not be resolved above h_min"
+            )
 
 
 # -- trajectory output --------------------------------------------------------------
