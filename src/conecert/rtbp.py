@@ -61,6 +61,7 @@ from .interval import (
 )
 from .linalg import (
     BatchSolver,
+    _Solver,
     interval_newton,
     solve_interval_linear,
     solve_interval_linear_cols,
@@ -614,16 +615,19 @@ def local_jacobian(
     """DF_hat(q) = D(Phi)^-1 (DF(Phi) D(Phi) - D^2(Phi) F_hat).
 
     The tensor is applied to F_hat first; the outer inverse is a verified
-    columnwise solve.
+    columnwise solve.  Both solves share one preconditioning of D(Phi).
     """
     x = total_change(q, chart)
     dphi = d_total_change(q, chart)
+    solver = None
     if fhat is None:
-        fhat = solve_interval_linear(dphi, vector_field(x, p))
+        f = vector_field(x, p)
+        solver = _Solver(dphi)
+        fhat = solver.vector(f)
     d2phi = d2_total_change(q, chart)
     tensor_rows = [list(d2phi[a].matvec(fhat)) for a in range(4)]
     rhs = jacobian(x, p).matmul(dphi) - IMatrix(tensor_rows)
-    return solve_interval_linear_cols(dphi, rhs)
+    return (solver or _Solver(dphi)).cols(rhs)
 
 
 def local_jacobian_batch(
