@@ -13,8 +13,10 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 
+from conecert import flow
 from conecert.interval import (
     IMatrix,
     Interval,
@@ -37,6 +39,7 @@ from conecert.flow import (
     taylor_step,
     write_trajectory_csv,
 )
+from conecert.linalg import verified_inverse
 from conecert.rtbp import (
     RtbpParams,
     RtbpTaylorField,
@@ -397,6 +400,82 @@ def test_crossing_past_apex_succeeds():
     t_exact = 1.0 - math.sqrt(0.8)
     assert t_exact in cr.time
     assert cr.time.width < 1e-10
+
+
+def _harmonic_box_crossing(r, h_max, observer=None):
+    box = IVector([Interval(1.0 - r, 1.0 + r), Interval(-r, r)])
+    return poincare_crossing(
+        harmonic(), FlowEnclosure.from_box(box), Section(0, 0.0, -1),
+        order=15, h_max=h_max, observer=observer,
+    )
+
+
+def test_crossing_fat_set_takes_a_longer_step():
+    # The set needs about 0.1 time units to pass x = 0, ten times h_max:
+    # its end set straddles the section, so the crossing step is found by
+    # lengthening the step, not by halving it.  [TRIVIAL] rotation: the
+    # centre crosses at time pi/2 with image (0, -1)
+    cr = _harmonic_box_crossing(0.05, 0.01)
+    assert math.pi / 2 in cr.time
+    assert -1.0 in cr.as_box()[1]
+
+
+@pytest.mark.parametrize("r", [0.2, 0.3])
+def test_crossing_unresolved_straddle_is_bounded(monkeypatch, r):
+    # A straddle that no certified step resolves ends in a recoverable
+    # error after a bounded number of step attempts: two searches, each
+    # a contact step and at most _STRADDLE_TRIES longer steps, plus a few
+    # halved steps closing in.
+    calls = []
+    expand = flow._expand_step
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return expand(*args, **kwargs)
+
+    accepted = []
+    monkeypatch.setattr(flow, "_expand_step", counted)
+    with pytest.raises((LostCrossing, TransversalityFailure, EnclosureFailure)):
+        _harmonic_box_crossing(r, 0.05, lambda enc, tube: accepted.append(enc))
+    assert len(calls) - len(accepted) <= 2 * (flow._STRADDLE_TRIES + 1) + 4
+
+
+def _flight_q_factors(monkeypatch) -> list:
+    qs = []
+    inverse = flow._orthogonal_inverse
+
+    def recorded(q):
+        qs.append(q)
+        return inverse(q)
+
+    monkeypatch.setattr(flow, "_orthogonal_inverse", recorded)
+    box = IVector([Interval(c - 1e-9, c + 1e-9) for c in (-0.8, 0.1, 0.05, -0.7)])
+    integrate_to_time(rtbp_field(), FlowEnclosure.from_box(box), 0.5, tol=1e-15)
+    return qs
+
+
+def test_orthogonal_inverse_encloses_q_inverse(monkeypatch):
+    # [DERIVED] Q [Q^-1] contains I, and every entry meets the Krawczyk
+    # enclosure of the inverse at a width of a few ulps
+    rng = np.random.default_rng(1401)
+    qs = [np.linalg.qr(rng.standard_normal((4, 4)))[0].tolist() for _ in range(20)]
+    qs += _flight_q_factors(monkeypatch)
+    assert len(qs) > 25
+    for q in qs:
+        inv = flow._orthogonal_inverse(q)
+        ident = IMatrix.from_floats(q).matmul(inv)
+        ref = verified_inverse(IMatrix.from_floats(q))
+        for i in range(4):
+            for j in range(4):
+                assert (1.0 if i == j else 0.0) in ident.rows[i][j]
+                assert inv.rows[i][j].intersects(ref.rows[i][j])
+                assert inv.rows[i][j].width <= 1e-14
+
+
+def test_orthogonal_inverse_rejects_non_orthogonal():
+    for q in ([[1.0, 0.6], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]):
+        with pytest.raises(EnclosureFailure):
+            flow._orthogonal_inverse(q)
 
 
 # -- representation and output -------------------------------------------------------

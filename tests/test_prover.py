@@ -45,6 +45,7 @@ from conecert.rtbp import (
     libration_L1,
     local_field,
     local_jacobian,
+    vector_field_floats,
 )
 
 MU_LEFT = "0.0042538634220"
@@ -382,6 +383,33 @@ class TestEndpoints:
             img = ep.poincare_image
             assert abs(img[0].mid - X_IMAGE) <= 1e-8
             assert abs(img[3].mid - PY_IMAGE) <= 1e-8
+
+    def test_float_shooting_lands_in_certified_image(self, endpoints):
+        # [DERIVED] scipy DOP853 from the midpoint of the launch window at
+        # the mid mass meets {Y = 0} inside the certified crossing time
+        # and image, an independent float check of the whole flight
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        for ep in endpoints:
+            mu = decimal_to_interval(ep.mu).mid
+
+            def on_section(t, y):
+                return y[1]
+
+            on_section.terminal = True
+            sol = scipy_integrate.solve_ivp(
+                lambda t, y: vector_field_floats(y, mu),
+                (0.0, 12.0),
+                ep.U_original.mid(),
+                method="DOP853",
+                rtol=1e-13,
+                atol=1e-15,
+                events=on_section,
+            )
+            (t_hit,) = sol.t_events[0]
+            (hit,) = sol.y_events[0]
+            assert t_hit in ep.crossing_time
+            for i in (0, 2, 3):
+                assert hit[i] in ep.poincare_image[i]
 
     def test_image_on_section(self, endpoints):
         # [TRIVIAL] the Y coordinate is identically pinned to the section
