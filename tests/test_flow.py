@@ -208,6 +208,30 @@ def test_step_harmonic_closed_form():
     assert b.max_width() < 1e-9  # [DERIVED]
 
 
+def test_transport_horner_matches_interval_horner():
+    # The transport is summed on the float series with the rounding of the
+    # Interval Horner acc * h + V_k; the Interval loop is the reference and
+    # must agree bit for bit, zero signs included.  [TRIVIAL]
+    field = rtbp_field()
+    rng = random.Random(1401)
+    order = 20
+    for _ in range(6):
+        r = 10.0 ** rng.uniform(-12.0, -3.0)
+        centre = [-0.8 + rng.uniform(-0.05, 0.05), 0.1, 0.05, -0.7]
+        box = IVector([Interval(c - r, c + r) for c in centre])
+        h = rng.choice([0.03, 0.06, 0.12, 0.0123456])
+        v = field.expand_variational(
+            field.expand(box, order + 1), IMatrix.identity(4), order + 1
+        )
+        acc = v[order + 1]
+        for k in range(order, -1, -1):
+            acc = acc.scale(Interval(h)) + v[k]
+        got = flow._horner_transport(v, order, h, v[order + 1])
+        for row, ref_row in zip(got.rows, acc.rows):
+            for a, b in zip(row, ref_row):
+                assert (repr(a.lo), repr(a.hi)) == (repr(b.lo), repr(b.hi))
+
+
 def test_step_rejects_bad_h():
     with pytest.raises(ValueError):
         taylor_step(harmonic(), FlowEnclosure.from_box(IVector.from_floats([1.0, 0.0])), -0.1)

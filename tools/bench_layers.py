@@ -1,6 +1,6 @@
 """Layer bench of the Taylor integrator and of the derivative stage.
 
-    python3 tools/bench_layers.py --label LABEL [--row NAME] [--src DIR]
+    python3 tools/bench_layers.py --label LABEL [--row NAME] [--src DIR] [--full]
 
 Measures the conecert tree under DIR (default: this checkout's src/) and
 records the result as one row of BENCH_<LABEL>.json at the repository
@@ -13,12 +13,15 @@ A row holds:
   * flights, per default endpoint: seconds spent in flow.poincare_crossing,
     step attempts (calls of flow._expand_step, the crossing step
     included), attempts whose rough enclosure failed, attempts rejected
-    on the solution Lagrange term, accepted steps, and the P_X and
-    crossing-time widths of the certified image;
+    on the solution Lagrange term, full steps (attempts that expanded all
+    five series), accepted steps with the least, median and largest
+    accepted step size, and the P_X and crossing-time widths of the
+    certified image;
   * layers, median milliseconds over REPEATS calls at the middle expanded
     step of the left flight: expand of the thin midpoint (order p = 20)
     and of the rough tube (box, order p + 1), expand_variational of the
-    tube series from V_0 = I (order p + 1), and one flow._expand_step;
+    tube series from V_0 = I (order p + 1), one flow._expand_step, and
+    one flow._assemble (the Lohner update) of that step;
   * derivative, median milliseconds of the derivative-over-N stage:
     prover.enclose_DF_over_N over the left endpoint's N in 256 pieces
     and over the first default mass slice's N in 32 pieces (DFN_REPEATS
@@ -27,6 +30,10 @@ A row holds:
     the array path, the same two computations as batches of one
     (rtbp.local_jacobian_batch, linalg.BatchSolver), which is why single
     boxes keep the scalar path;
+  * with --full, the default proof (prover.check_homoclinic on
+    ProofConfig.default()): verdict, wall seconds, both P_X images, the
+    largest fragment crossing-time width, fragment retries and endpoint
+    subboxes;
   * the machine, the Python version and the commit.
 
 Times are wall clock as measured: run it with nothing else busy.
@@ -95,6 +102,7 @@ def _fly_endpoints(flow, prover, cfg):
     crossing = prover.poincare_crossing
     stats: dict = {}
     steps: list = []
+    sizes: list = []
 
     def counted_step(field, enc, h, order, *args, **kwargs):
         stats["attempts"] += 1
@@ -106,12 +114,17 @@ def _fly_endpoints(flow, prover, cfg):
         if data is None or data.sol_err > cfg.tolerance:
             stats["sol_err_rejections"] += 1
         else:
+            stats["full_steps"] += 1
             steps.append((field, enc, h, order))
         return data
 
     def timed_crossing(*args, observer=None, **kwargs):
+        last = [args[1].time.mid]
+
         def count(enc, tube):
             stats["accepted"] += 1
+            sizes.append(enc.time.mid - last[0])
+            last[0] = enc.time.mid
 
         t0 = time.perf_counter()
         try:
@@ -126,13 +139,17 @@ def _fly_endpoints(flow, prover, cfg):
     try:
         for side, mu in (("left", cfg.mu_left), ("right", cfg.mu_right)):
             stats.update(attempts=0, rough_failures=0, sol_err_rejections=0,
-                         accepted=0, flight_s=0.0)
+                         full_steps=0, accepted=0, flight_s=0.0)
             steps.clear()
+            sizes.clear()
             ep = prover.run_endpoint(side, mu, cfg)
             if not ep.verified:
                 raise RuntimeError(f"{side} endpoint failed: {ep.failure}")
             rows[side] = dict(
                 stats,
+                h_accepted_min=min(sizes),
+                h_accepted_median=statistics.median(sizes),
+                h_accepted_max=max(sizes),
                 px_width=ep.poincare_image[2].width,
                 tcross_width=ep.crossing_time.width,
             )
@@ -194,7 +211,28 @@ def _derivative_layers(cfg) -> dict:
     return out
 
 
-def measure(src: Path) -> dict:
+def _full_proof(prover) -> dict:
+    """The default proof end to end."""
+    t0 = time.perf_counter()
+    report = prover.check_homoclinic(prover.ProofConfig.default())
+    wall = time.perf_counter() - t0
+    widths = [
+        f.crossing_time.width
+        for f in report.fragments
+        if f.crossing_time is not None
+    ]
+    return {
+        "verdict": report.verdict,
+        "wall_s": wall,
+        "px_left": report.left.poincare_image[2].to_json(),
+        "px_right": report.right.poincare_image[2].to_json(),
+        "fragment_tcross_width_max": max(widths) if widths else None,
+        "fragment_retries": sum(f.retried for f in report.fragments),
+        "endpoint_subboxes": [report.left.subboxes, report.right.subboxes],
+    }
+
+
+def measure(src: Path, full: bool = False) -> dict:
     sys.path.insert(0, str(src))
     from conecert import flow, prover
     from conecert.interval import IMatrix, IVector
@@ -202,6 +240,7 @@ def measure(src: Path) -> dict:
     cfg = prover.ProofConfig.default()
     flights, steps = _fly_endpoints(flow, prover, cfg)
     field, enc, h, order = steps[len(steps) // 2]
+    data = flow._expand_step(field, enc, h, order)
     tube = flow.a_priori_enclosure(field, enc.as_box(), h)
     ser_z = field.expand(tube, order + 1)
     mid = IVector.from_floats(enc.midpoint)
@@ -215,8 +254,9 @@ def measure(src: Path) -> dict:
         "expand_step": _median_ms(
             lambda: flow._expand_step(field, enc, h, order)
         ),
+        "assemble": _median_ms(lambda: flow._assemble(enc, data, h)),
     }
-    return {
+    row = {
         "commit": _commit(src),
         "machine": _machine(),
         "order": order,
@@ -225,6 +265,9 @@ def measure(src: Path) -> dict:
         "derivative_ms": _derivative_layers(cfg),
         "flights": flights,
     }
+    if full:
+        row["full"] = _full_proof(prover)
+    return row
 
 
 def main() -> None:
@@ -232,8 +275,10 @@ def main() -> None:
     ap.add_argument("--label", required=True)
     ap.add_argument("--row")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--full", action="store_true",
+                    help="also run the default proof (minutes)")
     args = ap.parse_args()
-    row = measure(args.src.resolve())
+    row = measure(args.src.resolve(), args.full)
     row = {"row": args.row or row["commit"], **row}
     path = ROOT / f"BENCH_{args.label}.json"
     record = {"label": args.label, "rows": []}
