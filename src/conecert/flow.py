@@ -515,17 +515,6 @@ def taylor_step(field, enc: FlowEnclosure, h: float, order: int = 20):
     return _assemble(enc, data, h)
 
 
-def _step_factor(r: float, order: int) -> float:
-    """Factor from the step size just tried to the next one, after an
-    error ratio r (accepted when r <= 1)."""
-    if r == 0.0:
-        return _GROWTH
-    f = _SAFETY * r ** (-1.0 / (order + 1))
-    if r <= 1.0:
-        return min(f, _GROWTH)
-    return min(max(f, _SHRINK_MIN), _SHRINK_MAX)
-
-
 # Step-size rule of Jorba and Zou (Exp. Math. 14, 2005), as in the Lohner
 # step control of CAPD: after an error ratio r = err / tol the next step
 # is h * _SAFETY * r^(-1/(p+1)), at most _GROWTH times h after an accepted
@@ -572,7 +561,9 @@ def _advance(field, enc, h, order, tol, h_min, h_max):
     h_fail = math.inf
     while True:
         if h < h_min:
-            raise EnclosureFailure(f"no acceptable step above h_min={h_min:g}")
+            raise EnclosureFailure(
+                f"no acceptable step above h_min={h_min:g}"
+            )
         data, r = _try_step(field, enc, h, order, tol, diam)
         if r <= 1.0:
             h_next = min(h * _step_factor(r, order), h_max)

@@ -459,7 +459,8 @@ def test_crossing_unresolved_straddle_is_bounded(monkeypatch, r):
 
     accepted = []
     monkeypatch.setattr(flow, "_expand_step", counted)
-    with pytest.raises((LostCrossing, TransversalityFailure, EnclosureFailure)):
+    recoverable = (LostCrossing, TransversalityFailure, EnclosureFailure)
+    with pytest.raises(recoverable):
         _harmonic_box_crossing(r, 0.05, lambda enc, tube: accepted.append(enc))
     assert len(calls) - len(accepted) <= 2 * (flow._STRADDLE_TRIES + 1) + 4
 
@@ -473,8 +474,11 @@ def _flight_q_factors(monkeypatch) -> list:
         return inverse(q)
 
     monkeypatch.setattr(flow, "_orthogonal_inverse", recorded)
-    box = IVector([Interval(c - 1e-9, c + 1e-9) for c in (-0.8, 0.1, 0.05, -0.7)])
-    integrate_to_time(rtbp_field(), FlowEnclosure.from_box(box), 0.5, tol=1e-15)
+    centre = (-0.8, 0.1, 0.05, -0.7)
+    box = IVector([Interval(c - 1e-9, c + 1e-9) for c in centre])
+    integrate_to_time(
+        rtbp_field(), FlowEnclosure.from_box(box), 0.5, tol=1e-15
+    )
     return qs
 
 
@@ -482,7 +486,10 @@ def test_orthogonal_inverse_encloses_q_inverse(monkeypatch):
     # [DERIVED] Q [Q^-1] contains I, and every entry meets the Krawczyk
     # enclosure of the inverse at a width of a few ulps
     rng = np.random.default_rng(1401)
-    qs = [np.linalg.qr(rng.standard_normal((4, 4)))[0].tolist() for _ in range(20)]
+    qs = [
+        np.linalg.qr(rng.standard_normal((4, 4)))[0].tolist()
+        for _ in range(20)
+    ]
     qs += _flight_q_factors(monkeypatch)
     assert len(qs) > 25
     for q in qs:

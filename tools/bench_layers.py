@@ -1,6 +1,7 @@
 """Layer bench of the Taylor integrator and of the derivative stage.
 
-    python3 tools/bench_layers.py --label LABEL [--row NAME] [--src DIR] [--full]
+    python3 tools/bench_layers.py --label LABEL [--row NAME] [--src DIR]
+                                  [--full]
 
 Measures the conecert tree under DIR (default: this checkout's src/) and
 records the result as one row of BENCH_<LABEL>.json at the repository
