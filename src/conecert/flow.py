@@ -535,7 +535,8 @@ def _step_factor(r: float, order: int) -> float:
     f = _SAFETY * r ** (-1.0 / (order + 1))
     if r <= 1.0:
         return min(f, _GROWTH)
-    return min(max(f, _SHRINK_MIN), _SHRINK_MAX)
+    # a rejection; a NaN ratio shrinks the most
+    return min(f, _SHRINK_MAX) if f >= _SHRINK_MIN else _SHRINK_MIN
 
 
 def _try_step(field, enc, h, order, tol, diam):
@@ -587,6 +588,8 @@ def integrate_to_time(
     the outward rounding of the accumulated time interval)."""
     if t_final <= enc.time.hi:
         raise ValueError("t_final must exceed the current time")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     h_try = min(h_init, h_max)
     slack = 1e-15 * max(1.0, abs(t_final))
     while True:
@@ -763,6 +766,8 @@ def poincare_crossing(
     are retried at half the step size down to h_min, then reported as
     LostCrossing.  observer(enc, tube) is called once per accepted step.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     k = section.index
     g0 = enc.as_box()[k] - section.value
     if 0.0 in g0:

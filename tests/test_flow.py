@@ -235,6 +235,11 @@ def test_transport_horner_matches_interval_horner():
 def test_step_rejects_bad_h():
     with pytest.raises(ValueError):
         taylor_step(harmonic(), FlowEnclosure.from_box(IVector.from_floats([1.0, 0.0])), -0.1)
+    with pytest.raises(ValueError):
+        integrate_to_time(
+            harmonic(), FlowEnclosure.from_box(IVector.from_floats([1.0, 0.0])),
+            1.0, tol=0.0,
+        )
 
 
 def test_containment_regression_rtbp():
@@ -285,6 +290,17 @@ def test_energy_conserved_along_enclosure():
     assert len(seen) >= 10
     for c in seen:
         assert c.intersects(c0)
+
+
+def test_step_factor_rule():
+    # [TRIVIAL] h * 0.7 r^(-1/(p+1)), at most 2 after an acceptance and in
+    # [0.25, 0.9] after a rejection; a NaN ratio must shrink, never loop
+    assert flow._step_factor(0.0, 20) == 2.0
+    assert flow._step_factor(1e-30, 20) == 2.0
+    assert flow._step_factor(1.0, 20) == 0.7
+    assert flow._step_factor(2.0, 20) == 0.7 * 2.0 ** (-1.0 / 21)
+    for r in (1e10, math.inf, math.nan):
+        assert flow._step_factor(r, 20) == 0.25
 
 
 def test_halving_recovers_from_large_h():
@@ -368,6 +384,8 @@ def test_crossing_validation_errors():
     on_section = FlowEnclosure.from_box(IVector.from_floats([0.0, 1.0]))
     with pytest.raises(ValueError):
         poincare_crossing(harmonic(), on_section, Section(0, 0.0, -1), order=10)
+    with pytest.raises(ValueError):
+        poincare_crossing(harmonic(), e0, Section(0, 0.0, -1), tol=0.0)
     with pytest.raises(ValueError):
         Section(0, 0.0, 2)
 
