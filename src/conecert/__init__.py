@@ -1,9 +1,9 @@
 """conecert: rigorous certification of strong invariant manifolds.
 
-The library certifies strong stable and unstable manifolds of fixed points
-of maps and flows by verifying cone conditions with interval arithmetic, and
-applies the machinery to certify a transversal homoclinic orbit to the L1
-libration point of the planar circular restricted three-body problem.
+The library certifies the strong unstable manifold of a fixed point of a
+flow by verifying cone conditions with interval arithmetic, and applies the
+machinery to certify a transversal homoclinic orbit to the L1 libration
+point of the planar circular restricted three-body problem.
 """
 
 from .interval import Interval, IVector, IMatrix, Box

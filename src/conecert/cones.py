@@ -7,126 +7,29 @@ into an expanding block x (dimension u_dim) and a contracting block y
   horizontal  Q_h(x, y) = alpha_h ||x||^2 - ||y||^2,   alpha_h in (0, 1)
   vertical    Q_v(x, y) = ||x||^2 - alpha_v ||y||^2,   alpha_v in (0, 1)
 
-A map f satisfies the cone condition for (Q, m) on N when
+Four scalar block conditions on the interval Jacobian
+[Df(N)] = [[A, eps1], [eps2, B]] of a vector field imply that its time-t
+maps phi_t satisfy, for small t > 0, the cone condition
 
-  Q(f(p1) - f(p2)) > m Q(p1 - p2)        for all p1 != p2 in N.
+  Q(phi_t(p1) - phi_t(p2)) > m Q(p1 - p2)        for all p1 != p2 in N
 
-By the mean value theorem this follows from positive definiteness of
-V = B^T Q B - m Q for every B in the interval Jacobian [Df(N)], which is
-what map_cone_check verifies.  For flows, four scalar block conditions on
-[Df(N)] = [[A, eps1], [eps2, B]] imply cone conditions for the time-t maps
-with rates m = 1 + 2 t c for small t > 0; flow_cone_check verifies them.
+with rate m = 1 + 2 t c; flow_cone_check verifies them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .interval import (
-    Box,
-    IMatrix,
-    Interval,
-    IVector,
-    mat_opnorm_upper,
-    sq,
-    sqrt,
-)
+from .interval import Box, IMatrix, Interval, mat_opnorm_upper, sqrt
 from .linalg import PDVerdict, is_positive_definite
 
 __all__ = [
-    "QuadForm",
-    "ConeCertificate",
     "FlowConeConstants",
     "FlowConeCertificate",
-    "eval_Q",
-    "map_cone_check",
     "flow_cone_condition",
     "flow_cone_check",
-    "cone_membership",
     "contraction_constant",
 ]
-
-
-@dataclass(frozen=True)
-class QuadForm:
-    """Q(x, y) = alpha ||x||^2 - beta ||y||^2 on R^{u_dim} x R^{s_dim}."""
-
-    alpha: float
-    beta: float
-    u_dim: int
-    s_dim: int
-
-    def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("form weights must be positive")
-        if self.u_dim < 1 or self.s_dim < 0:
-            raise ValueError("bad block dimensions")
-
-    @classmethod
-    def horizontal(cls, alpha_h: float, u_dim: int, s_dim: int) -> "QuadForm":
-        if not 0.0 < alpha_h < 1.0:
-            raise ValueError("alpha_h must lie in (0, 1)")
-        return cls(alpha_h, 1.0, u_dim, s_dim)
-
-    @classmethod
-    def vertical(cls, alpha_v: float, u_dim: int, s_dim: int) -> "QuadForm":
-        if not 0.0 < alpha_v < 1.0:
-            raise ValueError("alpha_v must lie in (0, 1)")
-        return cls(1.0, alpha_v, u_dim, s_dim)
-
-    @property
-    def dim(self) -> int:
-        return self.u_dim + self.s_dim
-
-    def as_matrix(self) -> IMatrix:
-        diag = [self.alpha] * self.u_dim + [-self.beta] * self.s_dim
-        n = self.dim
-        return IMatrix(
-            [[Interval(diag[i] if i == j else 0.0) for j in range(n)] for i in range(n)]
-        )
-
-
-def eval_Q(form: QuadForm, p) -> Interval:
-    """Enclosure of Q(p); p may be an IVector or a float sequence."""
-    if not isinstance(p, IVector):
-        p = IVector.from_floats([float(v) for v in p])
-    if len(p) != form.dim:
-        raise ValueError("dimension mismatch")
-    acc_x = Interval(0.0)
-    for i in range(form.u_dim):
-        acc_x = acc_x + sq(p[i])
-    acc_y = Interval(0.0)
-    for i in range(form.u_dim, form.dim):
-        acc_y = acc_y + sq(p[i])
-    return acc_x * form.alpha - acc_y * form.beta
-
-
-@dataclass(frozen=True)
-class ConeCertificate:
-    """Certified cone condition for a map: Q(f(p1)-f(p2)) > m Q(p1-p2) on N."""
-
-    form: QuadForm
-    m: float
-    domain: Box | None
-    verdict: bool
-    kind: str
-    pd: PDVerdict | None = None
-
-
-def map_cone_check(
-    dfn: IMatrix, form: QuadForm, m: float, domain: Box | None = None
-) -> ConeCertificate:
-    """Verify V = B^T Q B - m Q positive definite for every B in dfn.
-
-    The product is symmetrized before the check; only the symmetric part
-    contributes to the quadratic form.
-    """
-    if m <= 0.0:
-        raise ValueError("rate m must be positive")
-    qmat = form.as_matrix()
-    v = dfn.transpose().matmul(qmat).matmul(dfn) - qmat.scale(Interval(m))
-    verdict = is_positive_definite(v)
-    return ConeCertificate(form, m, domain, verdict.verified, "Map", verdict)
 
 
 @dataclass(frozen=True)
@@ -245,20 +148,6 @@ def flow_cone_check(
     return FlowConeCertificate(
         constants, verified, conditions, domain, a.shape[0], b.shape[0]
     )
-
-
-def cone_membership(p: IVector, u_dim: int, alpha_h: float, alpha_v: float) -> bool:
-    """Certified sufficient condition for p in the unit product block.
-
-    True iff Q_h(p) >= alpha_h - 1 and Q_v(p) <= 1 - alpha_v are certified
-    in interval arithmetic; together they imply ||x|| <= 1 and ||y|| <= 1.
-    """
-    s_dim = len(p) - u_dim
-    qh = eval_Q(QuadForm.horizontal(alpha_h, u_dim, s_dim), p)
-    qv = eval_Q(QuadForm.vertical(alpha_v, u_dim, s_dim), p)
-    thr_h = Interval(alpha_h) - 1.0
-    thr_v = 1.0 - Interval(alpha_v)
-    return bool(qh.lo >= thr_h.hi and qv.hi <= thr_v.lo)
 
 
 def contraction_constant(alpha_h: float, alpha_v: float) -> float:

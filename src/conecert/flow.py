@@ -103,7 +103,6 @@ __all__ = [
     "LinearTaylorField",
     "gronwall_bounds",
     "a_priori_enclosure",
-    "taylor_step",
     "integrate_to_time",
     "poincare_crossing",
     "write_trajectory_csv",
@@ -501,18 +500,6 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
     return FlowEnclosure(
         m_new, q, rem, enc.time + h, c_new, enc.init_remainder
     )
-
-
-def taylor_step(field, enc: FlowEnclosure, h: float, order: int = 20):
-    """One validated step of size exactly h.
-
-    Raises EnclosureFailure when the rough enclosure cannot be stabilized;
-    the caller is expected to halve h.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    data = _expand_step(field, enc, h, order)
-    return _assemble(enc, data, h)
 
 
 # Step-size rule of Jorba and Zou (Exp. Math. 14, 2005), as in the Lohner

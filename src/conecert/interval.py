@@ -147,10 +147,6 @@ class Interval:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(x, x)
-
-    @classmethod
     def from_json(cls, pair: Sequence[float]) -> "Interval":
         lo, hi = pair
         return cls(float(lo), float(hi))

@@ -195,14 +195,15 @@ class ProofConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.c_h < self.c_v:
             raise ValueError("need 0 < c_h < c_v")
-        for name in (
-            "endpoint_subdivision", "fragment_subdivision", "fragments",
-            "fragment_mu_slices",
+        for name, least in (
+            ("endpoint_subdivision", 1), ("fragment_subdivision", 1),
+            ("fragments", 1), ("fragment_mu_slices", 1), ("order", 2),
         ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.order < 2:
-            raise ValueError("order must be at least 2")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"{name} must be an int")
+            if v < least:
+                raise ValueError(f"{name} must be at least {least}")
 
     @classmethod
     def default(cls) -> "ProofConfig":
@@ -562,8 +563,7 @@ def certify_unstable(
         err.cones = cones
         raise err
     cert = certify(
-        "FlowUnstable", cones, cfg.alpha_h, cfg.alpha_v,
-        fixed_point_box=b, domain=n_box,
+        cones, cfg.alpha_h, cfg.alpha_v, fixed_point_box=b, domain=n_box
     )
     ru = Interval(cfg.r_u)
     u0 = ru * sqrt(1.0 - Interval(cfg.alpha_v))

@@ -609,9 +609,7 @@ def local_field(q: IVector, chart: LocalChart, p: RtbpParams) -> IVector:
     return solve_interval_linear(d_total_change(q, chart), vector_field(x, p))
 
 
-def local_jacobian(
-    q: IVector, chart: LocalChart, p: RtbpParams, fhat: IVector | None = None
-) -> IMatrix:
+def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
     """DF_hat(q) = D(Phi)^-1 (DF(Phi) D(Phi) - D^2(Phi) F_hat).
 
     The tensor is applied to F_hat first; the outer inverse is a verified
@@ -619,15 +617,13 @@ def local_jacobian(
     """
     x = total_change(q, chart)
     dphi = d_total_change(q, chart)
-    solver = None
-    if fhat is None:
-        f = vector_field(x, p)
-        solver = _Solver(dphi)
-        fhat = solver.vector(f)
+    f = vector_field(x, p)
+    solver = _Solver(dphi)
+    f_hat = solver.vector(f)
     d2phi = d2_total_change(q, chart)
-    tensor_rows = [list(d2phi[a].matvec(fhat)) for a in range(4)]
+    tensor_rows = [list(d2phi[a].matvec(f_hat)) for a in range(4)]
     rhs = jacobian(x, p).matmul(dphi) - IMatrix(tensor_rows)
-    return (solver or _Solver(dphi)).cols(rhs)
+    return solver.cols(rhs)
 
 
 def local_jacobian_batch(
@@ -652,14 +648,14 @@ def local_jacobian_batch(
     xs = IVector([x[..., i] for i in range(4)])
     f = IArray.stack(vector_field(xs, p))
     solver = BatchSolver(dphi)
-    fhat = solver.solve(f[..., None])
+    f_hat = solver.solve(f[..., None])
     # D^2(Phi) as d2_total_change sums it: entry a is sum_b C[a, b]
     # D^2(psi_b), axes (..., a, i, j)
     h = IArray.stack(d2psi(q))
     d2phi = h[..., None, 0, :, :] * c[:, 0, None, None]
     for b in (1, 2, 3):
         d2phi = d2phi + h[..., None, b, :, :] * c[:, b, None, None]
-    tensor = d2phi.matmul(fhat[..., None, :, :])[..., 0]
+    tensor = d2phi.matmul(f_hat[..., None, :, :])[..., 0]
     rhs = IArray.stack(jacobian(xs, p)).matmul(dphi) - tensor
     return solver.solve(rhs)
 

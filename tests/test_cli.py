@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from conecert import cli
 from conecert.prover import check_homoclinic
 
@@ -28,3 +30,28 @@ def test_prove_not_proved_exits_one(tmp_path, capsys, monkeypatch):
     assert report.config.c_v == 2.9 and report.config.fragments == 1
     assert out.read_text() == report.json_str()
     assert capsys.readouterr().out.strip() == report.render_text()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "{c_v: 2.9", "[1, 2]", '{"threads": 2}', '{"fragments": 2.5}',
+     '{"alpha_h": "x"}'],
+    ids=["missing", "not-json", "not-object", "unknown-key", "float-count",
+         "bad-value"],
+)
+def test_prove_bad_config_is_a_usage_error(tmp_path, capsys, monkeypatch, text):
+    # the config is checked before any stage runs, and reported in one
+    # line instead of a traceback
+    def never(cfg):
+        raise AssertionError("check_homoclinic ran on a bad config")
+
+    monkeypatch.setattr(cli, "check_homoclinic", never)
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["prove", "--config", str(config)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conecert prove: error: --config ")
+    assert "Traceback" not in "\n".join(err)

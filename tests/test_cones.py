@@ -1,169 +1,24 @@
-"""Cone condition checks against closed-form linear maps.
+"""Flow cone condition checks against closed-form linear fields.
 
-Oracles: for a diagonal map f = (a x, b y) with a > b > 0 the cone
-condition for Q = alpha ||x||^2 - beta ||y||^2 holds exactly for rates
-m in (b^2, a^2), independent of the weights; boundaries are located by
-bisection on the verified verdict.  Flow condition margins for scalar
-blocks reduce to arithmetic on the shift constants.
+Oracle: flow condition margins for scalar blocks reduce to arithmetic on
+the shift constants.
 """
 
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conecert.cones import (
-    ConeCertificate,
     FlowConeCertificate,
-    QuadForm,
-    cone_membership,
     contraction_constant,
-    eval_Q,
     flow_cone_check,
     flow_cone_condition,
-    map_cone_check,
 )
-from conecert.interval import IMatrix, Interval, IVector
+from conecert.interval import IMatrix, Interval
 
 
 def thin_matrix(rows):
     return IMatrix.from_floats(rows)
-
-
-class TestQuadForm:
-    def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            QuadForm(0.0, 1.0, 1, 1)
-        with pytest.raises(ValueError):
-            QuadForm(1.0, -2.0, 1, 1)
-        with pytest.raises(ValueError):
-            QuadForm.horizontal(1.0, 1, 3)
-        with pytest.raises(ValueError):
-            QuadForm.vertical(0.0, 1, 3)
-
-    def test_block_shapes(self):
-        q = QuadForm.horizontal(0.25, 1, 3)
-        assert (q.alpha, q.beta) == (0.25, 1.0)
-        assert q.dim == 4
-        q = QuadForm.vertical(0.1, 2, 1)
-        assert (q.alpha, q.beta) == (1.0, 0.1)
-
-    def test_as_matrix_diagonal(self):
-        q = QuadForm(2.0, 3.0, 1, 2)
-        m = q.as_matrix()
-        expect = [[2.0, 0, 0], [0, -3.0, 0], [0, 0, -3.0]]
-        for i in range(3):
-            for j in range(3):
-                assert m.rows[i][j] == Interval(expect[i][j])
-
-    def test_eval_exact_values(self):
-        # [TRIVIAL] 0.25 * 4 - 1 = 0 and 1 - 0.5 * 4 = -1 are exact in floats.
-        qh = QuadForm.horizontal(0.25, 1, 1)
-        assert 0.0 in eval_Q(qh, [2.0, 1.0])
-        qv = QuadForm.vertical(0.5, 1, 1)
-        assert -1.0 in eval_Q(qv, [1.0, 2.0])
-
-    def test_eval_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_Q(QuadForm.horizontal(0.5, 1, 1), [1.0, 2.0, 3.0])
-
-    def test_eval_interval_input(self):
-        q = QuadForm.horizontal(0.5, 1, 1)
-        p = IVector([Interval(1.0, 2.0), Interval(0.0, 1.0)])
-        out = eval_Q(q, p)
-        # range over the box: min 0.5*1 - 1 = -0.5, max 0.5*4 - 0 = 2
-        assert out.lo <= -0.5 <= 2.0 <= out.hi
-        assert out.width <= 2.5 + 1e-12
-
-
-class TestMapConeCheck:
-    def test_diagonal_map_rate_window(self):
-        # [DERIVED] f = (2x, 0.5y): V = diag(alpha (4 - m), m - 0.25),
-        # positive definite exactly for m in (0.25, 4).
-        df = thin_matrix([[2.0, 0.0], [0.0, 0.5]])
-        form = QuadForm.horizontal(0.5, 1, 1)
-        assert map_cone_check(df, form, 1.0).verdict
-        assert not map_cone_check(df, form, 4.5).verdict
-        assert not map_cone_check(df, form, 0.1).verdict
-
-    def test_diagonal_map_boundaries_by_bisection(self):
-        # [DERIVED] verified window boundaries must match b^2 and a^2
-        # to 1e-6.
-        df = thin_matrix([[2.0, 0.0], [0.0, 0.5]])
-        form = QuadForm.horizontal(0.5, 1, 1)
-
-        def verified(m: float) -> bool:
-            return map_cone_check(df, form, m).verdict
-
-        lo, hi = 0.01, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if verified(mid):
-                hi = mid
-            else:
-                lo = mid
-        assert abs(hi - 0.25) <= 1e-6
-
-        lo, hi = 1.0, 5.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if verified(mid):
-                lo = mid
-            else:
-                hi = mid
-        assert abs(lo - 4.0) <= 1e-6
-
-    def test_shear_map_both_forms(self):
-        df = thin_matrix([[2.0, 0.0], [0.1, 0.5]])
-        qh = QuadForm.horizontal(0.5, 1, 1)
-        cert = map_cone_check(df, qh, 1.0)
-        assert cert.verdict and cert.kind == "Map"
-        qv = QuadForm.vertical(0.5, 1, 1)
-        assert map_cone_check(df, qv, 0.3).verdict
-
-    def test_interval_jacobian_still_verifies(self):
-        pad = Interval(-1e-3, 1e-3)
-        rows = [
-            [Interval(2.0) + pad, pad],
-            [Interval(0.1) + pad, Interval(0.5) + pad],
-        ]
-        cert = map_cone_check(IMatrix(rows), QuadForm.horizontal(0.5, 1, 1), 1.0)
-        assert cert.verdict
-
-    def test_rejects_nonpositive_rate(self):
-        df = thin_matrix([[2.0, 0.0], [0.0, 0.5]])
-        with pytest.raises(ValueError):
-            map_cone_check(df, QuadForm.horizontal(0.5, 1, 1), 0.0)
-
-    def test_certificate_fields(self):
-        df = thin_matrix([[2.0, 0.0], [0.0, 0.5]])
-        form = QuadForm.horizontal(0.5, 1, 1)
-        cert = map_cone_check(df, form, 1.0)
-        assert isinstance(cert, ConeCertificate)
-        assert cert.form is form and cert.m == 1.0
-        assert cert.domain is None
-        assert cert.pd is not None and cert.pd.verified
-
-    @given(
-        st.floats(-1.0, 1.0),
-        st.floats(-1.0, 1.0),
-    )
-    def test_certified_implies_pointwise_inequality(self, dx, dy):
-        # Property: a verified certificate implies
-        # Q(f(p1) - f(p2)) > m Q(p1 - p2) for the linear map itself.
-        norm = math.hypot(dx, dy)
-        if norm < 1e-6:
-            return
-        dx, dy = dx / norm, dy / norm
-        fdx, fdy = 2.0 * dx, 0.1 * dx + 0.5 * dy
-        form = QuadForm.horizontal(0.5, 1, 1)
-        assert map_cone_check(
-            thin_matrix([[2.0, 0.0], [0.1, 0.5]]), form, 1.0
-        ).verdict
-        q_image = 0.5 * fdx * fdx - fdy * fdy
-        q_orig = 0.5 * dx * dx - dy * dy
-        assert q_image - 1.0 * q_orig > 1e-6
 
 
 class TestFlowConeCheck:
@@ -243,29 +98,6 @@ class TestFlowConeCheck:
 
 
 class TestMembershipAndContraction:
-    def test_membership_inside(self):
-        p = IVector.from_floats([0.5, 0.5])
-        assert cone_membership(p, 1, 0.25, 0.25)
-
-    def test_membership_outside_expanding(self):
-        p = IVector.from_floats([2.0, 0.0])
-        assert not cone_membership(p, 1, 0.25, 0.25)
-
-    def test_membership_outside_contracting(self):
-        p = IVector.from_floats([0.0, 1.5])
-        assert not cone_membership(p, 1, 0.25, 0.25)
-
-    def test_membership_four_dim(self):
-        p = IVector.from_floats([0.9, 0.1, 0.1, 0.1])
-        assert cone_membership(p, 1, 1e-8, 1e-4)
-
-    def test_membership_implies_unit_blocks(self):
-        # Property: the certified test implies ||x|| <= 1 and ||y|| <= 1.
-        for vals in ([0.5, 0.5], [0.9, 0.3], [0.1, 0.0], [0.7, -0.6]):
-            p = IVector.from_floats(vals)
-            if cone_membership(p, 1, 0.25, 0.25):
-                assert abs(vals[0]) <= 1.0 and abs(vals[1]) <= 1.0
-
     def test_contraction_constant_value(self):
         # [TRIVIAL] closed form sqrt(2 / (1 - 0.25)) = sqrt(8 / 3).
         c = contraction_constant(0.5, 0.5)
@@ -277,14 +109,16 @@ class TestMembershipAndContraction:
             contraction_constant(1.0, 1.0)
 
     def test_contracted_orbit_bound(self):
-        # Convergence semantics: for f = (2x, y/2) a backward orbit on
-        # the unstable axis obeys ||q_{-k}|| <= C m_v^{-k/2} ||q_0|| with
-        # any certified m_v < 4.
-        df = thin_matrix([[2.0, 0.0], [0.0, 0.5]])
-        m_v = 3.9
-        assert map_cone_check(df, QuadForm.vertical(0.5, 1, 1), m_v).verdict
+        # Convergence semantics: for the flow x' = 2 x, y' = -y a backward
+        # orbit on the unstable axis obeys ||q(-t)|| <= C exp(-c_v t) ||q(0)||
+        # with any certified c_v < 2.
+        a, b = thin_matrix([[2.0]]), thin_matrix([[-1.0]])
+        e = thin_matrix([[0.0]])
+        c_v = 1.9
+        assert flow_cone_check(a, b, e, e, 0.5, 0.5, 1.0, c_v).verified
         c = contraction_constant(0.5, 0.5)
         for x0 in (1.0, 0.3, -0.8):
             for k in range(1, 25):
-                back = abs(x0) * 2.0**-k
-                assert back <= c * m_v ** (-k / 2.0) * abs(x0) + 1e-15
+                t = 0.25 * k
+                back = abs(x0) * math.exp(-2.0 * t)
+                assert back <= c * math.exp(-c_v * t) * abs(x0) + 1e-15

@@ -479,6 +479,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProofConfig.from_json(data)
 
+    def test_counts_must_be_ints(self):
+        # a float count passes the range checks, then crashes mid-proof
+        base = ProofConfig.default()
+        for name in (
+            "endpoint_subdivision", "fragment_subdivision", "fragments",
+            "fragment_mu_slices", "order",
+        ):
+            for bad in (2.5, 20.0, True, "4"):
+                with pytest.raises(ValueError, match=name):
+                    replace(base, **{name: bad})
+        with pytest.raises(ValueError):
+            replace(base, order=1)
+        with pytest.raises(ValueError):
+            replace(base, fragments=0)
+
     def test_json_round_trip(self):
         c = ProofConfig.default()
         assert ProofConfig.from_json(c.to_json()) == c
@@ -587,3 +602,18 @@ def test_failed_endpoint_skips_fragments(monkeypatch):
     assert report.fragments == []
     text = report.render_text()
     assert "fragments: not run, the left and right endpoints failed" in text
+
+
+@pytest.mark.slow
+def test_default_proof_is_proved():
+    # [PAPER] the claim the library exists for: the full default band,
+    # both endpoints and every fragment, in about three minutes
+    report = check_homoclinic(ProofConfig.default())
+    assert report.verdict == "PROVED", report.render_text()
+    assert len(report.fragments) == report.config.fragments
+    assert not any(f.retried for f in report.fragments)
+    for ep, (lo, hi) in (
+        (report.left, PX_LEFT_BAND), (report.right, PX_RIGHT_BAND)
+    ):
+        px = ep.poincare_image[2]
+        assert lo <= px.lo and px.hi <= hi
