@@ -11,7 +11,10 @@ term never pays the wrapping cost of re-boxing), while the per-step
 defects - Lagrange tails, midpoint rounding, transport-product rounding -
 accumulate in the QR-rotated basis * remainder part.  Every operation
 keeps the invariant that the exact flow image of the initial set stays
-inside the represented set.
+inside the represented set.  The set's dimension is the field's, and
+nothing here depends on it: a field whose state carries a parameter as a
+coordinate with zero derivative (rtbp's mass, in a band flight) flies the
+parameter dependence as one more direction of the set.
 
 One Taylor step uses five series expansions, in this order:
   * an interval series over the rough tube (order p+1), whose last

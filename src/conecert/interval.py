@@ -10,8 +10,12 @@ are accurate to one ulp but not correctly rounded.
 
 Width growth per operation is therefore bounded by 4 ulp beyond the exact
 range for rational operations and 6 ulp for transcendental ones.  Intervals
-are closed and endpoints may be +-inf (unbounded enclosure).  No endpoint is
-ever NaN: the constructor rejects NaN, and the operations whose float kernels
+are closed and endpoints may be +-inf (unbounded enclosure), but, as in
+IEEE 1788-2015, no interval is an infinite point: the reals have no
+infinite members, so the constructors reject [inf, inf] and [-inf, -inf],
+and no operation returns one (an overflowing endpoint stops at the
+largest finite double on its inner side).  No endpoint is ever NaN: the
+constructor rejects NaN, and the operations whose float kernels
 can produce one define it away -- inf - inf in add and sub rounds to the
 infinite endpoint, 0 * inf is 0 in mul, inf / inf in div stands for its
 signed half-line, and sin and cos return [-1, 1] for an unbounded argument.
@@ -137,10 +141,12 @@ class Interval:
     def __init__(self, lo: float, hi: float | None = None):
         lo = float(lo)
         hi = lo if hi is None else float(hi)
-        if lo != lo or hi != hi:
-            raise ValueError("NaN endpoint")
-        if lo > hi:
+        if not lo <= hi:  # NaN or inverted
+            if lo != lo or hi != hi:
+                raise ValueError("NaN endpoint")
             raise ValueError(f"inverted endpoints: [{lo!r}, {hi!r}]")
+        if lo == hi and lo - hi != 0.0:  # inf - inf is NaN
+            raise ValueError(f"infinite point: [{lo!r}, {hi!r}]")
         self.lo = lo
         self.hi = hi
 
@@ -550,6 +556,8 @@ class IArray:
             raise ValueError("NaN endpoint")
         if (lo > hi).any():
             raise ValueError("inverted endpoints")
+        if (lo == _INF).any() or (hi == _NINF).any():
+            raise ValueError("infinite point")
         self.lo = lo
         self.hi = hi
 

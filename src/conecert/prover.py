@@ -9,6 +9,21 @@ with opposite P_X signs, while mu subinterval fragments certify that the
 Poincare map stays well defined across the whole parameter band; the
 intermediate value theorem closes the argument.
 
+Fragments.  The launch chain over a fragment's interval mass encloses a
+chart Phi_mu = L1(mu) + C(mu) psi for every mass mu in it: the chart's
+interval L1 and C contain the values at mu, so the fixed-point box B,
+the derivative over N and the cone certificate hold for the local field
+of each Phi_mu.  The cone theorem makes the strong unstable manifold of
+each mass a graph over the unstable coordinate, with Lipschitz constant
+sqrt(alpha_h), on a window reaching r_u r past that mass's fixed point
+b(mu) in B.  The launch coordinate x0 is a single float in
+(B_0.hi, B_0.lo + r_u r], hence in (b_0(mu), b_0(mu) + r_u r] for every
+mu: x0 is in every mass's graph window, so the launch point of mass mu
+is on W^u(mu), depends continuously on mu, and has transversal
+coordinates within sqrt(alpha_h) r_u of B's.  One band flight carries
+the mass as a fifth coordinate and certifies the first crossing of
+{Y = 0} for all these launch points at once.
+
 All set operations round outward; every verdict holds for every point
 selection inside the interval inputs.
 """
@@ -49,9 +64,12 @@ from .rtbp import (
     RtbpTaylorField,
     d_total_change,
     jordan_basis,
+    libration_L1,
+    libration_L1_slope,
     local_field,
     local_jacobian,
     local_jacobian_batch,
+    psi,
     total_change,
 )
 
@@ -126,6 +144,13 @@ def _slice_cuts(lo: float, hi: float, k: int) -> list[tuple[float, float]]:
     return list(zip(cuts, cuts[1:]))
 
 
+_FLOAT_FIELDS = (
+    "alpha_h", "alpha_v", "fragment_alpha_h", "r_u", "c_h", "c_v",
+    "newton_radius", "tolerance", "h_init", "h_min", "h_max",
+    "max_flight_time",
+)
+
+
 @dataclass(frozen=True)
 class ProofConfig:
     """Frozen parameters of one proof attempt.
@@ -144,16 +169,9 @@ class ProofConfig:
     well-definedness flights tolerate easily; the thin cone stays
     reserved for the endpoint sign checks that need razor images.
 
-    Each fragment is further cut into fragment_mu_slices equal mass
-    slices and the whole chain (chart, fixed point, cones, flight) runs
-    once per slice.  The launch box over an interval mass carries the
-    fixed point's motion with the mass as irreducible width, and the
-    flight stretches that width by the accumulated unstable factor of
-    about 1e7; past roughly 1e-2 the enclosure enters a quadratic
-    feedback (wider box, wider variational bounds, wider remainder) and
-    bursts.  Slicing shrinks the launch width linearly with no loss of
-    coverage; four slices keep the peak near 1e-2 while two still burst,
-    and the retry doubles the count for stragglers.
+    Each fragment flies one band flight, with the mass as a fifth
+    coordinate (see run_fragment).  fragment_mu_slices is the number of
+    band flights of the one retry a failed fragment gets.
     """
 
     mu_left: str
@@ -177,6 +195,17 @@ class ProofConfig:
     max_flight_time: float = 12.0
 
     def __post_init__(self):
+        for name in ("mu_left", "mu_right"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a decimal string")
+        for name in _FLOAT_FIELDS:
+            v = getattr(self, name)
+            if (
+                isinstance(v, bool)
+                or not isinstance(v, (int, float))
+                or not math.isfinite(v)
+            ):
+                raise ValueError(f"{name} must be a finite real number")
         left = decimal_to_interval(self.mu_left)
         right = decimal_to_interval(self.mu_right)
         if not left.hi < right.lo:
@@ -321,6 +350,9 @@ class EndpointResult:
 
 @dataclass
 class FragmentResult:
+    """Outcome of run_fragment; slices counts the band flights of the
+    attempt that decided it (1 unless the fragment was retried)."""
+
     index: int
     mu_lo: float
     mu_hi: float
@@ -365,8 +397,9 @@ class ProofReport:
     CONVENTIONS = (
         "cone conditions run on the unscaled local derivative blocks; "
         "the alpha weights enter through the norm inflation terms",
-        "the launch window keeps the full fixed-point box width in its "
-        "unstable coordinate (not collapsed to the midpoint)",
+        "the launch window's unstable coordinate is one point x0, the "
+        "lower end of B_0.lo + r_u r, required above B_0.hi so that it "
+        "lies in the graph window of every mass in the enclosure",
         "timings appear only in the text rendering; the JSON payload is "
         "deterministic for a fixed config",
     )
@@ -438,7 +471,8 @@ class ProofReport:
             lines.append(
                 f"  [{mark:4s}] #{f.index:02d} "
                 f"mu in [{f.mu_lo:.12f}, {f.mu_hi:.12f}] "
-                f"{f.seconds:7.2f} s, {f.slices} slices{retry}"
+                f"{f.seconds:7.2f} s, {f.slices} band flight"
+                f"{'s' if f.slices != 1 else ''}{retry}"
             )
             if f.failure:
                 lines.append(f"         failure: {f.failure}")
@@ -551,6 +585,10 @@ def certify_unstable(
     """Flow cone conditions on the (unstable | rest) blocks of [DF(N)],
     promoted to a manifold certificate, plus the window U the strong
     unstable manifold passes through (local and original coordinates).
+
+    U has one unstable coordinate x0 for every mass of the enclosure
+    (see the module docstring); a StageFailure when x0 would not clear
+    the fixed-point box.
     """
     a, bm, e1, e2 = _split_blocks(dfn)
     cones = flow_cone_check(
@@ -566,16 +604,25 @@ def certify_unstable(
         cones, cfg.alpha_h, cfg.alpha_v, fixed_point_box=b, domain=n_box
     )
     ru = Interval(cfg.r_u)
-    u0 = ru * sqrt(1.0 - Interval(cfg.alpha_v))
+    # one unstable coordinate for every mass of the enclosure: above
+    # B_0.hi it is past each mass's fixed point and within r_u r of it
+    x0 = (b[0].lo + ru * cert.r).lo
+    if not x0 > b[0].hi:
+        raise StageFailure(
+            f"launch coordinate {x0!r} not above the fixed-point box "
+            f"{b[0]!r}"
+        )
     s = (ru * sqrt(Interval(cfg.alpha_h))).hi
     u_local = IVector(
-        [b[0] + u0] + [b[i] + Interval(-s, s) for i in (1, 2, 3)]
+        [Interval(x0)] + [b[i] + Interval(-s, s) for i in (1, 2, 3)]
     )
     u_original = total_change(u_local, chart)
     return CertifiedUnstable(cones, cert, u_local, u_original)
 
 
-def chart_seeded_enclosure(chart: LocalChart, box_local: Box) -> FlowEnclosure:
+def chart_seeded_enclosure(
+    chart: LocalChart, box_local: Box, band: Interval | None = None
+) -> FlowEnclosure:
     """Flow enclosure of the chart image of a local box, seeded so the
     initial-part basis is the chart derivative at the box midpoint.
 
@@ -584,19 +631,53 @@ def chart_seeded_enclosure(chart: LocalChart, box_local: Box) -> FlowEnclosure:
     separated in the transported initial part instead of being mixed
     into an axis-aligned box, which is what keeps the eventual Poincare
     image thin.
+
+    With a mass band (inside the chart's mass enclosure) the set is the
+    band launch set in (X, Y, P_X, P_Y, mu): the points
+    (L1(mu) + C psi(xi), mu) for every mu in the band, where L1(mu) is
+    the libration point of that mass.  It is written as
+    L1(mu0) + L1'([mu]) (mu - mu0) + C psi(xi) around the band midpoint
+    mu0; mu - mu0 is one more initial coordinate, with the basis column
+    (s, 0, 0, s, 1) for the midpoint s of the slope L1'([mu]), and the
+    slope's spread joins the error part.  The chart's interval L1, as
+    wide as the fixed point's motion over the band, never enters.
     """
     qm = box_local.mid()
     q_mid = IVector.from_floats(qm)
-    phi_qm = total_change(q_mid, chart)
-    mid = [c.mid for c in phi_qm]
+    c_psi = chart.C.matvec(psi(q_mid))
     dphi = d_total_change(box_local, chart)
     c0 = dphi.mid()
     dc = dphi - IMatrix.from_floats(c0)
     r0 = box_local - q_mid
-    err = (phi_qm - IVector.from_floats(mid)) + dc.matvec(r0)
+    if band is None:
+        phi_qm = chart.L1 + c_psi
+        mid = [c.mid for c in phi_qm]
+        err = (phi_qm - IVector.from_floats(mid)) + dc.matvec(r0)
+        return FlowEnclosure(
+            mid, eye(4), err, Interval(0.0),
+            init_basis=c0, init_remainder=r0,
+        )
+    if not band.is_subset_of(chart.mu):
+        raise ValueError("mass band outside the chart's mass enclosure")
+    mu0 = band.mid
+    # chart.L1 encloses L1(mu) for every mu of chart.mu, hence of the band
+    slope = libration_L1_slope(RtbpParams(band), chart.L1[0])
+    s = slope.mid
+    dmu = band - mu0
+    tail = (slope - s) * dmu
+    zero = Interval(0.0)
+    phi_qm = libration_L1(RtbpParams(Interval(mu0))) + c_psi
+    mid = [c.mid for c in phi_qm]
+    err = (
+        (phi_qm - IVector.from_floats(mid))
+        + dc.matvec(r0)
+        + IVector([tail, zero, zero, tail])
+    )
+    basis = [row + [s if i in (0, 3) else 0.0] for i, row in enumerate(c0)]
     return FlowEnclosure(
-        mid, eye(4), err, Interval(0.0),
-        init_basis=c0, init_remainder=r0,
+        mid + [mu0], eye(5), IVector(err.c + [zero]), Interval(0.0),
+        init_basis=basis + [[0.0, 0.0, 0.0, 0.0, 1.0]],
+        init_remainder=IVector(r0.c + [dmu]),
     )
 
 
@@ -605,16 +686,21 @@ def poincare_image(
     params: RtbpParams,
     u_local: Box,
     cfg: ProofConfig,
+    band: bool = False,
 ) -> CrossingResult:
     """Certified first crossing of {Y = 0} for the chart image of
     u_local, with the crossing direction derived from the starting side.
+
+    band=True flies the band flight: the mass is a fifth coordinate
+    ranging over params.mu, the launch set is chart_seeded_enclosure's
+    band set, and the image has five components, mu last.
     """
     u_orig = total_change(u_local, chart)
     y = u_orig[1]
     if 0.0 in y:
         raise StageFailure("initial set touches the section")
     direction = 1 if y.hi < 0.0 else -1
-    enc = chart_seeded_enclosure(chart, u_local)
+    enc = chart_seeded_enclosure(chart, u_local, params.mu if band else None)
     field_ = RtbpTaylorField(params)
     crossing = poincare_crossing(
         field_,
@@ -812,41 +898,41 @@ def run_fragment(
 ) -> FragmentResult:
     """Well-definedness of the Poincare map on one mu subinterval.
 
-    The subinterval is cut into fragment_mu_slices slices and the whole
-    chain runs per slice over its interval-valued mass parameter; every
-    flight must certify a single transversal first crossing (no sign
-    claim).  One retry with doubled derivative subdivision and doubled
-    slice count is allowed.
+    The launch chain runs once over the whole subinterval and one band
+    flight, with the mass as a fifth coordinate, must certify a single
+    transversal first crossing for every mass in it (no sign claim).  On
+    a recoverable failure it is retried once as fragment_mu_slices band
+    flights over equal cuts, each with its own launch chain at doubled
+    derivative subdivision.
     """
     t0 = time.perf_counter()
     out = FragmentResult(index, mu_lo, mu_hi, False, 0.0)
     eff = replace(cfg, alpha_h=cfg.fragment_alpha_h)
-    subdivision = cfg.fragment_subdivision
-    slices = cfg.fragment_mu_slices
-    for attempt in (0, 1):
+    attempts = (
+        (1, cfg.fragment_subdivision),
+        (cfg.fragment_mu_slices, 2 * cfg.fragment_subdivision),
+    )
+    for attempt, (pieces, subdivision) in enumerate(attempts):
+        out.retried = attempt > 0
+        out.slices = pieces
         try:
             hull = None
-            for lo, hi in _slice_cuts(mu_lo, mu_hi, slices):
+            for lo, hi in _slice_cuts(mu_lo, mu_hi, pieces):
                 params = RtbpParams(Interval(lo, hi))
                 launch = launch_chain(params, eff, subdivision, [])
                 if launch.failure is not None:
                     raise StageFailure(launch.failure)
                 cr = poincare_image(
-                    launch.chart, params, launch.unstable.U_local, eff
+                    launch.chart, params, launch.unstable.U_local, eff,
+                    band=True,
                 )
                 hull = cr.time if hull is None else hull.hull(cr.time)
             out.verified = True
-            out.slices = slices
             out.crossing_time = hull
             out.failure = None
             break
         except _RECOVERABLE as exc:
             out.failure = str(exc)
-            out.slices = slices
-            if attempt == 0:
-                out.retried = True
-                subdivision *= 2
-                slices *= 2
     out.seconds = time.perf_counter() - t0
     return out
 

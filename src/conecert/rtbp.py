@@ -19,6 +19,17 @@ polynomial change psi that straightens the unstable direction.  The local
 vector field and its Jacobian are obtained through verified linear solves
 against D(Phi), never by inverting Phi.
 
+A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
+with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
+variational matrix gets a mu column driven by dF/dmu, whose nonzero
+entries are
+
+  dP_X'/dmu = d1 w1 - d2 w2 + Omega_XX,   dP_Y'/dmu = Y (w1 - w2) + Omega_XY
+
+with w_i = r_i^-3 and Omega the second partials whose negatives fill rows
+2 and 3 of the Jacobian.  A flight over a mass band so carries the mass
+dependence as one linear direction of its set instead of as width.
+
 The Taylor recurrences of the solution and of the variational matrix run
 in one kernel over float endpoint lists, not over Interval objects.  Its
 rounding model: each convolution sum_i a_i b_{n-1-i} of n interval terms
@@ -85,6 +96,7 @@ __all__ = [
     "vector_field_floats",
     "jacobian_floats",
     "libration_L1",
+    "libration_L1_slope",
     "jordan_basis",
     "jordan_residual",
     "psi",
@@ -141,7 +153,7 @@ class State:
         return cls(v[0], v[1], v[2], v[3])
 
 
-def _coerce(s) -> tuple:
+def _coerce(s, sizes: tuple = (4,)) -> tuple:
     if isinstance(s, State):
         return (s.X, s.Y, s.P_X, s.P_Y)
     if isinstance(s, IVector):
@@ -150,8 +162,11 @@ def _coerce(s) -> tuple:
         comps = tuple(
             x if isinstance(x, Interval) else Interval(float(x)) for x in s
         )
-    if len(comps) != 4:
-        raise ValueError("state needs four components")
+    if len(comps) not in sizes:
+        raise ValueError(
+            "state needs four components"
+            + (", or five with the mass" if 5 in sizes else "")
+        )
     return comps
 
 
@@ -242,6 +257,25 @@ def jacobian(s, p: RtbpParams) -> IMatrix:
     )
 
 
+def _mass_column(x: Interval, y: Interval, mu: Interval) -> tuple:
+    """dP_X'/dmu and dP_Y'/dmu, the nonzero entries of dF/dmu."""
+    d1, d2, s1, s2 = _distance_squares(x, y, mu)
+    w1, w2 = _inv_r3(s1), _inv_r3(s2)
+    uxx, uxy, _ = _second_partials(d1, d2, s1, s2, y, mu)
+    return d1 * w1 - d2 * w2 + uxx, y * (w1 - w2) + uxy
+
+
+def _band_jacobian(s: tuple) -> IMatrix:
+    """5 x 5 Jacobian in (X, Y, P_X, P_Y, mu): the 4 x 4 block at the
+    state's mass, the mu column dF/dmu and a zero row for mu' = 0."""
+    mu = s[4]
+    j = jacobian(s[:4], RtbpParams(mu))
+    z = Interval(0.0)
+    gx, gy = _mass_column(s[0], s[1], mu)
+    rows = [list(row) + [g] for row, g in zip(j.rows, (z, z, gx, gy))]
+    return IMatrix(rows + [[z] * 5])
+
+
 def vector_field_floats(x, mu: float) -> tuple:
     """Double precision twin for non-rigorous guesses and oracles."""
     X, Y, PX, PY = (float(c) for c in x)
@@ -294,6 +328,15 @@ def _l1_derivative(x: Interval, mu: Interval) -> Interval:
     return 1.0 + ((1.0 - mu) * 2.0) / (sq(a) * a) + (mu * 2.0) / (sq(b) * b)
 
 
+def _l1_mass_derivative(x: Interval, mu: Interval) -> Interval:
+    a = mu - x
+    b = x - mu + 1.0
+    return -(
+        1.0 / sq(a) + ((1.0 - mu) * 2.0) / (sq(a) * a)
+        + 1.0 / sq(b) + (mu * 2.0) / (sq(b) * b)
+    )
+
+
 def _l1_equation_float(x: float, mu: float) -> float:
     return x + (1.0 - mu) / (mu - x) ** 2 - mu / (x - mu + 1.0) ** 2
 
@@ -333,6 +376,16 @@ def libration_L1(p: RtbpParams) -> IVector:
     x = result.root_box[0]
     zero = Interval(0.0)
     return IVector([x, zero, zero, x])
+
+
+def libration_L1_slope(p: RtbpParams, x: Interval) -> Interval:
+    """Enclosure of d x_L1 / d mu for every mass in p.mu, given an
+    enclosure x of the L1 abscissa over p.mu (libration_L1(p)[0]).
+
+    By the implicit function theorem the slope is -E_mu / E_x of the L1
+    equation E(x, mu) = 0; E_x > 0 between the primaries.
+    """
+    return -_l1_mass_derivative(x, p.mu) / _l1_derivative(x, p.mu)
 
 
 # -- Jordan-form linear chart --------------------------------------------------
@@ -809,19 +862,23 @@ class RtbpSolutionSeries:
     """Taylor coefficients of one solution, with cached auxiliary series.
 
     u[i][k] is the k-th coefficient of coordinate i as an Interval.  The
-    distance and inverse-power series are kept, as (lo, hi) float lists,
-    for the variational recurrence.
+    distance, inverse-power and field-product series are kept, as (lo, hi)
+    float lists, for the variational recurrence.  A five-component start
+    (X, Y, P_X, P_Y, mu) gives dim 5: mu must be its last component, and
+    coefficient() appends the constant mass series.
     """
 
     __slots__ = (
         "_u", "d1", "d2", "y2", "d1sq", "d2sq", "s1", "s2", "w1", "w2",
-        "mu", "masses", "order", "sign",
+        "d1w1", "d2w2", "yw1", "yw2", "mu", "masses", "order", "sign", "dim",
     )
 
     def __init__(self, u0: IVector, mu: Interval, sign: float):
         if not 0.0 < mu.lo <= mu.hi < 1.0:
             raise ValueError("mu must lie strictly inside (0, 1)")
-        x, y, px, py = _coerce(u0)
+        comps = _coerce(u0, (4, 5))
+        self.dim = len(comps)
+        x, y, px, py = comps[:4]
         self._u = [_start(c.lo, c.hi) for c in (x, y, px, py)]
         self.mu = mu
         m1 = 1.0 - mu
@@ -851,6 +908,12 @@ class RtbpSolutionSeries:
         self.s2 = _start(s2.lo, s2.hi)
         self.w1 = _start(w1.lo, w1.hi)
         self.w2 = _start(w2.lo, w2.hi)
+        # coefficients of the products d1 w1, d2 w2, Y w1 and Y w2 that
+        # extend forms for the field, kept for the mass column
+        self.d1w1 = ([], [])
+        self.d2w2 = ([], [])
+        self.yw1 = ([], [])
+        self.yw2 = ([], [])
 
     @property
     def u(self) -> list:
@@ -868,6 +931,10 @@ class RtbpSolutionSeries:
         d2w2 = _dot(self.d2[0], self.d2[1], rw2l, rw2h)
         yw1 = _dot(yl, yh, rw1l, rw1h)
         yw2 = _dot(yl, yh, rw2l, rw2h)
+        _append(self.d1w1, d1w1)
+        _append(self.d2w2, d2w2)
+        _append(self.yw1, yw1)
+        _append(self.yw2, yw2)
         # coefficient k of the vector field along the series
         f = (
             _add(pl[k], ph[k], yl[k], yh[k]),
@@ -913,7 +980,10 @@ class RtbpSolutionSeries:
             _append(w, _power_next(s, w, -1.5, kk))
 
     def coefficient(self, k: int) -> IVector:
-        return IVector([_mk(lo[k], hi[k]) for lo, hi in self._u])
+        c = [_mk(lo[k], hi[k]) for lo, hi in self._u]
+        if self.dim == 5:
+            c.append(self.mu if k == 0 else _mk(0.0, 0.0))
+        return IVector(c)
 
     def second_partial_series(self, upto: int) -> tuple:
         """Series of Omega_XX, Omega_XY, Omega_YY up to index upto."""
@@ -956,6 +1026,20 @@ class RtbpSolutionSeries:
             _append(uxy, (-t[1], -t[0]))
         return uxx, uxy, uyy
 
+    def _mass_forcing(self, uxx: tuple, uxy: tuple, n: int) -> tuple:
+        """Coefficients 0..n-1 of dP_X'/dmu and dP_Y'/dmu as lists of
+        (lo, hi) pairs, from the products extend formed and the series
+        uxx, uxy of _partials."""
+        gx, gy = [], []
+        (al, ah), (bl, bh) = self.d1w1, self.d2w2
+        (cl, ch), (dl, dh) = self.yw1, self.yw2
+        for k in range(n):
+            gx.append(_add(*_sub(al[k], ah[k], bl[k], bh[k]),
+                           uxx[0][k], uxx[1][k]))
+            gy.append(_add(*_sub(cl[k], ch[k], dl[k], dh[k]),
+                           uxy[0][k], uxy[1][k]))
+        return gx, gy
+
 
 class RtbpTaylorField:
     """Taylor-coefficient machinery the validated integrator drives.
@@ -963,7 +1047,10 @@ class RtbpTaylorField:
     expand() produces the solution series from an interval initial
     condition; expand_variational() the series of the variational matrix
     along it.  reverse=True expands the series of the time-reversed
-    field.
+    field.  A state's length decides its form: four components fly at
+    the mass params.mu, five components (X, Y, P_X, P_Y, mu) carry their
+    own mass as a coordinate with mu' = 0, and vector_field, jacobian and
+    the series then have five components and a mu column.
     """
 
     dim = 4
@@ -974,15 +1061,23 @@ class RtbpTaylorField:
         self.sign = -1.0 if reverse else 1.0
 
     def vector_field(self, x) -> IVector:
-        f = vector_field(x, self.params)
+        s = _coerce(x, (4, 5))
+        if len(s) == 4:
+            f = vector_field(s, self.params)
+        else:
+            f = vector_field(s[:4], RtbpParams(s[4]))
+            f = IVector(f.c + [Interval(0.0)])
         return -f if self.reverse else f
 
     def jacobian(self, x) -> IMatrix:
-        j = jacobian(x, self.params)
+        s = _coerce(x, (4, 5))
+        j = jacobian(s, self.params) if len(s) == 4 else _band_jacobian(s)
         return -j if self.reverse else j
 
     def expand(self, u0, order: int) -> RtbpSolutionSeries:
-        series = RtbpSolutionSeries(u0, self.params.mu, self.sign)
+        s = _coerce(u0, (4, 5))
+        mu = s[4] if len(s) == 5 else self.params.mu
+        series = RtbpSolutionSeries(s, mu, self.sign)
         for _ in range(order):
             series.extend()
         return series
@@ -991,15 +1086,34 @@ class RtbpTaylorField:
         self, sol: RtbpSolutionSeries, v0: IMatrix, order: int
     ) -> MatrixSeries:
         """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given, as the
-        (lo, hi) float series the kernel computes."""
+        (lo, hi) float series the kernel computes.
+
+        V_0 has one row per state component.  For a five-component
+        solution its row 4 stays constant (mu' = 0), and column j gets
+        the forcing dF/dmu times V_0[4][j] in rows 2 and 3.
+        """
         if order > sol.order:
             raise ValueError("solution series too short for this order")
+        rows = v0.rows
+        if len(rows) != sol.dim:
+            raise ValueError("V_0 needs one row per state component")
+        m = len(rows[0])
         uxx, uxy, uyy = sol._partials(max(order - 1, 0))
-        # cols[j][i]: (lo, hi) series of entry (i, j)
+        # cols[j][i]: (lo, hi) series of entry (i, j), i < 4
         cols = [
-            [_start(v0.rows[i][j].lo, v0.rows[i][j].hi) for i in range(4)]
-            for j in range(4)
+            [_start(rows[i][j].lo, rows[i][j].hi) for i in range(4)]
+            for j in range(m)
         ]
+        forcing = [None] * m
+        if sol.dim == 5:
+            gx, gy = sol._mass_forcing(uxx, uxy, order)
+            for j, c in enumerate(rows[4]):
+                if c.lo == c.hi == 1.0:
+                    forcing[j] = gx, gy
+                elif not c.lo == c.hi == 0.0:
+                    forcing[j] = tuple(
+                        [_mul(*g, c.lo, c.hi) for g in ser] for ser in (gx, gy)
+                    )
         sign = sol.sign
         for k in range(order):
             kk = k + 1
@@ -1007,18 +1121,27 @@ class RtbpTaylorField:
             a1h = uxx[1][:kk] + uxy[1][:kk]
             a2l = uxy[0][:kk] + uyy[0][:kk]
             a2h = uxy[1][:kk] + uyy[1][:kk]
-            for col in cols:
+            for col, force in zip(cols, forcing):
                 (c0l, c0h), (c1l, c1h), (c2l, c2h), (c3l, c3h) = col
                 bl = c0l[k::-1] + c1l[k::-1]
                 bh = c0h[k::-1] + c1h[k::-1]
                 t2 = _dot(a1l, a1h, bl, bh)
                 t3 = _dot(a2l, a2h, bl, bh)
+                r2 = _sub(c3l[k], c3h[k], *t2)
+                r3 = _sub(-c2h[k], -c2l[k], *t3)
+                if force is not None:
+                    r2 = _add(*r2, *force[0][k])
+                    r3 = _add(*r3, *force[1][k])
                 r = (
                     _add(c1l[k], c1h[k], c2l[k], c2h[k]),
                     _sub(c3l[k], c3h[k], c0l[k], c0h[k]),
-                    _sub(c3l[k], c3h[k], *t2),
-                    _sub(-c2h[k], -c2l[k], *t3),
+                    r2,
+                    r3,
                 )
                 for series, ri in zip(col, r):
                     _append(series, _div_int(*ri, kk, sign))
-        return MatrixSeries([[cols[j][i] for j in range(4)] for i in range(4)])
+        entries = [[cols[j][i] for j in range(m)] for i in range(4)]
+        if sol.dim == 5:
+            zeros = [0.0] * order
+            entries.append([([c.lo] + zeros, [c.hi] + zeros) for c in rows[4]])
+        return MatrixSeries(entries)

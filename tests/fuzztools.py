@@ -5,6 +5,12 @@ Oracles:
   * sqrt: exact comparison of squared endpoints via Fraction.
   * exp/sin/cos: mpmath at 40 significant digits, with a 1e-30 guard band
     for the oracle's own final rounding.
+
+Every result is also checked to be an interval of the extended reals:
+no NaN endpoint and no infinite point ([inf, inf] or [-inf, -inf]).
+The arithmetic and elementary drivers run a second block on operands
+with endpoints moved to +-inf, where the finite members must still land
+inside.
 """
 
 from __future__ import annotations
@@ -72,6 +78,14 @@ def _finite_member(rng: random.Random, iv: Interval) -> float:
     return _rand_member(rng, Interval(lo, hi))
 
 
+def _extended_real(r: Interval) -> bool:
+    """No NaN endpoint and not an infinite point."""
+    return (
+        r.lo == r.lo and r.hi == r.hi
+        and r.lo != math.inf and r.hi != -math.inf
+    )
+
+
 def _encloses(r: Interval, q: Fraction) -> bool:
     return (r.lo == -math.inf or Fraction(r.lo) <= q) and (
         r.hi == math.inf or q <= Fraction(r.hi)
@@ -106,16 +120,22 @@ def fuzz_arith_containment(n: int, seed: int = 20260819) -> int:
                 pass
         r = sq(a)
         assert Fraction(r.lo) <= fx * fx <= Fraction(r.hi), (a, x, "sq")
-        # division over the extended reals: no NaN endpoint, and finite
-        # members still land inside
+        # the extended reals: every result an extended-real interval, and
+        # finite members still land inside
         ea, eb = _extend(rng, a), _extend(rng, b, keep_sign=True)
+        ex, ey = _finite_member(rng, ea), _finite_member(rng, eb)
+        fx, fy = Fraction(ex), Fraction(ey)
+        cases = [
+            (ea + eb, fx + fy, "+"),
+            (ea - eb, fx - fy, "-"),
+            (ea * eb, fx * fy, "*"),
+            (sq(ea), fx * fx, "sq"),
+        ]
         if not (eb.lo <= 0.0 <= eb.hi):
-            r = ea / eb
-            assert r.lo == r.lo and r.hi == r.hi, (ea, eb, "/ NaN")
-            q = Fraction(_finite_member(rng, ea)) / Fraction(
-                _finite_member(rng, eb)
-            )
-            assert _encloses(r, q), (ea, eb, q, "/ unbounded")
+            cases.append((ea / eb, fx / fy, "/"))
+        for r, q, op in cases:
+            assert _extended_real(r), (ea, eb, r, op)
+            assert _encloses(r, q), (ea, eb, q, op + " unbounded")
         checked += 1
     return checked
 
@@ -148,11 +168,19 @@ def fuzz_elem_containment(n: int, seed: int = 4242) -> int:
             a = Interval(lo, hi)
             x = _rand_member(rng, a)
             mx = mpmath.mpf(x)
+            # the same argument with endpoints moved to +-inf
+            ea = _extend(rng, a)
+            ex = _finite_member(rng, ea)
             for op, oracle in ((exp, mpmath.exp), (sin, mpmath.sin), (cos, mpmath.cos)):
                 r = op(a)
                 y = oracle(mx)
                 assert mpmath.mpf(r.lo) <= y + _GUARD, (op.__name__, a, x)
                 assert y - _GUARD <= mpmath.mpf(r.hi), (op.__name__, a, x)
+                r = op(ea)
+                assert _extended_real(r), (op.__name__, ea)
+                y = oracle(mpmath.mpf(ex))
+                assert mpmath.mpf(r.lo) <= y + _GUARD, (op.__name__, ea, ex)
+                assert y - _GUARD <= mpmath.mpf(r.hi), (op.__name__, ea, ex)
     finally:
         mpmath.mp.dps = old_dps
     return n

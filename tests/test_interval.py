@@ -18,6 +18,7 @@ from conecert.interval import (
     Box,
     DivisionByZeroInterval,
     DomainError,
+    IArray,
     IMatrix,
     Interval,
     IVector,
@@ -68,6 +69,26 @@ def test_constructor_validation():
         Interval(math.nan, 1.0)
     assert Interval(3.0).is_point()
     assert Interval(1.0, 2.0).mid == 1.5
+
+
+def test_infinite_points_rejected():
+    # IEEE 1788-2015: the reals have no infinite members, so [inf, inf]
+    # and [-inf, -inf] are no intervals; unbounded ones stay valid
+    for lo, hi in ((math.inf, math.inf), (-math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="infinite point"):
+            Interval(lo, hi)
+        with pytest.raises(ValueError, match="infinite point"):
+            IArray([0.0, lo], [1.0, hi])
+    with pytest.raises(ValueError, match="infinite point"):
+        Interval(math.inf)
+    with pytest.raises(ValueError, match="infinite point"):
+        Interval.from_json([-math.inf, -math.inf])
+    for lo, hi in ((1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)):
+        assert Interval(lo, hi).hi == hi
+    # an overflowing operation stops short of an infinite point
+    big = Interval(1e308)
+    for r in (big * 10.0, big + big, big / 1e-10):
+        assert r.lo == 1.7976931348623157e308 and r.hi == math.inf
 
 
 def test_point_and_contains():

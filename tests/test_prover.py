@@ -20,22 +20,27 @@ every claim the proof relies on is unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+from conecert.flow import LostCrossing
 from conecert.interval import DomainError, Interval, IVector, decimal_to_interval
 from conecert.prover import (
     CertifiedUnstable,
+    CrossingResult,
     ProofConfig,
     StageFailure,
     _slice_cuts,
     _split_transversal,
     build_N,
     certify_unstable,
+    chart_seeded_enclosure,
     check_homoclinic,
     enclose_DF_over_N,
     enclose_fixed_point,
+    launch_chain,
+    poincare_image,
     run_endpoint,
     run_fragment,
 )
@@ -343,6 +348,20 @@ class TestConeStage:
         with pytest.raises(StageFailure):
             certify_unstable(chart, b, n_box, dfn, bad)
 
+    def test_launch_coordinate_is_one_point_past_B(self, cfg, left_setup,
+                                                   dfn256):
+        # x0 is the lower end of B_0.lo + r_u r and lies above B_0.hi
+        params, chart, b = left_setup
+        n_box, dfn = dfn256
+        cu = certify_unstable(chart, b, n_box, dfn, cfg)
+        x0 = cu.U_local[0]
+        assert x0.is_point()
+        assert b[0].hi < x0.lo
+        assert x0.lo in b[0].lo + Interval(cfg.r_u) * cu.manifold.r
+        # a window too short to clear the fixed-point box is refused
+        with pytest.raises(StageFailure, match="launch coordinate"):
+            certify_unstable(chart, b, n_box, dfn, replace(cfg, r_u=1e-20))
+
     def test_u_original_matches_printed(self, cfg, left_setup, dfn256):
         # [PAPER] launch window vs the printed L1 + 1e-8 box:
         # position within 1e-9 per coordinate, width within 10x
@@ -431,9 +450,95 @@ class TestEndpoints:
         assert all(s.verified for s in left.stages)
 
 
+@pytest.fixture(scope="module")
+def band_flight(cfg):
+    # one band flight over the first default fragment
+    frag = replace(cfg, alpha_h=cfg.fragment_alpha_h)
+    params = RtbpParams(Interval(*cfg.fragment_intervals()[0]))
+    launch = launch_chain(params, frag, cfg.fragment_subdivision, [])
+    assert launch.failure is None
+    u = launch.unstable.U_local
+    enc = chart_seeded_enclosure(launch.chart, u, params.mu)
+    return params, enc, poincare_image(launch.chart, params, u, frag, True)
+
+
 class TestFragment:
+    def test_band_flight_is_thin(self, band_flight):
+        # the mass travels as a direction of the set, not as width
+        params, _, cr = band_flight
+        assert len(cr.image) == 5
+        assert params.mu.is_subset_of(cr.image[4])
+        assert cr.time.width <= 1e-6
+        assert cr.image[2].width <= 1e-7
+
+    def test_band_flight_contains_float_shootings(self, band_flight):
+        # [DERIVED] scipy DOP853 from the launch set's own points at the
+        # fragment's ends and middle meets {Y = 0} inside the certified
+        # crossing time and image, an independent float check of the
+        # band flight and of its mass column
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        params, enc, cr = band_flight
+        mu0 = enc.midpoint[4]
+
+        def on_section(t, y):
+            return y[1]
+
+        on_section.terminal = True
+        for mu in (params.mu.lo, mu0, params.mu.hi):
+            start = [
+                enc.midpoint[i] + enc.init_basis[i][4] * (mu - mu0)
+                for i in range(4)
+            ]
+            sol = scipy_integrate.solve_ivp(
+                lambda t, y: vector_field_floats(y, mu),
+                (0.0, 12.0),
+                start,
+                method="DOP853",
+                rtol=1e-13,
+                atol=1e-15,
+                events=on_section,
+            )
+            (t_hit,) = sol.t_events[0]
+            (hit,) = sol.y_events[0]
+            assert t_hit in cr.time, mu
+            for i in (0, 2, 3):
+                assert hit[i] in cr.image[i], (mu, i)
+
+    def test_retry_flies_mu_slices(self, cfg, monkeypatch):
+        # a failed band flight is retried as fragment_mu_slices band
+        # flights over the shared cuts, each after its own launch chain
+        # at doubled subdivision
+        from conecert import prover
+
+        calls = []
+        subdivisions = []
+        chain = prover.launch_chain
+
+        def counted_chain(params, c, subdivision, stages):
+            subdivisions.append(subdivision)
+            return chain(params, c, subdivision, stages)
+
+        def flight(chart, params, u_local, c, band=False):
+            calls.append((params.mu, chart.mu, band))
+            if len(calls) == 1:
+                raise LostCrossing("first flight lost")
+            return CrossingResult(u_local, Interval(float(len(calls))), 1)
+
+        monkeypatch.setattr(prover, "poincare_image", flight)
+        monkeypatch.setattr(prover, "launch_chain", counted_chain)
+        lo, hi = cfg.fragment_intervals()[0]
+        out = run_fragment(0, lo, hi, replace(cfg, fragment_mu_slices=3))
+        assert out.verified and out.retried and out.failure is None
+        assert out.slices == 3
+        cuts = [Interval(a, b) for a, b in _slice_cuts(lo, hi, 3)]
+        assert [mu for mu, _, _ in calls] == [Interval(lo, hi)] + cuts
+        assert all(mu == chart_mu and band for mu, chart_mu, band in calls)
+        assert out.crossing_time == Interval(2.0, 4.0)
+        sub = cfg.fragment_subdivision
+        assert subdivisions == [sub] + [2 * sub] * 3
+
     def test_single_thin_slice_verifies(self, cfg):
-        # one quarter-fragment suffices to exercise the sliced chain
+        # one quarter-fragment suffices to exercise the fragment run
         from dataclasses import replace
 
         lo, hi = cfg.fragment_intervals()[0]
@@ -493,6 +598,23 @@ class TestConfig:
             replace(base, order=1)
         with pytest.raises(ValueError):
             replace(base, fragments=0)
+
+    def test_float_fields_must_be_finite_reals(self):
+        # a non-numeric value used to raise TypeError from a comparison,
+        # and an infinite h_max passed
+        base = ProofConfig.default().to_json()
+        names = [f.name for f in fields(ProofConfig) if f.type == "float"]
+        assert len(names) == 12
+        for name in names:
+            for bad in ("x", None, True, math.inf, -math.inf, math.nan, [1.0]):
+                with pytest.raises(ValueError, match=name):
+                    ProofConfig.from_json({**base, name: bad})
+        for name in ("mu_left", "mu_right"):
+            for bad in (None, 0.0042538634220, 4):
+                with pytest.raises(ValueError, match=name):
+                    ProofConfig.from_json({**base, name: bad})
+        # an int is a real number
+        assert ProofConfig.from_json({**base, "c_v": 3}).c_v == 3
 
     def test_json_round_trip(self):
         c = ProofConfig.default()
@@ -607,11 +729,13 @@ def test_failed_endpoint_skips_fragments(monkeypatch):
 @pytest.mark.slow
 def test_default_proof_is_proved():
     # [PAPER] the claim the library exists for: the full default band,
-    # both endpoints and every fragment, in about three minutes
+    # both endpoints and every fragment, in about a minute
     report = check_homoclinic(ProofConfig.default())
     assert report.verdict == "PROVED", report.render_text()
     assert len(report.fragments) == report.config.fragments
     assert not any(f.retried for f in report.fragments)
+    # one band flight per fragment
+    assert all(f.slices == 1 for f in report.fragments)
     for ep, (lo, hi) in (
         (report.left, PX_LEFT_BAND), (report.right, PX_RIGHT_BAND)
     ):

@@ -45,6 +45,7 @@ from conecert.rtbp import (
     jordan_basis,
     jordan_residual,
     libration_L1,
+    libration_L1_slope,
     local_field,
     local_jacobian,
     psi,
@@ -620,10 +621,12 @@ def _mp_power_next(s, pw, a, k):
     return num / (s[0] * k)
 
 
-def _mp_taylor(x0, mu, order, sign):
+def _mp_taylor(x0, mu, order, sign, band=False):
     """Solution coefficients u[i][k] and variational coefficients
     V[k][i][j] (V_0 = I) from a point, by the plain recurrences with full
-    convolutions, in mpmath at the caller's precision."""
+    convolutions, in mpmath at the caller's precision.  band=True adds
+    the mass as a fifth coordinate with mu' = 0: V is 5 x 5, and every
+    column gets the forcing dF/dmu times its constant row-4 entry."""
     u = [[mpmath.mpf(c)] for c in x0]
     x, y, px, py = u
     m1 = 1 - mu
@@ -675,21 +678,34 @@ def _mp_taylor(x0, mu, order, sign):
         for k in range(order)
     ]
     uxy = [-3 * _mp_conv(y, mix, k) for k in range(order)]
+    n = 5 if band else 4
     cols = [
-        [[mpmath.mpf(1 if i == j else 0)] for i in range(4)] for j in range(4)
+        [[mpmath.mpf(1 if i == j else 0)] for i in range(n)] for j in range(n)
     ]
+    # dP_X'/dmu and dP_Y'/dmu along the solution
+    gx = [_mp_conv(d1, w1, k) - _mp_conv(d2, w2, k) + uxx[k]
+          for k in range(order)]
+    gy = [_mp_conv(y, w1, k) - _mp_conv(y, w2, k) + uxy[k]
+          for k in range(order)]
     for k in range(order):
-        for c0, c1, c2, c3 in cols:
-            r = (
+        for col in cols:
+            c0, c1, c2, c3 = col[:4]
+            r = [
                 c1[k] + c2[k],
                 -c0[k] + c3[k],
                 -_mp_conv(uxx, c0, k) - _mp_conv(uxy, c1, k) + c3[k],
                 -_mp_conv(uxy, c0, k) - _mp_conv(uyy, c1, k) - c2[k],
-            )
-            for c, ri in zip((c0, c1, c2, c3), r):
+            ]
+            if band:
+                r[2] += gx[k] * col[4][0]
+                r[3] += gy[k] * col[4][0]
+                r.append(0)
+            for c, ri in zip(col, r):
                 c.append(sign * ri / (k + 1))
+    if band:
+        u.append([mpmath.mpf(mu)] + [mpmath.mpf(0)] * order)
     v = [
-        [[cols[j][i][k] for j in range(4)] for i in range(4)]
+        [[cols[j][i][k] for j in range(n)] for i in range(n)]
         for k in range(order + 1)
     ]
     return u, v
@@ -758,6 +774,136 @@ def test_kernel_encloses_mpmath_coefficients(centre, reverse):
                             assert _encloses_mp(var[k].rows[i][j], exact), (
                                 pt, k, i, j,
                             )
+    finally:
+        mpmath.mp.dps = old_dps
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize(
+    "centre",
+    [(-0.8, 0.1, 0.05, -0.7), (0.8270258829, 0.0, -5.16e-8, 0.9251225636)],
+)
+def test_kernel_mass_column_encloses_mpmath_coefficients(centre, reverse):
+    """With the mass as a fifth coordinate, the order-21 solution
+    coefficients and the 5 x 5 variational coefficients, mu column
+    included, enclose the 40-digit ones: from a point with V_0 = I, and
+    from a box over a mass band with V_0 a matrix box whose row 4 is
+    nonzero, as in the a-priori start W.  [DERIVED]"""
+    order = 21
+    p = band_left()
+    tf = RtbpTaylorField(p, reverse=reverse)
+    rng = random.Random(3015 + reverse)
+    mu = p.mu.lo
+    r = 1e-6
+    point = IVector.from_floats(list(centre) + [mu])
+    box = IVector(
+        [Interval(c - r, c + r) for c in centre]
+        + [Interval(mu - 1e-9, mu + 1e-9)]
+    )
+    ball = Interval(-1e-3, 1e-3)
+    w = IMatrix(
+        [[Interval(1.0 if i == j else 0.0) + ball for j in range(5)]
+         for i in range(5)]
+    )
+    cases = [(point, IMatrix.identity(5), [list(centre) + [mu]])]
+    cases.append(
+        (box, w, [[rng.uniform(c.lo, c.hi) for c in box] for _ in range(3)])
+    )
+    old_dps = mpmath.mp.dps
+    mpmath.mp.dps = 40
+    try:
+        for u0, v0, points in cases:
+            ser = tf.expand(u0, order)
+            var = tf.expand_variational(ser, v0, order)
+            for pt in points:
+                u, v = _mp_taylor(pt[:4], mpmath.mpf(pt[4]), order, tf.sign,
+                                  band=True)
+                w0 = [
+                    [mpmath.mpf(rng.uniform(e.lo, e.hi)) for e in row]
+                    for row in v0.rows
+                ]
+                for k in range(order + 1):
+                    ck = ser.coefficient(k)
+                    for i in range(5):
+                        assert _encloses_mp(ck[i], u[i][k]), (pt, k, i)
+                    for i in range(5):
+                        for j in range(5):
+                            exact = mpmath.fsum(
+                                v[k][i][m] * w0[m][j] for m in range(5)
+                            )
+                            assert _encloses_mp(var[k].rows[i][j], exact), (
+                                pt, k, i, j,
+                            )
+    finally:
+        mpmath.mp.dps = old_dps
+
+
+def _mp_field(state, mu):
+    x, y, px, py = state
+    d1 = x - mu
+    d2 = d1 + 1
+    w1 = (d1 * d1 + y * y) ** mpmath.mpf(-1.5)
+    w2 = (d2 * d2 + y * y) ** mpmath.mpf(-1.5)
+    return (
+        px + y,
+        py - x,
+        py - (1 - mu) * d1 * w1 - mu * d2 * w2,
+        -px - y * ((1 - mu) * w1 + mu * w2),
+    )
+
+
+def test_jacobian_mass_column_contains_central_differences():
+    # the 5 x 5 Jacobian: the point-mass block, dF/dmu against a 40-digit
+    # central difference (truncation ~1e-24 at eps = 1e-12) and a zero
+    # row for mu' = 0  [DERIVED]
+    p = band_left()
+    tf = RtbpTaylorField(p)
+    mu = p.mu.lo
+    old_dps = mpmath.mp.dps
+    mpmath.mp.dps = 40
+    try:
+        for state in ((-0.8, 0.1, 0.05, -0.7),
+                      (0.8270258829, 0.01, -5.16e-8, 0.9251225636)):
+            jac = tf.jacobian(IVector.from_floats(list(state) + [mu]))
+            block = jacobian(state, RtbpParams(Interval(mu)))
+            eps = mpmath.mpf("1e-12")
+            pts = [mpmath.mpf(c) for c in state]
+            fp = _mp_field(pts, mpmath.mpf(mu) + eps)
+            fm = _mp_field(pts, mpmath.mpf(mu) - eps)
+            for i in range(4):
+                assert jac.rows[i][:4] == block.rows[i]
+                assert _encloses_mp(jac.rows[i][4], (fp[i] - fm[i]) / (2 * eps))
+            assert all(e == Interval(0.0) for e in jac.rows[4])
+            f5 = tf.vector_field(IVector.from_floats(list(state) + [mu]))
+            assert len(f5) == 5 and f5[4] == Interval(0.0)
+    finally:
+        mpmath.mp.dps = old_dps
+
+
+def test_l1_slope_contains_central_difference():
+    # dx_L1/dmu by the implicit function theorem against a 40-digit central
+    # difference of findroot on the collinear equation, at a point mass and
+    # over a mass band whose enclosure must hold the slope at its ends and
+    # middle  [DERIVED]
+    def root(mu):
+        return mpmath.findroot(
+            lambda x: x + (1 - mu) / (mu - x) ** 2 - mu / (x - mu + 1) ** 2,
+            mpmath.mpf(XL1_ORACLE),
+        )
+
+    old_dps = mpmath.mp.dps
+    mpmath.mp.dps = 40
+    try:
+        eps = mpmath.mpf("1e-15")
+        lo, hi = 0.0042538634220, 0.0042538636220
+        for band in (Interval(lo), Interval(lo, hi)):
+            p = RtbpParams(band)
+            slope = libration_L1_slope(p, libration_L1(p)[0])
+            assert slope.width < 1e-6
+            for m in {band.lo, band.mid, band.hi}:
+                m = mpmath.mpf(m)
+                fd = (root(m + eps) - root(m - eps)) / (2 * eps)
+                assert _encloses_mp(slope, fd), (band, m)
     finally:
         mpmath.mp.dps = old_dps
 

@@ -31,10 +31,14 @@ A row holds:
     the array path, the same two computations as batches of one
     (rtbp.local_jacobian_batch, linalg.BatchSolver), which is why single
     boxes keep the scalar path;
+  * fragment, the first fragment of the default proof
+    (prover.run_fragment): wall seconds, the flights it flew
+    (prover.poincare_image calls), their step attempts and accepted
+    steps, the largest P_X width of a flight and the crossing-time width;
   * with --full, the default proof (prover.check_homoclinic on
     ProofConfig.default()): verdict, wall seconds, both P_X images, the
-    largest fragment crossing-time width, fragment retries and endpoint
-    subboxes;
+    number of fragment flights, the largest fragment P_X and
+    crossing-time widths, fragment retries and endpoint subboxes;
   * the machine, the Python version and the commit.
 
 Times are wall clock as measured: run it with nothing else busy.
@@ -96,70 +100,122 @@ def _median_ms(fn, repeats: int = REPEATS) -> float:
     return 1e3 * statistics.median(times)
 
 
+class _Counter:
+    """Counting wrappers around one tree's flights while entered.
+
+    flow._expand_step counts step attempts by outcome, the observer of
+    prover.poincare_crossing counts accepted steps and their sizes, and
+    prover.poincare_image keeps every certified crossing.
+    """
+
+    def __init__(self, flow, prover, tolerance: float):
+        self.flow, self.prover, self.tolerance = flow, prover, tolerance
+        self.reset()
+
+    def reset(self) -> None:
+        self.stats = dict(attempts=0, rough_failures=0, sol_err_rejections=0,
+                          full_steps=0, accepted=0, flight_s=0.0)
+        self.steps: list = []
+        self.sizes: list = []
+        self.images: list = []
+
+    def __enter__(self) -> "_Counter":
+        flow, prover = self.flow, self.prover
+        self._saved = (flow._expand_step, prover.poincare_crossing,
+                       prover.poincare_image)
+        expand_step, crossing, image = self._saved
+        stats = self.stats
+
+        def counted_step(field, enc, h, order, *args, **kwargs):
+            stats["attempts"] += 1
+            try:
+                data = expand_step(field, enc, h, order, *args, **kwargs)
+            except flow.EnclosureFailure:
+                stats["rough_failures"] += 1
+                raise
+            if data is None or data.sol_err > self.tolerance:
+                stats["sol_err_rejections"] += 1
+            else:
+                stats["full_steps"] += 1
+                self.steps.append((field, enc, h, order))
+            return data
+
+        def timed_crossing(*args, observer=None, **kwargs):
+            last = [args[1].time.mid]
+
+            def count(enc, tube):
+                stats["accepted"] += 1
+                self.sizes.append(enc.time.mid - last[0])
+                last[0] = enc.time.mid
+
+            t0 = time.perf_counter()
+            try:
+                return crossing(*args, observer=count, **kwargs)
+            finally:
+                stats["flight_s"] += time.perf_counter() - t0
+
+        def kept_image(*args, **kwargs):
+            cr = image(*args, **kwargs)
+            self.images.append(cr)
+            return cr
+
+        flow._expand_step = counted_step
+        prover.poincare_crossing = timed_crossing
+        prover.poincare_image = kept_image
+        return self
+
+    def __exit__(self, *exc) -> None:
+        (self.flow._expand_step, self.prover.poincare_crossing,
+         self.prover.poincare_image) = self._saved
+
+
 def _fly_endpoints(flow, prover, cfg):
     """Both endpoint flights with counting wrappers; returns the flight
     rows and the expanded steps of the left flight."""
-    expand_step = flow._expand_step
-    crossing = prover.poincare_crossing
-    stats: dict = {}
-    steps: list = []
-    sizes: list = []
-
-    def counted_step(field, enc, h, order, *args, **kwargs):
-        stats["attempts"] += 1
-        try:
-            data = expand_step(field, enc, h, order, *args, **kwargs)
-        except flow.EnclosureFailure:
-            stats["rough_failures"] += 1
-            raise
-        if data is None or data.sol_err > cfg.tolerance:
-            stats["sol_err_rejections"] += 1
-        else:
-            stats["full_steps"] += 1
-            steps.append((field, enc, h, order))
-        return data
-
-    def timed_crossing(*args, observer=None, **kwargs):
-        last = [args[1].time.mid]
-
-        def count(enc, tube):
-            stats["accepted"] += 1
-            sizes.append(enc.time.mid - last[0])
-            last[0] = enc.time.mid
-
-        t0 = time.perf_counter()
-        try:
-            return crossing(*args, observer=count, **kwargs)
-        finally:
-            stats["flight_s"] += time.perf_counter() - t0
-
+    counter = _Counter(flow, prover, cfg.tolerance)
     rows = {}
     left_steps: list = []
-    flow._expand_step = counted_step
-    prover.poincare_crossing = timed_crossing
-    try:
-        for side, mu in (("left", cfg.mu_left), ("right", cfg.mu_right)):
-            stats.update(attempts=0, rough_failures=0, sol_err_rejections=0,
-                         full_steps=0, accepted=0, flight_s=0.0)
-            steps.clear()
-            sizes.clear()
+    for side, mu in (("left", cfg.mu_left), ("right", cfg.mu_right)):
+        counter.reset()
+        with counter:
             ep = prover.run_endpoint(side, mu, cfg)
-            if not ep.verified:
-                raise RuntimeError(f"{side} endpoint failed: {ep.failure}")
-            rows[side] = dict(
-                stats,
-                h_accepted_min=min(sizes),
-                h_accepted_median=statistics.median(sizes),
-                h_accepted_max=max(sizes),
-                px_width=ep.poincare_image[2].width,
-                tcross_width=ep.crossing_time.width,
-            )
-            if side == "left":
-                left_steps = list(steps)
-    finally:
-        flow._expand_step = expand_step
-        prover.poincare_crossing = crossing
+        if not ep.verified:
+            raise RuntimeError(f"{side} endpoint failed: {ep.failure}")
+        sizes = counter.sizes
+        rows[side] = dict(
+            counter.stats,
+            h_accepted_min=min(sizes),
+            h_accepted_median=statistics.median(sizes),
+            h_accepted_max=max(sizes),
+            px_width=ep.poincare_image[2].width,
+            tcross_width=ep.crossing_time.width,
+        )
+        if side == "left":
+            left_steps = list(counter.steps)
     return rows, left_steps
+
+
+def _one_fragment(flow, prover, cfg) -> dict:
+    """The first fragment of the default proof, with its flights."""
+    counter = _Counter(flow, prover, cfg.tolerance)
+    lo, hi = cfg.fragment_intervals()[0]
+    t0 = time.perf_counter()
+    with counter:
+        out = prover.run_fragment(0, lo, hi, cfg)
+    wall = time.perf_counter() - t0
+    if not out.verified:
+        raise RuntimeError(f"fragment 0 failed: {out.failure}")
+    stats = counter.stats
+    return {
+        "seconds": wall,
+        "flights": len(counter.images),
+        "retried": out.retried,
+        "attempts": stats["attempts"],
+        "accepted": stats["accepted"],
+        "flight_s": stats["flight_s"],
+        "px_width_max": max(cr.image[2].width for cr in counter.images),
+        "tcross_width": out.crossing_time.width,
+    }
 
 
 def _derivative_layers(cfg) -> dict:
@@ -213,10 +269,31 @@ def _derivative_layers(cfg) -> dict:
 
 
 def _full_proof(prover) -> dict:
-    """The default proof end to end."""
-    t0 = time.perf_counter()
-    report = prover.check_homoclinic(prover.ProofConfig.default())
-    wall = time.perf_counter() - t0
+    """The default proof end to end, keeping the fragments' crossings."""
+    run_fragment, image = prover.run_fragment, prover.poincare_image
+    fragment_images: list = []
+    in_fragment = [False]
+
+    def fragment(*args, **kwargs):
+        in_fragment[0] = True
+        try:
+            return run_fragment(*args, **kwargs)
+        finally:
+            in_fragment[0] = False
+
+    def kept_image(*args, **kwargs):
+        cr = image(*args, **kwargs)
+        if in_fragment[0]:
+            fragment_images.append(cr)
+        return cr
+
+    prover.run_fragment, prover.poincare_image = fragment, kept_image
+    try:
+        t0 = time.perf_counter()
+        report = prover.check_homoclinic(prover.ProofConfig.default())
+        wall = time.perf_counter() - t0
+    finally:
+        prover.run_fragment, prover.poincare_image = run_fragment, image
     widths = [
         f.crossing_time.width
         for f in report.fragments
@@ -227,6 +304,10 @@ def _full_proof(prover) -> dict:
         "wall_s": wall,
         "px_left": report.left.poincare_image[2].to_json(),
         "px_right": report.right.poincare_image[2].to_json(),
+        "fragment_flights": len(fragment_images),
+        "fragment_px_width_max": max(
+            (cr.image[2].width for cr in fragment_images), default=None
+        ),
         "fragment_tcross_width_max": max(widths) if widths else None,
         "fragment_retries": sum(f.retried for f in report.fragments),
         "endpoint_subboxes": [report.left.subboxes, report.right.subboxes],
@@ -265,6 +346,7 @@ def measure(src: Path, full: bool = False) -> dict:
         "layers_ms": layers,
         "derivative_ms": _derivative_layers(cfg),
         "flights": flights,
+        "fragment": _one_fragment(flow, prover, cfg),
     }
     if full:
         row["full"] = _full_proof(prover)
