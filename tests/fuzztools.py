@@ -8,7 +8,7 @@ Oracles:
 
 Every result is also checked to be an interval of the extended reals:
 no NaN endpoint and no infinite point ([inf, inf] or [-inf, -inf]).
-The arithmetic and elementary drivers run a second block on operands
+The arithmetic and elementary fuzzers run a second block on operands
 with endpoints moved to +-inf, where the finite members must still land
 inside.
 """
