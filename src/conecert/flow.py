@@ -16,6 +16,10 @@ nothing here depends on it: a field whose state carries a parameter as a
 coordinate with zero derivative (rtbp's mass, in a band flight) flies the
 parameter dependence as one more direction of the set.
 
+A field gives vector_field(x) and jacobian(x) over a box, expand(u0, p),
+a solution series whose coefficient(k) is the k-th Taylor coefficient,
+and expand_variational(series, V0, p), the MatrixSeries of V' = DF V.
+
 One Taylor step uses five series expansions, in this order:
   * an interval series over the rough tube (order p+1), whose last
     coefficient is the Lagrange term of the solution; its magnitude
@@ -70,7 +74,6 @@ survive at widths where independent bounds would not.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -100,15 +103,12 @@ __all__ = [
     "EnclosureFailure",
     "TransversalityFailure",
     "LostCrossing",
-    "VectorFieldBounds",
     "FlowEnclosure",
     "Section",
     "LinearTaylorField",
-    "gronwall_bounds",
     "a_priori_enclosure",
     "integrate_to_time",
     "poincare_crossing",
-    "write_trajectory_csv",
 ]
 
 
@@ -122,45 +122,6 @@ class TransversalityFailure(RuntimeError):
 
 class LostCrossing(RuntimeError):
     """No certified first crossing within the time or step budget."""
-
-
-@dataclass(frozen=True)
-class VectorFieldBounds:
-    """Certified bounds over a stated box.
-
-    mu_bound >= sup ||F||, L >= sup ||DF||, and
-    ||DF(p1) - DF(p2)|| <= M ||p1 - p2|| on the box.
-    """
-
-    mu_bound: float
-    L: float
-    M: float
-
-    def __post_init__(self):
-        if min(self.mu_bound, self.L, self.M) < 0.0:
-            raise ValueError("bounds must be nonnegative")
-
-
-def gronwall_bounds(b: VectorFieldBounds, t: float, dist: float):
-    """Upper bounds for the two flow-difference estimates.
-
-    g1 bounds ||phi_t(p1) - phi_t(p2) - (p1 - p2)|| by
-    (e^{|t|L} - 1) ||p1 - p2||; g2 bounds
-    ||F(phi_t(p1)) - F(phi_t(p2)) - (F(p1) - F(p2))|| by
-    (L (e^{L|t|} - 1) + |t| e^{L|t|} mu M) ||p1 - p2||.  Both are rounded
-    upward; both vanish exactly at t = 0.
-    """
-    if dist < 0.0:
-        raise ValueError("dist must be nonnegative")
-    if t == 0.0 or dist == 0.0:
-        return (0.0, 0.0)
-    at = abs(t)
-    e_lt = exp(Interval(b.L) * at)
-    g1 = ((e_lt - 1.0) * dist).hi
-    g2 = (
-        (Interval(b.L) * (e_lt - 1.0) + at * e_lt * b.mu_bound * b.M) * dist
-    ).hi
-    return (g1, g2)
 
 
 # -- set representation ----------------------------------------------------------
@@ -256,14 +217,13 @@ class Section:
 
 
 class _CoeffSeries:
-    """Plain coefficient table satisfying the series protocol."""
+    """Plain coefficient table with the one method flow reads from a
+    series, coefficient(k)."""
 
-    __slots__ = ("coeffs", "order", "sign")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: list, sign: float):
+    def __init__(self, coeffs: list):
         self.coeffs = coeffs
-        self.order = len(coeffs) - 1
-        self.sign = sign
 
     def coefficient(self, k: int) -> IVector:
         return self.coeffs[k]
@@ -290,7 +250,7 @@ class LinearTaylorField:
         coeffs = [_as_ivector(u0, self.dim)]
         for k in range(order):
             coeffs.append(self.a.matvec(coeffs[k]).scale(1.0 / (k + 1)))
-        return _CoeffSeries(coeffs, 1.0)
+        return _CoeffSeries(coeffs)
 
     def expand_variational(self, sol, v0: IMatrix, order: int) -> MatrixSeries:
         out = [v0]
@@ -804,26 +764,3 @@ def poincare_crossing(
             raise LostCrossing(
                 "section contact could not be resolved above h_min"
             )
-
-
-# -- trajectory output --------------------------------------------------------------
-
-
-def write_trajectory_csv(path, enclosures) -> None:
-    """Stream per-step enclosures: t_lo, t_hi, then lo/hi per coordinate."""
-    rows = list(enclosures)
-    if not rows:
-        raise ValueError("no enclosures to write")
-    n = rows[0].dim
-    header = ["t_lo", "t_hi"]
-    for i in range(n):
-        header += [f"x{i}_lo", f"x{i}_hi"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for e in rows:
-            box = e.as_box()
-            row = [repr(e.time.lo), repr(e.time.hi)]
-            for i in range(n):
-                row += [repr(box[i].lo), repr(box[i].hi)]
-            writer.writerow(row)

@@ -322,13 +322,16 @@ def is_positive_definite(m: IMatrix) -> PDVerdict:
     return fallback if fallback.verified else verdict
 
 
-def interval_newton(f, df, x: Box, x0=None, max_iter: int = 50) -> NewtonResult:
+_NEWTON_MAX_ITER = 50
+
+
+def interval_newton(f, df, x: Box, x0=None) -> NewtonResult:
     """Interval Newton operator N(x0, X) = x0 - [Df(X)]^{-1} f(x0).
 
     N inside the interior of X proves a unique zero in N; N disjoint from X
     proves there is none.  On UniqueRoot the box is refined by re-applying
     the operator until the width improves by less than 1 percent per sweep
-    or max_iter sweeps elapse.
+    or _NEWTON_MAX_ITER sweeps elapse.
 
     Parameters: f maps a Box to an IVector of enclosures, df maps a Box to
     an IMatrix enclosing every Jacobian over the box, x0 defaults to the
@@ -362,7 +365,7 @@ def interval_newton(f, df, x: Box, x0=None, max_iter: int = 50) -> NewtonResult:
     # Unique zero certified; refine.
     current = inter
     iterations = 1
-    while iterations < max_iter:
+    while iterations < _NEWTON_MAX_ITER:
         prev_width = current.max_width()
         if prev_width == 0.0:
             break

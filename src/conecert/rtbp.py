@@ -10,7 +10,8 @@ positions (X, Y) and momenta P_X = X' - Y, P_Y = Y' + X:
   P_Y' = -P_X - Y ((1 - mu) / r1^3 + mu / r2^3)
 
 with d1 = X - mu, d2 = X - mu + 1, r_i^2 = d_i^2 + Y^2.  Everything here
-is interval arithmetic unless the name says floats.
+is interval arithmetic unless the name says floats.  A state is an IVector
+or a sequence (X, Y, P_X, P_Y) of Intervals or floats.
 
 The module also builds the local chart at the interior collinear
 libration point: a verified linear change C putting the linearization
@@ -65,7 +66,6 @@ from .interval import (
     _add_up,
     _lowest,
     _mk,
-    _mul_ep,
     idot,
     sq,
     sqrt,
@@ -86,7 +86,6 @@ __all__ = [
     "CollisionSingularity",
     "ChartError",
     "RtbpParams",
-    "State",
     "LocalChart",
     "K_COEFFS",
     "hamiltonian",
@@ -137,25 +136,7 @@ class RtbpParams:
         return cls(Interval(mu))
 
 
-@dataclass(frozen=True)
-class State:
-    X: Interval
-    Y: Interval
-    P_X: Interval
-    P_Y: Interval
-
-    @classmethod
-    def from_floats(cls, x, y, px, py) -> "State":
-        return cls(Interval(x), Interval(y), Interval(px), Interval(py))
-
-    @classmethod
-    def from_ivector(cls, v: IVector) -> "State":
-        return cls(v[0], v[1], v[2], v[3])
-
-
 def _coerce(s, sizes: tuple = (4,)) -> tuple:
-    if isinstance(s, State):
-        return (s.X, s.Y, s.P_X, s.P_Y)
     if isinstance(s, IVector):
         comps = tuple(s.c)
     else:
@@ -717,8 +698,6 @@ def symmetry_S(s):
     """(X, Y, P_X, P_Y) -> (X, -Y, -P_X, P_Y); conjugates the flow to its
     time reversal."""
     x, y, px, py = _coerce(s)
-    if isinstance(s, State):
-        return State(x, -y, -px, py)
     return IVector([x, -y, -px, py])
 
 
@@ -821,10 +800,8 @@ def _div_pos(a0: float, a1: float, d0: float, d1: float) -> tuple:
     return _nextafter(q0, _NINF), _nextafter(q1, _INF)
 
 
-def _div_int(a0: float, a1: float, d: int, sign: float) -> tuple:
-    """sign * [a0, a1] / d for an integer d >= 1, which is exact as a float."""
-    if sign < 0.0:
-        a0, a1 = -a1, -a0
+def _div_int(a0: float, a1: float, d: int) -> tuple:
+    """[a0, a1] / d for an integer d >= 1, which is exact as a float."""
     return _nextafter(a0 / d, _NINF), _nextafter(a1 / d, _INF)
 
 
@@ -855,25 +832,25 @@ def _power_next(s: tuple, pw: tuple, a: float, k: int) -> tuple:
     th = [_nextafter(w * x, _INF) for w, x in zip(ws, sh[k:0:-1])]
     n0, n1 = _dot(tl, th, pl, ph)
     q0, q1 = _div_pos(-n1, -n0, sl[0], sh[0])
-    return _div_int(q0, q1, k, 1.0)
+    return _div_int(q0, q1, k)
 
 
 class RtbpSolutionSeries:
     """Taylor coefficients of one solution, with cached auxiliary series.
 
-    u[i][k] is the k-th coefficient of coordinate i as an Interval.  The
-    distance, inverse-power and field-product series are kept, as (lo, hi)
-    float lists, for the variational recurrence.  A five-component start
-    (X, Y, P_X, P_Y, mu) gives dim 5: mu must be its last component, and
-    coefficient() appends the constant mass series.
+    coefficient(k) is the k-th coefficient of the state as an IVector.
+    The distance, inverse-power and field-product series are kept, as
+    (lo, hi) float lists, for the variational recurrence.  A
+    five-component start (X, Y, P_X, P_Y, mu) gives dim 5: mu must be its
+    last component, and coefficient() appends the constant mass series.
     """
 
     __slots__ = (
         "_u", "d1", "d2", "y2", "d1sq", "d2sq", "s1", "s2", "w1", "w2",
-        "d1w1", "d2w2", "yw1", "yw2", "mu", "masses", "order", "sign", "dim",
+        "d1w1", "d2w2", "yw1", "yw2", "mu", "masses", "order", "dim",
     )
 
-    def __init__(self, u0: IVector, mu: Interval, sign: float):
+    def __init__(self, u0: IVector, mu: Interval):
         if not 0.0 < mu.lo <= mu.hi < 1.0:
             raise ValueError("mu must lie strictly inside (0, 1)")
         comps = _coerce(u0, (4, 5))
@@ -884,7 +861,6 @@ class RtbpSolutionSeries:
         m1 = 1.0 - mu
         # (1 - mu) and mu as float pairs, both strictly positive
         self.masses = ((m1.lo, m1.hi), (mu.lo, mu.hi))
-        self.sign = sign
         self.order = 0
         d1 = x - mu
         d2 = d1 + 1.0
@@ -914,10 +890,6 @@ class RtbpSolutionSeries:
         self.d2w2 = ([], [])
         self.yw1 = ([], [])
         self.yw2 = ([], [])
-
-    @property
-    def u(self) -> list:
-        return [list(map(_mk, lo, hi)) for lo, hi in self._u]
 
     def extend(self) -> None:
         """Append coefficient order+1 to every series."""
@@ -950,7 +922,7 @@ class RtbpSolutionSeries:
         )
         kk = k + 1
         for series, fi in zip(self._u, f):
-            _append(series, _div_int(*fi, kk, self.sign))
+            _append(series, _div_int(*fi, kk))
         self.order = kk
         xk = (xl[kk], xh[kk])
         _append(self.d1, xk)
@@ -1046,8 +1018,7 @@ class RtbpTaylorField:
 
     expand() produces the solution series from an interval initial
     condition; expand_variational() the series of the variational matrix
-    along it.  reverse=True expands the series of the time-reversed
-    field.  A state's length decides its form: four components fly at
+    along it.  A state's length decides its form: four components fly at
     the mass params.mu, five components (X, Y, P_X, P_Y, mu) carry their
     own mass as a coordinate with mu' = 0, and vector_field, jacobian and
     the series then have five components and a mu column.
@@ -1055,29 +1026,24 @@ class RtbpTaylorField:
 
     dim = 4
 
-    def __init__(self, params: RtbpParams, reverse: bool = False):
+    def __init__(self, params: RtbpParams):
         self.params = params
-        self.reverse = reverse
-        self.sign = -1.0 if reverse else 1.0
 
     def vector_field(self, x) -> IVector:
         s = _coerce(x, (4, 5))
         if len(s) == 4:
-            f = vector_field(s, self.params)
-        else:
-            f = vector_field(s[:4], RtbpParams(s[4]))
-            f = IVector(f.c + [Interval(0.0)])
-        return -f if self.reverse else f
+            return vector_field(s, self.params)
+        f = vector_field(s[:4], RtbpParams(s[4]))
+        return IVector(f.c + [Interval(0.0)])
 
     def jacobian(self, x) -> IMatrix:
         s = _coerce(x, (4, 5))
-        j = jacobian(s, self.params) if len(s) == 4 else _band_jacobian(s)
-        return -j if self.reverse else j
+        return jacobian(s, self.params) if len(s) == 4 else _band_jacobian(s)
 
     def expand(self, u0, order: int) -> RtbpSolutionSeries:
         s = _coerce(u0, (4, 5))
         mu = s[4] if len(s) == 5 else self.params.mu
-        series = RtbpSolutionSeries(s, mu, self.sign)
+        series = RtbpSolutionSeries(s, mu)
         for _ in range(order):
             series.extend()
         return series
@@ -1114,7 +1080,6 @@ class RtbpTaylorField:
                     forcing[j] = tuple(
                         [_mul(*g, c.lo, c.hi) for g in ser] for ser in (gx, gy)
                     )
-        sign = sol.sign
         for k in range(order):
             kk = k + 1
             a1l = uxx[0][:kk] + uxy[0][:kk]
@@ -1139,7 +1104,7 @@ class RtbpTaylorField:
                     r3,
                 )
                 for series, ri in zip(col, r):
-                    _append(series, _div_int(*ri, kk, sign))
+                    _append(series, _div_int(*ri, kk))
         entries = [[cols[j][i] for j in range(m)] for i in range(4)]
         if sol.dim == 5:
             zeros = [0.0] * order

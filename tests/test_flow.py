@@ -1,15 +1,14 @@
 """Validated integration and Poincare section tests.
 
 Oracle notes:
-  * [TRIVIAL]  zero and constant fields, t=0 bounds, formula
-               specializations, quarter circle on the rotation field.
+  * [TRIVIAL]  zero and constant fields, quarter circle on the rotation
+               field.
   * [DERIVED]  closed-form flows (exp, harmonic oscillator, linear saddle),
                scipy RK45 at rtol 1e-12 as a containment reference.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 
@@ -31,18 +30,14 @@ from conecert.flow import (
     LostCrossing,
     Section,
     TransversalityFailure,
-    VectorFieldBounds,
     a_priori_enclosure,
-    gronwall_bounds,
     integrate_to_time,
     poincare_crossing,
-    write_trajectory_csv,
 )
 from conecert.linalg import verified_inverse
 from conecert.rtbp import (
     RtbpParams,
     RtbpTaylorField,
-    State,
     jacobi_constant,
     vector_field_floats,
 )
@@ -88,7 +83,6 @@ class AffineField:
 class _Series:
     def __init__(self, coeffs):
         self.coeffs = coeffs
-        self.order = len(coeffs) - 1
 
     def coefficient(self, k):
         return self.coeffs[k]
@@ -96,41 +90,6 @@ class _Series:
 
 def harmonic() -> LinearTaylorField:
     return LinearTaylorField(IMatrix.from_floats([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-# -- Gronwall bounds -------------------------------------------------------------
-
-
-def test_gronwall_zero_time():
-    b = VectorFieldBounds(3.0, 2.0, 1.0)
-    assert gronwall_bounds(b, 0.0, 5.0) == (0.0, 0.0)  # [TRIVIAL]
-    assert gronwall_bounds(b, 1.0, 0.0) == (0.0, 0.0)
-
-
-def test_gronwall_scalar_linear_equality():
-    # x' = x has phi_t(p) = e^t p, so g1 at t=1 equals (e-1) dist exactly;
-    # the bound must sit just above it.  [DERIVED]
-    b = VectorFieldBounds(10.0, 1.0, 0.0)
-    for dist in (1.0, 0.25, 3.5e-7):
-        g1, g2 = gronwall_bounds(b, 1.0, dist)
-        exact = (math.e - 1.0) * dist
-        assert g1 >= exact
-        assert g1 - exact < 1e-12 * max(1.0, exact)
-        # mu*M = 0 specialization: g2 = L (e^{Lt} - 1) dist  [TRIVIAL]
-        assert abs(g2 - exact) < 1e-12 * max(1.0, exact)
-
-
-def test_gronwall_negative_time_symmetric():
-    b = VectorFieldBounds(1.0, 0.7, 2.0)
-    assert gronwall_bounds(b, -0.3, 1.0) == gronwall_bounds(b, 0.3, 1.0)
-
-
-def test_gronwall_rejects_negative_dist():
-    b = VectorFieldBounds(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        gronwall_bounds(b, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        VectorFieldBounds(-1.0, 1.0, 1.0)
 
 
 # -- a priori enclosures -----------------------------------------------------------
@@ -279,11 +238,11 @@ def test_energy_conserved_along_enclosure():
     field = rtbp_field()
     p = field.params
     x0 = IVector.from_floats([-0.8, 0.1, 0.05, -0.7])
-    c0 = jacobi_constant(State.from_ivector(x0), p)
+    c0 = jacobi_constant(x0, p)
     seen = []
 
     def obs(enc, tube):
-        seen.append(jacobi_constant(State.from_ivector(enc.as_box()), p))
+        seen.append(jacobi_constant(enc.as_box(), p))
 
     integrate_to_time(
         field, FlowEnclosure.from_box(x0), 1.0, order=20, tol=1e-14,
@@ -529,7 +488,7 @@ def test_orthogonal_inverse_rejects_non_orthogonal():
             flow._orthogonal_inverse(q)
 
 
-# -- representation and output -------------------------------------------------------
+# -- representation -------------------------------------------------------
 
 
 def test_flow_enclosure_round_trip():
@@ -540,28 +499,3 @@ def test_flow_enclosure_round_trip():
     assert back.max_width() <= box.max_width() + 1e-14
     assert e.dim == 2
     assert 0.0 in e.time
-
-
-def test_trajectory_csv(tmp_path):
-    path = tmp_path / "orbit.csv"
-    rows = []
-
-    def obs(enc, tube):
-        rows.append(enc)
-
-    e0 = FlowEnclosure.from_box(IVector.from_floats([1.0, 0.0]))
-    integrate_to_time(harmonic(), e0, 1.0, order=12, tol=1e-13, observer=obs)
-    write_trajectory_csv(path, rows)
-    with open(path) as fh:
-        data = list(csv.reader(fh))
-    assert data[0] == ["t_lo", "t_hi", "x0_lo", "x0_hi", "x1_lo", "x1_hi"]
-    assert len(data) == len(rows) + 1
-    last_t = 0.0
-    for row in data[1:]:
-        vals = [float(x) for x in row]
-        assert vals[0] <= vals[1]
-        assert vals[2] <= vals[3] and vals[4] <= vals[5]
-        assert vals[0] >= last_t
-        last_t = vals[0]
-    with pytest.raises(ValueError):
-        write_trajectory_csv(tmp_path / "empty.csv", [])

@@ -34,7 +34,6 @@ from conecert.rtbp import (
     LocalChart,
     RtbpParams,
     RtbpTaylorField,
-    State,
     d2psi,
     d_total_change,
     dpsi,
@@ -70,7 +69,7 @@ def band_left() -> RtbpParams:
     return RtbpParams(decimal_to_interval(MU_LEFT))
 
 
-def rand_state(rng: random.Random, mu: float) -> State:
+def rand_state(rng: random.Random, mu: float) -> IVector:
     """Random state bounded away from both primaries."""
     while True:
         x = rng.uniform(-1.6, 1.6)
@@ -79,7 +78,7 @@ def rand_state(rng: random.Random, mu: float) -> State:
         r2 = math.hypot(x - mu + 1.0, y)
         if r1 > 0.05 and r2 > 0.05:
             break
-    return State.from_floats(x, y, rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return IVector.from_floats([x, y, rng.uniform(-2, 2), rng.uniform(-2, 2)])
 
 
 # -- parameters and basic field ------------------------------------------------
@@ -98,13 +97,13 @@ def test_collision_raises():
     mu = p.mu.mid
     for loc in (mu, mu - 1.0):
         with pytest.raises(CollisionSingularity):
-            vector_field(State.from_floats(loc, 0.0, 0.0, 0.0), p)
+            vector_field((loc, 0.0, 0.0, 0.0), p)
 
 
 def test_hamiltonian_oracle():
     # mpmath 40-digit evaluation of the same closed form.  [DERIVED]
     p = RtbpParams(decimal_to_interval("0.004253863522"))
-    h = hamiltonian(State.from_floats(-0.8, 0.1, 0.05, -0.7), p)
+    h = hamiltonian((-0.8, 0.1, 0.05, -0.7), p)
     assert H_ORACLE in h
     assert h.width < 1e-13
 
@@ -113,7 +112,7 @@ def test_hamiltonian_kepler_limit():
     # mu -> 0 at (1, 0, 0, 1): circular two-body orbit, H = 1/2 - 1 - 1 = -3/2
     # up to O(mu).  [TRIVIAL]
     p = RtbpParams(Interval(1e-12))
-    h = hamiltonian(State.from_floats(1.0, 0.0, 0.0, 1.0), p)
+    h = hamiltonian((1.0, 0.0, 0.0, 1.0), p)
     assert abs(h.mid + 1.5) < 1e-11
 
 
@@ -138,9 +137,7 @@ def test_field_float_twin_agreement():
     for _ in range(200):
         s = rand_state(rng, p.mu.mid)
         fi = vector_field(s, p)
-        ff = vector_field_floats(
-            (s.X.mid, s.Y.mid, s.P_X.mid, s.P_Y.mid), p.mu.mid
-        )
+        ff = vector_field_floats([c.mid for c in s], p.mu.mid)
         for a, b in zip(fi, ff):
             assert a.lo - 1e-12 <= b <= a.hi + 1e-12
 
@@ -152,20 +149,13 @@ def test_symmetry_involution_and_reversal():
     rng = random.Random(11)
     for _ in range(200):
         s = rand_state(rng, p.mu.mid)
-        ss = symmetry_S(symmetry_S(s))
-        assert (ss.X, ss.Y, ss.P_X, ss.P_Y) == (s.X, s.Y, s.P_X, s.P_Y)
+        assert symmetry_S(symmetry_S(s)) == s
         lhs = symmetry_S(vector_field(symmetry_S(s), p))
         rhs = -vector_field(s, p)
         for a, b in zip(lhs, rhs):
             assert 0.0 in (a - b)
-    fixed = State.from_floats(0.3, 0.0, 0.0, 0.4)
-    sf = symmetry_S(fixed)
-    assert (sf.X, sf.Y, sf.P_X, sf.P_Y) == (
-        fixed.X,
-        fixed.Y,
-        fixed.P_X,
-        fixed.P_Y,
-    )
+    fixed = IVector.from_floats([0.3, 0.0, 0.0, 0.4])
+    assert symmetry_S(fixed) == fixed
 
 
 def test_jacobian_vs_finite_differences():
@@ -175,7 +165,7 @@ def test_jacobian_vs_finite_differences():
     rng = random.Random(23)
     for _ in range(25):
         s = rand_state(rng, mu)
-        x0 = [s.X.mid, s.Y.mid, s.P_X.mid, s.P_Y.mid]
+        x0 = [c.mid for c in s]
         jac = jacobian(s, p)
         h = 1e-6
         for j in range(4):
@@ -446,11 +436,11 @@ def test_series_first_coefficients():
     ser = tf.expand(x0, 3)
     f = vector_field(x0, p)
     for i in range(4):
-        assert abs(ser.u[i][1].mid - f[i].mid) < 1e-14
+        assert abs(ser.coefficient(1)[i].mid - f[i].mid) < 1e-14
     # second coefficient is (DF F)/2 by the chain rule
     dff = jacobian(x0, p).matvec(f)
     for i in range(4):
-        assert abs(ser.u[i][2].mid - 0.5 * dff[i].mid) < 1e-13
+        assert abs(ser.coefficient(2)[i].mid - 0.5 * dff[i].mid) < 1e-13
 
 
 def test_series_vs_rk4():
@@ -474,38 +464,9 @@ def test_series_energy_drift():
     tf = RtbpTaylorField(p)
     x0 = IVector.from_floats([-0.8, 0.1, 0.05, -0.7])
     ser = tf.expand(x0, 20)
-    h0 = hamiltonian(State.from_ivector(x0), p)
-    h1 = hamiltonian(State.from_ivector(_horner(ser, 20, 0.01)), p)
+    h0 = hamiltonian(x0, p)
+    h1 = hamiltonian(_horner(ser, 20, 0.01), p)
     assert abs(h1.mid - h0.mid) < 1e-13
-
-
-def test_series_reverse_round_trip():
-    p = band_left()
-    fwd = RtbpTaylorField(p)
-    bwd = RtbpTaylorField(p, reverse=True)
-    assert bwd.sign == -1.0
-    x0 = IVector.from_floats([-0.8, 0.1, 0.05, -0.7])
-    there = _horner(fwd.expand(x0, 22), 22, 0.01)
-    back = _horner(
-        bwd.expand(IVector.from_floats([c.mid for c in there]), 22), 22, 0.01
-    )
-    for i in range(4):
-        assert abs(back[i].mid - x0[i].mid) < 1e-12
-
-
-def test_reverse_field_negates():
-    p = band_left()
-    tf = RtbpTaylorField(p, reverse=True)
-    s = IVector.from_floats([-0.8, 0.1, 0.05, -0.7])
-    fr = tf.vector_field(s)
-    ff = vector_field(s, p)
-    for a, b in zip(fr, ff):
-        assert 0.0 in (a + b)
-    jr = tf.jacobian(s)
-    jf = jacobian(s, p)
-    for i in range(4):
-        for j in range(4):
-            assert 0.0 in (jr.rows[i][j] + jf.rows[i][j])
 
 
 def test_series_collision():
@@ -621,7 +582,7 @@ def _mp_power_next(s, pw, a, k):
     return num / (s[0] * k)
 
 
-def _mp_taylor(x0, mu, order, sign, band=False):
+def _mp_taylor(x0, mu, order, band=False):
     """Solution coefficients u[i][k] and variational coefficients
     V[k][i][j] (V_0 = I) from a point, by the plain recurrences with full
     convolutions, in mpmath at the caller's precision.  band=True adds
@@ -647,7 +608,7 @@ def _mp_taylor(x0, mu, order, sign, band=False):
             -px[k] - m1 * _mp_conv(y, w1, k) - mu * _mp_conv(y, w2, k),
         )
         for i in range(4):
-            u[i].append(sign * f[i] / (k + 1))
+            u[i].append(f[i] / (k + 1))
         kk = k + 1
         d1.append(x[kk])
         d2.append(x[kk])
@@ -701,7 +662,7 @@ def _mp_taylor(x0, mu, order, sign, band=False):
                 r[3] += gy[k] * col[4][0]
                 r.append(0)
             for c, ri in zip(col, r):
-                c.append(sign * ri / (k + 1))
+                c.append(ri / (k + 1))
     if band:
         u.append([mpmath.mpf(mu)] + [mpmath.mpf(0)] * order)
     v = [
@@ -717,7 +678,6 @@ def _encloses_mp(iv: Interval, val) -> bool:
     )
 
 
-@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize(
     "centre",
     [
@@ -727,14 +687,14 @@ def _encloses_mp(iv: Interval, val) -> bool:
         (0.8270258829, 0.0, -5.16e-8, 0.9251225636),
     ],
 )
-def test_kernel_encloses_mpmath_coefficients(centre, reverse):
+def test_kernel_encloses_mpmath_coefficients(centre):
     """Order-21 solution and variational coefficients from a point, and
     from a box with V_0 a matrix box, enclose the 40-digit coefficients
     of points sampled inside.  [DERIVED]"""
     order = 21
     p = band_left()
-    tf = RtbpTaylorField(p, reverse=reverse)
-    rng = random.Random(1401 + reverse)
+    tf = RtbpTaylorField(p)
+    rng = random.Random(1401)
     r = 1e-6
     box = IVector([Interval(c - r, c + r) for c in centre])
     w = IMatrix(
@@ -756,7 +716,7 @@ def test_kernel_encloses_mpmath_coefficients(centre, reverse):
             ser = tf.expand(u0, order)
             var = tf.expand_variational(ser, v0, order)
             for pt in points:
-                u, v = _mp_taylor(pt, mu, order, tf.sign)
+                u, v = _mp_taylor(pt, mu, order)
                 # a member of V_0: the identity, or a sample of the box
                 w0 = [
                     [mpmath.mpf(rng.uniform(e.lo, e.hi)) for e in row]
@@ -778,12 +738,11 @@ def test_kernel_encloses_mpmath_coefficients(centre, reverse):
         mpmath.mp.dps = old_dps
 
 
-@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize(
     "centre",
     [(-0.8, 0.1, 0.05, -0.7), (0.8270258829, 0.0, -5.16e-8, 0.9251225636)],
 )
-def test_kernel_mass_column_encloses_mpmath_coefficients(centre, reverse):
+def test_kernel_mass_column_encloses_mpmath_coefficients(centre):
     """With the mass as a fifth coordinate, the order-21 solution
     coefficients and the 5 x 5 variational coefficients, mu column
     included, enclose the 40-digit ones: from a point with V_0 = I, and
@@ -791,8 +750,8 @@ def test_kernel_mass_column_encloses_mpmath_coefficients(centre, reverse):
     nonzero, as in the a-priori start W.  [DERIVED]"""
     order = 21
     p = band_left()
-    tf = RtbpTaylorField(p, reverse=reverse)
-    rng = random.Random(3015 + reverse)
+    tf = RtbpTaylorField(p)
+    rng = random.Random(3015)
     mu = p.mu.lo
     r = 1e-6
     point = IVector.from_floats(list(centre) + [mu])
@@ -816,8 +775,7 @@ def test_kernel_mass_column_encloses_mpmath_coefficients(centre, reverse):
             ser = tf.expand(u0, order)
             var = tf.expand_variational(ser, v0, order)
             for pt in points:
-                u, v = _mp_taylor(pt[:4], mpmath.mpf(pt[4]), order, tf.sign,
-                                  band=True)
+                u, v = _mp_taylor(pt[:4], mpmath.mpf(pt[4]), order, band=True)
                 w0 = [
                     [mpmath.mpf(rng.uniform(e.lo, e.hi)) for e in row]
                     for row in v0.rows
@@ -1011,7 +969,7 @@ def test_fused_dot_unbounded_terms():
 def test_jacobian_floats_twin():
     p = band_left()
     mu = p.mu.mid
-    s = State.from_floats(-0.6, 0.35, 0.1, -0.5)
+    s = (-0.6, 0.35, 0.1, -0.5)
     ji = jacobian(s, p)
     jf = jacobian_floats((-0.6, 0.35, 0.1, -0.5), mu)
     for i in range(4):
