@@ -59,28 +59,6 @@ class FlowConeCertificate:
     def margins(self) -> dict:
         return {name: pd.margin for name, pd in self.conditions.items()}
 
-    def to_json(self) -> dict:
-        return {
-            "constants": {
-                "c_h": self.constants.c_h,
-                "c_v": self.constants.c_v,
-                "alpha_h": self.constants.alpha_h,
-                "alpha_v": self.constants.alpha_v,
-            },
-            "verified": self.verified,
-            "conditions": {
-                name: {
-                    "verified": pd.verified,
-                    "method": pd.method,
-                    "margin": pd.margin,
-                }
-                for name, pd in self.conditions.items()
-            },
-            "domain": None if self.domain is None else self.domain.to_json(),
-            "u_dim": self.u_dim,
-            "s_dim": self.s_dim,
-        }
-
 
 def _shifted_identity(n: int, shift: Interval) -> IMatrix:
     return IMatrix(

@@ -54,17 +54,14 @@ poincare_crossing share this one acceptance loop, _advance, and the
 predicted size carries over from step to step.
 
 Poincare crossings monitor the rough tube of every step.  A step whose
-tube is clear of the section is accepted as it is.  When the tube meets
-the section, the end set decides: strictly past the section, the step
-holds the crossing; still wholly on the starting side, the step is
-halved; straddling the section, longer steps are tried in
-[h, smallest failing h] (doubling while none has failed), at most
-_STRADDLE_TRIES of them.  If none lands past the section, the flight
-closes in once with halved steps whose tubes stay clear and searches
-again from there; a second failed search, or a step below h_min, is
-LostCrossing.  The crossing step lands a float time on the section with
-the midpoint series and projects the set onto the section through the
-correlated mean-value form
+tube is clear of the section is accepted as it is.  A step whose tube
+meets the section is the crossing step when its end set lies strictly
+past the section; any other contact step is halved, and a step below
+h_min is LostCrossing.  A set must therefore pass the section within one
+step: a set wider than a step's travel ends in LostCrossing.  The
+crossing step lands a float time on the section with the midpoint
+series and projects the set onto the section through the correlated
+mean-value form
 
     P_i in p_i - [F_i(Z)/F_k(Z)] (p_k - value),
 
@@ -473,8 +470,6 @@ _SAFETY = 0.7
 _GROWTH = 2.0
 _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.9
-# longer steps tried for a set whose end straddles the section
-_STRADDLE_TRIES = 8
 
 
 def _step_factor(r: float, order: int) -> float:
@@ -489,38 +484,31 @@ def _step_factor(r: float, order: int) -> float:
     return min(f, _SHRINK_MAX) if f >= _SHRINK_MIN else _SHRINK_MIN
 
 
-def _try_step(field, enc, h, order, tol, diam):
-    """The expansions of a step of size h and its error ratio
-    r = max(sol_err, var_err diam) / tol, accepted when r <= 1; (None, inf)
-    when the rough enclosure fails."""
-    try:
-        data = _expand_step(field, enc, h, order, tol)
-    except EnclosureFailure:
-        return None, math.inf
-    # an early rejection has sol_err > tol, hence r > 1
-    return data, max(data.sol_err, data.var_err * diam) / tol
-
-
 def _advance(field, enc, h, order, tol, h_min, h_max):
     """One accepted step from enc, trying h first.
 
-    Returns (end, data, h, h_next, h_fail): the enclosure after the step,
-    its expansions, the step size used, the predicted next step size and
-    the smallest step size rejected on the way (inf when none was).
+    A step is accepted when its error ratio r = max(sol_err, var_err diam)
+    / tol is at most 1; a failed rough enclosure halves h.  Returns
+    (end, data, h, h_next): the enclosure after the step, its expansions,
+    the step size used and the predicted next step size.
     """
     diam = max(enc.max_width(), 1e-30)
-    h_fail = math.inf
     while True:
         if h < h_min:
             raise EnclosureFailure(
                 f"no acceptable step above h_min={h_min:g}"
             )
-        data, r = _try_step(field, enc, h, order, tol, diam)
+        try:
+            data = _expand_step(field, enc, h, order, tol)
+        except EnclosureFailure:
+            h *= 0.5
+            continue
+        # an early rejection has sol_err > tol, hence r > 1
+        r = max(data.sol_err, data.var_err * diam) / tol
         if r <= 1.0:
             h_next = min(h * _step_factor(r, order), h_max)
-            return _assemble(enc, data, h), data, h, h_next, h_fail
-        h_fail = h
-        h *= 0.5 if data is None else _step_factor(r, order)
+            return _assemble(enc, data, h), data, h, h_next
+        h *= _step_factor(r, order)
 
 
 def integrate_to_time(
@@ -546,7 +534,7 @@ def integrate_to_time(
         remaining = t_final - enc.time.hi
         if remaining <= slack:
             return enc
-        enc, data, _, h_try, _ = _advance(
+        enc, data, _, h_try = _advance(
             field, enc, min(h_try, remaining), order, tol, h_min, h_max
         )
         if observer is not None:
@@ -556,35 +544,12 @@ def integrate_to_time(
 # -- Poincare crossings ------------------------------------------------------------
 
 
-def _past_section(end: FlowEnclosure, section: Section) -> str:
-    """Where the end set of a step lies: "all" of it strictly past the
-    section, "some" of it on or past the section, or "none"."""
+def _past_section(end: FlowEnclosure, section: Section) -> bool:
+    """Whether the end set of a step lies strictly past the section."""
     gap = end.as_box()[section.index] - section.value
     if section.direction < 0:
         gap = -gap
-    if gap.lo > 0.0:
-        return "all"
-    return "some" if gap.hi >= 0.0 else "none"
-
-
-def _search_crossing(field, enc, h, h_fail, section, order, tol):
-    """A step size at which the end set lies strictly past the section, or
-    None after _STRADDLE_TRIES steps.
-
-    The end set of a step of size h straddles the section; the search
-    bisects [h, h_fail], doubling h while no failing step size is known.
-    """
-    diam = max(enc.max_width(), 1e-30)
-    for _ in range(_STRADDLE_TRIES):
-        trial = 2.0 * h if h_fail == math.inf else 0.5 * (h + h_fail)
-        data, r = _try_step(field, enc, trial, order, tol, diam)
-        if r > 1.0:
-            h_fail = trial
-        elif _past_section(_assemble(enc, data, trial), section) == "all":
-            return trial
-        else:
-            h = trial
-    return None
+    return gap.lo > 0.0
 
 
 def _float_newton_time(field, enc, h_step, section, order):
@@ -708,13 +673,14 @@ def poincare_crossing(
     """Certified first crossing of the section.
 
     The set must start strictly off-section.  Every step's rough tube is
-    checked: steps whose tube stays clear of the section cannot contain a
-    crossing; the step that lands strictly past the section is refined
+    checked: a step whose tube stays clear of the section cannot contain
+    a crossing and is accepted.  A step whose tube meets the section and
+    whose end set lies strictly past it is the crossing step, refined
     into an on-section enclosure via the correlated mean-value projection.
-    A step whose end set straddles the section starts the bounded search
-    for a longer step described in the module docstring; grazing steps
-    are retried at half the step size down to h_min, then reported as
-    LostCrossing.  observer(enc, tube) is called once per accepted step.
+    Any other step that meets the section, its end set short of the
+    section or straddling it, is retried at half the step size; below
+    h_min the flight is LostCrossing.  observer(enc, tube) is called once
+    per accepted step.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -729,11 +695,10 @@ def poincare_crossing(
         )
     t_start = enc.time.lo
     h_try = min(h_init, h_max)
-    approach = "free"
     while True:
         if enc.time.hi - t_start > max_time:
             raise LostCrossing(f"no crossing within time budget {max_time}")
-        end, data, h, h_next, h_fail = _advance(
+        end, data, h, h_next = _advance(
             field, enc, h_try, order, tol, h_min, h_max
         )
         if 0.0 not in data.tube[k] - section.value:
@@ -742,22 +707,9 @@ def poincare_crossing(
             if observer is not None:
                 observer(enc, data.tube)
             h_try = h_next
-            if approach == "closing":
-                approach, h_try = "closed", h_resume
             continue
-        past = _past_section(end, section)
-        if past == "all":
+        if _past_section(end, section):
             return _cross_in_step(field, enc, h, section, order)
-        if past == "some" and approach != "closing":
-            h_cross = _search_crossing(
-                field, enc, h, h_fail, section, order, tol
-            )
-            if h_cross is not None:
-                return _cross_in_step(field, enc, h_cross, section, order)
-            if approach == "closed":
-                raise LostCrossing("set straddles the section at every step")
-            # approach the section with shorter steps, then try again
-            approach, h_resume = "closing", h
         # shrink the step until its tube clears the section
         h_try = 0.5 * h
         if h_try < h_min:

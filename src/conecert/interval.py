@@ -826,10 +826,6 @@ class IMatrix:
     def scale(self, s) -> "IMatrix":
         return IMatrix([[a * s for a in row] for row in self.rows])
 
-    def transpose(self) -> "IMatrix":
-        n, m = self.shape
-        return IMatrix([[self.rows[i][j] for i in range(n)] for j in range(m)])
-
     def matvec(self, v: IVector) -> IVector:
         return IVector([idot(row, v.c) for row in self.rows])
 

@@ -1,5 +1,5 @@
-"""Verified linear algebra: interval linear solves, positive definiteness,
-and the interval Newton operator.
+"""Verified linear algebra: interval linear solves, positive definiteness
+by interval Cholesky, and the interval Newton operator.
 
 Every routine returns enclosures or verdicts that remain valid for all point
 selections inside the interval inputs.  Floating-point preconditioners come
@@ -47,12 +47,11 @@ class PDVerdict:
     """Outcome of a positive definiteness check.
 
     verified False means inconclusive, never a claim of indefiniteness.
-    margin is a lower bound on the quantity that had to stay positive
-    (Cholesky pivots, or preconditioned Gershgorin disc left ends).
+    margin is a lower bound on the Cholesky pivots, the quantity that had
+    to stay positive.
     """
 
     verified: bool
-    method: str
     margin: float
 
 
@@ -261,7 +260,14 @@ def _norm_upper(v: IArray) -> np.ndarray:
     return np.where(acc.hi != 0.0, root, 0.0)
 
 
-def _cholesky_verdict(m: IMatrix) -> PDVerdict:
+def is_positive_definite(m: IMatrix) -> PDVerdict:
+    """Verify x^T M x > 0 for all x != 0 and every selection of M.
+
+    Interval Cholesky on the symmetric part of M (the quadratic form only
+    sees the symmetric part): every pivot must stay positive.  A False
+    verdict is always inconclusive rather than a disproof.
+    """
+    m = m.symmetrize()
     n = m.shape[0]
     low: list[list[Interval]] = [[Interval(0.0)] * n for _ in range(n)]
     margin = np.inf
@@ -270,7 +276,7 @@ def _cholesky_verdict(m: IMatrix) -> PDVerdict:
         for k in range(j):
             d = d - sq(low[j][k])
         if not d.lo > 0.0:
-            return PDVerdict(False, "IntervalCholesky", d.lo)
+            return PDVerdict(False, d.lo)
         margin = min(margin, d.lo)
         ljj = sqrt(d)
         low[j][j] = ljj
@@ -279,47 +285,7 @@ def _cholesky_verdict(m: IMatrix) -> PDVerdict:
             for k in range(j):
                 s = s - low[i][k] * low[j][k]
             low[i][j] = s / ljj
-    return PDVerdict(True, "IntervalCholesky", float(margin))
-
-
-def _gershgorin_verdict(m: IMatrix) -> PDVerdict:
-    n = m.shape[0]
-    mid = np.array(m.mid(), dtype=float)
-    mid = 0.5 * (mid + mid.T)
-    try:
-        lf = np.linalg.cholesky(mid)
-        s = np.linalg.inv(lf)
-    except np.linalg.LinAlgError:
-        return PDVerdict(False, "Gershgorin", -np.inf)
-    if not np.all(np.isfinite(s)):
-        return PDVerdict(False, "Gershgorin", -np.inf)
-    sm = IMatrix.from_floats(s.tolist())
-    g = sm.matmul(m).matmul(sm.transpose())
-    margin = np.inf
-    for i in range(n):
-        radius = 0.0
-        for j in range(n):
-            if j != i:
-                radius = np.nextafter(radius + g[i, j].mag, np.inf)
-        left = g[i, i].lo - radius
-        margin = min(margin, left)
-    return PDVerdict(bool(margin > 0.0), "Gershgorin", float(margin))
-
-
-def is_positive_definite(m: IMatrix) -> PDVerdict:
-    """Verify x^T M x > 0 for all x != 0 and every selection of M.
-
-    The matrix is symmetrized first (the quadratic form only sees the
-    symmetric part).  Interval Cholesky is attempted first; on failure the
-    Gershgorin test after midpoint congruence preconditioning.  A False
-    verdict is always inconclusive rather than a disproof.
-    """
-    msym = m.symmetrize()
-    verdict = _cholesky_verdict(msym)
-    if verdict.verified:
-        return verdict
-    fallback = _gershgorin_verdict(msym)
-    return fallback if fallback.verified else verdict
+    return PDVerdict(True, float(margin))
 
 
 _NEWTON_MAX_ITER = 50

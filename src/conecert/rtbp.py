@@ -396,21 +396,6 @@ class LocalChart:
     c2: Interval
     s1: Interval
     s2: Interval
-    K_coeffs: tuple = K_COEFFS
-
-    def to_json(self) -> dict:
-        return {
-            "mu": self.mu.to_json(),
-            "L1": self.L1.to_json(),
-            "C": self.C.to_json(),
-            "lambda": self.lam.to_json(),
-            "v": self.v.to_json(),
-            "gamma": self.gamma.to_json(),
-            "c2": self.c2.to_json(),
-            "s1": self.s1.to_json(),
-            "s2": self.s2.to_json(),
-            "K_coeffs": [list(k) for k in self.K_coeffs],
-        }
 
 
 def _quadratic_factor(w: Interval, c2: Interval) -> Interval:
@@ -956,12 +941,6 @@ class RtbpSolutionSeries:
         if self.dim == 5:
             c.append(self.mu if k == 0 else _mk(0.0, 0.0))
         return IVector(c)
-
-    def second_partial_series(self, upto: int) -> tuple:
-        """Series of Omega_XX, Omega_XY, Omega_YY up to index upto."""
-        return tuple(
-            list(map(_mk, lo, hi)) for lo, hi in self._partials(upto)
-        )
 
     def _partials(self, upto: int) -> tuple:
         """(lo, hi) series of Omega_XX, Omega_XY, Omega_YY, 0..upto."""

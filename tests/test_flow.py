@@ -413,22 +413,12 @@ def _harmonic_box_crossing(r, h_max, observer=None):
     )
 
 
-def test_crossing_fat_set_takes_a_longer_step():
-    # The set needs about 0.1 time units to pass x = 0, ten times h_max:
-    # its end set straddles the section, so the crossing step is found by
-    # lengthening the step, not by halving it.  [TRIVIAL] rotation: the
-    # centre crosses at time pi/2 with image (0, -1)
-    cr = _harmonic_box_crossing(0.05, 0.01)
-    assert math.pi / 2 in cr.time
-    assert -1.0 in cr.as_box()[1]
-
-
-@pytest.mark.parametrize("r", [0.2, 0.3])
-def test_crossing_unresolved_straddle_is_bounded(monkeypatch, r):
-    # A straddle that no certified step resolves ends in a recoverable
-    # error after a bounded number of step attempts: two searches, each
-    # a contact step and at most _STRADDLE_TRIES longer steps, plus a few
-    # halved steps closing in.
+@pytest.mark.parametrize("r", [1e-6, 1e-3])
+def test_thin_set_crosses_at_first_contact(monkeypatch, r):
+    # A set that passes the section within one step: the first step whose
+    # tube meets the section lands wholly past it, and the crossing step
+    # follows; no other step is tried.  [TRIVIAL] rotation: the centre
+    # crosses at time pi/2
     calls = []
     expand = flow._expand_step
 
@@ -436,12 +426,23 @@ def test_crossing_unresolved_straddle_is_bounded(monkeypatch, r):
         calls.append(args[2])
         return expand(*args, **kwargs)
 
-    accepted = []
     monkeypatch.setattr(flow, "_expand_step", counted)
-    recoverable = (LostCrossing, TransversalityFailure, EnclosureFailure)
-    with pytest.raises(recoverable):
-        _harmonic_box_crossing(r, 0.05, lambda enc, tube: accepted.append(enc))
-    assert len(calls) - len(accepted) <= 2 * (flow._STRADDLE_TRIES + 1) + 4
+    accepted = []
+    cr = _harmonic_box_crossing(
+        r, 0.05, lambda enc, tube: accepted.append(enc)
+    )
+    assert math.pi / 2 in cr.time
+    assert len(calls) - len(accepted) == 2
+
+
+@pytest.mark.parametrize("r", [0.2, 0.3])
+def test_crossing_unresolved_straddle_is_bounded(r):
+    # A set wider than a step's travel straddles the section at every
+    # contact step; halving never lands it wholly past the section, so the
+    # flight ends in LostCrossing once a halved step falls below h_min,
+    # never in a certified crossing.
+    with pytest.raises(LostCrossing):
+        _harmonic_box_crossing(r, 0.05)
 
 
 def _flight_q_factors(monkeypatch) -> list:
