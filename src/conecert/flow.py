@@ -18,7 +18,8 @@ parameter dependence as one more direction of the set.
 
 A field gives vector_field(x) and jacobian(x) over a box, expand(u0, p),
 a solution series whose coefficient(k) is the k-th Taylor coefficient,
-and expand_variational(series, V0, p), the MatrixSeries of V' = DF V.
+and expand_variational(series, V0, p), the MatrixSeries of V' = DF V
+from V0, which may have any number of columns.
 
 One Taylor step uses five series expansions, in this order:
   * an interval series over the rough tube (order p+1), whose last
@@ -28,24 +29,27 @@ One Taylor step uses five series expansions, in this order:
   * a thin series at the midpoint (order p), which with that Lagrange
     coefficient encloses phi_h(midpoint);
   * an interval series at the current box (order p) and its variational
-    series (order p), plus the variational series over the tube (order
-    p+1) started from the a-priori matrix bound W, whose last coefficient
-    is the variational Lagrange term; together they enclose D(phi_h)
-    over the box.
+    series from I (order p), whose Taylor polynomial [V] is the transport;
+  * the variational series over the tube (order p+1) of the one column
+    W u, u = x0 - m the current box less its midpoint and W the a-priori
+    bound ||V(t) - I||_inf <= e^(L h) - 1; its last coefficient times
+    h^(p+1) is the tail vector, the Lagrange term of D(phi_h) applied to
+    every x - m.
 The variational series come back as float (lo, hi) series per entry
 (MatrixSeries), and [V] is summed by Horner on those floats with the
 rounding of the Interval operations.  The mean value theorem then gives
-phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r), the products [V] C
-and [V] B are split into float midpoints plus interval defects, and the
-error basis is renewed by QR with sorted columns to control wrapping.
+phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r) + tail, the products
+[V] C and [V] B are split into float midpoints plus interval defects,
+which join the tail in the error, and the error basis is renewed by QR
+with sorted columns to control wrapping.
 The float QR factor Q is orthogonal up to rounding, so Q^-1 is enclosed
 as Q^T plus an entrywise ball of radius ||E|| / (1 - ||E||) ||Q^T||, with
 E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
 spectral norm (a Neumann series; EnclosureFailure if ||E|| >= 1/2).
 
 Step sizes.  A step of size h is accepted when its error ratio
-r = max(sol_err, var_err * diam) / tol is at most 1, diam the width of
-the current set.  After every step tried, accepted or not, the next size
+r = max(sol_err, var_err) / tol is at most 1, var_err the magnitude of
+the tail vector.  After every step tried, accepted or not, the next size
 is predicted by the rule of Jorba and Zou (Exp. Math. 14, 2005) used in
 CAPD's Lohner step control: h * 0.7 r^(-1/(p+1)), at most 2 h after an
 acceptance, between 0.25 h and 0.9 h after a rejection, never above
@@ -334,19 +338,17 @@ def _horner_vec(series, order: int, h: float, tail: IVector) -> IVector:
     return acc
 
 
-def _horner_transport(
-    v: MatrixSeries, order: int, h: float, tail: IMatrix
-) -> IMatrix:
-    """sum_{k <= order} V_k h^k + tail h^(order+1), by Horner on the float
-    series of each entry, rounded exactly as the IMatrix Horner
-    acc.scale(Interval(h)) + V_k is for h > 0: the product with h nudged
+def _horner_transport(v: MatrixSeries, order: int, h: float) -> IMatrix:
+    """sum_{k <= order} V_k h^k, by Horner on the float series of each
+    entry, rounded exactly as the IMatrix Horner acc.scale(Interval(h)) +
+    V_k from acc = V_order is for h > 0: the product with h nudged
     outward, then the exact-directed sums."""
     rows = []
-    for entry_row, tail_row in zip(v.entries, tail.rows):
+    for entry_row in v.entries:
         row = []
-        for (los, his), t in zip(entry_row, tail_row):
-            lo, hi = t.lo, t.hi
-            for k in range(order, -1, -1):
+        for los, his in entry_row:
+            lo, hi = los[order], his[order]
+            for k in range(order - 1, -1, -1):
                 lo = _add_dn(_nextafter(_mul_ep(lo, h), _NINF), los[k])
                 hi = _add_up(_nextafter(_mul_ep(hi, h), _INF), his[k])
             row.append(_mk(lo, hi))
@@ -355,49 +357,63 @@ def _horner_transport(
 
 
 class _StepData:
-    """The expansions of one step; image and transport are None, and
+    """The expansions of one step; image, transport and tail are None, and
     var_err is 0, for a step rejected on sol_err alone."""
 
-    __slots__ = ("image", "transport", "tube", "sol_err", "var_err")
+    __slots__ = ("image", "transport", "tail", "tube", "sol_err", "var_err")
 
-    def __init__(self, image, transport, tube, sol_err, var_err):
+    def __init__(self, image, transport, tail, tube, sol_err, var_err):
         self.image = image  # IVector enclosing phi_h(midpoint)
-        self.transport = transport  # IMatrix enclosing D(phi_h) over the box
+        self.transport = transport  # IMatrix, polynomial part of D(phi_h)
+        self.tail = tail  # IVector, Lagrange term of D(phi_h)(x - midpoint)
         self.tube = tube  # rough enclosure over [0, h]
         self.sol_err = sol_err  # magnitude of the solution Lagrange term
-        self.var_err = var_err  # magnitude of the variational Lagrange term
+        self.var_err = var_err  # magnitude of tail
 
 
 def _expand_step(
     field, enc: FlowEnclosure, h: float, order: int, tol: float = math.inf
 ) -> _StepData:
     """The five expansions of one step, or only the tube series when the
-    solution Lagrange term exceeds tol; that series is expanded first."""
+    solution Lagrange term exceeds tol; that series is expanded first.
+
+    The transport is the Taylor polynomial of D(phi_h) over the box x0.
+    Its Lagrange term is only ever applied to u = x0 - m, so it is carried
+    as the vector tail: coefficient p+1 of the variational column over the
+    tube started from W u, times h^(p+1).  W encloses V(t) for t in [0, h]
+    through ||V(t) - I||_inf <= b = e^(L h) - 1, L = ||Df(tube)||_inf, so
+    (W u)_i is enclosed by u_i + [-b, b] max_j |u_j|.  By the mean value
+    theorem phi_h(x) lies in phi_h(m) + transport (x - m) + tail for every
+    x in x0."""
     n = enc.dim
     x0 = enc.as_box()
     tube = a_priori_enclosure(field, x0, h)
     ser_z = field.expand(tube, order + 1)
     sol_tail = ser_z.coefficient(order + 1)
-    hp = h ** (order + 1)
-    sol_err = max(c.mag for c in sol_tail) * hp
+    sol_err = max(c.mag for c in sol_tail) * h ** (order + 1)
     if sol_err > tol:
-        return _StepData(None, None, tube, sol_err, 0.0)
+        return _StepData(None, None, None, tube, sol_err, 0.0)
 
     ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
     image = _horner_vec(ser_m, order, h, sol_tail)
 
     ser_x = field.expand(x0, order)
     v_x = field.expand_variational(ser_x, IMatrix.identity(n), order)
-    l_inf = _opnorm_inf(field.jacobian(tube))
-    b = (exp(Interval(l_inf) * h) - 1.0).hi
-    ball = Interval(-b, b)
-    w0 = IMatrix([[x + ball for x in row] for row in IMatrix.identity(n).rows])
-    v_z = field.expand_variational(ser_z, w0, order + 1)
-    var_tail = v_z[order + 1]
-    transport = _horner_transport(v_x, order, h, var_tail)
+    transport = _horner_transport(v_x, order, h)
 
-    var_err = max(e.mag for row in var_tail.rows for e in row) * hp
-    return _StepData(image, transport, tube, sol_err, var_err)
+    u = [x0[i] - enc.midpoint[i] for i in range(n)]
+    l_inf = _opnorm_inf(field.jacobian(tube))
+    b = exp(Interval(l_inf) * h) - 1.0
+    r = (b * max(c.mag for c in u)).hi
+    ball = Interval(-r, r)
+    v_z = field.expand_variational(ser_z, IMatrix([[c + ball] for c in u]),
+                                   order + 1)
+    hp = Interval(1.0)
+    for _ in range(order + 1):
+        hp = hp * h
+    tail = IVector([row[0] * hp for row in v_z[order + 1].rows])
+    var_err = max(c.mag for c in tail)
+    return _StepData(image, transport, tail, tube, sol_err, var_err)
 
 
 def _orthogonal_inverse(q: list) -> IMatrix:
@@ -441,6 +457,7 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
         defect
         + c_delta.matvec(enc.init_remainder)
         + m_delta.matvec(enc.remainder)
+        + data.tail
     )
 
     # sort columns so the dominant stretched directions lead the QR
@@ -487,12 +504,11 @@ def _step_factor(r: float, order: int) -> float:
 def _advance(field, enc, h, order, tol, h_min, h_max):
     """One accepted step from enc, trying h first.
 
-    A step is accepted when its error ratio r = max(sol_err, var_err diam)
-    / tol is at most 1; a failed rough enclosure halves h.  Returns
+    A step is accepted when its error ratio r = max(sol_err, var_err) / tol
+    is at most 1; a failed rough enclosure halves h.  Returns
     (end, data, h, h_next): the enclosure after the step, its expansions,
     the step size used and the predicted next step size.
     """
-    diam = max(enc.max_width(), 1e-30)
     while True:
         if h < h_min:
             raise EnclosureFailure(
@@ -504,7 +520,7 @@ def _advance(field, enc, h, order, tol, h_min, h_max):
             h *= 0.5
             continue
         # an early rejection has sol_err > tol, hence r > 1
-        r = max(data.sol_err, data.var_err * diam) / tol
+        r = max(data.sol_err, data.var_err) / tol
         if r <= 1.0:
             h_next = min(h * _step_factor(r, order), h_max)
             return _assemble(enc, data, h), data, h, h_next
@@ -603,8 +619,11 @@ def _cross_in_step(field, enc, h_step, section, order):
     m_c = data.transport.matmul(IMatrix.from_floats(enc.init_basis))
     m_b = data.transport.matmul(IMatrix.from_floats(enc.basis))
     coords = list(enc.init_remainder) + list(enc.remainder)
+    tail = data.tail
     p_rows = [
-        data.image[i] + idot(list(m_c.row(i)) + list(m_b.row(i)), coords)
+        data.image[i]
+        + idot(list(m_c.row(i)) + list(m_b.row(i)), coords)
+        + tail[i]
         for i in range(n)
     ]
     x_star = IVector(p_rows)
@@ -646,7 +665,10 @@ def _cross_in_step(field, enc, h_step, section, order):
         terms = [m_c.rows[i][j] - rho * m_c.rows[k][j] for j in range(n)] + [
             m_b.rows[i][j] - rho * m_b.rows[k][j] for j in range(n)
         ]
-        out_rows.append(data.image[i] - rho * pk_off + idot(terms, coords))
+        out_rows.append(
+            data.image[i] - rho * pk_off + idot(terms, coords)
+            + tail[i] - rho * tail[k]
+        )
     for i in range(n):
         if i == k:
             mids.append(section.value)

@@ -9,6 +9,7 @@ Oracle notes:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -179,15 +180,108 @@ def test_transport_horner_matches_interval_horner():
         box = IVector([Interval(c - r, c + r) for c in centre])
         h = rng.choice([0.03, 0.06, 0.12, 0.0123456])
         v = field.expand_variational(
-            field.expand(box, order + 1), IMatrix.identity(4), order + 1
+            field.expand(box, order), IMatrix.identity(4), order
         )
-        acc = v[order + 1]
-        for k in range(order, -1, -1):
+        acc = v[order]
+        for k in range(order - 1, -1, -1):
             acc = acc.scale(Interval(h)) + v[k]
-        got = flow._horner_transport(v, order, h, v[order + 1])
+        got = flow._horner_transport(v, order, h)
         for row, ref_row in zip(got.rows, acc.rows):
             for a, b in zip(row, ref_row):
                 assert (repr(a.lo), repr(a.hi)) == (repr(b.lo), repr(b.hi))
+
+
+@pytest.mark.parametrize(
+    "a, flow_at",
+    [
+        # e^(At) = [[cos 2t, sin(2t) / 2], [-2 sin 2t, cos 2t]]
+        (
+            [[0.0, 1.0], [-4.0, 0.0]],
+            lambda mp, t: [
+                [mp.cos(2 * t), mp.sin(2 * t) / 2],
+                [-2 * mp.sin(2 * t), mp.cos(2 * t)],
+            ],
+        ),
+        # e^(At) = [[e^t, sinh t], [0, e^-t]]
+        (
+            [[1.0, 1.0], [0.0, -1.0]],
+            lambda mp, t: [[mp.exp(t), mp.sinh(t)], [0, mp.exp(-t)]],
+        ),
+    ],
+    ids=["rotation", "shear_saddle"],
+)
+def test_low_order_tail_encloses_variational_remainder(a, flow_at):
+    # At order 4 the Lagrange term of D(phi_h) is a visible part of the
+    # step.  For v in x0 - m, (e^(Ah) - sum_{k <= p} (Ah)^k / k!) v lies in
+    # the step's tail vector, and e^(Ah) x lies in the assembled
+    # enclosure for x in the box.  [DERIVED] closed-form e^(At) in mpmath
+    mp = pytest.importorskip("mpmath")
+    order, h, r = 4, 0.3, 0.1
+    centre = [0.3, -0.7]
+    box = IVector([Interval(c - r, c + r) for c in centre])
+    enc = FlowEnclosure.from_box(box)
+    data = flow._expand_step(LinearTaylorField(IMatrix.from_floats(a)), enc,
+                             h, order)
+    end = flow._assemble(enc, data, h).as_box()
+
+    rng = random.Random(1401)
+    corners = [
+        [c + s * r for c, s in zip(centre, signs)]
+        for signs in itertools.product((-1.0, 1.0), repeat=2)
+    ]
+    samples = corners + [
+        [c + rng.uniform(-r, r) for c in centre] for _ in range(200)
+    ]
+    with mp.workdps(40):
+        ah = mp.matrix(a) * mp.mpf(h)
+        poly, term = mp.eye(2), mp.eye(2)
+        for k in range(1, order + 1):
+            term = term * ah / k
+            poly = poly + term
+        exact = mp.matrix(flow_at(mp, mp.mpf(h)))
+        rest = exact - poly
+        worst = 0
+        for x in samples:
+            v = mp.matrix([mp.mpf(xi) - mp.mpf(mi)
+                           for xi, mi in zip(x, enc.midpoint)])
+            rem = rest * v
+            img = exact * mp.matrix(x)
+            for i in range(2):
+                assert data.tail[i].lo <= rem[i] <= data.tail[i].hi
+                assert end[i].lo <= img[i] <= end[i].hi
+                worst = max(worst, abs(rem[i]))
+    # the remainder is far above rounding, so the check has teeth
+    assert worst > 1e-6
+    assert data.var_err >= worst
+
+
+def test_low_order_step_contains_rtbp_shootings():
+    # At order 4 and h = 0.1 the tail vector outweighs the solution
+    # Lagrange term; shootings from the corners of the box land in the
+    # assembled enclosure.  [DERIVED] scipy RK45 at rtol 1e-12
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    field = rtbp_field()
+    mu = field.params.mu.mid
+    order, h, r = 4, 0.1, 1e-2
+    centre = [-0.8, 0.1, 0.05, -0.7]
+    enc = FlowEnclosure.from_box(
+        IVector([Interval(c - r, c + r) for c in centre])
+    )
+    data = flow._expand_step(field, enc, h, order)
+    assert data.var_err > data.sol_err
+    end = flow._assemble(enc, data, h).as_box()
+    for signs in itertools.product((-1.0, 1.0), repeat=4):
+        pt = [c + s * r for c, s in zip(centre, signs)]
+        sol = scipy_integrate.solve_ivp(
+            lambda t, y: vector_field_floats(y, mu),
+            (0.0, h),
+            pt,
+            rtol=1e-12,
+            atol=1e-14,
+        )
+        final = sol.y[:, -1]
+        for i in range(4):
+            assert end[i].lo <= final[i] <= end[i].hi
 
 
 def test_step_rejects_bad_h():

@@ -16,7 +16,6 @@ import pytest
 from conecert.interval import IMatrix, Interval, IVector, sq
 from conecert.linalg import (
     NewtonResult,
-    PDVerdict,
     SingularEnclosure,
     interval_newton,
     is_positive_definite,

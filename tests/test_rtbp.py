@@ -28,10 +28,8 @@ from conecert.interval import (
     decimal_to_interval,
 )
 from conecert.rtbp import (
-    ChartError,
     CollisionSingularity,
     K_COEFFS,
-    LocalChart,
     RtbpParams,
     RtbpTaylorField,
     d2psi,

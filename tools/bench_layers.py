@@ -21,8 +21,9 @@ A row holds:
   * layers, median milliseconds over REPEATS calls at the middle expanded
     step of the left flight: expand of the thin midpoint (order p = 20)
     and of the rough tube (box, order p + 1), expand_variational of the
-    tube series from V_0 = I (order p + 1), one flow._expand_step, and
-    one flow._assemble (the Lohner update) of that step;
+    tube series from the one column V_0 = x0 - m, the step's box less its
+    midpoint (order p + 1), one flow._expand_step, and one
+    flow._assemble (the Lohner update) of that step;
   * derivative, median milliseconds of the derivative-over-N stage:
     prover.enclose_DF_over_N over the left endpoint's N in 256 pieces
     and over the first default mass slice's N in 32 pieces (DFN_REPEATS
@@ -323,15 +324,16 @@ def measure(src: Path, full: bool = False) -> dict:
     flights, steps = _fly_endpoints(flow, prover, cfg)
     field, enc, h, order = steps[len(steps) // 2]
     data = flow._expand_step(field, enc, h, order)
-    tube = flow.a_priori_enclosure(field, enc.as_box(), h)
+    box = enc.as_box()
+    tube = flow.a_priori_enclosure(field, box, h)
     ser_z = field.expand(tube, order + 1)
     mid = IVector.from_floats(enc.midpoint)
-    ident = IMatrix.identity(4)
+    column = IMatrix([[box[i] - m] for i, m in enumerate(enc.midpoint)])
     layers = {
         "expand_thin_p": _median_ms(lambda: field.expand(mid, order)),
         "expand_box_p1": _median_ms(lambda: field.expand(tube, order + 1)),
-        "expand_variational_p1": _median_ms(
-            lambda: field.expand_variational(ser_z, ident, order + 1)
+        "expand_variational_p1_column": _median_ms(
+            lambda: field.expand_variational(ser_z, column, order + 1)
         ),
         "expand_step": _median_ms(
             lambda: flow._expand_step(field, enc, h, order)
