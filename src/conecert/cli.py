@@ -4,7 +4,11 @@
 
 Runs the homoclinic proof, prints the text report and exits 0 only on
 PROVED.  The config file holds ProofConfig fields as a JSON object; fields
-it leaves out keep their default values.  A config that cannot be read or
+it leaves out keep their default values.  The keys are mu_left and
+mu_right (the mass band, decimal strings), alpha_h, alpha_v,
+fragment_alpha_h, r_u, c_h and c_v (the cones and the window), and the
+counts endpoint_subdivision, fragment_subdivision, fragments and
+fragment_mu_slices.  A config that cannot be read, names another key, or
 is not a valid ProofConfig is reported as a usage error (exit 2) before
 any stage runs.  --json writes the deterministic JSON report.
 """

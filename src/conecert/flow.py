@@ -55,7 +55,10 @@ CAPD's Lohner step control: h * 0.7 r^(-1/(p+1)), at most 2 h after an
 acceptance, between 0.25 h and 0.9 h after a rejection, never above
 h_max; a rough enclosure that fails halves h.  integrate_to_time and
 poincare_crossing share this one acceptance loop, _advance, and the
-predicted size carries over from step to step.
+predicted size carries over from step to step.  Their defaults are the
+settings every flight of the proof uses: order p = 20, tol = 3e-15,
+a first step of 0.02, h_min = 1e-9, h_max = 0.12, and a Poincare flight
+gives up after 12 time units.
 
 Poincare crossings monitor the rough tube of every step.  A step whose
 tube is clear of the section is accepted as it is.  A step whose tube
@@ -488,6 +491,14 @@ _GROWTH = 2.0
 _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.9
 
+# the settings of every flight of the proof (see "Step sizes" above)
+ORDER = 20
+TOL = 3e-15
+H_INIT = 0.02
+H_MIN = 1e-9
+H_MAX = 0.12
+MAX_TIME = 12.0
+
 
 def _step_factor(r: float, order: int) -> float:
     """Factor from the step size just tried to the next one, after an
@@ -531,11 +542,11 @@ def integrate_to_time(
     field,
     enc: FlowEnclosure,
     t_final: float,
-    order: int = 20,
-    tol: float = 1e-14,
-    h_init: float = 0.02,
-    h_min: float = 1e-9,
-    h_max: float = 0.5,
+    order: int = ORDER,
+    tol: float = TOL,
+    h_init: float = H_INIT,
+    h_min: float = H_MIN,
+    h_max: float = H_MAX,
     observer=None,
 ) -> FlowEnclosure:
     """Propagate until the represented time reaches t_final (exactly, up to
@@ -684,12 +695,12 @@ def poincare_crossing(
     field,
     enc: FlowEnclosure,
     section: Section,
-    order: int = 20,
-    tol: float = 1e-14,
-    h_init: float = 0.02,
-    h_min: float = 1e-9,
-    h_max: float = 0.5,
-    max_time: float = 100.0,
+    order: int = ORDER,
+    tol: float = TOL,
+    h_init: float = H_INIT,
+    h_min: float = H_MIN,
+    h_max: float = H_MAX,
+    max_time: float = MAX_TIME,
     observer=None,
 ) -> FlowEnclosure:
     """Certified first crossing of the section.

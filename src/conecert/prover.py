@@ -146,8 +146,6 @@ def _slice_cuts(lo: float, hi: float, k: int) -> list[tuple[float, float]]:
 
 _FLOAT_FIELDS = (
     "alpha_h", "alpha_v", "fragment_alpha_h", "r_u", "c_h", "c_v",
-    "newton_radius", "tolerance", "h_init", "h_min", "h_max",
-    "max_flight_time",
 )
 
 
@@ -157,7 +155,9 @@ class ProofConfig:
 
     The mass endpoints are decimal strings so the enclosed rationals are
     reproducible across platforms; everything else is plain floats and
-    counts.
+    counts.  The settings of the method itself, the integrator's and
+    interval Newton's, are not fields: every flight uses flow's defaults
+    and every fixed point the start cube of enclose_fixed_point.
 
     Fragments run their cone stage at fragment_alpha_h instead of
     alpha_h.  An interval-valued mass parameter decorrelates the chart
@@ -182,17 +182,10 @@ class ProofConfig:
     r_u: float = 1e-7
     c_h: float = 1.0
     c_v: float = 2.8
-    newton_radius: float = 1e-8
     endpoint_subdivision: int = 256
     fragment_subdivision: int = 32
     fragments: int = 20
     fragment_mu_slices: int = 4
-    order: int = 20
-    tolerance: float = 3e-15
-    h_init: float = 0.02
-    h_min: float = 1e-9
-    h_max: float = 0.12
-    max_flight_time: float = 12.0
 
     def __post_init__(self):
         for name in ("mu_left", "mu_right"):
@@ -216,17 +209,13 @@ class ProofConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        for name in (
-            "r_u", "newton_radius", "tolerance", "h_init", "h_min", "h_max",
-            "max_flight_time",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        if not self.r_u > 0.0:
+            raise ValueError("r_u must be positive")
         if not 0.0 < self.c_h < self.c_v:
             raise ValueError("need 0 < c_h < c_v")
         for name, least in (
             ("endpoint_subdivision", 1), ("fragment_subdivision", 1),
-            ("fragments", 1), ("fragment_mu_slices", 1), ("order", 2),
+            ("fragments", 1), ("fragment_mu_slices", 1),
         ):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
@@ -484,17 +473,21 @@ class ProofReport:
 # -- proof stages ---------------------------------------------------------------
 
 
+# half-width of interval Newton's start cube around the local origin
+_NEWTON_RADIUS = 1e-8
+
+
 def enclose_fixed_point(
-    chart: LocalChart, params: RtbpParams, cfg: ProofConfig
+    chart: LocalChart, params: RtbpParams, cfg: ProofConfig | None = None
 ) -> Box:
     """Interval Newton enclosure of the fixed point in local coordinates.
 
-    The start box is the newton_radius cube around the local origin; the
+    The start box is the _NEWTON_RADIUS cube around the local origin; the
     claim is a unique zero of the local field inside the returned box,
-    valid for every mass parameter in the chart's enclosure.
+    valid for every mass parameter in the chart's enclosure.  cfg is not
+    read: the start box is the same for every proof configuration.
     """
-    r = cfg.newton_radius
-    start = IVector([Interval(-r, r)] * 4)
+    start = IVector([Interval(-_NEWTON_RADIUS, _NEWTON_RADIUS)] * 4)
 
     def f(b: Box) -> IVector:
         return local_field(b, chart, params)
@@ -685,7 +678,6 @@ def poincare_image(
     chart: LocalChart,
     params: RtbpParams,
     u_local: Box,
-    cfg: ProofConfig,
     band: bool = False,
 ) -> CrossingResult:
     """Certified first crossing of {Y = 0} for the chart image of
@@ -702,17 +694,7 @@ def poincare_image(
     direction = 1 if y.hi < 0.0 else -1
     enc = chart_seeded_enclosure(chart, u_local, params.mu if band else None)
     field_ = RtbpTaylorField(params)
-    crossing = poincare_crossing(
-        field_,
-        enc,
-        Section(1, 0.0, direction),
-        order=cfg.order,
-        tol=cfg.tolerance,
-        h_init=cfg.h_init,
-        h_min=cfg.h_min,
-        h_max=cfg.h_max,
-        max_time=cfg.max_flight_time,
-    )
+    crossing = poincare_crossing(field_, enc, Section(1, 0.0, direction))
     return CrossingResult(crossing.as_box(), crossing.time, direction)
 
 
@@ -784,7 +766,7 @@ def launch_chain(
         out.chart = _timed(stages, "chart", mk_chart)
 
         def mk_fixed():
-            b = enclose_fixed_point(out.chart, params, cfg)
+            b = enclose_fixed_point(out.chart, params)
             return b, {"half_widths": [0.5 * w for w in b.widths()]}
 
         out.B = _timed(stages, "fixed_point", mk_fixed)
@@ -813,9 +795,9 @@ def launch_chain(
 # -- endpoint and fragment runs ---------------------------------------------------
 
 
-def _signed_image(chart, params, u_local, cfg, want_negative):
+def _signed_image(chart, params, u_local, want_negative):
     """One endpoint flight whose P_X image must certify the wanted sign."""
-    cr = poincare_image(chart, params, u_local, cfg)
+    cr = poincare_image(chart, params, u_local)
     px = cr.image[2]
     if px.hi < 0.0 if want_negative else px.lo > 0.0:
         return cr
@@ -859,7 +841,7 @@ def run_endpoint(
 
     def fly(pieces):
         crossings = [
-            _signed_image(launch.chart, params, p, cfg, want_negative)
+            _signed_image(launch.chart, params, p, want_negative)
             for p in pieces
         ]
         image, tspan = crossings[0].image, crossings[0].time
@@ -923,8 +905,7 @@ def run_fragment(
                 if launch.failure is not None:
                     raise StageFailure(launch.failure)
                 cr = poincare_image(
-                    launch.chart, params, launch.unstable.U_local, eff,
-                    band=True,
+                    launch.chart, params, launch.unstable.U_local, band=True
                 )
                 hull = cr.time if hull is None else hull.hull(cr.time)
             out.verified = True

@@ -34,10 +34,10 @@ def test_prove_not_proved_exits_one(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "text",
-    [None, "{c_v: 2.9", "[1, 2]", '{"threads": 2}', '{"fragments": 2.5}',
-     '{"alpha_h": "x"}'],
-    ids=["missing", "not-json", "not-object", "unknown-key", "float-count",
-         "bad-value"],
+    [None, "{c_v: 2.9", "[1, 2]", '{"threads": 2}', '{"h_max": 0.1}',
+     '{"fragments": 2.5}', '{"alpha_h": "x"}'],
+    ids=["missing", "not-json", "not-object", "unknown-key",
+         "integrator-key", "float-count", "bad-value"],
 )
 def test_prove_bad_config_is_a_usage_error(tmp_path, capsys, monkeypatch, text):
     # the config is checked before any stage runs, and reported in one

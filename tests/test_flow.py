@@ -191,7 +191,8 @@ def test_transport_horner_matches_interval_horner():
                 assert (repr(a.lo), repr(a.hi)) == (repr(b.lo), repr(b.hi))
 
 
-@pytest.mark.parametrize(
+# (A, closed-form e^(At)) pairs for the low-order step tests
+LINEAR_FLOWS = pytest.mark.parametrize(
     "a, flow_at",
     [
         # e^(At) = [[cos 2t, sin(2t) / 2], [-2 sin 2t, cos 2t]]
@@ -210,6 +211,9 @@ def test_transport_horner_matches_interval_horner():
     ],
     ids=["rotation", "shear_saddle"],
 )
+
+
+@LINEAR_FLOWS
 def test_low_order_tail_encloses_variational_remainder(a, flow_at):
     # At order 4 the Lagrange term of D(phi_h) is a visible part of the
     # step.  For v in x0 - m, (e^(Ah) - sum_{k <= p} (Ah)^k / k!) v lies in
@@ -253,6 +257,55 @@ def test_low_order_tail_encloses_variational_remainder(a, flow_at):
     # the remainder is far above rounding, so the check has teeth
     assert worst > 1e-6
     assert data.var_err >= worst
+
+
+@LINEAR_FLOWS
+def test_assemble_needs_the_tail_under_a_thin_image(a, flow_at):
+    # The step's image of the midpoint carries the solution Lagrange term
+    # over the whole tube, which at these sizes also covers the
+    # variational remainder.  With that image replaced by a thin
+    # enclosure of e^(Ah) m, only the tail vector can account for
+    # (e^(Ah) - sum_{k <= p} (Ah)^k / k!) (x - m): the assembled set, at
+    # each corner's initial coordinate, must still contain e^(Ah) x.
+    # [DERIVED] closed-form e^(At) in mpmath
+    mp = pytest.importorskip("mpmath")
+    order, h, r = 4, 0.3, 0.1
+    centre = [0.3, -0.7]
+    enc = FlowEnclosure.from_box(
+        IVector([Interval(c - r, c + r) for c in centre])
+    )
+    data = flow._expand_step(LinearTaylorField(IMatrix.from_floats(a)), enc,
+                             h, order)
+    with mp.workdps(40):
+        exact = mp.matrix(flow_at(mp, mp.mpf(h)))
+        m_img = exact * mp.matrix(enc.midpoint)
+        thin = IVector([
+            Interval(math.nextafter(float(v), -math.inf),
+                     math.nextafter(float(v), math.inf))
+            for v in m_img
+        ])
+        assert all(float(v) in c for v, c in zip(m_img, data.image))
+        end = flow._assemble(
+            enc,
+            flow._StepData(thin, data.transport, data.tail, data.tube,
+                           data.sol_err, data.var_err),
+            h,
+        )
+        missed = 0
+        for signs in itertools.product((-1.0, 1.0), repeat=2):
+            r0 = [s * r for s in signs]
+            at_corner = FlowEnclosure(
+                end.midpoint, end.basis, end.remainder, end.time,
+                end.init_basis, IVector.from_floats(r0),
+            ).as_box()
+            img = exact * mp.matrix([c + d for c, d in zip(centre, r0)])
+            # without the tail the set would stand at thin + transport r0
+            bare = thin + data.transport.matvec(IVector.from_floats(r0))
+            for i in range(2):
+                assert at_corner[i].lo <= img[i] <= at_corner[i].hi
+                missed += not bare[i].lo <= img[i] <= bare[i].hi
+    # the tail is what holds the corners: without it every one falls out
+    assert missed == 8
 
 
 def test_low_order_step_contains_rtbp_shootings():

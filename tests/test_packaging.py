@@ -92,3 +92,32 @@ def test_every_public_name_is_used_by_the_library():
             ):
                 unused.append(f"{mod}.{name}")
     assert not unused, unused
+
+
+def test_every_config_field_is_read_by_the_library():
+    # a ProofConfig field that only its own class reads changes the config
+    # and the report but no computation; as above, a field counts as read
+    # where its name is loaded as an attribute
+    from dataclasses import fields
+
+    from conecert.prover import ProofConfig
+
+    src = Path(conecert.__file__).resolve().parent
+    reads = set()
+    for p in src.glob("*.py"):
+        tree = ast.parse(p.read_text())
+        inside = {
+            id(sub)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "ProofConfig"
+            for sub in ast.walk(node)
+        }
+        reads |= {
+            sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)
+            and id(sub) not in inside
+        }
+    unread = [f.name for f in fields(ProofConfig) if f.name not in reads]
+    assert not unread, unread

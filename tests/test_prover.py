@@ -459,7 +459,7 @@ def band_flight(cfg):
     assert launch.failure is None
     u = launch.unstable.U_local
     enc = chart_seeded_enclosure(launch.chart, u, params.mu)
-    return params, enc, poincare_image(launch.chart, params, u, frag, True)
+    return params, enc, poincare_image(launch.chart, params, u, band=True)
 
 
 class TestFragment:
@@ -518,7 +518,7 @@ class TestFragment:
             subdivisions.append(subdivision)
             return chain(params, c, subdivision, stages)
 
-        def flight(chart, params, u_local, c, band=False):
+        def flight(chart, params, u_local, band=False):
             calls.append((params.mu, chart.mu, band))
             if len(calls) == 1:
                 raise LostCrossing("first flight lost")
@@ -589,22 +589,20 @@ class TestConfig:
         base = ProofConfig.default()
         for name in (
             "endpoint_subdivision", "fragment_subdivision", "fragments",
-            "fragment_mu_slices", "order",
+            "fragment_mu_slices",
         ):
             for bad in (2.5, 20.0, True, "4"):
                 with pytest.raises(ValueError, match=name):
                     replace(base, **{name: bad})
         with pytest.raises(ValueError):
-            replace(base, order=1)
-        with pytest.raises(ValueError):
             replace(base, fragments=0)
 
     def test_float_fields_must_be_finite_reals(self):
         # a non-numeric value used to raise TypeError from a comparison,
-        # and an infinite h_max passed
+        # and an infinite value passed the range checks
         base = ProofConfig.default().to_json()
         names = [f.name for f in fields(ProofConfig) if f.type == "float"]
-        assert len(names) == 12
+        assert len(names) == 6
         for name in names:
             for bad in ("x", None, True, math.inf, -math.inf, math.nan, [1.0]):
                 with pytest.raises(ValueError, match=name):
@@ -684,12 +682,15 @@ def narrow_reports():
 
 class TestReportDeterminism:
     def test_narrow_band_is_not_decidable_but_runs(self, narrow_reports):
-        # signs cannot flip over 1/100 of the band; the report must be
-        # NOT_PROVED (never a disproof) with every stage well formed
+        # signs cannot flip over 1/100 of the band: the right endpoint
+        # certifies P_X negative, so the report is NOT_PROVED (never a
+        # disproof) and no fragment runs
         first, _ = narrow_reports
-        assert first.verdict in ("PROVED", "NOT_PROVED")
+        assert first.verdict == "NOT_PROVED"
         assert first.left.verified
-        assert all(f.verified for f in first.fragments)
+        assert not first.right.verified
+        assert "wrong sign" in first.right.failure
+        assert first.fragments == []
 
     def test_reruns_bit_identical(self, narrow_reports):
         first, second = narrow_reports

@@ -42,7 +42,13 @@ A row holds:
     crossing-time widths, fragment retries and endpoint subboxes;
   * the machine, the Python version and the commit.
 
-Times are wall clock as measured: run it with nothing else busy.
+Times are wall clock as measured: run it with nothing else busy.  The
+host's speed drifts between and within runs, so each timed call of the
+layers and derivative rows is followed by one proofbench.speed.reference()
+loop, and layers_nominal_ms and derivative_nominal_ms give the same rows
+rescaled to the nominal machine speed of proofbench (each call's time
+times REF_NOMINAL_S over the reference loop timed next to it, then the
+median).  Compare layer rows of two trees by their nominal values.
 """
 
 from __future__ import annotations
@@ -60,6 +66,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 25
 DFN_REPEATS = 5
+
+sys.path.insert(0, str(ROOT))
+from proofbench import speed  # noqa: E402
 
 
 def _commit(src: Path) -> str:
@@ -91,14 +100,34 @@ def _machine() -> dict:
     }
 
 
-def _median_ms(fn, repeats: int = REPEATS) -> float:
-    fn()
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+def _timed_rows(fns: dict, repeats: int = REPEATS) -> tuple[dict, dict]:
+    """Median milliseconds of each callable over `repeats` calls, as
+    ({name: as measured}, {name: nominal}).  Each call is followed by a
+    reference loop, whose time rescales that call to the nominal speed.
+    A None callable gives None in both."""
+    ms, nominal = {}, {}
+    for name, fn in fns.items():
+        if fn is None:
+            ms[name] = nominal[name] = None
+            continue
         fn()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * statistics.median(times)
+        times, scaled = [], []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            t = time.perf_counter() - t0
+            times.append(t)
+            scaled.append(t * speed.REF_NOMINAL_S / speed.reference())
+        ms[name] = 1e3 * statistics.median(times)
+        nominal[name] = 1e3 * statistics.median(scaled)
+    return ms, nominal
+
+
+def _flight_tolerance(flow, cfg) -> float:
+    """The step tolerance of the proof's flights: flow's default, or the
+    ProofConfig field on trees that still kept it there."""
+    tol = getattr(flow, "TOL", None)
+    return cfg.tolerance if tol is None else tol
 
 
 class _Counter:
@@ -173,7 +202,7 @@ class _Counter:
 def _fly_endpoints(flow, prover, cfg):
     """Both endpoint flights with counting wrappers; returns the flight
     rows and the expanded steps of the left flight."""
-    counter = _Counter(flow, prover, cfg.tolerance)
+    counter = _Counter(flow, prover, _flight_tolerance(flow, cfg))
     rows = {}
     left_steps: list = []
     for side, mu in (("left", cfg.mu_left), ("right", cfg.mu_right)):
@@ -198,7 +227,7 @@ def _fly_endpoints(flow, prover, cfg):
 
 def _one_fragment(flow, prover, cfg) -> dict:
     """The first fragment of the default proof, with its flights."""
-    counter = _Counter(flow, prover, cfg.tolerance)
+    counter = _Counter(flow, prover, _flight_tolerance(flow, cfg))
     lo, hi = cfg.fragment_intervals()[0]
     t0 = time.perf_counter()
     with counter:
@@ -219,9 +248,10 @@ def _one_fragment(flow, prover, cfg) -> dict:
     }
 
 
-def _derivative_layers(cfg) -> dict:
+def _derivative_layers(cfg) -> tuple[dict, dict]:
     """Milliseconds of the derivative-over-N stage and its single-box
-    layers, scalar and (where the tree has it) batched."""
+    layers, scalar and (where the tree has it) batched, as measured and
+    nominal."""
     from dataclasses import replace
 
     from conecert import interval, linalg, prover, rtbp
@@ -239,34 +269,32 @@ def _derivative_layers(cfg) -> dict:
     )[0]
     s_params, s_chart, s_n_box = setup(interval.Interval(lo, hi), frag)
     dphi = rtbp.d_total_change(n_box, chart)
-    out = {
-        "enclose_DF_over_N_256": _median_ms(
+    stage = _timed_rows({
+        "enclose_DF_over_N_256":
             lambda: prover.enclose_DF_over_N(chart, params, n_box, 256),
-            DFN_REPEATS,
-        ),
-        "enclose_DF_over_N_32_slice": _median_ms(
+        "enclose_DF_over_N_32_slice":
             lambda: prover.enclose_DF_over_N(s_chart, s_params, s_n_box, 32),
-            DFN_REPEATS,
-        ),
-        "local_jacobian": _median_ms(
-            lambda: rtbp.local_jacobian(n_box, chart, params)
-        ),
-        "verified_inverse": _median_ms(lambda: linalg.verified_inverse(dphi)),
-        "local_jacobian_batch_of_one": None,
-        "batch_solver_inverse_of_one": None,
-    }
+    }, DFN_REPEATS)
+    batch_of_one = inverse_of_one = None
     if hasattr(rtbp, "local_jacobian_batch"):
         one = interval.IArray([n_box[0].lo], [n_box[0].hi])
         q = interval.IVector([one, n_box[1], n_box[2], n_box[3]])
         a = interval.IArray.stack(dphi)[None]
         ident = interval.IArray.stack(interval.IMatrix.identity(4))[None]
-        out["local_jacobian_batch_of_one"] = _median_ms(
-            lambda: rtbp.local_jacobian_batch(q, chart, params)
-        )
-        out["batch_solver_inverse_of_one"] = _median_ms(
-            lambda: linalg.BatchSolver(a).solve(ident)
-        )
-    return out
+
+        def batch_of_one():
+            rtbp.local_jacobian_batch(q, chart, params)
+
+        def inverse_of_one():
+            linalg.BatchSolver(a).solve(ident)
+
+    single = _timed_rows({
+        "local_jacobian": lambda: rtbp.local_jacobian(n_box, chart, params),
+        "verified_inverse": lambda: linalg.verified_inverse(dphi),
+        "local_jacobian_batch_of_one": batch_of_one,
+        "batch_solver_inverse_of_one": inverse_of_one,
+    })
+    return {**stage[0], **single[0]}, {**stage[1], **single[1]}
 
 
 def _full_proof(prover) -> dict:
@@ -329,24 +357,24 @@ def measure(src: Path, full: bool = False) -> dict:
     ser_z = field.expand(tube, order + 1)
     mid = IVector.from_floats(enc.midpoint)
     column = IMatrix([[box[i] - m] for i, m in enumerate(enc.midpoint)])
-    layers = {
-        "expand_thin_p": _median_ms(lambda: field.expand(mid, order)),
-        "expand_box_p1": _median_ms(lambda: field.expand(tube, order + 1)),
-        "expand_variational_p1_column": _median_ms(
-            lambda: field.expand_variational(ser_z, column, order + 1)
-        ),
-        "expand_step": _median_ms(
-            lambda: flow._expand_step(field, enc, h, order)
-        ),
-        "assemble": _median_ms(lambda: flow._assemble(enc, data, h)),
-    }
+    layers, layers_nominal = _timed_rows({
+        "expand_thin_p": lambda: field.expand(mid, order),
+        "expand_box_p1": lambda: field.expand(tube, order + 1),
+        "expand_variational_p1_column":
+            lambda: field.expand_variational(ser_z, column, order + 1),
+        "expand_step": lambda: flow._expand_step(field, enc, h, order),
+        "assemble": lambda: flow._assemble(enc, data, h),
+    })
+    derivative, derivative_nominal = _derivative_layers(cfg)
     row = {
         "commit": _commit(src),
         "machine": _machine(),
         "order": order,
         "step_h": h,
         "layers_ms": layers,
-        "derivative_ms": _derivative_layers(cfg),
+        "layers_nominal_ms": layers_nominal,
+        "derivative_ms": derivative,
+        "derivative_nominal_ms": derivative_nominal,
         "flights": flights,
         "fragment": _one_fragment(flow, prover, cfg),
     }
