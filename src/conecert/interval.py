@@ -742,9 +742,6 @@ class IVector:
     def max_width(self) -> float:
         return max(a.width for a in self.c)
 
-    def hull(self, other: "IVector") -> "IVector":
-        return IVector([a.hull(b) for a, b in zip(self.c, other.c)])
-
     def contains(self, other) -> bool:
         if isinstance(other, IVector):
             return all(b in a for a, b in zip(self.c, other.c))
@@ -764,10 +761,6 @@ class IVector:
 
     def to_json(self) -> list[list[float]]:
         return [a.to_json() for a in self.c]
-
-    @classmethod
-    def from_json(cls, data) -> "IVector":
-        return cls([Interval.from_json(p) for p in data])
 
 
 # A Box is an IVector regarded as a product of intervals.
@@ -866,10 +859,6 @@ class IMatrix:
 
     def to_json(self):
         return [[a.to_json() for a in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, data) -> "IMatrix":
-        return cls([[Interval.from_json(p) for p in row] for row in data])
 
 
 class MatrixSeries:

@@ -67,15 +67,12 @@ class ManifoldCertificate:
 
 
 def certify(
-    cones: FlowConeCertificate,
-    alpha_h: float,
-    alpha_v: float,
-    fixed_point_box: Box | None = None,
-    domain: Box | None = None,
+    cones: FlowConeCertificate, fixed_point_box: Box | None = None
 ) -> ManifoldCertificate:
     """Build a strong unstable manifold certificate from verified flow
     cone conditions.
 
+    The alphas, the rates and the domain are the certificate's own.
     When the fixed point is only enclosed in a box B, the cone conditions
     must have been verified over N + B and the graph window is shifted
     by B.
@@ -83,8 +80,7 @@ def certify(
     if not isinstance(cones, FlowConeCertificate):
         raise TypeError("certify needs a FlowConeCertificate")
     consts = cones.constants
-    if (consts.alpha_h, consts.alpha_v) != (alpha_h, alpha_v):
-        raise ValueError("certificate alphas disagree with arguments")
+    alpha_h, alpha_v = consts.alpha_h, consts.alpha_v
     c_h, c_v = consts.c_h, consts.c_v
     if not (c_v > c_h and c_v > 0.0):
         raise RateOrderViolation(
@@ -101,7 +97,7 @@ def certify(
             raise ValueError("fixed point box has wrong dimension")
         window = window + fixed_point_box
     return ManifoldCertificate(
-        domain=cones.domain if domain is None else domain,
+        domain=cones.domain,
         alpha_h=alpha_h,
         alpha_v=alpha_v,
         rates=(c_h, c_v),

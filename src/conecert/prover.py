@@ -5,8 +5,9 @@ the fixed point in straightened local coordinates (interval Newton), the
 derivative of the local field over the manifold enclosure N (subdivided
 hull), the flow cone conditions, and the transported manifold window U.
 The two interval endpoints then get certified Poincare images on {Y = 0}
-with opposite P_X signs, while mu subinterval fragments certify that the
-Poincare map stays well defined across the whole parameter band; the
+with opposite P_X signs, each from one flight of the single launch window
+its cone conditions certify, while mu subinterval fragments certify that
+the Poincare map stays well defined across the whole parameter band; the
 intermediate value theorem closes the argument.
 
 Fragments.  The launch chain over a fragment's interval mass encloses a
@@ -46,7 +47,6 @@ from .flow import (
 )
 from .interval import (
     Box,
-    DomainError,
     IArray,
     IMatrix,
     Interval,
@@ -82,7 +82,6 @@ __all__ = [
     "EndpointResult",
     "FragmentResult",
     "ProofReport",
-    "SignViolation",
     "enclose_fixed_point",
     "build_N",
     "enclose_DF_over_N",
@@ -101,14 +100,6 @@ class StageFailure(RuntimeError):
     """A proof stage could not certify its claim."""
 
 
-class SignViolation(StageFailure):
-    """An image is certified sign-definite, but with the wrong sign.
-
-    Unlike an indefinite enclosure this cannot improve under
-    subdivision, so fallbacks skip straight to the failure report.
-    """
-
-
 _RECOVERABLE = (
     StageFailure,
     ChartError,
@@ -120,17 +111,13 @@ _RECOVERABLE = (
 )
 
 
-# what local_jacobian raises on a box it cannot evaluate
-_PIECE_FAILURES = (ArithmeticError, DomainError)
-
-
 def _slice_cuts(lo: float, hi: float, k: int) -> list[tuple[float, float]]:
     """k consecutive float pairs covering [lo, hi] exactly.
 
     The first pair starts at lo, the last ends at hi, neighbours share
     their cut, and the cuts never decrease.  This is the one way the
-    proof splits an interval: mass bands, mass fragments, the unstable
-    axis of N and the transversal axes of a launch window.
+    proof splits an interval: mass bands, mass fragments and the
+    unstable axis of N.
     """
     w = hi - lo
     cuts = [lo]
@@ -285,6 +272,13 @@ class CrossingResult:
 
 @dataclass
 class EndpointResult:
+    """Outcome of run_endpoint.
+
+    subboxes is always 1, since an endpoint flies its launch window once.
+    It stays, with its report key, so that reports keep their layout and
+    the benchmark harness that reads it keeps working.
+    """
+
     side: str
     mu: str
     verified: bool
@@ -430,8 +424,7 @@ class ProofReport:
                 px = ep.poincare_image[2]
                 lines.append(
                     f"  P_X image: [{px.lo:.6e}, {px.hi:.6e}] "
-                    f"(sign {ep.px_sign:+d}, {ep.subboxes} subbox"
-                    f"{'es' if ep.subboxes != 1 else ''})"
+                    f"(sign {ep.px_sign:+d}, {ep.subboxes} subbox)"
                 )
             if ep.crossing_time is not None:
                 t = ep.crossing_time
@@ -527,37 +520,16 @@ def enclose_DF_over_N(
     The pieces run as one batch along a leading axis
     (rtbp.local_jacobian_batch) and the hull is one min/max reduction
     over that axis; each piece's derivative equals local_jacobian on
-    the piece, so the hull is the hull of the per-piece derivatives.  If
-    a piece fails, the raised exception is the one local_jacobian raises
-    on the first failing piece.
+    the piece, so the hull is the hull of the per-piece derivatives.  A
+    failure of the batch, such as a piece that reaches a primary,
+    propagates as raised.
     """
     if subdivision < 1:
         raise ValueError("subdivision must be at least 1")
     cuts = _slice_cuts(n_box[0].lo, n_box[0].hi, subdivision)
-
-    def first(k: int) -> IVector:
-        # the first k pieces as one batch
-        axis0 = IArray([a for a, _ in cuts[:k]], [b for _, b in cuts[:k]])
-        return IVector([axis0, n_box[1], n_box[2], n_box[3]])
-
-    try:
-        batch = local_jacobian_batch(first(len(cuts)), chart, params)
-    except _PIECE_FAILURES:
-        # a prefix of pieces fails exactly when it holds a failing
-        # piece: bisect for the first one and let it raise on its own
-        ok, bad = 0, len(cuts)
-        while bad - ok > 1:
-            k = (ok + bad) // 2
-            try:
-                local_jacobian_batch(first(k), chart, params)
-                ok = k
-            except _PIECE_FAILURES:
-                bad = k
-        a, b = cuts[bad - 1]
-        piece = IVector([Interval(a, b), n_box[1], n_box[2], n_box[3]])
-        local_jacobian(piece, chart, params)
-        raise
-    return batch.hull_over(0).to_imatrix()
+    axis0 = IArray([a for a, _ in cuts], [b for _, b in cuts])
+    pieces = IVector([axis0, n_box[1], n_box[2], n_box[3]])
+    return local_jacobian_batch(pieces, chart, params).hull_over(0).to_imatrix()
 
 
 def _split_blocks(dfn: IMatrix):
@@ -590,12 +562,8 @@ def certify_unstable(
     )
     if not cones.verified:
         failed = [k for k, pd in cones.conditions.items() if not pd.verified]
-        err = StageFailure(f"cone conditions failed: {failed}")
-        err.cones = cones
-        raise err
-    cert = certify(
-        cones, cfg.alpha_h, cfg.alpha_v, fixed_point_box=b, domain=n_box
-    )
+        raise StageFailure(f"cone conditions failed: {failed}")
+    cert = certify(cones, fixed_point_box=b)
     ru = Interval(cfg.r_u)
     # one unstable coordinate for every mass of the enclosure: above
     # B_0.hi it is past each mass's fixed point and within r_u r of it
@@ -698,20 +666,6 @@ def poincare_image(
     return CrossingResult(crossing.as_box(), crossing.time, direction)
 
 
-def _split_transversal(u_local: Box) -> list:
-    """One halving level of the three transversal axes: 8 subboxes."""
-    halves = [
-        [Interval(a, b) for a, b in _slice_cuts(c.lo, c.hi, 2)]
-        for c in u_local[1:]
-    ]
-    return [
-        IVector([u_local[0], y1, y2, y3])
-        for y1 in halves[0]
-        for y2 in halves[1]
-        for y3 in halves[2]
-    ]
-
-
 # -- the launch chain -------------------------------------------------------------
 
 
@@ -795,30 +749,15 @@ def launch_chain(
 # -- endpoint and fragment runs ---------------------------------------------------
 
 
-def _signed_image(chart, params, u_local, want_negative):
-    """One endpoint flight whose P_X image must certify the wanted sign."""
-    cr = poincare_image(chart, params, u_local)
-    px = cr.image[2]
-    if px.hi < 0.0 if want_negative else px.lo > 0.0:
-        return cr
-    if not px.contains_zero():
-        # certified, but the wrong sign outright: subdividing the launch
-        # set cannot help
-        raise SignViolation(
-            f"P_X certified with the wrong sign: [{px.lo:.3e}, {px.hi:.3e}]"
-        )
-    raise StageFailure(f"P_X sign indefinite: [{px.lo:.3e}, {px.hi:.3e}]")
-
-
 def run_endpoint(
     side: str, mu_decimal: str, cfg: ProofConfig
 ) -> EndpointResult:
     """Full certified chain for one mass endpoint, with the strict P_X
     sign check (negative on the left endpoint, positive on the right).
 
-    If the single flight cannot certify a strict sign, the initial set
-    is split one level across its transversal axes (8 subboxes) and the
-    sign must certify on every subbox; the reported image is the hull.
+    The certified launch window flies once.  A flight that fails, or
+    whose P_X image has the wrong or an indefinite sign, leaves the
+    endpoint unverified with the reason in failure.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -839,38 +778,27 @@ def run_endpoint(
     result.U_local = cu.U_local
     result.U_original = cu.U_original
 
-    def fly(pieces):
-        crossings = [
-            _signed_image(launch.chart, params, p, want_negative)
-            for p in pieces
-        ]
-        image, tspan = crossings[0].image, crossings[0].time
-        for cr in crossings[1:]:
-            image = image.hull(cr.image)
-            tspan = tspan.hull(cr.time)
-        return (image, tspan, len(pieces)), {
-            "px": image[2].to_json(),
-            "subboxes": len(pieces),
-            "direction": crossings[0].direction,
+    def mk_flight():
+        cr = poincare_image(launch.chart, params, cu.U_local)
+        px = cr.image[2]
+        if not (px.hi < 0.0 if want_negative else px.lo > 0.0):
+            what = (
+                "sign indefinite" if px.contains_zero()
+                else "certified with the wrong sign"
+            )
+            raise StageFailure(f"P_X {what}: [{px.lo:.3e}, {px.hi:.3e}]")
+        return cr, {
+            "px": px.to_json(), "subboxes": 1, "direction": cr.direction,
         }
 
-    def mk_flight():
-        try:
-            return fly([cu.U_local])
-        except SignViolation:
-            raise
-        except _RECOVERABLE:
-            return fly(_split_transversal(cu.U_local))
-
     try:
-        image, tspan, used = _timed(stages, "poincare", mk_flight)
+        cr = _timed(stages, "poincare", mk_flight)
     except _RECOVERABLE as exc:
         result.failure = str(exc)
         return result
-    result.poincare_image = image
-    result.crossing_time = tspan
-    result.subboxes = used
-    result.px_sign = -1 if image[2].hi < 0.0 else 1
+    result.poincare_image = cr.image
+    result.crossing_time = cr.time
+    result.px_sign = -1 if cr.image[2].hi < 0.0 else 1
     result.verified = True
     return result
 

@@ -157,9 +157,13 @@ def _distance_squares(x: Interval, y: Interval, mu: Interval):
     ysq = sq(y)
     s1 = sq(d1) + ysq
     s2 = sq(d2) + ysq
-    if _lowest(s1) <= 0.0 or _lowest(s2) <= 0.0:
+    low1, low2 = _lowest(s1), _lowest(s2)
+    if low1 <= 0.0 or low2 <= 0.0:
+        # the least ends only: a batch's full enclosures would make the
+        # message as long as the batch
         raise CollisionSingularity(
-            f"distance enclosure touches a primary: r1^2={s1}, r2^2={s2}"
+            "distance enclosure touches a primary: "
+            f"least r1^2={low1:.3e}, least r2^2={low2:.3e}"
         )
     return d1, d2, s1, s2
 

@@ -18,16 +18,10 @@ def toy_flow_cert(alpha_h=0.5, alpha_v=0.5, c_h=1.0, c_v=1.5, eps=0.0):
 
 
 class TestCertify:
-    def test_form_mismatch(self):
-        with pytest.raises(ValueError):
-            certify(toy_flow_cert(), 0.25, 0.5)
-        with pytest.raises(ValueError):
-            certify(toy_flow_cert(), 0.5, 0.25)
-
     def test_flow_unstable(self):
         # [TRIVIAL] linear field, manifold is the x-axis; the certificate
         # carries the theorem constants.
-        cert = certify(toy_flow_cert(), 0.5, 0.5)
+        cert = certify(toy_flow_cert())
         assert cert.rates == (1.0, 1.5)
         assert cert.u_dim == 1 and cert.s_dim == 1
         assert abs(cert.r - math.sqrt(0.5)) < 1e-15
@@ -38,34 +32,34 @@ class TestCertify:
 
     def test_flow_rate_violations(self):
         with pytest.raises(RateOrderViolation):
-            certify(toy_flow_cert(c_h=1.0, c_v=-0.5), 0.5, 0.5)
+            certify(toy_flow_cert(c_h=1.0, c_v=-0.5))
         with pytest.raises(RateOrderViolation):
-            certify(toy_flow_cert(c_h=-1.0, c_v=-0.5), 0.5, 0.5)
+            certify(toy_flow_cert(c_h=-1.0, c_v=-0.5))
 
     def test_flow_unverified(self):
         fc = toy_flow_cert(c_h=1.0, c_v=2.5)  # A = 2 leaves no margin
         assert not fc.verified
         with pytest.raises(UnverifiedCones):
-            certify(fc, 0.5, 0.5)
+            certify(fc)
 
     def test_target_alpha_window(self):
         # [PAPER] r^u = sqrt(1 - 1e-4) for the proof parameters.
         fc = toy_flow_cert(alpha_h=1e-8, alpha_v=1e-4)
-        cert = certify(fc, 1e-8, 1e-4)
+        cert = certify(fc)
         assert abs(cert.r - math.sqrt(1.0 - 1e-4)) < 1e-15
         assert abs(cert.lipschitz - 1e-4) < 1e-19
 
     def test_fixed_point_box_shifts_window(self):
         b = IVector([Interval(0.1, 0.1), Interval(-0.2, -0.2)])
-        cert = certify(toy_flow_cert(), 0.5, 0.5, fixed_point_box=b)
+        cert = certify(toy_flow_cert(), fixed_point_box=b)
         r = math.sqrt(0.5)
         assert abs(cert.graph_window[0].lo - (-r + 0.1)) < 1e-15
         assert abs(cert.graph_window[1].hi - 0.8) < 1e-15
         with pytest.raises(ValueError):
-            certify(toy_flow_cert(), 0.5, 0.5, fixed_point_box=b[:1])
+            certify(toy_flow_cert(), fixed_point_box=b[:1])
 
     def test_json_export(self):
-        cert = certify(toy_flow_cert(), 0.5, 0.5)
+        cert = certify(toy_flow_cert())
         blob = json.dumps(cert.to_json())
         data = json.loads(blob)
         assert data["kind"] == "FlowUnstable"
@@ -75,4 +69,4 @@ class TestCertify:
 
     def test_type_errors(self):
         with pytest.raises(TypeError):
-            certify((toy_flow_cert(), toy_flow_cert()), 0.5, 0.5)
+            certify((toy_flow_cert(), toy_flow_cert()))

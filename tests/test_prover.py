@@ -32,7 +32,6 @@ from conecert.prover import (
     ProofConfig,
     StageFailure,
     _slice_cuts,
-    _split_transversal,
     build_N,
     certify_unstable,
     chart_seeded_enclosure,
@@ -306,26 +305,24 @@ class TestBatchedDerivative:
                 assert got[i, j].lo == want[i, j].lo
                 assert got[i, j].hi == want[i, j].hi
 
-    def _assert_loop_failure(self, chart, params, n_box):
+    def test_large_r_u_fails_as_loop(self, cfg, left_setup):
+        # [TRIVIAL] r_u = 1 at alpha_h = 0.04 reaches a primary
+        params, chart, b = left_setup
+        wide = replace(cfg, r_u=1.0, alpha_h=0.04)
+        n_box = build_N(b, wide)
         want = _loop_failure(chart, params, n_box, 8)
         assert want is not None
         with pytest.raises(want) as info:
             enclose_DF_over_N(chart, params, n_box, 8)
         assert type(info.value) is want
-
-    def test_large_r_u_fails_as_loop(self, cfg, left_setup):
-        # [TRIVIAL] r_u = 1 at alpha_h = 0.04 reaches a primary
-        params, chart, b = left_setup
-        n_box = build_N(b, replace(cfg, r_u=1.0, alpha_h=0.04))
-        self._assert_loop_failure(chart, params, n_box)
-
-    def test_first_failing_piece_decides(self, left_setup):
-        # [TRIVIAL] piece 0 fails the preconditioner and piece 5 meets a
-        # primary; the batch evaluates the field before it solves, the
-        # loop stops at piece 0
-        params, chart, _ = left_setup
-        n_box = IVector([Interval(0.2, 1.0)] + [Interval(-0.2, 0.2)] * 3)
-        self._assert_loop_failure(chart, params, n_box)
+        # the endpoint reports the batch failure as one short line, not
+        # as the reprs of its 256 pieces
+        ep = run_endpoint("left", cfg.mu_left, wide)
+        assert not ep.verified
+        stage = ep.stages[-1]
+        assert stage.name == "derivative" and not stage.verified
+        assert stage.detail["error"] == ep.failure
+        assert "\n" not in ep.failure and len(ep.failure) < 300
 
 
 class TestConeStage:
@@ -435,11 +432,6 @@ class TestEndpoints:
         for ep in endpoints:
             y = ep.poincare_image[1]
             assert y.contains_zero() and y.width <= 1e-12
-
-    def test_no_fallback_needed(self, endpoints):
-        # the shipping config certifies in a single flight
-        for ep in endpoints:
-            assert ep.subboxes == 1
 
     def test_stage_names_in_order(self, endpoints):
         left, _ = endpoints
@@ -646,20 +638,25 @@ class TestConfig:
         assert _slice_cuts(-1.7e308, 1.7e308, 2)[0] == (-1.7e308, 0.0)
 
 
-def test_transversal_split_covers_launch_window():
-    # the endpoint fallback halves axes 1..3 with the shared split
-    u = IVector([Interval(1.0, 2.0), Interval(-1e-9, 3e-9),
-                 Interval(5.0, 5.5), Interval(-2.0, -1.0)])
-    subs = _split_transversal(u)
-    assert len(subs) == 8 and len(set(map(repr, subs))) == 8
-    assert all(s[0] == u[0] for s in subs)
-    for axis in (1, 2, 3):
-        halves = sorted({(s[axis].lo, s[axis].hi) for s in subs})
-        assert halves == _slice_cuts(u[axis].lo, u[axis].hi, 2)
-    hull = subs[0]
-    for s in subs[1:]:
-        hull = hull.hull(s)
-    assert hull == u
+def test_failed_endpoint_flight_flies_once(cfg, monkeypatch):
+    # an indefinite P_X sign fails the endpoint after its one flight:
+    # the launch window is not split and flown again
+    from conecert import prover
+
+    calls = []
+
+    def flight(chart, params, u_local, band=False):
+        calls.append(u_local)
+        image = IVector([Interval(0.8), Interval(0.0),
+                         Interval(-1e-8, 1e-8), Interval(0.9)])
+        return CrossingResult(image, Interval(8.2), 1)
+
+    monkeypatch.setattr(prover, "poincare_image", flight)
+    ep = run_endpoint("left", cfg.mu_left, cfg)
+    assert len(calls) == 1
+    assert not ep.verified
+    assert "sign indefinite" in ep.failure
+    assert ep.subboxes == 1
 
 
 @pytest.fixture(scope="module")
