@@ -152,6 +152,9 @@ class Interval:
 
     @classmethod
     def from_json(cls, pair: Sequence[float]) -> "Interval":
+        """Inverse of to_json, bit for bit.  No proof code reads JSON
+        back; this is the reader the round-trip tests check to_json
+        against."""
         lo, hi = pair
         return cls(float(lo), float(hi))
 
@@ -842,14 +845,6 @@ class IMatrix:
 
     def max_width(self) -> float:
         return max(a.width for row in self.rows for a in row)
-
-    def hull(self, other: "IMatrix") -> "IMatrix":
-        return IMatrix(
-            [
-                [a.hull(b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IMatrix) and self.rows == other.rows

@@ -1,29 +1,28 @@
 """End-to-end certified proof of a homoclinic orbit to L1.
 
 The pipeline certifies, for each mass parameter mu in a closed interval:
-the fixed point in straightened local coordinates (interval Newton), the
-derivative of the local field over the manifold enclosure N (subdivided
-hull), the flow cone conditions, and the transported manifold window U.
-The two interval endpoints then get certified Poincare images on {Y = 0}
-with opposite P_X signs, each from one flight of the single launch window
-its cone conditions certify, while mu subinterval fragments certify that
-the Poincare map stays well defined across the whole parameter band; the
+the derivative of the local field over the manifold enclosure N around
+the fixed point at the chart origin (subdivided hull), the flow cone
+conditions, and the transported manifold window U.  The two interval
+endpoints then get certified Poincare images on {Y = 0} with opposite
+P_X signs, each from one flight of the single launch window its cone
+conditions certify, while mu subinterval fragments certify that the
+Poincare map stays well defined across the whole parameter band; the
 intermediate value theorem closes the argument.
 
 Fragments.  The launch chain over a fragment's interval mass encloses a
 chart Phi_mu = L1(mu) + C(mu) psi for every mass mu in it: the chart's
-interval L1 and C contain the values at mu, so the fixed-point box B,
-the derivative over N and the cone certificate hold for the local field
-of each Phi_mu.  The cone theorem makes the strong unstable manifold of
-each mass a graph over the unstable coordinate, with Lipschitz constant
-sqrt(alpha_h), on a window reaching r_u r past that mass's fixed point
-b(mu) in B.  The launch coordinate x0 is a single float in
-(B_0.hi, B_0.lo + r_u r], hence in (b_0(mu), b_0(mu) + r_u r] for every
-mu: x0 is in every mass's graph window, so the launch point of mass mu
-is on W^u(mu), depends continuously on mu, and has transversal
-coordinates within sqrt(alpha_h) r_u of B's.  One band flight carries
-the mass as a fifth coordinate and certifies the first crossing of
-{Y = 0} for all these launch points at once.
+interval L1 and C contain the values at mu, so the derivative over N
+and the cone certificate hold for the local field of each Phi_mu, and
+psi(0) = 0 puts every mass's fixed point at the origin.  The cone
+theorem makes the strong unstable manifold of each mass a graph over
+the unstable coordinate, with Lipschitz constant sqrt(alpha_h), on a
+window reaching r_u r past the origin.  The launch coordinate x0 is a
+single float in (0, r_u r], so it is in every mass's graph window: the
+launch point of mass mu is on W^u(mu), depends continuously on mu, and
+has transversal coordinates within sqrt(alpha_h) r_u of 0.  One band
+flight carries the mass as a fifth coordinate and certifies the first
+crossing of {Y = 0} for all these launch points at once.
 
 All set operations round outward; every verdict holds for every point
 selection inside the interval inputs.
@@ -55,7 +54,6 @@ from .interval import (
     eye,
     sqrt,
 )
-from .linalg import interval_newton
 from .manifold import ManifoldCertificate, UnverifiedCones, certify
 from .rtbp import (
     ChartError,
@@ -66,8 +64,6 @@ from .rtbp import (
     jordan_basis,
     libration_L1,
     libration_L1_slope,
-    local_field,
-    local_jacobian,
     local_jacobian_batch,
     psi,
     total_change,
@@ -142,9 +138,9 @@ class ProofConfig:
 
     The mass endpoints are decimal strings so the enclosed rationals are
     reproducible across platforms; everything else is plain floats and
-    counts.  The settings of the method itself, the integrator's and
-    interval Newton's, are not fields: every flight uses flow's defaults
-    and every fixed point the start cube of enclose_fixed_point.
+    counts.  The integrator's settings are not fields: every flight uses
+    flow's defaults.  Nor is there a fixed-point setting, since every
+    mass's fixed point is the chart origin (see enclose_fixed_point).
 
     Fragments run their cone stage at fragment_alpha_h instead of
     alpha_h.  An interval-valued mass parameter decorrelates the chart
@@ -274,16 +270,16 @@ class CrossingResult:
 class EndpointResult:
     """Outcome of run_endpoint.
 
-    subboxes is always 1, since an endpoint flies its launch window once.
-    It stays, with its report key, so that reports keep their layout and
-    the benchmark harness that reads it keeps working.
+    There is no fixed-point box: the fixed point is the chart origin for
+    every mass.  subboxes is always 1, since an endpoint flies its launch
+    window once.  It stays, with its report key, so that reports keep
+    their layout and the benchmark harness that reads it keeps working.
     """
 
     side: str
     mu: str
     verified: bool
     stages: list
-    B: Box | None = None
     dfn: IMatrix | None = None
     cones: FlowConeCertificate | None = None
     manifold: ManifoldCertificate | None = None
@@ -301,7 +297,6 @@ class EndpointResult:
             "mu": self.mu,
             "verified": self.verified,
             "stages": [s.to_json() for s in self.stages],
-            "B": None if self.B is None else self.B.to_json(),
             "DFN": None if self.dfn is None else self.dfn.to_json(),
             "cone_margins": (
                 None if self.cones is None else self.cones.margins
@@ -381,8 +376,8 @@ class ProofReport:
         "cone conditions run on the unscaled local derivative blocks; "
         "the alpha weights enter through the norm inflation terms",
         "the launch window's unstable coordinate is one point x0, the "
-        "lower end of B_0.lo + r_u r, required above B_0.hi so that it "
-        "lies in the graph window of every mass in the enclosure",
+        "lower end of r_u r; the chart origin is the fixed point of every "
+        "mass in the enclosure, so x0 lies in each mass's graph window",
         "timings appear only in the text rendering; the JSON payload is "
         "deterministic for a fixed config",
     )
@@ -466,34 +461,21 @@ class ProofReport:
 # -- proof stages ---------------------------------------------------------------
 
 
-# half-width of interval Newton's start cube around the local origin
-_NEWTON_RADIUS = 1e-8
-
-
 def enclose_fixed_point(
     chart: LocalChart, params: RtbpParams, cfg: ProofConfig | None = None
 ) -> Box:
-    """Interval Newton enclosure of the fixed point in local coordinates.
+    """The fixed point in local coordinates: the origin, exactly.
 
-    The start box is the _NEWTON_RADIUS cube around the local origin; the
-    claim is a unique zero of the local field inside the returned box,
-    valid for every mass parameter in the chart's enclosure.  cfg is not
-    read: the start box is the same for every proof configuration.
+    The chart of mass mu is Phi_mu = L1(mu) + C(mu) psi, and psi(0) = 0
+    exactly (psi has no constant term), so Phi_mu(0) = L1(mu), where
+    F_mu(L1(mu)) = 0.  The local
+    field D(Phi_mu)^-1 F_mu(Phi_mu) therefore vanishes at the origin for
+    every mass mu in the chart's enclosure, whose L1 and C jordan_basis
+    certifies to contain L1(mu) and C(mu).  No arguments are read; the
+    signature stays because proofbench/workloads.py calls it with all
+    three.
     """
-    start = IVector([Interval(-_NEWTON_RADIUS, _NEWTON_RADIUS)] * 4)
-
-    def f(b: Box) -> IVector:
-        return local_field(b, chart, params)
-
-    def df(b: Box) -> IMatrix:
-        return local_jacobian(b, chart, params)
-
-    result = interval_newton(f, df, start, x0=[0.0, 0.0, 0.0, 0.0])
-    if result.verdict != "UniqueRoot":
-        raise StageFailure(
-            f"fixed point enclosure inconclusive: {result.verdict}"
-        )
-    return result.root_box
+    return IVector([Interval(0.0)] * 4)
 
 
 def build_N(b: Box, cfg: ProofConfig) -> Box:
@@ -551,9 +533,10 @@ def certify_unstable(
     promoted to a manifold certificate, plus the window U the strong
     unstable manifold passes through (local and original coordinates).
 
-    U has one unstable coordinate x0 for every mass of the enclosure
-    (see the module docstring); a StageFailure when x0 would not clear
-    the fixed-point box.
+    b is the fixed-point box, the origin in the proof.  U has one
+    unstable coordinate x0 for every mass of the enclosure (see the
+    module docstring); a StageFailure when x0 would not clear b, which
+    a wide b or a tiny r_u can cause.
     """
     a, bm, e1, e2 = _split_blocks(dfn)
     cones = flow_cone_check(
@@ -566,7 +549,7 @@ def certify_unstable(
     cert = certify(cones, fixed_point_box=b)
     ru = Interval(cfg.r_u)
     # one unstable coordinate for every mass of the enclosure: above
-    # B_0.hi it is past each mass's fixed point and within r_u r of it
+    # b_0.hi it is past each mass's fixed point and within r_u r of it
     x0 = (b[0].lo + ru * cert.r).lo
     if not x0 > b[0].hi:
         raise StageFailure(
@@ -692,7 +675,6 @@ class Launch:
     """
 
     chart: LocalChart | None = None
-    B: Box | None = None
     dfn: IMatrix | None = None
     unstable: CertifiedUnstable | None = None
     failure: str | None = None
@@ -701,8 +683,9 @@ class Launch:
 def launch_chain(
     params: RtbpParams, cfg: ProofConfig, subdivision: int, stages: list
 ) -> Launch:
-    """Chart, fixed point, N, [DF(N)] split into `subdivision` pieces, and
-    the cone certificate with its launch window, for one mass enclosure.
+    """Chart, N around the fixed point at the chart origin, [DF(N)] split
+    into `subdivision` pieces, and the cone certificate with its launch
+    window, for one mass enclosure.
 
     Every stage appends its StageResult to `stages`.  A recoverable
     failure ends the chain and is reported in Launch.failure; the flight
@@ -718,15 +701,10 @@ def launch_chain(
             }
 
         out.chart = _timed(stages, "chart", mk_chart)
-
-        def mk_fixed():
-            b = enclose_fixed_point(out.chart, params)
-            return b, {"half_widths": [0.5 * w for w in b.widths()]}
-
-        out.B = _timed(stages, "fixed_point", mk_fixed)
+        b = enclose_fixed_point(out.chart, params, cfg)
 
         def mk_dfn():
-            n_box = build_N(out.B, cfg)
+            n_box = build_N(b, cfg)
             dfn = enclose_DF_over_N(out.chart, params, n_box, subdivision)
             return (n_box, dfn), {
                 "subdivision": subdivision,
@@ -737,7 +715,7 @@ def launch_chain(
         n_box, out.dfn = _timed(stages, "derivative", mk_dfn)
 
         def mk_cones():
-            cu = certify_unstable(out.chart, out.B, n_box, out.dfn, cfg)
+            cu = certify_unstable(out.chart, b, n_box, out.dfn, cfg)
             return cu, {"margins": cu.cones.margins}
 
         out.unstable = _timed(stages, "cones", mk_cones)
@@ -767,7 +745,6 @@ def run_endpoint(
                             stages=stages)
     params = RtbpParams(decimal_to_interval(mu_decimal))
     launch = launch_chain(params, cfg, cfg.endpoint_subdivision, stages)
-    result.B = launch.B
     result.dfn = launch.dfn
     if launch.failure is not None:
         result.failure = launch.failure

@@ -627,7 +627,11 @@ def d2_total_change(q: IVector, chart: LocalChart) -> list:
 
 
 def local_field(q: IVector, chart: LocalChart, p: RtbpParams) -> IVector:
-    """F_hat(q) through the verified solve D(Phi) F_hat = F(Phi(q))."""
+    """F_hat(q) through the verified solve D(Phi) F_hat = F(Phi(q)).
+
+    The proof never evaluates it; it is the finite-difference reference
+    of local_jacobian in the tests.
+    """
     x = total_change(q, chart)
     return solve_interval_linear(d_total_change(q, chart), vector_field(x, p))
 
@@ -637,6 +641,8 @@ def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
 
     The tensor is applied to F_hat first; the outer inverse is a verified
     columnwise solve.  Both solves share one preconditioning of D(Phi).
+    The proof runs only local_jacobian_batch; this single-box form is its
+    bit-for-bit reference in the tests.
     """
     x = total_change(q, chart)
     dphi = d_total_change(q, chart)

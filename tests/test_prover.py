@@ -2,7 +2,7 @@
 
 Oracle notes:
   * [TRIVIAL]  formula identities (Minkowski sums, hull monotonicity,
-               Newton postconditions, config validation).
+               the fixed point at the chart origin, config validation).
   * [DERIVED]  a cold-start floating-point Newton iterate (midpoint
                arithmetic through the same local field).
   * [PAPER]    the printed derivative table over N, the printed launch
@@ -25,7 +25,13 @@ from dataclasses import fields, replace
 import pytest
 
 from conecert.flow import LostCrossing
-from conecert.interval import DomainError, Interval, IVector, decimal_to_interval
+from conecert.interval import (
+    DomainError,
+    IMatrix,
+    Interval,
+    IVector,
+    decimal_to_interval,
+)
 from conecert.prover import (
     CertifiedUnstable,
     CrossingResult,
@@ -49,6 +55,9 @@ from conecert.rtbp import (
     libration_L1,
     local_field,
     local_jacobian,
+    psi,
+    total_change,
+    vector_field,
     vector_field_floats,
 )
 
@@ -122,26 +131,68 @@ def endpoints(cfg):
     return left, right
 
 
+# the enclosure of an exactly zero product: 2000 subnormal ulps
+_SUBNORMALS = 1e-320
+
+
+@pytest.fixture(scope="module")
+def fragment_chart(cfg):
+    # the chart over the first default fragment's interval mass
+    params = RtbpParams(Interval(*cfg.fragment_intervals()[0]))
+    return params, jordan_basis(params)
+
+
 class TestFixedPoint:
     def test_half_widths_at_most_1e14(self, left_setup):
-        # [PAPER] printed box is 1e-15 scale; 10x slack absorbed already
+        # [PAPER] printed box is 1e-15 scale; the origin is a point
         _, _, b = left_setup
         for c in b:
             assert 0.5 * c.width <= 1e-14
 
     def test_field_on_box_contains_zero(self, left_setup):
-        # [TRIVIAL] Newton postcondition
+        # [TRIVIAL] the local field vanishes at the origin
         params, chart, b = left_setup
         fb = local_field(b, chart, params)
         for c in fb:
             assert c.contains_zero()
 
-    def test_contains_float_newton_iterate(self, left_setup):
-        # [DERIVED] cold-start midpoint Newton through the same field
-        params, chart, b = left_setup
-        import numpy as np
+    @pytest.mark.parametrize("which", ["left", "fragment"])
+    def test_origin_maps_to_chart_L1(self, left_setup, fragment_chart,
+                                     which):
+        # [TRIVIAL] psi has no constant term, so psi(0) = 0 and Phi(0) is
+        # the chart's L1; the box of enclose_fixed_point is that origin.
+        # Interval products round outward even when exact, so 0 encloses
+        # as a few subnormals and Phi(0) as L1 widened by one ulp.
+        params, chart = (
+            left_setup[:2] if which == "left" else fragment_chart
+        )
+        zero = IVector.zeros(4)
+        assert enclose_fixed_point(chart, params) == zero
+        for c in psi(zero):
+            assert -_SUBNORMALS <= c.lo <= 0.0 <= c.hi <= _SUBNORMALS
+        phi0 = total_change(zero, chart)
+        for got, want in zip(phi0, chart.L1):
+            assert want.is_subset_of(got)
+            assert got.lo >= math.nextafter(want.lo - _SUBNORMALS, -math.inf)
+            assert got.hi <= math.nextafter(want.hi + _SUBNORMALS, math.inf)
 
-        from conecert.rtbp import local_jacobian
+    def test_each_mass_L1_lies_in_fragment_chart(self, fragment_chart):
+        # [TRIVIAL] at the ends and the middle of the fragment, the
+        # point-mass libration point lies in the band chart's L1 and is
+        # an equilibrium of that mass's field
+        params, chart = fragment_chart
+        mu = params.mu
+        for m in (mu.lo, 0.5 * (mu.lo + mu.hi), mu.hi):
+            point = RtbpParams(Interval(m))
+            l1 = libration_L1(point)
+            assert l1.is_subset_of(chart.L1), m
+            assert all(c.contains_zero() for c in vector_field(l1, point)), m
+
+    def test_float_newton_iterate_is_near_origin(self, left_setup):
+        # [DERIVED] cold-start midpoint Newton through the same field
+        # lands within the printed 1e-14 scale of the origin
+        params, chart, _ = left_setup
+        import numpy as np
 
         x = np.array([1e-9, -1e-9, 1e-9, -1e-9])
         for _ in range(30):
@@ -152,8 +203,7 @@ class TestFixedPoint:
                  for row in local_jacobian(bx, chart, params).rows]
             )
             x = x - np.linalg.solve(j, f)
-        for i in range(4):
-            assert float(x[i]) in b[i]
+        assert all(abs(float(v)) <= 1e-14 for v in x)
 
 
 class TestBuildN:
@@ -177,8 +227,8 @@ class TestBuildN:
             assert n[i].lo <= b[i].lo and b[i].hi <= n[i].hi
 
     def test_unstable_axis_width(self, cfg, left_setup):
-        # [PAPER] the unstable extent is r_u = 1e-7, plus the width of
-        # the fixed-point box it is anchored to
+        # [PAPER] the unstable extent is r_u = 1e-7 from the fixed point
+        # at the origin
         _, _, b = left_setup
         n = build_N(b, cfg)
         assert cfg.r_u <= n[0].width <= cfg.r_u + 1e-13
@@ -187,8 +237,6 @@ class TestBuildN:
 class TestDerivativeOverN:
     def test_subdivision_one_equals_direct(self, cfg, left_setup):
         # [TRIVIAL] a single piece is the direct evaluation
-        from conecert.rtbp import local_jacobian
-
         params, chart, b = left_setup
         n_box = build_N(b, cfg)
         one = enclose_DF_over_N(chart, params, n_box, 1)
@@ -256,7 +304,10 @@ def _loop_hull(chart, params, n_box, k):
     for a, b in _slice_cuts(n_box[0].lo, n_box[0].hi, k):
         piece = IVector([Interval(a, b), n_box[1], n_box[2], n_box[3]])
         m = local_jacobian(piece, chart, params)
-        out = m if out is None else out.hull(m)
+        out = m if out is None else IMatrix([
+            [x.hull(y) for x, y in zip(rx, ry)]
+            for rx, ry in zip(out.rows, m.rows)
+        ])
     return out
 
 
@@ -355,9 +406,10 @@ class TestConeStage:
         assert x0.is_point()
         assert b[0].hi < x0.lo
         assert x0.lo in b[0].lo + Interval(cfg.r_u) * cu.manifold.r
-        # a window too short to clear the fixed-point box is refused
+        # a window too short to clear a fat fixed-point box is refused
+        fat = IVector([Interval(-1e-6, 1e-6)] * 4)
         with pytest.raises(StageFailure, match="launch coordinate"):
-            certify_unstable(chart, b, n_box, dfn, replace(cfg, r_u=1e-20))
+            certify_unstable(chart, fat, n_box, dfn, replace(cfg, r_u=1e-20))
 
     def test_u_original_matches_printed(self, cfg, left_setup, dfn256):
         # [PAPER] launch window vs the printed L1 + 1e-8 box:
@@ -437,7 +489,7 @@ class TestEndpoints:
         left, _ = endpoints
         names = [s.name for s in left.stages]
         assert names == [
-            "chart", "fixed_point", "derivative", "cones", "poincare"
+            "chart", "derivative", "cones", "poincare"
         ]
         assert all(s.verified for s in left.stages)
 

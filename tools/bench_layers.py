@@ -24,14 +24,10 @@ A row holds:
     tube series from the one column V_0 = x0 - m, the step's box less its
     midpoint (order p + 1), one flow._expand_step, and one
     flow._assemble (the Lohner update) of that step;
-  * derivative, median milliseconds of the derivative-over-N stage:
-    prover.enclose_DF_over_N over the left endpoint's N in 256 pieces
-    and over the first default mass slice's N in 32 pieces (DFN_REPEATS
-    calls each), one scalar rtbp.local_jacobian on the whole left N, one
-    linalg.verified_inverse of D(Phi) over it, and, on trees that have
-    the array path, the same two computations as batches of one
-    (rtbp.local_jacobian_batch, linalg.BatchSolver), which is why single
-    boxes keep the scalar path;
+  * derivative, median milliseconds of the derivative-over-N stage, the
+    proof's one derivative path: prover.enclose_DF_over_N over the left
+    endpoint's N in 256 pieces and over the first default mass slice's N
+    in 32 pieces (DFN_REPEATS calls each);
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
@@ -103,13 +99,9 @@ def _machine() -> dict:
 def _timed_rows(fns: dict, repeats: int = REPEATS) -> tuple[dict, dict]:
     """Median milliseconds of each callable over `repeats` calls, as
     ({name: as measured}, {name: nominal}).  Each call is followed by a
-    reference loop, whose time rescales that call to the nominal speed.
-    A None callable gives None in both."""
+    reference loop, whose time rescales that call to the nominal speed."""
     ms, nominal = {}, {}
     for name, fn in fns.items():
-        if fn is None:
-            ms[name] = nominal[name] = None
-            continue
         fn()
         times, scaled = [], []
         for _ in range(repeats):
@@ -249,12 +241,11 @@ def _one_fragment(flow, prover, cfg) -> dict:
 
 
 def _derivative_layers(cfg) -> tuple[dict, dict]:
-    """Milliseconds of the derivative-over-N stage and its single-box
-    layers, scalar and (where the tree has it) batched, as measured and
+    """Milliseconds of the derivative-over-N stage, as measured and
     nominal."""
     from dataclasses import replace
 
-    from conecert import interval, linalg, prover, rtbp
+    from conecert import interval, prover, rtbp
 
     def setup(mu, c):
         params = rtbp.RtbpParams(mu)
@@ -268,33 +259,12 @@ def _derivative_layers(cfg) -> tuple[dict, dict]:
         *cfg.fragment_intervals()[0], cfg.fragment_mu_slices
     )[0]
     s_params, s_chart, s_n_box = setup(interval.Interval(lo, hi), frag)
-    dphi = rtbp.d_total_change(n_box, chart)
-    stage = _timed_rows({
+    return _timed_rows({
         "enclose_DF_over_N_256":
             lambda: prover.enclose_DF_over_N(chart, params, n_box, 256),
         "enclose_DF_over_N_32_slice":
             lambda: prover.enclose_DF_over_N(s_chart, s_params, s_n_box, 32),
     }, DFN_REPEATS)
-    batch_of_one = inverse_of_one = None
-    if hasattr(rtbp, "local_jacobian_batch"):
-        one = interval.IArray([n_box[0].lo], [n_box[0].hi])
-        q = interval.IVector([one, n_box[1], n_box[2], n_box[3]])
-        a = interval.IArray.stack(dphi)[None]
-        ident = interval.IArray.stack(interval.IMatrix.identity(4))[None]
-
-        def batch_of_one():
-            rtbp.local_jacobian_batch(q, chart, params)
-
-        def inverse_of_one():
-            linalg.BatchSolver(a).solve(ident)
-
-    single = _timed_rows({
-        "local_jacobian": lambda: rtbp.local_jacobian(n_box, chart, params),
-        "verified_inverse": lambda: linalg.verified_inverse(dphi),
-        "local_jacobian_batch_of_one": batch_of_one,
-        "batch_solver_inverse_of_one": inverse_of_one,
-    })
-    return {**stage[0], **single[0]}, {**stage[1], **single[1]}
 
 
 def _full_proof(prover) -> dict:
