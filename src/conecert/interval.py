@@ -739,22 +739,11 @@ class IVector:
     def mid(self) -> list[float]:
         return [a.mid for a in self.c]
 
-    def widths(self) -> list[float]:
-        return [a.width for a in self.c]
-
     def max_width(self) -> float:
         return max(a.width for a in self.c)
 
-    def contains(self, other) -> bool:
-        if isinstance(other, IVector):
-            return all(b in a for a, b in zip(self.c, other.c))
-        return all(float(x) in a for a, x in zip(self.c, other))
-
     def is_subset_of(self, other: "IVector") -> bool:
         return all(a.is_subset_of(b) for a, b in zip(self.c, other.c))
-
-    def strictly_inside(self, other: "IVector") -> bool:
-        return all(a.strictly_inside(b) for a, b in zip(self.c, other.c))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IVector) and self.c == other.c

@@ -1,5 +1,5 @@
-"""Verified linear algebra: interval linear solves, positive definiteness
-by interval Cholesky, and the interval Newton operator.
+"""Verified linear algebra: interval linear solves and positive
+definiteness by interval Cholesky.
 
 Every routine returns enclosures or verdicts that remain valid for all point
 selections inside the interval inputs.  Floating-point preconditioners come
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interval import (
-    Box,
     IArray,
     IMatrix,
     Interval,
@@ -28,13 +27,11 @@ from .interval import (
 __all__ = [
     "SingularEnclosure",
     "PDVerdict",
-    "NewtonResult",
     "solve_interval_linear",
     "solve_interval_linear_cols",
     "verified_inverse",
     "BatchSolver",
     "is_positive_definite",
-    "interval_newton",
 ]
 
 
@@ -53,20 +50,6 @@ class PDVerdict:
 
     verified: bool
     margin: float
-
-
-@dataclass(frozen=True)
-class NewtonResult:
-    """Interval Newton outcome.
-
-    UniqueRoot: exactly one zero in the returned root_box (subset of X).
-    NoRoot: no zero anywhere in X, root_box is None.
-    Inconclusive: no conclusion; root_box is the best remaining candidate.
-    """
-
-    verdict: str
-    root_box: Box | None
-    iterations: int = 0
 
 
 def _precondition(a: IMatrix) -> tuple[np.ndarray, IMatrix, float]:
@@ -98,8 +81,7 @@ def solve_interval_linear(a: IMatrix, b: IVector) -> IVector:
     returned box contains the solution for every selection, which also proves
     each such selection of A is invertible on the relevant right-hand sides.
     """
-    x = solve_interval_linear_cols(a, IMatrix([[v] for v in b]))
-    return IVector(x.col(0))
+    return _Solver(a).vector(b)
 
 
 def solve_interval_linear_cols(a: IMatrix, b: IMatrix) -> IMatrix:
@@ -286,64 +268,3 @@ def is_positive_definite(m: IMatrix) -> PDVerdict:
                 s = s - low[i][k] * low[j][k]
             low[i][j] = s / ljj
     return PDVerdict(True, float(margin))
-
-
-_NEWTON_MAX_ITER = 50
-
-
-def interval_newton(f, df, x: Box, x0=None) -> NewtonResult:
-    """Interval Newton operator N(x0, X) = x0 - [Df(X)]^{-1} f(x0).
-
-    N inside the interior of X proves a unique zero in N; N disjoint from X
-    proves there is none.  On UniqueRoot the box is refined by re-applying
-    the operator until the width improves by less than 1 percent per sweep
-    or _NEWTON_MAX_ITER sweeps elapse.
-
-    Parameters: f maps a Box to an IVector of enclosures, df maps a Box to
-    an IMatrix enclosing every Jacobian over the box, x0 defaults to the
-    midpoint and must lie in X.
-    """
-    current = x
-    if x0 is None:
-        x0 = current.mid()
-    else:
-        x0 = [float(v) for v in x0]
-    if not current.contains(x0):
-        raise ValueError("x0 outside X")
-
-    def newton_image(box: Box, point: list[float]) -> Box | None:
-        fx0 = f(IVector.from_floats(point))
-        jac = df(box)
-        delta = solve_interval_linear(jac, fx0)
-        return IVector.from_floats(point) - delta
-
-    try:
-        image = newton_image(current, x0)
-    except SingularEnclosure:
-        return NewtonResult("Inconclusive", current, 0)
-
-    inter = box_intersect(image, current)
-    if inter is None:
-        return NewtonResult("NoRoot", None, 1)
-    if not image.strictly_inside(current):
-        return NewtonResult("Inconclusive", inter, 1)
-
-    # Unique zero certified; refine.
-    current = inter
-    iterations = 1
-    while iterations < _NEWTON_MAX_ITER:
-        prev_width = current.max_width()
-        if prev_width == 0.0:
-            break
-        try:
-            image = newton_image(current, current.mid())
-        except SingularEnclosure:  # pragma: no cover - cannot resingularize
-            break
-        inter = box_intersect(image, current)
-        if inter is None:  # pragma: no cover - root cannot vanish
-            break
-        current = inter
-        iterations += 1
-        if current.max_width() > 0.99 * prev_width:
-            break
-    return NewtonResult("UniqueRoot", current, iterations)

@@ -54,9 +54,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .interval import (
-    Box,
+    DivisionByZeroInterval,
     IArray,
     IMatrix,
     Interval,
@@ -73,7 +74,6 @@ from .interval import (
 from .linalg import (
     BatchSolver,
     _Solver,
-    interval_newton,
     solve_interval_linear,
     solve_interval_linear_cols,
 )
@@ -302,6 +302,36 @@ def jacobian_floats(x, mu: float) -> list:
 # -- libration point ----------------------------------------------------------
 
 
+def _newton_root(f, df, x: Interval, guess: float, what: str) -> Interval:
+    """Enclosure of the one zero of f in x by the one-dimensional interval
+    Newton operator N(m, X) = m - f(m) / f'(X), where f and df map an
+    Interval to enclosures of f and f' over it.  The first image, from
+    m = guess, must lie strictly inside x: it then holds exactly one zero
+    of f (Moore, Interval Analysis, 1966).  It is refined by
+    N <- N(mid N, N) & N until a sweep keeps more than 99 percent of the
+    width, the intersection is empty, or 50 sweeps have run in all.
+    Raises ChartError, naming the root `what`, when f'(x) contains zero
+    or the first image is not strictly inside x.
+    """
+    g = Interval(guess)
+    try:
+        n = g - f(g) / df(x)
+    except DivisionByZeroInterval as exc:
+        raise ChartError(f"{what}: no Newton image over {x}: {exc}") from exc
+    if not n.strictly_inside(x):
+        raise ChartError(f"{what}: Newton image {n} not strictly inside {x}")
+    for _ in range(49):
+        width = n.width
+        m = Interval(n.mid)
+        refined = (m - f(m) / df(n)).intersect(n)
+        if refined is None:
+            break
+        n = refined
+        if n.width > 0.99 * width:
+            break
+    return n
+
+
 def _l1_equation(x: Interval, mu: Interval) -> Interval:
     # collinear equilibrium between the primaries: mu - 1 < x < mu
     return x + (1.0 - mu) / sq(mu - x) - mu / sq(x - mu + 1.0)
@@ -330,8 +360,9 @@ def libration_L1(p: RtbpParams) -> IVector:
     """Enclosure of the interior collinear point (x, 0, 0, x).
 
     The momentum convention puts P_Y = x at the equilibrium.  The X
-    coordinate is verified by interval Newton; the equation is strictly
-    increasing between the primaries so the root is simple.
+    coordinate is verified by the one-dimensional interval Newton
+    operator (_newton_root); the equation is strictly increasing between
+    the primaries so the root is simple.
     """
     mu_mid = p.mu.mid
     lo, hi = mu_mid - 1.0 + 1e-9, mu_mid - 1e-9
@@ -347,18 +378,13 @@ def libration_L1(p: RtbpParams) -> IVector:
             break
     guess = 0.5 * (lo + hi)
     pad = max(1e-8, 1e4 * p.mu.width)
-    box = IVector([Interval(guess - pad, guess + pad)])
-
-    def f(b: Box) -> IVector:
-        return IVector([_l1_equation(b[0], p.mu)])
-
-    def df(b: Box) -> IMatrix:
-        return IMatrix([[_l1_derivative(b[0], p.mu)]])
-
-    result = interval_newton(f, df, box, x0=[guess])
-    if result.verdict != "UniqueRoot":
-        raise ChartError(f"L1 enclosure failed: {result.verdict}")
-    x = result.root_box[0]
+    x = _newton_root(
+        partial(_l1_equation, mu=p.mu),
+        partial(_l1_derivative, mu=p.mu),
+        Interval(guess - pad, guess + pad),
+        guess,
+        "L1 abscissa",
+    )
     zero = Interval(0.0)
     return IVector([x, zero, zero, x])
 
@@ -396,10 +422,6 @@ class LocalChart:
     C: IMatrix
     lam: Interval
     v: Interval
-    gamma: Interval
-    c2: Interval
-    s1: Interval
-    s2: Interval
 
 
 def _quadratic_factor(w: Interval, c2: Interval) -> Interval:
@@ -412,18 +434,13 @@ def _quadratic_factor_d(w: Interval, c2: Interval) -> Interval:
 
 
 def _certify_quadratic_root(guess: float, c2: Interval) -> Interval:
-    box = IVector([Interval(guess - 1e-5, guess + 1e-5)])
-
-    def f(b: Box) -> IVector:
-        return IVector([_quadratic_factor(b[0], c2)])
-
-    def df(b: Box) -> IMatrix:
-        return IMatrix([[_quadratic_factor_d(b[0], c2)]])
-
-    result = interval_newton(f, df, box, x0=[guess])
-    if result.verdict != "UniqueRoot":
-        raise ChartError(f"eigenvalue factor root failed: {result.verdict}")
-    return result.root_box[0]
+    return _newton_root(
+        partial(_quadratic_factor, c2=c2),
+        partial(_quadratic_factor_d, c2=c2),
+        Interval(guess - 1e-5, guess + 1e-5),
+        guess,
+        "eigenvalue factor root",
+    )
 
 
 _JORDAN_PATTERN = {(0, 0): "lam", (1, 1): "-lam", (2, 3): "v", (3, 2): "-v"}
@@ -451,9 +468,10 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
 
     gamma is the distance from L1 to the smaller primary, c2 the standard
     collinear-point coefficient; lambda and v come from the quadratic
-    factor of the characteristic polynomial, certified by interval
-    Newton.  The assembled chart is rejected unless the Jordan residual
-    encloses zero.
+    factor of the characteristic polynomial, whose roots lambda^2 and
+    -v^2 are certified by the one-dimensional interval Newton operator
+    (_newton_root).  The assembled chart is rejected unless the Jordan
+    residual encloses zero.
     """
     l1 = libration_L1(p)
     mu = p.mu
@@ -509,9 +527,7 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     cols = (col0, col1, col2, col3)
     c_mat = IMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
 
-    chart = LocalChart(
-        mu=mu, L1=l1, C=c_mat, lam=lam, v=v, gamma=gamma, c2=c2, s1=s1, s2=s2
-    )
+    chart = LocalChart(mu=mu, L1=l1, C=c_mat, lam=lam, v=v)
     residual = jordan_residual(chart, p)
     for i in range(4):
         for j in range(4):

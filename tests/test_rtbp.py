@@ -26,6 +26,7 @@ from conecert.interval import (
     Interval,
     IVector,
     decimal_to_interval,
+    sq,
 )
 from conecert.rtbp import (
     CollisionSingularity,
@@ -214,6 +215,67 @@ def test_l1_is_equilibrium():
     for c in f:
         assert 0.0 in c
         assert c.width < 1e-12
+
+
+def _sqrt2_oracle() -> tuple[Fraction, Fraction]:
+    lo, hi = Fraction(1), Fraction(2)
+    for _ in range(100):
+        m = (lo + hi) / 2
+        if m * m < 2:
+            lo = m
+        else:
+            hi = m
+    return lo, hi
+
+
+def _square_less(a):
+    return lambda x: sq(x) - a
+
+
+def _twice(x: Interval) -> Interval:
+    return x * 2.0
+
+
+def test_newton_root_sqrt2():
+    root = rtbp._newton_root(_square_less(2.0), _twice, Interval(1.0, 2.0), 1.5, "r")
+    lo, hi = _sqrt2_oracle()
+    assert Fraction(root.lo) <= lo and hi <= Fraction(root.hi)
+    assert root.width < 1e-12
+
+
+@pytest.mark.parametrize(
+    "f, df, box, guess",
+    [
+        # no root in the box: the image lies past it
+        (_square_less(2.0), _twice, Interval(3.0, 4.0), 3.5),
+        # the image 2 - 1/[1, 1], rounded outward, shares the box's lower end
+        (
+            lambda x: x - 1.0,
+            lambda x: Interval(1.0),
+            Interval((2.0 - Interval(1.0) / Interval(1.0)).lo, 3.0),
+            2.0,
+        ),
+    ],
+    ids=["disjoint", "touching"],
+)
+def test_newton_root_refuses_an_image_not_strictly_inside(f, df, box, guess):
+    with pytest.raises(rtbp.ChartError, match="r: Newton image .* not strictly inside"):
+        rtbp._newton_root(f, df, box, guess, "r")
+
+
+def test_newton_root_refuses_a_derivative_through_zero():
+    with pytest.raises(rtbp.ChartError, match="r: no Newton image .* contains zero"):
+        rtbp._newton_root(_square_less(2.0), _twice, Interval(-2.0, 2.0), 0.0, "r")
+
+
+def test_newton_root_encloses_every_parameter_root():
+    # x^2 = a for every a in an interval, as the chart of a mass band
+    # solves its roots for every mass at once.
+    a = Interval(2.0, 2.0 + 2e-9)
+    root = rtbp._newton_root(_square_less(a), _twice, Interval(1.0, 2.0), 1.5, "r")
+    assert Fraction(root.lo) ** 2 <= Fraction(a.lo)
+    assert Fraction(root.hi) ** 2 >= Fraction(a.hi)
+    assert root.width < 1e-9
 
 
 def test_eigenvalues_printed_and_oracle():

@@ -27,7 +27,9 @@ A row holds:
   * derivative, median milliseconds of the derivative-over-N stage, the
     proof's one derivative path: prover.enclose_DF_over_N over the left
     endpoint's N in 256 pieces and over the first default mass slice's N
-    in 32 pieces (DFN_REPEATS calls each);
+    in 32 pieces (DFN_REPEATS calls each), and of the chart stage before
+    it: rtbp.jordan_basis at the left endpoint's mass and over the same
+    mass slice (REPEATS calls each);
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
@@ -241,8 +243,8 @@ def _one_fragment(flow, prover, cfg) -> dict:
 
 
 def _derivative_layers(cfg) -> tuple[dict, dict]:
-    """Milliseconds of the derivative-over-N stage, as measured and
-    nominal."""
+    """Milliseconds of the derivative-over-N and chart stages, as
+    measured and nominal."""
     from dataclasses import replace
 
     from conecert import interval, prover, rtbp
@@ -259,12 +261,17 @@ def _derivative_layers(cfg) -> tuple[dict, dict]:
         *cfg.fragment_intervals()[0], cfg.fragment_mu_slices
     )[0]
     s_params, s_chart, s_n_box = setup(interval.Interval(lo, hi), frag)
-    return _timed_rows({
+    ms, nominal = _timed_rows({
         "enclose_DF_over_N_256":
             lambda: prover.enclose_DF_over_N(chart, params, n_box, 256),
         "enclose_DF_over_N_32_slice":
             lambda: prover.enclose_DF_over_N(s_chart, s_params, s_n_box, 32),
     }, DFN_REPEATS)
+    chart_ms, chart_nominal = _timed_rows({
+        "jordan_basis_endpoint": lambda: rtbp.jordan_basis(params),
+        "jordan_basis_slice": lambda: rtbp.jordan_basis(s_params),
+    })
+    return {**ms, **chart_ms}, {**nominal, **chart_nominal}
 
 
 def _full_proof(prover) -> dict:
