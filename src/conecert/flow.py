@@ -18,30 +18,41 @@ parameter dependence as one more direction of the set.
 
 A field gives vector_field(x) and jacobian(x) over a box, expand(u0, p),
 a solution series whose coefficient(k) is the k-th Taylor coefficient,
-and expand_variational(series, V0, p), the MatrixSeries of V' = DF V
-from V0, which may have any number of columns.
+and expand_variational(series, V0, p, stop=None), the MatrixSeries of
+V' = DF V from V0, which may have any number of columns, through order
+p, or through the first order k >= 1 at which stop(k, V_k) is true.
 
-One Taylor step uses five series expansions, in this order:
+One Taylor step of order p uses five series expansions, in this order:
   * an interval series over the rough tube (order p+1), whose last
     coefficient is the Lagrange term of the solution; its magnitude
     sol_err is tested first, so a step that fails it pays for no other
     series;
   * a thin series at the midpoint (order p), which with that Lagrange
     coefficient encloses phi_h(midpoint);
-  * an interval series at the current box (order p) and its variational
-    series from I (order p), whose Taylor polynomial [V] is the transport;
-  * the variational series over the tube (order p+1) of the one column
-    W u, u = x0 - m the current box less its midpoint and W the a-priori
-    bound ||V(t) - I||_inf <= e^(L h) - 1; its last coefficient times
-    h^(p+1) is the tail vector, the Lagrange term of D(phi_h) applied to
-    every x - m.
+  * the variational series over the tube of the one column W u, u = x0 - m
+    the current box less its midpoint and W the a-priori bound
+    ||V(t) - I||_inf <= e^(L h) - 1, expanded one order at a time up to
+    the first order q+1 <= p+1 whose coefficient times [h]^(q+1) has
+    magnitude at most sol_err (q = p when none does); that term is the
+    tail vector, the Lagrange term of D(phi_h) applied to every x - m;
+  * an interval series at the current box (order q) and its variational
+    series from I (order q), whose Taylor polynomial [V] is the transport.
 The variational series come back as float (lo, hi) series per entry
 (MatrixSeries), and [V] is summed by Horner on those floats with the
 rounding of the Interval operations.  The mean value theorem then gives
-phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r) + tail, the products
-[V] C and [V] B are split into float midpoints plus interval defects,
-which join the tail in the error, and the error basis is renewed by QR
-with sorted columns to control wrapping.
+phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r) + tail.  For x in
+the box, phi_h(x) - phi_h(m) averages D(phi_h)(y) (x - m) over y on the
+segment from m to x, and by Taylor's theorem in time D(phi_h)(y) is the
+polynomial of order q of the variational series at y plus h^(q+1) times
+coefficient q+1 of the series started at some time t in [0, h] from the
+point phi_t(y) of the tube with V_0 = D(phi_t)(y) in W.  This holds at
+every q <= p, so the column stops as soon as its term no longer matters:
+past that order the box and transport series would only shrink a tail
+already below sol_err, which the step carries anyway.  When q < p,
+var_err <= sol_err, so the error ratio below is sol_err / tol.  The
+products [V] C and [V] B are split into float midpoints plus interval
+defects, which join the tail in the error, and the error basis is
+renewed by QR with sorted columns to control wrapping.
 The float QR factor Q is orthogonal up to rounding, so Q^-1 is enclosed
 as Q^T plus an entrywise ball of radius ||E|| / (1 - ||E||) ||Q^T||, with
 E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
@@ -256,10 +267,14 @@ class LinearTaylorField:
             coeffs.append(self.a.matvec(coeffs[k]).scale(1.0 / (k + 1)))
         return _CoeffSeries(coeffs)
 
-    def expand_variational(self, sol, v0: IMatrix, order: int) -> MatrixSeries:
+    def expand_variational(
+        self, sol, v0: IMatrix, order: int, stop=None
+    ) -> MatrixSeries:
         out = [v0]
         for k in range(order):
             out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
+            if stop is not None and stop(k + 1, out[k + 1]):
+                break
         return MatrixSeries.from_matrices(out)
 
 
@@ -360,18 +375,21 @@ def _horner_transport(v: MatrixSeries, order: int, h: float) -> IMatrix:
 
 
 class _StepData:
-    """The expansions of one step; image, transport and tail are None, and
-    var_err is 0, for a step rejected on sol_err alone."""
+    """The expansions of one step; image, transport, tail and order are
+    None, and var_err is 0, for a step rejected on sol_err alone."""
 
-    __slots__ = ("image", "transport", "tail", "tube", "sol_err", "var_err")
+    __slots__ = (
+        "image", "transport", "tail", "tube", "sol_err", "var_err", "order",
+    )
 
-    def __init__(self, image, transport, tail, tube, sol_err, var_err):
+    def __init__(self, image, transport, tail, tube, sol_err, var_err, order):
         self.image = image  # IVector enclosing phi_h(midpoint)
         self.transport = transport  # IMatrix, polynomial part of D(phi_h)
         self.tail = tail  # IVector, Lagrange term of D(phi_h)(x - midpoint)
         self.tube = tube  # rough enclosure over [0, h]
         self.sol_err = sol_err  # magnitude of the solution Lagrange term
         self.var_err = var_err  # magnitude of tail
+        self.order = order  # q, the transport's order; the tail's is q+1
 
 
 def _expand_step(
@@ -380,14 +398,17 @@ def _expand_step(
     """The five expansions of one step, or only the tube series when the
     solution Lagrange term exceeds tol; that series is expanded first.
 
-    The transport is the Taylor polynomial of D(phi_h) over the box x0.
-    Its Lagrange term is only ever applied to u = x0 - m, so it is carried
-    as the vector tail: coefficient p+1 of the variational column over the
-    tube started from W u, times h^(p+1).  W encloses V(t) for t in [0, h]
-    through ||V(t) - I||_inf <= b = e^(L h) - 1, L = ||Df(tube)||_inf, so
-    (W u)_i is enclosed by u_i + [-b, b] max_j |u_j|.  By the mean value
-    theorem phi_h(x) lies in phi_h(m) + transport (x - m) + tail for every
-    x in x0."""
+    The transport is the Taylor polynomial of D(phi_h) over the box x0,
+    of an order q <= p.  Its Lagrange term is only ever applied to
+    u = x0 - m, so it is carried as the vector tail: coefficient q+1 of
+    the variational column over the tube started from W u, times
+    h^(q+1).  W encloses V(t) for t in [0, h] through
+    ||V(t) - I||_inf <= b = e^(L h) - 1, L = ||Df(tube)||_inf, so (W u)_i
+    is enclosed by u_i + [-b, b] max_j |u_j|.  By the mean value theorem
+    phi_h(x) lies in phi_h(m) + transport (x - m) + tail for every x in
+    x0, at any q.  The column is expanded one order at a time, and q+1 is
+    the first order whose term has magnitude at most sol_err, or p+1; the
+    box series and the transport are then expanded to q only."""
     n = enc.dim
     x0 = enc.as_box()
     tube = a_priori_enclosure(field, x0, h)
@@ -395,28 +416,35 @@ def _expand_step(
     sol_tail = ser_z.coefficient(order + 1)
     sol_err = max(c.mag for c in sol_tail) * h ** (order + 1)
     if sol_err > tol:
-        return _StepData(None, None, None, tube, sol_err, 0.0)
+        return _StepData(None, None, None, tube, sol_err, 0.0, None)
 
     ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
     image = _horner_vec(ser_m, order, h, sol_tail)
-
-    ser_x = field.expand(x0, order)
-    v_x = field.expand_variational(ser_x, IMatrix.identity(n), order)
-    transport = _horner_transport(v_x, order, h)
 
     u = [x0[i] - enc.midpoint[i] for i in range(n)]
     l_inf = _opnorm_inf(field.jacobian(tube))
     b = exp(Interval(l_inf) * h) - 1.0
     r = (b * max(c.mag for c in u)).hi
     ball = Interval(-r, r)
-    v_z = field.expand_variational(ser_z, IMatrix([[c + ball] for c in u]),
-                                   order + 1)
-    hp = Interval(1.0)
+    hp = [Interval(1.0)]  # hp[k] encloses h^k
     for _ in range(order + 1):
-        hp = hp * h
-    tail = IVector([row[0] * hp for row in v_z[order + 1].rows])
+        hp.append(hp[-1] * h)
+
+    def term(k, v_k):
+        return IVector([row[0] * hp[k] for row in v_k.rows])
+
+    v_z = field.expand_variational(
+        ser_z, IMatrix([[c + ball] for c in u]), order + 1,
+        stop=lambda k, v_k: max(c.mag for c in term(k, v_k)) <= sol_err,
+    )
+    q = v_z.order - 1
+    tail = term(q + 1, v_z[q + 1])
     var_err = max(c.mag for c in tail)
-    return _StepData(image, transport, tail, tube, sol_err, var_err)
+
+    ser_x = field.expand(x0, q)
+    v_x = field.expand_variational(ser_x, IMatrix.identity(n), q)
+    transport = _horner_transport(v_x, q, h)
+    return _StepData(image, transport, tail, tube, sol_err, var_err, q)
 
 
 def _orthogonal_inverse(q: list) -> IMatrix:

@@ -850,14 +850,18 @@ class MatrixSeries:
 
     Entry (i, j) is held as a pair of float lists (lo, hi) indexed by the
     order, as the Taylor kernels compute it; series[k] builds the IMatrix
-    of coefficient k on read.
+    of coefficient k on read.  The order is read from the lists, so a
+    kernel may append coefficients to a series it has handed out.
     """
 
-    __slots__ = ("entries", "order")
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         self.entries = entries  # entries[i][j] = (lo list, hi list)
-        self.order = len(entries[0][0][0]) - 1
+
+    @property
+    def order(self) -> int:
+        return len(self.entries[0][0][0]) - 1
 
     @classmethod
     def from_matrices(cls, mats: Sequence[IMatrix]) -> "MatrixSeries":

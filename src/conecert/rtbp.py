@@ -968,20 +968,24 @@ class RtbpSolutionSeries:
             c.append(self.mu if k == 0 else _mk(0.0, 0.0))
         return IVector(c)
 
-    def _partials(self, upto: int) -> tuple:
-        """(lo, hi) series of Omega_XX, Omega_XY, Omega_YY, 0..upto."""
+    def _partials(self):
+        """The (lo, hi) series of Omega_XX, Omega_XY and Omega_YY, one
+        order at a time: the k-th next() appends coefficient k to each of
+        the three and yields them, for k up to the solution's order."""
         m1, mu = self.masses
         s1, s2, w1, w2 = self.s1, self.s2, self.w1, self.w2
+        yl, yh = self._u[1]
         # v = w / s = s^-5/2
         v1 = _start(*_div_pos(w1[0][0], w1[1][0], s1[0][0], s1[1][0]))
         v2 = _start(*_div_pos(w2[0][0], w2[1][0], s2[0][0], s2[1][0]))
-        for k in range(1, upto + 1):
-            _append(v1, _power_next(s1, v1, -2.5, k))
-            _append(v2, _power_next(s2, v2, -2.5, k))
         uxx = ([], [])
         uyy = ([], [])
         mix = ([], [])
-        for k in range(upto + 1):
+        uxy = ([], [])
+        for k in range(self.order + 1):
+            if k:
+                _append(v1, _power_next(s1, v1, -2.5, k))
+                _append(v2, _power_next(s2, v2, -2.5, k))
             rv1l, rv1h = v1[0][k::-1], v1[1][k::-1]
             rv2l, rv2h = v2[0][k::-1], v2[1][k::-1]
             for out, p1, p2 in (
@@ -996,26 +1000,20 @@ class RtbpSolutionSeries:
             e1 = _dot(self.d1[0], self.d1[1], rv1l, rv1h)
             e2 = _dot(self.d2[0], self.d2[1], rv2l, rv2h)
             _append(mix, _add(*_mul_pos(*m1, *e1), *_mul_pos(*mu, *e2)))
-        yl, yh = self._u[1]
-        uxy = ([], [])
-        for k in range(upto + 1):
             t = _mul_pos(3.0, 3.0, *_dot(yl, yh, mix[0][k::-1], mix[1][k::-1]))
             _append(uxy, (-t[1], -t[0]))
-        return uxx, uxy, uyy
+            yield uxx, uxy, uyy
 
-    def _mass_forcing(self, uxx: tuple, uxy: tuple, n: int) -> tuple:
-        """Coefficients 0..n-1 of dP_X'/dmu and dP_Y'/dmu as lists of
-        (lo, hi) pairs, from the products extend formed and the series
-        uxx, uxy of _partials."""
-        gx, gy = [], []
+    def _mass_forcing(self, uxx: tuple, uxy: tuple, k: int) -> tuple:
+        """Coefficient k of dP_X'/dmu and of dP_Y'/dmu, as (lo, hi) pairs,
+        from the products extend formed and the series uxx, uxy of
+        _partials."""
         (al, ah), (bl, bh) = self.d1w1, self.d2w2
         (cl, ch), (dl, dh) = self.yw1, self.yw2
-        for k in range(n):
-            gx.append(_add(*_sub(al[k], ah[k], bl[k], bh[k]),
-                           uxx[0][k], uxx[1][k]))
-            gy.append(_add(*_sub(cl[k], ch[k], dl[k], dh[k]),
-                           uxy[0][k], uxy[1][k]))
-        return gx, gy
+        return (
+            _add(*_sub(al[k], ah[k], bl[k], bh[k]), uxx[0][k], uxx[1][k]),
+            _add(*_sub(cl[k], ch[k], dl[k], dh[k]), uxy[0][k], uxy[1][k]),
+        )
 
 
 class RtbpTaylorField:
@@ -1054,10 +1052,11 @@ class RtbpTaylorField:
         return series
 
     def expand_variational(
-        self, sol: RtbpSolutionSeries, v0: IMatrix, order: int
+        self, sol: RtbpSolutionSeries, v0: IMatrix, order: int, stop=None
     ) -> MatrixSeries:
         """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given, as the
-        (lo, hi) float series the kernel computes.
+        (lo, hi) float series the kernel computes.  With stop, the series
+        ends at the first order k >= 1 for which stop(k, V_k) is true.
 
         V_0 has one row per state component.  For a five-component
         solution its row 4 stays constant (mu' = 0), and column j gets
@@ -1069,29 +1068,31 @@ class RtbpTaylorField:
         if len(rows) != sol.dim:
             raise ValueError("V_0 needs one row per state component")
         m = len(rows[0])
-        uxx, uxy, uyy = sol._partials(max(order - 1, 0))
         # cols[j][i]: (lo, hi) series of entry (i, j), i < 4
         cols = [
             [_start(rows[i][j].lo, rows[i][j].hi) for i in range(4)]
             for j in range(m)
         ]
-        forcing = [None] * m
+        entries = [[cols[j][i] for j in range(m)] for i in range(4)]
+        # the factor V_0[4][j] of the forcing in column j, None when 0
+        weights = [None] * m
         if sol.dim == 5:
-            gx, gy = sol._mass_forcing(uxx, uxy, order)
-            for j, c in enumerate(rows[4]):
-                if c.lo == c.hi == 1.0:
-                    forcing[j] = gx, gy
-                elif not c.lo == c.hi == 0.0:
-                    forcing[j] = tuple(
-                        [_mul(*g, c.lo, c.hi) for g in ser] for ser in (gx, gy)
-                    )
+            entries.append([_start(c.lo, c.hi) for c in rows[4]])
+            weights = [
+                None if c.lo == c.hi == 0.0 else (c.lo, c.hi) for c in rows[4]
+            ]
+        v = MatrixSeries(entries)
+        omega = sol._partials()
         for k in range(order):
             kk = k + 1
+            uxx, uxy, uyy = next(omega)
+            if sol.dim == 5:
+                gx, gy = sol._mass_forcing(uxx, uxy, k)
             a1l = uxx[0][:kk] + uxy[0][:kk]
             a1h = uxx[1][:kk] + uxy[1][:kk]
             a2l = uxy[0][:kk] + uyy[0][:kk]
             a2h = uxy[1][:kk] + uyy[1][:kk]
-            for col, force in zip(cols, forcing):
+            for col, wt in zip(cols, weights):
                 (c0l, c0h), (c1l, c1h), (c2l, c2h), (c3l, c3h) = col
                 bl = c0l[k::-1] + c1l[k::-1]
                 bh = c0h[k::-1] + c1h[k::-1]
@@ -1099,9 +1100,12 @@ class RtbpTaylorField:
                 t3 = _dot(a2l, a2h, bl, bh)
                 r2 = _sub(c3l[k], c3h[k], *t2)
                 r3 = _sub(-c2h[k], -c2l[k], *t3)
-                if force is not None:
-                    r2 = _add(*r2, *force[0][k])
-                    r3 = _add(*r3, *force[1][k])
+                if wt is not None:
+                    # an exact factor 1 leaves the forcing unrounded
+                    fx, fy = (gx, gy) if wt == (1.0, 1.0) else (
+                        _mul(*gx, *wt), _mul(*gy, *wt))
+                    r2 = _add(*r2, *fx)
+                    r3 = _add(*r3, *fy)
                 r = (
                     _add(c1l[k], c1h[k], c2l[k], c2h[k]),
                     _sub(c3l[k], c3h[k], c0l[k], c0h[k]),
@@ -1110,8 +1114,9 @@ class RtbpTaylorField:
                 )
                 for series, ri in zip(col, r):
                     _append(series, _div_int(*ri, kk))
-        entries = [[cols[j][i] for j in range(m)] for i in range(4)]
-        if sol.dim == 5:
-            zeros = [0.0] * order
-            entries.append([([c.lo] + zeros, [c.hi] + zeros) for c in rows[4]])
-        return MatrixSeries(entries)
+            if sol.dim == 5:
+                for entry in entries[4]:
+                    _append(entry, (0.0, 0.0))
+            if stop is not None and stop(kk, v[kk]):
+                break
+        return v

@@ -74,10 +74,14 @@ class AffineField:
             coeffs.append(nxt.scale(1.0 / (k + 1)))
         return _Series(coeffs)
 
-    def expand_variational(self, sol, v0: IMatrix, order: int) -> MatrixSeries:
+    def expand_variational(
+        self, sol, v0: IMatrix, order: int, stop=None
+    ) -> MatrixSeries:
         out = [v0]
         for k in range(order):
             out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
+            if stop is not None and stop(k + 1, out[k + 1]):
+                break
         return MatrixSeries.from_matrices(out)
 
 
@@ -288,7 +292,7 @@ def test_assemble_needs_the_tail_under_a_thin_image(a, flow_at):
         end = flow._assemble(
             enc,
             flow._StepData(thin, data.transport, data.tail, data.tube,
-                           data.sol_err, data.var_err),
+                           data.sol_err, data.var_err, data.order),
             h,
         )
         missed = 0
@@ -335,6 +339,102 @@ def test_low_order_step_contains_rtbp_shootings():
         final = sol.y[:, -1]
         for i in range(4):
             assert end[i].lo <= final[i] <= end[i].hi
+
+
+@LINEAR_FLOWS
+def test_tail_at_the_stop_order_encloses_the_remainder(a, flow_at):
+    # On a box of half-width 1e-4 the tube column's term falls below
+    # sol_err before order p+1, so the step stops at a q < p.  For v in
+    # x0 - m, (e^(Ah) - sum_{k <= q} (Ah)^k / k!) v must then lie in the
+    # tail: a tail of order p+1 would miss it.  [DERIVED] closed-form
+    # e^(At) in mpmath
+    mp = pytest.importorskip("mpmath")
+    order, h, r = 10, 0.3, 1e-4
+    centre = [0.3, -0.7]
+    enc = FlowEnclosure.from_box(
+        IVector([Interval(c - r, c + r) for c in centre])
+    )
+    data = flow._expand_step(LinearTaylorField(IMatrix.from_floats(a)), enc,
+                             h, order)
+    q = data.order
+    assert q < order
+    assert data.var_err <= data.sol_err
+    rng = random.Random(3015)
+    samples = [
+        [c + s * r for c, s in zip(centre, signs)]
+        for signs in itertools.product((-1.0, 1.0), repeat=2)
+    ] + [[c + rng.uniform(-r, r) for c in centre] for _ in range(50)]
+    with mp.workdps(40):
+        ah = mp.matrix(a) * mp.mpf(h)
+        exact = mp.matrix(flow_at(mp, mp.mpf(h)))
+        poly, term = mp.eye(2), mp.eye(2)
+        rests = {0: exact - poly}
+        for k in range(1, order + 1):
+            term = term * ah / k
+            poly = poly + term
+            rests[k] = exact - poly
+        worst = worst_p = 0
+        for x in samples:
+            v = mp.matrix([mp.mpf(xi) - mp.mpf(mi)
+                           for xi, mi in zip(x, enc.midpoint)])
+            rem = rests[q] * v
+            for i in range(2):
+                assert data.tail[i].lo <= rem[i] <= data.tail[i].hi
+                worst = max(worst, abs(rem[i]))
+                worst_p = max(worst_p, abs((rests[order] * v)[i]))
+    # the order-q remainder dwarfs the order-p one, so the tail's order
+    # decides the check
+    assert worst > 100 * worst_p
+
+
+def _shoot(x, h, mu):
+    integrate = pytest.importorskip("scipy.integrate")
+    return integrate.solve_ivp(
+        lambda t, y: vector_field_floats(y, mu), (0.0, h), x,
+        method="DOP853", rtol=1e-13, atol=1e-15,
+    ).y[:, -1]
+
+
+def test_stopped_step_contains_rtbp_shootings():
+    # At the proof's order p = 20, on a box of half-width 1e-8 and
+    # h = 0.1, the tube column stops at q = 3.  Shootings from the box
+    # corners land in the assembled enclosure at each corner's initial
+    # coordinate.  The image of the midpoint carries sol_err, which would
+    # hide a tail taken at the wrong order, so the mean-value form is
+    # also checked alone: each corner's shooting less the midpoint's lies
+    # in transport (x - m) + tail, up to 1e-12 for the shootings' error,
+    # and without the tail some fall out.  [DERIVED] scipy DOP853 at
+    # rtol 1e-13
+    field = rtbp_field()
+    mu = field.params.mu.mid
+    order, h, r = 20, 0.1, 1e-8
+    centre = [-0.8, 0.1, 0.05, -0.7]
+    enc = FlowEnclosure.from_box(
+        IVector([Interval(c - r, c + r) for c in centre])
+    )
+    data = flow._expand_step(field, enc, h, order)
+    assert data.order == 3
+    end = flow._assemble(enc, data, h)
+    at_m = _shoot(enc.midpoint, h, mu)
+    slack = 1e-12
+    missed = 0
+    for signs in itertools.product((-1.0, 1.0), repeat=4):
+        x = [c + s * r for c, s in zip(centre, signs)]
+        # the corner's initial coordinate x - m, exact by Sterbenz
+        d = IVector.from_floats([xi - m for xi, m in zip(x, enc.midpoint)])
+        final = _shoot(x, h, mu)
+        at_corner = FlowEnclosure(
+            end.midpoint, end.basis, end.remainder, end.time,
+            end.init_basis, d,
+        ).as_box()
+        lin = data.transport.matvec(d)
+        for i in range(4):
+            assert at_corner[i].lo <= final[i] <= at_corner[i].hi
+            diff = final[i] - at_m[i]
+            form = lin[i] + data.tail[i]
+            assert form.lo - slack <= diff <= form.hi + slack
+            missed += not lin[i].lo - slack <= diff <= lin[i].hi + slack
+    assert missed > 0
 
 
 def test_step_rejects_bad_h():

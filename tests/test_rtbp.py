@@ -572,11 +572,60 @@ def test_second_partial_series_matches_jacobian():
     x0 = IVector.from_floats([-0.8, 0.1, 0.05, -0.7])
     ser = tf.expand(x0, 2)
     # (lo, hi) float series of Omega_XX, Omega_XY, Omega_YY
-    uxx, uxy, uyy = (Interval(lo[0], hi[0]) for lo, hi in ser._partials(0))
+    uxx, uxy, uyy = (
+        Interval(lo[0], hi[0]) for lo, hi in next(ser._partials())
+    )
     jac = jacobian(x0, p)
     assert abs(uxx.mid + jac.rows[2][0].mid) < 1e-14
     assert abs(uxy.mid + jac.rows[2][1].mid) < 1e-14
     assert abs(uyy.mid + jac.rows[3][1].mid) < 1e-14
+
+
+def _bits(pairs) -> list:
+    return [(repr(lo), repr(hi)) for lo, hi in pairs]
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_stopped_variational_column_is_the_full_one_cut(dim):
+    """A tube column stopped by its stop rule at order 9 equals the
+    order-21 expansion bit for bit up to order 9, and so does the Omega
+    series through order 8, all the column reads of it.  The 5-d
+    column's mass row is neither 0 nor 1, so its forcing is multiplied
+    through.  [TRIVIAL]"""
+    order, stop_at = 21, 9
+    p = band_left()
+    tf = RtbpTaylorField(p)
+    r = 1e-8
+    centre = [0.8270258829, 0.0, -5.16e-8, 0.9251225636]
+    box = [Interval(c - r, c + r) for c in centre]
+    ball = Interval(-3e-9, 3e-9)
+    column = [[Interval(-r, r) + ball] for _ in centre]
+    if dim == 5:
+        box.append(Interval(p.mu.lo - 1e-11, p.mu.lo + 1e-11))
+        column.append([Interval(-1e-11, 2e-11)])
+    ser = tf.expand(IVector(box), order)
+    v0 = IMatrix(column)
+    full = tf.expand_variational(ser, v0, order)
+    asked = []
+
+    def stop(k, v_k):
+        asked.append(k)
+        return k == stop_at
+
+    cut = tf.expand_variational(ser, v0, order, stop=stop)
+    assert asked == list(range(1, stop_at + 1))
+    assert cut.order == stop_at and full.order == order
+    for row_cut, row_full in zip(cut.entries, full.entries):
+        for (lo, hi), (flo, fhi) in zip(row_cut, row_full):
+            assert _bits(zip(lo, hi)) == _bits(zip(flo, fhi))[: stop_at + 1]
+    # the Omega series: stop_at orders, against every order of the series
+    omega = ser._partials()
+    for _ in range(stop_at):
+        short = [_bits(zip(*s)) for s in next(omega)]
+    *_, whole = ser._partials()
+    assert len(whole[0][0]) == order + 1
+    for s, f in zip(short, whole):
+        assert s == _bits(zip(*f))[:stop_at]
 
 
 def test_interval_initial_condition_containment():

@@ -16,13 +16,15 @@ A row holds:
     included), attempts whose rough enclosure failed, attempts rejected
     on the solution Lagrange term, full steps (attempts that expanded all
     five series), accepted steps with the least, median and largest
-    accepted step size, and the P_X and crossing-time widths of the
-    certified image;
+    accepted step size, the least, median and largest transport order q
+    of the full steps (p on trees that expand every series to p), the
+    tube-column coefficients they expanded (q + 1 each), and the P_X and
+    crossing-time widths of the certified image;
   * layers, median milliseconds over REPEATS calls at the middle expanded
     step of the left flight: expand of the thin midpoint (order p = 20)
     and of the rough tube (box, order p + 1), expand_variational of the
     tube series from the one column V_0 = x0 - m, the step's box less its
-    midpoint (order p + 1), one flow._expand_step, and one
+    midpoint (order p + 1, no stop rule), one flow._expand_step, and one
     flow._assemble (the Lohner update) of that step;
   * derivative, median milliseconds of the derivative-over-N stage, the
     proof's one derivative path: prover.enclose_DF_over_N over the left
@@ -33,7 +35,8 @@ A row holds:
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
-    steps, the largest P_X width of a flight and the crossing-time width;
+    steps, the transport orders and tube-column coefficients as above,
+    the largest P_X width of a flight and the crossing-time width;
   * with --full, the default proof (prover.check_homoclinic on
     ProofConfig.default()): verdict, wall seconds, both P_X images, the
     number of fragment flights, the largest fragment P_X and
@@ -127,7 +130,8 @@ def _flight_tolerance(flow, cfg) -> float:
 class _Counter:
     """Counting wrappers around one tree's flights while entered.
 
-    flow._expand_step counts step attempts by outcome, the observer of
+    flow._expand_step counts step attempts by outcome and keeps the
+    transport order of each full step, the observer of
     prover.poincare_crossing counts accepted steps and their sizes, and
     prover.poincare_image keeps every certified crossing.
     """
@@ -142,6 +146,7 @@ class _Counter:
         self.steps: list = []
         self.sizes: list = []
         self.images: list = []
+        self.orders: list = []
 
     def __enter__(self) -> "_Counter":
         flow, prover = self.flow, self.prover
@@ -162,6 +167,7 @@ class _Counter:
             else:
                 stats["full_steps"] += 1
                 self.steps.append((field, enc, h, order))
+                self.orders.append(getattr(data, "order", order))
             return data
 
         def timed_crossing(*args, observer=None, **kwargs):
@@ -192,6 +198,16 @@ class _Counter:
         (self.flow._expand_step, self.prover.poincare_crossing,
          self.prover.poincare_image) = self._saved
 
+    def order_stats(self) -> dict:
+        """The transport orders of the full steps counted, and the
+        tube-column coefficients those steps expanded."""
+        return dict(
+            transport_order_min=min(self.orders),
+            transport_order_median=statistics.median(self.orders),
+            transport_order_max=max(self.orders),
+            column_coefficients=sum(q + 1 for q in self.orders),
+        )
+
 
 def _fly_endpoints(flow, prover, cfg):
     """Both endpoint flights with counting wrappers; returns the flight
@@ -211,6 +227,7 @@ def _fly_endpoints(flow, prover, cfg):
             h_accepted_min=min(sizes),
             h_accepted_median=statistics.median(sizes),
             h_accepted_max=max(sizes),
+            **counter.order_stats(),
             px_width=ep.poincare_image[2].width,
             tcross_width=ep.crossing_time.width,
         )
@@ -236,6 +253,7 @@ def _one_fragment(flow, prover, cfg) -> dict:
         "retried": out.retried,
         "attempts": stats["attempts"],
         "accepted": stats["accepted"],
+        **counter.order_stats(),
         "flight_s": stats["flight_s"],
         "px_width_max": max(cr.image[2].width for cr in counter.images),
         "tcross_width": out.crossing_time.width,
