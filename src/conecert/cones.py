@@ -1,8 +1,8 @@
 """Cone conditions certified through positive definiteness.
 
 The quadratic form Q(x, y) = alpha ||x||^2 - beta ||y||^2 splits phase space
-into an expanding block x (dimension u_dim) and a contracting block y
-(dimension s_dim).  Two instances organize every statement:
+into an expanding block x and a contracting block y.  Two instances
+organize every statement:
 
   horizontal  Q_h(x, y) = alpha_h ||x||^2 - ||y||^2,   alpha_h in (0, 1)
   vertical    Q_v(x, y) = ||x||^2 - alpha_v ||y||^2,   alpha_v in (0, 1)
@@ -13,47 +13,35 @@ maps phi_t satisfy, for small t > 0, the cone condition
 
   Q(phi_t(p1) - phi_t(p2)) > m Q(p1 - p2)        for all p1 != p2 in N
 
-with rate m = 1 + 2 t c; flow_cone_check verifies them.
+with rate m = 1 + 2 t c.  flow_cone_check verifies them;
+manifold.launch_window turns a verified certificate into the window the
+strong unstable manifold is launched from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .interval import Box, IMatrix, Interval, mat_opnorm_upper, sqrt
+from .interval import IMatrix, Interval, mat_opnorm_upper
 from .linalg import PDVerdict, is_positive_definite
 
 __all__ = [
-    "FlowConeConstants",
     "FlowConeCertificate",
     "flow_cone_condition",
     "flow_cone_check",
-    "contraction_constant",
 ]
 
 
 @dataclass(frozen=True)
-class FlowConeConstants:
-    """Rates for the flow-time cone conditions m(t) = 1 + 2 t c."""
+class FlowConeCertificate:
+    """The four flow cone conditions at rates m(t) = 1 + 2 t c."""
 
     c_h: float
     c_v: float
     alpha_h: float
     alpha_v: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha_h < 1.0 or not 0.0 < self.alpha_v < 1.0:
-            raise ValueError("alphas must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class FlowConeCertificate:
-    constants: FlowConeConstants
     verified: bool
-    conditions: dict = field(default_factory=dict)
-    domain: Box | None = None
-    u_dim: int = 0
-    s_dim: int = 0
+    conditions: dict
 
     @property
     def margins(self) -> dict:
@@ -105,7 +93,6 @@ def flow_cone_check(
     alpha_v: float,
     c_h: float,
     c_v: float,
-    domain: Box | None = None,
 ) -> FlowConeCertificate:
     """All four flow cone conditions, horizontal and vertical forms.
 
@@ -113,6 +100,8 @@ def flow_cone_check(
     (Q_h, 1 + 2 t c_h) and (Q_v, 1 + 2 t c_v) for all small t > 0 on the
     domain over which [Df] = [[A, eps1], [eps2, B]] was enclosed.
     """
+    if not 0.0 < alpha_h < 1.0 or not 0.0 < alpha_v < 1.0:
+        raise ValueError("alphas must lie in (0, 1)")
     h_exp, h_con = flow_cone_condition(a, b, eps1, eps2, alpha_h, 1.0, c_h)
     v_exp, v_con = flow_cone_condition(a, b, eps1, eps2, 1.0, alpha_v, c_v)
     conditions = {
@@ -122,18 +111,6 @@ def flow_cone_check(
         "vertical_contracting": v_con,
     }
     verified = all(pd.verified for pd in conditions.values())
-    constants = FlowConeConstants(c_h, c_v, alpha_h, alpha_v)
     return FlowConeCertificate(
-        constants, verified, conditions, domain, a.shape[0], b.shape[0]
+        c_h, c_v, alpha_h, alpha_v, verified, conditions
     )
-
-
-def contraction_constant(alpha_h: float, alpha_v: float) -> float:
-    """Upper bound on C = sqrt(2 / (1 - alpha_v alpha_h)).
-
-    Trajectories converging inside the cones satisfy ||q_k|| <= C rate^k.
-    """
-    denom = 1.0 - Interval(alpha_v) * Interval(alpha_h)
-    if denom.lo <= 0.0:
-        raise ValueError("alpha_v * alpha_h must be below 1")
-    return sqrt(Interval(2.0) / denom).hi

@@ -3,7 +3,7 @@
 The pipeline certifies, for each mass parameter mu in a closed interval:
 the derivative of the local field over the manifold enclosure N around
 the fixed point at the chart origin (subdivided hull), the flow cone
-conditions, and the transported manifold window U.  The two interval
+conditions, and the launch window U they guarantee.  The two interval
 endpoints then get certified Poincare images on {Y = 0} with opposite
 P_X signs, each from one flight of the single launch window its cone
 conditions certify, while mu subinterval fragments certify that the
@@ -54,7 +54,7 @@ from .interval import (
     eye,
     sqrt,
 )
-from .manifold import ManifoldCertificate, UnverifiedCones, certify
+from .manifold import UnverifiedCones, launch_window
 from .rtbp import (
     ChartError,
     LocalChart,
@@ -99,7 +99,6 @@ class StageFailure(RuntimeError):
 _RECOVERABLE = (
     StageFailure,
     ChartError,
-    UnverifiedCones,
     EnclosureFailure,
     TransversalityFailure,
     LostCrossing,
@@ -251,10 +250,9 @@ class StageResult:
 
 @dataclass(frozen=True)
 class CertifiedUnstable:
-    """Cone certificate plus the manifold window it guarantees."""
+    """Cone certificate plus the launch window it guarantees."""
 
     cones: FlowConeCertificate
-    manifold: ManifoldCertificate
     U_local: Box
     U_original: Box
 
@@ -272,8 +270,8 @@ class EndpointResult:
 
     There is no fixed-point box: the fixed point is the chart origin for
     every mass.  subboxes is always 1, since an endpoint flies its launch
-    window once.  It stays, with its report key, so that reports keep
-    their layout and the benchmark harness that reads it keeps working.
+    window once.  It stays, with its report key, because the benchmark
+    harness reads the attribute.
     """
 
     side: str
@@ -282,7 +280,6 @@ class EndpointResult:
     stages: list
     dfn: IMatrix | None = None
     cones: FlowConeCertificate | None = None
-    manifold: ManifoldCertificate | None = None
     U_local: Box | None = None
     U_original: Box | None = None
     poincare_image: Box | None = None
@@ -300,9 +297,6 @@ class EndpointResult:
             "DFN": None if self.dfn is None else self.dfn.to_json(),
             "cone_margins": (
                 None if self.cones is None else self.cones.margins
-            ),
-            "manifold": (
-                None if self.manifold is None else self.manifold.to_json()
             ),
             "U_local": (
                 None if self.U_local is None else self.U_local.to_json()
@@ -529,39 +523,24 @@ def certify_unstable(
     dfn: IMatrix,
     cfg: ProofConfig,
 ) -> CertifiedUnstable:
-    """Flow cone conditions on the (unstable | rest) blocks of [DF(N)],
-    promoted to a manifold certificate, plus the window U the strong
-    unstable manifold passes through (local and original coordinates).
+    """Flow cone conditions on the (unstable | rest) blocks of [DF(N)]
+    over n_box, plus the launch window U they guarantee (local and
+    original coordinates).
 
     b is the fixed-point box, the origin in the proof.  U has one
     unstable coordinate x0 for every mass of the enclosure (see the
-    module docstring); a StageFailure when x0 would not clear b, which
-    a wide b or a tiny r_u can cause.
+    module docstring); a StageFailure when the cones fail or x0 would
+    not clear b, which a wide b or a tiny r_u can cause.
     """
     a, bm, e1, e2 = _split_blocks(dfn)
     cones = flow_cone_check(
-        a, bm, e1, e2, cfg.alpha_h, cfg.alpha_v, cfg.c_h, cfg.c_v,
-        domain=n_box,
+        a, bm, e1, e2, cfg.alpha_h, cfg.alpha_v, cfg.c_h, cfg.c_v
     )
-    if not cones.verified:
-        failed = [k for k, pd in cones.conditions.items() if not pd.verified]
-        raise StageFailure(f"cone conditions failed: {failed}")
-    cert = certify(cones, fixed_point_box=b)
-    ru = Interval(cfg.r_u)
-    # one unstable coordinate for every mass of the enclosure: above
-    # b_0.hi it is past each mass's fixed point and within r_u r of it
-    x0 = (b[0].lo + ru * cert.r).lo
-    if not x0 > b[0].hi:
-        raise StageFailure(
-            f"launch coordinate {x0!r} not above the fixed-point box "
-            f"{b[0]!r}"
-        )
-    s = (ru * sqrt(Interval(cfg.alpha_h))).hi
-    u_local = IVector(
-        [Interval(x0)] + [b[i] + Interval(-s, s) for i in (1, 2, 3)]
-    )
-    u_original = total_change(u_local, chart)
-    return CertifiedUnstable(cones, cert, u_local, u_original)
+    try:
+        u_local = launch_window(cones, b, cfg.r_u)
+    except UnverifiedCones as exc:
+        raise StageFailure(str(exc)) from exc
+    return CertifiedUnstable(cones, u_local, total_change(u_local, chart))
 
 
 def chart_seeded_enclosure(
@@ -706,17 +685,13 @@ def launch_chain(
         def mk_dfn():
             n_box = build_N(b, cfg)
             dfn = enclose_DF_over_N(out.chart, params, n_box, subdivision)
-            return (n_box, dfn), {
-                "subdivision": subdivision,
-                "unstable_diag": dfn.rows[0][0].to_json(),
-                "center_rotation": dfn.rows[2][3].to_json(),
-            }
+            return (n_box, dfn), {"subdivision": subdivision}
 
         n_box, out.dfn = _timed(stages, "derivative", mk_dfn)
 
         def mk_cones():
             cu = certify_unstable(out.chart, b, n_box, out.dfn, cfg)
-            return cu, {"margins": cu.cones.margins}
+            return cu, {}
 
         out.unstable = _timed(stages, "cones", mk_cones)
     except _RECOVERABLE as exc:
@@ -751,7 +726,6 @@ def run_endpoint(
         return result
     cu = launch.unstable
     result.cones = cu.cones
-    result.manifold = cu.manifold
     result.U_local = cu.U_local
     result.U_original = cu.U_original
 
@@ -764,9 +738,7 @@ def run_endpoint(
                 else "certified with the wrong sign"
             )
             raise StageFailure(f"P_X {what}: [{px.lo:.3e}, {px.hi:.3e}]")
-        return cr, {
-            "px": px.to_json(), "subboxes": 1, "direction": cr.direction,
-        }
+        return cr, {"direction": cr.direction}
 
     try:
         cr = _timed(stages, "poincare", mk_flight)

@@ -873,17 +873,10 @@ class RtbpSolutionSeries:
         # (1 - mu) and mu as float pairs, both strictly positive
         self.masses = ((m1.lo, m1.hi), (mu.lo, mu.hi))
         self.order = 0
-        d1 = x - mu
-        d2 = d1 + 1.0
+        d1, d2, s1, s2 = _distance_squares(x, y, mu)
         y2 = sq(y)
         d1sq = sq(d1)
         d2sq = sq(d2)
-        s1 = d1sq + y2
-        s2 = d2sq + y2
-        if s1.lo <= 0.0 or s2.lo <= 0.0:
-            raise CollisionSingularity(
-                f"distance enclosure touches a primary: r1^2={s1}, r2^2={s2}"
-            )
         w1 = _inv_r3(s1)
         w2 = _inv_r3(s2)
         self.d1 = _start(d1.lo, d1.hi)

@@ -4,13 +4,10 @@ Oracle: flow condition margins for scalar blocks reduce to arithmetic on
 the shift constants.
 """
 
-import math
-
 import pytest
 
 from conecert.cones import (
     FlowConeCertificate,
-    contraction_constant,
     flow_cone_check,
     flow_cone_condition,
 )
@@ -96,29 +93,8 @@ class TestFlowConeCheck:
         cert2 = flow_cone_check(a, b, e1, e2, 1e-8, 1e-4, 1.0, 2.7)
         assert cert2.verified
 
-
-class TestMembershipAndContraction:
-    def test_contraction_constant_value(self):
-        # [TRIVIAL] closed form sqrt(2 / (1 - 0.25)) = sqrt(8 / 3).
-        c = contraction_constant(0.5, 0.5)
-        assert c >= math.sqrt(8.0 / 3.0)
-        assert abs(c - math.sqrt(8.0 / 3.0)) < 1e-12
-
-    def test_contraction_constant_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            contraction_constant(1.0, 1.0)
-
-    def test_contracted_orbit_bound(self):
-        # Convergence semantics: for the flow x' = 2 x, y' = -y a backward
-        # orbit on the unstable axis obeys ||q(-t)|| <= C exp(-c_v t) ||q(0)||
-        # with any certified c_v < 2.
-        a, b = thin_matrix([[2.0]]), thin_matrix([[-1.0]])
-        e = thin_matrix([[0.0]])
-        c_v = 1.9
-        assert flow_cone_check(a, b, e, e, 0.5, 0.5, 1.0, c_v).verified
-        c = contraction_constant(0.5, 0.5)
-        for x0 in (1.0, 0.3, -0.8):
-            for k in range(1, 25):
-                t = 0.25 * k
-                back = abs(x0) * math.exp(-2.0 * t)
-                assert back <= c * math.exp(-c_v * t) * abs(x0) + 1e-15
+    def test_alphas_outside_unit_interval_are_refused(self):
+        a, b, e1, e2 = self.toy_blocks(0.0)
+        for alpha_h, alpha_v in ((1.0, 0.5), (0.5, 0.0), (0.5, float("nan"))):
+            with pytest.raises(ValueError, match="alphas"):
+                flow_cone_check(a, b, e1, e2, alpha_h, alpha_v, 1.0, 1.5)

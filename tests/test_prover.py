@@ -31,6 +31,7 @@ from conecert.interval import (
     Interval,
     IVector,
     decimal_to_interval,
+    sqrt,
 )
 from conecert.prover import (
     CertifiedUnstable,
@@ -93,6 +94,13 @@ PY_IMAGE = 0.9251225636
 # [PAPER] printed sign-definite P_X bands.
 PX_LEFT_BAND = (-7.501e-8, -2.915e-8)
 PX_RIGHT_BAND = (2.825e-8, 7.421e-8)
+
+# P_X and crossing-time widths of the default (left, right) endpoint
+# flights, the reference of the width gate
+ENDPOINT_WIDTHS = (
+    (4.4393384078205825e-10, 1.7423889886458713e-08),
+    (4.453244954640601e-10, 1.8464200834955594e-08),
+)
 
 
 @pytest.fixture(scope="module")
@@ -393,7 +401,7 @@ class TestConeStage:
         from dataclasses import replace
 
         bad = replace(cfg, c_v=2.9)
-        with pytest.raises(StageFailure):
+        with pytest.raises(StageFailure, match="cone conditions failed"):
             certify_unstable(chart, b, n_box, dfn, bad)
 
     def test_launch_coordinate_is_one_point_past_B(self, cfg, left_setup,
@@ -405,7 +413,8 @@ class TestConeStage:
         x0 = cu.U_local[0]
         assert x0.is_point()
         assert b[0].hi < x0.lo
-        assert x0.lo in b[0].lo + Interval(cfg.r_u) * cu.manifold.r
+        r = sqrt(1.0 - Interval(cfg.alpha_v))
+        assert x0.lo in b[0].lo + Interval(cfg.r_u) * r
         # a window too short to clear a fat fixed-point box is refused
         fat = IVector([Interval(-1e-6, 1e-6)] * 4)
         with pytest.raises(StageFailure, match="launch coordinate"):
@@ -444,6 +453,13 @@ class TestEndpoints:
         px = right.poincare_image[2]
         assert px.lo > 0.0
         assert PX_RIGHT_BAND[0] <= px.lo and px.hi <= PX_RIGHT_BAND[1]
+
+    def test_widths_do_not_widen(self, endpoints):
+        # the width gate: each P_X and crossing-time width at most 2e-4
+        # relative above its value at the time of writing; narrower passes
+        for ep, (px_w, t_w) in zip(endpoints, ENDPOINT_WIDTHS):
+            assert ep.poincare_image[2].width <= (1.0 + 2e-4) * px_w
+            assert ep.crossing_time.width <= (1.0 + 2e-4) * t_w
 
     def test_image_coordinates_match_printed(self, endpoints):
         # [PAPER] X and P_Y within 1e-8 of the printed values
@@ -484,6 +500,20 @@ class TestEndpoints:
         for ep in endpoints:
             y = ep.poincare_image[1]
             assert y.contains_zero() and y.width <= 1e-12
+
+    def test_report_states_each_number_once(self, endpoints):
+        # stage details hold no copy of DFN, the cone margins, the P_X
+        # image or subboxes, which the report states under their own keys
+        data = endpoints[0].to_json()
+        assert {s["name"]: set(s["detail"]) for s in data["stages"]} == {
+            "chart": {"lambda", "v"},
+            "derivative": {"subdivision"},
+            "cones": set(),
+            "poincare": {"direction"},
+        }
+        assert {"DFN", "cone_margins", "poincare_image", "subboxes"} <= set(
+            data
+        )
 
     def test_stage_names_in_order(self, endpoints):
         left, _ = endpoints

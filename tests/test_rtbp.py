@@ -512,8 +512,15 @@ def test_series_energy_drift():
 def test_series_collision():
     p = band_left()
     tf = RtbpTaylorField(p)
-    with pytest.raises(CollisionSingularity):
+    with pytest.raises(CollisionSingularity) as info:
         tf.expand(IVector.from_floats([p.mu.mid, 0.0, 0.0, 0.0]), 5)
+    # the one-line form of every collision check, least ends only
+    msg = str(info.value)
+    assert "\n" not in msg
+    assert msg.startswith(
+        "distance enclosure touches a primary: least r1^2="
+    )
+    assert ", least r2^2=" in msg
 
 
 def test_variational_first_coefficient():
