@@ -38,8 +38,9 @@ One Taylor step of order p uses five series expansions, in this order:
   * an interval series at the current box (order q) and its variational
     series from I (order q), whose Taylor polynomial [V] is the transport.
 The variational series come back as float (lo, hi) series per entry
-(MatrixSeries), and [V] is summed by Horner on those floats with the
-rounding of the Interval operations.  The mean value theorem then gives
+(MatrixSeries).  [V] and the image of the midpoint are summed by Horner
+on float pairs with the rounding of the Interval operations.  The mean
+value theorem then gives
 phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r) + tail.  For x in
 the box, phi_h(x) - phi_h(m) averages D(phi_h)(y) (x - m) over y on the
 segment from m to x, and by Taylor's theorem in time D(phi_h)(y) is the
@@ -52,7 +53,10 @@ already below sol_err, which the step carries anyway.  When q < p,
 var_err <= sol_err, so the error ratio below is sol_err / tol.  The
 products [V] C and [V] B are split into float midpoints plus interval
 defects, which join the tail in the error, and the error basis is
-renewed by QR with sorted columns to control wrapping.
+renewed by QR with sorted columns to control wrapping.  A product of an
+interval matrix with a float one ([V] C, [V] B, Q^T Q, Q^-1 times the
+float part of [V] B, and the hull of the set) takes per term the two
+corners picked by the float's sign, with the rounding of idot.
 The float QR factor Q is orthogonal up to rounding, so Q^-1 is enclosed
 as Q^T plus an entrywise ball of radius ||E|| / (1 - ||E||) ||Q^T||, with
 E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
@@ -78,7 +82,8 @@ past the section; any other contact step is halved, and a step below
 h_min is LostCrossing.  A set must therefore pass the section within one
 step: a set wider than a step's travel ends in LostCrossing.  The
 crossing step lands a float time on the section with the midpoint
-series and projects the set onto the section through the correlated
+series, which does not depend on h and so also encloses the image at
+that time, and projects the set onto the section through the correlated
 mean-value form
 
     P_i in p_i - [F_i(Z)/F_k(Z)] (p_k - value),
@@ -195,15 +200,11 @@ class FlowEnclosure:
         )
 
     def as_box(self) -> Box:
-        n = self.dim
         coords = list(self.init_remainder) + list(self.remainder)
-        out = []
-        for i in range(n):
-            row = [Interval(x) for x in self.init_basis[i]] + [
-                Interval(x) for x in self.basis[i]
-            ]
-            out.append(self.midpoint[i] + idot(row, coords))
-        return IVector(out)
+        return IVector([
+            m + _point_dot(coords, c + b)
+            for m, c, b in zip(self.midpoint, self.init_basis, self.basis)
+        ])
 
     def max_width(self) -> float:
         return self.as_box().max_width()
@@ -348,12 +349,43 @@ def _opnorm_inf(m: IMatrix) -> float:
     return worst
 
 
+def _point_dot(xs: list, fs) -> Interval:
+    """idot(xs, [Interval(f) for f in fs]), bit for bit, for intervals xs
+    and finite floats fs: each term takes the two corner products picked
+    by the sign of f, or 0 for a zero of either sign (in idot, 0 * inf
+    counts as 0, and the nudges below erase the sign of a zero), with
+    idot's outward nudges and order of accumulation."""
+    lo = hi = 0.0
+    for x, f in zip(xs, fs):
+        if f > 0.0:
+            p, q = x.lo * f, x.hi * f
+        elif f < 0.0:
+            p, q = x.hi * f, x.lo * f
+        else:
+            p = q = 0.0
+        lo = _nextafter(lo + _nextafter(p, _NINF), _NINF)
+        hi = _nextafter(hi + _nextafter(q, _INF), _INF)
+    return _mk(lo, hi)
+
+
+def _mul_floats(a: IMatrix, b: list) -> IMatrix:
+    """a.matmul(IMatrix.from_floats(b)), bit for bit."""
+    cols = list(zip(*b))
+    return IMatrix([[_point_dot(row, c) for c in cols] for row in a.rows])
+
+
 def _horner_vec(series, order: int, h: float, tail: IVector) -> IVector:
-    acc = tail
+    """tail h^(order+1) + sum_{k <= order} c_k h^k, by Horner on float
+    pairs, rounded as the IVector Horner acc * h + c_k from acc = tail is
+    for h > 0, like _horner_transport."""
+    los, his = [c.lo for c in tail], [c.hi for c in tail]
     for k in range(order, -1, -1):
         c = series.coefficient(k)
-        acc = IVector([a * h + b for a, b in zip(acc, c)])
-    return acc
+        los = [_add_dn(_nextafter(_mul_ep(lo, h), _NINF), b.lo)
+               for lo, b in zip(los, c)]
+        his = [_add_up(_nextafter(_mul_ep(hi, h), _INF), b.hi)
+               for hi, b in zip(his, c)]
+    return IVector(list(map(_mk, los, his)))
 
 
 def _horner_transport(v: MatrixSeries, order: int, h: float) -> IMatrix:
@@ -393,10 +425,13 @@ class _StepData:
 
 
 def _expand_step(
-    field, enc: FlowEnclosure, h: float, order: int, tol: float = math.inf
+    field, enc: FlowEnclosure, h: float, order: int, tol: float = math.inf,
+    ser_m=None,
 ) -> _StepData:
     """The five expansions of one step, or only the tube series when the
     solution Lagrange term exceeds tol; that series is expanded first.
+    ser_m is the thin series at the midpoint to order p, when the caller
+    has expanded it already; it does not depend on h.
 
     The transport is the Taylor polynomial of D(phi_h) over the box x0,
     of an order q <= p.  Its Lagrange term is only ever applied to
@@ -418,7 +453,8 @@ def _expand_step(
     if sol_err > tol:
         return _StepData(None, None, None, tube, sol_err, 0.0, None)
 
-    ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
+    if ser_m is None:
+        ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
     image = _horner_vec(ser_m, order, h, sol_tail)
 
     u = [x0[i] - enc.midpoint[i] for i in range(n)]
@@ -457,7 +493,7 @@ def _orthogonal_inverse(q: list) -> IMatrix:
     n = len(q)
     qt = [[q[j][i] for j in range(n)] for i in range(n)]
     qt_iv = IMatrix.from_floats(qt)
-    e = IMatrix.identity(n) - qt_iv.matmul(IMatrix.from_floats(q))
+    e = IMatrix.identity(n) - _mul_floats(qt_iv, q)
     e_norm = mat_opnorm_upper(e)
     if not e_norm < 0.5:
         raise EnclosureFailure(
@@ -476,11 +512,11 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
     m_new = [c.mid for c in data.image]
     defect = IVector([data.image[i] - m_new[i] for i in range(n)])
 
-    tc_full = data.transport.matmul(IMatrix.from_floats(enc.init_basis))
+    tc_full = _mul_floats(data.transport, enc.init_basis)
     c_new = tc_full.mid()
     c_delta = tc_full - IMatrix.from_floats(c_new)
 
-    tb_full = data.transport.matmul(IMatrix.from_floats(enc.basis))
+    tb_full = _mul_floats(data.transport, enc.basis)
     m_mid = tb_full.mid()
     m_delta = tb_full - IMatrix.from_floats(m_mid)
 
@@ -503,7 +539,7 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
     q = [[float(q_np[i][j]) for j in range(n)] for i in range(n)]
     q_inv = _orthogonal_inverse(q)
 
-    rem = q_inv.matmul(IMatrix.from_floats(m_mid)).matvec(enc.remainder)
+    rem = _mul_floats(q_inv, m_mid).matvec(enc.remainder)
     rem = rem + q_inv.matvec(err)
     return FlowEnclosure(
         m_new, q, rem, enc.time + h, c_new, enc.init_remainder
@@ -607,9 +643,9 @@ def _past_section(end: FlowEnclosure, section: Section) -> bool:
     return gap.lo > 0.0
 
 
-def _float_newton_time(field, enc, h_step, section, order):
-    """Float time where the midpoint series meets the section (no rigor)."""
-    ser = field.expand(IVector.from_floats(enc.midpoint), order)
+def _float_newton_time(ser, h_step, section, order):
+    """Float time where the midpoint series ser meets the section (no
+    rigor)."""
     coeffs = [ser.coefficient(k)[section.index].mid for k in range(order + 1)]
     dcoeffs = [k * coeffs[k] for k in range(1, order + 1)]
 
@@ -645,9 +681,12 @@ def _cross_in_step(field, enc, h_step, section, order):
     section.  Returns the on-section FlowEnclosure or raises."""
     n = enc.dim
     k = section.index
-    t_star = _float_newton_time(field, enc, h_step, section, order)
+    # the thin midpoint series lands the float time and then encloses
+    # the image at that time
+    ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
+    t_star = _float_newton_time(ser_m, h_step, section, order)
 
-    data = _expand_step(field, enc, t_star, order)
+    data = _expand_step(field, enc, t_star, order, ser_m=ser_m)
     # first-crossing inside the step needs monotone section coordinate
     f_tube = field.vector_field(data.tube)[k]
     if 0.0 in f_tube or (f_tube.hi < 0.0) != (section.direction < 0):
@@ -655,8 +694,8 @@ def _cross_in_step(field, enc, h_step, section, order):
             f"section velocity over the step tube: {f_tube!r}"
         )
 
-    m_c = data.transport.matmul(IMatrix.from_floats(enc.init_basis))
-    m_b = data.transport.matmul(IMatrix.from_floats(enc.basis))
+    m_c = _mul_floats(data.transport, enc.init_basis)
+    m_b = _mul_floats(data.transport, enc.basis)
     coords = list(enc.init_remainder) + list(enc.remainder)
     tail = data.tail
     p_rows = [

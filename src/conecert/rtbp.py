@@ -47,7 +47,10 @@ product", SISC 26, 2005).  The widening is itself an exact-directed sum,
 as in the Interval addition.  Division by the Taylor index k+1 divides by
 the exact integer and rounds outward, rather than multiplying by a rounded
 1/(k+1).  A dot with an infinite endpoint, or one whose sums overflow,
-falls back to the per-term outward rounding of idot.
+falls back to the per-term outward rounding of idot.  Outside the dots
+the pair arithmetic calls the exact-directed sums _add_dn and _add_up
+and nudges each product outward, directly; the power-rule weights
+j - a (k - j) of r^-3 and r^-5 come from a table built once.
 """
 
 from __future__ import annotations
@@ -780,27 +783,6 @@ def _dot(alo: list, ahi: list, blo: list, bhi: list) -> tuple:
     return r.lo, r.hi
 
 
-def _add(a0: float, a1: float, b0: float, b1: float) -> tuple:
-    return _add_dn(a0, b0), _add_up(a1, b1)
-
-
-def _sub(a0: float, a1: float, b0: float, b1: float) -> tuple:
-    return _add_dn(a0, -b1), _add_up(a1, -b0)
-
-
-def _mul(a0: float, a1: float, b0: float, b1: float) -> tuple:
-    r = _mk(a0, a1) * _mk(b0, b1)
-    return r.lo, r.hi
-
-
-def _mul_pos(c0: float, c1: float, b0: float, b1: float) -> tuple:
-    """[c0, c1] * [b0, b1] for a constant with 0 < c0 <= c1 < inf."""
-    return (
-        _nextafter(b0 * (c0 if b0 >= 0.0 else c1), _NINF),
-        _nextafter(b1 * (c1 if b1 >= 0.0 else c0), _INF),
-    )
-
-
 def _div_pos(a0: float, a1: float, d0: float, d1: float) -> tuple:
     """[a0, a1] / [d0, d1] for a divisor with 0 < d0 <= d1."""
     q0 = a0 / (d1 if a0 >= 0.0 else d0)
@@ -811,39 +793,33 @@ def _div_pos(a0: float, a1: float, d0: float, d1: float) -> tuple:
     return _nextafter(q0, _NINF), _nextafter(q1, _INF)
 
 
-def _div_int(a0: float, a1: float, d: int) -> tuple:
-    """[a0, a1] / d for an integer d >= 1, which is exact as a float."""
-    return _nextafter(a0 / d, _NINF), _nextafter(a1 / d, _INF)
-
-
-def _sq(a0: float, a1: float) -> tuple:
-    r = sq(_mk(a0, a1))
-    return r.lo, r.hi
-
-
 def _start(lo: float, hi: float) -> tuple:
     """A series pair holding coefficient 0 only."""
     return [lo], [hi]
 
 
-def _append(series: tuple, value: tuple) -> None:
-    series[0].append(value[0])
-    series[1].append(value[1])
+# the weights j - a (k - j), j < k, of coefficient k of S^a for the two
+# powers the kernel takes, w = s^-3/2 and v = s^-5/2: half-integers, exact
+_POWER_WEIGHTS = {a: [[j - a * (k - j) for j in range(k)] for k in range(64)]
+                  for a in (-1.5, -2.5)}
 
 
 def _power_next(s: tuple, pw: tuple, a: float, k: int) -> tuple:
-    """Coefficient k >= 1 of P = S^a, a < -1, from p_0..p_{k-1}.
+    """Coefficient k >= 1 of P = S^a, a in {-1.5, -2.5}, from
+    p_0..p_{k-1}.
 
     k s_0 p_k = sum_{j<k} (a (k - j) - j) s_{k-j} p_j, and every weight
     is negative, so p_k = -(sum_j |w_j| s_{k-j} p_j) / (k s_0).
     """
     (sl, sh), (pl, ph) = s, pw
-    ws = [j - a * (k - j) for j in range(k)]  # half-integers, exact
+    table = _POWER_WEIGHTS[a]
+    ws = table[k] if k < len(table) else [j - a * (k - j) for j in range(k)]
     tl = [_nextafter(w * x, _NINF) for w, x in zip(ws, sl[k:0:-1])]
     th = [_nextafter(w * x, _INF) for w, x in zip(ws, sh[k:0:-1])]
     n0, n1 = _dot(tl, th, pl, ph)
     q0, q1 = _div_pos(-n1, -n0, sl[0], sh[0])
-    return _div_int(q0, q1, k)
+    # divided by the exact integer k, rounded outward
+    return _nextafter(q0 / k, _NINF), _nextafter(q1 / k, _INF)
 
 
 class RtbpSolutionSeries:
@@ -898,62 +874,75 @@ class RtbpSolutionSeries:
     def extend(self) -> None:
         """Append coefficient order+1 to every series."""
         k = self.order
+        kk = k + 1
         (xl, xh), (yl, yh), (pl, ph), (ql, qh) = self._u
         m1, mu = self.masses
         w1l, w1h = self.w1
         w2l, w2h = self.w2
         rw1l, rw1h, rw2l, rw2h = w1l[::-1], w1h[::-1], w2l[::-1], w2h[::-1]
-        d1w1 = _dot(self.d1[0], self.d1[1], rw1l, rw1h)
-        d2w2 = _dot(self.d2[0], self.d2[1], rw2l, rw2h)
-        yw1 = _dot(yl, yh, rw1l, rw1h)
-        yw2 = _dot(yl, yh, rw2l, rw2h)
-        _append(self.d1w1, d1w1)
-        _append(self.d2w2, d2w2)
-        _append(self.yw1, yw1)
-        _append(self.yw2, yw2)
-        # coefficient k of the vector field along the series
-        f = (
-            _add(pl[k], ph[k], yl[k], yh[k]),
-            _sub(ql[k], qh[k], xl[k], xh[k]),
-            _sub(
-                *_sub(ql[k], qh[k], *_mul_pos(*m1, *d1w1)),
-                *_mul_pos(*mu, *d2w2),
-            ),
-            _sub(
-                -ph[k], -pl[k],
-                *_add(*_mul_pos(*m1, *yw1), *_mul_pos(*mu, *yw2)),
-            ),
-        )
-        kk = k + 1
-        for series, fi in zip(self._u, f):
-            _append(series, _div_int(*fi, kk))
+        # d1 w1, d2 w2, Y w1 and Y w2, kept, then times the positive
+        # constant 1 - mu or mu: the corner is picked by the product's sign
+        scaled = []
+        for (lo, hi), (a0, a1), (c0, c1) in zip(
+            (self.d1w1, self.d2w2, self.yw1, self.yw2),
+            (_dot(self.d1[0], self.d1[1], rw1l, rw1h),
+             _dot(self.d2[0], self.d2[1], rw2l, rw2h),
+             _dot(yl, yh, rw1l, rw1h), _dot(yl, yh, rw2l, rw2h)),
+            (m1, mu, m1, mu),
+        ):
+            lo.append(a0)
+            hi.append(a1)
+            scaled.append(_nextafter(a0 * (c0 if a0 >= 0.0 else c1), _NINF))
+            scaled.append(_nextafter(a1 * (c1 if a1 >= 0.0 else c0), _INF))
+        al, ah, bl, bh, cl, ch, dl, dh = scaled
+        # coefficient k of the field along the series, divided by the
+        # exact integer k + 1 and rounded outward
+        f3l = _add_dn(-ph[k], -_add_up(ch, dh))
+        f3h = _add_up(-pl[k], -_add_dn(cl, dl))
+        xl.append(_nextafter(_add_dn(pl[k], yl[k]) / kk, _NINF))
+        xh.append(_nextafter(_add_up(ph[k], yh[k]) / kk, _INF))
+        yl.append(_nextafter(_add_dn(ql[k], -xh[k]) / kk, _NINF))
+        yh.append(_nextafter(_add_up(qh[k], -xl[k]) / kk, _INF))
+        pl.append(_nextafter(_add_dn(_add_dn(ql[k], -ah), -bh) / kk, _NINF))
+        ph.append(_nextafter(_add_up(_add_up(qh[k], -al), -bl) / kk, _INF))
+        ql.append(_nextafter(f3l / kk, _NINF))
+        qh.append(_nextafter(f3h / kk, _INF))
         self.order = kk
-        xk = (xl[kk], xh[kk])
-        _append(self.d1, xk)
-        _append(self.d2, xk)
+        x0, x1 = xl[kk], xh[kk]
+        for lo, hi in (self.d1, self.d2):
+            lo.append(x0)
+            hi.append(x1)
         # squares by symmetry: c_kk = 2 sum_{j <= h} a_j a_{kk-j}, plus
         # a_{kk/2}^2 when kk is even; d1 and d2 differ only at index 0
         h = (kk - 1) // 2
-        y2 = _dot(yl[: h + 1], yh[: h + 1], yl[kk:kk - h - 1:-1],
-                  yh[kk:kk - h - 1:-1])
-        mid = _dot(xl[1:h + 1], xh[1:h + 1], xl[kk - 1:kk - h - 1:-1],
-                   xh[kk - 1:kk - h - 1:-1])
-        y2 = _add(*y2, *y2)
+        y2l, y2h = _dot(yl[: h + 1], yh[: h + 1], yl[kk:kk - h - 1:-1],
+                        yh[kk:kk - h - 1:-1])
+        midl, midh = _dot(xl[1:h + 1], xh[1:h + 1], xl[kk - 1:kk - h - 1:-1],
+                          xh[kk - 1:kk - h - 1:-1])
+        y2l, y2h = _add_dn(y2l, y2l), _add_up(y2h, y2h)
+        sqx = _mk(0.0, 0.0)
         if kk % 2 == 0:
-            y2 = _add(*y2, *_sq(yl[kk // 2], yh[kk // 2]))
-            sq_x = _sq(xl[kk // 2], xh[kk // 2])
-        else:
-            sq_x = (0.0, 0.0)
-        _append(self.y2, y2)
+            r = sq(_mk(yl[kk // 2], yh[kk // 2]))
+            y2l, y2h = _add_dn(y2l, r.lo), _add_up(y2h, r.hi)
+            sqx = sq(_mk(xl[kk // 2], xh[kk // 2]))
+        self.y2[0].append(y2l)
+        self.y2[1].append(y2h)
+        xk = _mk(x0, x1)
         for dsq, d, s, w in (
             (self.d1sq, self.d1, self.s1, self.w1),
             (self.d2sq, self.d2, self.s2, self.w2),
         ):
-            t = _add(*_mul(d[0][0], d[1][0], *xk), *mid)
-            c = _add(*_add(*t, *t), *sq_x)
-            _append(dsq, c)
-            _append(s, _add(*c, *y2))
-            _append(w, _power_next(s, w, -1.5, kk))
+            t = _mk(d[0][0], d[1][0]) * xk
+            tl, th = _add_dn(t.lo, midl), _add_up(t.hi, midh)
+            c0 = _add_dn(_add_dn(tl, tl), sqx.lo)
+            c1 = _add_up(_add_up(th, th), sqx.hi)
+            dsq[0].append(c0)
+            dsq[1].append(c1)
+            s[0].append(_add_dn(c0, y2l))
+            s[1].append(_add_up(c1, y2h))
+            p0, p1 = _power_next(s, w, -1.5, kk)
+            w[0].append(p0)
+            w[1].append(p1)
 
     def coefficient(self, k: int) -> IVector:
         c = [_mk(lo[k], hi[k]) for lo, hi in self._u]
@@ -965,47 +954,61 @@ class RtbpSolutionSeries:
         """The (lo, hi) series of Omega_XX, Omega_XY and Omega_YY, one
         order at a time: the k-th next() appends coefficient k to each of
         the three and yields them, for k up to the solution's order."""
-        m1, mu = self.masses
-        s1, s2, w1, w2 = self.s1, self.s2, self.w1, self.w2
+        (m1l, m1h), (mul, muh) = self.masses
+        s1, s2 = self.s1, self.s2
+        (w1l, w1h), (w2l, w2h) = self.w1, self.w2
         yl, yh = self._u[1]
         # v = w / s = s^-5/2
-        v1 = _start(*_div_pos(w1[0][0], w1[1][0], s1[0][0], s1[1][0]))
-        v2 = _start(*_div_pos(w2[0][0], w2[1][0], s2[0][0], s2[1][0]))
+        v1 = _start(*_div_pos(w1l[0], w1h[0], s1[0][0], s1[1][0]))
+        v2 = _start(*_div_pos(w2l[0], w2h[0], s2[0][0], s2[1][0]))
         uxx = ([], [])
         uyy = ([], [])
         mix = ([], [])
         uxy = ([], [])
         for k in range(self.order + 1):
             if k:
-                _append(v1, _power_next(s1, v1, -2.5, k))
-                _append(v2, _power_next(s2, v2, -2.5, k))
+                for s, v in ((s1, v1), (s2, v2)):
+                    p0, p1 = _power_next(s, v, -2.5, k)
+                    v[0].append(p0)
+                    v[1].append(p1)
             rv1l, rv1h = v1[0][k::-1], v1[1][k::-1]
             rv2l, rv2h = v2[0][k::-1], v2[1][k::-1]
+            # (1 - mu) (w1 - 3 p1 v1) + mu (w2 - 3 p2 v2) for Omega_XX and
+            # Omega_YY, and mix = (1 - mu) d1 v1 + mu d2 v2
             for out, p1, p2 in (
                 (uxx, self.d1sq, self.d2sq),
                 (uyy, self.y2, self.y2),
+                (mix, self.d1, self.d2),
             ):
-                a1 = _dot(p1[0], p1[1], rv1l, rv1h)
-                a2 = _dot(p2[0], p2[1], rv2l, rv2h)
-                t1 = _sub(w1[0][k], w1[1][k], *_mul_pos(3.0, 3.0, *a1))
-                t2 = _sub(w2[0][k], w2[1][k], *_mul_pos(3.0, 3.0, *a2))
-                _append(out, _add(*_mul_pos(*m1, *t1), *_mul_pos(*mu, *t2)))
-            e1 = _dot(self.d1[0], self.d1[1], rv1l, rv1h)
-            e2 = _dot(self.d2[0], self.d2[1], rv2l, rv2h)
-            _append(mix, _add(*_mul_pos(*m1, *e1), *_mul_pos(*mu, *e2)))
-            t = _mul_pos(3.0, 3.0, *_dot(yl, yh, mix[0][k::-1], mix[1][k::-1]))
-            _append(uxy, (-t[1], -t[0]))
+                al, ah = _dot(p1[0], p1[1], rv1l, rv1h)
+                bl, bh = _dot(p2[0], p2[1], rv2l, rv2h)
+                if out is not mix:
+                    al, ah = (_add_dn(w1l[k], -_nextafter(ah * 3.0, _INF)),
+                              _add_up(w1h[k], -_nextafter(al * 3.0, _NINF)))
+                    bl, bh = (_add_dn(w2l[k], -_nextafter(bh * 3.0, _INF)),
+                              _add_up(w2h[k], -_nextafter(bl * 3.0, _NINF)))
+                out[0].append(_add_dn(
+                    _nextafter(al * (m1l if al >= 0.0 else m1h), _NINF),
+                    _nextafter(bl * (mul if bl >= 0.0 else muh), _NINF)))
+                out[1].append(_add_up(
+                    _nextafter(ah * (m1h if ah >= 0.0 else m1l), _INF),
+                    _nextafter(bh * (muh if bh >= 0.0 else mul), _INF)))
+            # Omega_XY = -3 Y mix
+            tl, th = _dot(yl, yh, mix[0][k::-1], mix[1][k::-1])
+            uxy[0].append(-_nextafter(th * 3.0, _INF))
+            uxy[1].append(-_nextafter(tl * 3.0, _NINF))
             yield uxx, uxy, uyy
 
     def _mass_forcing(self, uxx: tuple, uxy: tuple, k: int) -> tuple:
-        """Coefficient k of dP_X'/dmu and of dP_Y'/dmu, as (lo, hi) pairs,
-        from the products extend formed and the series uxx, uxy of
-        _partials."""
+        """Coefficient k of dP_X'/dmu and of dP_Y'/dmu, as Intervals, from
+        the products extend formed and the series uxx, uxy of _partials."""
         (al, ah), (bl, bh) = self.d1w1, self.d2w2
         (cl, ch), (dl, dh) = self.yw1, self.yw2
         return (
-            _add(*_sub(al[k], ah[k], bl[k], bh[k]), uxx[0][k], uxx[1][k]),
-            _add(*_sub(cl[k], ch[k], dl[k], dh[k]), uxy[0][k], uxy[1][k]),
+            _mk(_add_dn(_add_dn(al[k], -bh[k]), uxx[0][k]),
+                _add_up(_add_up(ah[k], -bl[k]), uxx[1][k])),
+            _mk(_add_dn(_add_dn(cl[k], -dh[k]), uxy[0][k]),
+                _add_up(_add_up(ch[k], -dl[k]), uxy[1][k])),
         )
 
 
@@ -1071,9 +1074,7 @@ class RtbpTaylorField:
         weights = [None] * m
         if sol.dim == 5:
             entries.append([_start(c.lo, c.hi) for c in rows[4]])
-            weights = [
-                None if c.lo == c.hi == 0.0 else (c.lo, c.hi) for c in rows[4]
-            ]
+            weights = [None if c.lo == c.hi == 0.0 else c for c in rows[4]]
         v = MatrixSeries(entries)
         omega = sol._partials()
         for k in range(order):
@@ -1089,27 +1090,29 @@ class RtbpTaylorField:
                 (c0l, c0h), (c1l, c1h), (c2l, c2h), (c3l, c3h) = col
                 bl = c0l[k::-1] + c1l[k::-1]
                 bh = c0h[k::-1] + c1h[k::-1]
-                t2 = _dot(a1l, a1h, bl, bh)
-                t3 = _dot(a2l, a2h, bl, bh)
-                r2 = _sub(c3l[k], c3h[k], *t2)
-                r3 = _sub(-c2h[k], -c2l[k], *t3)
+                t2l, t2h = _dot(a1l, a1h, bl, bh)
+                t3l, t3h = _dot(a2l, a2h, bl, bh)
+                r2l, r2h = _add_dn(c3l[k], -t2h), _add_up(c3h[k], -t2l)
+                r3l, r3h = _add_dn(-c2h[k], -t3h), _add_up(-c2l[k], -t3l)
                 if wt is not None:
                     # an exact factor 1 leaves the forcing unrounded
-                    fx, fy = (gx, gy) if wt == (1.0, 1.0) else (
-                        _mul(*gx, *wt), _mul(*gy, *wt))
-                    r2 = _add(*r2, *fx)
-                    r3 = _add(*r3, *fy)
-                r = (
-                    _add(c1l[k], c1h[k], c2l[k], c2h[k]),
-                    _sub(c3l[k], c3h[k], c0l[k], c0h[k]),
-                    r2,
-                    r3,
-                )
-                for series, ri in zip(col, r):
-                    _append(series, _div_int(*ri, kk))
+                    fx, fy = (gx, gy) if wt.lo == wt.hi == 1.0 else (
+                        gx * wt, gy * wt)
+                    r2l, r2h = _add_dn(r2l, fx.lo), _add_up(r2h, fx.hi)
+                    r3l, r3h = _add_dn(r3l, fy.lo), _add_up(r3h, fy.hi)
+                # V_{k+1} = (DF V)_k / (k + 1), outward
+                c0l.append(_nextafter(_add_dn(c1l[k], c2l[k]) / kk, _NINF))
+                c0h.append(_nextafter(_add_up(c1h[k], c2h[k]) / kk, _INF))
+                c1l.append(_nextafter(_add_dn(c3l[k], -c0h[k]) / kk, _NINF))
+                c1h.append(_nextafter(_add_up(c3h[k], -c0l[k]) / kk, _INF))
+                c2l.append(_nextafter(r2l / kk, _NINF))
+                c2h.append(_nextafter(r2h / kk, _INF))
+                c3l.append(_nextafter(r3l / kk, _NINF))
+                c3h.append(_nextafter(r3h / kk, _INF))
             if sol.dim == 5:
-                for entry in entries[4]:
-                    _append(entry, (0.0, 0.0))
+                for lo, hi in entries[4]:
+                    lo.append(0.0)
+                    hi.append(0.0)
             if stop is not None and stop(kk, v[kk]):
                 break
         return v

@@ -23,6 +23,7 @@ from conecert.interval import (
     IVector,
     MatrixSeries,
     decimal_to_interval,
+    idot,
 )
 from conecert.flow import (
     EnclosureFailure,
@@ -193,6 +194,32 @@ def test_transport_horner_matches_interval_horner():
         for row, ref_row in zip(got.rows, acc.rows):
             for a, b in zip(row, ref_row):
                 assert (repr(a.lo), repr(a.hi)) == (repr(b.lo), repr(b.hi))
+
+
+def test_image_horner_matches_interval_horner():
+    # The image of the midpoint is summed on float pairs with the
+    # rounding of the IVector Horner acc * h + c_k from acc = tail; the
+    # Interval loop is the reference and must agree bit for bit, zero
+    # signs and infinite tail endpoints included.  [TRIVIAL]
+    field = rtbp_field()
+    rng = random.Random(1401)
+    order = 20
+    for trial in range(6):
+        r = 10.0 ** rng.uniform(-12.0, -3.0)
+        centre = [-0.8 + rng.uniform(-0.05, 0.05), 0.1, 0.05, -0.7]
+        box = IVector([Interval(c - r, c + r) for c in centre])
+        h = rng.choice([0.03, 0.06, 0.12, 0.0123456])
+        series = field.expand(IVector.from_floats(centre), order)
+        tail = field.expand(box, order + 1).coefficient(order + 1)
+        if trial == 0:
+            tail = IVector([Interval(-math.inf, 1.0), Interval(-0.0, 0.0),
+                            Interval(0.0, math.inf), tail[3]])
+        acc = tail
+        for k in range(order, -1, -1):
+            acc = IVector([a * h + b for a, b in zip(acc, series.coefficient(k))])
+        got = flow._horner_vec(series, order, h, tail)
+        for a, b in zip(got, acc):
+            assert (repr(a.lo), repr(a.hi)) == (repr(b.lo), repr(b.hi))
 
 
 # (A, closed-form e^(At)) pairs for the low-order step tests
@@ -737,6 +764,73 @@ def test_orthogonal_inverse_rejects_non_orthogonal():
 
 
 # -- representation -------------------------------------------------------
+
+
+def _signed_floats(rng: random.Random, n: int) -> list:
+    """Floats of both signs and wide magnitudes, with zeros of both
+    signs."""
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append(rng.choice([0.0, -0.0]))
+        else:
+            out.append(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300))
+    return out
+
+
+def _interval_entries(rng: random.Random, n: int) -> list:
+    """Intervals with zero, thin, wide, sign-straddling and infinite
+    endpoints."""
+    inf = math.inf
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append(rng.choice([Interval(-inf, 1.0), Interval(-2.0, inf),
+                                   Interval(-inf, inf), Interval(0.0, inf)]))
+        elif kind < 0.2:
+            out.append(Interval(rng.choice([0.0, -0.0]), rng.choice([0.0, 3.0])))
+        else:
+            lo, hi = sorted(_signed_floats(rng, 2))
+            out.append(Interval(lo, hi))
+    return out
+
+
+def test_point_factor_product_matches_interval_matmul():
+    # [TRIVIAL] the product of an interval matrix with a float one takes
+    # the corners picked by each float's sign; IMatrix.matmul of the
+    # floats as point intervals is the reference, bit for bit
+    rng = random.Random(2005)
+    for n, m in [(4, 4), (5, 5), (4, 8), (1, 3)]:
+        for _ in range(30):
+            a = IMatrix([_interval_entries(rng, m) for _ in range(n)])
+            b = [_signed_floats(rng, 4) for _ in range(m)]
+            got = flow._mul_floats(a, b)
+            ref = a.matmul(IMatrix.from_floats(b))
+            for row, ref_row in zip(got.rows, ref.rows):
+                for x, y in zip(row, ref_row):
+                    assert (repr(x.lo), repr(x.hi)) == (repr(y.lo), repr(y.hi))
+
+
+def test_as_box_matches_interval_dot():
+    # [TRIVIAL] the hull of a doubleton is its midpoint plus the idot of
+    # both bases, as point intervals, with both remainders, bit for bit
+    rng = random.Random(1988)
+    for _ in range(30):
+        enc = FlowEnclosure(
+            _signed_floats(rng, 4),
+            [_signed_floats(rng, 4) for _ in range(4)],
+            IVector(_interval_entries(rng, 4)),
+            Interval(0.0),
+            [_signed_floats(rng, 4) for _ in range(4)],
+            IVector(_interval_entries(rng, 4)),
+        )
+        coords = list(enc.init_remainder) + list(enc.remainder)
+        for i, x in enumerate(enc.as_box()):
+            row = [Interval(f) for f in enc.init_basis[i] + enc.basis[i]]
+            y = enc.midpoint[i] + idot(row, coords)
+            assert (repr(x.lo), repr(x.hi)) == (repr(y.lo), repr(y.hi))
 
 
 def test_flow_enclosure_round_trip():

@@ -1063,6 +1063,46 @@ def test_fused_dot_unbounded_terms():
     assert 0.0 in zero and zero.mag < 1e-300
 
 
+def _power_next_per_call(s: tuple, pw: tuple, a: float, k: int) -> tuple:
+    """Coefficient k of S^a with the weights j - a (k - j) built on every
+    call, the form the weight table replaces."""
+    (sl, sh), (pl, ph) = s, pw
+    ws = [j - a * (k - j) for j in range(k)]
+    tl = [math.nextafter(w * x, -math.inf) for w, x in zip(ws, sl[k:0:-1])]
+    th = [math.nextafter(w * x, math.inf) for w, x in zip(ws, sh[k:0:-1])]
+    n0, n1 = rtbp._dot(tl, th, pl, ph)
+    q0, q1 = rtbp._div_pos(-n1, -n0, sl[0], sh[0])
+    return math.nextafter(q0 / k, -math.inf), math.nextafter(q1 / k, math.inf)
+
+
+def _random_series(rng: random.Random, n: int, head: float) -> tuple:
+    """(lo, hi) lists of n coefficients from head, of mixed signs, widths
+    and magnitudes."""
+    lo, hi = [], []
+    for j in range(n):
+        c = rng.uniform(-1.0, 1.0) * 10.0 ** -rng.randint(0, 12)
+        c = head if j == 0 else c
+        r = abs(c) * rng.choice([0.0, 1e-15, 1e-6])
+        lo.append(c - r)
+        hi.append(c + r)
+    return lo, hi
+
+
+@pytest.mark.parametrize("a", [-1.5, -2.5])
+def test_power_next_matches_per_call_weights(a):
+    """The tabled power-rule weights give the coefficients of the
+    per-call weights bit for bit, at every order a step reaches.
+    [TRIVIAL]"""
+    rng = random.Random(1401)
+    for k in range(1, 22):
+        for _ in range(5):
+            s = _random_series(rng, k + 1, 0.5 + rng.random())
+            pw = _random_series(rng, k, rng.uniform(0.5, 2.0))
+            got = rtbp._power_next(s, pw, a, k)
+            ref = _power_next_per_call(s, pw, a, k)
+            assert (repr(got[0]), repr(got[1])) == (repr(ref[0]), repr(ref[1]))
+
+
 def test_jacobian_floats_twin():
     p = band_left()
     mu = p.mu.mid

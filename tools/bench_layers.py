@@ -18,14 +18,19 @@ A row holds:
     five series), accepted steps with the least, median and largest
     accepted step size, the least, median and largest transport order q
     of the full steps (p on trees that expand every series to p), the
-    tube-column coefficients they expanded (q + 1 each), and the P_X and
-    crossing-time widths of the certified image;
+    tube-column coefficients they expanded (q + 1 each), the P_X and
+    crossing-time widths of the certified image, and the sha256 of the
+    endpoint's report, json.dumps(to_json(), sort_keys=True);
   * layers, median milliseconds over REPEATS calls at the middle expanded
     step of the left flight: expand of the thin midpoint (order p = 20)
     and of the rough tube (box, order p + 1), expand_variational of the
     tube series from the one column V_0 = x0 - m, the step's box less its
-    midpoint (order p + 1, no stop rule), one flow._expand_step, and one
-    flow._assemble (the Lohner update) of that step;
+    midpoint (order p + 1, no stop rule), expand_variational of the box
+    series from the identity at the step's transport order q (the
+    transport's series), 1000 calls of rtbp._dot of length 12 (the tube
+    series' d1 against w1 reversed, coefficients 0..11; the row's
+    milliseconds read as microseconds per dot), one flow._expand_step,
+    and one flow._assemble (the Lohner update) of that step;
   * derivative, median milliseconds of the derivative-over-N stage, the
     proof's one derivative path: prover.enclose_DF_over_N over the left
     endpoint's N in 256 pieces and over the first default mass slice's N
@@ -55,6 +60,7 @@ median).  Compare layer rows of two trees by their nominal values.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -230,6 +236,9 @@ def _fly_endpoints(flow, prover, cfg):
             **counter.order_stats(),
             px_width=ep.poincare_image[2].width,
             tcross_width=ep.crossing_time.width,
+            digest=hashlib.sha256(
+                json.dumps(ep.to_json(), sort_keys=True).encode()
+            ).hexdigest(),
         )
         if side == "left":
             left_steps = list(counter.steps)
@@ -340,7 +349,7 @@ def _full_proof(prover) -> dict:
 
 def measure(src: Path, full: bool = False) -> dict:
     sys.path.insert(0, str(src))
-    from conecert import flow, prover
+    from conecert import flow, prover, rtbp
     from conecert.interval import IMatrix, IVector
 
     cfg = prover.ProofConfig.default()
@@ -352,11 +361,20 @@ def measure(src: Path, full: bool = False) -> dict:
     ser_z = field.expand(tube, order + 1)
     mid = IVector.from_floats(enc.midpoint)
     column = IMatrix([[box[i] - m] for i, m in enumerate(enc.midpoint)])
+    q = getattr(data, "order", order)
+    ser_x = field.expand(box, q)
+    ident = IMatrix.identity(len(box))
+    (d1l, d1h), (w1l, w1h) = ser_z.d1, ser_z.w1
+    dot_args = (d1l[:12], d1h[:12], w1l[11::-1], w1h[11::-1])
     layers, layers_nominal = _timed_rows({
         "expand_thin_p": lambda: field.expand(mid, order),
         "expand_box_p1": lambda: field.expand(tube, order + 1),
         "expand_variational_p1_column":
             lambda: field.expand_variational(ser_z, column, order + 1),
+        "expand_variational_q_identity":
+            lambda: field.expand_variational(ser_x, ident, q),
+        "dot_12_x1000":
+            lambda: [rtbp._dot(*dot_args) for _ in range(1000)],
         "expand_step": lambda: flow._expand_step(field, enc, h, order),
         "assemble": lambda: flow._assemble(enc, data, h),
     })
@@ -366,6 +384,7 @@ def measure(src: Path, full: bool = False) -> dict:
         "machine": _machine(),
         "order": order,
         "step_h": h,
+        "step_q": q,
         "layers_ms": layers,
         "layers_nominal_ms": layers_nominal,
         "derivative_ms": derivative,
