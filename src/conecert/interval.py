@@ -384,8 +384,10 @@ def idot(xs: Sequence[Interval], ys: Sequence[Interval]) -> Interval:
     """Fused interval dot product sum(xs[i] * ys[i]).
 
     Accumulates endpoint floats directly with one outward nudge per term,
-    avoiding intermediate Interval allocation.  The hot path of the Taylor
-    series recurrences.
+    avoiding intermediate Interval allocation.  The IMatrix products sum
+    with it and IArray.matmul rounds as it does.  The Taylor recurrences
+    run on float pairs instead (rtbp._dot) and call it only as the
+    fallback of a dot with an infinite or overflowing sum.
     """
     lo = 0.0
     hi = 0.0
@@ -557,16 +559,6 @@ class IArray:
 
     def __repr__(self) -> str:
         return f"IArray({self.lo!r}, {self.hi!r})"
-
-    @_quiet
-    def mid(self) -> np.ndarray:
-        """Interval.mid entrywise."""
-        lo, hi = self.lo, self.hi
-        m = 0.5 * (lo + hi)
-        m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
-        m = np.where(lo > m, lo, m)
-        m = np.where(hi < m, hi, m)
-        return np.where((lo == _NINF) & (hi == _INF), 0.0, m)
 
     def hull_over(self, axis: int = 0) -> "IArray":
         """Hull of the entries along one axis, which is removed.  Only

@@ -4,6 +4,7 @@ definiteness by interval Cholesky.
 Every routine returns enclosures or verdicts that remain valid for all point
 selections inside the interval inputs.  Floating-point preconditioners come
 from numpy; soundness never depends on them, only enclosure quality does.
+Each routine takes one IMatrix; the batched derivative over N solves nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interval import (
-    IArray,
     IMatrix,
     Interval,
     IVector,
@@ -30,7 +30,6 @@ __all__ = [
     "solve_interval_linear",
     "solve_interval_linear_cols",
     "verified_inverse",
-    "BatchSolver",
     "is_positive_definite",
 ]
 
@@ -135,111 +134,6 @@ class _Solver:
 def verified_inverse(a: IMatrix) -> IMatrix:
     """Interval enclosure of A^{-1} for every A in a."""
     return solve_interval_linear_cols(a, IMatrix.identity(a.shape[0]))
-
-
-class BatchSolver:
-    """Verified solves A X = B for a batch of interval matrices.
-
-    The batched twin of solve_interval_linear_cols: `a` is an IArray of
-    shape (..., n, n), one matrix per batch entry.  The midpoint
-    preconditioning runs once, in the constructor, and every solve
-    reuses it; each entry of every solve equals the scalar solve of that
-    batch entry bit for bit.  SingularEnclosure is raised when any
-    matrix of the batch fails the certificate.
-    """
-
-    def __init__(self, a: IArray):
-        n = a.shape[-1]
-        if a.shape[-2] != n:
-            raise ValueError("square matrices required")
-        with np.errstate(all="ignore"):
-            try:
-                y = np.linalg.inv(a.mid())
-            except np.linalg.LinAlgError as e:
-                raise SingularEnclosure("midpoint matrix not invertible") from e
-        if not np.all(np.isfinite(y)):
-            raise SingularEnclosure("midpoint inverse overflowed")
-        self.a = a
-        self.y = y
-        self.ym = IArray(y)
-        self.e = IArray.stack(IMatrix.identity(n)) - self.ym.matmul(a)
-        self.rho = _opnorm_upper(self.e)
-        if not np.all(self.rho < 1.0):
-            raise SingularEnclosure(
-                f"defect norm {np.max(self.rho)} >= 1, inversion unverified"
-            )
-
-    def solve(self, b: IArray) -> IArray:
-        """Enclosure of the solutions for right-hand sides b (..., n, m):
-        one Krawczyk step and two tightening sweeps per column, as in
-        solve_interval_linear_cols."""
-        a, e = self.a, self.e
-        bmid = b.mid()
-        xhat = np.empty(bmid.shape)
-        with np.errstate(all="ignore"):
-            # the midpoint solve column by column: the same BLAS call as
-            # the scalar y @ mid(b_j), so the same rounding
-            for j in range(bmid.shape[-1]):
-                col = np.ascontiguousarray(bmid[..., j])
-                xhat[..., j] = np.matmul(self.y, col[..., None])[..., 0]
-        xh = IArray(xhat)
-        r0 = self.ym.matmul(b - a.matmul(xh))
-        with np.errstate(all="ignore"):
-            bound = np.nextafter(
-                _norm_upper(r0) / (1.0 - self.rho[..., None]), np.inf
-            )
-        ball = IArray(
-            np.broadcast_to(-bound[..., None, :], r0.shape),
-            np.broadcast_to(bound[..., None, :], r0.shape),
-        )
-        col = xh + r0 + e.matmul(ball)
-        done = np.zeros(bound.shape, dtype=bool)
-        for _ in range(2):
-            refined = xh + r0 + e.matmul(col - xh)
-            # box_intersect per column; an empty one keeps its box and
-            # stops sweeping
-            lo = np.where(col.lo > refined.lo, col.lo, refined.lo)
-            hi = np.where(col.hi < refined.hi, col.hi, refined.hi)
-            done |= (lo > hi).any(axis=-2)
-            keep = done[..., None, :]
-            col = IArray(np.where(keep, col.lo, lo), np.where(keep, col.hi, hi))
-        return col
-
-
-def _opnorm_upper(m: IArray) -> np.ndarray:
-    """mat_opnorm_upper of every matrix of a batch (..., n, k), with the
-    same float operations in the same order."""
-    up = np.inf
-    mags = np.maximum(np.abs(m.lo), np.abs(m.hi))
-    n, k = mags.shape[-2:]
-    with np.errstate(all="ignore"):
-        squares = np.nextafter(mags * mags, up)
-        fro2 = 0.0
-        for i in range(n):
-            for j in range(k):
-                fro2 = np.nextafter(fro2 + squares[..., i, j], up)
-        fro = np.nextafter(np.sqrt(fro2), up)
-        rows = 0.0
-        for j in range(k):
-            rows = np.nextafter(rows + mags[..., :, j], up)
-        cols = 0.0
-        for i in range(n):
-            cols = np.nextafter(cols + mags[..., i, :], up)
-        norm_inf = np.maximum(rows.max(axis=-1), 0.0)
-        norm_1 = np.maximum(cols.max(axis=-1), 0.0)
-        holder = np.nextafter(np.sqrt(np.nextafter(norm_1 * norm_inf, up)), up)
-        return np.minimum(fro, holder)
-
-
-def _norm_upper(v: IArray) -> np.ndarray:
-    """vec_norm_sup(...).hi of every column of a batch (..., n, m)."""
-    sqs = sq(v)
-    acc = IArray(np.zeros(sqs.shape[:-2] + sqs.shape[-1:]))
-    for i in range(v.shape[-2]):
-        acc = acc + sqs[..., i, :]
-    with np.errstate(all="ignore"):
-        root = np.nextafter(np.sqrt(acc.hi), np.inf)
-    return np.where(acc.hi != 0.0, root, 0.0)
 
 
 def is_positive_definite(m: IMatrix) -> PDVerdict:

@@ -17,8 +17,9 @@ The module also builds the local chart at the interior collinear
 libration point: a verified linear change C putting the linearization
 into the Jordan form diag(lambda, -lambda, rot(v)), composed with a cubic
 polynomial change psi that straightens the unstable direction.  The local
-vector field and its Jacobian are obtained through verified linear solves
-against D(Phi), never by inverting Phi.
+Jacobian inverts D(Phi) = C D(psi) by one verified inverse of C per chart
+and the closed form of D(psi)^-1 (dpsi_inverse), never by a linear solve;
+the local field, a test reference, is a verified solve against D(Phi).
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -74,12 +75,7 @@ from .interval import (
     sq,
     sqrt,
 )
-from .linalg import (
-    BatchSolver,
-    _Solver,
-    solve_interval_linear,
-    solve_interval_linear_cols,
-)
+from .linalg import solve_interval_linear, verified_inverse
 
 _INF = math.inf
 _NINF = -math.inf
@@ -103,10 +99,10 @@ __all__ = [
     "jordan_residual",
     "psi",
     "dpsi",
+    "dpsi_inverse",
     "d2psi",
     "total_change",
     "d_total_change",
-    "d2_total_change",
     "local_field",
     "local_jacobian",
     "local_jacobian_batch",
@@ -418,11 +414,13 @@ obtained for the homoclinic mass-parameter band and shared across it."""
 
 @dataclass(frozen=True)
 class LocalChart:
-    """Verified chart data at L1 for one mass-parameter enclosure."""
+    """Verified chart data at L1 for one mass-parameter enclosure; C_inv
+    encloses C^-1 for every selection of C."""
 
     mu: Interval
     L1: IVector
     C: IMatrix
+    C_inv: IMatrix
     lam: Interval
     v: Interval
 
@@ -450,10 +448,9 @@ _JORDAN_PATTERN = {(0, 0): "lam", (1, 1): "-lam", (2, 3): "v", (3, 2): "-v"}
 
 
 def jordan_residual(chart: LocalChart, p: RtbpParams) -> IMatrix:
-    """(C)^-1 DF(L1) C minus the Jordan pattern; all entries contain 0
+    """C^-1 DF(L1) C minus the Jordan pattern; all entries contain 0
     for a valid chart."""
-    dfl = jacobian(chart.L1, p)
-    r = solve_interval_linear_cols(chart.C, dfl.matmul(chart.C))
+    r = chart.C_inv.matmul(jacobian(chart.L1, p).matmul(chart.C))
     rows = [list(r.row(i)) for i in range(4)]
     for (i, j), name in _JORDAN_PATTERN.items():
         val = {
@@ -530,7 +527,9 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     cols = (col0, col1, col2, col3)
     c_mat = IMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
 
-    chart = LocalChart(mu=mu, L1=l1, C=c_mat, lam=lam, v=v)
+    chart = LocalChart(
+        mu=mu, L1=l1, C=c_mat, C_inv=verified_inverse(c_mat), lam=lam, v=v
+    )
     residual = jordan_residual(chart, p)
     for i in range(4):
         for j in range(4):
@@ -576,23 +575,44 @@ def psi(q: IVector) -> IVector:
     )
 
 
-def dpsi(q: IVector) -> IMatrix:
+def _dpsi_border(q: IVector) -> tuple:
+    """(a, k) of D(psi)(q) = [[a, -k^T], [k, I]]: a = 1 - sum y_i K_i''(x)
+    and k_i = K_i'(x)."""
     x = q[0]
-    ys = (q[1], q[2], q[3])
+    a = 1.0 - (
+        q[1] * _k_second(1, x) + q[2] * _k_second(2, x) + q[3] * _k_second(3, x)
+    )
+    return a, [_k_prime(i, x) for i in (1, 2, 3)]
+
+
+def dpsi(q: IVector) -> IMatrix:
+    a, k = _dpsi_border(q)
     zero = Interval(0.0)
     one = Interval(1.0)
-    d00 = 1.0 - (
-        ys[0] * _k_second(1, x)
-        + ys[1] * _k_second(2, x)
-        + ys[2] * _k_second(3, x)
-    )
     return IMatrix(
-        [
-            [d00, -_k_prime(1, x), -_k_prime(2, x), -_k_prime(3, x)],
-            [_k_prime(1, x), one, zero, zero],
-            [_k_prime(2, x), zero, one, zero],
-            [_k_prime(3, x), zero, zero, one],
-        ]
+        [[a] + [-ki for ki in k]]
+        + [[k[i]] + [one if i == j else zero for j in range(3)]
+           for i in range(3)]
+    )
+
+
+def dpsi_inverse(q: IVector) -> IMatrix:
+    """D(psi)(q)^-1 in closed form: with s = a + k^T k, the Schur
+    complement of the identity block of D(psi) = [[a, -k^T], [k, I]],
+
+      D(psi)^-1 = [[1/s, k^T/s], [-k/s, I - k k^T/s]].
+
+    The identity holds for every point selection, so this encloses the
+    inverse on any box whose s excludes 0; where s contains 0 the
+    division raises DivisionByZeroInterval.
+    """
+    a, k = _dpsi_border(q)
+    s = a + (sq(k[0]) + sq(k[1]) + sq(k[2]))
+    m = [ki / s for ki in k]
+    return IMatrix(
+        [[1.0 / s] + m]
+        + [[-m[i]] + [(1.0 if i == j else 0.0) - k[i] * m[j] for j in range(3)]
+           for i in range(3)]
     )
 
 
@@ -634,44 +654,33 @@ def d_total_change(q: IVector, chart: LocalChart) -> IMatrix:
     return chart.C.matmul(dpsi(q))
 
 
-def d2_total_change(q: IVector, chart: LocalChart) -> list:
-    hs = d2psi(q)
-    out = []
-    for a in range(4):
-        acc = hs[0].scale(chart.C.rows[a][0])
-        for b in (1, 2, 3):
-            acc = acc + hs[b].scale(chart.C.rows[a][b])
-        out.append(acc)
-    return out
-
-
 def local_field(q: IVector, chart: LocalChart, p: RtbpParams) -> IVector:
     """F_hat(q) through the verified solve D(Phi) F_hat = F(Phi(q)).
 
     The proof never evaluates it; it is the finite-difference reference
-    of local_jacobian in the tests.
+    of local_jacobian in the tests, independent of its closed form.
     """
     x = total_change(q, chart)
     return solve_interval_linear(d_total_change(q, chart), vector_field(x, p))
 
 
 def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
-    """DF_hat(q) = D(Phi)^-1 (DF(Phi) D(Phi) - D^2(Phi) F_hat).
+    """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T).
 
-    The tensor is applied to F_hat first; the outer inverse is a verified
-    columnwise solve.  Both solves share one preconditioning of D(Phi).
-    The proof runs only local_jacobian_batch; this single-box form is its
-    bit-for-bit reference in the tests.
+    This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
+    C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
+    D^2(psi_b) F_hat.  D(psi)^-1 is the closed form of dpsi_inverse and
+    C^-1 the chart's C_inv, so nothing is solved.  The proof runs only
+    local_jacobian_batch; this single-box form is its bit-for-bit
+    reference in the tests.
     """
     x = total_change(q, chart)
-    dphi = d_total_change(q, chart)
     f = vector_field(x, p)
-    solver = _Solver(dphi)
-    f_hat = solver.vector(f)
-    d2phi = d2_total_change(q, chart)
-    tensor_rows = [list(d2phi[a].matvec(f_hat)) for a in range(4)]
-    rhs = jacobian(x, p).matmul(dphi) - IMatrix(tensor_rows)
-    return solver.cols(rhs)
+    dpsi_inv = dpsi_inverse(q)
+    f_hat = dpsi_inv.matvec(chart.C_inv.matvec(f))
+    tensor = IMatrix([h.matvec(f_hat) for h in d2psi(q)])
+    c_df_c = chart.C_inv.matmul(jacobian(x, p).matmul(chart.C))
+    return dpsi_inv.matmul(c_df_c.matmul(dpsi(q)) - tensor)
 
 
 def local_jacobian_batch(
@@ -681,31 +690,25 @@ def local_jacobian_batch(
 
     Each component of q is an IArray along a leading batch axis or an
     Interval that every box shares.  The formulas are the scalar ones
-    (psi, dpsi, d2psi, vector_field, jacobian) evaluated on IArrays, the
-    matrix products are IArray.matmul, and the F_hat solve and the
-    column solve share one BatchSolver preconditioning of D(Phi).  Entry
-    k of the (..., 4, 4) result equals local_jacobian of box k bit for
-    bit.  When boxes fail, the exception class is one that
-    local_jacobian raises on some failing box, not necessarily the
-    first.
+    (psi, dpsi, dpsi_inverse, d2psi, vector_field, jacobian) evaluated
+    on IArrays, in the same order, and the matrix products are
+    IArray.matmul.  Entry k of the (..., 4, 4) result equals
+    local_jacobian of box k bit for bit.  When boxes fail, the exception
+    class is one that local_jacobian raises on some failing box, not
+    necessarily the first.
     """
     c = IArray.stack(chart.C)
+    c_inv = IArray.stack(chart.C_inv)
     psi_q = IArray.stack(psi(q))
     x = IArray.stack(chart.L1) + c.matmul(psi_q[..., None])[..., 0]
-    dphi = c.matmul(IArray.stack(dpsi(q)))
     xs = IVector([x[..., i] for i in range(4)])
     f = IArray.stack(vector_field(xs, p))
-    solver = BatchSolver(dphi)
-    f_hat = solver.solve(f[..., None])
-    # D^2(Phi) as d2_total_change sums it: entry a is sum_b C[a, b]
-    # D^2(psi_b), axes (..., a, i, j)
-    h = IArray.stack(d2psi(q))
-    d2phi = h[..., None, 0, :, :] * c[:, 0, None, None]
-    for b in (1, 2, 3):
-        d2phi = d2phi + h[..., None, b, :, :] * c[:, b, None, None]
-    tensor = d2phi.matmul(f_hat[..., None, :, :])[..., 0]
-    rhs = IArray.stack(jacobian(xs, p)).matmul(dphi) - tensor
-    return solver.solve(rhs)
+    dpsi_inv = IArray.stack(dpsi_inverse(q))
+    f_hat = dpsi_inv.matmul(c_inv.matmul(f[..., None]))
+    # axes (..., b, j): row b is D^2(psi_b) F_hat
+    tensor = IArray.stack(d2psi(q)).matmul(f_hat[..., None, :, :])[..., 0]
+    c_df_c = c_inv.matmul(IArray.stack(jacobian(xs, p)).matmul(c))
+    return dpsi_inv.matmul(c_df_c.matmul(IArray.stack(dpsi(q))) - tensor)
 
 
 def symmetry_S(s):

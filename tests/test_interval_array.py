@@ -120,13 +120,6 @@ def test_unary_ops(xs):
     _check(lambda: sqrt(_pack(xs)), [lambda x=x: sqrt(x) for x in xs])
 
 
-@given(xs=batches)
-def test_mid(xs):
-    got = _pack(xs).mid()
-    for k, x in enumerate(xs):
-        assert _same(float(got[k]), x.mid)
-
-
 @given(data=st.data())
 def test_matmul_matches_imatrix_matmul(data):
     n, k, m = (data.draw(st.integers(1, 3)) for _ in range(3))

@@ -26,7 +26,6 @@ ORACLES = {
     "symmetry_S",
     "LinearTaylorField",
     "integrate_to_time",
-    "verified_inverse",
     # the single-box local field and Jacobian: the finite-difference and
     # bit-for-bit references of the batch path the proof runs
     "local_field",

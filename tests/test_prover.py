@@ -102,6 +102,33 @@ ENDPOINT_WIDTHS = (
     (4.453244954640601e-10, 1.8464200834955594e-08),
 )
 
+# Entry widths of the default (left, right) endpoints' derivative over N
+# and their least cone margins, the reference of the derivative's width
+# gate
+ENDPOINT_DFN_WIDTHS = (
+    (
+        (1.2985546380406279e-06, 1.5444464974200563e-06,
+         2.8439756586442416e-07, 3.6385663228779616e-07),
+        (2.726277663068797e-08, 1.2934124766772472e-06,
+         1.008262950942516e-06, 5.419563724329093e-07),
+        (1.7671642163333644e-08, 6.815396611705633e-07,
+         2.6592995597973235e-07, 3.2248498404996445e-07),
+        (1.0319475807067809e-08, 4.7987904297216225e-09,
+         1.9113945692872396e-06, 2.6592964441263886e-07),
+    ),
+    (
+        (1.2985545914112608e-06, 1.5444464500818627e-06,
+         2.8439755832394295e-07, 3.6385661667614377e-07),
+        (2.726274872089536e-08, 1.293412429603791e-06,
+         1.0082629246302267e-06, 5.419563603796265e-07),
+        (1.7671627888134084e-08, 6.815396339413967e-07,
+         2.6592994654267814e-07, 3.2248497472409104e-07),
+        (1.0319465406952929e-08, 4.798776851430222e-09,
+         1.911394533760103e-06, 2.659296378633392e-07),
+    ),
+)
+ENDPOINT_CONE_MARGINS = (3.835779740177791e-04, 3.8358282788797377e-04)
+
 
 @pytest.fixture(scope="module")
 def cfg() -> ProofConfig:
@@ -460,6 +487,21 @@ class TestEndpoints:
         for ep, (px_w, t_w) in zip(endpoints, ENDPOINT_WIDTHS):
             assert ep.poincare_image[2].width <= (1.0 + 2e-4) * px_w
             assert ep.crossing_time.width <= (1.0 + 2e-4) * t_w
+
+    def test_derivative_does_not_widen(self, endpoints):
+        # the derivative's width gate: each entry of each DFN at most 2e-4
+        # relative above its value at the time of writing, each least cone
+        # margin at most 2e-4 relative below it; a narrower DFN and a larger
+        # margin pass
+        for ep, widths, margin in zip(
+            endpoints, ENDPOINT_DFN_WIDTHS, ENDPOINT_CONE_MARGINS
+        ):
+            for i in range(4):
+                for j in range(4):
+                    assert ep.dfn[i, j].width <= (1.0 + 2e-4) * widths[i][j], (
+                        ep.side, i, j
+                    )
+            assert min(ep.cones.margins.values()) >= (1.0 - 2e-4) * margin
 
     def test_image_coordinates_match_printed(self, endpoints):
         # [PAPER] X and P_Y within 1e-8 of the printed values

@@ -22,6 +22,8 @@ import pytest
 from conecert import rtbp
 
 from conecert.interval import (
+    DivisionByZeroInterval,
+    IArray,
     IMatrix,
     Interval,
     IVector,
@@ -36,6 +38,7 @@ from conecert.rtbp import (
     d2psi,
     d_total_change,
     dpsi,
+    dpsi_inverse,
     hamiltonian,
     jacobi_constant,
     jacobian,
@@ -46,6 +49,7 @@ from conecert.rtbp import (
     libration_L1_slope,
     local_field,
     local_jacobian,
+    local_jacobian_batch,
     psi,
     symmetry_S,
     total_change,
@@ -380,6 +384,61 @@ def test_d2psi_vs_finite_differences():
                     pts.append(psi(IVector.from_floats(q))[comp].mid)
                 fd = (pts[0] - pts[1] - pts[2] + pts[3]) / (4 * h * h)
                 assert abs(hs[comp].rows[a][b].mid - fd) < 1e-5
+
+
+def _random_boxes(rng: random.Random, n: int) -> list:
+    """Boxes with their lower corner within 0.1 of the origin, from
+    points up to 1e-2 wide."""
+    boxes = []
+    for _ in range(n):
+        w = rng.choice((0.0, 1e-10, 1e-6, 1e-2)) * rng.random()
+        lows = [rng.uniform(-0.1, 0.1) for _ in range(4)]
+        boxes.append(
+            IVector([Interval(c, c + w * rng.random()) for c in lows])
+        )
+    return boxes
+
+
+def test_dpsi_inverse_times_dpsi_contains_identity():
+    # [TRIVIAL] the closed form inverts D(psi) for every point of the box,
+    # on Intervals and, entry by entry and bit for bit, on IArrays
+    boxes = _random_boxes(random.Random(17), 40)
+    for q in boxes:
+        prod = dpsi_inverse(q).matmul(dpsi(q))
+        for i in range(4):
+            for j in range(4):
+                assert (1.0 if i == j else 0.0) in prod[i, j], (q, i, j)
+    batch = IVector(
+        [IArray([q[c].lo for q in boxes], [q[c].hi for q in boxes])
+         for c in range(4)]
+    )
+    inv = IArray.stack(dpsi_inverse(batch))
+    prod = inv.matmul(IArray.stack(dpsi(batch)))
+    for i in range(4):
+        for j in range(4):
+            e = 1.0 if i == j else 0.0
+            assert (prod.lo[:, i, j] <= e).all() and (e <= prod.hi[:, i, j]).all()
+    for k, q in enumerate(boxes):
+        want = dpsi_inverse(q)
+        for i in range(4):
+            for j in range(4):
+                assert inv.lo[k, i, j] == want[i, j].lo
+                assert inv.hi[k, i, j] == want[i, j].hi
+
+
+def test_local_jacobian_raises_where_dpsi_is_not_invertible():
+    # [TRIVIAL] at x = 0, k = 0 and s = 1 - y_2 K_2''(0) changes sign at
+    # y_2 = 0.694; the box's image stays far from both primaries, so the
+    # closed-form inverse is what fails, for one box and in a batch
+    p = band_left()
+    ch = jordan_basis(p)
+    q = IVector([0.0, 0.0, Interval(0.6, 0.8), 0.0])
+    vector_field(total_change(q, ch), p)  # raises nothing
+    with pytest.raises(DivisionByZeroInterval):
+        local_jacobian(q, ch, p)
+    batch = IVector([0.0, 0.0, IArray([0.0, 0.6], [1e-3, 0.8]), 0.0])
+    with pytest.raises(DivisionByZeroInterval):
+        local_jacobian_batch(batch, ch, p)
 
 
 def test_chart_fixes_origin():
