@@ -10,7 +10,9 @@ fragment_alpha_h, r_u, c_h and c_v (the cones and the window), and the
 counts endpoint_subdivision, fragment_subdivision, fragments and
 fragment_mu_slices.  A config that cannot be read, names another key, or
 is not a valid ProofConfig is reported as a usage error (exit 2) before
-any stage runs.  --json writes the deterministic JSON report.
+any stage runs.  --json writes the deterministic JSON report; a --json
+path whose directory does not exist is a usage error too, and a report
+that cannot be written ends the run with one line and exit 2.
 """
 
 from __future__ import annotations
@@ -39,10 +41,17 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _read_config(args.config)
         except (OSError, ValueError, TypeError) as exc:
             prove.error(f"--config {args.config}: {exc}")
+    if args.json is not None and not args.json.parent.is_dir():
+        prove.error(f"--json {args.json}: no directory {args.json.parent}")
     report = check_homoclinic(cfg)
     print(report.render_text())
     if args.json is not None:
-        args.json.write_text(report.json_str())
+        try:
+            args.json.write_text(report.json_str())
+        except OSError as exc:
+            print(f"conecert prove: error: --json {args.json}: {exc}",
+                  file=sys.stderr)
+            return 2
     return 0 if report.proved else 1
 
 

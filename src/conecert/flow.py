@@ -17,10 +17,13 @@ coordinate with zero derivative (rtbp's mass, in a band flight) flies the
 parameter dependence as one more direction of the set.
 
 A field gives vector_field(x) and jacobian(x) over a box, expand(u0, p),
-a solution series whose coefficient(k) is the k-th Taylor coefficient,
-and expand_variational(series, V0, p, stop=None), the MatrixSeries of
-V' = DF V from V0, which may have any number of columns, through order
-p, or through the first order k >= 1 at which stop(k, V_k) is true.
+a solution series whose coefficient(k) is the k-th Taylor coefficient
+and whose float_series() holds them as one (lo, hi) pair of float lists
+per component, and expand_variational(series, V0, p, stop=None), the
+MatrixSeries of V' = DF V from V0, which may have any number of columns,
+through order p, or through the first order k >= 1 at which
+stop(k, series) is true; stop reads coefficient k from the float lists
+of the series so far, and no field builds an IMatrix per order for it.
 
 One Taylor step of order p uses five series expansions, in this order:
   * an interval series over the rough tube (order p+1), whose last
@@ -38,8 +41,10 @@ One Taylor step of order p uses five series expansions, in this order:
   * an interval series at the current box (order q) and its variational
     series from I (order q), whose Taylor polynomial [V] is the transport.
 The variational series come back as float (lo, hi) series per entry
-(MatrixSeries).  [V] and the image of the midpoint are summed by Horner
-on float pairs with the rounding of the Interval operations.  The mean
+(MatrixSeries).  [V] and the image of the midpoint are summed by one
+Horner routine on float pairs, and the stop rule and the tail multiply
+the column's float pair at order k by [h^k] as a float pair, all with
+the rounding of the Interval operations they replace.  The mean
 value theorem then gives
 phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r) + tail.  For x in
 the box, phi_h(x) - phi_h(m) averages D(phi_h)(y) (x - m) over y on the
@@ -53,10 +58,12 @@ already below sol_err, which the step carries anyway.  When q < p,
 var_err <= sol_err, so the error ratio below is sol_err / tol.  The
 products [V] C and [V] B are split into float midpoints plus interval
 defects, which join the tail in the error, and the error basis is
-renewed by QR with sorted columns to control wrapping.  A product of an
-interval matrix with a float one ([V] C, [V] B, Q^T Q, Q^-1 times the
-float part of [V] B, and the hull of the set) takes per term the two
-corners picked by the float's sign, with the rounding of idot.
+renewed by QR with sorted columns to control wrapping.  This Lohner
+update runs on float pairs too, each split, sum and product rounded bit
+for bit as the Interval operation it replaces.  A product of an interval
+matrix with a float one ([V] C, [V] B, Q^T Q, Q^-1 times the float part
+of [V] B, and the hull of the set) takes per term the two corners
+picked by the float's sign, with the rounding of idot.
 The float QR factor Q is orthogonal up to rounding, so Q^-1 is enclosed
 as Q^T plus an entrywise ball of radius ||E|| / (1 - ||E||) ||Q^T||, with
 E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
@@ -107,12 +114,14 @@ from .interval import (
     MatrixSeries,
     _add_dn,
     _add_up,
+    _idot_ends,
+    _mid,
     _mk,
-    _mul_ep,
+    _mul_ends,
+    _opnorm_upper,
     exp,
     eye,
     idot,
-    mat_opnorm_upper,
 )
 
 _INF = math.inf
@@ -201,10 +210,10 @@ class FlowEnclosure:
 
     def as_box(self) -> Box:
         coords = list(self.init_remainder) + list(self.remainder)
-        return IVector([
-            m + _point_dot(coords, c + b)
-            for m, c, b in zip(self.midpoint, self.init_basis, self.basis)
-        ])
+        clo, chi = [x.lo for x in coords], [x.hi for x in coords]
+        rows = map(list.__add__, self.init_basis, self.basis)
+        return IVector([m + _mk(*_idot_ends(clo, chi, f, f))
+                        for m, f in zip(self.midpoint, rows)])
 
     def max_width(self) -> float:
         return self.as_box().max_width()
@@ -233,8 +242,8 @@ class Section:
 
 
 class _CoeffSeries:
-    """Plain coefficient table with the one method flow reads from a
-    series, coefficient(k)."""
+    """Plain coefficient table with the two methods flow reads from a
+    series, coefficient(k) and float_series()."""
 
     __slots__ = ("coeffs",)
 
@@ -243,6 +252,10 @@ class _CoeffSeries:
 
     def coefficient(self, k: int) -> IVector:
         return self.coeffs[k]
+
+    def float_series(self) -> list:
+        return [([c[i].lo for c in self.coeffs], [c[i].hi for c in self.coeffs])
+                for i in range(len(self.coeffs[0]))]
 
 
 class LinearTaylorField:
@@ -274,7 +287,7 @@ class LinearTaylorField:
         out = [v0]
         for k in range(order):
             out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
-            if stop is not None and stop(k + 1, out[k + 1]):
+            if stop is not None and stop(k + 1, MatrixSeries.from_matrices(out)):
                 break
         return MatrixSeries.from_matrices(out)
 
@@ -342,68 +355,78 @@ def a_priori_enclosure(field, x0: Box, h: float) -> Box:
 def _opnorm_inf(m: IMatrix) -> float:
     worst = 0.0
     for row in m.rows:
-        acc = Interval(0.0)
+        acc = 0.0
         for entry in row:
-            acc = acc + entry.mag
-        worst = max(worst, acc.hi)
+            acc = _add_up(acc, entry.mag)
+        worst = max(worst, acc)
     return worst
 
 
-def _point_dot(xs: list, fs) -> Interval:
-    """idot(xs, [Interval(f) for f in fs]), bit for bit, for intervals xs
-    and finite floats fs: each term takes the two corner products picked
-    by the sign of f, or 0 for a zero of either sign (in idot, 0 * inf
-    counts as 0, and the nudges below erase the sign of a zero), with
-    idot's outward nudges and order of accumulation."""
-    lo = hi = 0.0
-    for x, f in zip(xs, fs):
-        if f > 0.0:
-            p, q = x.lo * f, x.hi * f
-        elif f < 0.0:
-            p, q = x.hi * f, x.lo * f
-        else:
-            p = q = 0.0
-        lo = _nextafter(lo + _nextafter(p, _NINF), _NINF)
-        hi = _nextafter(hi + _nextafter(q, _INF), _INF)
-    return _mk(lo, hi)
-
-
-def _mul_floats(a: IMatrix, b: list) -> IMatrix:
-    """a.matmul(IMatrix.from_floats(b)), bit for bit."""
+def _mul_floats(alo: list, ahi: list, b: list) -> tuple:
+    """A B for the interval matrix A = [alo, ahi] (two float matrices) and
+    the float matrix B, as float matrices (lo, hi): IMatrix.matmul of B
+    as point intervals, bit for bit.  Each term takes the two corners
+    picked by the sign of the float (0 for a zero of either sign; in
+    idot, 0 * inf counts as 0)."""
     cols = list(zip(*b))
-    return IMatrix([[_point_dot(row, c) for c in cols] for row in a.rows])
+    ends = [[_idot_ends(rl, rh, c, c) for c in cols] for rl, rh in zip(alo, ahi)]
+    return [[e[0] for e in r] for r in ends], [[e[1] for e in r] for r in ends]
+
+
+def _ends(m: IMatrix) -> tuple:
+    """The endpoints of an interval matrix as float matrices (lo, hi)."""
+    return ([[x.lo for x in row] for row in m.rows],
+            [[x.hi for x in row] for row in m.rows])
+
+
+def _horner(los: list, his: list, top: int, h: float, lo: float,
+            hi: float) -> tuple:
+    """[lo, hi] h^(top+1) + sum_{k <= top} [los_k, his_k] h^k, by Horner on
+    float pairs, rounded exactly as the Interval Horner acc * h + c_k from
+    acc = [lo, hi] is for h > 0: the product with h nudged outward (with
+    0 * inf = 0), then the exact-directed sums."""
+    for k in range(top, -1, -1):
+        p = lo * h
+        q = hi * h
+        lo = _add_dn(_nextafter(p if p == p else 0.0, _NINF), los[k])
+        hi = _add_up(_nextafter(q if q == q else 0.0, _INF), his[k])
+    return lo, hi
 
 
 def _horner_vec(series, order: int, h: float, tail: IVector) -> IVector:
-    """tail h^(order+1) + sum_{k <= order} c_k h^k, by Horner on float
-    pairs, rounded as the IVector Horner acc * h + c_k from acc = tail is
-    for h > 0, like _horner_transport."""
-    los, his = [c.lo for c in tail], [c.hi for c in tail]
-    for k in range(order, -1, -1):
-        c = series.coefficient(k)
-        los = [_add_dn(_nextafter(_mul_ep(lo, h), _NINF), b.lo)
-               for lo, b in zip(los, c)]
-        his = [_add_up(_nextafter(_mul_ep(hi, h), _INF), b.hi)
-               for hi, b in zip(his, c)]
-    return IVector(list(map(_mk, los, his)))
+    """tail h^(order+1) + sum_{k <= order} c_k h^k, summed by _horner on
+    the series' float lists."""
+    return IVector([
+        _mk(*_horner(los, his, order, h, c.lo, c.hi))
+        for (los, his), c in zip(series.float_series(), tail)
+    ])
 
 
 def _horner_transport(v: MatrixSeries, order: int, h: float) -> IMatrix:
-    """sum_{k <= order} V_k h^k, by Horner on the float series of each
-    entry, rounded exactly as the IMatrix Horner acc.scale(Interval(h)) +
-    V_k from acc = V_order is for h > 0: the product with h nudged
-    outward, then the exact-directed sums."""
-    rows = []
-    for entry_row in v.entries:
-        row = []
-        for los, his in entry_row:
-            lo, hi = los[order], his[order]
-            for k in range(order - 1, -1, -1):
-                lo = _add_dn(_nextafter(_mul_ep(lo, h), _NINF), los[k])
-                hi = _add_up(_nextafter(_mul_ep(hi, h), _INF), his[k])
-            row.append(_mk(lo, hi))
-        rows.append(row)
-    return IMatrix(rows)
+    """sum_{k <= order} V_k h^k, summed by _horner on the float series of
+    each entry from acc = V_order."""
+    return IMatrix([
+        [_mk(*_horner(los, his, order - 1, h, los[order], his[order]))
+         for los, his in row]
+        for row in v.entries
+    ])
+
+
+def _powers(h: float, n: int) -> tuple:
+    """Enclosures of h^0..h^n as float lists (lo, hi), rounded as the
+    Interval products Interval(1.0) * h * ... * h."""
+    lo, hi = [1.0], [1.0]
+    for _ in range(n):
+        p, q = _mul_ends(lo[-1], hi[-1], h, h)
+        lo.append(p)
+        hi.append(q)
+    return lo, hi
+
+
+def _column_term(v: MatrixSeries, k: int, hpl: list, hph: list) -> list:
+    """Column 0 of coefficient k of v times [hpl_k, hph_k], one (lo, hi)
+    pair per row, rounded as the Interval product."""
+    return [_mul_ends(lo[k], hi[k], hpl[k], hph[k]) for (lo, hi), *_ in v.entries]
 
 
 class _StepData:
@@ -462,19 +485,17 @@ def _expand_step(
     b = exp(Interval(l_inf) * h) - 1.0
     r = (b * max(c.mag for c in u)).hi
     ball = Interval(-r, r)
-    hp = [Interval(1.0)]  # hp[k] encloses h^k
-    for _ in range(order + 1):
-        hp.append(hp[-1] * h)
-
-    def term(k, v_k):
-        return IVector([row[0] * hp[k] for row in v_k.rows])
-
+    hpl, hph = _powers(h, order + 1)
     v_z = field.expand_variational(
         ser_z, IMatrix([[c + ball] for c in u]), order + 1,
-        stop=lambda k, v_k: max(c.mag for c in term(k, v_k)) <= sol_err,
+        # every entry of the term has magnitude at most sol_err
+        stop=lambda k, v: all(
+            -lo <= sol_err and hi <= sol_err
+            for lo, hi in _column_term(v, k, hpl, hph)
+        ),
     )
     q = v_z.order - 1
-    tail = term(q + 1, v_z[q + 1])
+    tail = IVector([_mk(*t) for t in _column_term(v_z, q + 1, hpl, hph)])
     var_err = max(c.mag for c in tail)
 
     ser_x = field.expand(x0, q)
@@ -483,49 +504,65 @@ def _expand_step(
     return _StepData(image, transport, tail, tube, sol_err, var_err, q)
 
 
-def _orthogonal_inverse(q: list) -> IMatrix:
-    """Enclosure of Q^-1 for a float matrix Q that is orthogonal up to
-    rounding: Q^T plus a ball of radius ||E|| / (1 - ||E||) ||Q^T||,
-    E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
-    spectral norm.  Q^-1 = (I - E)^-1 Q^T = Q^T + E (I - E)^-1 Q^T, and
-    the spectral norm bounds every entry.  Raises EnclosureFailure when
-    ||E|| >= 1/2."""
-    n = len(q)
-    qt = [[q[j][i] for j in range(n)] for i in range(n)]
-    qt_iv = IMatrix.from_floats(qt)
-    e = IMatrix.identity(n) - _mul_floats(qt_iv, q)
-    e_norm = mat_opnorm_upper(e)
+def _orthogonal_inverse(q: list) -> tuple:
+    """Enclosure of Q^-1, as float matrices (lo, hi), for a float matrix Q
+    that is orthogonal up to rounding: Q^T plus a ball of radius
+    ||E|| / (1 - ||E||) ||Q^T||, E = I - Q^T Q in interval arithmetic and
+    ||.|| an upper bound of the spectral norm.  Q^-1 = (I - E)^-1 Q^T =
+    Q^T + E (I - E)^-1 Q^T, and the spectral norm bounds every entry.
+    Raises EnclosureFailure when ||E|| >= 1/2."""
+    qt = [list(col) for col in zip(*q)]
+    plo, phi = _mul_floats(qt, qt, q)
+    # the magnitudes of E = I - Q^T Q, rounded as Interval subtraction
+    e_mags = [
+        [max(abs(_add_dn(d, -b)), abs(_add_up(d, -a)))
+         for a, b, d in zip(rl, rh, row)]
+        for rl, rh, row in zip(plo, phi, eye(len(q)))
+    ]
+    e_norm = _opnorm_upper(e_mags)
     if not e_norm < 0.5:
         raise EnclosureFailure(
             f"QR factor not orthogonal: ||I - Q^T Q|| <= {e_norm}"
         )
-    en = Interval(e_norm)
-    r = (en / (1.0 - en) * mat_opnorm_upper(qt_iv)).hi
-    ball = Interval(-r, r)
-    return IMatrix([[x + ball for x in row] for row in qt_iv.rows])
+    # the upper ends of the Interval quotient and product
+    ratio = _nextafter(e_norm / _add_dn(1.0, -e_norm), _INF)
+    qt_norm = _opnorm_upper([[abs(x) for x in row] for row in qt])
+    r = _nextafter(ratio * qt_norm, _INF)
+    return ([[_add_dn(x, -r) for x in row] for row in qt],
+            [[_add_up(x, r) for x in row] for row in qt])
+
+
+def _split(alo: list, ahi: list) -> tuple:
+    """The midpoints M of [alo, ahi] and the defect [alo, ahi] - M."""
+    mids = [list(map(_mid, rl, rh)) for rl, rh in zip(alo, ahi)]
+    return (
+        mids,
+        [[_add_dn(a, -m) for a, m in zip(rl, rm)] for rl, rm in zip(alo, mids)],
+        [[_add_up(a, -m) for a, m in zip(rh, rm)] for rh, rm in zip(ahi, mids)],
+    )
 
 
 def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
     """Lohner doubleton update: new midpoint, transported init part, QR
     error basis, rigorous remainder."""
     n = enc.dim
-    m_new = [c.mid for c in data.image]
-    defect = IVector([data.image[i] - m_new[i] for i in range(n)])
+    r0lo = [c.lo for c in enc.init_remainder]
+    r0hi = [c.hi for c in enc.init_remainder]
+    rlo = [c.lo for c in enc.remainder]
+    rhi = [c.hi for c in enc.remainder]
+    tlo, thi = _ends(data.transport)
+    c_new, cdl, cdh = _split(*_mul_floats(tlo, thi, enc.init_basis))
+    m_mid, mdl, mdh = _split(*_mul_floats(tlo, thi, enc.basis))
 
-    tc_full = _mul_floats(data.transport, enc.init_basis)
-    c_new = tc_full.mid()
-    c_delta = tc_full - IMatrix.from_floats(c_new)
-
-    tb_full = _mul_floats(data.transport, enc.basis)
-    m_mid = tb_full.mid()
-    m_delta = tb_full - IMatrix.from_floats(m_mid)
-
-    err = (
-        defect
-        + c_delta.matvec(enc.init_remainder)
-        + m_delta.matvec(enc.remainder)
-        + data.tail
-    )
+    # err = defect + c_delta r0 + m_delta r + tail, defect = image - m_new
+    m_new, elo, ehi = [], [], []
+    for i, (img, t) in enumerate(zip(data.image, data.tail)):
+        m = _mid(img.lo, img.hi)
+        m_new.append(m)
+        c0, c1 = _idot_ends(cdl[i], cdh[i], r0lo, r0hi)
+        d0, d1 = _idot_ends(mdl[i], mdh[i], rlo, rhi)
+        elo.append(_add_dn(_add_dn(_add_dn(_add_dn(img.lo, -m), c0), d0), t.lo))
+        ehi.append(_add_up(_add_up(_add_up(_add_up(img.hi, -m), c1), d1), t.hi))
 
     # sort columns so the dominant stretched directions lead the QR
     rads = [0.5 * r.width for r in enc.remainder]
@@ -537,12 +574,17 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
     a = np.array([[m_mid[i][perm[j]] for j in range(n)] for i in range(n)])
     q_np, _ = np.linalg.qr(a)
     q = [[float(q_np[i][j]) for j in range(n)] for i in range(n)]
-    q_inv = _orthogonal_inverse(q)
+    qlo, qhi = _orthogonal_inverse(q)
 
-    rem = _mul_floats(q_inv, m_mid).matvec(enc.remainder)
-    rem = rem + q_inv.matvec(err)
+    # rem = (Q^-1 m_mid) r + Q^-1 err
+    plo, phi = _mul_floats(qlo, qhi, m_mid)
+    rem = []
+    for i in range(n):
+        a0, a1 = _idot_ends(plo[i], phi[i], rlo, rhi)
+        b0, b1 = _idot_ends(qlo[i], qhi[i], elo, ehi)
+        rem.append(_mk(_add_dn(a0, b0), _add_up(a1, b1)))
     return FlowEnclosure(
-        m_new, q, rem, enc.time + h, c_new, enc.init_remainder
+        m_new, q, IVector(rem), enc.time + h, c_new, enc.init_remainder
     )
 
 
@@ -694,17 +736,15 @@ def _cross_in_step(field, enc, h_step, section, order):
             f"section velocity over the step tube: {f_tube!r}"
         )
 
-    m_c = _mul_floats(data.transport, enc.init_basis)
-    m_b = _mul_floats(data.transport, enc.basis)
+    # [V] (C | B), one row per state component
+    ends = _mul_floats(*_ends(data.transport),
+                       list(map(list.__add__, enc.init_basis, enc.basis)))
+    m = IMatrix([list(map(_mk, lo, hi)) for lo, hi in zip(*ends)])
     coords = list(enc.init_remainder) + list(enc.remainder)
     tail = data.tail
-    p_rows = [
-        data.image[i]
-        + idot(list(m_c.row(i)) + list(m_b.row(i)), coords)
-        + tail[i]
-        for i in range(n)
-    ]
-    x_star = IVector(p_rows)
+    x_star = IVector([
+        data.image[i] + idot(m.rows[i], coords) + tail[i] for i in range(n)
+    ])
 
     # transition tube around the section, both time directions
     g = x_star[k] - section.value
@@ -733,29 +773,20 @@ def _cross_in_step(field, enc, h_step, section, order):
     pk_off = data.image[k] - section.value
     mids = []
     rems = []
-    time_cross = enc.time + t_star + delta
-    out_rows: list[Interval] = []
-    for i in range(n):
-        if i == k:
-            out_rows.append(Interval(section.value))
-            continue
-        rho = fz[i] / fzk
-        terms = [m_c.rows[i][j] - rho * m_c.rows[k][j] for j in range(n)] + [
-            m_b.rows[i][j] - rho * m_b.rows[k][j] for j in range(n)
-        ]
-        out_rows.append(
-            data.image[i] - rho * pk_off + idot(terms, coords)
-            + tail[i] - rho * tail[k]
-        )
     for i in range(n):
         if i == k:
             mids.append(section.value)
             rems.append(Interval(0.0))
-        else:
-            m = out_rows[i].mid
-            mids.append(m)
-            rems.append(out_rows[i] - m)
-    return FlowEnclosure(mids, eye(n), IVector(rems), time_cross)
+            continue
+        rho = fz[i] / fzk
+        terms = [x - rho * y for x, y in zip(m.rows[i], m.rows[k])]
+        row = (data.image[i] - rho * pk_off + idot(terms, coords)
+               + tail[i] - rho * tail[k])
+        mids.append(row.mid)
+        rems.append(row - mids[-1])
+    return FlowEnclosure(
+        mids, eye(n), IVector(rems), enc.time + t_star + delta
+    )
 
 
 def poincare_crossing(

@@ -88,47 +88,72 @@ def _mk(lo: float, hi: float) -> "Interval":
     return iv
 
 
-def _mul_ep(a: float, b: float) -> float:
-    # Endpoint product with the convention 0 * inf = 0, which is the correct
-    # range endpoint when one factor is exactly zero.
-    p = a * b
-    if p != p:  # NaN, only reachable as 0 * inf
-        return 0.0
-    return p
-
-
-_MAXF = 1.7976931348623157e308
-
-
 def _add_dn(a: float, b: float) -> float:
     # Directed addition rounding down, exactly rounded via the TwoSum error
     # term: a + b = s + err holds exactly in the absence of overflow, so the
     # nudge is skipped whenever the float sum is already exact or below.
+    # The error, tested first, is NaN only for an infinite or NaN sum: the
+    # nudge then takes an overflow to maxfloat and keeps -inf, and
+    # inf - inf rounds to -inf.
     s = a + b
-    if s != s:  # inf - inf
-        return _NINF
-    if s == _INF:
-        return _MAXF  # overflow certifies the exact sum exceeds maxfloat
-    if s == _NINF:
-        return _NINF
     bp = s - a
     ap = s - bp
-    err = (a - ap) + (b - bp)
-    return s if err >= 0.0 else _nextafter(s, _NINF)
+    if (a - ap) + (b - bp) >= 0.0:
+        return s
+    return _nextafter(s, _NINF) if s == s else _NINF
 
 
 def _add_up(a: float, b: float) -> float:
     s = a + b
-    if s != s:
-        return _INF
-    if s == _INF:
-        return _INF
-    if s == _NINF:
-        return -_MAXF
     bp = s - a
     ap = s - bp
-    err = (a - ap) + (b - bp)
-    return s if err <= 0.0 else _nextafter(s, _INF)
+    if (a - ap) + (b - bp) <= 0.0:
+        return s
+    return _nextafter(s, _INF) if s == s else _INF
+
+
+def _mul_ends(a0: float, a1: float, b0: float, b1: float) -> tuple:
+    """[a0, a1] * [b0, b1] as (lo, hi), rounded as Interval products are:
+    the least and the greatest corner product, picked by the signs of
+    the endpoints, each nudged outward.  A NaN corner is 0 * inf, which
+    comes only from a factor [0, 0], whose corners are all 0."""
+    if b0 >= 0.0:
+        p = a0 * (b1 if a0 < 0.0 else b0)
+        q = a1 * (b0 if a1 < 0.0 else b1)
+    elif b1 <= 0.0:
+        p = a1 * (b0 if a1 >= 0.0 else b1)
+        q = a0 * (b1 if a0 >= 0.0 else b0)
+    elif a0 >= 0.0:
+        p, q = a1 * b0, a1 * b1
+    elif a1 <= 0.0:
+        p, q = a0 * b1, a0 * b0
+    else:
+        p, q = min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1)
+    return (_nextafter(p if p == p else 0.0, _NINF),
+            _nextafter(q if q == q else 0.0, _INF))
+
+
+def _idot_ends(alo, ahi, blo, bhi) -> tuple:
+    """idot on endpoint lists: (lo, hi) of sum_i [alo_i, ahi_i] *
+    [blo_i, bhi_i] over the common length, each product rounded as
+    _mul_ends rounds it and each sum nudged outward."""
+    lo = hi = 0.0
+    for a0, a1, b0, b1 in zip(alo, ahi, blo, bhi):
+        p, q = _mul_ends(a0, a1, b0, b1)
+        lo = _nextafter(lo + p, _NINF)
+        hi = _nextafter(hi + q, _INF)
+    return lo, hi
+
+
+def _mid(lo: float, hi: float) -> float:
+    """Interval(lo, hi).mid."""
+    if lo == _NINF and hi == _INF:
+        return 0.0
+    m = 0.5 * (lo + hi)
+    if m != m or m == _INF or m == _NINF:
+        m = 0.5 * lo + 0.5 * hi
+    # Clamp: the reported midpoint must lie inside the interval.
+    return min(max(m, lo), hi)
 
 
 class Interval:
@@ -167,13 +192,7 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        if self.lo == _NINF and self.hi == _INF:
-            return 0.0
-        m = 0.5 * (self.lo + self.hi)
-        if m != m or m == _INF or m == _NINF:
-            m = 0.5 * self.lo + 0.5 * self.hi
-        # Clamp: the reported midpoint must lie inside the interval.
-        return min(max(m, self.lo), self.hi)
+        return _mid(self.lo, self.hi)
 
     @property
     def mag(self) -> float:
@@ -239,19 +258,8 @@ class Interval:
             if isinstance(other, IArray):
                 return NotImplemented
             o = float(other)
-            if o >= 0.0:
-                lo, hi = _mul_ep(self.lo, o), _mul_ep(self.hi, o)
-            else:
-                lo, hi = _mul_ep(self.hi, o), _mul_ep(self.lo, o)
-            return _mk(_nextafter(lo, _NINF), _nextafter(hi, _INF))
-        p1 = _mul_ep(self.lo, other.lo)
-        p2 = _mul_ep(self.lo, other.hi)
-        p3 = _mul_ep(self.hi, other.lo)
-        p4 = _mul_ep(self.hi, other.hi)
-        return _mk(
-            _nextafter(min(p1, p2, p3, p4), _NINF),
-            _nextafter(max(p1, p2, p3, p4), _INF),
-        )
+            return _mk(*_mul_ends(self.lo, self.hi, o, o))
+        return _mk(*_mul_ends(self.lo, self.hi, other.lo, other.hi))
 
     __rmul__ = __mul__
 
@@ -366,39 +374,27 @@ def sq(x: Interval) -> Interval:
     """x*x with the dependency resolved, result always >= 0."""
     if isinstance(x, IArray):
         return x.sq()
-    if x.lo >= 0.0:
-        return _mk(
-            max(_nextafter(x.lo * x.lo, _NINF), 0.0),
-            _nextafter(x.hi * x.hi, _INF),
-        )
-    if x.hi <= 0.0:
-        return _mk(
-            max(_nextafter(x.hi * x.hi, _NINF), 0.0),
-            _nextafter(x.lo * x.lo, _INF),
-        )
-    m = max(-x.lo, x.hi)
-    return _mk(0.0, _nextafter(m * m, _INF))
+    return _mk(*_sq_ends(x.lo, x.hi))
+
+
+def _sq_ends(lo: float, hi: float) -> tuple:
+    """sq on the endpoints (lo, hi)."""
+    if lo >= 0.0:
+        return max(_nextafter(lo * lo, _NINF), 0.0), _nextafter(hi * hi, _INF)
+    if hi <= 0.0:
+        return max(_nextafter(hi * hi, _NINF), 0.0), _nextafter(lo * lo, _INF)
+    m = max(-lo, hi)
+    return 0.0, _nextafter(m * m, _INF)
 
 
 def idot(xs: Sequence[Interval], ys: Sequence[Interval]) -> Interval:
-    """Fused interval dot product sum(xs[i] * ys[i]).
-
-    Accumulates endpoint floats directly with one outward nudge per term,
-    avoiding intermediate Interval allocation.  The IMatrix products sum
-    with it and IArray.matmul rounds as it does.  The Taylor recurrences
-    run on float pairs instead (rtbp._dot) and call it only as the
-    fallback of a dot with an infinite or overflowing sum.
-    """
-    lo = 0.0
-    hi = 0.0
-    for x, y in zip(xs, ys):
-        p1 = _mul_ep(x.lo, y.lo)
-        p2 = _mul_ep(x.lo, y.hi)
-        p3 = _mul_ep(x.hi, y.lo)
-        p4 = _mul_ep(x.hi, y.hi)
-        lo = _nextafter(lo + _nextafter(min(p1, p2, p3, p4), _NINF), _NINF)
-        hi = _nextafter(hi + _nextafter(max(p1, p2, p3, p4), _INF), _INF)
-    return _mk(lo, hi)
+    """Fused interval dot product sum(xs[i] * ys[i]), summed on the
+    endpoints by _idot_ends with one outward nudge per term.  The IMatrix
+    products and flow's Lohner update sum with it, and IArray.matmul
+    rounds as it does; the Taylor recurrences (rtbp._dot) fall back to
+    it only for a dot with an infinite or overflowing sum."""
+    return _mk(*_idot_ends([x.lo for x in xs], [x.hi for x in xs],
+                           [y.lo for y in ys], [y.hi for y in ys]))
 
 
 def decimal_to_interval(s: str) -> Interval:
@@ -898,8 +894,12 @@ def mat_opnorm_upper(m: IMatrix) -> float:
     Computed as min(Frobenius, sqrt(norm_1 * norm_inf)) of the entrywise
     absolute-value majorant, each accumulation rounded upward.
     """
-    n_rows, n_cols = m.shape
-    mags = [[a.mag for a in row] for row in m.rows]
+    return _opnorm_upper([[a.mag for a in row] for row in m.rows])
+
+
+def _opnorm_upper(mags: list) -> float:
+    """mat_opnorm_upper of the matrix of entry magnitudes mags."""
+    n_rows, n_cols = len(mags), len(mags[0]) if mags else 0
     fro2 = 0.0
     for row in mags:
         for x in row:

@@ -45,13 +45,17 @@ u = 2^-53 the unit roundoff and eta = 2^-1074 the smallest subnormal; it
 covers the rounding of every product, subnormal ones included, and of
 every partial sum (Ogita, Rump and Oishi, "Accurate sum and dot
 product", SISC 26, 2005).  The widening is itself an exact-directed sum,
-as in the Interval addition.  Division by the Taylor index k+1 divides by
-the exact integer and rounds outward, rather than multiplying by a rounded
-1/(k+1).  A dot with an infinite endpoint, or one whose sums overflow,
-falls back to the per-term outward rounding of idot.  Outside the dots
-the pair arithmetic calls the exact-directed sums _add_dn and _add_up
-and nudges each product outward, directly; the power-rule weights
-j - a (k - j) of r^-3 and r^-5 come from a table built once.
+as in the Interval addition, written out in the dot with no call: its
+TwoSum error test rounds each end as _add_dn and _add_up would.  Division
+by the Taylor index k+1 divides by the exact integer and rounds outward,
+rather than multiplying by a rounded 1/(k+1).  A dot with an infinite
+endpoint, or one whose sums overflow, falls back to the per-term outward
+rounding of idot.  Outside the dots the pair arithmetic calls the
+exact-directed sums _add_dn and _add_up and nudges each product outward,
+directly; the squares and the product of a distance with X take their
+corners on float pairs (_sq_ends, _mul_ends), as sq and the Interval
+product round them; the power-rule weights j - a (k - j) of r^-3 and
+r^-5 come from a table built once.
 """
 
 from __future__ import annotations
@@ -69,9 +73,11 @@ from .interval import (
     MatrixSeries,
     _add_dn,
     _add_up,
+    _idot_ends,
     _lowest,
     _mk,
-    idot,
+    _mul_ends,
+    _sq_ends,
     sq,
     sqrt,
 )
@@ -779,11 +785,19 @@ def _dot(alo: list, ahi: list, blo: list, bhi: list) -> tuple:
     elo = elo * _C + eta
     ehi = ehi * _C + eta
     if elo < _INF and ehi < _INF:  # false when a sum is infinite or NaN
-        return _add_dn(lo, -elo), _add_up(hi, ehi)
+        # _add_dn(lo, -elo) and _add_up(hi, ehi) inline; the operands are
+        # finite, so only an overflow makes the TwoSum error NaN, and it
+        # leaves the infinity the exact-directed sum gives
+        s, u = lo - elo, hi + ehi
+        t, v = s - lo, u - hi
+        if (lo - (s - t)) - (elo + t) < 0.0:
+            s = _nextafter(s, _NINF)
+        if (hi - (u - v)) + (ehi - v) > 0.0:
+            u = _nextafter(u, _INF)
+        return s, u
     # an infinite endpoint or an overflow: one outward nudge per term and
     # exact-directed sums, with 0 * inf = 0
-    r = idot(list(map(_mk, alo, ahi)), list(map(_mk, blo, bhi)))
-    return r.lo, r.hi
+    return _idot_ends(alo, ahi, blo, bhi)
 
 
 def _div_pos(a0: float, a1: float, d0: float, d1: float) -> tuple:
@@ -923,22 +937,21 @@ class RtbpSolutionSeries:
         midl, midh = _dot(xl[1:h + 1], xh[1:h + 1], xl[kk - 1:kk - h - 1:-1],
                           xh[kk - 1:kk - h - 1:-1])
         y2l, y2h = _add_dn(y2l, y2l), _add_up(y2h, y2h)
-        sqx = _mk(0.0, 0.0)
+        sx0 = sx1 = 0.0
         if kk % 2 == 0:
-            r = sq(_mk(yl[kk // 2], yh[kk // 2]))
-            y2l, y2h = _add_dn(y2l, r.lo), _add_up(y2h, r.hi)
-            sqx = sq(_mk(xl[kk // 2], xh[kk // 2]))
+            r0, r1 = _sq_ends(yl[kk // 2], yh[kk // 2])
+            y2l, y2h = _add_dn(y2l, r0), _add_up(y2h, r1)
+            sx0, sx1 = _sq_ends(xl[kk // 2], xh[kk // 2])
         self.y2[0].append(y2l)
         self.y2[1].append(y2h)
-        xk = _mk(x0, x1)
         for dsq, d, s, w in (
             (self.d1sq, self.d1, self.s1, self.w1),
             (self.d2sq, self.d2, self.s2, self.w2),
         ):
-            t = _mk(d[0][0], d[1][0]) * xk
-            tl, th = _add_dn(t.lo, midl), _add_up(t.hi, midh)
-            c0 = _add_dn(_add_dn(tl, tl), sqx.lo)
-            c1 = _add_up(_add_up(th, th), sqx.hi)
+            t0, t1 = _mul_ends(d[0][0], d[1][0], x0, x1)
+            tl, th = _add_dn(t0, midl), _add_up(t1, midh)
+            c0 = _add_dn(_add_dn(tl, tl), sx0)
+            c1 = _add_up(_add_up(th, th), sx1)
             dsq[0].append(c0)
             dsq[1].append(c1)
             s[0].append(_add_dn(c0, y2l))
@@ -952,6 +965,14 @@ class RtbpSolutionSeries:
         if self.dim == 5:
             c.append(self.mu if k == 0 else _mk(0.0, 0.0))
         return IVector(c)
+
+    def float_series(self) -> list:
+        """The coefficients of coefficient(k) for every k, as one (lo, hi)
+        pair of float lists per component; read only."""
+        if self.dim == 4:
+            return self._u
+        zeros = [0.0] * self.order
+        return self._u + [([self.mu.lo] + zeros, [self.mu.hi] + zeros)]
 
     def _partials(self):
         """The (lo, hi) series of Omega_XX, Omega_XY and Omega_YY, one
@@ -1055,7 +1076,8 @@ class RtbpTaylorField:
     ) -> MatrixSeries:
         """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given, as the
         (lo, hi) float series the kernel computes.  With stop, the series
-        ends at the first order k >= 1 for which stop(k, V_k) is true.
+        ends at the first order k >= 1 for which stop(k, series) is true;
+        stop reads coefficient k from the series' float lists.
 
         V_0 has one row per state component.  For a five-component
         solution its row 4 stays constant (mu' = 0), and column j gets
@@ -1116,6 +1138,6 @@ class RtbpTaylorField:
                 for lo, hi in entries[4]:
                     lo.append(0.0)
                     hi.append(0.0)
-            if stop is not None and stop(kk, v[kk]):
+            if stop is not None and stop(kk, v):
                 break
         return v

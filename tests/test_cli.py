@@ -55,3 +55,44 @@ def test_prove_bad_config_is_a_usage_error(tmp_path, capsys, monkeypatch, text):
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("conecert prove: error: --config ")
     assert "Traceback" not in "\n".join(err)
+
+
+class _StubReport:
+    proved = True
+
+    def render_text(self) -> str:
+        return "verdict: PROVED"
+
+    def json_str(self) -> str:
+        return "{}"
+
+
+def test_prove_json_in_missing_directory_is_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    # the --json directory is checked before any stage runs
+    def never(cfg):
+        raise AssertionError("check_homoclinic ran with an unwritable --json")
+
+    monkeypatch.setattr(cli, "check_homoclinic", never)
+    out = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["prove", "--json", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conecert prove: error: --json ")
+    assert "Traceback" not in "\n".join(err)
+
+
+def test_prove_json_write_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    # a path that is a directory passes the check but cannot be written:
+    # the report is printed, then one line on stderr and exit 2
+    monkeypatch.setattr(cli, "check_homoclinic", lambda cfg: _StubReport())
+    out = tmp_path / "report.json"
+    out.mkdir()
+    code = cli.main(["prove", "--json", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "verdict: PROVED"
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith(f"conecert prove: error: --json {out}: ")

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+import refarith
 from conecert import flow
 from conecert.interval import (
     IMatrix,
@@ -23,7 +24,9 @@ from conecert.interval import (
     IVector,
     MatrixSeries,
     decimal_to_interval,
+    exp,
     idot,
+    mat_opnorm_upper,
 )
 from conecert.flow import (
     EnclosureFailure,
@@ -45,6 +48,11 @@ from conecert.rtbp import (
 )
 
 MU = "0.0042538634220"
+
+
+def _imatrix(lo: list, hi: list) -> IMatrix:
+    """The interval matrix of the float matrices (lo, hi)."""
+    return IMatrix([list(map(Interval, a, b)) for a, b in zip(lo, hi)])
 
 
 def rtbp_field() -> RtbpTaylorField:
@@ -73,7 +81,7 @@ class AffineField:
             if k == 0:
                 nxt = nxt + self.b
             coeffs.append(nxt.scale(1.0 / (k + 1)))
-        return _Series(coeffs)
+        return flow._CoeffSeries(coeffs)
 
     def expand_variational(
         self, sol, v0: IMatrix, order: int, stop=None
@@ -81,17 +89,9 @@ class AffineField:
         out = [v0]
         for k in range(order):
             out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
-            if stop is not None and stop(k + 1, out[k + 1]):
+            if stop is not None and stop(k + 1, MatrixSeries.from_matrices(out)):
                 break
         return MatrixSeries.from_matrices(out)
-
-
-class _Series:
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
-
-    def coefficient(self, k):
-        return self.coeffs[k]
 
 
 def harmonic() -> LinearTaylorField:
@@ -196,30 +196,147 @@ def test_transport_horner_matches_interval_horner():
                 assert (repr(a.lo), repr(a.hi)) == (repr(b.lo), repr(b.hi))
 
 
+def _rtbp_box(rng: random.Random, dim: int, r: float) -> IVector:
+    """A box of half-width r near the rtbp test orbit; a fifth component
+    is a mass interval."""
+    centre = [-0.8 + rng.uniform(-0.05, 0.05), 0.1, 0.05, -0.7]
+    box = [Interval(c - r, c + r) for c in centre]
+    if dim == 5:
+        mu = decimal_to_interval(MU)
+        box.append(Interval(mu.lo - 1e-11, mu.hi + 1e-11))
+    return IVector(box)
+
+
 def test_image_horner_matches_interval_horner():
-    # The image of the midpoint is summed on float pairs with the
-    # rounding of the IVector Horner acc * h + c_k from acc = tail; the
+    # The image of the midpoint is summed on the series' float lists with
+    # the rounding of the IVector Horner acc * h + c_k from acc = tail; the
     # Interval loop is the reference and must agree bit for bit, zero
-    # signs and infinite tail endpoints included.  [TRIVIAL]
+    # signs and infinite tail endpoints included, for the rtbp series of
+    # both shapes and a coefficient table with zero and infinite
+    # coefficients.  [TRIVIAL]
     field = rtbp_field()
     rng = random.Random(1401)
     order = 20
-    for trial in range(6):
-        r = 10.0 ** rng.uniform(-12.0, -3.0)
-        centre = [-0.8 + rng.uniform(-0.05, 0.05), 0.1, 0.05, -0.7]
-        box = IVector([Interval(c - r, c + r) for c in centre])
-        h = rng.choice([0.03, 0.06, 0.12, 0.0123456])
-        series = field.expand(IVector.from_floats(centre), order)
-        tail = field.expand(box, order + 1).coefficient(order + 1)
-        if trial == 0:
-            tail = IVector([Interval(-math.inf, 1.0), Interval(-0.0, 0.0),
-                            Interval(0.0, math.inf), tail[3]])
+    cases = []
+    entries = [Interval(-0.0, 0.0), Interval(0.0), Interval(-math.inf, 2.0),
+               Interval(-1.0, math.inf), Interval(-3.0, -0.0),
+               Interval(1e300, 1e308)]
+    for dim in (4, 5):
+        for trial in range(6):
+            box = _rtbp_box(rng, dim, 10.0 ** rng.uniform(-12.0, -3.0))
+            h = rng.choice([0.03, 0.06, 0.12, 0.0123456])
+            series = field.expand(IVector.from_floats(box.mid()), order)
+            tail = field.expand(box, order + 1).coefficient(order + 1)
+            if trial == 0:
+                tail = IVector([Interval(-math.inf, 1.0), Interval(-0.0, 0.0),
+                                Interval(0.0, math.inf)] + list(tail)[3:])
+            cases.append((series, h, tail))
+        table = [IVector([rng.choice(entries) for _ in range(dim)])
+                 for _ in range(order + 2)]
+        cases.append((flow._CoeffSeries(table[:-1]), 0.5, table[-1]))
+    for series, h, tail in cases:
         acc = tail
         for k in range(order, -1, -1):
             acc = IVector([a * h + b for a, b in zip(acc, series.coefficient(k))])
         got = flow._horner_vec(series, order, h, tail)
+        assert len(got) == len(tail)
         for a, b in zip(got, acc):
-            assert (repr(a.lo), repr(a.hi)) == (repr(b.lo), repr(b.hi))
+            assert refarith.bits(a) == refarith.bits(b)
+
+
+def _column_series(rng: random.Random, rows: int, order: int) -> MatrixSeries:
+    """A one-column series with zero, infinite and wide entries."""
+    entries = [Interval(-0.0, 0.0), Interval(0.0, -0.0 + 1e-300),
+               Interval(-math.inf, 1.0), Interval(-2.0, math.inf),
+               Interval(-math.inf, math.inf), Interval(-1e308, 1e308)]
+    mats = []
+    for _ in range(order + 1):
+        col = []
+        for _ in range(rows):
+            if rng.random() < 0.2:
+                col.append([rng.choice(entries)])
+            else:
+                c = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 5)
+                w = abs(c) * rng.choice([0.0, 1e-12, 1.0, 3.0])
+                col.append([Interval(c - w, c + w)])
+        mats.append(IMatrix(col))
+    return MatrixSeries.from_matrices(mats)
+
+
+def test_column_term_matches_interval_products():
+    # [TRIVIAL] the tube column's term at order k is column 0 of V_k times
+    # [h^k], on float pairs; the Interval chain Interval(1.0) * h * ... * h
+    # and the four-corner Interval product are the reference, bit for bit,
+    # on 4- and 5-row columns, at step sizes whose powers underflow
+    rng = random.Random(17)
+    order = 21
+    for rows in (4, 5):
+        for h in (0.12, 0.0423, 1e-9, 1e-20, 3.5):
+            v = _column_series(rng, rows, order)
+            hpl, hph = flow._powers(h, order)
+            hp = [Interval(1.0)]
+            for _ in range(order):
+                hp.append(hp[-1] * h)
+            assert [refarith.bits(x) for x in hp] == [
+                (repr(a), repr(b)) for a, b in zip(hpl, hph)
+            ]
+            for k in range(order + 1):
+                got = flow._column_term(v, k, hpl, hph)
+                ref = [refarith.mul(row[0], hp[k]) for row in v[k].rows]
+                assert [tuple(map(repr, t)) for t in got] == [
+                    refarith.bits(x) for x in ref
+                ]
+
+
+def _interval_column(field, enc, h: float, order: int) -> tuple:
+    """The order q and the tail of a step by the Interval-object stop rule:
+    each order's column as an IMatrix, its term an IVector of Interval
+    products with [h^k], stopped when the term's magnitude is at most
+    sol_err."""
+    n = enc.dim
+    x0 = enc.as_box()
+    tube = flow.a_priori_enclosure(field, x0, h)
+    ser_z = field.expand(tube, order + 1)
+    sol_tail = ser_z.coefficient(order + 1)
+    sol_err = max(c.mag for c in sol_tail) * h ** (order + 1)
+    u = [x0[i] - enc.midpoint[i] for i in range(n)]
+    b = exp(Interval(flow._opnorm_inf(field.jacobian(tube))) * h) - 1.0
+    r = (b * max(c.mag for c in u)).hi
+    hp = [Interval(1.0)]
+    for _ in range(order + 1):
+        hp.append(hp[-1] * h)
+
+    def term(k, v_k):
+        return IVector([refarith.mul(row[0], hp[k]) for row in v_k.rows])
+
+    v_z = field.expand_variational(
+        ser_z, IMatrix([[c + Interval(-r, r)] for c in u]), order + 1,
+        stop=lambda k, v: max(c.mag for c in term(k, v[k])) <= sol_err,
+    )
+    q = v_z.order - 1
+    return q, term(q + 1, v_z[q + 1])
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_step_stop_order_and_tail_match_interval_rule(dim):
+    # [TRIVIAL] the step's transport order q and tail vector equal those
+    # of the Interval-object stop rule, bit for bit, over boxes from 1e-12
+    # to 1e-3 wide, where q runs from a few orders up to p
+    field = rtbp_field()
+    rng = random.Random(3015)
+    order = 20
+    qs = set()
+    for r in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3):
+        enc = FlowEnclosure.from_box(_rtbp_box(rng, dim, r))
+        h = rng.choice([0.02, 0.05, 0.12])
+        data = flow._expand_step(field, enc, h, order)
+        q, tail = _interval_column(field, enc, h, order)
+        qs.add(q)
+        assert data.order == q
+        assert [refarith.bits(x) for x in data.tail] == [
+            refarith.bits(x) for x in tail
+        ]
+    assert len(qs) >= 3
 
 
 # (A, closed-form e^(At)) pairs for the low-order step tests
@@ -738,7 +855,8 @@ def _flight_q_factors(monkeypatch) -> list:
 
 def test_orthogonal_inverse_encloses_q_inverse(monkeypatch):
     # [DERIVED] Q [Q^-1] contains I, and every entry meets the Krawczyk
-    # enclosure of the inverse at a width of a few ulps
+    # enclosure of the inverse at a width of a few ulps; the enclosure
+    # equals the Interval-object one
     rng = np.random.default_rng(1401)
     qs = [
         np.linalg.qr(rng.standard_normal((4, 4)))[0].tolist()
@@ -747,7 +865,11 @@ def test_orthogonal_inverse_encloses_q_inverse(monkeypatch):
     qs += _flight_q_factors(monkeypatch)
     assert len(qs) > 25
     for q in qs:
-        inv = flow._orthogonal_inverse(q)
+        inv = _imatrix(*flow._orthogonal_inverse(q))
+        assert [list(map(refarith.bits, row)) for row in inv.rows] == [
+            list(map(refarith.bits, row))
+            for row in _interval_orthogonal_inverse(q).rows
+        ]
         ident = IMatrix.from_floats(q).matmul(inv)
         ref = verified_inverse(IMatrix.from_floats(q))
         for i in range(4):
@@ -755,6 +877,116 @@ def test_orthogonal_inverse_encloses_q_inverse(monkeypatch):
                 assert (1.0 if i == j else 0.0) in ident.rows[i][j]
                 assert inv.rows[i][j].intersects(ref.rows[i][j])
                 assert inv.rows[i][j].width <= 1e-14
+
+
+def _interval_orthogonal_inverse(q: list) -> IMatrix:
+    """The Q^-1 enclosure of the Lohner update in Interval objects: Q^T
+    plus the ball ||E|| / (1 - ||E||) ||Q^T||, E = I - Q^T Q."""
+    n = len(q)
+    qt = IMatrix.from_floats([[q[j][i] for j in range(n)] for i in range(n)])
+    e_norm = mat_opnorm_upper(IMatrix.identity(n) - refarith.mul_floats(qt, q))
+    if not e_norm < 0.5:
+        raise EnclosureFailure("QR factor not orthogonal")
+    en = Interval(e_norm)
+    r = (en / (1.0 - en) * mat_opnorm_upper(qt)).hi
+    return IMatrix([[x + Interval(-r, r) for x in row] for row in qt.rows])
+
+
+def _interval_assemble(enc, data, h):
+    """The Lohner update in Interval objects: IMatrix splits and
+    products, four-corner idot sums."""
+    n = enc.dim
+    m_new = [c.mid for c in data.image]
+    defect = IVector([data.image[i] - m_new[i] for i in range(n)])
+    tc_full = refarith.mul_floats(data.transport, enc.init_basis)
+    c_new = tc_full.mid()
+    c_delta = tc_full - IMatrix.from_floats(c_new)
+    tb_full = refarith.mul_floats(data.transport, enc.basis)
+    m_mid = tb_full.mid()
+    m_delta = tb_full - IMatrix.from_floats(m_mid)
+    err = (defect + refarith.matvec(c_delta, enc.init_remainder)
+           + refarith.matvec(m_delta, enc.remainder) + data.tail)
+    rads = [0.5 * r.width for r in enc.remainder]
+    weights = [
+        -sum(m_mid[i][j] ** 2 for i in range(n)) ** 0.5 * max(rads[j], 1e-300)
+        for j in range(n)
+    ]
+    perm = sorted(range(n), key=lambda j: weights[j])
+    q_np, _ = np.linalg.qr(
+        np.array([[m_mid[i][perm[j]] for j in range(n)] for i in range(n)])
+    )
+    q = [[float(q_np[i][j]) for j in range(n)] for i in range(n)]
+    q_inv = _interval_orthogonal_inverse(q)
+    rem = (refarith.matvec(refarith.mul_floats(q_inv, m_mid), enc.remainder)
+           + refarith.matvec(q_inv, err))
+    return flow.FlowEnclosure(
+        m_new, q, rem, enc.time + h, c_new, enc.init_remainder
+    )
+
+
+def _enclosure_bits(enc) -> tuple:
+    return (
+        [repr(x) for x in enc.midpoint],
+        [[repr(x) for x in row] for row in enc.basis + enc.init_basis],
+        [refarith.bits(x) for x in list(enc.remainder) + list(enc.init_remainder)],
+        refarith.bits(enc.time),
+    )
+
+
+def _random_lohner_case(rng: random.Random, n: int) -> tuple:
+    """A doubleton and step data near a flight's: a transport close to a
+    rotation, bases of mixed scale, image, remainders and tail of mixed
+    widths, with zero entries of both signs and, now and then, an
+    infinite endpoint (the transport stays finite: the Interval-object
+    update has no result for an infinite transported midpoint)."""
+    def floats(k, scale):
+        return [rng.choice([0.0, -0.0]) if rng.random() < 0.1
+                else rng.uniform(-1.0, 1.0) * scale for _ in range(k)]
+
+    def box(k, scale):
+        out = []
+        for c in floats(k, scale):
+            w = abs(c) * rng.choice([0.0, 1e-9, 0.5]) + rng.choice([0.0, 1e-12])
+            out.append(Interval(c - w, c + w))
+        if rng.random() < 0.1:
+            out[rng.randrange(k)] = rng.choice(
+                [Interval(-math.inf, 0.0), Interval(-1.0, math.inf)]
+            )
+        return IVector(out)
+
+    rot = np.linalg.qr(np.array([floats(n, 1.0) for _ in range(n)]) + np.eye(n))[0]
+    transport = IMatrix([
+        [Interval(x - abs(w), x + abs(w)) for x, w in zip(row, floats(n, 1e-10))]
+        for row in (rot + 0.01 * np.array([floats(n, 1.0) for _ in range(n)])).tolist()
+    ])
+    enc = FlowEnclosure(
+        floats(n, 1.0), [floats(n, 1.0) for _ in range(n)], box(n, 1e-12),
+        Interval(0.25, 0.25 + 1e-15), [floats(n, 1e-6) for _ in range(n)],
+        box(n, 1.0),
+    )
+    data = flow._StepData(box(n, 1.0), transport, box(n, 1e-15), None,
+                          0.0, 0.0, 0)
+    return enc, data
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_lohner_update_matches_interval_objects(n):
+    # [TRIVIAL] the float-pair Lohner update (splits, products, the Q^-1
+    # enclosure and the remainder) against the Interval-object update kept
+    # above, bit for bit: on random doubletons of both shapes and on the
+    # steps of an rtbp flight
+    rng = random.Random(1402)
+    cases = [_random_lohner_case(rng, n) for _ in range(150)]
+    field = rtbp_field()
+    enc = FlowEnclosure.from_box(_rtbp_box(rng, n, 1e-9))
+    for h in (0.02, 0.05, 0.12, 0.08):
+        data = flow._expand_step(field, enc, h, 20)
+        cases.append((enc, data))
+        enc = flow._assemble(enc, data, h)
+    for enc, data in cases:
+        assert _enclosure_bits(flow._assemble(enc, data, 0.01)) == (
+            _enclosure_bits(_interval_assemble(enc, data, 0.01))
+        )
 
 
 def test_orthogonal_inverse_rejects_non_orthogonal():
@@ -800,17 +1032,19 @@ def _interval_entries(rng: random.Random, n: int) -> list:
 def test_point_factor_product_matches_interval_matmul():
     # [TRIVIAL] the product of an interval matrix with a float one takes
     # the corners picked by each float's sign; IMatrix.matmul of the
-    # floats as point intervals is the reference, bit for bit
+    # floats as point intervals, and the four-corner idot of them, are
+    # the references, bit for bit
     rng = random.Random(2005)
     for n, m in [(4, 4), (5, 5), (4, 8), (1, 3)]:
         for _ in range(30):
             a = IMatrix([_interval_entries(rng, m) for _ in range(n)])
             b = [_signed_floats(rng, 4) for _ in range(m)]
-            got = flow._mul_floats(a, b)
-            ref = a.matmul(IMatrix.from_floats(b))
-            for row, ref_row in zip(got.rows, ref.rows):
-                for x, y in zip(row, ref_row):
-                    assert (repr(x.lo), repr(x.hi)) == (repr(y.lo), repr(y.hi))
+            got = _imatrix(*flow._mul_floats(*flow._ends(a), b))
+            for ref in (a.matmul(IMatrix.from_floats(b)),
+                        refarith.mul_floats(a, b)):
+                for row, ref_row in zip(got.rows, ref.rows):
+                    for x, y in zip(row, ref_row):
+                        assert refarith.bits(x) == refarith.bits(y)
 
 
 def test_as_box_matches_interval_dot():

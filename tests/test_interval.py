@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import fuzztools
+import refarith
 from conecert.interval import (
     Box,
     DivisionByZeroInterval,
@@ -31,6 +33,7 @@ from conecert.interval import (
     sqrt,
     vec_norm_sup,
 )
+from conecert.interval import _add_dn, _add_up, _idot_ends, _mid, _mul_ends
 
 UP = math.inf
 DOWN = -math.inf
@@ -266,6 +269,99 @@ def test_idot_matches_naive():
     assert fused.intersects(naive)
     assert naive.is_subset_of(Interval(fused.lo - 1e-12, fused.hi + 1e-12))
     assert fused.is_subset_of(Interval(naive.lo - 1e-12, naive.hi + 1e-12))
+
+
+# -- float-pair kernels against the Interval-object forms ---------------------
+
+_TINY = 5e-324
+_MIN_NORMAL = 2.2250738585072014e-308
+_SPECIAL = [
+    0.0, -0.0, math.inf, -math.inf, refarith.MAXF, -refarith.MAXF,
+    _TINY, -_TINY, 3 * _TINY, -7 * _TINY, _MIN_NORMAL, -_MIN_NORMAL,
+    _MIN_NORMAL - _TINY, 1.0, -1.0, 1.0 + 2.0**-52, -(1.0 + 2.0**-52),
+    2.0**-53, 1e308, -1e308, 0.75 * refarith.MAXF, 3.0, -0.1,
+]
+
+
+def _random_floats(rng, n: int) -> list:
+    """Floats of both signs over the whole range, subnormals included."""
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.2:
+            out.append(rng.choice(_SPECIAL))
+        elif kind < 0.35:
+            out.append(rng.choice([-1, 1]) * rng.randint(1, 2**20) * _TINY)
+        else:
+            out.append(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308))
+    return out
+
+
+def _random_intervals(rng, n: int) -> list:
+    """Intervals with zero endpoints of both signs, zero, infinite and
+    overflowing ones."""
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append(rng.choice([
+                Interval(-math.inf, 1.0), Interval(-2.0, math.inf),
+                Interval(-math.inf, math.inf), Interval(0.0, math.inf),
+                Interval(-math.inf, -0.0), Interval(1e300, math.inf),
+            ]))
+        elif kind < 0.2:
+            out.append(Interval(rng.choice([0.0, -0.0]),
+                                rng.choice([0.0, 3.0, _TINY])))
+        elif kind < 0.25:
+            out.append(Interval(-rng.choice([0.0, 2.0, _TINY]),
+                                rng.choice([-0.0, 0.0])))
+        else:
+            lo, hi = sorted(_random_floats(rng, 2))
+            while lo == hi and math.isinf(lo):
+                lo, hi = sorted(_random_floats(rng, 2))
+            out.append(Interval(lo, hi))
+    return out
+
+
+def test_directed_sums_match_the_overflow_first_branches():
+    # [TRIVIAL] _add_dn and _add_up test the TwoSum error first; the
+    # branch order they replace is the reference, bit for bit, on zeros
+    # of both signs, infinities, overflows and subnormals
+    rng = random.Random(358)
+    pairs = [(a, b) for a in _SPECIAL for b in _SPECIAL]
+    pairs += [tuple(_random_floats(rng, 2)) for _ in range(20000)]
+    for a, b in pairs:
+        assert repr(_add_dn(a, b)) == repr(refarith.add_dn(a, b)), (a, b)
+        assert repr(_add_up(a, b)) == repr(refarith.add_up(a, b)), (a, b)
+
+
+def test_corner_product_matches_four_corners():
+    # [TRIVIAL] the product picks its two corners by sign; the min and max
+    # of all four corners with 0 * inf = 0 is the reference, bit for bit,
+    # and Interval multiplication and sq round as their pair forms do
+    rng = random.Random(270)
+    xs = _random_intervals(rng, 3000)
+    ys = _random_intervals(rng, 3000)
+    for x, y in zip(xs, ys):
+        ref = refarith.bits(refarith.mul(x, y))
+        assert tuple(map(repr, _mul_ends(x.lo, x.hi, y.lo, y.hi))) == ref
+        assert refarith.bits(x * y) == ref
+        assert refarith.bits(sq(x)) == refarith.bits(refarith.sq(x))
+        assert repr(_mid(x.lo, x.hi)) == repr(x.mid)
+
+
+def test_idot_matches_four_corner_terms():
+    # [TRIVIAL] idot and its endpoint form against the four-corner
+    # accumulation, bit for bit, over lengths 0 to 8
+    rng = random.Random(1988)
+    for _ in range(1500):
+        n = rng.randint(0, 8)
+        xs, ys = _random_intervals(rng, n), _random_intervals(rng, n)
+        ref = refarith.bits(refarith.idot(xs, ys))
+        assert refarith.bits(idot(xs, ys)) == ref
+        ends = _idot_ends([x.lo for x in xs], [x.hi for x in xs],
+                          [y.lo for y in ys], [y.hi for y in ys])
+        assert tuple(map(repr, ends)) == ref
 
 
 def test_decimal_to_interval():

@@ -674,7 +674,7 @@ def test_stopped_variational_column_is_the_full_one_cut(dim):
     full = tf.expand_variational(ser, v0, order)
     asked = []
 
-    def stop(k, v_k):
+    def stop(k, series):
         asked.append(k)
         return k == stop_at
 
