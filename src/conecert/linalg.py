@@ -4,7 +4,10 @@ definiteness by interval Cholesky.
 Every routine returns enclosures or verdicts that remain valid for all point
 selections inside the interval inputs.  Floating-point preconditioners come
 from numpy; soundness never depends on them, only enclosure quality does.
-Each routine takes one IMatrix; the batched derivative over N solves nothing.
+No proof stage solves: the chart inverts C as a signed transpose (rtbp).
+verified_inverse is the tests' reference for that transpose and for the
+flight's Q^-1 enclosure, and solve_interval_linear serves the test-only
+rtbp.local_field.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def solve_interval_linear(a: IMatrix, b: IVector) -> IVector:
     returned box contains the solution for every selection, which also proves
     each such selection of A is invertible on the relevant right-hand sides.
     """
-    return _Solver(a).vector(b)
+    return IVector(solve_interval_linear_cols(a, IMatrix([[v] for v in b])).col(0))
 
 
 def solve_interval_linear_cols(a: IMatrix, b: IMatrix) -> IMatrix:
@@ -91,44 +94,26 @@ def solve_interval_linear_cols(a: IMatrix, b: IMatrix) -> IMatrix:
     x -> xhat + r0 + E (x - xhat), where r0 = Y (b - A xhat) is the
     residual pushed through the preconditioner.
     """
-    return _Solver(a).cols(b)
-
-
-class _Solver:
-    """The midpoint preconditioning of one interval matrix, made once and
-    shared by every solve against it (solve_interval_linear_cols)."""
-
-    def __init__(self, a: IMatrix):
-        self.a = a
-        self.y, self.e, self.rho = _precondition(a)
-        self.ym = IMatrix.from_floats(self.y.tolist())
-
-    def cols(self, b: IMatrix) -> IMatrix:
-        a, y, e, rho, ym = self.a, self.y, self.e, self.rho, self.ym
-        n = a.shape[0]
-        cols = []
-        for j in range(b.shape[1]):
-            bj = IVector(b.col(j))
-            xhat = y @ np.array(bj.mid(), dtype=float)
-            xhat_iv = IVector.from_floats(xhat.tolist())
-            r0 = ym.matvec(bj - a.matvec(xhat_iv))
-            bound = np.nextafter(vec_norm_sup(r0).hi / (1.0 - rho), np.inf)
-            ball = IVector([Interval(-bound, bound) for _ in range(n)])
-            col = xhat_iv + r0 + e.matvec(ball)
-            for _ in range(2):
-                refined = xhat_iv + r0 + e.matvec(col - xhat_iv)
-                inter = box_intersect(refined, col)
-                if inter is None:  # pragma: no cover
-                    break
-                col = inter
-            cols.append(col)
-        return IMatrix(
-            [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        )
-
-    def vector(self, b: IVector) -> IVector:
-        """The one-column case, as in solve_interval_linear."""
-        return IVector(self.cols(IMatrix([[v] for v in b])).col(0))
+    y, e, rho = _precondition(a)
+    ym = IMatrix.from_floats(y.tolist())
+    n = a.shape[0]
+    cols = []
+    for j in range(b.shape[1]):
+        bj = IVector(b.col(j))
+        xhat = y @ np.array(bj.mid(), dtype=float)
+        xhat_iv = IVector.from_floats(xhat.tolist())
+        r0 = ym.matvec(bj - a.matvec(xhat_iv))
+        bound = np.nextafter(vec_norm_sup(r0).hi / (1.0 - rho), np.inf)
+        ball = IVector([Interval(-bound, bound) for _ in range(n)])
+        col = xhat_iv + r0 + e.matvec(ball)
+        for _ in range(2):
+            refined = xhat_iv + r0 + e.matvec(col - xhat_iv)
+            inter = box_intersect(refined, col)
+            if inter is None:  # pragma: no cover
+                break
+            col = inter
+        cols.append(col)
+    return IMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
 
 def verified_inverse(a: IMatrix) -> IMatrix:

@@ -143,7 +143,7 @@ class ProofConfig:
 
     Fragments run their cone stage at fragment_alpha_h instead of
     alpha_h.  An interval-valued mass parameter decorrelates the chart
-    from the field and leaves noise of 1e-7 to 2.5e-7 in the subdiagonal
+    from the field and leaves noise of 7e-8 to 1.9e-7 in the subdiagonal
     derivative column (1024 pieces); the horizontal cone condition weighs
     that column by 1/alpha_h, so the endpoint value 1e-8 would demand
     noise below 4e-8 that no subdivision can reach.  A fatter horizontal

@@ -16,10 +16,15 @@ or a sequence (X, Y, P_X, P_Y) of Intervals or floats.
 The module also builds the local chart at the interior collinear
 libration point: a verified linear change C putting the linearization
 into the Jordan form diag(lambda, -lambda, rot(v)), composed with a cubic
-polynomial change psi that straightens the unstable direction.  The local
-Jacobian inverts D(Phi) = C D(psi) by one verified inverse of C per chart
-and the closed form of D(psi)^-1 (dpsi_inverse), never by a linear solve;
-the local field, a test reference, is a verified solve against D(Phi).
+polynomial change psi that straightens the unstable direction.  C carries
+the symplectic normalization of Jorba and Masdemont (Physica D 132, 1999),
+C^T J C = J' with J = [[0, I], [-I, 0]] in (X, Y, P_X, P_Y) and
+J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
+(lambda, -lambda, rotation pair), so C^-1 = -J' C^T J is a signed
+transpose of C with no rounding.  The local Jacobian inverts
+D(Phi) = C D(psi) by that transpose and the closed form of D(psi)^-1
+(dpsi_inverse), never by a linear solve; the local field, a test
+reference, is a verified solve against D(Phi).
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -81,7 +86,7 @@ from .interval import (
     sq,
     sqrt,
 )
-from .linalg import solve_interval_linear, verified_inverse
+from .linalg import solve_interval_linear
 
 _INF = math.inf
 _NINF = -math.inf
@@ -420,8 +425,13 @@ obtained for the homoclinic mass-parameter band and shared across it."""
 
 @dataclass(frozen=True)
 class LocalChart:
-    """Verified chart data at L1 for one mass-parameter enclosure; C_inv
-    encloses C^-1 for every selection of C."""
+    """Verified chart data at L1 for one mass-parameter enclosure.
+
+    C encloses the symplectic C(mu) of each mass mu in it, and
+    C_inv = -J' C^T J encloses each C(mu)^-1: all the local Jacobian
+    needs, as the chart of mass mu is L1(mu) + C(mu) psi.  C_inv need not
+    enclose the inverse of every other selection of the interval C.
+    """
 
     mu: Interval
     L1: IVector
@@ -450,21 +460,13 @@ def _certify_quadratic_root(guess: float, c2: Interval) -> Interval:
     )
 
 
-_JORDAN_PATTERN = {(0, 0): "lam", (1, 1): "-lam", (2, 3): "v", (3, 2): "-v"}
-
-
 def jordan_residual(chart: LocalChart, p: RtbpParams) -> IMatrix:
-    """C^-1 DF(L1) C minus the Jordan pattern; all entries contain 0
-    for a valid chart."""
+    """C^-1 DF(L1) C minus diag(lambda, -lambda, rot(v)); all entries
+    contain 0 for a valid chart."""
     r = chart.C_inv.matmul(jacobian(chart.L1, p).matmul(chart.C))
     rows = [list(r.row(i)) for i in range(4)]
-    for (i, j), name in _JORDAN_PATTERN.items():
-        val = {
-            "lam": chart.lam,
-            "-lam": -chart.lam,
-            "v": chart.v,
-            "-v": -chart.v,
-        }[name]
+    lam, v = chart.lam, chart.v
+    for i, j, val in ((0, 0, lam), (1, 1, -lam), (2, 3, v), (3, 2, -v)):
         rows[i][j] = rows[i][j] - val
     return IMatrix(rows)
 
@@ -476,8 +478,10 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     collinear-point coefficient; lambda and v come from the quadratic
     factor of the characteristic polynomial, whose roots lambda^2 and
     -v^2 are certified by the one-dimensional interval Newton operator
-    (_newton_root).  The assembled chart is rejected unless the Jordan
-    residual encloses zero.
+    (_newton_root).  s1 and s2 scale the columns so that C^T J C = J'
+    exactly for each mass, so C_inv = -J' C^T J, each entry +- an entry of
+    C, encloses each C(mu)^-1 (LocalChart).  The chart is rejected unless
+    the Jordan residual, which a wrong normalization breaks, encloses zero.
     """
     l1 = libration_L1(p)
     mu = p.mu
@@ -532,9 +536,15 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     ]
     cols = (col0, col1, col2, col3)
     c_mat = IMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
+    # C^-1 = -J' C^T J: row r is column r ^ 1 of C, halves swapped, signed
+    inv_rows = []
+    for r in range(4):
+        col = cols[r ^ 1]
+        row = [col[2], col[3], -col[0], -col[1]]
+        inv_rows.append(row if r % 2 == 0 else [-e for e in row])
 
     chart = LocalChart(
-        mu=mu, L1=l1, C=c_mat, C_inv=verified_inverse(c_mat), lam=lam, v=v
+        mu=mu, L1=l1, C=c_mat, C_inv=IMatrix(inv_rows), lam=lam, v=v
     )
     residual = jordan_residual(chart, p)
     for i in range(4):

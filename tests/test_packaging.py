@@ -30,6 +30,9 @@ ORACLES = {
     # bit-for-bit references of the batch path the proof runs
     "local_field",
     "local_jacobian",
+    # the Krawczyk inverse: the reference of the chart's signed-transpose
+    # C_inv and of the flight's Q^-1 enclosure
+    "verified_inverse",
 }
 
 

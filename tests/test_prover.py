@@ -103,31 +103,31 @@ ENDPOINT_WIDTHS = (
 )
 
 # Entry widths of the default (left, right) endpoints' derivative over N
-# and their least cone margins, the reference of the derivative's width
-# gate
+# and their least cone margins, with the chart's signed-transpose C^-1:
+# the reference of the derivative's width gate
 ENDPOINT_DFN_WIDTHS = (
     (
-        (1.2985546380406279e-06, 1.5444464974200563e-06,
-         2.8439756586442416e-07, 3.6385663228779616e-07),
-        (2.726277663068797e-08, 1.2934124766772472e-06,
-         1.008262950942516e-06, 5.419563724329093e-07),
-        (1.7671642163333644e-08, 6.815396611705633e-07,
-         2.6592995597973235e-07, 3.2248498404996445e-07),
-        (1.0319475807067809e-08, 4.7987904297216225e-09,
-         1.9113945692872396e-06, 2.6592964441263886e-07),
+        (1.2985539341592303e-06, 1.5444457930943853e-06,
+         2.843972624403166e-07, 3.6385664805285697e-07),
+        (2.726207218064455e-08, 1.2934117723517604e-06,
+         1.008262647518499e-06, 5.419563881425142e-07),
+        (1.7670922963740775e-08, 6.815389418599791e-07,
+         2.659296671080948e-07, 3.224848965643901e-07),
+        (1.0318838649932387e-08, 4.798153328166919e-09,
+         1.911394256648436e-06, 2.6592954998151685e-07),
     ),
     (
-        (1.2985545914112608e-06, 1.5444464500818627e-06,
-         2.8439755832394295e-07, 3.6385661667614377e-07),
-        (2.726274872089536e-08, 1.293412429603791e-06,
-         1.0082629246302267e-06, 5.419563603796265e-07),
-        (1.7671627888134084e-08, 6.815396339413967e-07,
-         2.6592994654267814e-07, 3.2248497472409104e-07),
-        (1.0319465406952929e-08, 4.798776851430222e-09,
-         1.911394533760103e-06, 2.659296378633392e-07),
+        (1.2985538959675582e-06, 1.5444457550681898e-06,
+         2.8439725878561807e-07, 3.6385663196936143e-07),
+        (2.7262054381087118e-08, 1.2934117346041776e-06,
+         1.0082626250919912e-06, 5.419563757006539e-07),
+        (1.7670918047557337e-08, 6.815389240964071e-07,
+         2.659296618015341e-07, 3.2248488857078433e-07),
+        (1.03188364654687e-08, 4.7981479655274426e-09,
+         1.9113942242299235e-06, 2.6592954467495835e-07),
     ),
 )
-ENDPOINT_CONE_MARGINS = (3.835779740177791e-04, 3.8358282788797377e-04)
+ENDPOINT_CONE_MARGINS = (0.00038357797455068615, 0.0003835828284142195)
 
 
 @pytest.fixture(scope="module")

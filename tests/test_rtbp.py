@@ -30,6 +30,8 @@ from conecert.interval import (
     decimal_to_interval,
     sq,
 )
+from conecert.linalg import verified_inverse
+from conecert.prover import ProofConfig
 from conecert.rtbp import (
     CollisionSingularity,
     K_COEFFS,
@@ -303,6 +305,115 @@ def test_jordan_residual_encloses_zero():
             entry = res.rows[i][j]
             assert 0.0 in entry
             assert entry.width < 1e-9
+
+
+# J in (X, Y, P_X, P_Y) and J' in the chart order (lambda, -lambda, rotation
+# pair): the symplectic normalization of the chart is C^T J C = J'.
+_J = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
+_J_CHART = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+
+
+def _mp_chart(c2):
+    """C(c2) of Jorba and Masdemont (Physica D 132, 1999) at the working
+    precision, written out from the characteristic polynomial."""
+    root = mpmath.sqrt((2 - c2) ** 2 - 4 * (1 + c2 - 2 * c2**2))
+    lam = mpmath.sqrt((c2 - 2 + root) / 2)
+    v = mpmath.sqrt(-(c2 - 2 - root) / 2)
+    s1 = mpmath.sqrt(2 * lam * ((4 + 3 * c2) * lam**2 + 4 + 5 * c2 - 6 * c2**2))
+    s2 = mpmath.sqrt(v * ((4 + 3 * c2) * v**2 - 4 - 5 * c2 + 6 * c2**2))
+    u = [2 * lam, lam**2 - 2 * c2 - 1, lam**2 + 2 * c2 + 1,
+         lam**3 + (1 - 2 * c2) * lam]
+    cols = (
+        [e / s1 for e in u],
+        [-u[0] / s1, u[1] / s1, u[2] / s1, -u[3] / s1],
+        [0, (-(v**2) - 2 * c2 - 1) / s2, (-(v**2) + 2 * c2 + 1) / s2, 0],
+        [2 * v / s2, 0, 0, (-(v**3) + (1 - 2 * c2) * v) / s2],
+    )
+    return mpmath.matrix([[cols[j][i] for j in range(4)] for i in range(4)])
+
+
+def _mp_c2(mu):
+    """c2 at the interior collinear point of the exact mass mu."""
+    x = mpmath.findroot(
+        lambda x: x + (1 - mu) / (mu - x) ** 2 - mu / (x - mu + 1) ** 2,
+        mpmath.mpf(XL1_ORACLE),
+    )
+    gamma = x + 1 - mu
+    return (mu + (1 - mu) * gamma**3 / (1 - gamma) ** 3) / gamma**3
+
+
+def _mp_in(val, iv: Interval) -> bool:
+    # 1e-45 is the 50-digit oracle's own rounding: its inverse leaves
+    # about 1e-55 where the exact entry is 0
+    guard = mpmath.mpf("1e-45")
+    return mpmath.mpf(iv.lo) - guard <= val <= mpmath.mpf(iv.hi) + guard
+
+
+@pytest.mark.parametrize("c2", ["3", "3.19", "4.06", "4.5", "5.5", "6"])
+def test_chart_basis_is_symplectic(c2):
+    # [DERIVED] C^T J C = J' holds for the formulas themselves: the
+    # residual is rounding at 50 digits
+    with mpmath.workdps(50):
+        c = _mp_chart(mpmath.mpf(c2))
+        res = c.T * mpmath.matrix(_J) * c - mpmath.matrix(_J_CHART)
+        assert max(abs(e) for e in res) < mpmath.mpf("1e-45")
+
+
+def _chart_masses():
+    """(mass enclosure, exact masses in it) of both default endpoints and
+    of the first default fragment; call at the oracle's precision."""
+    cfg = ProofConfig.default()
+    lo, hi = cfg.fragment_intervals()[0]
+    return [
+        (decimal_to_interval(cfg.mu_left), [mpmath.mpf(cfg.mu_left)]),
+        (decimal_to_interval(cfg.mu_right), [mpmath.mpf(cfg.mu_right)]),
+        # a band chart: its ends and its middle
+        (Interval(lo, hi), [mpmath.mpf(lo), mpmath.mpf(hi),
+                            (mpmath.mpf(lo) + mpmath.mpf(hi)) / 2]),
+    ]
+
+
+@pytest.mark.parametrize("k", range(3), ids=["left", "right", "band"])
+def test_chart_encloses_each_mass_basis_and_inverse(k):
+    # [DERIVED] for each exact mass of the chart's enclosure, C(mu) lies in
+    # C and C(mu)^-1 in C_inv, entrywise
+    with mpmath.workdps(50):
+        mu_iv, masses = _chart_masses()[k]
+        ch = jordan_basis(RtbpParams(mu_iv))
+        for mu in masses:
+            assert _mp_in(mu, mu_iv)
+            c = _mp_chart(_mp_c2(mu))
+            c_inv = mpmath.inverse(c)
+            for i in range(4):
+                for j in range(4):
+                    assert _mp_in(c[i, j], ch.C[i, j]), (mu, i, j)
+                    assert _mp_in(c_inv[i, j], ch.C_inv[i, j]), (mu, i, j)
+
+
+def test_chart_inverse_is_the_signed_transpose():
+    # C_inv = -J' C^T J bit for bit: each entry is the one term
+    # -J'[r][a] C[b][a] J[b][k] that is not zero.  It overlaps the
+    # Krawczyk inverse of the interval C entrywise and is narrower in its
+    # widest entry and in total; single entries may be wider, since the
+    # Krawczyk enclosure is not an entry of C.
+    for mu_iv, _ in _chart_masses():
+        ch = jordan_basis(RtbpParams(mu_iv))
+        krawczyk = verified_inverse(ch.C)
+        widths = [(ch.C_inv[r, k].width, krawczyk[r, k].width)
+                  for r in range(4) for k in range(4)]
+        assert max(w for w, _ in widths) <= max(w for _, w in widths)
+        assert sum(w for w, _ in widths) <= sum(w for _, w in widths)
+        for r in range(4):
+            for k in range(4):
+                (term,) = [
+                    ch.C[b, a] if _J_CHART[r][a] * _J[b][k] < 0 else -ch.C[b, a]
+                    for a in range(4)
+                    for b in range(4)
+                    if _J_CHART[r][a] * _J[b][k] != 0
+                ]
+                got = ch.C_inv[r, k]
+                assert (got.lo, got.hi) == (term.lo, term.hi), (r, k)
+                assert got.intersects(krawczyk[r, k]), (r, k)
 
 
 # -- nonlinear chart -------------------------------------------------------------
