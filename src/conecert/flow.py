@@ -75,12 +75,12 @@ the tail vector.  After every step tried, accepted or not, the next size
 is predicted by the rule of Jorba and Zou (Exp. Math. 14, 2005) used in
 CAPD's Lohner step control: h * 0.7 r^(-1/(p+1)), at most 2 h after an
 acceptance, between 0.25 h and 0.9 h after a rejection, never above
-h_max; a rough enclosure that fails halves h.  integrate_to_time and
-poincare_crossing share this one acceptance loop, _advance, and the
-predicted size carries over from step to step.  Their defaults are the
-settings every flight of the proof uses: order p = 20, tol = 3e-15,
-a first step of 0.02, h_min = 1e-9, h_max = 0.12, and a Poincare flight
-gives up after 12 time units.
+h_max; a rough enclosure that fails halves h.  poincare_crossing takes
+its steps through one acceptance loop, _advance, which the tests'
+fixed-time integrator shares, and the predicted size carries over from
+step to step.  Its defaults are the settings every flight of the proof
+uses: order p = 20, tol = 3e-15, a first step of 0.02, h_min = 1e-9,
+h_max = 0.12, and a Poincare flight gives up after 12 time units.
 
 Poincare crossings monitor the rough tube of every step.  A step whose
 tube is clear of the section is accepted as it is.  A step whose tube
@@ -134,9 +134,7 @@ __all__ = [
     "LostCrossing",
     "FlowEnclosure",
     "Section",
-    "LinearTaylorField",
     "a_priori_enclosure",
-    "integrate_to_time",
     "poincare_crossing",
 ]
 
@@ -236,72 +234,6 @@ class Section:
     def __post_init__(self):
         if self.direction not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
-
-
-# -- generic linear field ---------------------------------------------------------
-
-
-class _CoeffSeries:
-    """Plain coefficient table with the two methods flow reads from a
-    series, coefficient(k) and float_series()."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list):
-        self.coeffs = coeffs
-
-    def coefficient(self, k: int) -> IVector:
-        return self.coeffs[k]
-
-    def float_series(self) -> list:
-        return [([c[i].lo for c in self.coeffs], [c[i].hi for c in self.coeffs])
-                for i in range(len(self.coeffs[0]))]
-
-
-class LinearTaylorField:
-    """x' = A x with interval-exact Taylor recurrences, mainly for tests
-    and demonstrations: c_{k+1} = A c_k / (k+1)."""
-
-    def __init__(self, a: IMatrix):
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("matrix must be square")
-        self.a = a
-        self.dim = n
-
-    def vector_field(self, x) -> IVector:
-        return self.a.matvec(_as_ivector(x, self.dim))
-
-    def jacobian(self, x) -> IMatrix:
-        return self.a
-
-    def expand(self, u0, order: int) -> _CoeffSeries:
-        coeffs = [_as_ivector(u0, self.dim)]
-        for k in range(order):
-            coeffs.append(self.a.matvec(coeffs[k]).scale(1.0 / (k + 1)))
-        return _CoeffSeries(coeffs)
-
-    def expand_variational(
-        self, sol, v0: IMatrix, order: int, stop=None
-    ) -> MatrixSeries:
-        out = [v0]
-        for k in range(order):
-            out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
-            if stop is not None and stop(k + 1, MatrixSeries.from_matrices(out)):
-                break
-        return MatrixSeries.from_matrices(out)
-
-
-def _as_ivector(x, n: int) -> IVector:
-    if isinstance(x, IVector):
-        v = x
-    else:
-        v = IVector(
-            [c if isinstance(c, Interval) else Interval(float(c)) for c in x]
-        )
-    if len(v) != n:
-        raise ValueError(f"expected {n} components")
-    return v
 
 
 # -- rough enclosures -------------------------------------------------------------
@@ -642,36 +574,6 @@ def _advance(field, enc, h, order, tol, h_min, h_max):
             h_next = min(h * _step_factor(r, order), h_max)
             return _assemble(enc, data, h), data, h, h_next
         h *= _step_factor(r, order)
-
-
-def integrate_to_time(
-    field,
-    enc: FlowEnclosure,
-    t_final: float,
-    order: int = ORDER,
-    tol: float = TOL,
-    h_init: float = H_INIT,
-    h_min: float = H_MIN,
-    h_max: float = H_MAX,
-    observer=None,
-) -> FlowEnclosure:
-    """Propagate until the represented time reaches t_final (exactly, up to
-    the outward rounding of the accumulated time interval)."""
-    if t_final <= enc.time.hi:
-        raise ValueError("t_final must exceed the current time")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    h_try = min(h_init, h_max)
-    slack = 1e-15 * max(1.0, abs(t_final))
-    while True:
-        remaining = t_final - enc.time.hi
-        if remaining <= slack:
-            return enc
-        enc, data, _, h_try = _advance(
-            field, enc, min(h_try, remaining), order, tol, h_min, h_max
-        )
-        if observer is not None:
-            observer(enc, data.tube)
 
 
 # -- Poincare crossings ------------------------------------------------------------

@@ -65,9 +65,7 @@ __all__ = [
     "idot",
     "eye",
     "decimal_to_interval",
-    "vec_norm_sup",
     "mat_opnorm_upper",
-    "box_intersect",
 ]
 
 
@@ -851,22 +849,6 @@ class MatrixSeries:
     def order(self) -> int:
         return len(self.entries[0][0][0]) - 1
 
-    @classmethod
-    def from_matrices(cls, mats: Sequence[IMatrix]) -> "MatrixSeries":
-        n, m = mats[0].shape
-        return cls(
-            [
-                [
-                    (
-                        [a.rows[i][j].lo for a in mats],
-                        [a.rows[i][j].hi for a in mats],
-                    )
-                    for j in range(m)
-                ]
-                for i in range(n)
-            ]
-        )
-
     def __len__(self) -> int:
         return self.order + 1
 
@@ -877,15 +859,6 @@ class MatrixSeries:
 
 
 # -- norms -------------------------------------------------------------------
-
-
-def vec_norm_sup(v: IVector) -> Interval:
-    """Enclosure of the Euclidean norm over the box: sqrt(sum x_i^2)."""
-    acc = Interval(0.0)
-    for comp in v.c:
-        acc = acc + sq(comp)
-    # A sum of squares is nonnegative; clamp rounding fuzz before sqrt.
-    return sqrt(_mk(max(acc.lo, 0.0), acc.hi))
 
 
 def mat_opnorm_upper(m: IMatrix) -> float:
@@ -919,16 +892,3 @@ def _opnorm_upper(mags: list) -> float:
         norm_1 = max(norm_1, s)
     holder = _nextafter(math.sqrt(_nextafter(norm_1 * norm_inf, _INF)), _INF)
     return min(fro, holder)
-
-
-# -- box operations ----------------------------------------------------------
-
-
-def box_intersect(a: Box, b: Box) -> Box | None:
-    out = []
-    for x, y in zip(a.c, b.c):
-        z = x.intersect(y)
-        if z is None:
-            return None
-        out.append(z)
-    return IVector(out)

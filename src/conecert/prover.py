@@ -143,13 +143,17 @@ class ProofConfig:
 
     Fragments run their cone stage at fragment_alpha_h instead of
     alpha_h.  An interval-valued mass parameter decorrelates the chart
-    from the field and leaves noise of 7e-8 to 1.9e-7 in the subdiagonal
-    derivative column (1024 pieces); the horizontal cone condition weighs
-    that column by 1/alpha_h, so the endpoint value 1e-8 would demand
-    noise below 4e-8 that no subdivision can reach.  A fatter horizontal
-    cone costs only a wider (still certified) manifold window, which the
-    well-definedness flights tolerate easily; the thin cone stays
-    reserved for the endpoint sign checks that need razor images.
+    from the field and leaves noise in the subdiagonal derivative
+    column: on a 1e-11 fragment at alpha_h = 1e-8, rows 1-3 of column 0
+    are (4.8, 1.9, 1.6)e-7 wide at 256 pieces and (4.6, 1.8, 1.5)e-7 at
+    1024, a norm ||eps2|| of about 2.6e-7.  The horizontal expanding
+    condition A - (||eps1|| + ||eps2|| / alpha_h) / 2 > c_h weighs that
+    column by 1/alpha_h, so it needs ||eps2|| below about
+    2 alpha_h (lambda - c_h) = 3.6e-8, which no subdivision reaches.  A
+    fatter horizontal cone costs only a wider (still certified) manifold
+    window, which the well-definedness flights tolerate easily; the thin
+    cone stays reserved for the endpoint sign checks that need razor
+    images.
 
     Each fragment flies one band flight, with the mass as a fifth
     coordinate (see run_fragment).  fragment_mu_slices is the number of
@@ -495,7 +499,7 @@ def enclose_DF_over_N(
 
     The pieces run as one batch along a leading axis
     (rtbp.local_jacobian_batch) and the hull is one min/max reduction
-    over that axis; each piece's derivative equals local_jacobian on
+    over that axis; each piece's entry is the single-box derivative of
     the piece, so the hull is the hull of the per-piece derivatives.  A
     failure of the batch, such as a piece that reaches a primary,
     propagates as raised.

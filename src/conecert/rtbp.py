@@ -23,8 +23,7 @@ J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
 (lambda, -lambda, rotation pair), so C^-1 = -J' C^T J is a signed
 transpose of C with no rounding.  The local Jacobian inverts
 D(Phi) = C D(psi) by that transpose and the closed form of D(psi)^-1
-(dpsi_inverse), never by a linear solve; the local field, a test
-reference, is a verified solve against D(Phi).
+(dpsi_inverse), never by a linear solve.
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -86,7 +85,6 @@ from .interval import (
     sq,
     sqrt,
 )
-from .linalg import solve_interval_linear
 
 _INF = math.inf
 _NINF = -math.inf
@@ -98,12 +96,8 @@ __all__ = [
     "RtbpParams",
     "LocalChart",
     "K_COEFFS",
-    "hamiltonian",
-    "jacobi_constant",
     "vector_field",
     "jacobian",
-    "vector_field_floats",
-    "jacobian_floats",
     "libration_L1",
     "libration_L1_slope",
     "jordan_basis",
@@ -114,10 +108,7 @@ __all__ = [
     "d2psi",
     "total_change",
     "d_total_change",
-    "local_field",
-    "local_jacobian",
     "local_jacobian_batch",
-    "symmetry_S",
     "RtbpTaylorField",
     "RtbpSolutionSeries",
 ]
@@ -176,29 +167,6 @@ def _distance_squares(x: Interval, y: Interval, mu: Interval):
             f"least r1^2={low1:.3e}, least r2^2={low2:.3e}"
         )
     return d1, d2, s1, s2
-
-
-def hamiltonian(s, p: RtbpParams) -> Interval:
-    x, y, px, py = _coerce(s)
-    mu = p.mu
-    d1, d2, s1, s2 = _distance_squares(x, y, mu)
-    kinetic = (sq(px) + sq(py)) * 0.5 + y * px - x * py
-    return kinetic - (1.0 - mu) / sqrt(s1) - mu / sqrt(s2)
-
-
-def jacobi_constant(s, p: RtbpParams) -> Interval:
-    """Jacobi integral C = 2 Omega - (X'^2 + Y'^2).
-
-    Written through Omega and velocities, not through H, so that the
-    identity H = -C/2 is a genuine cross-check of both routes.
-    """
-    x, y, px, py = _coerce(s)
-    mu = p.mu
-    d1, d2, s1, s2 = _distance_squares(x, y, mu)
-    omega = (sq(x) + sq(y)) * 0.5 + (1.0 - mu) / sqrt(s1) + mu / sqrt(s2)
-    xdot = px + y
-    ydot = py - x
-    return omega * 2.0 - sq(xdot) - sq(ydot)
 
 
 def _inv_r3(s: Interval) -> Interval:
@@ -269,44 +237,6 @@ def _band_jacobian(s: tuple) -> IMatrix:
     gx, gy = _mass_column(s[0], s[1], mu)
     rows = [list(row) + [g] for row, g in zip(j.rows, (z, z, gx, gy))]
     return IMatrix(rows + [[z] * 5])
-
-
-def vector_field_floats(x, mu: float) -> tuple:
-    """Double precision twin for non-rigorous guesses and oracles."""
-    X, Y, PX, PY = (float(c) for c in x)
-    d1 = X - mu
-    d2 = d1 + 1.0
-    s1 = d1 * d1 + Y * Y
-    s2 = d2 * d2 + Y * Y
-    w1 = s1 ** -1.5
-    w2 = s2 ** -1.5
-    m1 = 1.0 - mu
-    return (
-        PX + Y,
-        PY - X,
-        PY - m1 * d1 * w1 - mu * d2 * w2,
-        -PX - Y * (m1 * w1 + mu * w2),
-    )
-
-
-def jacobian_floats(x, mu: float) -> list:
-    X, Y, PX, PY = (float(c) for c in x)
-    d1 = X - mu
-    d2 = d1 + 1.0
-    s1 = d1 * d1 + Y * Y
-    s2 = d2 * d2 + Y * Y
-    m1 = 1.0 - mu
-    w1, w2 = s1 ** -1.5, s2 ** -1.5
-    v1, v2 = s1 ** -2.5, s2 ** -2.5
-    uxx = m1 * (w1 - 3.0 * d1 * d1 * v1) + mu * (w2 - 3.0 * d2 * d2 * v2)
-    uxy = -3.0 * Y * (m1 * d1 * v1 + mu * d2 * v2)
-    uyy = m1 * (w1 - 3.0 * Y * Y * v1) + mu * (w2 - 3.0 * Y * Y * v2)
-    return [
-        [0.0, 1.0, 1.0, 0.0],
-        [-1.0, 0.0, 0.0, 1.0],
-        [-uxx, -uxy, 0.0, 1.0],
-        [-uxy, -uyy, -1.0, 0.0],
-    ]
 
 
 # -- libration point ----------------------------------------------------------
@@ -670,48 +600,26 @@ def d_total_change(q: IVector, chart: LocalChart) -> IMatrix:
     return chart.C.matmul(dpsi(q))
 
 
-def local_field(q: IVector, chart: LocalChart, p: RtbpParams) -> IVector:
-    """F_hat(q) through the verified solve D(Phi) F_hat = F(Phi(q)).
-
-    The proof never evaluates it; it is the finite-difference reference
-    of local_jacobian in the tests, independent of its closed form.
-    """
-    x = total_change(q, chart)
-    return solve_interval_linear(d_total_change(q, chart), vector_field(x, p))
-
-
-def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
-    """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T).
+def local_jacobian_batch(
+    q: IVector, chart: LocalChart, p: RtbpParams
+) -> IArray:
+    """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T) over a batch of
+    boxes, in one array pass.
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
     C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
     D^2(psi_b) F_hat.  D(psi)^-1 is the closed form of dpsi_inverse and
-    C^-1 the chart's C_inv, so nothing is solved.  The proof runs only
-    local_jacobian_batch; this single-box form is its bit-for-bit
-    reference in the tests.
-    """
-    x = total_change(q, chart)
-    f = vector_field(x, p)
-    dpsi_inv = dpsi_inverse(q)
-    f_hat = dpsi_inv.matvec(chart.C_inv.matvec(f))
-    tensor = IMatrix([h.matvec(f_hat) for h in d2psi(q)])
-    c_df_c = chart.C_inv.matmul(jacobian(x, p).matmul(chart.C))
-    return dpsi_inv.matmul(c_df_c.matmul(dpsi(q)) - tensor)
-
-
-def local_jacobian_batch(
-    q: IVector, chart: LocalChart, p: RtbpParams
-) -> IArray:
-    """local_jacobian over a batch of boxes, in one array pass.
+    C^-1 the chart's C_inv, so nothing is solved.
 
     Each component of q is an IArray along a leading batch axis or an
     Interval that every box shares.  The formulas are the scalar ones
     (psi, dpsi, dpsi_inverse, d2psi, vector_field, jacobian) evaluated
-    on IArrays, in the same order, and the matrix products are
-    IArray.matmul.  Entry k of the (..., 4, 4) result equals
-    local_jacobian of box k bit for bit.  When boxes fail, the exception
-    class is one that local_jacobian raises on some failing box, not
-    necessarily the first.
+    on IArrays, and the matrix products are IArray.matmul.  Entry k of
+    the (..., 4, 4) result equals bit for bit the same formula evaluated
+    in the same order on box k with Interval objects, the single-box
+    reference of the tests.  When boxes fail, the exception class is one
+    that the single-box form raises on some failing box, not necessarily
+    the first.
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)
@@ -725,13 +633,6 @@ def local_jacobian_batch(
     tensor = IArray.stack(d2psi(q)).matmul(f_hat[..., None, :, :])[..., 0]
     c_df_c = c_inv.matmul(IArray.stack(jacobian(xs, p)).matmul(c))
     return dpsi_inv.matmul(c_df_c.matmul(IArray.stack(dpsi(q))) - tensor)
-
-
-def symmetry_S(s):
-    """(X, Y, P_X, P_Y) -> (X, -Y, -P_X, P_Y); conjugates the flow to its
-    time reversal."""
-    x, y, px, py = _coerce(s)
-    return IVector([x, -y, -px, py])
 
 
 # -- Taylor series kernel ------------------------------------------------------

@@ -31,20 +31,21 @@ from conecert.interval import (
 from conecert.flow import (
     EnclosureFailure,
     FlowEnclosure,
-    LinearTaylorField,
     LostCrossing,
     Section,
     TransversalityFailure,
     a_priori_enclosure,
-    integrate_to_time,
     poincare_crossing,
 )
-from conecert.linalg import verified_inverse
-from conecert.rtbp import (
-    RtbpParams,
-    RtbpTaylorField,
+from conecert.rtbp import RtbpParams, RtbpTaylorField
+from oracles import (
+    CoeffSeries,
+    LinearTaylorField,
+    integrate_to_time,
     jacobi_constant,
+    matrix_series,
     vector_field_floats,
+    verified_inverse,
 )
 
 MU = "0.0042538634220"
@@ -81,7 +82,7 @@ class AffineField:
             if k == 0:
                 nxt = nxt + self.b
             coeffs.append(nxt.scale(1.0 / (k + 1)))
-        return flow._CoeffSeries(coeffs)
+        return CoeffSeries(coeffs)
 
     def expand_variational(
         self, sol, v0: IMatrix, order: int, stop=None
@@ -89,9 +90,9 @@ class AffineField:
         out = [v0]
         for k in range(order):
             out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
-            if stop is not None and stop(k + 1, MatrixSeries.from_matrices(out)):
+            if stop is not None and stop(k + 1, matrix_series(out)):
                 break
-        return MatrixSeries.from_matrices(out)
+        return matrix_series(out)
 
 
 def harmonic() -> LinearTaylorField:
@@ -233,7 +234,7 @@ def test_image_horner_matches_interval_horner():
             cases.append((series, h, tail))
         table = [IVector([rng.choice(entries) for _ in range(dim)])
                  for _ in range(order + 2)]
-        cases.append((flow._CoeffSeries(table[:-1]), 0.5, table[-1]))
+        cases.append((CoeffSeries(table[:-1]), 0.5, table[-1]))
     for series, h, tail in cases:
         acc = tail
         for k in range(order, -1, -1):
@@ -260,7 +261,7 @@ def _column_series(rng: random.Random, rows: int, order: int) -> MatrixSeries:
                 w = abs(c) * rng.choice([0.0, 1e-12, 1.0, 3.0])
                 col.append([Interval(c - w, c + w)])
         mats.append(IMatrix(col))
-    return MatrixSeries.from_matrices(mats)
+    return matrix_series(mats)
 
 
 def test_column_term_matches_interval_products():

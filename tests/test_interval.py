@@ -24,16 +24,15 @@ from conecert.interval import (
     IMatrix,
     Interval,
     IVector,
-    box_intersect,
     decimal_to_interval,
     exp,
     idot,
     mat_opnorm_upper,
     sq,
     sqrt,
-    vec_norm_sup,
 )
 from conecert.interval import _add_dn, _add_up, _idot_ends, _mid, _mul_ends
+from oracles import box_intersect, vec_norm_sup
 
 UP = math.inf
 DOWN = -math.inf

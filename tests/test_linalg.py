@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from conecert.interval import IMatrix, Interval, IVector
-from conecert.linalg import (
+from conecert.linalg import is_positive_definite
+from oracles import (
     SingularEnclosure,
-    is_positive_definite,
     solve_interval_linear,
     solve_interval_linear_cols,
     verified_inverse,

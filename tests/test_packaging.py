@@ -1,7 +1,7 @@
 """The names the package declares resolve: every module's __all__ and the
 console scripts of pyproject.toml.  Every public name is also used by the
-library itself, unless it is one of the oracles the tests check the proof
-against."""
+library itself, with no exemption: the oracles the tests check the proof
+against live in tests/oracles.py, and each of them is used by a test."""
 
 from __future__ import annotations
 
@@ -14,26 +14,8 @@ import pytest
 
 import conecert
 
-ROOT = Path(__file__).resolve().parent.parent
-
-# Public names no library code calls, kept as the oracles and closed-form
-# fields the tests check the proof code against.
-ORACLES = {
-    "hamiltonian",
-    "jacobi_constant",
-    "vector_field_floats",
-    "jacobian_floats",
-    "symmetry_S",
-    "LinearTaylorField",
-    "integrate_to_time",
-    # the single-box local field and Jacobian: the finite-difference and
-    # bit-for-bit references of the batch path the proof runs
-    "local_field",
-    "local_jacobian",
-    # the Krawczyk inverse: the reference of the chart's signed-transpose
-    # C_inv and of the flight's Q^-1 enclosure
-    "verified_inverse",
-}
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 
 
 def test_every_public_name_resolves():
@@ -89,7 +71,7 @@ def test_every_public_name_is_used_by_the_library():
             "conecert" if mod == "__init__" else f"conecert.{mod}"
         )
         for name in module.__all__:
-            if name in ORACLES or name.startswith("__"):
+            if name.startswith("__"):
                 continue
             if not any(
                 name in reads and not (other == mod and name in defines)
@@ -98,6 +80,54 @@ def test_every_public_name_is_used_by_the_library():
             ):
                 unused.append(f"{mod}.{name}")
     assert not unused, unused
+
+
+def test_every_oracle_is_used_by_a_test():
+    # an oracle no test calls any more checks nothing and is deleted; a
+    # helper counts as used where another oracle reads it
+    found = _statements(ast.parse((TESTS / "oracles.py").read_text()))
+    tests = set()
+    for p in TESTS.glob("test_*.py"):
+        for _, reads in _statements(ast.parse(p.read_text())):
+            tests |= reads
+    unused = [
+        name
+        for defines, _ in found
+        for name in defines
+        if name not in tests
+        and not any(
+            name in reads and name not in other
+            for other, reads in found
+        )
+    ]
+    assert not unused, unused
+
+
+def _imports(path: Path) -> set:
+    """The absolute names of the modules a source file imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                out.add(node.module)
+            elif node.module:
+                out.add(f"conecert.{node.module}")
+            else:
+                out |= {f"conecert.{a.name}" for a in node.names}
+    return out
+
+
+def test_linalg_is_a_leaf_that_only_cones_imports():
+    src = Path(conecert.__file__).resolve().parent
+    importers = {
+        p.stem for p in src.glob("*.py") if "conecert.linalg" in _imports(p)
+    }
+    assert importers == {"cones"}
+    assert not [
+        m for m in _imports(src / "linalg.py") if m.split(".")[0] == "numpy"
+    ]
 
 
 def test_every_config_field_is_read_by_the_library():

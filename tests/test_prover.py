@@ -54,13 +54,11 @@ from conecert.rtbp import (
     RtbpParams,
     jordan_basis,
     libration_L1,
-    local_field,
-    local_jacobian,
     psi,
     total_change,
     vector_field,
-    vector_field_floats,
 )
+from oracles import local_field, local_jacobian, vector_field_floats
 
 MU_LEFT = "0.0042538634220"
 MU_RIGHT = "0.0042538636220"

@@ -30,7 +30,6 @@ from conecert.interval import (
     decimal_to_interval,
     sq,
 )
-from conecert.linalg import verified_inverse
 from conecert.prover import ProofConfig
 from conecert.rtbp import (
     CollisionSingularity,
@@ -41,22 +40,25 @@ from conecert.rtbp import (
     d_total_change,
     dpsi,
     dpsi_inverse,
-    hamiltonian,
-    jacobi_constant,
     jacobian,
-    jacobian_floats,
     jordan_basis,
     jordan_residual,
     libration_L1,
     libration_L1_slope,
-    local_field,
-    local_jacobian,
     local_jacobian_batch,
     psi,
-    symmetry_S,
     total_change,
     vector_field,
+)
+from oracles import (
+    hamiltonian,
+    jacobi_constant,
+    jacobian_floats,
+    local_field,
+    local_jacobian,
+    symmetry_S,
     vector_field_floats,
+    verified_inverse,
 )
 
 # Left endpoint of the homoclinic mass band and the matching chart data,
