@@ -39,6 +39,7 @@ with the rounding of idot.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from fractions import Fraction
@@ -423,13 +424,27 @@ def eye(n: int) -> list[list[float]]:
 # -- batches of intervals ----------------------------------------------------
 
 
+# most entries of one product pass of IArray.matmul: past 4096 (32 KB per
+# temporary) the time per entry grows by more than the saved calls
+_MATMUL_BLOCK = 4096
+_QUIET = contextvars.ContextVar("_QUIET", default=False)
+
+
 def _quiet(fn):
     # Every special value is handled explicitly, so numpy's floating-point
     # warnings (inf - inf, 0 * inf, overflow) carry no information here.
+    # The outermost wrapped call enters np.errstate once; the calls inside
+    # it, such as the IArray operations of a batch formula, skip it.
     @functools.wraps(fn)
     def wrapper(*args):
-        with np.errstate(all="ignore"):
+        if _QUIET.get():
             return fn(*args)
+        token = _QUIET.set(True)
+        try:
+            with np.errstate(all="ignore"):
+                return fn(*args)
+        finally:
+            _QUIET.reset(token)
 
     return wrapper
 
@@ -648,15 +663,23 @@ class IArray:
     @_quiet
     def matmul(self, other: "IArray") -> "IArray":
         """Batched twin of IMatrix.matmul: (..., n, k) times (..., k, m),
-        the batch axes broadcast, every entry summed as idot sums it."""
+        the batch axes broadcast, every entry summed as idot sums it.
+        One _a_mul forms the products of as many k terms as keep its
+        (..., n, k, m) broadcast within _MATMUL_BLOCK entries, all k of
+        them for a small batch; the sum runs over k in order, nudged
+        after each term."""
+        lead = np.broadcast_shapes(self.lo.shape[:-1], other.lo.shape[:-2] + (1,))
+        step = max(1, _MATMUL_BLOCK // max(1, math.prod(lead) * other.lo.shape[-1]))
         lo = hi = 0.0
-        for t in range(self.lo.shape[-1]):
+        for t0 in range(0, self.lo.shape[-1], step):
+            ks = slice(t0, t0 + step)
             plo, phi = _a_mul(
-                self.lo[..., :, t, None], self.hi[..., :, t, None],
-                other.lo[..., None, t, :], other.hi[..., None, t, :],
+                self.lo[..., :, ks, None], self.hi[..., :, ks, None],
+                other.lo[..., None, ks, :], other.hi[..., None, ks, :],
             )
-            lo = np.nextafter(lo + plo, _NINF)
-            hi = np.nextafter(hi + phi, _INF)
+            for t in range(plo.shape[-2]):
+                lo = np.nextafter(lo + plo[..., t, :], _NINF)
+                hi = np.nextafter(hi + phi[..., t, :], _INF)
         return IArray._of(lo, hi)
 
 

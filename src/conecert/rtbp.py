@@ -23,7 +23,10 @@ J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
 (lambda, -lambda, rotation pair), so C^-1 = -J' C^T J is a signed
 transpose of C with no rounding.  The local Jacobian inverts
 D(Phi) = C D(psi) by that transpose and the closed form of D(psi)^-1
-(dpsi_inverse), never by a linear solve.
+(dpsi_inverse), never by a linear solve.  Its batch form computes each
+term that psi, D(psi), D(psi)^-1 and D^2(psi) share (_chart_terms), and
+each that F and DF share (_field_terms), once, and stays bit for bit the
+scalar composition.
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -81,6 +84,7 @@ from .interval import (
     _lowest,
     _mk,
     _mul_ends,
+    _quiet,
     _sq_ends,
     sq,
     sqrt,
@@ -152,7 +156,10 @@ def _coerce(s, sizes: tuple = (4,)) -> tuple:
     return comps
 
 
-def _distance_squares(x: Interval, y: Interval, mu: Interval):
+def _field_terms(x: Interval, y: Interval, mu: Interval) -> tuple:
+    """(d1, d2, s1, s2, w1, w2, Y^2) with s_i = r_i^2 and w_i = r_i^-3,
+    the terms that the field, its Jacobian and the series start share.
+    Raises CollisionSingularity when an r_i^2 reaches 0."""
     d1 = x - mu
     d2 = d1 + 1.0
     ysq = sq(y)
@@ -166,7 +173,7 @@ def _distance_squares(x: Interval, y: Interval, mu: Interval):
             "distance enclosure touches a primary: "
             f"least r1^2={low1:.3e}, least r2^2={low2:.3e}"
         )
-    return d1, d2, s1, s2
+    return d1, d2, s1, s2, _inv_r3(s1), _inv_r3(s2), ysq
 
 
 def _inv_r3(s: Interval) -> Interval:
@@ -174,13 +181,12 @@ def _inv_r3(s: Interval) -> Interval:
     return 1.0 / (s * sqrt(s))
 
 
-def vector_field(s, p: RtbpParams) -> IVector:
+def vector_field(s, p: RtbpParams, terms: tuple | None = None) -> IVector:
+    """F(s); terms are the _field_terms of s, formed here if not given."""
     x, y, px, py = _coerce(s)
     mu = p.mu
     m1 = 1.0 - mu
-    d1, d2, s1, s2 = _distance_squares(x, y, mu)
-    w1 = _inv_r3(s1)
-    w2 = _inv_r3(s2)
+    d1, d2, _, _, w1, w2, _ = terms or _field_terms(x, y, mu)
     return IVector(
         [
             px + y,
@@ -191,23 +197,22 @@ def vector_field(s, p: RtbpParams) -> IVector:
     )
 
 
-def _second_partials(d1, d2, s1, s2, y, mu):
+def _second_partials(y, mu: Interval, terms: tuple) -> tuple:
     """Omega_XX, Omega_XY, Omega_YY of the gradient part of the field."""
+    d1, d2, s1, s2, w1, w2, ysq = terms
     m1 = 1.0 - mu
-    w1, w2 = _inv_r3(s1), _inv_r3(s2)
     v1, v2 = w1 / s1, w2 / s2
-    ysq = sq(y)
     uxx = m1 * (w1 - 3.0 * (sq(d1) * v1)) + mu * (w2 - 3.0 * (sq(d2) * v2))
     uxy = (m1 * (d1 * v1) + mu * (d2 * v2)) * y * (-3.0)
     uyy = m1 * (w1 - 3.0 * (ysq * v1)) + mu * (w2 - 3.0 * (ysq * v2))
     return uxx, uxy, uyy
 
 
-def jacobian(s, p: RtbpParams) -> IMatrix:
+def jacobian(s, p: RtbpParams, terms: tuple | None = None) -> IMatrix:
+    """DF(s); terms as for vector_field."""
     x, y, px, py = _coerce(s)
-    mu = p.mu
-    d1, d2, s1, s2 = _distance_squares(x, y, mu)
-    uxx, uxy, uyy = _second_partials(d1, d2, s1, s2, y, mu)
+    terms = terms or _field_terms(x, y, p.mu)
+    uxx, uxy, uyy = _second_partials(y, p.mu, terms)
     z = Interval(0.0)
     one = Interval(1.0)
     return IMatrix(
@@ -220,22 +225,18 @@ def jacobian(s, p: RtbpParams) -> IMatrix:
     )
 
 
-def _mass_column(x: Interval, y: Interval, mu: Interval) -> tuple:
-    """dP_X'/dmu and dP_Y'/dmu, the nonzero entries of dF/dmu."""
-    d1, d2, s1, s2 = _distance_squares(x, y, mu)
-    w1, w2 = _inv_r3(s1), _inv_r3(s2)
-    uxx, uxy, _ = _second_partials(d1, d2, s1, s2, y, mu)
-    return d1 * w1 - d2 * w2 + uxx, y * (w1 - w2) + uxy
-
-
 def _band_jacobian(s: tuple) -> IMatrix:
     """5 x 5 Jacobian in (X, Y, P_X, P_Y, mu): the 4 x 4 block at the
-    state's mass, the mu column dF/dmu and a zero row for mu' = 0."""
-    mu = s[4]
-    j = jacobian(s[:4], RtbpParams(mu))
+    state's mass, the mu column dF/dmu and a zero row for mu' = 0.  The
+    column's nonzero entries are dP_X'/dmu and dP_Y'/dmu."""
+    y, mu = s[1], s[4]
+    terms = _field_terms(s[0], y, mu)
+    j = jacobian(s[:4], RtbpParams(mu), terms)
+    d1, d2, _, _, w1, w2, _ = terms
+    uxx, uxy, _ = _second_partials(y, mu, terms)
     z = Interval(0.0)
-    gx, gy = _mass_column(s[0], s[1], mu)
-    rows = [list(row) + [g] for row, g in zip(j.rows, (z, z, gx, gy))]
+    col = (z, z, d1 * w1 - d2 * w2 + uxx, y * (w1 - w2) + uxy)
+    rows = [list(row) + [g] for row, g in zip(j.rows, col)]
     return IMatrix(rows + [[z] * 5])
 
 
@@ -494,45 +495,30 @@ def _cube(x: Interval) -> Interval:
 # -- nonlinear chart -----------------------------------------------------------
 
 
-def _k_val(i: int, x: Interval) -> Interval:
-    a2, a3 = K_COEFFS[i]
-    return sq(x) * (a2 + x * a3)
-
-
-def _k_prime(i: int, x: Interval) -> Interval:
-    a2, a3 = K_COEFFS[i]
-    return x * (2.0 * a2 + x * (3.0 * a3))
-
-
-def _k_second(i: int, x: Interval) -> Interval:
-    a2, a3 = K_COEFFS[i]
-    return x * (6.0 * a3) + 2.0 * a2
-
-
-def psi(q: IVector) -> IVector:
-    """psi_0 = x - sum y_i K_i'(x); psi_i = K_i(x) + y_i (K_0' = 1)."""
+def _chart_terms(q) -> tuple:
+    """(K', K'', a) at q: K_i'(x) and K_i''(x) for i = 1..3 (K_0(x) = x),
+    and a = 1 - sum y_i K_i''(x), with which D(psi)(q) = [[a, -k^T],
+    [k, I]] and k = K'.  psi, dpsi, dpsi_inverse and d2psi take these
+    as their terms, and form them from q when not given."""
     x = q[0]
-    ys = (q[1], q[2], q[3])
-    head = x - (
-        ys[0] * _k_prime(1, x) + ys[1] * _k_prime(2, x) + ys[2] * _k_prime(3, x)
-    )
-    return IVector(
-        [head, _k_val(1, x) + ys[0], _k_val(2, x) + ys[1], _k_val(3, x) + ys[2]]
-    )
+    kp = [x * (2.0 * a2 + x * (3.0 * a3)) for a2, a3 in K_COEFFS[1:]]
+    kpp = [x * (6.0 * a3) + 2.0 * a2 for a2, a3 in K_COEFFS[1:]]
+    return kp, kpp, 1.0 - (q[1] * kpp[0] + q[2] * kpp[1] + q[3] * kpp[2])
 
 
-def _dpsi_border(q: IVector) -> tuple:
-    """(a, k) of D(psi)(q) = [[a, -k^T], [k, I]]: a = 1 - sum y_i K_i''(x)
-    and k_i = K_i'(x)."""
+def psi(q: IVector, terms: tuple | None = None) -> IVector:
+    """psi_0 = x - sum y_i K_i'(x); psi_i = K_i(x) + y_i (K_0' = 1), with
+    K_i(x) = x^2 (a2 + a3 x)."""
+    kp = (terms or _chart_terms(q))[0]
     x = q[0]
-    a = 1.0 - (
-        q[1] * _k_second(1, x) + q[2] * _k_second(2, x) + q[3] * _k_second(3, x)
-    )
-    return a, [_k_prime(i, x) for i in (1, 2, 3)]
+    xsq = sq(x)
+    head = x - (q[1] * kp[0] + q[2] * kp[1] + q[3] * kp[2])
+    return IVector([head] + [xsq * (a2 + x * a3) + q[i]
+                             for i, (a2, a3) in enumerate(K_COEFFS[1:], 1)])
 
 
-def dpsi(q: IVector) -> IMatrix:
-    a, k = _dpsi_border(q)
+def dpsi(q: IVector, terms: tuple | None = None) -> IMatrix:
+    k, _, a = terms or _chart_terms(q)
     zero = Interval(0.0)
     one = Interval(1.0)
     return IMatrix(
@@ -542,7 +528,7 @@ def dpsi(q: IVector) -> IMatrix:
     )
 
 
-def dpsi_inverse(q: IVector) -> IMatrix:
+def dpsi_inverse(q: IVector, terms: tuple | None = None) -> IMatrix:
     """D(psi)(q)^-1 in closed form: with s = a + k^T k, the Schur
     complement of the identity block of D(psi) = [[a, -k^T], [k, I]],
 
@@ -552,7 +538,7 @@ def dpsi_inverse(q: IVector) -> IMatrix:
     inverse on any box whose s excludes 0; where s contains 0 the
     division raises DivisionByZeroInterval.
     """
-    a, k = _dpsi_border(q)
+    k, _, a = terms or _chart_terms(q)
     s = a + (sq(k[0]) + sq(k[1]) + sq(k[2]))
     m = [ki / s for ki in k]
     return IMatrix(
@@ -562,33 +548,18 @@ def dpsi_inverse(q: IVector) -> IMatrix:
     )
 
 
-def d2psi(q: IVector) -> list:
+def d2psi(q: IVector, terms: tuple | None = None) -> list:
     """Hessians of the four psi components; K_i''' = 6 a3 is constant."""
-    x = q[0]
-    ys = (q[1], q[2], q[3])
+    kpp = (terms or _chart_terms(q))[1]
     zero = Interval(0.0)
-    h = []
     d2_head_xx = -(
-        ys[0] * (6.0 * K_COEFFS[1][1])
-        + ys[1] * (6.0 * K_COEFFS[2][1])
-        + ys[2] * (6.0 * K_COEFFS[3][1])
+        q[1] * (6.0 * K_COEFFS[1][1])
+        + q[2] * (6.0 * K_COEFFS[2][1])
+        + q[3] * (6.0 * K_COEFFS[3][1])
     )
-    row0 = [d2_head_xx, -_k_second(1, x), -_k_second(2, x), -_k_second(3, x)]
-    h.append(
-        IMatrix(
-            [
-                row0,
-                [row0[1], zero, zero, zero],
-                [row0[2], zero, zero, zero],
-                [row0[3], zero, zero, zero],
-            ]
-        )
-    )
-    for i in (1, 2, 3):
-        rows = [[zero] * 4 for _ in range(4)]
-        rows[0][0] = _k_second(i, x)
-        h.append(IMatrix(rows))
-    return h
+    row0 = [d2_head_xx] + [-c for c in kpp]
+    h = [IMatrix([row0] + [[c, zero, zero, zero] for c in row0[1:]])]
+    return h + [IMatrix([[c, zero, zero, zero]] + [[zero] * 4] * 3) for c in kpp]
 
 
 def total_change(q: IVector, chart: LocalChart) -> IVector:
@@ -600,6 +571,7 @@ def d_total_change(q: IVector, chart: LocalChart) -> IMatrix:
     return chart.C.matmul(dpsi(q))
 
 
+@_quiet
 def local_jacobian_batch(
     q: IVector, chart: LocalChart, p: RtbpParams
 ) -> IArray:
@@ -612,27 +584,35 @@ def local_jacobian_batch(
     C^-1 the chart's C_inv, so nothing is solved.
 
     Each component of q is an IArray along a leading batch axis or an
-    Interval that every box shares.  The formulas are the scalar ones
-    (psi, dpsi, dpsi_inverse, d2psi, vector_field, jacobian) evaluated
-    on IArrays, and the matrix products are IArray.matmul.  Entry k of
-    the (..., 4, 4) result equals bit for bit the same formula evaluated
-    in the same order on box k with Interval objects, the single-box
-    reference of the tests.  When boxes fail, the exception class is one
-    that the single-box form raises on some failing box, not necessarily
-    the first.
+    Interval that every box shares.  The formulas are the scalar psi,
+    dpsi, dpsi_inverse, d2psi, vector_field and jacobian evaluated on
+    IArrays, each term they share computed once and passed to them
+    (_chart_terms, _field_terms); the matrix products are IArray.matmul,
+    all under one np.errstate.  Entry k of the (..., 4, 4) result equals
+    bit for bit the scalar composition on box k with Interval objects,
+    the single-box reference of the tests.  As there, the field's
+    CollisionSingularity comes before the DivisionByZeroInterval of
+    D(psi)^-1; when boxes fail, the exception class is one that the
+    single-box form raises on some failing box, not necessarily the
+    first.
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)
-    psi_q = IArray.stack(psi(q))
+    chart_terms = _chart_terms(q)
+    psi_q = IArray.stack(psi(q, chart_terms))
     x = IArray.stack(chart.L1) + c.matmul(psi_q[..., None])[..., 0]
     xs = IVector([x[..., i] for i in range(4)])
-    f = IArray.stack(vector_field(xs, p))
-    dpsi_inv = IArray.stack(dpsi_inverse(q))
+    field_terms = _field_terms(xs[0], xs[1], p.mu)
+    f = IArray.stack(vector_field(xs, p, field_terms))
+    dpsi_inv = IArray.stack(dpsi_inverse(q, chart_terms))
     f_hat = dpsi_inv.matmul(c_inv.matmul(f[..., None]))
     # axes (..., b, j): row b is D^2(psi_b) F_hat
-    tensor = IArray.stack(d2psi(q)).matmul(f_hat[..., None, :, :])[..., 0]
-    c_df_c = c_inv.matmul(IArray.stack(jacobian(xs, p)).matmul(c))
-    return dpsi_inv.matmul(c_df_c.matmul(IArray.stack(dpsi(q))) - tensor)
+    d2 = IArray.stack(d2psi(q, chart_terms))
+    tensor = d2.matmul(f_hat[..., None, :, :])[..., 0]
+    df = IArray.stack(jacobian(xs, p, field_terms))
+    c_df_c = c_inv.matmul(df.matmul(c))
+    dpsi_q = IArray.stack(dpsi(q, chart_terms))
+    return dpsi_inv.matmul(c_df_c.matmul(dpsi_q) - tensor)
 
 
 # -- Taylor series kernel ------------------------------------------------------
@@ -777,12 +757,9 @@ class RtbpSolutionSeries:
         # (1 - mu) and mu as float pairs, both strictly positive
         self.masses = ((m1.lo, m1.hi), (mu.lo, mu.hi))
         self.order = 0
-        d1, d2, s1, s2 = _distance_squares(x, y, mu)
-        y2 = sq(y)
+        d1, d2, s1, s2, w1, w2, y2 = _field_terms(x, y, mu)
         d1sq = sq(d1)
         d2sq = sq(d2)
-        w1 = _inv_r3(s1)
-        w2 = _inv_r3(s2)
         self.d1 = _start(d1.lo, d1.hi)
         self.d2 = _start(d2.lo, d2.hi)
         self.y2 = _start(y2.lo, y2.hi)

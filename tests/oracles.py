@@ -62,7 +62,7 @@ from conecert.rtbp import (
     LocalChart,
     RtbpParams,
     _coerce,
-    _distance_squares,
+    _field_terms,
     d2psi,
     d_total_change,
     dpsi,
@@ -287,7 +287,7 @@ def integrate_to_time(
 def hamiltonian(s, p: RtbpParams) -> Interval:
     x, y, px, py = _coerce(s)
     mu = p.mu
-    d1, d2, s1, s2 = _distance_squares(x, y, mu)
+    _, _, s1, s2, _, _, _ = _field_terms(x, y, mu)
     kinetic = (sq(px) + sq(py)) * 0.5 + y * px - x * py
     return kinetic - (1.0 - mu) / sqrt(s1) - mu / sqrt(s2)
 
@@ -300,7 +300,7 @@ def jacobi_constant(s, p: RtbpParams) -> Interval:
     """
     x, y, px, py = _coerce(s)
     mu = p.mu
-    d1, d2, s1, s2 = _distance_squares(x, y, mu)
+    _, _, s1, s2, _, _, _ = _field_terms(x, y, mu)
     omega = (sq(x) + sq(y)) * 0.5 + (1.0 - mu) / sqrt(s1) + mu / sqrt(s2)
     xdot = px + y
     ydot = py - x
@@ -366,7 +366,12 @@ def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
     C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
     D^2(psi_b) F_hat.  D(psi)^-1 is the closed form of dpsi_inverse and
     C^-1 the chart's C_inv, so nothing is solved.  It is the scalar form
-    of rtbp.local_jacobian_batch, in the same order of operations.
+    of rtbp.local_jacobian_batch, each scalar function forming its own
+    terms where the batch forms the shared ones once and passes them in;
+    the same terms in the same order of operations, so every entry of
+    the batch is bit for bit this one.  It also raises as the batch does:
+    the field's CollisionSingularity before dpsi_inverse's
+    DivisionByZeroInterval.
     """
     x = total_change(q, chart)
     f = vector_field(x, p)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conecert import interval
 from conecert.interval import (
     DivisionByZeroInterval,
     DomainError,
@@ -156,6 +158,65 @@ def test_matmul_broadcasts_a_shared_matrix():
         for i in range(2):
             assert _same(float(got.lo[p, i]), want[i].lo)
             assert _same(float(got.hi[p, i]), want[i].hi)
+
+
+def _mixed_entries(rng: random.Random, n: int) -> list:
+    """n Intervals: finite ones over many magnitudes, points, zeros and
+    half-lines, so that sums round, overflow and meet 0 * inf."""
+    out = []
+    for _ in range(n):
+        r = rng.random()
+        a = rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-8, 8)
+        if r < 0.1:
+            out.append(Interval(0.0))
+        elif r < 0.25:
+            out.append(Interval(a))
+        elif r < 0.3:
+            out.append(Interval(-math.inf, a) if a < 0 else Interval(a, math.inf))
+        elif r < 0.33:
+            out.append(Interval(1.7976931348623157e308, math.inf))
+        else:
+            out.append(Interval(a, a + abs(a) * rng.random()))
+    return out
+
+
+def _matrix(entries, rows: int, cols: int) -> IMatrix:
+    return IMatrix([entries[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+@pytest.mark.parametrize("terms_per_pass", [1, 2, 4])
+def test_matmul_broadcast_shapes_match_imatrix(monkeypatch, terms_per_pass):
+    # the two broadcasts of rtbp.local_jacobian_batch, against
+    # IMatrix.matmul piece by piece, with the product passes of IArray.matmul
+    # cut into 1, 2 or all 4 terms of the sum
+    pieces = 6
+    monkeypatch.setattr(interval, "_MATMUL_BLOCK", 16 * pieces * terms_per_pass)
+    rng = random.Random(1401)
+    # a shared (4, 4) matrix times a (P, 4, 4) batch
+    c = _matrix(_mixed_entries(rng, 16), 4, 4)
+    batch = [_matrix(_mixed_entries(rng, 16), 4, 4) for _ in range(pieces)]
+    got = IArray.stack(c).matmul(IArray.stack([m.rows for m in batch]))
+    assert got.shape == (pieces, 4, 4)
+    for p, m in enumerate(batch):
+        want = c.matmul(m)
+        for i in range(4):
+            for j in range(4):
+                assert _same(float(got.lo[p, i, j]), want[i, j].lo)
+                assert _same(float(got.hi[p, i, j]), want[i, j].hi)
+    # a (P, 4, 4, 4) stack of 4 x 4 matrices times a (P, 1, 4, 1) column
+    stack = [[_matrix(_mixed_entries(rng, 16), 4, 4) for _ in range(4)]
+             for _ in range(pieces)]
+    cols = [_mixed_entries(rng, 4) for _ in range(pieces)]
+    got = IArray.stack([[h.rows for h in hs] for hs in stack]).matmul(
+        IArray.stack([[[[v] for v in col]] for col in cols])
+    )
+    assert got.shape == (pieces, 4, 4, 1)
+    for p in range(pieces):
+        for b in range(4):
+            want = stack[p][b].matmul(IMatrix([[v] for v in cols[p]]))
+            for i in range(4):
+                assert _same(float(got.lo[p, b, i, 0]), want[i, 0].lo)
+                assert _same(float(got.hi[p, b, i, 0]), want[i, 0].hi)
 
 
 def test_stack_broadcasts_shared_entries():

@@ -366,6 +366,7 @@ def slice_setup(cfg):
 
 
 class TestBatchedDerivative:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [1, 7, 64])
     def test_left_endpoint_equals_loop(self, cfg, left_setup, k):
         # [TRIVIAL] one array pass gives the per-piece hull bit for bit
@@ -378,6 +379,7 @@ class TestBatchedDerivative:
                 assert got[i, j].lo == want[i, j].lo
                 assert got[i, j].hi == want[i, j].hi
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [1, 7, 64])
     def test_mass_slice_equals_loop(self, slice_setup, k):
         # [TRIVIAL] the same over an interval-valued mass parameter
@@ -389,6 +391,7 @@ class TestBatchedDerivative:
                 assert got[i, j].lo == want[i, j].lo
                 assert got[i, j].hi == want[i, j].hi
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_r_u_fails_as_loop(self, cfg, left_setup):
         # [TRIVIAL] r_u = 1 at alpha_h = 0.04 reaches a primary
         params, chart, b = left_setup

@@ -446,7 +446,7 @@ def test_psi_orthogonality():
     # psi(q) - K(x) is orthogonal to K'(x) by construction, exactly, so the
     # interval dot product must contain zero.  [TRIVIAL]
     from conecert.interval import idot
-    from conecert.rtbp import _k_prime
+    from conecert.rtbp import _chart_terms
 
     rng = random.Random(5)
     for _ in range(1000):
@@ -459,7 +459,7 @@ def test_psi_orthogonality():
             out[2] - _k_val_float(2, x.mid),
             out[3] - _k_val_float(3, x.mid),
         ]
-        kprime = [Interval(1.0), _k_prime(1, x), _k_prime(2, x), _k_prime(3, x)]
+        kprime = [Interval(1.0)] + _chart_terms(q)[0]
         dot = idot(diff, kprime)
         assert 0.0 in dot
         assert dot.width < 1e-13
@@ -539,6 +539,7 @@ def test_dpsi_inverse_times_dpsi_contains_identity():
                 assert inv.hi[k, i, j] == want[i, j].hi
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_local_jacobian_raises_where_dpsi_is_not_invertible():
     # [TRIVIAL] at x = 0, k = 0 and s = 1 - y_2 K_2''(0) changes sign at
     # y_2 = 0.694; the box's image stays far from both primaries, so the
@@ -552,6 +553,26 @@ def test_local_jacobian_raises_where_dpsi_is_not_invertible():
     batch = IVector([0.0, 0.0, IArray([0.0, 0.6], [1e-3, 0.8]), 0.0])
     with pytest.raises(DivisionByZeroInterval):
         local_jacobian_batch(batch, ch, p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_local_jacobian_raises_collision_before_dpsi_inverse():
+    # [TRIVIAL] at x = 0 the box's Phi = L1 + C (0, y) holds the smaller
+    # primary (mu - 1, 0), and s = 1 - 2 sum_i a2_i y_i holds 0 as well;
+    # the field fails first, so the single box and the batch both raise
+    # CollisionSingularity, not the DivisionByZeroInterval of D(psi)^-1
+    p = band_left()
+    ch = jordan_basis(p)
+    ys = [Interval(1.54, 1.56), Interval(-0.42, -0.40), Interval(2.42, 2.44)]
+    q = IVector([0.0] + ys)
+    phi = total_change(q, ch)
+    assert p.mu.hi - 1.0 in phi[0] and 0.0 in phi[1]
+    with pytest.raises(DivisionByZeroInterval):
+        dpsi_inverse(q)
+    with pytest.raises(CollisionSingularity):
+        local_jacobian(q, ch, p)
+    with pytest.raises(CollisionSingularity):
+        local_jacobian_batch(IVector([IArray([0.0, 0.0])] + ys), ch, p)
 
 
 def test_chart_fixes_origin():

@@ -39,9 +39,9 @@ A row holds:
   * derivative, median milliseconds of the derivative-over-N stage, the
     proof's one derivative path: prover.enclose_DF_over_N over the left
     endpoint's N in 256 pieces and over the first default mass slice's N
-    in 32 pieces (DFN_REPEATS calls each), and of the chart stage before
-    it: rtbp.jordan_basis at the left endpoint's mass and over the same
-    mass slice (REPEATS calls each);
+    in 32 pieces, and of the chart stage before it: rtbp.jordan_basis at
+    the left endpoint's mass and over the same mass slice (REPEATS calls
+    each);
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
@@ -77,7 +77,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 25
-DFN_REPEATS = 5
 
 sys.path.insert(0, str(ROOT))
 from proofbench import speed  # noqa: E402
@@ -298,7 +297,7 @@ def _derivative_layers(cfg) -> tuple[dict, dict]:
             lambda: prover.enclose_DF_over_N(chart, params, n_box, 256),
         "enclose_DF_over_N_32_slice":
             lambda: prover.enclose_DF_over_N(s_chart, s_params, s_n_box, 32),
-    }, DFN_REPEATS)
+    })
     chart_ms, chart_nominal = _timed_rows({
         "jordan_basis_endpoint": lambda: rtbp.jordan_basis(params),
         "jordan_basis_slice": lambda: rtbp.jordan_basis(s_params),
