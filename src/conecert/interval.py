@@ -34,7 +34,9 @@ on a batch gives, entry by entry, the endpoints the per-entry Interval
 evaluation gives, bit for bit.  It raises the Interval operation's
 exception when any entry would, and never lets a numpy floating-point
 warning escape.  IArray.matmul is the batched twin of IMatrix.matmul
-with the rounding of idot.
+with the rounding of idot.  Its kernels keep the numpy calls per
+operation few, as they cost more than the arithmetic on tens of entries.
+A float operand of either class is a point interval: a NaN one raises.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ class Interval:
         if not isinstance(other, Interval):
             if isinstance(other, IArray):
                 return NotImplemented
-            other = _mk(float(other), float(other))
+            other = _mk(*_ends(other))
         return _mk(_add_dn(self.lo, other.lo), _add_up(self.hi, other.hi))
 
     __radd__ = __add__
@@ -245,19 +247,18 @@ class Interval:
         if not isinstance(other, Interval):
             if isinstance(other, IArray):
                 return NotImplemented
-            other = _mk(float(other), float(other))
+            other = _mk(*_ends(other))
         return _mk(_add_dn(self.lo, -other.hi), _add_up(self.hi, -other.lo))
 
     def __rsub__(self, other) -> "Interval":
-        o = float(other)
+        o = _ends(other)[0]
         return _mk(_add_dn(o, -self.hi), _add_up(o, -self.lo))
 
     def __mul__(self, other) -> "Interval":
         if not isinstance(other, Interval):
             if isinstance(other, IArray):
                 return NotImplemented
-            o = float(other)
-            return _mk(*_mul_ends(self.lo, self.hi, o, o))
+            return _mk(*_mul_ends(self.lo, self.hi, *_ends(other)))
         return _mk(*_mul_ends(self.lo, self.hi, other.lo, other.hi))
 
     __rmul__ = __mul__
@@ -266,7 +267,7 @@ class Interval:
         if not isinstance(other, Interval):
             if isinstance(other, IArray):
                 return NotImplemented
-            other = _mk(float(other), float(other))
+            other = _mk(*_ends(other))
         if other.lo <= 0.0 <= other.hi:
             raise DivisionByZeroInterval(f"denominator {other!r} contains zero")
         q1 = self.lo / other.lo
@@ -281,7 +282,7 @@ class Interval:
         )
 
     def __rtruediv__(self, other) -> "Interval":
-        return _mk(float(other), float(other)) / self
+        return _mk(*_ends(other)) / self
 
     def __neg__(self) -> "Interval":
         return _mk(-self.hi, -self.lo)
@@ -455,30 +456,36 @@ def _lowest(x) -> float:
 
 
 def _ends(x):
-    """(lo, hi) of an operand: arrays for an IArray, floats otherwise."""
+    """(lo, hi) of an operand; a float is a point, and a NaN one raises."""
     if isinstance(x, (IArray, Interval)):
         return x.lo, x.hi
     f = float(x)
+    if f != f:
+        raise ValueError("NaN endpoint")
     return f, f
 
 
 def _a_add_dn(a, b):
-    # _add_dn entrywise.  An infinite or overflowed sum makes the TwoSum
-    # error NaN, so the nudge gives -inf and maxfloat as the scalar
-    # branches do; fmax turns the NaN of inf - inf into -inf.
-    s = a + b
+    # _add_dn entrywise, nudging the sum in place where the error is not
+    # >= 0 (asarray: a 0-d sum is a numpy scalar).  An infinite or
+    # overflowed sum makes the TwoSum error NaN, so the nudge gives -inf
+    # and maxfloat as the scalar branches do; fmax turns the NaN of
+    # inf - inf into -inf.
+    s = np.asarray(a + b)
     bp = s - a
     ap = s - bp
     err = (a - ap) + (b - bp)
-    return np.fmax(np.where(err >= 0.0, s, np.nextafter(s, _NINF)), _NINF)
+    np.nextafter(s, _NINF, out=s, where=~(err >= 0.0))
+    return np.fmax(s, _NINF)
 
 
 def _a_add_up(a, b):
-    s = a + b
+    s = np.asarray(a + b)
     bp = s - a
     ap = s - bp
     err = (a - ap) + (b - bp)
-    return np.fmin(np.where(err <= 0.0, s, np.nextafter(s, _INF)), _INF)
+    np.nextafter(s, _INF, out=s, where=~(err <= 0.0))
+    return np.fmin(s, _INF)
 
 
 def _a_mul(alo, ahi, blo, bhi):
@@ -488,7 +495,7 @@ def _a_mul(alo, ahi, blo, bhi):
     ps = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     lo = np.minimum(np.minimum(ps[0], ps[1]), np.minimum(ps[2], ps[3]))
     hi = np.maximum(np.maximum(ps[0], ps[1]), np.maximum(ps[2], ps[3]))
-    if np.isnan(lo).any():
+    if np.isnan(np.minimum.reduce(lo, axis=None)):
         ps = [np.where(p == p, p, 0.0) for p in ps]
         lo = np.minimum(np.minimum(ps[0], ps[1]), np.minimum(ps[2], ps[3]))
         hi = np.maximum(np.maximum(ps[0], ps[1]), np.maximum(ps[2], ps[3]))
@@ -536,22 +543,17 @@ class IArray:
     def stack(cls, entries) -> "IArray":
         """One IArray from nested entries: Intervals or IArrays, in
         sequences, IVectors or IMatrix rows.  The entries' batch shapes
-        broadcast and lead; the nesting becomes the trailing axes."""
-        flat = []
-
-        def walk(e) -> tuple:
-            if isinstance(e, (Interval, IArray)):
-                flat.append(e)
-                return ()
-            if isinstance(e, IVector):
-                e = e.c
-            elif isinstance(e, IMatrix):
-                e = e.rows
-            inner = [walk(x) for x in e]
-            return (len(inner),) + inner[0]
-
-        nest = walk(entries)
-        batch = np.broadcast_shapes(*(np.shape(e.lo) for e in flat))
+        broadcast and lead; the nesting, flattened a level at a time,
+        becomes the trailing axes.  No numpy call is made per entry."""
+        flat, nest = [entries], ()
+        while not isinstance(flat[0], (Interval, IArray)):
+            flat = [e.c if isinstance(e, IVector)
+                    else e.rows if isinstance(e, IMatrix) else e for e in flat]
+            nest += (len(flat[0]),)
+            flat = [x for e in flat for x in e]
+        shapes = {e.lo.shape for e in flat if isinstance(e, IArray)}
+        batch = (shapes.pop() if len(shapes) == 1
+                 else np.broadcast_shapes(*shapes))
         lo = np.empty(batch + (len(flat),))
         hi = np.empty(batch + (len(flat),))
         for k, e in enumerate(flat):
@@ -614,11 +616,9 @@ class IArray:
     def __mul__(self, other) -> "IArray":
         if isinstance(other, (IArray, Interval)):
             return IArray._of(*_a_mul(self.lo, self.hi, other.lo, other.hi))
-        o = float(other)
-        if o >= 0.0:
-            lo, hi = self.lo * o, self.hi * o
-        else:
-            lo, hi = self.hi * o, self.lo * o
+        o = _ends(other)[0]
+        lo, hi = (self.lo, self.hi) if o >= 0.0 else (self.hi, self.lo)
+        lo, hi = lo * o, hi * o
         if not (o != 0.0 and math.isfinite(o)):  # 0 * inf = 0
             lo = np.where(lo == lo, lo, 0.0)
             hi = np.where(hi == hi, hi, 0.0)
@@ -654,7 +654,7 @@ class IArray:
     def sqrt(self) -> "IArray":
         """sqrt entrywise; DomainError if any entry reaches below zero."""
         lo, hi = self.lo, self.hi
-        if (lo < 0.0).any():
+        if np.logical_or.reduce(lo < 0.0, axis=None):
             raise DomainError("sqrt of a batch with negative entries")
         rlo = np.where(lo != 0.0, np.nextafter(np.sqrt(lo), _NINF), 0.0)
         rhi = np.where(hi != 0.0, np.nextafter(np.sqrt(hi), _INF), 0.0)
@@ -685,15 +685,15 @@ class IArray:
 
 def _a_div(alo, ahi, blo, bhi) -> IArray:
     # Interval.__truediv__ entrywise, with its inf / inf half-lines
-    if np.any((blo <= 0.0) & (bhi >= 0.0)):
+    if np.logical_or.reduce((blo <= 0.0) & (bhi >= 0.0), axis=None):
         raise DivisionByZeroInterval("a denominator in the batch contains zero")
     qs = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
     lo = np.minimum(np.minimum(qs[0], qs[1]), np.minimum(qs[2], qs[3]))
     hi = np.maximum(np.maximum(qs[0], qs[1]), np.maximum(qs[2], qs[3]))
     lo = np.nextafter(lo, _NINF)
     hi = np.nextafter(hi, _INF)
-    bad = np.isnan(lo)
-    if bad.any():
+    if np.isnan(np.minimum.reduce(lo, axis=None)):
+        bad = np.isnan(lo)
         ends = np.broadcast_arrays(alo, ahi, blo, bhi)
         for idx in zip(*np.nonzero(bad)):
             a0, a1, b0, b1 = (float(e[idx]) for e in ends)

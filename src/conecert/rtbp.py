@@ -22,11 +22,11 @@ C^T J C = J' with J = [[0, I], [-I, 0]] in (X, Y, P_X, P_Y) and
 J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
 (lambda, -lambda, rotation pair), so C^-1 = -J' C^T J is a signed
 transpose of C with no rounding.  The local Jacobian inverts
-D(Phi) = C D(psi) by that transpose and the closed form of D(psi)^-1
-(dpsi_inverse), never by a linear solve.  Its batch form computes each
-term that psi, D(psi), D(psi)^-1 and D^2(psi) share (_chart_terms), and
-each that F and DF share (_field_terms), once, and stays bit for bit the
-scalar composition.
+D(Phi) = C D(psi) by that transpose and the closed form of D(psi)^-1,
+never by a linear solve.  Its batch form computes each term that psi,
+D(psi), D(psi)^-1 and D^2(psi) share (_chart_terms), and each that F
+and DF share (_field_terms), once, builds D(psi)^-1 and D^2(psi) as
+arrays, and stays bit for bit the scalar composition in tests/oracles.
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -71,6 +71,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from .interval import (
     DivisionByZeroInterval,
     IArray,
@@ -80,12 +82,14 @@ from .interval import (
     MatrixSeries,
     _add_dn,
     _add_up,
+    _ends,
     _idot_ends,
     _lowest,
     _mk,
     _mul_ends,
     _quiet,
     _sq_ends,
+    eye,
     sq,
     sqrt,
 )
@@ -108,8 +112,6 @@ __all__ = [
     "jordan_residual",
     "psi",
     "dpsi",
-    "dpsi_inverse",
-    "d2psi",
     "total_change",
     "d_total_change",
     "local_jacobian_batch",
@@ -495,15 +497,21 @@ def _cube(x: Interval) -> Interval:
 # -- nonlinear chart -----------------------------------------------------------
 
 
+def _ydot(q, c) -> Interval:
+    """sum y_i c_i over the transversal coordinates y_i = q[i], i = 1..3."""
+    return q[1] * c[0] + q[2] * c[1] + q[3] * c[2]
+
+
 def _chart_terms(q) -> tuple:
     """(K', K'', a) at q: K_i'(x) and K_i''(x) for i = 1..3 (K_0(x) = x),
     and a = 1 - sum y_i K_i''(x), with which D(psi)(q) = [[a, -k^T],
-    [k, I]] and k = K'.  psi, dpsi, dpsi_inverse and d2psi take these
-    as their terms, and form them from q when not given."""
+    [k, I]] and k = K'.  psi and dpsi take these as their terms, and
+    form them from q when not given; the batch builds D(psi)^-1 and
+    D^2(psi) from them."""
     x = q[0]
     kp = [x * (2.0 * a2 + x * (3.0 * a3)) for a2, a3 in K_COEFFS[1:]]
     kpp = [x * (6.0 * a3) + 2.0 * a2 for a2, a3 in K_COEFFS[1:]]
-    return kp, kpp, 1.0 - (q[1] * kpp[0] + q[2] * kpp[1] + q[3] * kpp[2])
+    return kp, kpp, 1.0 - _ydot(q, kpp)
 
 
 def psi(q: IVector, terms: tuple | None = None) -> IVector:
@@ -512,54 +520,46 @@ def psi(q: IVector, terms: tuple | None = None) -> IVector:
     kp = (terms or _chart_terms(q))[0]
     x = q[0]
     xsq = sq(x)
-    head = x - (q[1] * kp[0] + q[2] * kp[1] + q[3] * kp[2])
+    head = x - _ydot(q, kp)
     return IVector([head] + [xsq * (a2 + x * a3) + q[i]
                              for i, (a2, a3) in enumerate(K_COEFFS[1:], 1)])
 
 
 def dpsi(q: IVector, terms: tuple | None = None) -> IMatrix:
     k, _, a = terms or _chart_terms(q)
-    zero = Interval(0.0)
-    one = Interval(1.0)
-    return IMatrix(
-        [[a] + [-ki for ki in k]]
-        + [[k[i]] + [one if i == j else zero for j in range(3)]
-           for i in range(3)]
-    )
+    return IMatrix([[a] + [-ki for ki in k]]
+                   + [[ki] + row for ki, row in zip(k, eye(3))])
 
 
-def dpsi_inverse(q: IVector, terms: tuple | None = None) -> IMatrix:
-    """D(psi)(q)^-1 in closed form: with s = a + k^T k, the Schur
-    complement of the identity block of D(psi) = [[a, -k^T], [k, I]],
-
-      D(psi)^-1 = [[1/s, k^T/s], [-k/s, I - k k^T/s]].
-
-    The identity holds for every point selection, so this encloses the
-    inverse on any box whose s excludes 0; where s contains 0 the
-    division raises DivisionByZeroInterval.
-    """
-    k, _, a = terms or _chart_terms(q)
-    s = a + (sq(k[0]) + sq(k[1]) + sq(k[2]))
-    m = [ki / s for ki in k]
-    return IMatrix(
-        [[1.0 / s] + m]
-        + [[-m[i]] + [(1.0 if i == j else 0.0) - k[i] * m[j] for j in range(3)]
-           for i in range(3)]
-    )
+def _dpsi_inverse_array(terms: tuple) -> IArray:
+    """D(psi)^-1 = [[1/s, m^T], [-m, I - k m^T]], s = a + k^T k and
+    m = k/s, over a batch as one (..., 4, 4) IArray from the chart terms:
+    m is one (..., 3) division and I - k m^T one broadcast product, each
+    entry rounded as by tests/oracles.dpsi_inverse, the scalar form."""
+    kp, _, a = terms
+    s = IArray.stack([a + (sq(kp[0]) + sq(kp[1]) + sq(kp[2]))])
+    k = IArray.stack(kp)
+    m = k / s
+    eye3 = np.eye(3)
+    rest = IArray._of(eye3, eye3) - k[..., :, None] * m[..., None, :]
+    # axis 0 holds (lo, hi), so each block is written with both ends
+    inv = np.empty((2,) + m.shape[:-1] + (4, 4))
+    inv[..., 0, :1], inv[..., 0, 1:] = _ends(1.0 / s), _ends(m)
+    inv[..., 1:, 0], inv[..., 1:, 1:] = _ends(-m), _ends(rest)
+    return IArray._of(*inv)
 
 
-def d2psi(q: IVector, terms: tuple | None = None) -> list:
-    """Hessians of the four psi components; K_i''' = 6 a3 is constant."""
-    kpp = (terms or _chart_terms(q))[1]
-    zero = Interval(0.0)
-    d2_head_xx = -(
-        q[1] * (6.0 * K_COEFFS[1][1])
-        + q[2] * (6.0 * K_COEFFS[2][1])
-        + q[3] * (6.0 * K_COEFFS[3][1])
-    )
-    row0 = [d2_head_xx] + [-c for c in kpp]
-    h = [IMatrix([row0] + [[c, zero, zero, zero] for c in row0[1:]])]
-    return h + [IMatrix([[c, zero, zero, zero]] + [[zero] * 4] * 3) for c in kpp]
+def _d2psi_array(q, terms: tuple) -> IArray:
+    """The Hessians of psi_0..psi_3 over a batch as one (..., 4, 4, 4)
+    IArray, axes (..., b, i, j), from the chart terms, each entry rounded
+    as by tests/oracles.d2psi: K_i''' = 6 a3 is constant, and only row
+    and column 0 of D^2(psi_0) and entry (0, 0) of the others are not 0."""
+    head = -_ydot(q, [6.0 * a3 for _, a3 in K_COEFFS[1:]])
+    v = IArray.stack([head] + terms[1])
+    d2 = np.zeros((2,) + v.shape[:-1] + (4, 4, 4))
+    d2[..., 0, 0] = _ends(v)
+    d2[..., 0, 0, 1:] = d2[..., 0, 1:, 0] = _ends(-v[..., 1:])
+    return IArray._of(*d2)
 
 
 def total_change(q: IVector, chart: LocalChart) -> IVector:
@@ -580,21 +580,21 @@ def local_jacobian_batch(
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
     C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
-    D^2(psi_b) F_hat.  D(psi)^-1 is the closed form of dpsi_inverse and
-    C^-1 the chart's C_inv, so nothing is solved.
+    D^2(psi_b) F_hat.  D(psi)^-1 is in closed form (_dpsi_inverse_array)
+    and C^-1 is the chart's C_inv, so nothing is solved.
 
     Each component of q is an IArray along a leading batch axis or an
-    Interval that every box shares.  The formulas are the scalar psi,
-    dpsi, dpsi_inverse, d2psi, vector_field and jacobian evaluated on
-    IArrays, each term they share computed once and passed to them
-    (_chart_terms, _field_terms); the matrix products are IArray.matmul,
-    all under one np.errstate.  Entry k of the (..., 4, 4) result equals
-    bit for bit the scalar composition on box k with Interval objects,
-    the single-box reference of the tests.  As there, the field's
-    CollisionSingularity comes before the DivisionByZeroInterval of
-    D(psi)^-1; when boxes fail, the exception class is one that the
-    single-box form raises on some failing box, not necessarily the
-    first.
+    Interval that every box shares.  psi, dpsi, vector_field and
+    jacobian are the scalar formulas on IArrays, each shared term
+    computed once and passed in (_chart_terms, _field_terms); D(psi)^-1
+    and D^2(psi) are arrays built with the operations of their scalar
+    forms; the matrix products are IArray.matmul, all under one
+    np.errstate.  Entry k of the (..., 4, 4) result equals bit for bit
+    the scalar composition on box k, tests/oracles.local_jacobian.  As
+    there, the field's CollisionSingularity comes before the
+    DivisionByZeroInterval of D(psi)^-1; when boxes fail, the exception
+    class is one that the single-box form raises on some failing box,
+    not necessarily the first.
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)
@@ -604,10 +604,10 @@ def local_jacobian_batch(
     xs = IVector([x[..., i] for i in range(4)])
     field_terms = _field_terms(xs[0], xs[1], p.mu)
     f = IArray.stack(vector_field(xs, p, field_terms))
-    dpsi_inv = IArray.stack(dpsi_inverse(q, chart_terms))
+    dpsi_inv = _dpsi_inverse_array(chart_terms)
     f_hat = dpsi_inv.matmul(c_inv.matmul(f[..., None]))
     # axes (..., b, j): row b is D^2(psi_b) F_hat
-    d2 = IArray.stack(d2psi(q, chart_terms))
+    d2 = _d2psi_array(q, chart_terms)
     tensor = d2.matmul(f_hat[..., None, :, :])[..., 0]
     df = IArray.stack(jacobian(xs, p, field_terms))
     c_df_c = c_inv.matmul(df.matmul(c))

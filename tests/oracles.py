@@ -28,6 +28,9 @@ line names the library code an oracle checks:
   * symmetry_S: the reversing symmetry of rtbp.vector_field.
   * local_field: F_hat(q) through a verified solve against D(Phi), the
     finite-difference reference of local_jacobian.
+  * dpsi_inverse, d2psi: D(psi)^-1 in closed form and the Hessians of
+    psi on Interval objects, the scalar forms of the arrays that
+    rtbp.local_jacobian_batch builds.
   * local_jacobian: the single-box DF_hat(q), the bit-for-bit reference
     of rtbp.local_jacobian_batch and so of prover.enclose_DF_over_N.
 """
@@ -59,14 +62,14 @@ from conecert.interval import (
     sqrt,
 )
 from conecert.rtbp import (
+    K_COEFFS,
     LocalChart,
     RtbpParams,
+    _chart_terms,
     _coerce,
     _field_terms,
-    d2psi,
     d_total_change,
     dpsi,
-    dpsi_inverse,
     jacobian,
     total_change,
     vector_field,
@@ -357,6 +360,40 @@ def local_field(q: IVector, chart: LocalChart, p: RtbpParams) -> IVector:
     independent of the closed form of local_jacobian."""
     x = total_change(q, chart)
     return solve_interval_linear(d_total_change(q, chart), vector_field(x, p))
+
+
+def dpsi_inverse(q: IVector) -> IMatrix:
+    """D(psi)(q)^-1 in closed form: with s = a + k^T k, the Schur
+    complement of the identity block of D(psi) = [[a, -k^T], [k, I]],
+
+      D(psi)^-1 = [[1/s, k^T/s], [-k/s, I - k k^T/s]].
+
+    The identity holds for every point selection, so this encloses the
+    inverse on any box whose s excludes 0; where s contains 0 the
+    division raises DivisionByZeroInterval.
+    """
+    k, _, a = _chart_terms(q)
+    s = a + (sq(k[0]) + sq(k[1]) + sq(k[2]))
+    m = [ki / s for ki in k]
+    return IMatrix(
+        [[1.0 / s] + m]
+        + [[-m[i]] + [(1.0 if i == j else 0.0) - k[i] * m[j] for j in range(3)]
+           for i in range(3)]
+    )
+
+
+def d2psi(q: IVector) -> list:
+    """Hessians of the four psi components; K_i''' = 6 a3 is constant."""
+    kpp = _chart_terms(q)[1]
+    zero = Interval(0.0)
+    d2_head_xx = -(
+        q[1] * (6.0 * K_COEFFS[1][1])
+        + q[2] * (6.0 * K_COEFFS[2][1])
+        + q[3] * (6.0 * K_COEFFS[3][1])
+    )
+    row0 = [d2_head_xx] + [-c for c in kpp]
+    h = [IMatrix([row0] + [[c, zero, zero, zero] for c in row0[1:]])]
+    return h + [IMatrix([[c, zero, zero, zero]] + [[zero] * 4] * 3) for c in kpp]
 
 
 def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:

@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conecert import interval
 from conecert.interval import (
@@ -30,11 +30,13 @@ from conecert.interval import (
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
+MAX = 1.7976931348623157e308
+
 # every double but NaN: +-inf, +-0, subnormals, maxfloat
 ext = st.one_of(
     st.floats(allow_nan=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
-                     -1.7976931348623157e308, math.inf, -math.inf]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, MAX, -MAX, math.inf,
+                     -math.inf]),
 )
 
 
@@ -90,8 +92,13 @@ def test_binary_op_batch_with_batch(op, data):
            [lambda x=x, y=y: op(x, y) for x, y in zip(xs, ys)])
 
 
+# the TwoSum error of a sum that overflows (maxfloat + maxfloat) or is
+# inf + -inf is NaN, and the nudge must still take the first to maxfloat
 @pytest.mark.parametrize("op", OPS)
 @given(xs=batches, y=intervals())
+@example(xs=[Interval(MAX)], y=Interval(MAX))
+@example(xs=[Interval(-MAX)], y=Interval(MAX))
+@example(xs=[Interval(0.0, math.inf)], y=Interval(-math.inf, 0.0))
 def test_binary_op_with_interval(op, xs, y):
     _check(lambda: op(_pack(xs), y), [lambda x=x: op(x, y) for x in xs])
     _check(lambda: op(y, _pack(xs)), [lambda x=x: op(y, x) for x in xs])
@@ -99,9 +106,28 @@ def test_binary_op_with_interval(op, xs, y):
 
 @pytest.mark.parametrize("op", OPS)
 @given(xs=batches, f=ext)
+@example(xs=[Interval(MAX)], f=MAX)
+@example(xs=[Interval(-MAX)], f=MAX)
+@example(xs=[Interval(0.0, math.inf)], f=-math.inf)
+@example(xs=[Interval(-math.inf, 0.0)], f=math.inf)
 def test_binary_op_with_float(op, xs, f):
     _check(lambda: op(_pack(xs), f), [lambda x=x: op(x, f) for x in xs])
     _check(lambda: op(f, _pack(xs)), [lambda x=x: op(f, x) for x in xs])
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize(
+    "x", [Interval(1.0, 2.0), IArray([1.0, -3.0], [2.0, 4.0])],
+    ids=["Interval", "IArray"],
+)
+@pytest.mark.parametrize("float_first", [False, True],
+                         ids=["x_op_nan", "nan_op_x"])
+def test_nan_float_operand_raises(op, x, float_first):
+    # a float operand is a point interval, and [nan, nan] is none: it
+    # raises as Interval(nan) does instead of giving a false enclosure
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN endpoint"):
+        op(nan, x) if float_first else op(x, nan)
 
 
 def test_add_keeps_operand_order():
@@ -227,6 +253,15 @@ def test_stack_broadcasts_shared_entries():
     assert m.hi[:, 1, 1].tolist() == [0.5, 2.0]
     h = m.hull_over(0).to_imatrix()
     assert h[0, 0] == Interval(0.0, 2.0) and h[1, 0] == Interval(-1.0, 1.0)
+    # a (1,)-shaped entry broadcasts against the batch as numpy does, and
+    # an IVector adds one trailing axis
+    one = IArray([5.0], [6.0])
+    v = IArray.stack(IVector([a, one, Interval(7.0)]))
+    assert v.shape == (2, 3)
+    assert v.lo.tolist() == [[0.0, 5.0, 7.0], [1.0, 5.0, 7.0]]
+    assert v.hi.tolist() == [[0.5, 6.0, 7.0], [2.0, 6.0, 7.0]]
+    assert IArray.stack([one, Interval(1.0)]).shape == (1, 2)
+    assert IArray.stack(IVector([one, one])).hi.tolist() == [[6.0, 6.0]]
 
 
 def test_constructor_validation():

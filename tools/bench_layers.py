@@ -41,7 +41,11 @@ A row holds:
     endpoint's N in 256 pieces and over the first default mass slice's N
     in 32 pieces, and of the chart stage before it: rtbp.jordan_basis at
     the left endpoint's mass and over the same mass slice (REPEATS calls
-    each);
+    each); and derivative_calls, the Python-level calls one call of each
+    of the two enclose_DF_over_N rows makes: every "call" event of
+    sys.setprofile ("calls"), the call itself included, and those of
+    them whose frame runs code of the measured conecert tree
+    ("conecert_calls");
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
@@ -59,7 +63,8 @@ layers and derivative rows is followed by one proofbench.speed.reference()
 loop, and layers_nominal_ms and derivative_nominal_ms give the same rows
 rescaled to the nominal machine speed of proofbench (each call's time
 times REF_NOMINAL_S over the reference loop timed next to it, then the
-median).  Compare layer rows of two trees by their nominal values.
+median).  Compare layer rows of two trees by their nominal values.  The call
+counts do not depend on the host's speed at all.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,6 +134,30 @@ def _timed_rows(fns: dict, repeats: int = REPEATS) -> tuple[dict, dict]:
         ms[name] = 1e3 * statistics.median(times)
         nominal[name] = 1e3 * statistics.median(scaled)
     return ms, nominal
+
+
+def _call_counts(calls: dict, package: str) -> dict:
+    """The Python-level calls of one call of each (function, args) of
+    calls, after a warm-up call: all "call" events of sys.setprofile, and
+    those in frames of code under the directory package."""
+    out = {}
+    for name, (fn, args) in calls.items():
+        fn(*args)
+        counts = {"calls": 0, "conecert_calls": 0}
+
+        def count(frame, event, arg):
+            if event == "call":
+                counts["calls"] += 1
+                if frame.f_code.co_filename.startswith(package):
+                    counts["conecert_calls"] += 1
+
+        sys.setprofile(count)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(None)
+        out[name] = counts
+    return out
 
 
 def _flight_tolerance(flow, cfg) -> float:
@@ -273,9 +303,10 @@ def _one_fragment(flow, prover, cfg) -> dict:
     }
 
 
-def _derivative_layers(cfg) -> tuple[dict, dict]:
+def _derivative_layers(cfg) -> tuple[dict, dict, dict]:
     """Milliseconds of the derivative-over-N and chart stages, as
-    measured and nominal."""
+    measured and nominal, and the Python-level calls of one
+    derivative-over-N call."""
     from dataclasses import replace
 
     from conecert import interval, prover, rtbp
@@ -292,17 +323,21 @@ def _derivative_layers(cfg) -> tuple[dict, dict]:
         *cfg.fragment_intervals()[0], cfg.fragment_mu_slices
     )[0]
     s_params, s_chart, s_n_box = setup(interval.Interval(lo, hi), frag)
-    ms, nominal = _timed_rows({
+    dfn = {
         "enclose_DF_over_N_256":
-            lambda: prover.enclose_DF_over_N(chart, params, n_box, 256),
+            (prover.enclose_DF_over_N, (chart, params, n_box, 256)),
         "enclose_DF_over_N_32_slice":
-            lambda: prover.enclose_DF_over_N(s_chart, s_params, s_n_box, 32),
-    })
+            (prover.enclose_DF_over_N, (s_chart, s_params, s_n_box, 32)),
+    }
+    ms, nominal = _timed_rows(
+        {name: partial(fn, *args) for name, (fn, args) in dfn.items()}
+    )
+    calls = _call_counts(dfn, str(Path(prover.__file__).parent) + os.sep)
     chart_ms, chart_nominal = _timed_rows({
         "jordan_basis_endpoint": lambda: rtbp.jordan_basis(params),
         "jordan_basis_slice": lambda: rtbp.jordan_basis(s_params),
     })
-    return {**ms, **chart_ms}, {**nominal, **chart_nominal}
+    return {**ms, **chart_ms}, {**nominal, **chart_nominal}, calls
 
 
 def _full_proof(prover) -> dict:
@@ -413,7 +448,7 @@ def measure(src: Path, full: bool = False) -> dict:
         "tail_stop":
             lambda: _tail_stop(flow, v_col, q, h, order, data.sol_err),
     })
-    derivative, derivative_nominal = _derivative_layers(cfg)
+    derivative, derivative_nominal, derivative_calls = _derivative_layers(cfg)
     row = {
         "commit": _commit(src),
         "machine": _machine(),
@@ -424,6 +459,7 @@ def measure(src: Path, full: bool = False) -> dict:
         "layers_nominal_ms": layers_nominal,
         "derivative_ms": derivative,
         "derivative_nominal_ms": derivative_nominal,
+        "derivative_calls": derivative_calls,
         "flights": flights,
         "fragment": _one_fragment(flow, prover, cfg),
     }
