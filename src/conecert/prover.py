@@ -30,6 +30,7 @@ selection inside the interval inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -60,6 +61,7 @@ from .rtbp import (
     LocalChart,
     RtbpParams,
     RtbpTaylorField,
+    _psi_terms,
     d_total_change,
     jordan_basis,
     libration_L1,
@@ -126,9 +128,15 @@ def _slice_cuts(lo: float, hi: float, k: int) -> list[tuple[float, float]]:
     return list(zip(cuts, cuts[1:]))
 
 
-_FLOAT_FIELDS = (
-    "alpha_h", "alpha_v", "fragment_alpha_h", "r_u", "c_h", "c_v",
-)
+def _check_count(name: str, v) -> None:
+    """A count: an int, not a bool, of at least 1, else ValueError."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{name} must be an int")
+    if v < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+_FLOAT_FIELDS = ("alpha_h", "alpha_v", "fragment_alpha_h", "r_u", "c_h", "c_v")
 
 
 @dataclass(frozen=True)
@@ -199,15 +207,9 @@ class ProofConfig:
             raise ValueError("r_u must be positive")
         if not 0.0 < self.c_h < self.c_v:
             raise ValueError("need 0 < c_h < c_v")
-        for name, least in (
-            ("endpoint_subdivision", 1), ("fragment_subdivision", 1),
-            ("fragments", 1), ("fragment_mu_slices", 1),
-        ):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"{name} must be an int")
-            if v < least:
-                raise ValueError(f"{name} must be at least {least}")
+        for name in ("endpoint_subdivision", "fragment_subdivision",
+                     "fragments", "fragment_mu_slices"):
+            _check_count(name, getattr(self, name))
 
     @classmethod
     def default(cls) -> "ProofConfig":
@@ -250,6 +252,10 @@ class StageResult:
             "verified": self.verified,
             "detail": self.detail,
         }
+
+
+def _json_or_none(x):
+    return None if x is None else x.to_json()
 
 
 @dataclass(frozen=True)
@@ -298,26 +304,14 @@ class EndpointResult:
             "mu": self.mu,
             "verified": self.verified,
             "stages": [s.to_json() for s in self.stages],
-            "DFN": None if self.dfn is None else self.dfn.to_json(),
+            "DFN": _json_or_none(self.dfn),
             "cone_margins": (
                 None if self.cones is None else self.cones.margins
             ),
-            "U_local": (
-                None if self.U_local is None else self.U_local.to_json()
-            ),
-            "U_original": (
-                None if self.U_original is None else self.U_original.to_json()
-            ),
-            "poincare_image": (
-                None
-                if self.poincare_image is None
-                else self.poincare_image.to_json()
-            ),
-            "crossing_time": (
-                None
-                if self.crossing_time is None
-                else self.crossing_time.to_json()
-            ),
+            "U_local": _json_or_none(self.U_local),
+            "U_original": _json_or_none(self.U_original),
+            "poincare_image": _json_or_none(self.poincare_image),
+            "crossing_time": _json_or_none(self.crossing_time),
             "px_sign": self.px_sign,
             "subboxes": self.subboxes,
             "failure": self.failure,
@@ -347,11 +341,7 @@ class FragmentResult:
             "verified": self.verified,
             "retried": self.retried,
             "slices": self.slices,
-            "crossing_time": (
-                None
-                if self.crossing_time is None
-                else self.crossing_time.to_json()
-            ),
+            "crossing_time": _json_or_none(self.crossing_time),
             "failure": self.failure,
         }
 
@@ -502,14 +492,36 @@ def enclose_DF_over_N(
     over that axis; each piece's entry is the single-box derivative of
     the piece, so the hull is the hull of the per-piece derivatives.  A
     failure of the batch, such as a piece that reaches a primary,
-    propagates as raised.
+    propagates as raised; a subdivision that is not an int of at least 1
+    raises ValueError.
+
+    The batch's psi half reads no mass: the pieces and their
+    rtbp._psi_terms come from _n_pieces, an lru_cache of two entries for
+    the proof's two N, the endpoints' and the fragments', each at its
+    subdivision.  The key is the float.hex of N's ends, so -0.0 and 0.0
+    differ, and the subdivision; the arrays are read-only.  A failed
+    D(psi)^-1 stays cached as its exception, which the batch raises after
+    the field's CollisionSingularity, as without the cache.
     """
-    if subdivision < 1:
-        raise ValueError("subdivision must be at least 1")
-    cuts = _slice_cuts(n_box[0].lo, n_box[0].hi, subdivision)
+    _check_count("subdivision", subdivision)
+    key = tuple((c.lo.hex(), c.hi.hex()) for c in n_box)
+    q, terms = _n_pieces(key, subdivision)
+    return local_jacobian_batch(q, chart, params, terms).hull_over(0).to_imatrix()
+
+
+@functools.lru_cache(maxsize=2)
+def _n_pieces(key: tuple, subdivision: int) -> tuple:
+    """N, from the float.hex pairs of key, split along axis 0 into
+    subdivision pieces, and their rtbp._psi_terms, every array read-only."""
+    n = [Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in key]
+    cuts = _slice_cuts(n[0].lo, n[0].hi, subdivision)
     axis0 = IArray([a for a, _ in cuts], [b for _, b in cuts])
-    pieces = IVector([axis0, n_box[1], n_box[2], n_box[3]])
-    return local_jacobian_batch(pieces, chart, params).hull_over(0).to_imatrix()
+    q = IVector([axis0] + n[1:])
+    terms = _psi_terms(q)
+    for a in (axis0, *terms):
+        if isinstance(a, IArray):
+            a.lo.flags.writeable = a.hi.flags.writeable = False
+    return q, terms
 
 
 def _split_blocks(dfn: IMatrix):

@@ -23,10 +23,10 @@ J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
 (lambda, -lambda, rotation pair), so C^-1 = -J' C^T J is a signed
 transpose of C with no rounding.  The local Jacobian inverts
 D(Phi) = C D(psi) by that transpose and the closed form of D(psi)^-1,
-never by a linear solve.  Its batch form computes each term that psi,
-D(psi), D(psi)^-1 and D^2(psi) share (_chart_terms), and each that F
-and DF share (_field_terms), once, builds D(psi)^-1 and D^2(psi) as
-arrays, and stays bit for bit the scalar composition in tests/oracles.
+never by a linear solve.  Its batch form has a psi half, psi, D(psi),
+D(psi)^-1 and D^2(psi) over the pieces (_psi_terms), which depends only
+on the pieces and not on the mass, so prover computes it once per N and
+subdivision; the mass half, C, C^-1, L1 and the field, runs per call.
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -189,14 +189,8 @@ def vector_field(s, p: RtbpParams, terms: tuple | None = None) -> IVector:
     mu = p.mu
     m1 = 1.0 - mu
     d1, d2, _, _, w1, w2, _ = terms or _field_terms(x, y, mu)
-    return IVector(
-        [
-            px + y,
-            py - x,
-            py - m1 * (d1 * w1) - mu * (d2 * w2),
-            -px - y * (m1 * w1 + mu * w2),
-        ]
-    )
+    return IVector([px + y, py - x, py - m1 * (d1 * w1) - mu * (d2 * w2),
+                    -px - y * (m1 * w1 + mu * w2)])
 
 
 def _second_partials(y, mu: Interval, terms: tuple) -> tuple:
@@ -217,14 +211,8 @@ def jacobian(s, p: RtbpParams, terms: tuple | None = None) -> IMatrix:
     uxx, uxy, uyy = _second_partials(y, p.mu, terms)
     z = Interval(0.0)
     one = Interval(1.0)
-    return IMatrix(
-        [
-            [z, one, one, z],
-            [-one, z, z, one],
-            [-uxx, -uxy, z, one],
-            [-uxy, -uyy, -one, z],
-        ]
-    )
+    return IMatrix([[z, one, one, z], [-one, z, z, one],
+                    [-uxx, -uxy, z, one], [-uxy, -uyy, -one, z]])
 
 
 def _band_jacobian(s: tuple) -> IMatrix:
@@ -421,7 +409,8 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     x = l1[0]
     gamma = x + 1.0 - mu
     g3 = sq(gamma) * gamma
-    c2 = (mu + (1.0 - mu) * g3 / _cube(1.0 - gamma)) / g3
+    h = 1.0 - gamma
+    c2 = (mu + (1.0 - mu) * g3 / (sq(h) * h)) / g3
     c2m = c2.mid
     disc = (2.0 - c2m) ** 2 - 4.0 * (1.0 + c2m - 2.0 * c2m * c2m)
     root = disc**0.5
@@ -490,10 +479,6 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     return chart
 
 
-def _cube(x: Interval) -> Interval:
-    return sq(x) * x
-
-
 # -- nonlinear chart -----------------------------------------------------------
 
 
@@ -505,19 +490,18 @@ def _ydot(q, c) -> Interval:
 def _chart_terms(q) -> tuple:
     """(K', K'', a) at q: K_i'(x) and K_i''(x) for i = 1..3 (K_0(x) = x),
     and a = 1 - sum y_i K_i''(x), with which D(psi)(q) = [[a, -k^T],
-    [k, I]] and k = K'.  psi and dpsi take these as their terms, and
-    form them from q when not given; the batch builds D(psi)^-1 and
-    D^2(psi) from them."""
+    [k, I]] and k = K'.  psi and dpsi form them from q, and _psi_terms
+    builds D(psi)^-1 and D^2(psi) from them."""
     x = q[0]
     kp = [x * (2.0 * a2 + x * (3.0 * a3)) for a2, a3 in K_COEFFS[1:]]
     kpp = [x * (6.0 * a3) + 2.0 * a2 for a2, a3 in K_COEFFS[1:]]
     return kp, kpp, 1.0 - _ydot(q, kpp)
 
 
-def psi(q: IVector, terms: tuple | None = None) -> IVector:
+def psi(q: IVector) -> IVector:
     """psi_0 = x - sum y_i K_i'(x); psi_i = K_i(x) + y_i (K_0' = 1), with
     K_i(x) = x^2 (a2 + a3 x)."""
-    kp = (terms or _chart_terms(q))[0]
+    kp = _chart_terms(q)[0]
     x = q[0]
     xsq = sq(x)
     head = x - _ydot(q, kp)
@@ -525,8 +509,8 @@ def psi(q: IVector, terms: tuple | None = None) -> IVector:
                              for i, (a2, a3) in enumerate(K_COEFFS[1:], 1)])
 
 
-def dpsi(q: IVector, terms: tuple | None = None) -> IMatrix:
-    k, _, a = terms or _chart_terms(q)
+def dpsi(q: IVector) -> IMatrix:
+    k, _, a = _chart_terms(q)
     return IMatrix([[a] + [-ki for ki in k]]
                    + [[ki] + row for ki, row in zip(k, eye(3))])
 
@@ -540,26 +524,12 @@ def _dpsi_inverse_array(terms: tuple) -> IArray:
     s = IArray.stack([a + (sq(kp[0]) + sq(kp[1]) + sq(kp[2]))])
     k = IArray.stack(kp)
     m = k / s
-    eye3 = np.eye(3)
-    rest = IArray._of(eye3, eye3) - k[..., :, None] * m[..., None, :]
+    rest = IArray(np.eye(3)) - k[..., :, None] * m[..., None, :]
     # axis 0 holds (lo, hi), so each block is written with both ends
     inv = np.empty((2,) + m.shape[:-1] + (4, 4))
     inv[..., 0, :1], inv[..., 0, 1:] = _ends(1.0 / s), _ends(m)
     inv[..., 1:, 0], inv[..., 1:, 1:] = _ends(-m), _ends(rest)
     return IArray._of(*inv)
-
-
-def _d2psi_array(q, terms: tuple) -> IArray:
-    """The Hessians of psi_0..psi_3 over a batch as one (..., 4, 4, 4)
-    IArray, axes (..., b, i, j), from the chart terms, each entry rounded
-    as by tests/oracles.d2psi: K_i''' = 6 a3 is constant, and only row
-    and column 0 of D^2(psi_0) and entry (0, 0) of the others are not 0."""
-    head = -_ydot(q, [6.0 * a3 for _, a3 in K_COEFFS[1:]])
-    v = IArray.stack([head] + terms[1])
-    d2 = np.zeros((2,) + v.shape[:-1] + (4, 4, 4))
-    d2[..., 0, 0] = _ends(v)
-    d2[..., 0, 0, 1:] = d2[..., 0, 1:, 0] = _ends(-v[..., 1:])
-    return IArray._of(*d2)
 
 
 def total_change(q: IVector, chart: LocalChart) -> IVector:
@@ -572,46 +542,64 @@ def d_total_change(q: IVector, chart: LocalChart) -> IMatrix:
 
 
 @_quiet
+def _psi_terms(q) -> tuple:
+    """psi, D(psi), D(psi)^-1 and D^2(psi) of a batch q as IArrays, the
+    half of local_jacobian_batch that reads no mass.  D^2(psi) stacks the
+    Hessians of psi_0..psi_3, axes (..., b, i, j), rounded as by
+    tests/oracles.d2psi: K_i''' = 6 a3 is constant, and only row and column
+    0 of D^2(psi_0) and entry (0, 0) of the others are not 0.  A failed
+    D(psi)^-1 is its DivisionByZeroInterval, with no traceback."""
+    t = _chart_terms(q)
+    try:
+        inv = _dpsi_inverse_array(t)
+    except DivisionByZeroInterval as exc:
+        inv = exc.with_traceback(None)
+    v = IArray.stack([-_ydot(q, [6.0 * a3 for _, a3 in K_COEFFS[1:]])] + t[1])
+    d2 = np.zeros((2,) + v.shape[:-1] + (4, 4, 4))
+    d2[..., 0, 0] = _ends(v)
+    d2[..., 0, 0, 1:] = d2[..., 0, 1:, 0] = _ends(-v[..., 1:])
+    return IArray.stack(psi(q)), IArray.stack(dpsi(q)), inv, IArray._of(*d2)
+
+
+@_quiet
 def local_jacobian_batch(
-    q: IVector, chart: LocalChart, p: RtbpParams
+    q: IVector, chart: LocalChart, p: RtbpParams, terms: tuple | None = None
 ) -> IArray:
     """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T) over a batch of
     boxes, in one array pass.
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
     C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
-    D^2(psi_b) F_hat.  D(psi)^-1 is in closed form (_dpsi_inverse_array)
-    and C^-1 is the chart's C_inv, so nothing is solved.
+    D^2(psi_b) F_hat.  D(psi)^-1 is in closed form and C^-1 is the
+    chart's C_inv, so nothing is solved.  Each component of q is an
+    IArray along a leading batch axis or an Interval every box shares.
 
-    Each component of q is an IArray along a leading batch axis or an
-    Interval that every box shares.  psi, dpsi, vector_field and
-    jacobian are the scalar formulas on IArrays, each shared term
-    computed once and passed in (_chart_terms, _field_terms); D(psi)^-1
-    and D^2(psi) are arrays built with the operations of their scalar
-    forms; the matrix products are IArray.matmul, all under one
-    np.errstate.  Entry k of the (..., 4, 4) result equals bit for bit
-    the scalar composition on box k, tests/oracles.local_jacobian.  As
-    there, the field's CollisionSingularity comes before the
-    DivisionByZeroInterval of D(psi)^-1; when boxes fail, the exception
-    class is one that the single-box form raises on some failing box,
-    not necessarily the first.
+    terms, the _psi_terms of q, which read no mass, are formed here if
+    not given; prover.enclose_DF_over_N passes them from a cache of two
+    entries, keyed by the bits of N's ends and the subdivision, whose
+    arrays are read-only.  The mass half runs per call, vector_field and
+    jacobian sharing one _field_terms, all under one np.errstate.  Entry
+    k of the (..., 4, 4) result is bit for bit tests/oracles.local_jacobian
+    on box k.  As there, the field's CollisionSingularity comes before
+    the DivisionByZeroInterval of D(psi)^-1, which terms hold as an
+    exception that this raises after the field, cached or not; when boxes
+    fail, the exception class is one the single-box form raises on some
+    failing box, not necessarily the first.
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)
-    chart_terms = _chart_terms(q)
-    psi_q = IArray.stack(psi(q, chart_terms))
+    psi_q, dpsi_q, dpsi_inv, d2 = terms or _psi_terms(q)
     x = IArray.stack(chart.L1) + c.matmul(psi_q[..., None])[..., 0]
     xs = IVector([x[..., i] for i in range(4)])
     field_terms = _field_terms(xs[0], xs[1], p.mu)
     f = IArray.stack(vector_field(xs, p, field_terms))
-    dpsi_inv = _dpsi_inverse_array(chart_terms)
+    if isinstance(dpsi_inv, DivisionByZeroInterval):
+        raise DivisionByZeroInterval(*dpsi_inv.args)
     f_hat = dpsi_inv.matmul(c_inv.matmul(f[..., None]))
     # axes (..., b, j): row b is D^2(psi_b) F_hat
-    d2 = _d2psi_array(q, chart_terms)
     tensor = d2.matmul(f_hat[..., None, :, :])[..., 0]
     df = IArray.stack(jacobian(xs, p, field_terms))
     c_df_c = c_inv.matmul(df.matmul(c))
-    dpsi_q = IArray.stack(dpsi(q, chart_terms))
     return dpsi_inv.matmul(c_df_c.matmul(dpsi_q) - tensor)
 
 

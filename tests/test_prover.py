@@ -24,9 +24,11 @@ from dataclasses import fields, replace
 
 import pytest
 
+from conecert import prover
 from conecert.flow import LostCrossing
 from conecert.interval import (
     DomainError,
+    IArray,
     IMatrix,
     Interval,
     IVector,
@@ -38,6 +40,7 @@ from conecert.prover import (
     CrossingResult,
     ProofConfig,
     StageFailure,
+    _n_pieces,
     _slice_cuts,
     build_N,
     certify_unstable,
@@ -54,6 +57,7 @@ from conecert.rtbp import (
     RtbpParams,
     jordan_basis,
     libration_L1,
+    local_jacobian_batch,
     psi,
     total_change,
     vector_field,
@@ -410,6 +414,95 @@ class TestBatchedDerivative:
         assert stage.name == "derivative" and not stage.verified
         assert stage.detail["error"] == ep.failure
         assert "\n" not in ep.failure and len(ep.failure) < 300
+
+
+def _bits(m: IMatrix) -> list:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(e.lo.hex(), e.hi.hex()) for row in m.rows for e in row]
+
+
+def _record_batches(monkeypatch) -> list:
+    """The (q, terms) of every batch enclose_DF_over_N runs from now on."""
+    seen = []
+
+    def recording(q, chart, params, terms):
+        seen.append((q, terms))
+        return local_jacobian_batch(q, chart, params, terms)
+
+    monkeypatch.setattr(prover, "local_jacobian_batch", recording)
+    return seen
+
+
+class TestDerivativeCache:
+    # enclose_DF_over_N takes the mass-free psi half of its batch from
+    # the cache prover._n_pieces, keyed by N and the subdivision
+
+    @pytest.mark.parametrize("kind", ["endpoints", "slices"])
+    def test_warm_equals_cold(self, cfg, kind):
+        # [TRIVIAL] the entry one mass filled serves another mass over the
+        # same N bit for bit: the endpoints' N at 256 pieces, and the
+        # first fragment's mass slices' N at 32
+        if kind == "endpoints":
+            c, k = cfg, cfg.endpoint_subdivision
+            masses = [decimal_to_interval(m) for m in (MU_LEFT, MU_RIGHT)]
+        else:
+            c = replace(cfg, alpha_h=cfg.fragment_alpha_h)
+            k = cfg.fragment_subdivision
+            cuts = _slice_cuts(*cfg.fragment_intervals()[0],
+                               cfg.fragment_mu_slices)
+            masses = [Interval(lo, hi) for lo, hi in cuts[:2]]
+        params = [RtbpParams(mu) for mu in masses]
+        charts = [jordan_basis(p) for p in params]
+        n_box = build_N(enclose_fixed_point(charts[0], params[0], c), c)
+        _n_pieces.cache_clear()
+        cold = _bits(enclose_DF_over_N(charts[1], params[1], n_box, k))
+        _n_pieces.cache_clear()
+        enclose_DF_over_N(charts[0], params[0], n_box, k)
+        warm = _bits(enclose_DF_over_N(charts[1], params[1], n_box, k))
+        assert _n_pieces.cache_info().hits == 1
+        assert warm == cold
+
+    def test_cached_arrays_refuse_writes(self, slice_setup, monkeypatch):
+        # [TRIVIAL] every caller shares the cached arrays
+        params, chart, n_box = slice_setup
+        seen = _record_batches(monkeypatch)
+        enclose_DF_over_N(chart, params, n_box, 32)
+        (q, terms), = seen
+        arrays = [q[0]] + [t for t in terms if isinstance(t, IArray)]
+        assert len(arrays) == 5
+        for a in arrays:
+            for ends in (a.lo, a.hi):
+                with pytest.raises(ValueError):
+                    ends[...] = 0.0
+
+    def test_negative_zero_end_has_its_own_entry(
+        self, cfg, left_setup, monkeypatch
+    ):
+        # [TRIVIAL] -0.0 == 0.0, but the pieces of an N that starts at
+        # -0.0 start there too, so the key tells the two apart
+        params, chart, b = left_setup
+        n_box = build_N(b, cfg)
+        assert math.copysign(1.0, n_box[0].lo) == 1.0
+        neg = IVector([Interval(-0.0, n_box[0].hi)] + list(n_box)[1:])
+        _n_pieces.cache_clear()
+        cold = _bits(enclose_DF_over_N(chart, params, neg, 32))
+        _n_pieces.cache_clear()
+        enclose_DF_over_N(chart, params, n_box, 32)
+        seen = _record_batches(monkeypatch)
+        warm = _bits(enclose_DF_over_N(chart, params, neg, 32))
+        assert _n_pieces.cache_info().misses == 2
+        assert warm == cold
+        assert math.copysign(1.0, seen[0][0][0].lo[0]) == -1.0
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.0, True, "32", None])
+    def test_subdivision_must_be_a_count(self, cfg, left_setup, bad):
+        # [TRIVIAL] as ProofConfig checks its subdivisions, before the
+        # cache: True is not the count 1, and 2.0 is not the count 2
+        params, chart, b = left_setup
+        before = _n_pieces.cache_info()
+        with pytest.raises(ValueError, match="subdivision must be"):
+            enclose_DF_over_N(chart, params, build_N(b, cfg), bad)
+        assert _n_pieces.cache_info() == before
 
 
 class TestConeStage:

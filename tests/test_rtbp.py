@@ -30,7 +30,7 @@ from conecert.interval import (
     decimal_to_interval,
     sq,
 )
-from conecert.prover import ProofConfig
+from conecert.prover import ProofConfig, _n_pieces, enclose_DF_over_N
 from conecert.rtbp import (
     CollisionSingularity,
     K_COEFFS,
@@ -555,6 +555,16 @@ def test_local_jacobian_raises_where_dpsi_is_not_invertible():
     batch = IVector([0.0, 0.0, IArray([0.0, 0.6], [1e-3, 0.8]), 0.0])
     with pytest.raises(DivisionByZeroInterval):
         local_jacobian_batch(batch, ch, p)
+    # through prover.enclose_DF_over_N: the cached failure is raised on
+    # every call, cold and warm, each time as a new exception
+    _n_pieces.cache_clear()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(DivisionByZeroInterval) as info:
+            enclose_DF_over_N(ch, p, q, 2)
+        raised.append(info.value)
+    assert _n_pieces.cache_info().hits == 1
+    assert raised[0] is not raised[1] and raised[0].args == raised[1].args
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -575,6 +585,13 @@ def test_local_jacobian_raises_collision_before_dpsi_inverse():
         local_jacobian(q, ch, p)
     with pytest.raises(CollisionSingularity):
         local_jacobian_batch(IVector([IArray([0.0, 0.0])] + ys), ch, p)
+    # and through prover.enclose_DF_over_N, whose cache keeps the failed
+    # D(psi)^-1 of N's pieces: the field still fails first, cold and warm
+    _n_pieces.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CollisionSingularity):
+            enclose_DF_over_N(ch, p, q, 2)
+    assert _n_pieces.cache_info().hits == 1
 
 
 def test_chart_fixes_origin():

@@ -39,13 +39,17 @@ A row holds:
   * derivative, median milliseconds of the derivative-over-N stage, the
     proof's one derivative path: prover.enclose_DF_over_N over the left
     endpoint's N in 256 pieces and over the first default mass slice's N
-    in 32 pieces, and of the chart stage before it: rtbp.jordan_basis at
-    the left endpoint's mass and over the same mass slice (REPEATS calls
-    each); and derivative_calls, the Python-level calls one call of each
-    of the two enclose_DF_over_N rows makes: every "call" event of
+    in 32 pieces, each cold (the cache of the batch's psi half,
+    prover._n_pieces, cleared before every call, outside the timing) and
+    warm (the _warm rows: the cache holds the call's N), and of the
+    chart stage before it: rtbp.jordan_basis at the left endpoint's mass
+    and over the same mass slice (REPEATS calls each); and
+    derivative_calls, the Python-level calls one call of each of the
+    enclose_DF_over_N rows makes, cold and warm: every "call" event of
     sys.setprofile ("calls"), the call itself included, and those of
     them whose frame runs code of the measured conecert tree
-    ("conecert_calls");
+    ("conecert_calls").  On trees without that cache every call is
+    cold, so a cold row and its _warm row measure the same call;
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
@@ -117,15 +121,19 @@ def _machine() -> dict:
     }
 
 
-def _timed_rows(fns: dict, repeats: int = REPEATS) -> tuple[dict, dict]:
+def _timed_rows(fns: dict, repeats: int = REPEATS,
+                before=None) -> tuple[dict, dict]:
     """Median milliseconds of each callable over `repeats` calls, as
     ({name: as measured}, {name: nominal}).  Each call is followed by a
-    reference loop, whose time rescales that call to the nominal speed."""
+    reference loop, whose time rescales that call to the nominal speed.
+    before, if given, runs untimed ahead of every call."""
     ms, nominal = {}, {}
     for name, fn in fns.items():
         fn()
         times, scaled = [], []
         for _ in range(repeats):
+            if before is not None:
+                before()
             t0 = time.perf_counter()
             fn()
             t = time.perf_counter() - t0
@@ -136,13 +144,16 @@ def _timed_rows(fns: dict, repeats: int = REPEATS) -> tuple[dict, dict]:
     return ms, nominal
 
 
-def _call_counts(calls: dict, package: str) -> dict:
+def _call_counts(calls: dict, package: str, before=None) -> dict:
     """The Python-level calls of one call of each (function, args) of
-    calls, after a warm-up call: all "call" events of sys.setprofile, and
-    those in frames of code under the directory package."""
+    calls, after a warm-up call and before(), if given: all "call" events
+    of sys.setprofile, and those in frames of code under the directory
+    package."""
     out = {}
     for name, (fn, args) in calls.items():
         fn(*args)
+        if before is not None:
+            before()
         counts = {"calls": 0, "conecert_calls": 0}
 
         def count(frame, event, arg):
@@ -329,15 +340,25 @@ def _derivative_layers(cfg) -> tuple[dict, dict, dict]:
         "enclose_DF_over_N_32_slice":
             (prover.enclose_DF_over_N, (s_chart, s_params, s_n_box, 32)),
     }
-    ms, nominal = _timed_rows(
-        {name: partial(fn, *args) for name, (fn, args) in dfn.items()}
+    cache = getattr(prover, "_n_pieces", None)
+    clear = cache.cache_clear if cache is not None else None
+    fns = {name: partial(fn, *args) for name, (fn, args) in dfn.items()}
+    ms, nominal = _timed_rows(fns, before=clear)
+    warm_ms, warm_nominal = _timed_rows(
+        {name + "_warm": fn for name, fn in fns.items()}
     )
-    calls = _call_counts(dfn, str(Path(prover.__file__).parent) + os.sep)
+    package = str(Path(prover.__file__).parent) + os.sep
+    calls = _call_counts(dfn, package, before=clear)
+    calls.update({
+        name + "_warm": counts
+        for name, counts in _call_counts(dfn, package).items()
+    })
     chart_ms, chart_nominal = _timed_rows({
         "jordan_basis_endpoint": lambda: rtbp.jordan_basis(params),
         "jordan_basis_slice": lambda: rtbp.jordan_basis(s_params),
     })
-    return {**ms, **chart_ms}, {**nominal, **chart_nominal}, calls
+    return ({**ms, **warm_ms, **chart_ms},
+            {**nominal, **warm_nominal, **chart_nominal}, calls)
 
 
 def _full_proof(prover) -> dict:
