@@ -11,8 +11,9 @@ counts endpoint_subdivision, fragment_subdivision, fragments and
 fragment_mu_slices.  A config that cannot be read, names another key, or
 is not a valid ProofConfig is reported as a usage error (exit 2) before
 any stage runs.  --json writes the deterministic JSON report; a --json
-path whose directory does not exist is a usage error too, and a report
-that cannot be written ends the run with one line and exit 2.
+path that is a directory, or whose directory does not exist, is a usage
+error too, and a report that cannot be written ends the run with one
+line and exit 2.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _read_config(args.config)
         except (OSError, ValueError, TypeError) as exc:
             prove.error(f"--config {args.config}: {exc}")
+    if args.json is not None and args.json.is_dir():
+        prove.error(f"--json {args.json}: is a directory")
     if args.json is not None and not args.json.parent.is_dir():
         prove.error(f"--json {args.json}: no directory {args.json.parent}")
     report = check_homoclinic(cfg)

@@ -17,13 +17,13 @@ coordinate with zero derivative (rtbp's mass, in a band flight) flies the
 parameter dependence as one more direction of the set.
 
 A field gives vector_field(x) and jacobian(x) over a box, expand(u0, p),
-a solution series whose coefficient(k) is the k-th Taylor coefficient
-and whose float_series() holds them as one (lo, hi) pair of float lists
-per component, and expand_variational(series, V0, p, stop=None), the
-MatrixSeries of V' = DF V from V0, which may have any number of columns,
-through order p, or through the first order k >= 1 at which
-stop(k, series) is true; stop reads coefficient k from the float lists
-of the series so far, and no field builds an IMatrix per order for it.
+a solution series whose float_series() holds its Taylor coefficients as
+one (lo, hi) pair of float lists per component, and
+expand_variational(series, V0, p, stop=None), the MatrixSeries of
+V' = DF V from V0, which may have any number of columns, through order
+p, or through the first order k >= 1 at which stop(k, series) is true.
+flow reads every series through these float lists only: the Lagrange
+coefficient, the Horner sums, the stop rule and the section landing.
 
 One Taylor step of order p uses five series expansions, in this order:
   * an interval series over the rough tube (order p+1), whose last
@@ -42,7 +42,8 @@ One Taylor step of order p uses five series expansions, in this order:
     series from I (order q), whose Taylor polynomial [V] is the transport.
 The variational series come back as float (lo, hi) series per entry
 (MatrixSeries).  [V] and the image of the midpoint are summed by one
-Horner routine on float pairs, and the stop rule and the tail multiply
+Horner routine on float pairs, [V] kept as the float matrices (lo, hi)
+that the Lohner update reads, and the stop rule and the tail multiply
 the column's float pair at order k by [h^k] as a float pair, all with
 the rounding of the Interval operations they replace.  The mean
 value theorem then gives
@@ -194,27 +195,12 @@ class FlowEnclosure:
     def dim(self) -> int:
         return len(self.midpoint)
 
-    @classmethod
-    def from_box(cls, box: Box, time: Interval | None = None) -> "FlowEnclosure":
-        mid = box.mid()
-        n = len(mid)
-        ident = eye(n)
-        r0 = IVector([box[i] - mid[i] for i in range(n)])
-        zeros = IVector([Interval(0.0)] * n)
-        return cls(
-            mid, ident, zeros, time if time is not None else Interval(0.0),
-            ident, r0,
-        )
-
     def as_box(self) -> Box:
         coords = list(self.init_remainder) + list(self.remainder)
         clo, chi = [x.lo for x in coords], [x.hi for x in coords]
         rows = map(list.__add__, self.init_basis, self.basis)
         return IVector([m + _mk(*_idot_ends(clo, chi, f, f))
                         for m, f in zip(self.midpoint, rows)])
-
-    def max_width(self) -> float:
-        return self.as_box().max_width()
 
     def __repr__(self) -> str:
         return (
@@ -294,6 +280,11 @@ def _opnorm_inf(m: IMatrix) -> float:
     return worst
 
 
+def _unzip(ends: list) -> tuple:
+    """A matrix of (lo, hi) pairs as the two float matrices (lo, hi)."""
+    return [[e[0] for e in r] for r in ends], [[e[1] for e in r] for r in ends]
+
+
 def _mul_floats(alo: list, ahi: list, b: list) -> tuple:
     """A B for the interval matrix A = [alo, ahi] (two float matrices) and
     the float matrix B, as float matrices (lo, hi): IMatrix.matmul of B
@@ -301,14 +292,8 @@ def _mul_floats(alo: list, ahi: list, b: list) -> tuple:
     picked by the sign of the float (0 for a zero of either sign; in
     idot, 0 * inf counts as 0)."""
     cols = list(zip(*b))
-    ends = [[_idot_ends(rl, rh, c, c) for c in cols] for rl, rh in zip(alo, ahi)]
-    return [[e[0] for e in r] for r in ends], [[e[1] for e in r] for r in ends]
-
-
-def _ends(m: IMatrix) -> tuple:
-    """The endpoints of an interval matrix as float matrices (lo, hi)."""
-    return ([[x.lo for x in row] for row in m.rows],
-            [[x.hi for x in row] for row in m.rows])
+    return _unzip([[_idot_ends(rl, rh, c, c) for c in cols]
+                   for rl, rh in zip(alo, ahi)])
 
 
 def _horner(los: list, his: list, top: int, h: float, lo: float,
@@ -325,20 +310,20 @@ def _horner(los: list, his: list, top: int, h: float, lo: float,
     return lo, hi
 
 
-def _horner_vec(series, order: int, h: float, tail: IVector) -> IVector:
+def _horner_vec(series, order: int, h: float, tail: list) -> IVector:
     """tail h^(order+1) + sum_{k <= order} c_k h^k, summed by _horner on
-    the series' float lists."""
+    the series' float lists; tail holds one (lo, hi) pair per component."""
     return IVector([
-        _mk(*_horner(los, his, order, h, c.lo, c.hi))
-        for (los, his), c in zip(series.float_series(), tail)
+        _mk(*_horner(los, his, order, h, lo, hi))
+        for (los, his), (lo, hi) in zip(series.float_series(), tail)
     ])
 
 
-def _horner_transport(v: MatrixSeries, order: int, h: float) -> IMatrix:
-    """sum_{k <= order} V_k h^k, summed by _horner on the float series of
-    each entry from acc = V_order."""
-    return IMatrix([
-        [_mk(*_horner(los, his, order - 1, h, los[order], his[order]))
+def _horner_transport(v: MatrixSeries, order: int, h: float) -> tuple:
+    """sum_{k <= order} V_k h^k as float matrices (lo, hi), summed by
+    _horner on the float series of each entry from acc = V_order."""
+    return _unzip([
+        [_horner(los, his, order - 1, h, los[order], his[order])
          for los, his in row]
         for row in v.entries
     ])
@@ -362,8 +347,10 @@ def _column_term(v: MatrixSeries, k: int, hpl: list, hph: list) -> list:
 
 
 class _StepData:
-    """The expansions of one step; image, transport, tail and order are
-    None, and var_err is 0, for a step rejected on sol_err alone."""
+    """The expansions of one step, the transport as the float matrices
+    (lo, hi) that _assemble and _cross_in_step multiply; image, transport,
+    tail and order are None, and var_err is 0, for a step rejected on
+    sol_err alone."""
 
     __slots__ = (
         "image", "transport", "tail", "tube", "sol_err", "var_err", "order",
@@ -371,7 +358,7 @@ class _StepData:
 
     def __init__(self, image, transport, tail, tube, sol_err, var_err, order):
         self.image = image  # IVector enclosing phi_h(midpoint)
-        self.transport = transport  # IMatrix, polynomial part of D(phi_h)
+        self.transport = transport  # (lo, hi), polynomial part of D(phi_h)
         self.tail = tail  # IVector, Lagrange term of D(phi_h)(x - midpoint)
         self.tube = tube  # rough enclosure over [0, h]
         self.sol_err = sol_err  # magnitude of the solution Lagrange term
@@ -403,8 +390,10 @@ def _expand_step(
     x0 = enc.as_box()
     tube = a_priori_enclosure(field, x0, h)
     ser_z = field.expand(tube, order + 1)
-    sol_tail = ser_z.coefficient(order + 1)
-    sol_err = max(c.mag for c in sol_tail) * h ** (order + 1)
+    # the Lagrange coefficient, one (lo, hi) pair per component
+    sol_tail = [(lo[order + 1], hi[order + 1])
+                for lo, hi in ser_z.float_series()]
+    sol_err = max(abs(x) for t in sol_tail for x in t) * h ** (order + 1)
     if sol_err > tol:
         return _StepData(None, None, None, tube, sol_err, 0.0, None)
 
@@ -482,7 +471,7 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
     r0hi = [c.hi for c in enc.init_remainder]
     rlo = [c.lo for c in enc.remainder]
     rhi = [c.hi for c in enc.remainder]
-    tlo, thi = _ends(data.transport)
+    tlo, thi = data.transport
     c_new, cdl, cdh = _split(*_mul_floats(tlo, thi, enc.init_basis))
     m_mid, mdl, mdh = _split(*_mul_floats(tlo, thi, enc.basis))
 
@@ -590,7 +579,8 @@ def _past_section(end: FlowEnclosure, section: Section) -> bool:
 def _float_newton_time(ser, h_step, section, order):
     """Float time where the midpoint series ser meets the section (no
     rigor)."""
-    coeffs = [ser.coefficient(k)[section.index].mid for k in range(order + 1)]
+    lo, hi = ser.float_series()[section.index]
+    coeffs = [_mid(lo[k], hi[k]) for k in range(order + 1)]
     dcoeffs = [k * coeffs[k] for k in range(1, order + 1)]
 
     def p(t):
@@ -639,7 +629,7 @@ def _cross_in_step(field, enc, h_step, section, order):
         )
 
     # [V] (C | B), one row per state component
-    ends = _mul_floats(*_ends(data.transport),
+    ends = _mul_floats(*data.transport,
                        list(map(list.__add__, enc.init_basis, enc.basis)))
     m = IMatrix([list(map(_mk, lo, hi)) for lo, hi in zip(*ends)])
     coords = list(enc.init_remainder) + list(enc.remainder)

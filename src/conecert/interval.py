@@ -174,16 +174,6 @@ class Interval:
         self.lo = lo
         self.hi = hi
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_json(cls, pair: Sequence[float]) -> "Interval":
-        """Inverse of to_json, bit for bit.  No proof code reads JSON
-        back; this is the reader the round-trip tests check to_json
-        against."""
-        lo, hi = pair
-        return cls(float(lo), float(hi))
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -200,9 +190,6 @@ class Interval:
         """sup |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __contains__(self, x) -> bool:
         if isinstance(x, Interval):
             return self.lo <= x.lo and x.hi <= self.hi
@@ -216,9 +203,6 @@ class Interval:
 
     def strictly_inside(self, other: "Interval") -> bool:
         return other.lo < self.lo and self.hi < other.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def intersect(self, other: "Interval") -> "Interval | None":
         """Exact intersection, None when empty."""
@@ -402,13 +386,17 @@ def decimal_to_interval(s: str) -> Interval:
 
     The decimal is compared exactly against the nearest double via Fraction,
     so the result is the double itself when representable and the bracketing
-    one-ulp interval otherwise.  Used for configuration values such as mass
-    ratios given as decimal strings.
+    one-ulp interval otherwise; 10^|e| of the exponent e is formed only for
+    a nonzero double, and at 0 the sign of the digits decides.  Used for
+    configuration values such as mass ratios given as decimal strings.
     """
     f = float(s)
     if math.isinf(f):
         raise ValueError(f"decimal out of double range: {s}")
-    exact = Fraction(s)
+    digits, _, e = s.strip().lower().partition("e")
+    exact = Fraction(digits)
+    if f and e:
+        exact *= Fraction(10) ** int(e)
     approx = Fraction(f)
     if approx == exact:
         return _mk(f, f)
@@ -720,10 +708,6 @@ class IVector:
     def from_floats(cls, xs: Iterable[float]) -> "IVector":
         return cls([Interval(float(x)) for x in xs])
 
-    @classmethod
-    def zeros(cls, n: int) -> "IVector":
-        return cls([Interval(0.0) for _ in range(n)])
-
     def __len__(self) -> int:
         return len(self.c)
 
@@ -742,14 +726,8 @@ class IVector:
     def __neg__(self) -> "IVector":
         return IVector([-a for a in self.c])
 
-    def scale(self, s) -> "IVector":
-        return IVector([a * s for a in self.c])
-
     def mid(self) -> list[float]:
         return [a.mid for a in self.c]
-
-    def max_width(self) -> float:
-        return max(a.width for a in self.c)
 
     def is_subset_of(self, other: "IVector") -> bool:
         return all(a.is_subset_of(b) for a, b in zip(self.c, other.c))
@@ -817,9 +795,6 @@ class IMatrix:
     def __neg__(self) -> "IMatrix":
         return IMatrix([[-a for a in row] for row in self.rows])
 
-    def scale(self, s) -> "IMatrix":
-        return IMatrix([[a * s for a in row] for row in self.rows])
-
     def matvec(self, v: IVector) -> IVector:
         return IVector([idot(row, v.c) for row in self.rows])
 
@@ -841,9 +816,6 @@ class IMatrix:
     def mid(self) -> list[list[float]]:
         return [[a.mid for a in row] for row in self.rows]
 
-    def max_width(self) -> float:
-        return max(a.width for row in self.rows for a in row)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IMatrix) and self.rows == other.rows
 
@@ -858,9 +830,9 @@ class MatrixSeries:
     """Taylor coefficients V_0..V_order of an interval matrix function.
 
     Entry (i, j) is held as a pair of float lists (lo, hi) indexed by the
-    order, as the Taylor kernels compute it; series[k] builds the IMatrix
-    of coefficient k on read.  The order is read from the lists, so a
-    kernel may append coefficients to a series it has handed out.
+    order, as the Taylor kernels compute it and flow reads it; no IMatrix
+    is built.  The order is read from the lists, so a kernel may append
+    coefficients to a series it has handed out.
     """
 
     __slots__ = ("entries",)
@@ -871,14 +843,6 @@ class MatrixSeries:
     @property
     def order(self) -> int:
         return len(self.entries[0][0][0]) - 1
-
-    def __len__(self) -> int:
-        return self.order + 1
-
-    def __getitem__(self, k: int) -> IMatrix:
-        return IMatrix(
-            [[_mk(lo[k], hi[k]) for lo, hi in row] for row in self.entries]
-        )
 
 
 # -- norms -------------------------------------------------------------------

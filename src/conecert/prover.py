@@ -450,7 +450,7 @@ class ProofReport:
 
 
 def enclose_fixed_point(
-    chart: LocalChart, params: RtbpParams, cfg: ProofConfig | None = None
+    chart: LocalChart, params: RtbpParams, cfg: ProofConfig
 ) -> Box:
     """The fixed point in local coordinates: the origin, exactly.
 

@@ -563,7 +563,7 @@ def _psi_terms(q) -> tuple:
 
 @_quiet
 def local_jacobian_batch(
-    q: IVector, chart: LocalChart, p: RtbpParams, terms: tuple | None = None
+    q: IVector, chart: LocalChart, p: RtbpParams, terms: tuple
 ) -> IArray:
     """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T) over a batch of
     boxes, in one array pass.
@@ -574,10 +574,10 @@ def local_jacobian_batch(
     chart's C_inv, so nothing is solved.  Each component of q is an
     IArray along a leading batch axis or an Interval every box shares.
 
-    terms, the _psi_terms of q, which read no mass, are formed here if
-    not given; prover.enclose_DF_over_N passes them from a cache of two
-    entries, keyed by the bits of N's ends and the subdivision, whose
-    arrays are read-only.  The mass half runs per call, vector_field and
+    terms are the _psi_terms of q, which read no mass;
+    prover.enclose_DF_over_N passes them from a cache of two entries,
+    keyed by the bits of N's ends and the subdivision, whose arrays are
+    read-only.  The mass half runs per call, vector_field and
     jacobian sharing one _field_terms, all under one np.errstate.  Entry
     k of the (..., 4, 4) result is bit for bit tests/oracles.local_jacobian
     on box k.  As there, the field's CollisionSingularity comes before
@@ -588,7 +588,7 @@ def local_jacobian_batch(
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)
-    psi_q, dpsi_q, dpsi_inv, d2 = terms or _psi_terms(q)
+    psi_q, dpsi_q, dpsi_inv, d2 = terms
     x = IArray.stack(chart.L1) + c.matmul(psi_q[..., None])[..., 0]
     xs = IVector([x[..., i] for i in range(4)])
     field_terms = _field_terms(xs[0], xs[1], p.mu)
@@ -721,11 +721,11 @@ def _power_next(s: tuple, pw: tuple, a: float, k: int) -> tuple:
 class RtbpSolutionSeries:
     """Taylor coefficients of one solution, with cached auxiliary series.
 
-    coefficient(k) is the k-th coefficient of the state as an IVector.
-    The distance, inverse-power and field-product series are kept, as
-    (lo, hi) float lists, for the variational recurrence.  A
+    float_series() holds the state's coefficients as (lo, hi) float
+    lists, the one form flow reads; the distance, inverse-power and
+    field-product series are kept so for the variational recurrence.  A
     five-component start (X, Y, P_X, P_Y, mu) gives dim 5: mu must be its
-    last component, and coefficient() appends the constant mass series.
+    last component, and float_series() appends the constant mass series.
     """
 
     __slots__ = (
@@ -836,15 +836,9 @@ class RtbpSolutionSeries:
             w[0].append(p0)
             w[1].append(p1)
 
-    def coefficient(self, k: int) -> IVector:
-        c = [_mk(lo[k], hi[k]) for lo, hi in self._u]
-        if self.dim == 5:
-            c.append(self.mu if k == 0 else _mk(0.0, 0.0))
-        return IVector(c)
-
     def float_series(self) -> list:
-        """The coefficients of coefficient(k) for every k, as one (lo, hi)
-        pair of float lists per component; read only."""
+        """The coefficients through the order, as one (lo, hi) pair of
+        float lists per component; read only."""
         if self.dim == 4:
             return self._u
         zeros = [0.0] * self.order
@@ -920,10 +914,8 @@ class RtbpTaylorField:
     along it.  A state's length decides its form: four components fly at
     the mass params.mu, five components (X, Y, P_X, P_Y, mu) carry their
     own mass as a coordinate with mu' = 0, and vector_field, jacobian and
-    the series then have five components and a mu column.
+    the float-list series then have five components and a mu column.
     """
-
-    dim = 4
 
     def __init__(self, params: RtbpParams):
         self.params = params

@@ -157,9 +157,7 @@ _GUARD = mpmath.mpf("1e-30")
 def fuzz_elem_containment(n: int, seed: int = 4242) -> int:
     """exp against mpmath; arguments kept in a sane range."""
     rng = random.Random(seed)
-    old_dps = mpmath.mp.dps
-    mpmath.mp.dps = 40
-    try:
+    with mpmath.workdps(40):
         for _ in range(n):
             lo = rng.uniform(-30.0, 30.0)
             hi = lo + abs(rng.gauss(0.0, 1.0)) * rng.choice([1e-12, 1e-3, 1.0])
@@ -178,8 +176,6 @@ def fuzz_elem_containment(n: int, seed: int = 4242) -> int:
             y = mpmath.exp(mpmath.mpf(ex))
             assert mpmath.mpf(r.lo) <= y + _GUARD, (ea, ex)
             assert y - _GUARD <= mpmath.mpf(r.hi), (ea, ex)
-    finally:
-        mpmath.mp.dps = old_dps
     return n
 
 

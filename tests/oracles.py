@@ -14,6 +14,9 @@ line names the library code an oracle checks:
   * matrix_series: the MatrixSeries of a list of IMatrix coefficients,
     for the test fields' variational series and the Horner and column
     tests of flow.
+  * series_coefficient, matrix_coefficient, enclosure_from_box: a
+    series coefficient in Interval objects, read off the float lists the
+    library keeps, and the doubleton of a box the flow tests start from.
   * CoeffSeries, LinearTaylorField: x' = A x with interval Taylor
     recurrences, whose closed-form flows check flow's a-priori tube,
     Taylor step, Lohner update and Poincare crossing.
@@ -57,6 +60,7 @@ from conecert.interval import (
     IVector,
     MatrixSeries,
     _mk,
+    eye,
     mat_opnorm_upper,
     sq,
     sqrt,
@@ -112,6 +116,26 @@ def matrix_series(mats: Sequence[IMatrix]) -> MatrixSeries:
             for i in range(n)
         ]
     )
+
+
+def series_coefficient(series, k: int) -> IVector:
+    """Coefficient k of a solution series, from its float_series()."""
+    return IVector([_mk(lo[k], hi[k]) for lo, hi in series.float_series()])
+
+
+def matrix_coefficient(v: MatrixSeries, k: int) -> IMatrix:
+    """Coefficient k of a MatrixSeries, from its float lists."""
+    return IMatrix([[_mk(lo[k], hi[k]) for lo, hi in row] for row in v.entries])
+
+
+def enclosure_from_box(box: Box) -> FlowEnclosure:
+    """The doubleton of a box at time 0: its midpoint, the box less the
+    midpoint on the identity basis, and a zero error part."""
+    mid = box.mid()
+    ident = eye(len(mid))
+    r0 = IVector([c - m for c, m in zip(box, mid)])
+    zero = IVector([0.0] * len(mid))
+    return FlowEnclosure(mid, ident, zero, Interval(0.0), ident, r0)
 
 
 # -- linear algebra ------------------------------------------------------------
@@ -192,16 +216,13 @@ def verified_inverse(a: IMatrix) -> IMatrix:
 
 
 class CoeffSeries:
-    """Plain coefficient table with the two methods flow reads from a
-    series, coefficient(k) and float_series()."""
+    """Plain table of IVector coefficients with the one method flow reads
+    from a series, float_series()."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: list):
         self.coeffs = coeffs
-
-    def coefficient(self, k: int) -> IVector:
-        return self.coeffs[k]
 
     def float_series(self) -> list:
         return [([c[i].lo for c in self.coeffs], [c[i].hi for c in self.coeffs])
@@ -228,7 +249,8 @@ class LinearTaylorField:
     def expand(self, u0, order: int) -> CoeffSeries:
         coeffs = [_as_ivector(u0, self.dim)]
         for k in range(order):
-            coeffs.append(self.a.matvec(coeffs[k]).scale(1.0 / (k + 1)))
+            coeffs.append(IVector([c * (1.0 / (k + 1))
+                                   for c in self.a.matvec(coeffs[k])]))
         return CoeffSeries(coeffs)
 
     def expand_variational(
@@ -236,7 +258,9 @@ class LinearTaylorField:
     ) -> MatrixSeries:
         out = [v0]
         for k in range(order):
-            out.append(self.a.matmul(out[k]).scale(Interval(1.0 / (k + 1))))
+            d = Interval(1.0 / (k + 1))
+            out.append(IMatrix([[c * d for c in row]
+                                for row in self.a.matmul(out[k]).rows]))
             if stop is not None and stop(k + 1, matrix_series(out)):
                 break
         return matrix_series(out)

@@ -67,29 +67,48 @@ class _StubReport:
         return "{}"
 
 
-def test_prove_json_in_missing_directory_is_a_usage_error(
-    tmp_path, capsys, monkeypatch
-):
-    # the --json directory is checked before any stage runs
+def _json_usage_error(out, capsys, monkeypatch) -> str:
+    """The one error line of `prove --json out`, checked to exit 2 before
+    any stage runs."""
     def never(cfg):
         raise AssertionError("check_homoclinic ran with an unwritable --json")
 
     monkeypatch.setattr(cli, "check_homoclinic", never)
-    out = tmp_path / "missing" / "report.json"
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["prove", "--json", str(out)])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].startswith("conecert prove: error: --json ")
     assert "Traceback" not in "\n".join(err)
+    return err[-1]
+
+
+def test_prove_json_in_missing_directory_is_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    # the --json directory is checked before any stage runs
+    out = tmp_path / "missing" / "report.json"
+    line = _json_usage_error(out, capsys, monkeypatch)
+    assert line.startswith("conecert prove: error: --json ")
+
+
+def test_prove_json_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an existing directory can never be written: a usage error before any
+    # stage runs, not after the whole proof
+    line = _json_usage_error(tmp_path, capsys, monkeypatch)
+    assert line == f"conecert prove: error: --json {tmp_path}: is a directory"
 
 
 def test_prove_json_write_failure_is_one_line(tmp_path, capsys, monkeypatch):
-    # a path that is a directory passes the check but cannot be written:
-    # the report is printed, then one line on stderr and exit 2
-    monkeypatch.setattr(cli, "check_homoclinic", lambda cfg: _StubReport())
+    # a path that passes the check but is made a directory while the proof
+    # runs cannot be written: the report is printed, then one line on
+    # stderr and exit 2
     out = tmp_path / "report.json"
-    out.mkdir()
+
+    def blocked(cfg):
+        out.mkdir()
+        return _StubReport()
+
+    monkeypatch.setattr(cli, "check_homoclinic", blocked)
     code = cli.main(["prove", "--json", str(out)])
     assert code == 2
     captured = capsys.readouterr()

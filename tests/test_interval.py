@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,7 +68,7 @@ def test_constructor_validation():
         Interval(2.0, 1.0)
     with pytest.raises(ValueError):
         Interval(math.nan, 1.0)
-    assert Interval(3.0).is_point()
+    assert Interval(3.0).lo == Interval(3.0).hi
     assert Interval(1.0, 2.0).mid == 1.5
 
 
@@ -82,7 +83,7 @@ def test_infinite_points_rejected():
     with pytest.raises(ValueError, match="infinite point"):
         Interval(math.inf)
     with pytest.raises(ValueError, match="infinite point"):
-        Interval.from_json([-math.inf, -math.inf])
+        Interval(*json.loads("[-Infinity, -Infinity]"))
     for lo, hi in ((1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)):
         assert Interval(lo, hi).hi == hi
     # an overflowing operation stops short of an infinite point
@@ -224,14 +225,14 @@ def test_sub_add_relationship(a, b):
 @given(intervals())
 def test_json_round_trip_bit_exact(a):
     text = json.dumps(a.to_json())
-    back = Interval.from_json(json.loads(text))
+    back = Interval(*json.loads(text))
     assert back.lo == a.lo and back.hi == a.hi
 
 
 def test_json_round_trip_awkward_floats():
     for x in (5e-324, -5e-324, 1.7976931348623157e308, 0.1, 2.0**-1074):
         a = Interval(-abs(x), abs(x))
-        back = Interval.from_json(json.loads(json.dumps(a.to_json())))
+        back = Interval(*json.loads(json.dumps(a.to_json())))
         assert back == a
 
 
@@ -265,7 +266,7 @@ def test_idot_matches_naive():
     for x, y in zip(xs, ys):
         naive = naive + x * y
     # Same enclosure quality: each contains the exact range; widths close.
-    assert fused.intersects(naive)
+    assert fused.intersect(naive) is not None
     assert naive.is_subset_of(Interval(fused.lo - 1e-12, fused.hi + 1e-12))
     assert fused.is_subset_of(Interval(naive.lo - 1e-12, naive.hi + 1e-12))
 
@@ -365,13 +366,40 @@ def test_idot_matches_four_corner_terms():
 
 def test_decimal_to_interval():
     a = decimal_to_interval("0.5")
-    assert a.is_point() and a.lo == 0.5
+    assert a.lo == a.hi == 0.5
     b = decimal_to_interval("0.1")
     assert b.width <= 2 * math.ulp(0.1)
     assert Fraction(b.lo) <= Fraction("0.1") <= Fraction(b.hi)
     c = decimal_to_interval("0.004253863522")
     assert Fraction(c.lo) <= Fraction("0.004253863522") <= Fraction(c.hi)
     assert c.width <= 2 * math.ulp(0.005)
+
+
+def _decimal_reference(s: str) -> Interval:
+    # the enclosure from Fraction(s) itself, which expands 10**|e|
+    f = float(s)
+    d = Fraction(s) - Fraction(f)
+    return Interval(math.nextafter(f, -math.inf) if d < 0 else f,
+                    math.nextafter(f, math.inf) if d > 0 else f)
+
+
+def test_decimal_to_interval_huge_exponents():
+    # [TRIVIAL] below the least subnormal, or 0 at any exponent, in under
+    # 0.1 s each; then bit for bit the reference at exponents -330 to
+    # -20000, with digits that keep the double at 0 and away from it
+    for s, want in (("1e-100000000", (0.0, 5e-324)),
+                    ("-1e-100000000", (-5e-324, -0.0)),
+                    ("0e+100000000", (0.0, 0.0)), ("0e-100000000", (0.0, 0.0))):
+        t0 = time.perf_counter()
+        got = decimal_to_interval(s)
+        assert time.perf_counter() - t0 < 0.1, s
+        assert refarith.bits(got) == tuple(map(repr, want)), s
+    for e in [*range(-330, -400, -1), *range(-400, -20001, -997), -20000]:
+        # the last digits reach a double of 1e-300 while e >= -4300
+        for digits in ("1", "-2.5", "0", "9" * 17, "1" + "0" * min(-e - 300, 4000)):
+            s = f"{digits}e{e}"
+            want = refarith.bits(_decimal_reference(s))
+            assert refarith.bits(decimal_to_interval(s)) == want, s
 
 
 # -- vectors, matrices, norms -------------------------------------------------

@@ -25,7 +25,7 @@ class TestCertify:
         # one point r_u r on it, widened by s = r_u sqrt(alpha_h) across
         u = launch_window(toy_flow_cert(), ORIGIN, 1e-7)
         x0, s = u[0].lo, u[1].hi
-        assert u[0].is_point() and u[1] == Interval(-s, s)
+        assert u[0].lo == u[0].hi and u[1] == Interval(-s, s)
         # x0 at most r_u r, s at least r_u sqrt(alpha_h), both within
         # a few ulps of it (exact rational comparisons)
         bound = Fraction(1e-7) ** 2 * Fraction(1, 2)

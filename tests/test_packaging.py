@@ -1,7 +1,9 @@
 """The names the package declares resolve: every module's __all__ and the
 console scripts of pyproject.toml.  Every public name is also used by the
 library itself, with no exemption: the oracles the tests check the proof
-against live in tests/oracles.py, and each of them is used by a test."""
+against live in tests/oracles.py, and each of them is used by a test.
+The same holds one level down, for the methods, properties and class
+attributes of the library's classes."""
 
 from __future__ import annotations
 
@@ -79,6 +81,49 @@ def test_every_public_name_is_used_by_the_library():
                 for defines, reads in found
             ):
                 unused.append(f"{mod}.{name}")
+    assert not unused, unused
+
+
+def _attribute_loads(tree: ast.Module, classes) -> list[tuple]:
+    """(name, node id, owner) for each attribute loaded in tree.  owner is
+    the class when the attribute is read off a bare class name, "" off an
+    imported module, which holds no class member, and None off any other
+    value, which may be an instance of any class."""
+    modules = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            base = getattr(node.value, "id", None)
+            owner = base if base in classes else "" if base in modules else None
+            out.append((node.attr, id(node), owner))
+    return out
+
+
+def test_every_class_member_is_used_outside_its_own_body():
+    # a method, property or class attribute counts as used where library
+    # code outside its own definition loads its name off an instance or
+    # off its class, or where proofbench/ loads it
+    src = Path(conecert.__file__).resolve().parent
+    trees = [ast.parse(p.read_text()) for p in src.glob("*.py")]
+    classes = {node.name: node for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    loads = [x for tree in trees for x in _attribute_loads(tree, classes)]
+    bench = {name for p in (ROOT / "proofbench").glob("*.py")
+             for name, _, owner in _attribute_loads(ast.parse(p.read_text()), ())
+             if owner != ""}
+    unused = []
+    for cname, cls in classes.items():
+        for node in cls.body:
+            targets = getattr(node, "targets", [getattr(node, "target", node)])
+            names = [getattr(t, "id", getattr(t, "name", None)) for t in targets]
+            own = {id(sub) for sub in ast.walk(node)}
+            unused += [
+                f"{cname}.{name}" for name in names
+                if name and not name.startswith("__") and name not in bench
+                and not any(attr == name and i not in own and owner in (None, cname)
+                            for attr, i, owner in loads)
+            ]
     assert not unused, unused
 
 

@@ -194,7 +194,7 @@ class TestFixedPoint:
             assert c.contains_zero()
 
     @pytest.mark.parametrize("which", ["left", "fragment"])
-    def test_origin_maps_to_chart_L1(self, left_setup, fragment_chart,
+    def test_origin_maps_to_chart_L1(self, cfg, left_setup, fragment_chart,
                                      which):
         # [TRIVIAL] psi has no constant term, so psi(0) = 0 and Phi(0) is
         # the chart's L1; the box of enclose_fixed_point is that origin.
@@ -203,8 +203,8 @@ class TestFixedPoint:
         params, chart = (
             left_setup[:2] if which == "left" else fragment_chart
         )
-        zero = IVector.zeros(4)
-        assert enclose_fixed_point(chart, params) == zero
+        zero = IVector([0.0] * 4)
+        assert enclose_fixed_point(chart, params, cfg) == zero
         for c in psi(zero):
             assert -_SUBNORMALS <= c.lo <= 0.0 <= c.hi <= _SUBNORMALS
         phi0 = total_change(zero, chart)
@@ -532,7 +532,7 @@ class TestConeStage:
         n_box, dfn = dfn256
         cu = certify_unstable(chart, b, n_box, dfn, cfg)
         x0 = cu.U_local[0]
-        assert x0.is_point()
+        assert x0.lo == x0.hi
         assert b[0].hi < x0.lo
         r = sqrt(1.0 - Interval(cfg.alpha_v))
         assert x0.lo in b[0].lo + Interval(cfg.r_u) * r

@@ -56,6 +56,8 @@ from oracles import (
     jacobian_floats,
     local_field,
     local_jacobian,
+    matrix_coefficient,
+    series_coefficient,
     symmetry_S,
     vector_field_floats,
     verified_inverse,
@@ -415,7 +417,7 @@ def test_chart_inverse_is_the_signed_transpose():
                 ]
                 got = ch.C_inv[r, k]
                 assert (got.lo, got.hi) == (term.lo, term.hi), (r, k)
-                assert got.intersects(krawczyk[r, k]), (r, k)
+                assert got.intersect(krawczyk[r, k]) is not None, (r, k)
 
 
 # -- nonlinear chart -------------------------------------------------------------
@@ -554,7 +556,7 @@ def test_local_jacobian_raises_where_dpsi_is_not_invertible():
         local_jacobian(q, ch, p)
     batch = IVector([0.0, 0.0, IArray([0.0, 0.6], [1e-3, 0.8]), 0.0])
     with pytest.raises(DivisionByZeroInterval):
-        local_jacobian_batch(batch, ch, p)
+        local_jacobian_batch(batch, ch, p, rtbp._psi_terms(batch))
     # through prover.enclose_DF_over_N: the cached failure is raised on
     # every call, cold and warm, each time as a new exception
     _n_pieces.cache_clear()
@@ -584,7 +586,8 @@ def test_local_jacobian_raises_collision_before_dpsi_inverse():
     with pytest.raises(CollisionSingularity):
         local_jacobian(q, ch, p)
     with pytest.raises(CollisionSingularity):
-        local_jacobian_batch(IVector([IArray([0.0, 0.0])] + ys), ch, p)
+        batch = IVector([IArray([0.0, 0.0])] + ys)
+        local_jacobian_batch(batch, ch, p, rtbp._psi_terms(batch))
     # and through prover.enclose_DF_over_N, whose cache keeps the failed
     # D(psi)^-1 of N's pieces: the field still fails first, cold and warm
     _n_pieces.cache_clear()
@@ -597,7 +600,7 @@ def test_local_jacobian_raises_collision_before_dpsi_inverse():
 def test_chart_fixes_origin():
     p = band_left()
     ch = jordan_basis(p)
-    q0 = IVector.zeros(4)
+    q0 = IVector([0.0] * 4)
     phi0 = total_change(q0, ch)
     for a, b in zip(phi0, ch.L1):
         assert (a - b).width < 1e-15 and 0.0 in (a - b)
@@ -613,7 +616,7 @@ def test_chart_fixes_origin():
 def test_local_field_vanishes_at_origin():
     p = band_left()
     ch = jordan_basis(p)
-    fh = local_field(IVector.zeros(4), ch, p)
+    fh = local_field(IVector([0.0] * 4), ch, p)
     for c in fh:
         assert 0.0 in c
         assert c.width < 1e-13
@@ -622,11 +625,11 @@ def test_local_field_vanishes_at_origin():
 def test_local_jacobian_jordan_structure():
     p = band_left()
     ch = jordan_basis(p)
-    d = local_jacobian(IVector.zeros(4), ch, p)
-    assert ch.lam.intersects(d.rows[0][0])
-    assert (-ch.lam).intersects(d.rows[1][1])
-    assert ch.v.intersects(d.rows[2][3])
-    assert (-ch.v).intersects(d.rows[3][2])
+    d = local_jacobian(IVector([0.0] * 4), ch, p)
+    assert ch.lam.intersect(d.rows[0][0]) is not None
+    assert (-ch.lam).intersect(d.rows[1][1]) is not None
+    assert ch.v.intersect(d.rows[2][3]) is not None
+    assert (-ch.v).intersect(d.rows[3][2]) is not None
     pattern = {(0, 0), (1, 1), (2, 3), (3, 2)}
     for i in range(4):
         for j in range(4):
@@ -657,9 +660,10 @@ def test_local_field_and_jacobian_finite_differences():
 
 
 def _horner(series, order: int, h: float) -> IVector:
-    acc = series.coefficient(order)
+    acc = series_coefficient(series, order)
     for k in range(order - 1, -1, -1):
-        acc = IVector([a * h + b for a, b in zip(acc, series.coefficient(k))])
+        acc = IVector([a * h + b for a, b in
+                       zip(acc, series_coefficient(series, k))])
     return acc
 
 
@@ -688,11 +692,11 @@ def test_series_first_coefficients():
     ser = tf.expand(x0, 3)
     f = vector_field(x0, p)
     for i in range(4):
-        assert abs(ser.coefficient(1)[i].mid - f[i].mid) < 1e-14
+        assert abs(series_coefficient(ser, 1)[i].mid - f[i].mid) < 1e-14
     # second coefficient is (DF F)/2 by the chain rule
     dff = jacobian(x0, p).matvec(f)
     for i in range(4):
-        assert abs(ser.coefficient(2)[i].mid - 0.5 * dff[i].mid) < 1e-13
+        assert abs(series_coefficient(ser, 2)[i].mid - 0.5 * dff[i].mid) < 1e-13
 
 
 def test_series_vs_rk4():
@@ -744,7 +748,7 @@ def test_variational_first_coefficient():
     dfx = jacobian(x0, p)
     for i in range(4):
         for j in range(4):
-            assert abs(v[1].rows[i][j].mid - dfx.rows[i][j].mid) < 1e-14
+            assert abs(matrix_coefficient(v, 1).rows[i][j].mid - dfx.rows[i][j].mid) < 1e-14
 
 
 def test_variational_vs_flow_differences():
@@ -757,11 +761,12 @@ def test_variational_vs_flow_differences():
     ser = tf.expand(IVector.from_floats(x0), 16)
     v = tf.expand_variational(ser, IMatrix.identity(4), 16)
     vm = [[Interval(0.0)] * 4 for _ in range(4)]
-    acc = v[16]
+    acc = matrix_coefficient(v, 16)
     for k in range(15, -1, -1):
+        v_k = matrix_coefficient(v, k)
         acc = IMatrix(
             [
-                [acc.rows[i][j] * h + v[k].rows[i][j] for j in range(4)]
+                [acc.rows[i][j] * h + v_k.rows[i][j] for j in range(4)]
                 for i in range(4)
             ]
         )
@@ -987,6 +992,46 @@ def _encloses_mp(iv: Interval, val) -> bool:
     )
 
 
+def _assert_series_enclose_mp(point: list, box: IVector, rng) -> None:
+    """The order-21 solution and variational series from the point with
+    V_0 = I, and from the box with V_0 = I + [-1e-3, 1e-3] entrywise,
+    enclose at every order the 40-digit ones at the point and at three
+    points sampled in the box, each from a member of V_0 drawn with rng.
+    A five-component state carries its own mass, a four-component one
+    flies at band_left's."""
+    order, n = 21, len(box)
+    tf = RtbpTaylorField(band_left())
+    ball = Interval(-1e-3, 1e-3)
+    w = IMatrix([[Interval(float(i == j)) + ball for j in range(n)]
+                 for i in range(n)])
+    cases = [(IVector.from_floats(point), IMatrix.identity(n), [point])]
+    cases.append(
+        (box, w, [[rng.uniform(c.lo, c.hi) for c in box] for _ in range(3)])
+    )
+    with mpmath.workdps(40):
+        for u0, v0, points in cases:
+            ser = tf.expand(u0, order)
+            var = tf.expand_variational(ser, v0, order)
+            for pt in points:
+                mu = mpmath.mpf(pt[4] if n == 5 else tf.params.mu.lo)
+                u, v = _mp_taylor(pt[:4], mu, order, band=n == 5)
+                # a member of V_0: the identity, or a sample of the box
+                w0 = [[mpmath.mpf(rng.uniform(e.lo, e.hi)) for e in row]
+                      for row in v0.rows]
+                for k in range(order + 1):
+                    ck = series_coefficient(ser, k)
+                    var_k = matrix_coefficient(var, k)
+                    for i in range(n):
+                        assert _encloses_mp(ck[i], u[i][k]), (pt, k, i)
+                        for j in range(n):
+                            exact = mpmath.fsum(
+                                v[k][i][m] * w0[m][j] for m in range(n)
+                            )
+                            assert _encloses_mp(var_k.rows[i][j], exact), (
+                                pt, k, i, j,
+                            )
+
+
 @pytest.mark.parametrize(
     "centre",
     [
@@ -1000,51 +1045,9 @@ def test_kernel_encloses_mpmath_coefficients(centre):
     """Order-21 solution and variational coefficients from a point, and
     from a box with V_0 a matrix box, enclose the 40-digit coefficients
     of points sampled inside.  [DERIVED]"""
-    order = 21
-    p = band_left()
-    tf = RtbpTaylorField(p)
-    rng = random.Random(1401)
     r = 1e-6
     box = IVector([Interval(c - r, c + r) for c in centre])
-    w = IMatrix(
-        [
-            [Interval(1.0 if i == j else 0.0) + Interval(-1e-3, 1e-3)
-             for j in range(4)]
-            for i in range(4)
-        ]
-    )
-    cases = [(IVector.from_floats(centre), IMatrix.identity(4), [centre])]
-    cases.append(
-        (box, w, [[rng.uniform(c.lo, c.hi) for c in box] for _ in range(3)])
-    )
-    old_dps = mpmath.mp.dps
-    mpmath.mp.dps = 40
-    try:
-        mu = mpmath.mpf(p.mu.lo)
-        for u0, v0, points in cases:
-            ser = tf.expand(u0, order)
-            var = tf.expand_variational(ser, v0, order)
-            for pt in points:
-                u, v = _mp_taylor(pt, mu, order)
-                # a member of V_0: the identity, or a sample of the box
-                w0 = [
-                    [mpmath.mpf(rng.uniform(e.lo, e.hi)) for e in row]
-                    for row in v0.rows
-                ]
-                for k in range(order + 1):
-                    ck = ser.coefficient(k)
-                    for i in range(4):
-                        assert _encloses_mp(ck[i], u[i][k]), (pt, k, i)
-                    for i in range(4):
-                        for j in range(4):
-                            exact = mpmath.fsum(
-                                v[k][i][m] * w0[m][j] for m in range(4)
-                            )
-                            assert _encloses_mp(var[k].rows[i][j], exact), (
-                                pt, k, i, j,
-                            )
-    finally:
-        mpmath.mp.dps = old_dps
+    _assert_series_enclose_mp(list(centre), box, random.Random(1401))
 
 
 @pytest.mark.parametrize(
@@ -1057,52 +1060,13 @@ def test_kernel_mass_column_encloses_mpmath_coefficients(centre):
     included, enclose the 40-digit ones: from a point with V_0 = I, and
     from a box over a mass band with V_0 a matrix box whose row 4 is
     nonzero, as in the a-priori start W.  [DERIVED]"""
-    order = 21
-    p = band_left()
-    tf = RtbpTaylorField(p)
-    rng = random.Random(3015)
-    mu = p.mu.lo
+    mu = band_left().mu.lo
     r = 1e-6
-    point = IVector.from_floats(list(centre) + [mu])
     box = IVector(
         [Interval(c - r, c + r) for c in centre]
         + [Interval(mu - 1e-9, mu + 1e-9)]
     )
-    ball = Interval(-1e-3, 1e-3)
-    w = IMatrix(
-        [[Interval(1.0 if i == j else 0.0) + ball for j in range(5)]
-         for i in range(5)]
-    )
-    cases = [(point, IMatrix.identity(5), [list(centre) + [mu]])]
-    cases.append(
-        (box, w, [[rng.uniform(c.lo, c.hi) for c in box] for _ in range(3)])
-    )
-    old_dps = mpmath.mp.dps
-    mpmath.mp.dps = 40
-    try:
-        for u0, v0, points in cases:
-            ser = tf.expand(u0, order)
-            var = tf.expand_variational(ser, v0, order)
-            for pt in points:
-                u, v = _mp_taylor(pt[:4], mpmath.mpf(pt[4]), order, band=True)
-                w0 = [
-                    [mpmath.mpf(rng.uniform(e.lo, e.hi)) for e in row]
-                    for row in v0.rows
-                ]
-                for k in range(order + 1):
-                    ck = ser.coefficient(k)
-                    for i in range(5):
-                        assert _encloses_mp(ck[i], u[i][k]), (pt, k, i)
-                    for i in range(5):
-                        for j in range(5):
-                            exact = mpmath.fsum(
-                                v[k][i][m] * w0[m][j] for m in range(5)
-                            )
-                            assert _encloses_mp(var[k].rows[i][j], exact), (
-                                pt, k, i, j,
-                            )
-    finally:
-        mpmath.mp.dps = old_dps
+    _assert_series_enclose_mp(list(centre) + [mu], box, random.Random(3015))
 
 
 def _mp_field(state, mu):
@@ -1126,9 +1090,7 @@ def test_jacobian_mass_column_contains_central_differences():
     p = band_left()
     tf = RtbpTaylorField(p)
     mu = p.mu.lo
-    old_dps = mpmath.mp.dps
-    mpmath.mp.dps = 40
-    try:
+    with mpmath.workdps(40):
         for state in ((-0.8, 0.1, 0.05, -0.7),
                       (0.8270258829, 0.01, -5.16e-8, 0.9251225636)):
             jac = tf.jacobian(IVector.from_floats(list(state) + [mu]))
@@ -1143,8 +1105,6 @@ def test_jacobian_mass_column_contains_central_differences():
             assert all(e == Interval(0.0) for e in jac.rows[4])
             f5 = tf.vector_field(IVector.from_floats(list(state) + [mu]))
             assert len(f5) == 5 and f5[4] == Interval(0.0)
-    finally:
-        mpmath.mp.dps = old_dps
 
 
 def test_l1_slope_contains_central_difference():
@@ -1158,9 +1118,7 @@ def test_l1_slope_contains_central_difference():
             mpmath.mpf(XL1_ORACLE),
         )
 
-    old_dps = mpmath.mp.dps
-    mpmath.mp.dps = 40
-    try:
+    with mpmath.workdps(40):
         eps = mpmath.mpf("1e-15")
         lo, hi = 0.0042538634220, 0.0042538636220
         for band in (Interval(lo), Interval(lo, hi)):
@@ -1171,8 +1129,6 @@ def test_l1_slope_contains_central_difference():
                 m = mpmath.mpf(m)
                 fd = (root(m + eps) - root(m - eps)) / (2 * eps)
                 assert _encloses_mp(slope, fd), (band, m)
-    finally:
-        mpmath.mp.dps = old_dps
 
 
 def _exact_dot_range(a: list, b: list) -> tuple:

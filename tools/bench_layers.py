@@ -32,10 +32,9 @@ A row holds:
     milliseconds read as microseconds per dot), one flow._expand_step,
     one flow._assemble (the Lohner update) of that step, the image
     Horner of the step (flow._horner_vec of the thin series from the
-    tube series' Lagrange coefficient), and the tube column's stop rule
-    at orders 1..q+1 of the column series, with the tail at q+1 (the
-    float-pair rule on trees with flow._column_term, the Interval-object
-    rule of the step on older trees);
+    tube series' Lagrange coefficient, read off float_series() as the
+    step reads it), and the tube column's stop rule at orders 1..q+1 of
+    the column series, with the tail at q+1 (flow._column_term);
   * derivative, median milliseconds of the derivative-over-N stage, the
     proof's one derivative path: prover.enclose_DF_over_N over the left
     endpoint's N in 256 pieces and over the first default mass slice's N
@@ -409,33 +408,20 @@ def _full_proof(prover) -> dict:
 
 def _tail_stop(flow, v, q: int, h: float, order: int, sol_err: float):
     """The step's stop rule over the tube column v at orders 1..q+1 and
-    its tail at q+1, in the form the measured tree runs."""
-    if hasattr(flow, "_column_term"):
-        hpl, hph = flow._powers(h, order + 1)
-        stops = [
-            all(-lo <= sol_err and hi <= sol_err
-                for lo, hi in flow._column_term(v, k, hpl, hph))
-            for k in range(1, q + 2)
-        ]
-        return stops, flow._column_term(v, q + 1, hpl, hph)
-    from conecert.interval import Interval, IVector
-
-    hp = [Interval(1.0)]
-    for _ in range(order + 1):
-        hp.append(hp[-1] * h)
-
-    def term(k, v_k):
-        return IVector([row[0] * hp[k] for row in v_k.rows])
-
-    stops = [max(c.mag for c in term(k, v[k])) <= sol_err
-             for k in range(1, q + 2)]
-    return stops, term(q + 1, v[q + 1])
+    its tail at q+1."""
+    hpl, hph = flow._powers(h, order + 1)
+    stops = [
+        all(-lo <= sol_err and hi <= sol_err
+            for lo, hi in flow._column_term(v, k, hpl, hph))
+        for k in range(1, q + 2)
+    ]
+    return stops, flow._column_term(v, q + 1, hpl, hph)
 
 
 def measure(src: Path, full: bool = False) -> dict:
     sys.path.insert(0, str(src))
     from conecert import flow, prover, rtbp
-    from conecert.interval import IMatrix, IVector
+    from conecert.interval import IMatrix, Interval, IVector
 
     cfg = prover.ProofConfig.default()
     flights, steps = _fly_endpoints(flow, prover, cfg)
@@ -450,7 +436,12 @@ def measure(src: Path, full: bool = False) -> dict:
     ser_x = field.expand(box, q)
     ident = IMatrix.identity(len(box))
     ser_m = field.expand(mid, order)
-    sol_tail = ser_z.coefficient(order + 1)
+    # the Lagrange coefficient as (lo, hi) pairs, or as an IVector for
+    # trees whose _horner_vec reads one (those with flow._ends)
+    sol_tail = [(lo[order + 1], hi[order + 1])
+                for lo, hi in ser_z.float_series()]
+    if hasattr(flow, "_ends"):
+        sol_tail = IVector([Interval(*t) for t in sol_tail])
     v_col = field.expand_variational(ser_z, column, order + 1)
     (d1l, d1h), (w1l, w1h) = ser_z.d1, ser_z.w1
     dot_args = (d1l[:12], d1h[:12], w1l[11::-1], w1h[11::-1])
