@@ -93,8 +93,8 @@ def test_a_priori_zero_field():
 
 
 def test_a_priori_constant_field():
-    # x' = 1 from [0,0] over [0, 0.1] must cover [0, 0.1].  [TRIVIAL]
-    # x' = 1 as the linear field of (x, 1)
+    # x' = 1, the linear field of (x, 1), from [0,0] over [0, 0.1] must
+    # cover [0, 0.1].  [TRIVIAL]
     f = LinearTaylorField(IMatrix.from_floats([[0.0, 1.0], [0.0, 0.0]]))
     z = a_priori_enclosure(f, IVector.from_floats([0.0, 1.0]), 0.1)
     assert Interval(0.0, 0.1).is_subset_of(z[0])
