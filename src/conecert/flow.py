@@ -16,7 +16,7 @@ nothing here depends on it: a field whose state carries a parameter as a
 coordinate with zero derivative (rtbp's mass, in a band flight) flies the
 parameter dependence as one more direction of the set.
 
-A field gives vector_field(x) and jacobian(x) over a box, expand(u0, p),
+A field gives vector_field(x) over a box, expand(u0, p),
 a solution series whose float_series() holds its Taylor coefficients as
 one (lo, hi) pair of float lists per component, and
 expand_variational(series, V0, p, stop=None), the MatrixSeries of
@@ -270,12 +270,14 @@ def a_priori_enclosure(field, x0: Box, h: float) -> Box:
 # -- the Taylor step --------------------------------------------------------------
 
 
-def _opnorm_inf(m: IMatrix) -> float:
+def _opnorm_inf(v: MatrixSeries) -> float:
+    """Upper bound of the infinity norm of coefficient 1 of v: from V_0 = I,
+    the Jacobian of the field over the series' start box."""
     worst = 0.0
-    for row in m.rows:
+    for row in v.entries:
         acc = 0.0
-        for entry in row:
-            acc = _add_up(acc, entry.mag)
+        for lo, hi in row:
+            acc = _add_up(acc, max(abs(lo[1]), abs(hi[1])))
         worst = max(worst, acc)
     return worst
 
@@ -380,7 +382,8 @@ def _expand_step(
     u = x0 - m, so it is carried as the vector tail: coefficient q+1 of
     the variational column over the tube started from W u, times
     h^(q+1).  W encloses V(t) for t in [0, h] through
-    ||V(t) - I||_inf <= b = e^(L h) - 1, L = ||Df(tube)||_inf, so (W u)_i
+    ||V(t) - I||_inf <= b = e^(L h) - 1, L = ||Df(tube)||_inf with Df
+    coefficient 1 of the tube's variational series from I, so (W u)_i
     is enclosed by u_i + [-b, b] max_j |u_j|.  By the mean value theorem
     phi_h(x) lies in phi_h(m) + transport (x - m) + tail for every x in
     x0, at any q.  The column is expanded one order at a time, and q+1 is
@@ -402,7 +405,8 @@ def _expand_step(
     image = _horner_vec(ser_m, order, h, sol_tail)
 
     u = [x0[i] - enc.midpoint[i] for i in range(n)]
-    l_inf = _opnorm_inf(field.jacobian(tube))
+    ident = IMatrix.identity(n)
+    l_inf = _opnorm_inf(field.expand_variational(ser_z, ident, 1))
     b = exp(Interval(l_inf) * h) - 1.0
     r = (b * max(c.mag for c in u)).hi
     ball = Interval(-r, r)
@@ -420,7 +424,7 @@ def _expand_step(
     var_err = max(c.mag for c in tail)
 
     ser_x = field.expand(x0, q)
-    v_x = field.expand_variational(ser_x, IMatrix.identity(n), q)
+    v_x = field.expand_variational(ser_x, ident, q)
     transport = _horner_transport(v_x, q, h)
     return _StepData(image, transport, tail, tube, sol_err, var_err, q)
 

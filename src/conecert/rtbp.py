@@ -215,21 +215,6 @@ def jacobian(s, p: RtbpParams, terms: tuple | None = None) -> IMatrix:
                     [-uxx, -uxy, z, one], [-uxy, -uyy, -one, z]])
 
 
-def _band_jacobian(s: tuple) -> IMatrix:
-    """5 x 5 Jacobian in (X, Y, P_X, P_Y, mu): the 4 x 4 block at the
-    state's mass, the mu column dF/dmu and a zero row for mu' = 0.  The
-    column's nonzero entries are dP_X'/dmu and dP_Y'/dmu."""
-    y, mu = s[1], s[4]
-    terms = _field_terms(s[0], y, mu)
-    j = jacobian(s[:4], RtbpParams(mu), terms)
-    d1, d2, _, _, w1, w2, _ = terms
-    uxx, uxy, _ = _second_partials(y, mu, terms)
-    z = Interval(0.0)
-    col = (z, z, d1 * w1 - d2 * w2 + uxx, y * (w1 - w2) + uxy)
-    rows = [list(row) + [g] for row, g in zip(j.rows, col)]
-    return IMatrix(rows + [[z] * 5])
-
-
 # -- libration point ----------------------------------------------------------
 
 
@@ -913,8 +898,8 @@ class RtbpTaylorField:
     condition; expand_variational() the series of the variational matrix
     along it.  A state's length decides its form: four components fly at
     the mass params.mu, five components (X, Y, P_X, P_Y, mu) carry their
-    own mass as a coordinate with mu' = 0, and vector_field, jacobian and
-    the float-list series then have five components and a mu column.
+    own mass as a coordinate with mu' = 0, and vector_field and the
+    float-list series then have five components and a mu column.
     """
 
     def __init__(self, params: RtbpParams):
@@ -926,10 +911,6 @@ class RtbpTaylorField:
             return vector_field(s, self.params)
         f = vector_field(s[:4], RtbpParams(s[4]))
         return IVector(f.c + [Interval(0.0)])
-
-    def jacobian(self, x) -> IMatrix:
-        s = _coerce(x, (4, 5))
-        return jacobian(s, self.params) if len(s) == 4 else _band_jacobian(s)
 
     def expand(self, u0, order: int) -> RtbpSolutionSeries:
         s = _coerce(u0, (4, 5))

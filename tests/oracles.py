@@ -243,9 +243,6 @@ class LinearTaylorField:
     def vector_field(self, x) -> IVector:
         return self.a.matvec(_as_ivector(x, self.dim))
 
-    def jacobian(self, x) -> IMatrix:
-        return self.a
-
     def expand(self, u0, order: int) -> CoeffSeries:
         coeffs = [_as_ivector(u0, self.dim)]
         for k in range(order):

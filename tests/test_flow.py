@@ -287,7 +287,8 @@ def _interval_column(field, enc, h: float, order: int) -> tuple:
     sol_tail = series_coefficient(ser_z, order + 1)
     sol_err = max(c.mag for c in sol_tail) * h ** (order + 1)
     u = [x0[i] - enc.midpoint[i] for i in range(n)]
-    b = exp(Interval(flow._opnorm_inf(field.jacobian(tube))) * h) - 1.0
+    v_1 = field.expand_variational(ser_z, IMatrix.identity(n), 1)
+    b = exp(Interval(flow._opnorm_inf(v_1)) * h) - 1.0
     r = (b * max(c.mag for c in u)).hi
     hp = [Interval(1.0)]
     for _ in range(order + 1):

@@ -1084,27 +1084,33 @@ def _mp_field(state, mu):
 
 
 def test_jacobian_mass_column_contains_central_differences():
-    # the 5 x 5 Jacobian: the point-mass block, dF/dmu against a 40-digit
-    # central difference (truncation ~1e-24 at eps = 1e-12) and a zero
-    # row for mu' = 0  [DERIVED]
+    # with the mass as a fifth coordinate, coefficient 1 of the solution
+    # series holds the 40-digit field and mu' = 0 exactly, and V_1 from
+    # V_0 = I the Jacobian: the point-mass block at 40 digits, dF/dmu
+    # against a 40-digit central difference (truncation ~1e-24 at
+    # eps = 1e-12) and a zero row for mu' = 0  [DERIVED]
     p = band_left()
     tf = RtbpTaylorField(p)
     mu = p.mu.lo
     with mpmath.workdps(40):
         for state in ((-0.8, 0.1, 0.05, -0.7),
                       (0.8270258829, 0.01, -5.16e-8, 0.9251225636)):
-            jac = tf.jacobian(IVector.from_floats(list(state) + [mu]))
-            block = jacobian(state, RtbpParams(Interval(mu)))
+            ser = tf.expand(IVector.from_floats(list(state) + [mu]), 1)
+            f = series_coefficient(ser, 1)
+            jac = matrix_coefficient(
+                tf.expand_variational(ser, IMatrix.identity(5), 1), 1)
+            block = _mp_taylor(state, mpmath.mpf(mu), 1)[1][1]
             eps = mpmath.mpf("1e-12")
             pts = [mpmath.mpf(c) for c in state]
+            f_mp = _mp_field(pts, mpmath.mpf(mu))
             fp = _mp_field(pts, mpmath.mpf(mu) + eps)
             fm = _mp_field(pts, mpmath.mpf(mu) - eps)
             for i in range(4):
-                assert jac.rows[i][:4] == block.rows[i]
+                assert _encloses_mp(f[i], f_mp[i])
+                assert all(map(_encloses_mp, jac.rows[i][:4], block[i]))
                 assert _encloses_mp(jac.rows[i][4], (fp[i] - fm[i]) / (2 * eps))
-            assert all(e == Interval(0.0) for e in jac.rows[4])
-            f5 = tf.vector_field(IVector.from_floats(list(state) + [mu]))
-            assert len(f5) == 5 and f5[4] == Interval(0.0)
+            assert (f[4].lo, f[4].hi) == (0.0, 0.0)
+            assert all((e.lo, e.hi) == (0.0, 0.0) for e in jac.rows[4])
 
 
 def test_l1_slope_contains_central_difference():
