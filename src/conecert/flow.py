@@ -16,22 +16,25 @@ nothing here depends on it: a field whose state carries a parameter as a
 coordinate with zero derivative (rtbp's mass, in a band flight) flies the
 parameter dependence as one more direction of the set.
 
-A field gives vector_field(x) over a box, expand(u0, p),
-a solution series whose float_series() holds its Taylor coefficients as
-one (lo, hi) pair of float lists per component, and
+A field gives expand(u0, p), the solution series from the box u0, whose
+float_series() holds its Taylor coefficients through order p as one
+(lo, hi) pair of float lists per component, and
 expand_variational(series, V0, p, stop=None), the MatrixSeries of
 V' = DF V from V0, which may have any number of columns, through order
 p, or through the first order k >= 1 at which stop(k, series) is true.
-flow reads every series through these float lists only: the Lagrange
-coefficient, the Horner sums, the stop rule and the section landing.
+flow reads the field through these two only, and every series through
+its float lists only: F over a box is coefficient 1 of its series, and
+DF over a tube coefficient 1 of its variational series from I.
 
-One Taylor step of order p uses five series expansions, in this order:
+One Taylor step of order p uses six series expansions, in this order:
   * an interval series over the rough tube (order p+1), whose last
     coefficient is the Lagrange term of the solution; its magnitude
     sol_err is tested first, so a step that fails it pays for no other
     series;
   * a thin series at the midpoint (order p), which with that Lagrange
     coefficient encloses phi_h(midpoint);
+  * the variational series over the tube from I (order 1), whose
+    coefficient 1 is DF over the tube, L its infinity norm;
   * the variational series over the tube of the one column W u, u = x0 - m
     the current box less its midpoint and W the a-priori bound
     ||V(t) - I||_inf <= e^(L h) - 1, expanded one order at a time up to
@@ -225,10 +228,16 @@ class Section:
 # -- rough enclosures -------------------------------------------------------------
 
 
+def _field_over(field, box: Box) -> Box:
+    """F over a box: coefficient 1 of its Taylor series, F / 1."""
+    return IVector([_mk(lo[1], hi[1])
+                    for lo, hi in field.expand(box, 1).float_series()])
+
+
 def _picard(field, x0: Box, t_range: Interval) -> Box:
     """Box Z with x0 + t_range * F(Z) contained in Z (all trajectories from
     x0 over t_range stay in Z)."""
-    f0 = field.vector_field(x0)  # genuinely singular start propagates
+    f0 = _field_over(field, x0)  # genuinely singular start propagates
     n = len(x0)
     scale = max(t_range.mag, 1e-300)
     pad = [
@@ -239,7 +248,7 @@ def _picard(field, x0: Box, t_range: Interval) -> Box:
     z = IVector([x0[i] + pad[i] for i in range(n)])
     for _ in range(20):
         try:
-            fz = field.vector_field(z)
+            fz = _field_over(field, z)
         except ArithmeticError as err:
             raise EnclosureFailure(
                 f"rough enclosure inflated into a singularity: {err}"
@@ -271,8 +280,7 @@ def a_priori_enclosure(field, x0: Box, h: float) -> Box:
 
 
 def _opnorm_inf(v: MatrixSeries) -> float:
-    """Upper bound of the infinity norm of coefficient 1 of v: from V_0 = I,
-    the Jacobian of the field over the series' start box."""
+    """Upper bound of ||V_1||_inf, coefficient 1 of v (DF when V_0 = I)."""
     worst = 0.0
     for row in v.entries:
         acc = 0.0
@@ -372,7 +380,7 @@ def _expand_step(
     field, enc: FlowEnclosure, h: float, order: int, tol: float = math.inf,
     ser_m=None,
 ) -> _StepData:
-    """The five expansions of one step, or only the tube series when the
+    """The six expansions of one step, or only the tube series when the
     solution Lagrange term exceeds tol; that series is expanded first.
     ser_m is the thin series at the midpoint to order p, when the caller
     has expanded it already; it does not depend on h.
@@ -382,8 +390,7 @@ def _expand_step(
     u = x0 - m, so it is carried as the vector tail: coefficient q+1 of
     the variational column over the tube started from W u, times
     h^(q+1).  W encloses V(t) for t in [0, h] through
-    ||V(t) - I||_inf <= b = e^(L h) - 1, L = ||Df(tube)||_inf with Df
-    coefficient 1 of the tube's variational series from I, so (W u)_i
+    ||V(t) - I||_inf <= b = e^(L h) - 1, L = ||Df(tube)||_inf, so (W u)_i
     is enclosed by u_i + [-b, b] max_j |u_j|.  By the mean value theorem
     phi_h(x) lies in phi_h(m) + transport (x - m) + tail for every x in
     x0, at any q.  The column is expanded one order at a time, and q+1 is
@@ -626,7 +633,7 @@ def _cross_in_step(field, enc, h_step, section, order):
 
     data = _expand_step(field, enc, t_star, order, ser_m=ser_m)
     # first-crossing inside the step needs monotone section coordinate
-    f_tube = field.vector_field(data.tube)[k]
+    f_tube = _field_over(field, data.tube)[k]
     if 0.0 in f_tube or (f_tube.hi < 0.0) != (section.direction < 0):
         raise TransversalityFailure(
             f"section velocity over the step tube: {f_tube!r}"
@@ -644,7 +651,7 @@ def _cross_in_step(field, enc, h_step, section, order):
 
     # transition tube around the section, both time directions
     g = x_star[k] - section.value
-    f_here = field.vector_field(x_star)[k]
+    f_here = _field_over(field, x_star)[k]
     if 0.0 in f_here:
         raise TransversalityFailure(
             f"section velocity on the crossing set: {f_here!r}"
@@ -652,7 +659,7 @@ def _cross_in_step(field, enc, h_step, section, order):
     d_time = 1.2 * (abs(g) / abs(f_here)).hi + 1e-300
     for _ in range(12):
         tube = _picard(field, x_star, Interval(-d_time, d_time))
-        fz = field.vector_field(tube)
+        fz = _field_over(field, tube)
         fzk = fz[k]
         if 0.0 in fzk or (fzk.hi < 0.0) != (section.direction < 0):
             raise TransversalityFailure(

@@ -55,14 +55,14 @@ product", SISC 26, 2005).  The widening is itself an exact-directed sum,
 as in the Interval addition, written out in the dot with no call: its
 TwoSum error test rounds each end as _add_dn and _add_up would.  Division
 by the Taylor index k+1 divides by the exact integer and rounds outward,
-rather than multiplying by a rounded 1/(k+1).  A dot with an infinite
-endpoint, or one whose sums overflow, falls back to the per-term outward
-rounding of idot.  Outside the dots the pair arithmetic calls the
-exact-directed sums _add_dn and _add_up and nudges each product outward,
-directly; the squares and the product of a distance with X take their
-corners on float pairs (_sq_ends, _mul_ends), as sq and the Interval
-product round them; the power-rule weights j - a (k - j) of r^-3 and
-r^-5 come from a table built once.
+rather than multiplying by a rounded 1/(k+1); by 1 it is exact and not
+rounded.  A dot with an infinite endpoint, or one whose sums overflow,
+falls back to the per-term outward rounding of idot.  Outside the dots
+the pair arithmetic calls the exact-directed sums _add_dn and _add_up
+and nudges each product outward, directly; the squares and the product
+of a distance with X take their corners on float pairs (_sq_ends,
+_mul_ends), as sq and the Interval product round them; the power-rule
+weights j - a (k - j) of r^-3 and r^-5 come from a table built once.
 """
 
 from __future__ import annotations
@@ -674,6 +674,11 @@ def _div_pos(a0: float, a1: float, d0: float, d1: float) -> tuple:
     return _nextafter(q0, _NINF), _nextafter(q1, _INF)
 
 
+def _exact(x: float, _: float) -> float:
+    """x as it is: the nudge of a quotient by the Taylor index 1, exact."""
+    return x
+
+
 def _start(lo: float, hi: float) -> tuple:
     """A series pair holding coefficient 0 only."""
     return [lo], [hi]
@@ -699,6 +704,8 @@ def _power_next(s: tuple, pw: tuple, a: float, k: int) -> tuple:
     th = [_nextafter(w * x, _INF) for w, x in zip(ws, sh[k:0:-1])]
     n0, n1 = _dot(tl, th, pl, ph)
     q0, q1 = _div_pos(-n1, -n0, sl[0], sh[0])
+    if k == 1:  # q / 1 is exact
+        return q0, q1
     # divided by the exact integer k, rounded outward
     return _nextafter(q0 / k, _NINF), _nextafter(q1 / k, _INF)
 
@@ -774,17 +781,18 @@ class RtbpSolutionSeries:
             scaled.append(_nextafter(a1 * (c1 if a1 >= 0.0 else c0), _INF))
         al, ah, bl, bh, cl, ch, dl, dh = scaled
         # coefficient k of the field along the series, divided by the
-        # exact integer k + 1 and rounded outward
+        # exact integer k + 1 and rounded outward, or not at all by 1
+        nudge = _nextafter if k else _exact
         f3l = _add_dn(-ph[k], -_add_up(ch, dh))
         f3h = _add_up(-pl[k], -_add_dn(cl, dl))
-        xl.append(_nextafter(_add_dn(pl[k], yl[k]) / kk, _NINF))
-        xh.append(_nextafter(_add_up(ph[k], yh[k]) / kk, _INF))
-        yl.append(_nextafter(_add_dn(ql[k], -xh[k]) / kk, _NINF))
-        yh.append(_nextafter(_add_up(qh[k], -xl[k]) / kk, _INF))
-        pl.append(_nextafter(_add_dn(_add_dn(ql[k], -ah), -bh) / kk, _NINF))
-        ph.append(_nextafter(_add_up(_add_up(qh[k], -al), -bl) / kk, _INF))
-        ql.append(_nextafter(f3l / kk, _NINF))
-        qh.append(_nextafter(f3h / kk, _INF))
+        xl.append(nudge(_add_dn(pl[k], yl[k]) / kk, _NINF))
+        xh.append(nudge(_add_up(ph[k], yh[k]) / kk, _INF))
+        yl.append(nudge(_add_dn(ql[k], -xh[k]) / kk, _NINF))
+        yh.append(nudge(_add_up(qh[k], -xl[k]) / kk, _INF))
+        pl.append(nudge(_add_dn(_add_dn(ql[k], -ah), -bh) / kk, _NINF))
+        ph.append(nudge(_add_up(_add_up(qh[k], -al), -bl) / kk, _INF))
+        ql.append(nudge(f3l / kk, _NINF))
+        qh.append(nudge(f3h / kk, _INF))
         self.order = kk
         x0, x1 = xl[kk], xh[kk]
         for lo, hi in (self.d1, self.d2):
@@ -892,25 +900,19 @@ class RtbpSolutionSeries:
 
 
 class RtbpTaylorField:
-    """Taylor-coefficient machinery the validated integrator drives.
+    """The field as the validated integrator reads it, through two methods.
 
     expand() produces the solution series from an interval initial
-    condition; expand_variational() the series of the variational matrix
-    along it.  A state's length decides its form: four components fly at
-    the mass params.mu, five components (X, Y, P_X, P_Y, mu) carry their
-    own mass as a coordinate with mu' = 0, and vector_field and the
-    float-list series then have five components and a mu column.
+    condition, whose coefficient 1 is F over it; expand_variational() the
+    series of the variational matrix along it, whose coefficient 1 from
+    V_0 = I is DF.  A state's length decides its form: four components
+    fly at the mass params.mu, five components (X, Y, P_X, P_Y, mu) carry
+    their own mass as a coordinate with mu' = 0, and the series then have
+    five components, the variational ones a mu column dF/dmu.
     """
 
     def __init__(self, params: RtbpParams):
         self.params = params
-
-    def vector_field(self, x) -> IVector:
-        s = _coerce(x, (4, 5))
-        if len(s) == 4:
-            return vector_field(s, self.params)
-        f = vector_field(s[:4], RtbpParams(s[4]))
-        return IVector(f.c + [Interval(0.0)])
 
     def expand(self, u0, order: int) -> RtbpSolutionSeries:
         s = _coerce(u0, (4, 5))
@@ -960,6 +962,7 @@ class RtbpTaylorField:
             a1h = uxx[1][:kk] + uxy[1][:kk]
             a2l = uxy[0][:kk] + uyy[0][:kk]
             a2h = uxy[1][:kk] + uyy[1][:kk]
+            nudge = _nextafter if k else _exact
             for col, wt in zip(cols, weights):
                 (c0l, c0h), (c1l, c1h), (c2l, c2h), (c3l, c3h) = col
                 bl = c0l[k::-1] + c1l[k::-1]
@@ -975,14 +978,14 @@ class RtbpTaylorField:
                     r2l, r2h = _add_dn(r2l, fx.lo), _add_up(r2h, fx.hi)
                     r3l, r3h = _add_dn(r3l, fy.lo), _add_up(r3h, fy.hi)
                 # V_{k+1} = (DF V)_k / (k + 1), outward
-                c0l.append(_nextafter(_add_dn(c1l[k], c2l[k]) / kk, _NINF))
-                c0h.append(_nextafter(_add_up(c1h[k], c2h[k]) / kk, _INF))
-                c1l.append(_nextafter(_add_dn(c3l[k], -c0h[k]) / kk, _NINF))
-                c1h.append(_nextafter(_add_up(c3h[k], -c0l[k]) / kk, _INF))
-                c2l.append(_nextafter(r2l / kk, _NINF))
-                c2h.append(_nextafter(r2h / kk, _INF))
-                c3l.append(_nextafter(r3l / kk, _NINF))
-                c3h.append(_nextafter(r3h / kk, _INF))
+                c0l.append(nudge(_add_dn(c1l[k], c2l[k]) / kk, _NINF))
+                c0h.append(nudge(_add_up(c1h[k], c2h[k]) / kk, _INF))
+                c1l.append(nudge(_add_dn(c3l[k], -c0h[k]) / kk, _NINF))
+                c1h.append(nudge(_add_up(c3h[k], -c0l[k]) / kk, _INF))
+                c2l.append(nudge(r2l / kk, _NINF))
+                c2h.append(nudge(r2h / kk, _INF))
+                c3l.append(nudge(r3l / kk, _NINF))
+                c3h.append(nudge(r3h / kk, _INF))
             if sol.dim == 5:
                 for lo, hi in entries[4]:
                     lo.append(0.0)

@@ -240,9 +240,6 @@ class LinearTaylorField:
         self.a = a
         self.dim = n
 
-    def vector_field(self, x) -> IVector:
-        return self.a.matvec(_as_ivector(x, self.dim))
-
     def expand(self, u0, order: int) -> CoeffSeries:
         coeffs = [_as_ivector(u0, self.dim)]
         for k in range(order):

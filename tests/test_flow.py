@@ -37,7 +37,7 @@ from conecert.flow import (
     a_priori_enclosure,
     poincare_crossing,
 )
-from conecert.rtbp import RtbpParams, RtbpTaylorField
+from conecert.rtbp import RtbpParams, RtbpTaylorField, vector_field
 from oracles import (
     CoeffSeries,
     LinearTaylorField,
@@ -111,11 +111,9 @@ def test_a_priori_contains_harmonic_arc():
 
 def test_a_priori_failure_blowup():
     class Quadratic:
-        dim = 1
-
-        def vector_field(self, x):
-            v = x if isinstance(x, IVector) else IVector.from_floats(x)
-            return IVector([sqr for sqr in (v[0] * v[0],)])
+        # x' = x^2, through order 1
+        def expand(self, x, order):
+            return CoeffSeries([x, IVector([x[0] * x[0]])])
 
     with pytest.raises(EnclosureFailure):
         a_priori_enclosure(Quadratic(), IVector.from_floats([100.0]), 1.0)
@@ -698,7 +696,7 @@ def test_crossing_rtbp_hits_section():
     # confirm the crossing is certified and on-section.
     field = rtbp_field()
     x0 = IVector.from_floats([-0.45, 0.05, 0.05, -0.55])
-    f0 = field.vector_field(x0)
+    f0 = vector_field(x0, field.params)
     assert f0[1].hi < 0.0  # heading toward Y = 0 already
     e0 = enclosure_from_box(x0)
     cr = poincare_crossing(

@@ -61,27 +61,52 @@ def _statements(tree: ast.Module) -> list[tuple[set, set]]:
     return out
 
 
+def _unused_public_names(stmts: dict, public: dict) -> list:
+    """The names public[mod] of each module that no statement reads but
+    the one defining them, in rounds until no more drop out: each round
+    ignores the statements that define a name already flagged."""
+    unused: list = []
+    while True:
+        live = [(mod, defines, reads)
+                for mod, found in stmts.items() for defines, reads in found
+                if not any(f"{mod}.{d}" in unused for d in defines)]
+        flagged = [
+            f"{mod}.{name}" for mod, names in public.items() for name in names
+            if not any(name in reads and not (other == mod and name in defines)
+                       for other, defines, reads in live)
+        ]
+        if len(flagged) == len(unused):
+            return flagged
+        unused = flagged
+
+
 def test_every_public_name_is_used_by_the_library():
     src = Path(conecert.__file__).resolve().parent
     stmts = {
         p.stem: _statements(ast.parse(p.read_text()))
         for p in src.glob("*.py")
     }
-    unused = []
-    for mod in stmts:
-        module = importlib.import_module(
+    public = {
+        mod: [n for n in importlib.import_module(
             "conecert" if mod == "__init__" else f"conecert.{mod}"
-        )
-        for name in module.__all__:
-            if name.startswith("__"):
-                continue
-            if not any(
-                name in reads and not (other == mod and name in defines)
-                for other, found in stmts.items()
-                for defines, reads in found
-            ):
-                unused.append(f"{mod}.{name}")
+        ).__all__ if not n.startswith("__")]
+        for mod in stmts
+    }
+    unused = _unused_public_names(stmts, public)
     assert not unused, unused
+
+
+def test_public_name_guard_flags_names_only_dead_code_reads():
+    # dead is read nowhere, g only inside dead: both drop out, in two rounds
+    stmts = {"m": _statements(ast.parse(
+        "def live():\n    return 1\n"
+        "def dead():\n    return g()\n"
+        "def g():\n    return 2\n"
+        "VALUE = live()\n"
+    ))}
+    assert _unused_public_names(stmts, {"m": ["live", "dead", "g"]}) == [
+        "m.dead", "m.g"
+    ]
 
 
 def _attribute_loads(tree: ast.Module, classes) -> list[tuple]:
@@ -100,31 +125,63 @@ def _attribute_loads(tree: ast.Module, classes) -> list[tuple]:
     return out
 
 
-def test_every_class_member_is_used_outside_its_own_body():
-    # a method, property or class attribute counts as used where library
-    # code outside its own definition loads its name off an instance or
-    # off its class, or where proofbench/ loads it
-    src = Path(conecert.__file__).resolve().parent
-    trees = [ast.parse(p.read_text()) for p in src.glob("*.py")]
+def _unused_members(trees: list, bench: set) -> list:
+    """The class members of trees that no code outside their own
+    definition loads, in rounds until no more drop out: each round
+    ignores the loads inside members already flagged.  A name in bench
+    counts as used."""
     classes = {node.name: node for tree in trees for node in tree.body
                if isinstance(node, ast.ClassDef)}
     loads = [x for tree in trees for x in _attribute_loads(tree, classes)]
-    bench = {name for p in (ROOT / "proofbench").glob("*.py")
-             for name, _, owner in _attribute_loads(ast.parse(p.read_text()), ())
-             if owner != ""}
-    unused = []
+    members = []
     for cname, cls in classes.items():
         for node in cls.body:
             targets = getattr(node, "targets", [getattr(node, "target", node)])
-            names = [getattr(t, "id", getattr(t, "name", None)) for t in targets]
             own = {id(sub) for sub in ast.walk(node)}
-            unused += [
-                f"{cname}.{name}" for name in names
+            members += [
+                (f"{cname}.{name}", name, cname, own)
+                for name in (getattr(t, "id", getattr(t, "name", None))
+                             for t in targets)
                 if name and not name.startswith("__") and name not in bench
-                and not any(attr == name and i not in own and owner in (None, cname)
-                            for attr, i, owner in loads)
             ]
+    unused: list = []
+    while True:
+        dead = set().union(*(own for qual, _, _, own in members
+                             if qual in unused))
+        flagged = [
+            qual for qual, name, cname, own in members
+            if not any(attr == name and i not in own and i not in dead
+                       and owner in (None, cname) for attr, i, owner in loads)
+        ]
+        if len(flagged) == len(unused):
+            return flagged
+        unused = flagged
+
+
+def test_every_class_member_is_used_outside_its_own_body():
+    # a method, property or class attribute counts as used where library
+    # code outside its own definition and outside unused members loads its
+    # name off an instance or off its class, or where proofbench/ loads it
+    src = Path(conecert.__file__).resolve().parent
+    trees = [ast.parse(p.read_text()) for p in src.glob("*.py")]
+    bench = {name for p in (ROOT / "proofbench").glob("*.py")
+             for name, _, owner in _attribute_loads(ast.parse(p.read_text()), ())
+             if owner != ""}
+    unused = _unused_members(trees, bench)
     assert not unused, unused
+
+
+def test_member_guard_flags_a_member_only_dead_members_read():
+    # dead is loaded nowhere, helper only inside dead: both drop out
+    tree = ast.parse(
+        "class A:\n"
+        "    def live(self):\n        return self.used()\n"
+        "    def used(self):\n        return 1\n"
+        "    def dead(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 2\n"
+        "A().live()\n"
+    )
+    assert _unused_members([tree], set()) == ["A.dead", "A.helper"]
 
 
 def test_every_oracle_is_used_by_a_test():

@@ -10,11 +10,16 @@ Oracle notes:
                image coordinates at the band endpoints.
 
 The one expected failure is deliberate: entry (0,2) of the derivative
-over N cannot meet the printed width because the printed table reports
-the derivative of the linearized chart, whose mixed second-order terms
-cancel in exactly that entry.  The full analysis lives in the project
-decision ledger; the enclosure still intersects the printed entry and
-every claim the proof relies on is unaffected.
+over N cannot meet the printed width, about 3e-9, because the printed
+table reports the derivative of the linearized chart L1 + C q, whose
+second-order terms cancel in that entry.  Over the left endpoint's N
+(x in [0, 1e-7], the y_i within 1e-11), entry (0,2) of
+C^-1 DF(L1 + C q) C encloses to [-8.6e-9, 8.6e-9] in 64 pieces: the
+pieces' own width, with no drift along x.  The proof's chart
+L1 + C psi(q) adds the terms of D(psi)^-1 and D^2(psi) F_hat, which do
+drift along x, and the same 64 pieces give [-2.9e-7, 1.8e-8].  That
+enclosure still intersects the printed entry, and every claim the proof
+relies on is unaffected.
 """
 
 from __future__ import annotations
@@ -318,10 +323,10 @@ class TestDerivativeOverN:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="entry (0,2) of the true nonlinear-chart derivative varies "
-        "~1e-7 over N; the printed 1e-9 band reports the linearized "
-        "chart, whose second-order terms cancel exactly there (see the "
-        "decision ledger)",
+        reason="entry (0,2) of the nonlinear-chart derivative drifts "
+        "~3e-7 over N; the printed ~3e-9 band reports the linearized "
+        "chart, whose second-order terms cancel in that entry (see the "
+        "module docstring)",
     )
     def test_entry_02_width_within_10x_printed(self, dfn64):
         _, dfn = dfn64

@@ -1246,6 +1246,8 @@ def _power_next_per_call(s: tuple, pw: tuple, a: float, k: int) -> tuple:
     th = [math.nextafter(w * x, math.inf) for w, x in zip(ws, sh[k:0:-1])]
     n0, n1 = rtbp._dot(tl, th, pl, ph)
     q0, q1 = rtbp._div_pos(-n1, -n0, sl[0], sh[0])
+    if k == 1:
+        return q0, q1
     return math.nextafter(q0 / k, -math.inf), math.nextafter(q1 / k, math.inf)
 
 

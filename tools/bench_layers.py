@@ -14,11 +14,14 @@ A row holds:
   * flights, per default endpoint: seconds spent in flow.poincare_crossing,
     step attempts (calls of flow._expand_step, the crossing step
     included), attempts whose rough enclosure failed, attempts rejected
-    on the solution Lagrange term, full steps (attempts that expanded all
-    five series), accepted steps with the least, median and largest
+    on the solution Lagrange term, full steps (attempts that expanded
+    every series), accepted steps with the least, median and largest
     accepted step size, the least, median and largest transport order q
     of the full steps (p on trees that expand every series to p), the
-    tube-column coefficients they expanded (q + 1 each), the P_X and
+    tube-column coefficients they expanded (q + 1 each), the calls of
+    the field's expand and expand_variational by the order asked for,
+    the order-1 calls apart as field_reads (F over a box) and df_reads
+    (DF over a tube) from the series of order 2 and up, the P_X and
     crossing-time widths of the certified image, and the sha256 of the
     endpoint's report, json.dumps(to_json(), sort_keys=True);
   * layers, median milliseconds over REPEATS calls at the middle expanded
@@ -52,7 +55,8 @@ A row holds:
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
-    steps, the transport orders and tube-column coefficients as above,
+    steps, the transport orders, tube-column coefficients and expansion
+    counts as above,
     the largest P_X width of a flight and the crossing-time width;
   * with --full, the default proof (prover.check_homoclinic on
     ProofConfig.default()): verdict, wall seconds, both P_X images, the
@@ -182,8 +186,9 @@ class _Counter:
 
     flow._expand_step counts step attempts by outcome and keeps the
     transport order of each full step, the observer of
-    prover.poincare_crossing counts accepted steps and their sizes, and
-    prover.poincare_image keeps every certified crossing.
+    prover.poincare_crossing counts accepted steps and their sizes,
+    prover.poincare_image keeps every certified crossing, and the field's
+    expand and expand_variational count their calls by order.
     """
 
     def __init__(self, flow, prover, tolerance: float):
@@ -197,13 +202,26 @@ class _Counter:
         self.sizes: list = []
         self.images: list = []
         self.orders: list = []
+        self.expand_orders: dict = {}
+        self.variational_orders: dict = {}
 
     def __enter__(self) -> "_Counter":
         flow, prover = self.flow, self.prover
+        field_cls = prover.RtbpTaylorField
         self._saved = (flow._expand_step, prover.poincare_crossing,
-                       prover.poincare_image)
-        expand_step, crossing, image = self._saved
+                       prover.poincare_image, field_cls.expand,
+                       field_cls.expand_variational)
+        expand_step, crossing, image, expand, variational = self._saved
         stats = self.stats
+        ex, var = self.expand_orders, self.variational_orders
+
+        def counted_expand(field, u0, order):
+            ex[order] = ex.get(order, 0) + 1
+            return expand(field, u0, order)
+
+        def counted_variational(field, sol, v0, order, stop=None):
+            var[order] = var.get(order, 0) + 1
+            return variational(field, sol, v0, order, stop)
 
         def counted_step(field, enc, h, order, *args, **kwargs):
             stats["attempts"] += 1
@@ -242,11 +260,28 @@ class _Counter:
         flow._expand_step = counted_step
         prover.poincare_crossing = timed_crossing
         prover.poincare_image = kept_image
+        field_cls.expand = counted_expand
+        field_cls.expand_variational = counted_variational
         return self
 
     def __exit__(self, *exc) -> None:
+        field_cls = self.prover.RtbpTaylorField
         (self.flow._expand_step, self.prover.poincare_crossing,
-         self.prover.poincare_image) = self._saved
+         self.prover.poincare_image, field_cls.expand,
+         field_cls.expand_variational) = self._saved
+
+    def expansion_stats(self) -> dict:
+        """The expand and expand_variational calls by the order asked for,
+        and the order-1 reads of F and DF apart from the longer series."""
+        ex, var = self.expand_orders, self.variational_orders
+        return dict(
+            expand_calls={str(k): ex[k] for k in sorted(ex)},
+            expand_variational_calls={str(k): var[k] for k in sorted(var)},
+            field_reads=ex.get(1, 0),
+            df_reads=var.get(1, 0),
+            series_expansions=sum(ex.values()) - ex.get(1, 0)
+            + sum(var.values()) - var.get(1, 0),
+        )
 
     def order_stats(self) -> dict:
         """The transport orders of the full steps counted, and the
@@ -278,6 +313,7 @@ def _fly_endpoints(flow, prover, cfg):
             h_accepted_median=statistics.median(sizes),
             h_accepted_max=max(sizes),
             **counter.order_stats(),
+            **counter.expansion_stats(),
             px_width=ep.poincare_image[2].width,
             tcross_width=ep.crossing_time.width,
             digest=hashlib.sha256(
@@ -307,6 +343,7 @@ def _one_fragment(flow, prover, cfg) -> dict:
         "attempts": stats["attempts"],
         "accepted": stats["accepted"],
         **counter.order_stats(),
+        **counter.expansion_stats(),
         "flight_s": stats["flight_s"],
         "px_width_max": max(cr.image[2].width for cr in counter.images),
         "tcross_width": out.crossing_time.width,
