@@ -9,7 +9,7 @@ remainders are interval boxes.  The initial set rides the raw product of
 step transport matrices in init_basis (a parallelepiped, so the dominant
 term never pays the wrapping cost of re-boxing), while the per-step
 defects - Lagrange tails, midpoint rounding, transport-product rounding -
-accumulate in the QR-rotated basis * remainder part.  Every operation
+accumulate in the orthonormal basis * remainder part.  Every operation
 keeps the invariant that the exact flow image of the initial set stays
 inside the represented set.  The set's dimension is the field's, and
 nothing here depends on it: a field whose state carries a parameter as a
@@ -62,13 +62,13 @@ already below sol_err, which the step carries anyway.  When q < p,
 var_err <= sol_err, so the error ratio below is sol_err / tol.  The
 products [V] C and [V] B are split into float midpoints plus interval
 defects, which join the tail in the error, and the error basis is
-renewed by QR with sorted columns to control wrapping.  This Lohner
-update runs on float pairs too, each split, sum and product rounded bit
-for bit as the Interval operation it replaces.  A product of an interval
-matrix with a float one ([V] C, [V] B, Q^T Q, Q^-1 times the float part
-of [V] B, and the hull of the set) takes per term the two corners
-picked by the float's sign, with the rounding of idot.
-The float QR factor Q is orthogonal up to rounding, so Q^-1 is enclosed
+renewed by Gram-Schmidt on sorted columns to control wrapping.  This
+Lohner update runs on float pairs too, with no BLAS, each operation
+rounded bit for bit as the Interval operation it replaces.  A product of
+an interval matrix with a float one ([V] C, [V] B, Q^T Q, Q^-1 times the
+float part of [V] B, and the hull of the set) takes per term the two
+corners picked by the float's sign, with the rounding of idot.
+The float basis Q is orthogonal up to rounding, so Q^-1 is enclosed
 as Q^T plus an entrywise ball of radius ||E|| / (1 - ||E||) ||Q^T||, with
 E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
 spectral norm (a Neumann series; EnclosureFailure if ||E|| >= 1/2).
@@ -107,8 +107,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .interval import (
     Box,
@@ -454,7 +452,7 @@ def _orthogonal_inverse(q: list) -> tuple:
     e_norm = _opnorm_upper(e_mags)
     if not e_norm < 0.5:
         raise EnclosureFailure(
-            f"QR factor not orthogonal: ||I - Q^T Q|| <= {e_norm}"
+            f"error basis not orthogonal: ||I - Q^T Q|| <= {e_norm}"
         )
     # the upper ends of the Interval quotient and product
     ratio = _nextafter(e_norm / _add_dn(1.0, -e_norm), _INF)
@@ -474,9 +472,31 @@ def _split(alo: list, ahi: list) -> tuple:
     )
 
 
+def _lohner_basis(a: list, rads: list) -> list:
+    """Q of the Lohner update: the columns of a, sorted by norm times radius,
+    through Gram-Schmidt run twice (Giraud et al., Comput. Math. Appl. 2005)."""
+    def dot(x, y):
+        acc = 0.0
+        for s, t in zip(x, y):
+            acc += s * t
+        return acc
+    cols, q = list(zip(*a)), []
+    keys = [-math.sqrt(dot(c, c)) * max(r, 1e-300) for c, r in zip(cols, rads)]
+    for j in sorted(range(len(cols)), key=keys.__getitem__):
+        v = cols[j]
+        for u in q + q:  # two passes
+            d = dot(u, v)
+            v = [x - d * y for x, y in zip(v, u)]
+        s = math.sqrt(dot(v, v))
+        if not 0.0 < s < _INF:  # a zero, infinite or NaN column
+            raise EnclosureFailure(f"basis column {j} has remaining norm {s}")
+        q.append([x / s for x in v])
+    return list(zip(*q))
+
+
 def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
-    """Lohner doubleton update: new midpoint, transported init part, QR
-    error basis, rigorous remainder."""
+    """Lohner doubleton update: new midpoint, transported init part,
+    Gram-Schmidt error basis (_lohner_basis), rigorous remainder."""
     n = enc.dim
     r0lo = [c.lo for c in enc.init_remainder]
     r0hi = [c.hi for c in enc.init_remainder]
@@ -496,16 +516,7 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
         elo.append(_add_dn(_add_dn(_add_dn(_add_dn(img.lo, -m), c0), d0), t.lo))
         ehi.append(_add_up(_add_up(_add_up(_add_up(img.hi, -m), c1), d1), t.hi))
 
-    # sort columns so the dominant stretched directions lead the QR
-    rads = [0.5 * r.width for r in enc.remainder]
-    weights = []
-    for j in range(n):
-        col = sum(m_mid[i][j] ** 2 for i in range(n)) ** 0.5
-        weights.append(-col * max(rads[j], 1e-300))
-    perm = sorted(range(n), key=lambda j: weights[j])
-    a = np.array([[m_mid[i][perm[j]] for j in range(n)] for i in range(n)])
-    q_np, _ = np.linalg.qr(a)
-    q = [[float(q_np[i][j]) for j in range(n)] for i in range(n)]
+    q = _lohner_basis(m_mid, [0.5 * r.width for r in enc.remainder])
     qlo, qhi = _orthogonal_inverse(q)
 
     # rem = (Q^-1 m_mid) r + Q^-1 err

@@ -269,7 +269,8 @@ def _l1_mass_derivative(x: Interval, mu: Interval) -> Interval:
 
 
 def _l1_equation_float(x: float, mu: float) -> float:
-    return x + (1.0 - mu) / (mu - x) ** 2 - mu / (x - mu + 1.0) ** 2
+    a, b = mu - x, x - mu + 1.0
+    return x + (1.0 - mu) / (a * a) - mu / (b * b)
 
 
 def libration_L1(p: RtbpParams) -> IVector:
@@ -397,8 +398,8 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     h = 1.0 - gamma
     c2 = (mu + (1.0 - mu) * g3 / (sq(h) * h)) / g3
     c2m = c2.mid
-    disc = (2.0 - c2m) ** 2 - 4.0 * (1.0 + c2m - 2.0 * c2m * c2m)
-    root = disc**0.5
+    disc = (2.0 - c2m) * (2.0 - c2m) - 4.0 * (1.0 + c2m - 2.0 * c2m * c2m)
+    root = math.sqrt(disc)
     w_plus = 0.5 * (c2m - 2.0 + root)
     w_minus = 0.5 * (c2m - 2.0 - root)
     wp = _certify_quadratic_root(w_plus, c2)

@@ -25,6 +25,7 @@ from conecert.interval import (
     MatrixSeries,
     decimal_to_interval,
     exp,
+    eye,
     idot,
     mat_opnorm_upper,
 )
@@ -866,7 +867,7 @@ def _interval_orthogonal_inverse(q: list) -> IMatrix:
     qt = IMatrix.from_floats([[q[j][i] for j in range(n)] for i in range(n)])
     e_norm = mat_opnorm_upper(IMatrix.identity(n) - refarith.mul_floats(qt, q))
     if not e_norm < 0.5:
-        raise EnclosureFailure("QR factor not orthogonal")
+        raise EnclosureFailure("error basis not orthogonal")
     en = Interval(e_norm)
     r = (en / (1.0 - en) * mat_opnorm_upper(qt)).hi
     return IMatrix([[x + Interval(-r, r) for x in row] for row in qt.rows])
@@ -887,16 +888,7 @@ def _interval_assemble(enc, data, h):
     m_delta = tb_full - IMatrix.from_floats(m_mid)
     err = (defect + refarith.matvec(c_delta, enc.init_remainder)
            + refarith.matvec(m_delta, enc.remainder) + data.tail)
-    rads = [0.5 * r.width for r in enc.remainder]
-    weights = [
-        -sum(m_mid[i][j] ** 2 for i in range(n)) ** 0.5 * max(rads[j], 1e-300)
-        for j in range(n)
-    ]
-    perm = sorted(range(n), key=lambda j: weights[j])
-    q_np, _ = np.linalg.qr(
-        np.array([[m_mid[i][perm[j]] for j in range(n)] for i in range(n)])
-    )
-    q = [[float(q_np[i][j]) for j in range(n)] for i in range(n)]
+    q = flow._lohner_basis(m_mid, [0.5 * r.width for r in enc.remainder])
     q_inv = _interval_orthogonal_inverse(q)
     rem = (refarith.matvec(refarith.mul_floats(q_inv, m_mid), enc.remainder)
            + refarith.matvec(q_inv, err))
@@ -974,6 +966,24 @@ def test_orthogonal_inverse_rejects_non_orthogonal():
     for q in ([[1.0, 0.6], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]):
         with pytest.raises(EnclosureFailure):
             flow._orthogonal_inverse(q)
+
+
+@pytest.mark.parametrize("entry", [(0.0, 0.0), (1.0, math.inf)])
+def test_assemble_rejects_a_degenerate_transport(entry):
+    # a transport whose column 2 is zero, or whose entry (0, 2) is
+    # infinite, leaves the Lohner basis a column of remaining norm 0 or
+    # inf: EnclosureFailure with that reason, never a bare
+    # ZeroDivisionError or a ValueError
+    lo, hi = eye(4), eye(4)
+    for i in range(4):
+        lo[i][2] = hi[i][2] = 0.0
+    lo[0][2], hi[0][2] = entry
+    small = IVector([Interval(-1e-12, 1e-12)] * 4)
+    enc = FlowEnclosure([0.1] * 4, eye(4), small, Interval(0.0), eye(4), small)
+    data = flow._StepData(IVector([Interval(0.5)] * 4), (lo, hi), small,
+                          None, 0.0, 0.0, 0)
+    with pytest.raises(EnclosureFailure, match="remaining norm"):
+        flow._assemble(enc, data, 0.01)
 
 
 # -- representation -------------------------------------------------------

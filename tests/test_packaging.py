@@ -3,7 +3,9 @@ console scripts of pyproject.toml.  Every public name is also used by the
 library itself, with no exemption: the oracles the tests check the proof
 against live in tests/oracles.py, and each of them is used by a test.
 The same holds one level down, for the methods, properties and class
-attributes of the library's classes."""
+attributes of the library's classes.  And every certified number is a
+function of IEEE-754 basic operations and sqrt alone: no BLAS, and no **
+or libm call outside the step-size choices and two padded conversions."""
 
 from __future__ import annotations
 
@@ -230,6 +232,91 @@ def test_linalg_is_a_leaf_that_only_cones_imports():
     assert not [
         m for m in _imports(src / "linalg.py") if m.split(".")[0] == "numpy"
     ]
+
+
+# the functions whose ** or libm call certifies nothing bit for bit:
+# step-size choices, exp padded 2 ulp for libm, and exact Fraction powers
+_LIBM_ALLOWED = {"flow._step_factor", "flow._expand_step", "interval.exp",
+                 "interval.decimal_to_interval"}
+_LIBM = {"exp", "exp2", "expm1", "log", "log1p", "log2", "log10", "pow",
+         "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh",
+         "tanh", "asinh", "acosh", "atanh", "erf", "erfc", "gamma", "lgamma",
+         "cbrt", "hypot", "dist"}
+_BLAS = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def _literal(node) -> bool:
+    """A numeric literal, signed or not."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _kind(node, numpy: set) -> str | None:
+    """"BLAS" for a BLAS routine off numpy, an import of one, or the @
+    operator; "**" unless between two numeric literals (exact); "libm"
+    for a transcendental math function or pow; "sum" for builtin sum."""
+    op, func = getattr(node, "op", None), getattr(node, "func", None)
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return "BLAS" if any(a.name.split(".")[-1] in _BLAS
+                             for a in node.names) else None
+    if isinstance(op, ast.MatMult) or isinstance(node, ast.Attribute) and (
+        node.attr in _BLAS and getattr(node.value, "id", None) in numpy
+    ):
+        return "BLAS"
+    if isinstance(op, ast.Pow):
+        return None if isinstance(node, ast.BinOp) and _literal(
+            node.left) and _literal(node.right) else "**"
+    if isinstance(func, ast.Attribute):
+        math_call = getattr(func.value, "id", None) == "math"
+        return "libm" if math_call and func.attr in _LIBM else None
+    name = getattr(func, "id", None)
+    return {"pow": "libm", "sum": "sum"}.get(name)
+
+
+def _non_ieee_calls(mod: str, tree: ast.Module) -> list:
+    """What in a library module makes a certified number depend on more
+    than IEEE-754 basic operations and sqrt: BLAS anywhere, ** and libm
+    outside _LIBM_ALLOWED, and builtin sum, whose float result changed in
+    CPython 3.12, in flow, rtbp and interval."""
+    numpy = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for a in node.names
+             if a.name.split(".")[0] == "numpy"}
+    out = []
+    for top in tree.body:
+        owner = f"{mod}.{getattr(top, 'name', '')}"
+        for node in ast.walk(top):
+            kind = _kind(node, numpy)
+            if kind == "BLAS" or kind in ("**", "libm") and (
+                owner not in _LIBM_ALLOWED
+            ) or kind == "sum" and mod in ("flow", "rtbp", "interval"):
+                out.append(f"{owner}: {kind}, line {node.lineno}")
+    return out
+
+
+def test_certified_numbers_use_ieee_basic_operations_only():
+    src = Path(conecert.__file__).resolve().parent
+    assert not [m for m in _imports(src / "flow.py")
+                if m.split(".")[0] == "numpy"]
+    found = [v for p in sorted(src.glob("*.py"))
+             for v in _non_ieee_calls(p.stem, ast.parse(p.read_text()))]
+    assert not found, found
+
+
+def test_ieee_guard_flags_blas_pow_libm_and_sum():
+    tree = ast.parse(
+        "import numpy as np\nimport math\n"
+        "def basis(a):\n    return np.linalg.qr(a)[0]\n"
+        "def gram(a, b):\n    return a @ b\n"
+        "def norm(v):\n    return sum(x * x for x in v) ** 0.5\n"
+        "def ball(x):\n    return math.exp(x) - 1.0\n"
+        "U = 2.0**-53\n"
+    )
+    assert [v.split(",")[0] for v in _non_ieee_calls("flow", tree)] == [
+        "flow.basis: BLAS", "flow.gram: BLAS", "flow.norm: **",
+        "flow.norm: sum", "flow.ball: libm",
+    ]
+    assert _non_ieee_calls("prover", ast.parse("N = sum([1, 2])\n")) == []
 
 
 def test_every_config_field_is_read_by_the_library():

@@ -27,6 +27,7 @@ from conecert.interval import (
     IMatrix,
     Interval,
     IVector,
+    _mk,
     decimal_to_interval,
     sq,
 )
@@ -1235,6 +1236,40 @@ def test_fused_dot_unbounded_terms():
             ), (a, b, r)
     zero = _fused_dot([Interval(0.0)], [Interval(1.0, inf)])
     assert 0.0 in zero and zero.mag < 1e-300
+
+
+def test_div_pos_encloses_exact_quotient():
+    """The kernel quotient [a0, a1] / [d0, d1], 0 < d0 <= d1, holds the
+    exact (Fraction) range on mixed signs, zero numerators, subnormal and
+    huge operands, whose quotients overflow and underflow.  inf / inf,
+    which only a divisor [inf, inf] gives, takes the Interval quotient,
+    with no NaN end."""
+    rng = random.Random(2006)
+    numerators = [0.0, -0.0, 5e-324, 3e-320, 2.5e-308, 1.0, 3.0, 0.1,
+                  1e-300, 1e300, 1.7976931348623157e308]
+    divisors = [5e-324, 7e-322, 2.5e-308, 1.0, 3.0, 10.0, 1e-300, 1e300,
+                1.7976931348623157e308]
+    cases = [(-3.0, 0.0, 7.0, 7.0), (-0.0, 1.0, 3.0, 3.0), (1.0, 1.0, 3.0, 3.0)]
+    for _ in range(3000):
+        a = sorted(rng.choice([-1.0, 1.0]) * rng.choice(
+            numerators + [rng.uniform(0.0, 2.0) * 10.0 ** rng.randint(-320, 307)]
+        ) for _ in range(2))
+        d = sorted(rng.choice(
+            divisors + [rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-300, 300)]
+        ) for _ in range(2))
+        cases.append((*a, *d))
+    for a0, a1, d0, d1 in cases:
+        q0, q1 = rtbp._div_pos(a0, a1, d0, d1)
+        corners = [Fraction(a) / Fraction(d) for a in (a0, a1) for d in (d0, d1)]
+        assert q0 <= q1, (a0, a1, d0, d1)
+        assert q0 == -math.inf or Fraction(q0) <= min(corners), (a0, a1, d0, d1)
+        assert q1 == math.inf or max(corners) <= Fraction(q1), (a0, a1, d0, d1)
+    inf = math.inf
+    for a0, a1, d0, d1 in [(1.0, inf, inf, inf), (-inf, -1.0, inf, inf),
+                           (-inf, inf, inf, inf), (0.0, inf, inf, inf)]:
+        r = _mk(a0, a1) / _mk(d0, d1)
+        assert rtbp._div_pos(a0, a1, d0, d1) == (r.lo, r.hi)
+        assert r.lo == r.lo and r.hi == r.hi and r.lo <= r.hi
 
 
 def _power_next_per_call(s: tuple, pw: tuple, a: float, k: int) -> tuple:

@@ -17,13 +17,13 @@ A row holds:
     on the solution Lagrange term, full steps (attempts that expanded
     every series), accepted steps with the least, median and largest
     accepted step size, the least, median and largest transport order q
-    of the full steps (p on trees that expand every series to p), the
-    tube-column coefficients they expanded (q + 1 each), the calls of
-    the field's expand and expand_variational by the order asked for,
-    the order-1 calls apart as field_reads (F over a box) and df_reads
-    (DF over a tube) from the series of order 2 and up, the P_X and
-    crossing-time widths of the certified image, and the sha256 of the
-    endpoint's report, json.dumps(to_json(), sort_keys=True);
+    of the full steps, the tube-column coefficients they expanded
+    (q + 1 each), the calls of the field's expand and expand_variational
+    by the order asked for, the order-1 calls apart as field_reads (F
+    over a box) and df_reads (DF over a tube) from the series of order 2
+    and up, the P_X and crossing-time widths of the certified image, and
+    the sha256 of the endpoint's report, json.dumps(to_json(),
+    sort_keys=True);
   * layers, median milliseconds over REPEATS calls at the middle expanded
     step of the left flight: expand of the thin midpoint (order p = 20)
     and of the rough tube (box, order p + 1), expand_variational of the
@@ -50,8 +50,7 @@ A row holds:
     enclose_DF_over_N rows makes, cold and warm: every "call" event of
     sys.setprofile ("calls"), the call itself included, and those of
     them whose frame runs code of the measured conecert tree
-    ("conecert_calls").  On trees without that cache every call is
-    cold, so a cold row and its _warm row measure the same call;
+    ("conecert_calls");
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
@@ -174,13 +173,6 @@ def _call_counts(calls: dict, package: str, before=None) -> dict:
     return out
 
 
-def _flight_tolerance(flow, cfg) -> float:
-    """The step tolerance of the proof's flights: flow's default, or the
-    ProofConfig field on trees that still kept it there."""
-    tol = getattr(flow, "TOL", None)
-    return cfg.tolerance if tol is None else tol
-
-
 class _Counter:
     """Counting wrappers around one tree's flights while entered.
 
@@ -230,12 +222,12 @@ class _Counter:
             except flow.EnclosureFailure:
                 stats["rough_failures"] += 1
                 raise
-            if data is None or data.sol_err > self.tolerance:
+            if data.sol_err > self.tolerance:
                 stats["sol_err_rejections"] += 1
             else:
                 stats["full_steps"] += 1
                 self.steps.append((field, enc, h, order))
-                self.orders.append(getattr(data, "order", order))
+                self.orders.append(data.order)
             return data
 
         def timed_crossing(*args, observer=None, **kwargs):
@@ -297,7 +289,7 @@ class _Counter:
 def _fly_endpoints(flow, prover, cfg):
     """Both endpoint flights with counting wrappers; returns the flight
     rows and the expanded steps of the left flight."""
-    counter = _Counter(flow, prover, _flight_tolerance(flow, cfg))
+    counter = _Counter(flow, prover, flow.TOL)
     rows = {}
     left_steps: list = []
     for side, mu in (("left", cfg.mu_left), ("right", cfg.mu_right)):
@@ -327,7 +319,7 @@ def _fly_endpoints(flow, prover, cfg):
 
 def _one_fragment(flow, prover, cfg) -> dict:
     """The first fragment of the default proof, with its flights."""
-    counter = _Counter(flow, prover, _flight_tolerance(flow, cfg))
+    counter = _Counter(flow, prover, flow.TOL)
     lo, hi = cfg.fragment_intervals()[0]
     t0 = time.perf_counter()
     with counter:
@@ -376,8 +368,7 @@ def _derivative_layers(cfg) -> tuple[dict, dict, dict]:
         "enclose_DF_over_N_32_slice":
             (prover.enclose_DF_over_N, (s_chart, s_params, s_n_box, 32)),
     }
-    cache = getattr(prover, "_n_pieces", None)
-    clear = cache.cache_clear if cache is not None else None
+    clear = prover._n_pieces.cache_clear
     fns = {name: partial(fn, *args) for name, (fn, args) in dfn.items()}
     ms, nominal = _timed_rows(fns, before=clear)
     warm_ms, warm_nominal = _timed_rows(
@@ -458,7 +449,7 @@ def _tail_stop(flow, v, q: int, h: float, order: int, sol_err: float):
 def measure(src: Path, full: bool = False) -> dict:
     sys.path.insert(0, str(src))
     from conecert import flow, prover, rtbp
-    from conecert.interval import IMatrix, Interval, IVector
+    from conecert.interval import IMatrix, IVector
 
     cfg = prover.ProofConfig.default()
     flights, steps = _fly_endpoints(flow, prover, cfg)
@@ -469,16 +460,13 @@ def measure(src: Path, full: bool = False) -> dict:
     ser_z = field.expand(tube, order + 1)
     mid = IVector.from_floats(enc.midpoint)
     column = IMatrix([[box[i] - m] for i, m in enumerate(enc.midpoint)])
-    q = getattr(data, "order", order)
+    q = data.order
     ser_x = field.expand(box, q)
     ident = IMatrix.identity(len(box))
     ser_m = field.expand(mid, order)
-    # the Lagrange coefficient as (lo, hi) pairs, or as an IVector for
-    # trees whose _horner_vec reads one (those with flow._ends)
+    # the Lagrange coefficient, one (lo, hi) pair per component
     sol_tail = [(lo[order + 1], hi[order + 1])
                 for lo, hi in ser_z.float_series()]
-    if hasattr(flow, "_ends"):
-        sol_tail = IVector([Interval(*t) for t in sol_tail])
     v_col = field.expand_variational(ser_z, column, order + 1)
     (d1l, d1h), (w1l, w1h) = ser_z.d1, ser_z.w1
     dot_args = (d1l[:12], d1h[:12], w1l[11::-1], w1h[11::-1])
