@@ -473,9 +473,9 @@ def _split(alo: list, ahi: list) -> tuple:
 
 
 def _lohner_basis(a: list, rads: list) -> list:
-    """Q of the Lohner update: the columns of a, sorted by norm times radius,
-    through Gram-Schmidt run twice (Giraud et al., Comput. Math. Appl. 2005)."""
-    def dot(x, y):
+    """Q of the Lohner update: Gram-Schmidt, run twice, on the columns of a
+    sorted by norm times radius (Giraud et al., Comput. Math. Appl. 2005)."""
+    def dot(x, y):  # left to right; builtin sum's changed in CPython 3.12
         acc = 0.0
         for s, t in zip(x, y):
             acc += s * t

@@ -3,9 +3,8 @@ console scripts of pyproject.toml.  Every public name is also used by the
 library itself, with no exemption: the oracles the tests check the proof
 against live in tests/oracles.py, and each of them is used by a test.
 The same holds one level down, for the methods, properties and class
-attributes of the library's classes.  And every certified number is a
-function of IEEE-754 basic operations and sqrt alone: no BLAS, and no **
-or libm call outside the step-size choices and two padded conversions."""
+attributes of the library's classes.  No certified number goes through
+BLAS, and ** and libm calls stay in the few functions listed below."""
 
 from __future__ import annotations
 
@@ -234,8 +233,9 @@ def test_linalg_is_a_leaf_that_only_cones_imports():
     ]
 
 
-# the functions whose ** or libm call certifies nothing bit for bit:
-# step-size choices, exp padded 2 ulp for libm, and exact Fraction powers
+# the functions allowed a ** or libm call: the step-size choices (with
+# sol_err's h^(p+1), which also picks the tube column's order), exp
+# padded 2 ulp for libm's error, and exact Fraction powers
 _LIBM_ALLOWED = {"flow._step_factor", "flow._expand_step", "interval.exp",
                  "interval.decimal_to_interval"}
 _LIBM = {"exp", "exp2", "expm1", "log", "log1p", "log2", "log10", "pow",
@@ -275,8 +275,8 @@ def _kind(node, numpy: set) -> str | None:
 
 
 def _non_ieee_calls(mod: str, tree: ast.Module) -> list:
-    """What in a library module makes a certified number depend on more
-    than IEEE-754 basic operations and sqrt: BLAS anywhere, ** and libm
+    """What in a library module ties a certified number to more than
+    IEEE-754 basic operations and sqrt: BLAS anywhere, ** and libm
     outside _LIBM_ALLOWED, and builtin sum, whose float result changed in
     CPython 3.12, in flow, rtbp and interval."""
     numpy = {a.asname or a.name for node in ast.walk(tree)
@@ -294,7 +294,7 @@ def _non_ieee_calls(mod: str, tree: ast.Module) -> list:
     return out
 
 
-def test_certified_numbers_use_ieee_basic_operations_only():
+def test_certified_path_has_no_blas_and_only_listed_libm():
     src = Path(conecert.__file__).resolve().parent
     assert not [m for m in _imports(src / "flow.py")
                 if m.split(".")[0] == "numpy"]
