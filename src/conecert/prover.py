@@ -1,14 +1,15 @@
 """End-to-end certified proof of a homoclinic orbit to L1.
 
-The pipeline certifies, for each mass parameter mu in a closed interval:
-the derivative of the local field over the manifold enclosure N around
-the fixed point at the chart origin (subdivided hull), the flow cone
-conditions, and the launch window U they guarantee.  The two interval
-endpoints then get certified Poincare images on {Y = 0} with opposite
-P_X signs, each from one flight of the single launch window its cone
-conditions certify, while mu subinterval fragments certify that the
-Poincare map stays well defined across the whole parameter band; the
-intermediate value theorem closes the argument.
+One launch chain (launch_chain) runs for every mass enclosure, endpoint
+or fragment: the chart, the derivative of the local field over the
+manifold enclosure N around the fixed point at the chart origin
+(subdivided hull), the flow cone conditions with the launch window U
+they guarantee, and one certified flight of U to its first crossing of
+{Y = 0}.  The two band endpoints need P_X images of opposite signs,
+which run_endpoint checks on the chain's crossing, while mu subinterval
+fragments certify that the Poincare map stays well defined across the
+whole parameter band; the intermediate value theorem closes the
+argument.
 
 Fragments.  The launch chain over a fragment's interval mass encloses a
 chart Phi_mu = L1(mu) + C(mu) psi for every mass mu in it: the chart's
@@ -664,7 +665,9 @@ def _timed(stages: list, name: str, fn):
 
 @dataclass
 class Launch:
-    """What the launch chain certified for one mass enclosure.
+    """What the launch chain certified for one mass enclosure: the
+    chart, [DF(N)], the cone certificate with its launch window, and the
+    window's crossing of {Y = 0}.
 
     Fields past the first failed stage stay None; failure then says why.
     """
@@ -672,19 +675,25 @@ class Launch:
     chart: LocalChart | None = None
     dfn: IMatrix | None = None
     unstable: CertifiedUnstable | None = None
+    crossing: CrossingResult | None = None
     failure: str | None = None
 
 
 def launch_chain(
-    params: RtbpParams, cfg: ProofConfig, subdivision: int, stages: list
+    params: RtbpParams,
+    cfg: ProofConfig,
+    subdivision: int,
+    stages: list,
+    band: bool = False,
 ) -> Launch:
-    """Chart, N around the fixed point at the chart origin, [DF(N)] split
-    into `subdivision` pieces, and the cone certificate with its launch
-    window, for one mass enclosure.
+    """The one chain from a mass enclosure to its certified crossing:
+    chart, N around the fixed point at the chart origin, [DF(N)] split
+    into `subdivision` pieces, the cone certificate with its launch
+    window, and the flight of that window to {Y = 0} (poincare_image,
+    a band flight when band is True).
 
     Every stage appends its StageResult to `stages`.  A recoverable
-    failure ends the chain and is reported in Launch.failure; the flight
-    from the window is left to the caller.
+    failure ends the chain and is reported in Launch.failure.
     """
     out = Launch()
     try:
@@ -710,6 +719,12 @@ def launch_chain(
             return cu, {}
 
         out.unstable = _timed(stages, "cones", mk_cones)
+
+        def mk_flight():
+            cr = poincare_image(out.chart, params, out.unstable.U_local, band)
+            return cr, {"direction": cr.direction}
+
+        out.crossing = _timed(stages, "poincare", mk_flight)
     except _RECOVERABLE as exc:
         out.failure = str(exc)
     return out
@@ -721,12 +736,15 @@ def launch_chain(
 def run_endpoint(
     side: str, mu_decimal: str, cfg: ProofConfig
 ) -> EndpointResult:
-    """Full certified chain for one mass endpoint, with the strict P_X
-    sign check (negative on the left endpoint, positive on the right).
+    """The launch chain for one mass endpoint, then the strict P_X sign
+    check on its crossing (negative on the left endpoint, positive on
+    the right).
 
-    The certified launch window flies once.  A flight that fails, or
-    whose P_X image has the wrong or an indefinite sign, leaves the
-    endpoint unverified with the reason in failure.
+    The certified launch window flies once.  A chain that fails leaves
+    the endpoint unverified with the reason in failure, keeping what the
+    stages before the failure certified.  A P_X image with the wrong or
+    an indefinite sign does the same after four verified stages, since
+    the flight itself certified.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -737,33 +755,26 @@ def run_endpoint(
     params = RtbpParams(decimal_to_interval(mu_decimal))
     launch = launch_chain(params, cfg, cfg.endpoint_subdivision, stages)
     result.dfn = launch.dfn
+    cu = launch.unstable
+    if cu is not None:
+        result.cones = cu.cones
+        result.U_local = cu.U_local
+        result.U_original = cu.U_original
     if launch.failure is not None:
         result.failure = launch.failure
         return result
-    cu = launch.unstable
-    result.cones = cu.cones
-    result.U_local = cu.U_local
-    result.U_original = cu.U_original
-
-    def mk_flight():
-        cr = poincare_image(launch.chart, params, cu.U_local)
-        px = cr.image[2]
-        if not (px.hi < 0.0 if want_negative else px.lo > 0.0):
-            what = (
-                "sign indefinite" if px.contains_zero()
-                else "certified with the wrong sign"
-            )
-            raise StageFailure(f"P_X {what}: [{px.lo:.3e}, {px.hi:.3e}]")
-        return cr, {"direction": cr.direction}
-
-    try:
-        cr = _timed(stages, "poincare", mk_flight)
-    except _RECOVERABLE as exc:
-        result.failure = str(exc)
+    cr = launch.crossing
+    px = cr.image[2]
+    if not (px.hi < 0.0 if want_negative else px.lo > 0.0):
+        what = (
+            "sign indefinite" if px.contains_zero()
+            else "certified with the wrong sign"
+        )
+        result.failure = f"P_X {what}: [{px.lo:.3e}, {px.hi:.3e}]"
         return result
     result.poincare_image = cr.image
     result.crossing_time = cr.time
-    result.px_sign = -1 if cr.image[2].hi < 0.0 else 1
+    result.px_sign = -1 if px.hi < 0.0 else 1
     result.verified = True
     return result
 
@@ -773,12 +784,13 @@ def run_fragment(
 ) -> FragmentResult:
     """Well-definedness of the Poincare map on one mu subinterval.
 
-    The launch chain runs once over the whole subinterval and one band
-    flight, with the mass as a fifth coordinate, must certify a single
-    transversal first crossing for every mass in it (no sign claim).  On
-    a recoverable failure it is retried once as fragment_mu_slices band
-    flights over equal cuts, each with its own launch chain at doubled
-    derivative subdivision.
+    The launch chain runs once over the whole subinterval and ends in
+    one band flight, with the mass as a fifth coordinate, which must
+    certify a single transversal first crossing for every mass in it (no
+    sign claim).  When the chain fails it is retried once as
+    fragment_mu_slices chains over equal cuts, each at doubled
+    derivative subdivision; the crossing time is the hull of their
+    crossing times.
     """
     t0 = time.perf_counter()
     out = FragmentResult(index, mu_lo, mu_hi, False, 0.0)
@@ -790,23 +802,20 @@ def run_fragment(
     for attempt, (pieces, subdivision) in enumerate(attempts):
         out.retried = attempt > 0
         out.slices = pieces
-        try:
-            hull = None
-            for lo, hi in _slice_cuts(mu_lo, mu_hi, pieces):
-                params = RtbpParams(Interval(lo, hi))
-                launch = launch_chain(params, eff, subdivision, [])
-                if launch.failure is not None:
-                    raise StageFailure(launch.failure)
-                cr = poincare_image(
-                    launch.chart, params, launch.unstable.U_local, band=True
-                )
-                hull = cr.time if hull is None else hull.hull(cr.time)
+        hull = None
+        for lo, hi in _slice_cuts(mu_lo, mu_hi, pieces):
+            launch = launch_chain(
+                RtbpParams(Interval(lo, hi)), eff, subdivision, [], band=True
+            )
+            out.failure = launch.failure
+            if launch.failure is not None:
+                break
+            t = launch.crossing.time
+            hull = t if hull is None else hull.hull(t)
+        else:
             out.verified = True
             out.crossing_time = hull
-            out.failure = None
             break
-        except _RECOVERABLE as exc:
-            out.failure = str(exc)
     out.seconds = time.perf_counter() - t0
     return out
 

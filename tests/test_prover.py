@@ -54,7 +54,6 @@ from conecert.prover import (
     enclose_DF_over_N,
     enclose_fixed_point,
     launch_chain,
-    poincare_image,
     run_endpoint,
     run_fragment,
 )
@@ -670,11 +669,13 @@ def band_flight(cfg):
     # one band flight over the first default fragment
     frag = replace(cfg, alpha_h=cfg.fragment_alpha_h)
     params = RtbpParams(Interval(*cfg.fragment_intervals()[0]))
-    launch = launch_chain(params, frag, cfg.fragment_subdivision, [])
+    launch = launch_chain(
+        params, frag, cfg.fragment_subdivision, [], band=True
+    )
     assert launch.failure is None
     u = launch.unstable.U_local
     enc = chart_seeded_enclosure(launch.chart, u, params.mu)
-    return params, enc, poincare_image(launch.chart, params, u, band=True)
+    return params, enc, launch.crossing
 
 
 class TestFragment:
@@ -729,9 +730,9 @@ class TestFragment:
         subdivisions = []
         chain = prover.launch_chain
 
-        def counted_chain(params, c, subdivision, stages):
+        def counted_chain(params, c, subdivision, stages, band=False):
             subdivisions.append(subdivision)
-            return chain(params, c, subdivision, stages)
+            return chain(params, c, subdivision, stages, band)
 
         def flight(chart, params, u_local, band=False):
             calls.append((params.mu, chart.mu, band))
@@ -863,7 +864,8 @@ class TestConfig:
 
 def test_failed_endpoint_flight_flies_once(cfg, monkeypatch):
     # an indefinite P_X sign fails the endpoint after its one flight:
-    # the launch window is not split and flown again
+    # the launch window is not split and flown again.  The chain's four
+    # stages all certified, the flight included; only the sign check fails
     from conecert import prover
 
     calls = []
@@ -878,8 +880,14 @@ def test_failed_endpoint_flight_flies_once(cfg, monkeypatch):
     ep = run_endpoint("left", cfg.mu_left, cfg)
     assert len(calls) == 1
     assert not ep.verified
-    assert "sign indefinite" in ep.failure
+    assert ep.failure.startswith("P_X sign indefinite: [")
     assert ep.subboxes == 1
+    assert [(s.name, s.verified) for s in ep.stages] == [
+        ("chart", True), ("derivative", True), ("cones", True),
+        ("poincare", True),
+    ]
+    assert ep.poincare_image is None and ep.crossing_time is None
+    assert ep.U_local is calls[0] and ep.cones is not None
 
 
 @pytest.fixture(scope="module")
