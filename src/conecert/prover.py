@@ -680,10 +680,7 @@ class Launch:
 
 
 def launch_chain(
-    params: RtbpParams,
-    cfg: ProofConfig,
-    subdivision: int,
-    stages: list,
+    params: RtbpParams, cfg: ProofConfig, subdivision: int, stages: list,
     band: bool = False,
 ) -> Launch:
     """The one chain from a mass enclosure to its certified crossing:
@@ -757,9 +754,9 @@ def run_endpoint(
     result.dfn = launch.dfn
     cu = launch.unstable
     if cu is not None:
-        result.cones = cu.cones
-        result.U_local = cu.U_local
-        result.U_original = cu.U_original
+        result.cones, result.U_local, result.U_original = (
+            cu.cones, cu.U_local, cu.U_original
+        )
     if launch.failure is not None:
         result.failure = launch.failure
         return result
