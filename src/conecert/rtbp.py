@@ -15,7 +15,8 @@ or a sequence (X, Y, P_X, P_Y) of Intervals or floats.
 
 The module also builds the local chart at the interior collinear
 libration point: a verified linear change C putting the linearization
-into the Jordan form diag(lambda, -lambda, rot(v)), composed with a cubic
+into the Jordan form diag(lambda, -lambda, rot(v)), lambda^2 and -v^2
+from the quadratic formula in interval arithmetic, composed with a cubic
 polynomial change psi that straightens the unstable direction.  C carries
 the symplectic normalization of Jorba and Masdemont (Physica D 132, 1999),
 C^T J C = J' with J = [[0, I], [-I, 0]] in (X, Y, P_X, P_Y) and
@@ -348,25 +349,6 @@ class LocalChart:
     v: Interval
 
 
-def _quadratic_factor(w: Interval, c2: Interval) -> Interval:
-    # lambda^2 and -v^2 solve w^2 + (2 - c2) w + (1 + c2 - 2 c2^2) = 0
-    return sq(w) + (2.0 - c2) * w + (1.0 + c2 - (sq(c2) * 2.0))
-
-
-def _quadratic_factor_d(w: Interval, c2: Interval) -> Interval:
-    return w * 2.0 + (2.0 - c2)
-
-
-def _certify_quadratic_root(guess: float, c2: Interval) -> Interval:
-    return _newton_root(
-        partial(_quadratic_factor, c2=c2),
-        partial(_quadratic_factor_d, c2=c2),
-        Interval(guess - 1e-5, guess + 1e-5),
-        guess,
-        "eigenvalue factor root",
-    )
-
-
 def jordan_residual(chart: LocalChart, p: RtbpParams) -> IMatrix:
     """C^-1 DF(L1) C minus diag(lambda, -lambda, rot(v)); all entries
     contain 0 for a valid chart."""
@@ -382,10 +364,11 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     """Build the verified linear chart at L1.
 
     gamma is the distance from L1 to the smaller primary, c2 the standard
-    collinear-point coefficient; lambda and v come from the quadratic
-    factor of the characteristic polynomial, whose roots lambda^2 and
-    -v^2 are certified by the one-dimensional interval Newton operator
-    (_newton_root).  s1 and s2 scale the columns so that C^T J C = J'
+    collinear-point coefficient; lambda^2 and -v^2 are the roots of the
+    characteristic polynomial's quadratic factor w^2 + (2 - c2) w +
+    (1 + c2 - 2 c2^2): lambda^2, v^2 = (+-(c2 - 2) + sqrt(D)) / 2 with
+    D = c2 (9 c2 - 8), which interval arithmetic encloses for every mass
+    of p.mu with no iteration.  s1 and s2 scale the columns so that C^T J C = J'
     exactly for each mass, so C_inv = -J' C^T J, each entry +- an entry of
     C, encloses each C(mu)^-1 (LocalChart).  The chart is rejected unless
     the Jordan residual, which a wrong normalization breaks, encloses zero.
@@ -397,21 +380,15 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
     g3 = sq(gamma) * gamma
     h = 1.0 - gamma
     c2 = (mu + (1.0 - mu) * g3 / (sq(h) * h)) / g3
-    c2m = c2.mid
-    disc = (2.0 - c2m) * (2.0 - c2m) - 4.0 * (1.0 + c2m - 2.0 * c2m * c2m)
-    root = math.sqrt(disc)
-    w_plus = 0.5 * (c2m - 2.0 + root)
-    w_minus = 0.5 * (c2m - 2.0 - root)
-    wp = _certify_quadratic_root(w_plus, c2)
-    wm = _certify_quadratic_root(w_minus, c2)
-    if wp.lo <= 0.0 or wm.hi >= 0.0:
+    # c2 > 1 for every mass in (0, 1), so D = c2 (9 c2 - 8) > 1
+    root = sqrt(c2 * (c2 * 9.0 - 8.0))
+    lam2 = (c2 - 2.0 + root) * 0.5
+    v2 = (2.0 - c2 + root) * 0.5
+    if lam2.lo <= 0.0 or v2.lo <= 0.0:
         raise ChartError("eigenvalue factor roots have unexpected signs")
-    lam = sqrt(wp)
-    v = sqrt(-wm)
-
-    lam2 = sq(lam)
+    lam = sqrt(lam2)
+    v = sqrt(v2)
     lam3 = lam2 * lam
-    v2 = sq(v)
     v3 = v2 * v
     four3c2 = 4.0 + c2 * 3.0
     s1_arg = (lam * 2.0) * (four3c2 * lam2 + 4.0 + c2 * 5.0 - sq(c2) * 6.0)

@@ -318,12 +318,18 @@ _J = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 _J_CHART = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
 
 
+def _mp_eigen(c2):
+    """lambda(c2) and v(c2) at the working precision, from the roots
+    lambda^2 and -v^2 of the characteristic polynomial's quadratic factor
+    w^2 + (2 - c2) w + (1 + c2 - 2 c2^2)."""
+    root = mpmath.sqrt((2 - c2) ** 2 - 4 * (1 + c2 - 2 * c2**2))
+    return mpmath.sqrt((c2 - 2 + root) / 2), mpmath.sqrt(-(c2 - 2 - root) / 2)
+
+
 def _mp_chart(c2):
     """C(c2) of Jorba and Masdemont (Physica D 132, 1999) at the working
     precision, written out from the characteristic polynomial."""
-    root = mpmath.sqrt((2 - c2) ** 2 - 4 * (1 + c2 - 2 * c2**2))
-    lam = mpmath.sqrt((c2 - 2 + root) / 2)
-    v = mpmath.sqrt(-(c2 - 2 - root) / 2)
+    lam, v = _mp_eigen(c2)
     s1 = mpmath.sqrt(2 * lam * ((4 + 3 * c2) * lam**2 + 4 + 5 * c2 - 6 * c2**2))
     s2 = mpmath.sqrt(v * ((4 + 3 * c2) * v**2 - 4 - 5 * c2 + 6 * c2**2))
     u = [2 * lam, lam**2 - 2 * c2 - 1, lam**2 + 2 * c2 + 1,
@@ -380,14 +386,28 @@ def _chart_masses():
 
 @pytest.mark.parametrize("k", range(3), ids=["left", "right", "band"])
 def test_chart_encloses_each_mass_basis_and_inverse(k):
-    # [DERIVED] for each exact mass of the chart's enclosure, C(mu) lies in
-    # C and C(mu)^-1 in C_inv, entrywise
+    # [DERIVED] for each exact mass of the chart's enclosure, lambda(mu)
+    # lies in lam, v(mu) in v, C(mu) in C and C(mu)^-1 in C_inv, entrywise.
+    # lambda and v increase with c2 (for c2 > 8/9), so lam and v also hold
+    # lambda(c) and v(c) for every c of the c2 enclosure jordan_basis forms
+    # once they hold them at its two ends
     with mpmath.workdps(50):
         mu_iv, masses = _chart_masses()[k]
         ch = jordan_basis(RtbpParams(mu_iv))
+        gamma = libration_L1(RtbpParams(mu_iv))[0] + 1.0 - mu_iv
+        g3 = sq(gamma) * gamma
+        h = 1.0 - gamma
+        c2 = (mu_iv + (1.0 - mu_iv) * g3 / (sq(h) * h)) / g3
+        for end in (c2.lo, c2.hi):
+            lam, v = _mp_eigen(mpmath.mpf(end))
+            assert _mp_in(lam, ch.lam) and _mp_in(v, ch.v), end
         for mu in masses:
             assert _mp_in(mu, mu_iv)
-            c = _mp_chart(_mp_c2(mu))
+            c2 = _mp_c2(mu)
+            lam, v = _mp_eigen(c2)
+            assert _mp_in(lam, ch.lam), mu
+            assert _mp_in(v, ch.v), mu
+            c = _mp_chart(c2)
             c_inv = mpmath.inverse(c)
             for i in range(4):
                 for j in range(4):
