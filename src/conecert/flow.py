@@ -401,7 +401,8 @@ def _expand_step(
     # the Lagrange coefficient, one (lo, hi) pair per component
     sol_tail = [(lo[order + 1], hi[order + 1])
                 for lo, hi in ser_z.float_series()]
-    sol_err = max(abs(x) for t in sol_tail for x in t) * h ** (order + 1)
+    hpl, hph = _powers(h, order + 1)
+    sol_err = max(abs(x) for t in sol_tail for x in t) * hph[order + 1]
     if sol_err > tol:
         return _StepData(None, None, None, tube, sol_err, 0.0, None)
 
@@ -415,7 +416,6 @@ def _expand_step(
     b = exp(Interval(l_inf) * h) - 1.0
     r = (b * max(c.mag for c in u)).hi
     ball = Interval(-r, r)
-    hpl, hph = _powers(h, order + 1)
     v_z = field.expand_variational(
         ser_z, IMatrix([[c + ball] for c in u]), order + 1,
         # every entry of the term has magnitude at most sol_err

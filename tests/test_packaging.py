@@ -233,10 +233,9 @@ def test_linalg_is_a_leaf_that_only_cones_imports():
     ]
 
 
-# the functions allowed a ** or libm call: the step-size choices (with
-# sol_err's h^(p+1), which also picks the tube column's order), exp
+# the functions allowed a ** or libm call: the step-size choice, exp
 # padded 2 ulp for libm's error, and exact Fraction powers
-_LIBM_ALLOWED = {"flow._step_factor", "flow._expand_step", "interval.exp",
+_LIBM_ALLOWED = {"flow._step_factor", "interval.exp",
                  "interval.decimal_to_interval"}
 _LIBM = {"exp", "exp2", "expm1", "log", "log1p", "log2", "log10", "pow",
          "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh",
