@@ -890,6 +890,27 @@ def test_failed_endpoint_flight_flies_once(cfg, monkeypatch):
     assert ep.U_local is calls[0] and ep.cones is not None
 
 
+@pytest.mark.parametrize("side, px", [
+    ("left", Interval(-1e-8, 0.0)),
+    ("right", Interval(0.0, 1e-8)),
+])
+def test_endpoint_sign_check_is_strict(cfg, monkeypatch, side, px):
+    # a P_X image that reaches 0 certifies no sign: the check on the
+    # chain's crossing is strict at both endpoints
+    from conecert import prover
+
+    image = IVector([Interval(0.8), Interval(0.0), px, Interval(0.9)])
+    monkeypatch.setattr(
+        prover, "launch_chain",
+        lambda *args: prover.Launch(
+            crossing=CrossingResult(image, Interval(8.2), 1)
+        ),
+    )
+    ep = run_endpoint(side, cfg.mu_left, cfg)
+    assert not ep.verified and ep.px_sign == 0
+    assert ep.failure.startswith("P_X sign indefinite: [")
+
+
 @pytest.fixture(scope="module")
 def narrow_reports():
     # a band 1/100 the proof width: every stage exercises, flights stay
