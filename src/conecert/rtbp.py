@@ -365,13 +365,13 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
 
     gamma is the distance from L1 to the smaller primary, c2 the standard
     collinear-point coefficient; lambda^2 and -v^2 are the roots of the
-    characteristic polynomial's quadratic factor w^2 + (2 - c2) w +
-    (1 + c2 - 2 c2^2): lambda^2, v^2 = (+-(c2 - 2) + sqrt(D)) / 2 with
-    D = c2 (9 c2 - 8), which interval arithmetic encloses for every mass
-    of p.mu with no iteration.  s1 and s2 scale the columns so that C^T J C = J'
-    exactly for each mass, so C_inv = -J' C^T J, each entry +- an entry of
-    C, encloses each C(mu)^-1 (LocalChart).  The chart is rejected unless
-    the Jordan residual, which a wrong normalization breaks, encloses zero.
+    quadratic factor w^2 + (2 - c2) w + (1 + c2 - 2 c2^2) of the
+    characteristic polynomial: lambda^2, v^2 = (+-(c2 - 2) + sqrt(D)) / 2
+    with D = c2 (9 c2 - 8), enclosed for every mass of p.mu with no
+    iteration.  s1 and s2 scale the columns so that C^T J C = J' exactly
+    for each mass, so C_inv = -J' C^T J, each entry +- an entry of C,
+    encloses each C(mu)^-1 (LocalChart).  The chart is rejected unless the
+    Jordan residual, which a wrong normalization breaks, encloses zero.
     """
     l1 = libration_L1(p)
     mu = p.mu
