@@ -8,7 +8,7 @@ there with pytest.  A mutant whose tests fail is killed; one whose tests
 pass survives.  It prints one JSON object: the killed and the surviving
 mutants, each with its seconds, and any entry whose run could not start.
 
-    python tools/mutants.py            # every entry, about 10-40 s each
+    python tools/mutants.py            # every entry, a few seconds each
     python tools/mutants.py --check    # each old text occurs exactly once
     python tools/mutants.py div_pos_unnudged mul_ends_unnudged
 
@@ -119,16 +119,16 @@ MUTANTS = {
         "    if not (px.hi < 0.0 if want_negative else px.lo > 0.0):\n",
         "    if not (px.hi <= 0.0 if want_negative else px.lo >= 0.0):\n",
         "run_endpoint accepts a P_X image that reaches 0",
-        ["tests/test_prover.py"],
+        ["tests/test_prover.py::test_endpoint_sign_check_is_strict"],
     ),
 }
 
 
-def check(root: Path = ROOT) -> list:
+def check() -> list:
     """The entries whose old text does not occur exactly once."""
     bad = []
     for name, (path, old, *_) in MUTANTS.items():
-        n = (root / path).read_text().count(old)
+        n = (ROOT / path).read_text().count(old)
         if n != 1:
             bad.append(f"{name}: old text occurs {n} times in {path}")
     return bad
