@@ -19,9 +19,10 @@ parameter dependence as one more direction of the set.
 A field gives expand(u0, p), the solution series from the box u0, whose
 float_series() holds its Taylor coefficients through order p as one
 (lo, hi) pair of float lists per component, and
-expand_variational(series, V0, p, stop=None), the MatrixSeries of
-V' = DF V from V0, which may have any number of columns, through order
-p, or through the first order k >= 1 at which stop(k, series) is true.
+expand_variational(series, V0, p, stop=None), the series of V' = DF V
+from V0, which may have any number of columns, through order p, or
+through the first order k >= 1 at which stop(k, series) is true, entry
+[i][j] of it the pair of float lists (lo, hi) of entry (i, j).
 flow reads the field through these two only, and every series through
 its float lists only: F over a box is coefficient 1 of its series, and
 DF over a tube coefficient 1 of its variational series from I.
@@ -43,8 +44,8 @@ One Taylor step of order p uses six series expansions, in this order:
     tail vector, the Lagrange term of D(phi_h) applied to every x - m;
   * an interval series at the current box (order q) and its variational
     series from I (order q), whose Taylor polynomial [V] is the transport.
-The variational series come back as float (lo, hi) series per entry
-(MatrixSeries).  [V] and the image of the midpoint are summed by one
+The variational series come back as float (lo, hi) series per
+entry.  [V] and the image of the midpoint are summed by one
 Horner routine on float pairs, [V] kept as the float matrices (lo, hi)
 that the Lohner update reads, and the stop rule and the tail multiply
 the column's float pair at order k by [h^k] as a float pair, all with
@@ -113,7 +114,6 @@ from .interval import (
     IMatrix,
     Interval,
     IVector,
-    MatrixSeries,
     _add_dn,
     _add_up,
     _idot_ends,
@@ -277,10 +277,10 @@ def a_priori_enclosure(field, x0: Box, h: float) -> Box:
 # -- the Taylor step --------------------------------------------------------------
 
 
-def _opnorm_inf(v: MatrixSeries) -> float:
+def _opnorm_inf(v: list) -> float:
     """Upper bound of ||V_1||_inf, coefficient 1 of v (DF when V_0 = I)."""
     worst = 0.0
-    for row in v.entries:
+    for row in v:
         acc = 0.0
         for lo, hi in row:
             acc = _add_up(acc, max(abs(lo[1]), abs(hi[1])))
@@ -327,13 +327,13 @@ def _horner_vec(series, order: int, h: float, tail: list) -> IVector:
     ])
 
 
-def _horner_transport(v: MatrixSeries, order: int, h: float) -> tuple:
+def _horner_transport(v: list, order: int, h: float) -> tuple:
     """sum_{k <= order} V_k h^k as float matrices (lo, hi), summed by
     _horner on the float series of each entry from acc = V_order."""
     return _unzip([
         [_horner(los, his, order - 1, h, los[order], his[order])
          for los, his in row]
-        for row in v.entries
+        for row in v
     ])
 
 
@@ -348,10 +348,10 @@ def _powers(h: float, n: int) -> tuple:
     return lo, hi
 
 
-def _column_term(v: MatrixSeries, k: int, hpl: list, hph: list) -> list:
+def _column_term(v: list, k: int, hpl: list, hph: list) -> list:
     """Column 0 of coefficient k of v times [hpl_k, hph_k], one (lo, hi)
     pair per row, rounded as the Interval product."""
-    return [_mul_ends(lo[k], hi[k], hpl[k], hph[k]) for (lo, hi), *_ in v.entries]
+    return [_mul_ends(lo[k], hi[k], hpl[k], hph[k]) for (lo, hi), *_ in v]
 
 
 class _StepData:
@@ -424,7 +424,7 @@ def _expand_step(
             for lo, hi in _column_term(v, k, hpl, hph)
         ),
     )
-    q = v_z.order - 1
+    q = len(v_z[0][0][0]) - 2  # the column ends at order q + 1
     tail = IVector([_mk(*t) for t in _column_term(v_z, q + 1, hpl, hph)])
     var_err = max(c.mag for c in tail)
 

@@ -58,7 +58,6 @@ __all__ = [
     "IArray",
     "IVector",
     "IMatrix",
-    "MatrixSeries",
     "Box",
     "DomainError",
     "DivisionByZeroInterval",
@@ -824,25 +823,6 @@ class IMatrix:
 
     def to_json(self):
         return [[a.to_json() for a in row] for row in self.rows]
-
-
-class MatrixSeries:
-    """Taylor coefficients V_0..V_order of an interval matrix function.
-
-    Entry (i, j) is held as a pair of float lists (lo, hi) indexed by the
-    order, as the Taylor kernels compute it and flow reads it; no IMatrix
-    is built.  The order is read from the lists, so a kernel may append
-    coefficients to a series it has handed out.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = entries  # entries[i][j] = (lo list, hi list)
-
-    @property
-    def order(self) -> int:
-        return len(self.entries[0][0][0]) - 1
 
 
 # -- norms -------------------------------------------------------------------

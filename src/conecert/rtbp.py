@@ -80,7 +80,6 @@ from .interval import (
     IMatrix,
     Interval,
     IVector,
-    MatrixSeries,
     _add_dn,
     _add_up,
     _ends,
@@ -902,11 +901,13 @@ class RtbpTaylorField:
 
     def expand_variational(
         self, sol: RtbpSolutionSeries, v0: IMatrix, order: int, stop=None
-    ) -> MatrixSeries:
+    ) -> list:
         """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given, as the
-        (lo, hi) float series the kernel computes.  With stop, the series
-        ends at the first order k >= 1 for which stop(k, series) is true;
-        stop reads coefficient k from the series' float lists.
+        (lo, hi) float series the kernel computes: entries[i][j] is the
+        pair of float lists (lo, hi) of entry (i, j), indexed by the
+        order.  With stop, the series ends at the first order k >= 1 for
+        which stop(k, entries) is true; stop reads coefficient k from
+        the same lists, which grow as the kernel appends orders.
 
         V_0 has one row per state component.  For a five-component
         solution its row 4 stays constant (mu' = 0), and column j gets
@@ -929,7 +930,6 @@ class RtbpTaylorField:
         if sol.dim == 5:
             entries.append([_start(c.lo, c.hi) for c in rows[4]])
             weights = [None if c.lo == c.hi == 0.0 else c for c in rows[4]]
-        v = MatrixSeries(entries)
         omega = sol._partials()
         for k in range(order):
             kk = k + 1
@@ -968,6 +968,6 @@ class RtbpTaylorField:
                 for lo, hi in entries[4]:
                     lo.append(0.0)
                     hi.append(0.0)
-            if stop is not None and stop(kk, v):
+            if stop is not None and stop(kk, entries):
                 break
-        return v
+        return entries

@@ -11,7 +11,7 @@ line names the library code an oracle checks:
     reference of the chart's signed-transpose inverse C_inv
     (rtbp.jordan_basis) and of the flight's Q^-1 enclosure
     (flow._orthogonal_inverse).
-  * matrix_series: the MatrixSeries of a list of IMatrix coefficients,
+  * matrix_series: the float-list series of a list of IMatrix coefficients,
     for the test fields' variational series and the Horner and column
     tests of flow.
   * series_coefficient, matrix_coefficient, enclosure_from_box: a
@@ -58,7 +58,6 @@ from conecert.interval import (
     IMatrix,
     Interval,
     IVector,
-    MatrixSeries,
     _mk,
     eye,
     mat_opnorm_upper,
@@ -101,21 +100,20 @@ def box_intersect(a: Box, b: Box) -> Box | None:
     return IVector(out)
 
 
-def matrix_series(mats: Sequence[IMatrix]) -> MatrixSeries:
-    """The MatrixSeries whose coefficient k is mats[k]."""
+def matrix_series(mats: Sequence[IMatrix]) -> list:
+    """The variational series whose coefficient k is mats[k]: entry
+    [i][j] is the pair of float lists (lo, hi) of entry (i, j)."""
     n, m = mats[0].shape
-    return MatrixSeries(
+    return [
         [
-            [
-                (
-                    [a.rows[i][j].lo for a in mats],
-                    [a.rows[i][j].hi for a in mats],
-                )
-                for j in range(m)
-            ]
-            for i in range(n)
+            (
+                [a.rows[i][j].lo for a in mats],
+                [a.rows[i][j].hi for a in mats],
+            )
+            for j in range(m)
         ]
-    )
+        for i in range(n)
+    ]
 
 
 def series_coefficient(series, k: int) -> IVector:
@@ -123,9 +121,9 @@ def series_coefficient(series, k: int) -> IVector:
     return IVector([_mk(lo[k], hi[k]) for lo, hi in series.float_series()])
 
 
-def matrix_coefficient(v: MatrixSeries, k: int) -> IMatrix:
-    """Coefficient k of a MatrixSeries, from its float lists."""
-    return IMatrix([[_mk(lo[k], hi[k]) for lo, hi in row] for row in v.entries])
+def matrix_coefficient(v: list, k: int) -> IMatrix:
+    """Coefficient k of a variational series, from its float lists."""
+    return IMatrix([[_mk(lo[k], hi[k]) for lo, hi in row] for row in v])
 
 
 def enclosure_from_box(box: Box) -> FlowEnclosure:
@@ -249,7 +247,7 @@ class LinearTaylorField:
 
     def expand_variational(
         self, sol, v0: IMatrix, order: int, stop=None
-    ) -> MatrixSeries:
+    ) -> list:
         out = [v0]
         for k in range(order):
             d = Interval(1.0 / (k + 1))

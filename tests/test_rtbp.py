@@ -859,8 +859,8 @@ def test_stopped_variational_column_is_the_full_one_cut(dim):
 
     cut = tf.expand_variational(ser, v0, order, stop=stop)
     assert asked == list(range(1, stop_at + 1))
-    assert cut.order == stop_at and full.order == order
-    for row_cut, row_full in zip(cut.entries, full.entries):
+    assert len(cut[0][0][0]) == stop_at + 1 and len(full[0][0][0]) == order + 1
+    for row_cut, row_full in zip(cut, full):
         for (lo, hi), (flo, fhi) in zip(row_cut, row_full):
             assert _bits(zip(lo, hi)) == _bits(zip(flo, fhi))[: stop_at + 1]
     # the Omega series: stop_at orders, against every order of the series
