@@ -496,8 +496,8 @@ def enclose_DF_over_N(
     propagates as raised; a subdivision that is not an int of at least 1
     raises ValueError.
 
-    The batch's psi half reads no mass: the pieces and their
-    rtbp._psi_terms come from _n_pieces, an lru_cache of two entries for
+    The batch's psi half reads no mass: the rtbp._psi_terms of the
+    pieces come from _n_pieces, an lru_cache of two entries for
     the proof's two N, the endpoints' and the fragments', each at its
     subdivision.  The key is the float.hex of N's ends, so -0.0 and 0.0
     differ, and the subdivision; the arrays are read-only.  A failed
@@ -506,23 +506,22 @@ def enclose_DF_over_N(
     """
     _check_count("subdivision", subdivision)
     key = tuple((c.lo.hex(), c.hi.hex()) for c in n_box)
-    q, terms = _n_pieces(key, subdivision)
-    return local_jacobian_batch(q, chart, params, terms).hull_over(0).to_imatrix()
+    terms = _n_pieces(key, subdivision)
+    return local_jacobian_batch(chart, params, terms).hull_over(0).to_imatrix()
 
 
 @functools.lru_cache(maxsize=2)
 def _n_pieces(key: tuple, subdivision: int) -> tuple:
-    """N, from the float.hex pairs of key, split along axis 0 into
-    subdivision pieces, and their rtbp._psi_terms, every array read-only."""
+    """The rtbp._psi_terms of N, from the float.hex pairs of key, split
+    along axis 0 into subdivision pieces, every array read-only."""
     n = [Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in key]
     cuts = _slice_cuts(n[0].lo, n[0].hi, subdivision)
     axis0 = IArray([a for a, _ in cuts], [b for _, b in cuts])
-    q = IVector([axis0] + n[1:])
-    terms = _psi_terms(q)
-    for a in (axis0, *terms):
+    terms = _psi_terms(IVector([axis0] + n[1:]))
+    for a in terms:
         if isinstance(a, IArray):
             a.lo.flags.writeable = a.hi.flags.writeable = False
-    return q, terms
+    return terms
 
 
 def _split_blocks(dfn: IMatrix):

@@ -525,10 +525,11 @@ def _psi_terms(q) -> tuple:
 
 @_quiet
 def local_jacobian_batch(
-    q: IVector, chart: LocalChart, p: RtbpParams, terms: tuple
+    chart: LocalChart, p: RtbpParams, terms: tuple
 ) -> IArray:
-    """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T) over a batch of
-    boxes, in one array pass.
+    """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T) over a batch q
+    of boxes, in one array pass, from terms = _psi_terms(q): q itself is
+    not read.
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
     C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
@@ -536,17 +537,17 @@ def local_jacobian_batch(
     chart's C_inv, so nothing is solved.  Each component of q is an
     IArray along a leading batch axis or an Interval every box shares.
 
-    terms are the _psi_terms of q, which read no mass;
-    prover.enclose_DF_over_N passes them from a cache of two entries,
-    keyed by the bits of N's ends and the subdivision, whose arrays are
-    read-only.  The mass half runs per call, vector_field and
-    jacobian sharing one _field_terms, all under one np.errstate.  Entry
-    k of the (..., 4, 4) result is bit for bit tests/oracles.local_jacobian
-    on box k.  As there, the field's CollisionSingularity comes before
-    the DivisionByZeroInterval of D(psi)^-1, which terms hold as an
-    exception that this raises after the field, cached or not; when boxes
-    fail, the exception class is one the single-box form raises on some
-    failing box, not necessarily the first.
+    The terms read no mass; prover.enclose_DF_over_N passes them from a
+    cache of two entries, keyed by the bits of N's ends and the
+    subdivision, whose arrays are read-only.  The mass half runs per
+    call, vector_field and jacobian sharing one _field_terms, all under
+    one np.errstate.  Entry k of the (..., 4, 4) result is bit for bit
+    tests/oracles.local_jacobian on box k.  As there, the field's
+    CollisionSingularity comes before the DivisionByZeroInterval of
+    D(psi)^-1, which terms hold as an exception that this raises after
+    the field, cached or not; when boxes fail, the exception class is
+    one the single-box form raises on some failing box, not necessarily
+    the first.
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)

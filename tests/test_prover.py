@@ -426,12 +426,12 @@ def _bits(m: IMatrix) -> list:
 
 
 def _record_batches(monkeypatch) -> list:
-    """The (q, terms) of every batch enclose_DF_over_N runs from now on."""
+    """The psi terms of every batch enclose_DF_over_N runs from now on."""
     seen = []
 
-    def recording(q, chart, params, terms):
-        seen.append((q, terms))
-        return local_jacobian_batch(q, chart, params, terms)
+    def recording(chart, params, terms):
+        seen.append(terms)
+        return local_jacobian_batch(chart, params, terms)
 
     monkeypatch.setattr(prover, "local_jacobian_batch", recording)
     return seen
@@ -471,9 +471,9 @@ class TestDerivativeCache:
         params, chart, n_box = slice_setup
         seen = _record_batches(monkeypatch)
         enclose_DF_over_N(chart, params, n_box, 32)
-        (q, terms), = seen
-        arrays = [q[0]] + [t for t in terms if isinstance(t, IArray)]
-        assert len(arrays) == 5
+        terms, = seen
+        arrays = [t for t in terms if isinstance(t, IArray)]
+        assert len(arrays) == 4
         for a in arrays:
             for ends in (a.lo, a.hi):
                 with pytest.raises(ValueError):
@@ -492,11 +492,17 @@ class TestDerivativeCache:
         cold = _bits(enclose_DF_over_N(chart, params, neg, 32))
         _n_pieces.cache_clear()
         enclose_DF_over_N(chart, params, n_box, 32)
-        seen = _record_batches(monkeypatch)
+        cuts = []
+
+        def recording(lo, hi, k):
+            cuts.append(_slice_cuts(lo, hi, k))
+            return cuts[-1]
+
+        monkeypatch.setattr(prover, "_slice_cuts", recording)
         warm = _bits(enclose_DF_over_N(chart, params, neg, 32))
         assert _n_pieces.cache_info().misses == 2
         assert warm == cold
-        assert math.copysign(1.0, seen[0][0][0].lo[0]) == -1.0
+        assert math.copysign(1.0, cuts[0][0][0]) == -1.0
 
     @pytest.mark.parametrize("bad", [0, -2, 2.0, True, "32", None])
     def test_subdivision_must_be_a_count(self, cfg, left_setup, bad):

@@ -577,7 +577,7 @@ def test_local_jacobian_raises_where_dpsi_is_not_invertible():
         local_jacobian(q, ch, p)
     batch = IVector([0.0, 0.0, IArray([0.0, 0.6], [1e-3, 0.8]), 0.0])
     with pytest.raises(DivisionByZeroInterval):
-        local_jacobian_batch(batch, ch, p, rtbp._psi_terms(batch))
+        local_jacobian_batch(ch, p, rtbp._psi_terms(batch))
     # through prover.enclose_DF_over_N: the cached failure is raised on
     # every call, cold and warm, each time as a new exception
     _n_pieces.cache_clear()
@@ -608,7 +608,7 @@ def test_local_jacobian_raises_collision_before_dpsi_inverse():
         local_jacobian(q, ch, p)
     with pytest.raises(CollisionSingularity):
         batch = IVector([IArray([0.0, 0.0])] + ys)
-        local_jacobian_batch(batch, ch, p, rtbp._psi_terms(batch))
+        local_jacobian_batch(ch, p, rtbp._psi_terms(batch))
     # and through prover.enclose_DF_over_N, whose cache keeps the failed
     # D(psi)^-1 of N's pieces: the field still fails first, cold and warm
     _n_pieces.cache_clear()
