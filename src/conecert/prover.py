@@ -31,6 +31,7 @@ selection inside the interval inputs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -101,6 +102,7 @@ class StageFailure(RuntimeError):
 
 _RECOVERABLE = (
     StageFailure,
+    UnverifiedCones,
     ChartError,
     EnclosureFailure,
     TransversalityFailure,
@@ -545,17 +547,14 @@ def certify_unstable(
 
     b is the fixed-point box, the origin in the proof.  U has one
     unstable coordinate x0 for every mass of the enclosure (see the
-    module docstring); a StageFailure when the cones fail or x0 would
-    not clear b, which a wide b or a tiny r_u can cause.
+    module docstring); manifold.UnverifiedCones when the cones fail or
+    x0 would not clear b, which a wide b or a tiny r_u can cause.
     """
     a, bm, e1, e2 = _split_blocks(dfn)
     cones = flow_cone_check(
         a, bm, e1, e2, cfg.alpha_h, cfg.alpha_v, cfg.c_h, cfg.c_v
     )
-    try:
-        u_local = launch_window(cones, b, cfg.r_u)
-    except UnverifiedCones as exc:
-        raise StageFailure(str(exc)) from exc
+    u_local = launch_window(cones, b, cfg.r_u)
     return CertifiedUnstable(cones, u_local, total_change(u_local, chart))
 
 
@@ -647,10 +646,15 @@ def poincare_image(
 # -- the launch chain -------------------------------------------------------------
 
 
-def _timed(stages: list, name: str, fn):
+@contextlib.contextmanager
+def _stage(stages: list, name: str):
+    """Time the block as stage `name`: yield its detail dict, then append
+    a verified StageResult, or one with {"error": ...} when the block
+    raises, which raises again."""
+    detail = {}
     t0 = time.perf_counter()
     try:
-        value, detail = fn()
+        yield detail
     except Exception as exc:
         stages.append(
             StageResult(
@@ -659,14 +663,14 @@ def _timed(stages: list, name: str, fn):
         )
         raise
     stages.append(StageResult(name, True, time.perf_counter() - t0, detail))
-    return value
 
 
 @dataclass
 class Launch:
     """What the launch chain certified for one mass enclosure: the
-    chart, [DF(N)], the cone certificate with its launch window, and the
-    window's crossing of {Y = 0}.
+    chart, [DF(N)], the cone certificate with its launch window, the
+    window's crossing of {Y = 0}, and the StageResult of every stage
+    that ran, in order.
 
     Fields past the first failed stage stay None; failure then says why.
     """
@@ -676,10 +680,11 @@ class Launch:
     unstable: CertifiedUnstable | None = None
     crossing: CrossingResult | None = None
     failure: str | None = None
+    stages: list = field(default_factory=list)
 
 
 def launch_chain(
-    params: RtbpParams, cfg: ProofConfig, subdivision: int, stages: list,
+    params: RtbpParams, cfg: ProofConfig, subdivision: int,
     band: bool = False,
 ) -> Launch:
     """The one chain from a mass enclosure to its certified crossing:
@@ -688,39 +693,27 @@ def launch_chain(
     window, and the flight of that window to {Y = 0} (poincare_image,
     a band flight when band is True).
 
-    Every stage appends its StageResult to `stages`.  A recoverable
+    Every stage appends its StageResult to Launch.stages.  A recoverable
     failure ends the chain and is reported in Launch.failure.
     """
     out = Launch()
     try:
-        def mk_chart():
-            chart = jordan_basis(params)
-            return chart, {
-                "lambda": chart.lam.to_json(),
-                "v": chart.v.to_json(),
-            }
-
-        out.chart = _timed(stages, "chart", mk_chart)
+        with _stage(out.stages, "chart") as detail:
+            out.chart = jordan_basis(params)
+            detail["lambda"] = out.chart.lam.to_json()
+            detail["v"] = out.chart.v.to_json()
         b = enclose_fixed_point(out.chart, params, cfg)
-
-        def mk_dfn():
+        with _stage(out.stages, "derivative") as detail:
             n_box = build_N(b, cfg)
-            dfn = enclose_DF_over_N(out.chart, params, n_box, subdivision)
-            return (n_box, dfn), {"subdivision": subdivision}
-
-        n_box, out.dfn = _timed(stages, "derivative", mk_dfn)
-
-        def mk_cones():
-            cu = certify_unstable(out.chart, b, n_box, out.dfn, cfg)
-            return cu, {}
-
-        out.unstable = _timed(stages, "cones", mk_cones)
-
-        def mk_flight():
-            cr = poincare_image(out.chart, params, out.unstable.U_local, band)
-            return cr, {"direction": cr.direction}
-
-        out.crossing = _timed(stages, "poincare", mk_flight)
+            out.dfn = enclose_DF_over_N(out.chart, params, n_box, subdivision)
+            detail["subdivision"] = subdivision
+        with _stage(out.stages, "cones"):
+            out.unstable = certify_unstable(out.chart, b, n_box, out.dfn, cfg)
+        with _stage(out.stages, "poincare") as detail:
+            out.crossing = poincare_image(
+                out.chart, params, out.unstable.U_local, band
+            )
+            detail["direction"] = out.crossing.direction
     except _RECOVERABLE as exc:
         out.failure = str(exc)
     return out
@@ -745,12 +738,10 @@ def run_endpoint(
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     want_negative = side == "left"
-    stages: list = []
-    result = EndpointResult(side=side, mu=mu_decimal, verified=False,
-                            stages=stages)
     params = RtbpParams(decimal_to_interval(mu_decimal))
-    launch = launch_chain(params, cfg, cfg.endpoint_subdivision, stages)
-    result.dfn = launch.dfn
+    launch = launch_chain(params, cfg, cfg.endpoint_subdivision)
+    result = EndpointResult(side=side, mu=mu_decimal, verified=False,
+                            stages=launch.stages, dfn=launch.dfn)
     cu = launch.unstable
     if cu is not None:
         result.cones, result.U_local, result.U_original = (
@@ -801,7 +792,7 @@ def run_fragment(
         hull = None
         for lo, hi in _slice_cuts(mu_lo, mu_hi, pieces):
             launch = launch_chain(
-                RtbpParams(Interval(lo, hi)), eff, subdivision, [], band=True
+                RtbpParams(Interval(lo, hi)), eff, subdivision, band=True
             )
             out.failure = launch.failure
             if launch.failure is not None:

@@ -40,11 +40,11 @@ from conecert.interval import (
     decimal_to_interval,
     sqrt,
 )
+from conecert.manifold import UnverifiedCones
 from conecert.prover import (
     CertifiedUnstable,
     CrossingResult,
     ProofConfig,
-    StageFailure,
     _n_pieces,
     _slice_cuts,
     build_N,
@@ -532,7 +532,7 @@ class TestConeStage:
         from dataclasses import replace
 
         bad = replace(cfg, c_v=2.9)
-        with pytest.raises(StageFailure, match="cone conditions failed"):
+        with pytest.raises(UnverifiedCones, match="cone conditions failed"):
             certify_unstable(chart, b, n_box, dfn, bad)
 
     def test_launch_coordinate_is_one_point_past_B(self, cfg, left_setup,
@@ -548,7 +548,7 @@ class TestConeStage:
         assert x0.lo in b[0].lo + Interval(cfg.r_u) * r
         # a window too short to clear a fat fixed-point box is refused
         fat = IVector([Interval(-1e-6, 1e-6)] * 4)
-        with pytest.raises(StageFailure, match="launch coordinate"):
+        with pytest.raises(UnverifiedCones, match="launch coordinate"):
             certify_unstable(chart, fat, n_box, dfn, replace(cfg, r_u=1e-20))
 
     def test_u_original_matches_printed(self, cfg, left_setup, dfn256):
@@ -675,9 +675,7 @@ def band_flight(cfg):
     # one band flight over the first default fragment
     frag = replace(cfg, alpha_h=cfg.fragment_alpha_h)
     params = RtbpParams(Interval(*cfg.fragment_intervals()[0]))
-    launch = launch_chain(
-        params, frag, cfg.fragment_subdivision, [], band=True
-    )
+    launch = launch_chain(params, frag, cfg.fragment_subdivision, band=True)
     assert launch.failure is None
     u = launch.unstable.U_local
     enc = chart_seeded_enclosure(launch.chart, u, params.mu)
@@ -736,9 +734,9 @@ class TestFragment:
         subdivisions = []
         chain = prover.launch_chain
 
-        def counted_chain(params, c, subdivision, stages, band=False):
+        def counted_chain(params, c, subdivision, band=False):
             subdivisions.append(subdivision)
-            return chain(params, c, subdivision, stages, band)
+            return chain(params, c, subdivision, band)
 
         def flight(chart, params, u_local, band=False):
             calls.append((params.mu, chart.mu, band))

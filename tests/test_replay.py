@@ -136,12 +136,12 @@ def replay():
         cfg = ProofConfig.default()
         left = launch_chain(
             RtbpParams(decimal_to_interval(cfg.mu_left)), cfg,
-            cfg.endpoint_subdivision, [],
+            cfg.endpoint_subdivision,
         )
         band = launch_chain(
             RtbpParams(Interval(*cfg.fragment_intervals()[0])),
             replace(cfg, alpha_h=cfg.fragment_alpha_h),
-            cfg.fragment_subdivision, [], band=True,
+            cfg.fragment_subdivision, band=True,
         )
     finally:
         mp.undo()
