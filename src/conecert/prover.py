@@ -279,7 +279,7 @@ class CrossingResult:
 
 @dataclass
 class EndpointResult:
-    """Outcome of run_endpoint.
+    """Outcome of run_endpoint, verified with its side's strict P_X sign.
 
     There is no fixed-point box: the fixed point is the chart origin for
     every mass.  subboxes is always 1, since an endpoint flies its launch
@@ -297,7 +297,6 @@ class EndpointResult:
     U_original: Box | None = None
     poincare_image: Box | None = None
     crossing_time: Interval | None = None
-    px_sign: int = 0
     subboxes: int = 1
     failure: str | None = None
 
@@ -315,7 +314,6 @@ class EndpointResult:
             "U_original": _json_or_none(self.U_original),
             "poincare_image": _json_or_none(self.poincare_image),
             "crossing_time": _json_or_none(self.crossing_time),
-            "px_sign": self.px_sign,
             "subboxes": self.subboxes,
             "failure": self.failure,
         }
@@ -408,10 +406,7 @@ class ProofReport:
                 lines.append(f"  [{mark:4s}] {st.name:12s} {st.seconds:8.3f} s")
             if ep.poincare_image is not None:
                 px = ep.poincare_image[2]
-                lines.append(
-                    f"  P_X image: [{px.lo:.6e}, {px.hi:.6e}] "
-                    f"(sign {ep.px_sign:+d}, {ep.subboxes} subbox)"
-                )
+                lines.append(f"  P_X image: [{px.lo:.6e}, {px.hi:.6e}]")
             if ep.crossing_time is not None:
                 t = ep.crossing_time
                 lines.append(
@@ -761,7 +756,6 @@ def run_endpoint(
         return result
     result.poincare_image = cr.image
     result.crossing_time = cr.time
-    result.px_sign = -1 if px.hi < 0.0 else 1
     result.verified = True
     return result
 
@@ -819,12 +813,7 @@ def check_homoclinic(cfg: ProofConfig) -> ProofReport:
     t0 = time.perf_counter()
     left = run_endpoint("left", cfg.mu_left, cfg)
     right = run_endpoint("right", cfg.mu_right, cfg)
-    signs_ok = (
-        left.verified
-        and left.px_sign < 0
-        and right.verified
-        and right.px_sign > 0
-    )
+    signs_ok = left.verified and right.verified
     # a failed endpoint already fixes NOT_PROVED: no fragment can change it
     fragments = [
         run_fragment(i, lo, hi, cfg)

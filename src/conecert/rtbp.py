@@ -528,8 +528,7 @@ def local_jacobian_batch(
     chart: LocalChart, p: RtbpParams, terms: tuple
 ) -> IArray:
     """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T) over a batch q
-    of boxes, in one array pass, from terms = _psi_terms(q): q itself is
-    not read.
+    of boxes, in one array pass, from terms = _psi_terms(q) alone.
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
     C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
@@ -537,17 +536,17 @@ def local_jacobian_batch(
     chart's C_inv, so nothing is solved.  Each component of q is an
     IArray along a leading batch axis or an Interval every box shares.
 
-    The terms read no mass; prover.enclose_DF_over_N passes them from a
-    cache of two entries, keyed by the bits of N's ends and the
-    subdivision, whose arrays are read-only.  The mass half runs per
-    call, vector_field and jacobian sharing one _field_terms, all under
-    one np.errstate.  Entry k of the (..., 4, 4) result is bit for bit
-    tests/oracles.local_jacobian on box k.  As there, the field's
-    CollisionSingularity comes before the DivisionByZeroInterval of
-    D(psi)^-1, which terms hold as an exception that this raises after
-    the field, cached or not; when boxes fail, the exception class is
-    one the single-box form raises on some failing box, not necessarily
-    the first.
+    terms are the _psi_terms of q, which read no mass;
+    prover.enclose_DF_over_N passes them from a cache of two entries,
+    keyed by the bits of N's ends and the subdivision, whose arrays are
+    read-only.  The mass half runs per call, vector_field and
+    jacobian sharing one _field_terms, all under one np.errstate.  Entry
+    k of the (..., 4, 4) result is bit for bit tests/oracles.local_jacobian
+    on box k.  As there, the field's CollisionSingularity comes before
+    the DivisionByZeroInterval of D(psi)^-1, which terms hold as an
+    exception that this raises after the field, cached or not; when boxes
+    fail, the exception class is one the single-box form raises on some
+    failing box, not necessarily the first.
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)
@@ -903,12 +902,10 @@ class RtbpTaylorField:
     def expand_variational(
         self, sol: RtbpSolutionSeries, v0: IMatrix, order: int, stop=None
     ) -> list:
-        """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given, as the
-        (lo, hi) float series the kernel computes: entries[i][j] is the
-        pair of float lists (lo, hi) of entry (i, j), indexed by the
-        order.  With stop, the series ends at the first order k >= 1 for
-        which stop(k, entries) is true; stop reads coefficient k from
-        the same lists, which grow as the kernel appends orders.
+        """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given, as
+        entries[i][j] = (lo, hi), the float lists of entry (i, j) indexed
+        by the order.  With stop, the series ends at the first order
+        k >= 1 for which stop(k, entries) is true, on the same lists.
 
         V_0 has one row per state component.  For a five-component
         solution its row 4 stays constant (mu' = 0), and column j gets
