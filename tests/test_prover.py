@@ -53,7 +53,6 @@ from conecert.prover import (
     check_homoclinic,
     enclose_DF_over_N,
     enclose_fixed_point,
-    launch_chain,
     run_endpoint,
     run_fragment,
 )
@@ -166,10 +165,10 @@ def dfn256(cfg, left_setup):
 
 
 @pytest.fixture(scope="module")
-def endpoints(cfg):
-    left = run_endpoint("left", cfg.mu_left, cfg)
+def endpoints(cfg, shared_chains):
+    # the left endpoint is the session's shared chain
     right = run_endpoint("right", cfg.mu_right, cfg)
-    return left, right
+    return shared_chains.left, right
 
 
 # the enclosure of an exactly zero product: 2000 subnormal ulps
@@ -669,11 +668,10 @@ class TestEndpoints:
 
 
 @pytest.fixture(scope="module")
-def band_flight(cfg):
-    # one band flight over the first default fragment
-    frag = replace(cfg, alpha_h=cfg.fragment_alpha_h)
+def band_flight(cfg, shared_chains):
+    # the session's band chain over the first default fragment
     params = RtbpParams(Interval(*cfg.fragment_intervals()[0]))
-    launch = launch_chain(params, frag, cfg.fragment_subdivision, band=True)
+    launch = shared_chains.band
     assert launch.failure is None
     u = launch.unstable.U_local
     enc = chart_seeded_enclosure(launch.chart, u, params.mu)

@@ -36,6 +36,8 @@ RTBP = "src/conecert/rtbp.py"
 FLOW = "src/conecert/flow.py"
 INTERVAL = "src/conecert/interval.py"
 PROVER = "src/conecert/prover.py"
+CONES = "src/conecert/cones.py"
+MANIFOLD = "src/conecert/manifold.py"
 
 # name: (file, old text, new text, what it breaks, tests)
 MUTANTS = {
@@ -113,6 +115,66 @@ MUTANTS = {
         "    root = Interval(math.sqrt((c2 * (c2 * 9.0 - 8.0)).mid))\n",
         "jordan_basis takes sqrt(D) at the midpoint of D, as a point",
         ["tests/test_rtbp.py::test_chart_encloses_each_mass_basis_and_inverse"],
+    ),
+    "add_dn_upward": (
+        INTERVAL,
+        "    return _nextafter(s, _NINF) if s == s else _NINF\n",
+        "    return _nextafter(s, _INF) if s == s else _NINF\n",
+        "interval._add_dn nudges an inexact sum upward",
+        ["tests/test_interval.py", "tests/test_replay.py"],
+    ),
+    "a_add_dn_unnudged": (
+        INTERVAL,
+        "    np.nextafter(s, _NINF, out=s, where=~(err >= 0.0))\n",
+        "",
+        "interval._a_add_dn, every IArray sum's lower end, rounds to nearest",
+        ["tests/test_interval_array.py", "tests/test_replay.py"],
+    ),
+    "matmul_unnudged": (
+        INTERVAL,
+        "                lo = np.nextafter(lo + plo[..., t, :], _NINF)\n"
+        "                hi = np.nextafter(hi + phi[..., t, :], _INF)\n",
+        "                lo = lo + plo[..., t, :]\n"
+        "                hi = hi + phi[..., t, :]\n",
+        "IArray.matmul's sums over k round to nearest",
+        ["tests/test_interval_array.py", "tests/test_replay.py"],
+    ),
+    "power_next_div_k_unnudged": (
+        RTBP,
+        "    return _nextafter(q0 / k, _NINF), _nextafter(q1 / k, _INF)\n",
+        "    return q0 / k, q1 / k\n",
+        "rtbp._power_next's division by k rounds to nearest",
+        ["tests/test_rtbp.py", "tests/test_replay.py"],
+    ),
+    "image_no_lagrange_tail": (
+        FLOW,
+        "    image = _horner_vec(ser_m, order, h, sol_tail)\n",
+        "    image = _horner_vec(ser_m, order, h, [(0.0, 0.0)] * n)\n",
+        "the midpoint's image drops the solution's Lagrange term",
+        ["tests/test_flow.py"],
+    ),
+    "cross_no_pk_off": (
+        FLOW,
+        "        row = (data.image[i] - rho * pk_off + idot(terms, coords)\n",
+        "        row = (data.image[i] + idot(terms, coords)\n",
+        "the crossing projection drops the midpoint's offset from the "
+        "section",
+        ["tests/test_flow.py"],
+    ),
+    "cone_shift_no_c": (
+        CONES,
+        "    shift_x = (n1 + ratio * n2) * 0.5 + c\n",
+        "    shift_x = (n1 + ratio * n2) * 0.5\n",
+        "the expanding cone conditions drop the rate c",
+        ["tests/test_cones.py", "tests/test_prover.py"],
+    ),
+    "window_no_sqrt_alpha_h": (
+        MANIFOLD,
+        "    s = (ru * sqrt(Interval(cones.alpha_h))).hi\n",
+        "    s = ru.hi\n",
+        "the launch window's transversal half-width is r_u, not "
+        "r_u sqrt(alpha_h)",
+        ["tests/test_manifold.py", "tests/test_prover.py"],
     ),
     "endpoint_sign_not_strict": (
         PROVER,
