@@ -4,8 +4,8 @@ The soundness tests of the kernels draw random or hand-picked inputs.
 The replay checks the proof's own call stream instead: Replay.install
 wraps the float kernels at module level, and keeps every STRIDE-th call
 of each scalar kernel and every call of the numpy kernels, which run a
-few hundred times per chain.  The exact range of a kept call, a fractions.Fraction pair, must
-lie inside the returned pair:
+few hundred times per chain.  The exact range of a kept call, a
+fractions.Fraction pair, must lie inside the returned pair:
 
   * the products (_mul_ends) and quotients (rtbp._div_pos): the least and
     the greatest corner product or quotient;
@@ -68,6 +68,10 @@ def _exact_dot(alo, ahi, blo, bhi) -> tuple:
         lo += min(cs)
         hi += max(cs)
     return Fraction(lo, 1 << 2 * _SCALE), Fraction(hi, 1 << 2 * _SCALE)
+
+
+def _exact_product(a0, a1, b0, b1) -> tuple:
+    return _exact_dot([a0], [a1], [b0], [b1])
 
 
 def _exact_quotient(a0, a1, d0, d1) -> tuple:
@@ -145,7 +149,8 @@ def _add_cases(up: bool):
         for idx in _sample(out.shape):
             a, b = (float(e[idx]) for e in ends)
             s = float(out[idx])
-            yield (a, b), _exact_sum, (a, b), None if up else s, s if up else None
+            pair = (None, s) if up else (s, None)
+            yield (a, b), _exact_sum, (a, b), *pair
     return cases
 
 
@@ -191,9 +196,7 @@ KERNELS = {
     "flow._mul_floats": (flow, "_mul_floats", _mul_floats_cases, STRIDE),
     **{
         f"{mod.__name__.rsplit('.', 1)[1]}._mul_ends": (
-            mod, "_mul_ends",
-            _pair(lambda a0, a1, b0, b1: _exact_dot([a0], [a1], [b0], [b1]),
-                  lambda *a: a), STRIDE,
+            mod, "_mul_ends", _pair(_exact_product, lambda *a: a), STRIDE,
         )
         for mod in (interval, flow, rtbp)
     },
@@ -205,9 +208,7 @@ KERNELS = {
     },
     "interval._a_add_dn": (interval, "_a_add_dn", _add_cases(up=False), 1),
     "interval._a_add_up": (interval, "_a_add_up", _add_cases(up=True), 1),
-    "interval._a_mul": (interval, "_a_mul",
-                        _corner_cases(lambda a0, a1, b0, b1: _exact_dot(
-                            [a0], [a1], [b0], [b1])), 1),
+    "interval._a_mul": (interval, "_a_mul", _corner_cases(_exact_product), 1),
     "interval._a_div": (interval, "_a_div", _corner_cases(_exact_quotient), 1),
     "IArray.matmul": (interval.IArray, "matmul", _matmul_cases, 1),
 }
@@ -215,12 +216,11 @@ KERNELS = {
 
 def _encloses(lo, hi, out0, out1) -> bool:
     """[out0, out1] contains [lo, hi]; None is an end not formed."""
-    if out0 is not None and not (
-        out0 == -math.inf or out0 == out0 and Fraction(out0) <= lo
-    ):
-        return False
-    return out1 is None or out1 == math.inf or out1 == out1 and (
-        hi <= Fraction(out1))
+    below = out0 is None or out0 == -math.inf or (
+        math.isfinite(out0) and Fraction(out0) <= lo)
+    above = out1 is None or out1 == math.inf or (
+        math.isfinite(out1) and hi <= Fraction(out1))
+    return below and above
 
 
 class Replay:
