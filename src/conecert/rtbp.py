@@ -692,7 +692,10 @@ class RtbpSolutionSeries:
 
     float_series() holds the state's coefficients as (lo, hi) float
     lists, the one form flow reads; the distance, inverse-power and
-    field-product series are kept so for the variational recurrence.  A
+    field-product series are kept so for the variational recurrence.
+    They run one order behind the state: extend forms their coefficient
+    k where it forms the state's k + 1, the first coefficient to read
+    it, so no expansion forms one that nothing reads.  A
     five-component start (X, Y, P_X, P_Y, mu) gives dim 5: mu must be its
     last component, and float_series() appends the constant mass series.
     """
@@ -734,10 +737,46 @@ class RtbpSolutionSeries:
         self.yw2 = ([], [])
 
     def extend(self) -> None:
-        """Append coefficient order+1 to every series."""
+        """Append coefficient order+1 to the state's series, after
+        coefficient order of the auxiliary series, which it reads."""
         k = self.order
         kk = k + 1
         (xl, xh), (yl, yh), (pl, ph), (ql, qh) = self._u
+        if k:
+            x0, x1 = xl[k], xh[k]
+            for lo, hi in (self.d1, self.d2):
+                lo.append(x0)
+                hi.append(x1)
+            # squares by symmetry: c_k = 2 sum_{j <= h} a_j a_{k-j}, plus
+            # a_{k/2}^2 when k is even; d1 and d2 differ only at index 0
+            h = (k - 1) // 2
+            y2l, y2h = _dot(yl[: h + 1], yh[: h + 1], yl[k:k - h - 1:-1],
+                            yh[k:k - h - 1:-1])
+            midl, midh = _dot(xl[1:h + 1], xh[1:h + 1],
+                              xl[k - 1:k - h - 1:-1], xh[k - 1:k - h - 1:-1])
+            y2l, y2h = _add_dn(y2l, y2l), _add_up(y2h, y2h)
+            sx0 = sx1 = 0.0
+            if k % 2 == 0:
+                r0, r1 = _sq_ends(yl[k // 2], yh[k // 2])
+                y2l, y2h = _add_dn(y2l, r0), _add_up(y2h, r1)
+                sx0, sx1 = _sq_ends(xl[k // 2], xh[k // 2])
+            self.y2[0].append(y2l)
+            self.y2[1].append(y2h)
+            for dsq, d, s, w in (
+                (self.d1sq, self.d1, self.s1, self.w1),
+                (self.d2sq, self.d2, self.s2, self.w2),
+            ):
+                t0, t1 = _mul_ends(d[0][0], d[1][0], x0, x1)
+                tl, th = _add_dn(t0, midl), _add_up(t1, midh)
+                c0 = _add_dn(_add_dn(tl, tl), sx0)
+                c1 = _add_up(_add_up(th, th), sx1)
+                dsq[0].append(c0)
+                dsq[1].append(c1)
+                s[0].append(_add_dn(c0, y2l))
+                s[1].append(_add_up(c1, y2h))
+                p0, p1 = _power_next(s, w, -1.5, k)
+                w[0].append(p0)
+                w[1].append(p1)
         m1, mu = self.masses
         w1l, w1h = self.w1
         w2l, w2h = self.w2
@@ -771,40 +810,6 @@ class RtbpSolutionSeries:
         ql.append(nudge(f3l / kk, _NINF))
         qh.append(nudge(f3h / kk, _INF))
         self.order = kk
-        x0, x1 = xl[kk], xh[kk]
-        for lo, hi in (self.d1, self.d2):
-            lo.append(x0)
-            hi.append(x1)
-        # squares by symmetry: c_kk = 2 sum_{j <= h} a_j a_{kk-j}, plus
-        # a_{kk/2}^2 when kk is even; d1 and d2 differ only at index 0
-        h = (kk - 1) // 2
-        y2l, y2h = _dot(yl[: h + 1], yh[: h + 1], yl[kk:kk - h - 1:-1],
-                        yh[kk:kk - h - 1:-1])
-        midl, midh = _dot(xl[1:h + 1], xh[1:h + 1], xl[kk - 1:kk - h - 1:-1],
-                          xh[kk - 1:kk - h - 1:-1])
-        y2l, y2h = _add_dn(y2l, y2l), _add_up(y2h, y2h)
-        sx0 = sx1 = 0.0
-        if kk % 2 == 0:
-            r0, r1 = _sq_ends(yl[kk // 2], yh[kk // 2])
-            y2l, y2h = _add_dn(y2l, r0), _add_up(y2h, r1)
-            sx0, sx1 = _sq_ends(xl[kk // 2], xh[kk // 2])
-        self.y2[0].append(y2l)
-        self.y2[1].append(y2h)
-        for dsq, d, s, w in (
-            (self.d1sq, self.d1, self.s1, self.w1),
-            (self.d2sq, self.d2, self.s2, self.w2),
-        ):
-            t0, t1 = _mul_ends(d[0][0], d[1][0], x0, x1)
-            tl, th = _add_dn(t0, midl), _add_up(t1, midh)
-            c0 = _add_dn(_add_dn(tl, tl), sx0)
-            c1 = _add_up(_add_up(th, th), sx1)
-            dsq[0].append(c0)
-            dsq[1].append(c1)
-            s[0].append(_add_dn(c0, y2l))
-            s[1].append(_add_up(c1, y2h))
-            p0, p1 = _power_next(s, w, -1.5, kk)
-            w[0].append(p0)
-            w[1].append(p1)
 
     def float_series(self) -> list:
         """The coefficients through the order, as one (lo, hi) pair of
@@ -829,7 +834,7 @@ class RtbpSolutionSeries:
         uyy = ([], [])
         mix = ([], [])
         uxy = ([], [])
-        for k in range(self.order + 1):
+        for k in range(self.order):
             if k:
                 for s, v in ((s1, v1), (s2, v2)):
                     p0, p1 = _power_next(s, v, -2.5, k)

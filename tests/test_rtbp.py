@@ -834,7 +834,10 @@ def _bits(pairs) -> list:
 def test_stopped_variational_column_is_the_full_one_cut(dim):
     """A tube column stopped by its stop rule at order 9 equals the
     order-21 expansion bit for bit up to order 9, and so does the Omega
-    series through order 8, all the column reads of it.  The 5-d
+    series through order 8, all the column reads of it.  The whole Omega
+    series runs through order 20, one below the solution's: the
+    variational recurrence reads no more, and the auxiliary series it
+    is formed from stop there.  The 5-d
     column's mass row is neither 0 nor 1, so its forcing is multiplied
     through.  [TRIVIAL]"""
     order, stop_at = 21, 9
@@ -863,12 +866,13 @@ def test_stopped_variational_column_is_the_full_one_cut(dim):
     for row_cut, row_full in zip(cut, full):
         for (lo, hi), (flo, fhi) in zip(row_cut, row_full):
             assert _bits(zip(lo, hi)) == _bits(zip(flo, fhi))[: stop_at + 1]
-    # the Omega series: stop_at orders, against every order of the series
+    # the Omega series: stop_at orders, against orders 0..order-1, all
+    # that the full column reads
     omega = ser._partials()
     for _ in range(stop_at):
         short = [_bits(zip(*s)) for s in next(omega)]
     *_, whole = ser._partials()
-    assert len(whole[0][0]) == order + 1
+    assert len(whole[0][0]) == order
     for s, f in zip(short, whole):
         assert s == _bits(zip(*f))[:stop_at]
 
