@@ -28,20 +28,24 @@ its float lists only: F over a box is coefficient 1 of its series, and
 DF over a tube coefficient 1 of its variational series from I.
 
 One Taylor step of order p uses six series expansions, in this order:
-  * an interval series over the rough tube (order p+1), whose last
-    coefficient is the Lagrange term of the solution; its magnitude
-    sol_err is tested first, so a step that fails it pays for no other
-    series;
-  * a thin series at the midpoint (order p), which with that Lagrange
-    coefficient encloses phi_h(midpoint);
+  * an interval series over the rough tube, expanded one order at a
+    time up to p+1 and stopped at the first order p'+1 whose coefficient
+    times h^(p'+1), the Lagrange term of the solution, has magnitude at
+    most the cut (see Step sizes); its magnitude sol_err is tested
+    first, so a step that fails it pays for no other series;
   * the variational series over the tube from I (order 1), whose
     coefficient 1 is DF over the tube, L its infinity norm;
   * the variational series over the tube of the one column W u, u = x0 - m
     the current box less its midpoint and W the a-priori bound
     ||V(t) - I||_inf <= e^(L h) - 1, expanded one order at a time up to
-    the first order q+1 <= p+1 whose coefficient times [h]^(q+1) has
-    magnitude at most sol_err (q = p when none does); that term is the
-    tail vector, the Lagrange term of D(phi_h) applied to every x - m;
+    the first order q+1 <= p'+1 whose coefficient times [h]^(q+1) has
+    magnitude at most sol_err or the cut (q = p' when none does); that
+    term is the tail vector, the Lagrange term of D(phi_h) applied to
+    every x - m.  A column that reaches p'+1 < p+1 without meeting
+    either expands the tube series again to p+1 and itself to p+1, and
+    the step runs at the full order p;
+  * a thin series at the midpoint (order p'), which with that Lagrange
+    coefficient encloses phi_h(midpoint);
   * an interval series at the current box (order q) and its variational
     series from I (order q), whose Taylor polynomial [V] is the transport.
 The variational series come back as float (lo, hi) series per
@@ -59,13 +63,15 @@ coefficient q+1 of the series started at some time t in [0, h] from the
 point phi_t(y) of the tube with V_0 = D(phi_t)(y) in W.  This holds at
 every q <= p, so the column stops as soon as its term no longer matters:
 past that order the box and transport series would only shrink a tail
-already below sol_err, which the step carries anyway.  When q < p,
-var_err <= sol_err, so the error ratio below is sol_err / tol.  The
-products [V] C and [V] B are split into float midpoints plus interval
-defects, which join the tail in the error, and the error basis is
-renewed by Gram-Schmidt on sorted columns to control wrapping.  This
-Lohner update runs on float pairs too, with no BLAS, each operation
-rounded bit for bit as the Interval operation it replaces.  A product of
+already below sol_err, which the step carries anyway, or below the cut.
+The solution's Taylor form holds at every p' <= p in the same way.  When
+the column meets sol_err, var_err <= sol_err, so the error ratio below
+is sol_err / tol.  The products [V] C and [V] B are split into float
+midpoints plus interval defects, which join the tail in the error, and
+the error basis is renewed by Gram-Schmidt on sorted columns to control
+wrapping.  This Lohner update runs on float pairs too, with no BLAS,
+each operation rounded bit for bit as the Interval operation it
+replaces.  A product of
 an interval matrix with a float one ([V] C, [V] B, Q^T Q, Q^-1 times the
 float part of [V] B, and the hull of the set) takes per term the two
 corners picked by the float's sign, with the rounding of idot.
@@ -86,6 +92,16 @@ fixed-time integrator shares, and the predicted size carries over from
 step to step.  Its defaults are the settings every flight of the proof
 uses: order p = 20, tol = 3e-15, a first step of 0.02, h_min = 1e-9,
 h_max = 0.12, and a Poincare flight gives up after 12 time units.
+
+The rule also sets each step's order.  An error ratio r at or under
+(0.7 / 2)^(p+1), about 2.65e-10 at p = 20 (7.9e-25 at tol 3e-15), already
+gives the largest growth, 2 h, so an error below that cut buys nothing:
+a step expands its series only to the first order p' <= p whose
+Lagrange term meets the cut, and its column stops at the cut too.  Every
+such step has r under the cut, so it still predicts 2 h.  The cut is the
+ratio at which _step_factor returns its cap, asked of _step_factor
+itself; a step at an infinite tol (the crossing step) keeps the full
+order.
 
 Poincare crossings monitor the rough tube of every step.  A step whose
 tube is clear of the section is accepted as it is.  A step whose tube
@@ -374,6 +390,13 @@ class _StepData:
         self.order = order  # q, the transport's order; the tail's is q+1
 
 
+def _lagrange(series, k: int, hph: list) -> tuple:
+    """Coefficient k of a series, one (lo, hi) pair per component, and its
+    magnitude times the upper end hph[k] of h^k."""
+    tail = [(lo[k], hi[k]) for lo, hi in series.float_series()]
+    return tail, max(abs(x) for t in tail for x in t) * hph[k]
+
+
 def _expand_step(
     field, enc: FlowEnclosure, h: float, order: int, tol: float = math.inf,
     ser_m=None,
@@ -383,32 +406,35 @@ def _expand_step(
     ser_m is the thin series at the midpoint to order p, when the caller
     has expanded it already; it does not depend on h.
 
-    The transport is the Taylor polynomial of D(phi_h) over the box x0,
-    of an order q <= p.  Its Lagrange term is only ever applied to
-    u = x0 - m, so it is carried as the vector tail: coefficient q+1 of
-    the variational column over the tube started from W u, times
-    h^(q+1).  W encloses V(t) for t in [0, h] through
-    ||V(t) - I||_inf <= b = e^(L h) - 1, L = ||Df(tube)||_inf, so (W u)_i
-    is enclosed by u_i + [-b, b] max_j |u_j|.  By the mean value theorem
-    phi_h(x) lies in phi_h(m) + transport (x - m) + tail for every x in
-    x0, at any q.  The column is expanded one order at a time, and q+1 is
-    the first order whose term has magnitude at most sol_err, or p+1; the
-    box series and the transport are then expanded to q only."""
+    The tube series stops at the first order p'+1 <= p+1 whose Lagrange
+    term is at or under the cut (_step_factor's cap; none for an infinite
+    tol), and the thin series runs to p'.  The transport is the Taylor
+    polynomial of D(phi_h) over the box x0, of an order q <= p'.  Its
+    Lagrange term is only ever applied to u = x0 - m, so it is carried as
+    the vector tail: coefficient q+1 of the variational column over the
+    tube started from W u, times h^(q+1).  W encloses V(t) for t in
+    [0, h] through ||V(t) - I||_inf <= b = e^(L h) - 1,
+    L = ||Df(tube)||_inf, so (W u)_i is enclosed by u_i + [-b, b]
+    max_j |u_j|.  By the mean value theorem phi_h(x) lies in
+    phi_h(m) + transport (x - m) + tail for every x in x0, at any q.  The
+    column is expanded one order at a time, and q+1 is the first order
+    whose term has magnitude at most sol_err or the cut, or p'+1; the box
+    series and the transport are then expanded to q only.  A column that
+    meets neither by p'+1 < p+1 is expanded again at the full order p."""
     n = enc.dim
     x0 = enc.as_box()
     tube = a_priori_enclosure(field, x0, h)
-    ser_z = field.expand(tube, order + 1)
-    # the Lagrange coefficient, one (lo, hi) pair per component
-    sol_tail = [(lo[order + 1], hi[order + 1])
-                for lo, hi in ser_z.float_series()]
     hpl, hph = _powers(h, order + 1)
-    sol_err = max(abs(x) for t in sol_tail for x in t) * hph[order + 1]
+
+    def under(err):  # the ratio err / tol is one _step_factor caps
+        return tol < _INF and _step_factor(err / tol, order) == _GROWTH
+
+    ser_z = field.expand(tube, order + 1,
+                         stop=lambda k, s: under(_lagrange(s, k, hph)[1]))
+    top = len(ser_z.float_series()[0][0]) - 1  # p'+1
+    sol_tail, sol_err = _lagrange(ser_z, top, hph)
     if sol_err > tol:
         return _StepData(None, None, None, tube, sol_err, 0.0, None)
-
-    if ser_m is None:
-        ser_m = field.expand(IVector.from_floats(enc.midpoint), order)
-    image = _horner_vec(ser_m, order, h, sol_tail)
 
     u = [x0[i] - enc.midpoint[i] for i in range(n)]
     ident = IMatrix.identity(n)
@@ -416,18 +442,26 @@ def _expand_step(
     b = exp(Interval(l_inf) * h) - 1.0
     r = (b * max(c.mag for c in u)).hi
     ball = Interval(-r, r)
-    v_z = field.expand_variational(
-        ser_z, IMatrix([[c + ball] for c in u]), order + 1,
-        # every entry of the term has magnitude at most sol_err
-        stop=lambda k, v: all(
-            -lo <= sol_err and hi <= sol_err
-            for lo, hi in _column_term(v, k, hpl, hph)
-        ),
-    )
+    column = IMatrix([[c + ball] for c in u])
+
+    def met(k, v):  # every entry of the term at most sol_err, or the cut
+        t = _column_term(v, k, hpl, hph)
+        return all(-lo <= sol_err and hi <= sol_err for lo, hi in t) or (
+            under(max(max(-lo, hi) for lo, hi in t)))
+
+    v_z = field.expand_variational(ser_z, column, top, stop=met)
+    if top <= order and not met(len(v_z[0][0][0]) - 1, v_z):
+        ser_z = field.expand(tube, order + 1)
+        top = order + 1
+        sol_tail, sol_err = _lagrange(ser_z, top, hph)
+        v_z = field.expand_variational(ser_z, column, top, stop=met)
     q = len(v_z[0][0][0]) - 2  # the column ends at order q + 1
     tail = IVector([_mk(*t) for t in _column_term(v_z, q + 1, hpl, hph)])
     var_err = max(c.mag for c in tail)
 
+    if ser_m is None:
+        ser_m = field.expand(IVector.from_floats(enc.midpoint), top - 1)
+    image = _horner_vec(ser_m, top - 1, h, sol_tail)
     ser_x = field.expand(x0, q)
     v_x = field.expand_variational(ser_x, ident, q)
     transport = _horner_transport(v_x, q, h)

@@ -896,12 +896,16 @@ class RtbpTaylorField:
     def __init__(self, params: RtbpParams):
         self.params = params
 
-    def expand(self, u0, order: int) -> RtbpSolutionSeries:
+    def expand(self, u0, order: int, stop=None) -> RtbpSolutionSeries:
+        """The solution series from u0 through order, or through the
+        first order k >= 1 for which stop(k, series) is true."""
         s = _coerce(u0, (4, 5))
         mu = s[4] if len(s) == 5 else self.params.mu
         series = RtbpSolutionSeries(s, mu)
         for _ in range(order):
             series.extend()
+            if stop is not None and stop(series.order, series):
+                break
         return series
 
     def expand_variational(

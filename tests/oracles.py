@@ -238,11 +238,13 @@ class LinearTaylorField:
         self.a = a
         self.dim = n
 
-    def expand(self, u0, order: int) -> CoeffSeries:
+    def expand(self, u0, order: int, stop=None) -> CoeffSeries:
         coeffs = [_as_ivector(u0, self.dim)]
         for k in range(order):
             coeffs.append(IVector([c * (1.0 / (k + 1))
                                    for c in self.a.matvec(coeffs[k])]))
+            if stop is not None and stop(k + 1, CoeffSeries(coeffs)):
+                break
         return CoeffSeries(coeffs)
 
     def expand_variational(

@@ -445,7 +445,8 @@ def test_assemble_needs_the_tail_under_a_thin_image(a, flow_at):
 def test_low_order_step_contains_rtbp_shootings():
     # At order 4 and h = 0.1 the tail vector outweighs the solution
     # Lagrange term; shootings from the corners of the box land in the
-    # assembled enclosure.  [DERIVED] scipy RK45 at rtol 1e-12
+    # assembled enclosure.  [DERIVED] scipy RK45 at rtol 1e-12.  Then a
+    # step that the step-size rule's cut stops below order p (below).
     scipy_integrate = pytest.importorskip("scipy.integrate")
     field = rtbp_field()
     mu = field.params.mu.mid
@@ -467,6 +468,84 @@ def test_low_order_step_contains_rtbp_shootings():
         final = sol.y[:, -1]
         for i in range(4):
             assert end[i].lo <= final[i] <= end[i].hi
+    _escape_step_contains_mpmath_shootings(field)
+
+
+class _Reached:
+    """A field that records the order each expand reached."""
+
+    def __init__(self, field):
+        self.field, self.reached = field, []
+
+    def expand(self, u0, order, stop=None):
+        ser = self.field.expand(u0, order, stop)
+        self.reached.append(len(ser.float_series()[0][0]) - 1)
+        return ser
+
+    def expand_variational(self, *args, **kwargs):
+        return self.field.expand_variational(*args, **kwargs)
+
+
+def _mp_shoot(x, h):
+    """phi_h(x) of the RTBP at the decimal mass MU, by mpmath's Taylor
+    integrator at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+
+    def f(t, s):
+        x, y, px, py = s
+        w1 = ((x - mu) ** 2 + y ** 2) ** -1.5
+        w2 = ((x - mu + 1) ** 2 + y ** 2) ** -1.5
+        return [px + y, py - x,
+                py - (1 - mu) * (x - mu) * w1 - mu * (x - mu + 1) * w2,
+                -px - y * ((1 - mu) * w1 + mu * w2)]
+
+    with mp.workdps(30):
+        mu = mp.mpf(MU)  # the decimal to 30 digits, in every shooting
+        return mp.odefun(f, 0, [mp.mpf(c) for c in x])(mp.mpf(h))
+
+
+def _escape_step_contains_mpmath_shootings(field):
+    # A step at h_max at the proof's order and tol from the launch box
+    # that escapes L1 (the chart image of x = 1e-7 along the unstable
+    # direction, transversal half-width 1e-11, as the endpoint flights
+    # launch): the tube series stops below order p, and the step's error
+    # ratio is one at which _step_factor returns its cap.  The image
+    # encloses phi_h(m), and phi_h(x) - phi_h(m) lies in
+    # transport (x - m) + tail at corners x of the box, both against
+    # 30-digit shootings.  [DERIVED] mpmath odefun at 30 digits
+    from conecert.prover import chart_seeded_enclosure
+    from conecert.rtbp import jordan_basis
+
+    mp = pytest.importorskip("mpmath")
+    order, h, tol = flow.ORDER, flow.H_MAX, flow.TOL
+    t = Interval(-1e-11, 1e-11)
+    enc = chart_seeded_enclosure(jordan_basis(field.params),
+                                 IVector([Interval(1e-7), t, t, t]))
+    rec = _Reached(field)
+    data = flow._expand_step(rec, enc, h, order, tol)
+    tube_order = rec.reached[-3]  # the tube, thin and box series come last
+    assert data.order < tube_order - 1 < order
+    assert rec.reached[-2:] == [tube_order - 1, data.order]
+    r = max(data.sol_err, data.var_err) / tol
+    assert flow._step_factor(r, order) == flow._GROWTH
+    assert r <= (flow._SAFETY / flow._GROWTH) ** (order + 1)
+    x0 = enc.as_box()
+    at_m = _mp_shoot(enc.midpoint, h)
+    with mp.workdps(30):
+        for i in range(4):
+            assert mp.mpf(data.image[i].lo) <= at_m[i] <= data.image[i].hi
+        for signs in ((1, 1, 1, 1), (-1, -1, -1, -1), (1, -1, 1, -1)):
+            x = [c.hi if s > 0 else c.lo for c, s in zip(x0, signs)]
+            diff = [a - b for a, b in zip(_mp_shoot(x, h), at_m)]
+            tlo, thi = data.transport
+            for i in range(4):
+                # transport (x - m) over the exact x - m, plus the tail
+                lo = hi = 0
+                for j, xj in enumerate(x):
+                    d = mp.mpf(xj) - mp.mpf(enc.midpoint[j])
+                    a, b = d * mp.mpf(tlo[i][j]), d * mp.mpf(thi[i][j])
+                    lo, hi = lo + min(a, b), hi + max(a, b)
+                assert lo + data.tail[i].lo <= diff[i] <= hi + data.tail[i].hi
 
 
 @LINEAR_FLOWS
@@ -511,6 +590,74 @@ def test_tail_at_the_stop_order_encloses_the_remainder(a, flow_at):
     # the order-q remainder dwarfs the order-p one, so the tail's order
     # decides the check
     assert worst > 100 * worst_p
+
+
+def _closed_form_step(a, flow_at, centre, r, h, order, tol):
+    """One step of x' = A x from a box at (order, tol), checked against
+    the closed-form e^(Ah) in mpmath at 40 digits: the image encloses
+    e^(Ah) m, the tail (e^(Ah) - sum_{k <= q} (Ah)^k / k!) (x - m) and
+    the assembled set e^(Ah) x, at the corners and 50 inner points x of
+    the box; the error ratio is one that _step_factor caps.  Returns the
+    orders the step's expansions reached."""
+    mp = pytest.importorskip("mpmath")
+    field = _Reached(LinearTaylorField(IMatrix.from_floats(a)))
+    enc = enclosure_from_box(IVector([Interval(c - r, c + r) for c in centre]))
+    data = flow._expand_step(field, enc, h, order, tol)
+    r_err = max(data.sol_err, data.var_err) / tol
+    assert flow._step_factor(r_err, order) == flow._GROWTH
+    end = flow._assemble(enc, data, h).as_box()
+    rng = random.Random(1401)
+    samples = [
+        [c + s * r for c, s in zip(centre, signs)]
+        for signs in itertools.product((-1.0, 1.0), repeat=2)
+    ] + [[c + rng.uniform(-r, r) for c in centre] for _ in range(50)]
+    with mp.workdps(40):
+        exact = mp.matrix(flow_at(mp, mp.mpf(h)))
+        poly, term = mp.eye(2), mp.eye(2)
+        for k in range(1, data.order + 1):
+            term = term * mp.matrix(a) * mp.mpf(h) / k
+            poly = poly + term
+        m_img = exact * mp.matrix(enc.midpoint)
+        for i in range(2):
+            assert data.image[i].lo <= m_img[i] <= data.image[i].hi
+        for x in samples:
+            v = mp.matrix([mp.mpf(xi) - mp.mpf(mi)
+                           for xi, mi in zip(x, enc.midpoint)])
+            rem = (exact - poly) * v
+            img = exact * mp.matrix(x)
+            for i in range(2):
+                assert data.tail[i].lo <= rem[i] <= data.tail[i].hi
+                assert end[i].lo <= img[i] <= end[i].hi
+    return field.reached[-3:], data.order
+
+
+@LINEAR_FLOWS
+def test_reduced_step_encloses_the_closed_form_flow(a, flow_at):
+    # At tol 1e-2 the cut, tol (0.7 / 2)^(p+1), is about 1e-8 at p = 12:
+    # the tube series stops at an order p'+1 < p+1 whose Lagrange term
+    # is under it, far above rounding, the thin series runs to p' and
+    # the column stops by p'+1.  A Lagrange coefficient read at any other
+    # order would miss the closed-form image.  [DERIVED] closed-form
+    # e^(At) in mpmath
+    (tube, thin, box), q = _closed_form_step(a, flow_at, [0.3, -0.7], 0.1,
+                                             0.3, 12, 1e-2)
+    assert tube < 13 and thin == tube - 1 and q == box <= thin
+
+
+def test_unmet_column_falls_back_to_the_full_order():
+    # On this saddle the tube column outgrows the solution series: at
+    # tol 6.2e-3 the tube series meets the cut at order 8 but the column
+    # does not, so the step expands the tube series again to p+1 and the
+    # thin series to p.  [DERIVED] closed-form e^(At) in mpmath
+    a, flow_at = [[1.0, 1.0], [0.0, -1.0]], (
+        lambda mp, t: [[mp.exp(t), mp.sinh(t)], [0, mp.exp(-t)]])
+    field = _Reached(LinearTaylorField(IMatrix.from_floats(a)))
+    enc = enclosure_from_box(IVector([Interval(-0.3, 0.3)] * 2))
+    flow._expand_step(field, enc, 0.3, 12, 6.2e-3)
+    assert field.reached[-4:-2] == [8, 13]
+    (tube, thin, box), q = _closed_form_step(a, flow_at, [0.0, 0.0], 0.3,
+                                             0.3, 12, 6.2e-3)
+    assert (tube, thin) == (13, 12) and q == box < 12
 
 
 def _shoot(x, h, mu):
@@ -774,6 +921,35 @@ def test_crossing_past_apex_succeeds():
     t_exact = 1.0 - math.sqrt(0.8)
     assert t_exact in cr.time
     assert cr.time.width < 1e-10
+
+
+def test_point_crossing_encloses_the_exact_landing():
+    # Point sets of x' = c, v' = -a c, c' = 0 (c = 1, a = 1e-3) cross
+    # {v = 1} within their first step.  The float landing time misses the
+    # exact one by up to ulp(1) / a, so the midpoint's image at that time
+    # lies off the section by up to an ulp of 1, and the projection must
+    # carry that offset times rho = F_x / F_v = -1/a.  Every projected
+    # coordinate encloses the exact landing, x = x0 + (v0 - 1) / a, v = 1
+    # and c = 1; x is at most a few ulps of 1 over a wide, and c a few
+    # ulps wide.
+    # [DERIVED] closed form in mpmath at 50 digits
+    mp = pytest.importorskip("mpmath")
+    a = 1e-3
+    f = LinearTaylorField(IMatrix.from_floats(
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -a], [0.0, 0.0, 0.0]]))
+    for j in range(1, 9):
+        x0, v0 = 0.25 * j, 1.0 + j * 1.37e-6
+        cr = poincare_crossing(
+            f, enclosure_from_box(IVector.from_floats([x0, v0, 1.0])),
+            Section(1, 1.0, -1),
+        )
+        box = cr.as_box()
+        with mp.workdps(50):
+            landing = [mp.mpf(x0) + (mp.mpf(v0) - 1) / mp.mpf(a), 1, 1]
+            for c, exact in zip(box, landing):
+                assert mp.mpf(c.lo) <= exact <= mp.mpf(c.hi)
+        assert box[0].width <= 8 * math.ulp(1.0) / a
+        assert box[2].width <= 16 * math.ulp(1.0)
 
 
 def _harmonic_box_crossing(r, h_max, observer=None):
