@@ -22,7 +22,12 @@ fractions.Fraction pair, must lie inside the returned pair:
     entries (first, last and two between) of each kept call:
     interval._a_add_dn and _a_add_up, one end each of the exact sum;
     interval._a_mul and _a_div, the corner products and quotients; and
-    IArray.matmul, the exact dot of a row with a column.
+    IArray.matmul, the exact dot of a row with a column;
+  * interval.exp as flow binds it, every call (one per step, the
+    e^(L h) of the a-priori ball, the one libm function on the verdict
+    path): e^lo and e^hi of its argument [lo, hi] from mpmath at 60
+    digits, whose rounding, about 1e-60 relative, is far below the
+    2^-53 spacing that a violation would show.
 
 An entry with a non-finite operand is counted and skipped, and an
 infinite end of the returned pair encloses everything on its side.  The
@@ -37,6 +42,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from conecert import flow, interval, rtbp
@@ -108,6 +114,16 @@ def _exact_power_next(s, pw, a, k) -> tuple:
     return min(qs), max(qs)
 
 
+def _mp_exp(lo, hi) -> tuple:
+    """e^lo and e^hi from mpmath at 60 digits, as Fractions."""
+    out = []
+    with mpmath.workdps(60):
+        for x in (lo, hi):
+            man, exp2 = mpmath.exp(mpmath.mpf(x)).man_exp
+            out.append(man * Fraction(2) ** exp2)
+    return tuple(out)
+
+
 # Each kernel's cases(args, out) yields, per checked entry, the floats the
 # entry reads, the exact-range function and its arguments, and the
 # returned lower and upper end (None for an end the kernel does not form).
@@ -176,6 +192,11 @@ def _matmul_cases(args, out):
                float(out.lo[idx]), float(out.hi[idx]))
 
 
+def _exp_cases(args, out):
+    (x,) = args
+    yield (x.lo, x.hi), _mp_exp, (x.lo, x.hi), out.lo, out.hi
+
+
 def _mul_floats_cases(args, out):
     alo, ahi, b = args
     for i, (rl, rh) in enumerate(zip(alo, ahi)):
@@ -194,6 +215,7 @@ KERNELS = {
     "flow._horner": (flow, "_horner", _pair(_exact_horner, _horner_args),
                      STRIDE),
     "flow._mul_floats": (flow, "_mul_floats", _mul_floats_cases, STRIDE),
+    "flow.exp": (flow, "exp", _exp_cases, 1),
     **{
         f"{mod.__name__.rsplit('.', 1)[1]}._mul_ends": (
             mod, "_mul_ends", _pair(_exact_product, lambda *a: a), STRIDE,

@@ -18,12 +18,19 @@ A row holds:
     every series), accepted steps with the least, median and largest
     accepted step size, the least, median and largest transport order q
     of the full steps, the tube-column coefficients they expanded
-    (q + 1 each), the calls of the field's expand and expand_variational
-    by the order asked for, the order-1 calls apart as field_reads (F
-    over a box) and df_reads (DF over a tube) from the series of order 2
-    and up, the P_X and crossing-time widths of the certified image, and
-    the sha256 of the endpoint's report, json.dumps(to_json(),
-    sort_keys=True);
+    (q + 1 each), the attempts whose series stopped below order p
+    (reduced_steps) and the series order p' that each attempt reached
+    (series_orders: p' to attempts; p' + 1 is the order of its tube
+    series, the last one it expanded), the calls of the field's expand
+    and expand_variational by the order reached (a stop rule may end a
+    series before the order asked for), the order-1 calls apart as
+    field_reads (F over a box) and df_reads (DF over a tube) from the
+    series of order 2 and up, the series coefficients all those calls
+    formed (series_coefficients, the orders reached summed over the
+    calls), the terms of every rtbp._dot call (dot_terms, the shorter
+    side's length summed), the P_X and crossing-time widths of the
+    certified image, and the sha256 of the endpoint's report,
+    json.dumps(to_json(), sort_keys=True);
   * layers, median milliseconds over REPEATS calls at the middle expanded
     step of the left flight: expand of the thin midpoint (order p = 20)
     and of the rough tube (box, order p + 1), expand_variational of the
@@ -32,12 +39,13 @@ A row holds:
     series from the identity at the step's transport order q (the
     transport's series), 1000 calls of rtbp._dot of length 12 (the tube
     series' d1 against w1 reversed, coefficients 0..11; the row's
-    milliseconds read as microseconds per dot), one flow._expand_step,
-    one flow._assemble (the Lohner update) of that step, the image
-    Horner of the step (flow._horner_vec of the thin series from the
-    tube series' Lagrange coefficient, read off float_series() as the
-    step reads it), and the tube column's stop rule at orders 1..q+1 of
-    the column series, with the tail at q+1 (flow._column_term);
+    milliseconds read as microseconds per dot), one flow._expand_step at
+    the flight's tol, one flow._assemble (the Lohner update) of that
+    step, the image Horner of the step (flow._horner_vec of the thin
+    series from the tube series' Lagrange coefficient, read off
+    float_series() as the step reads it), and the tube column's stop
+    rule at orders 1..q+1 of the column series, with the tail at q+1
+    (flow._column_term); all but expand_step at the full order p;
   * derivative, median milliseconds of the derivative-over-N stage, the
     proof's one derivative path: prover.enclose_DF_over_N over the left
     endpoint's N in 256 pieces and over the first default mass slice's N
@@ -54,8 +62,8 @@ A row holds:
   * fragment, the first fragment of the default proof
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
-    steps, the transport orders, tube-column coefficients and expansion
-    counts as above,
+    steps, the transport orders, tube-column coefficients, series orders,
+    expansion counts, series coefficients and dot terms as above,
     the largest P_X width of a flight and the crossing-time width;
   * with --full, the default proof (prover.check_homoclinic on
     ProofConfig.default()): verdict, wall seconds, both P_X images, the
@@ -78,6 +86,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -177,10 +186,11 @@ class _Counter:
     """Counting wrappers around one tree's flights while entered.
 
     flow._expand_step counts step attempts by outcome and keeps the
-    transport order of each full step, the observer of
-    prover.poincare_crossing counts accepted steps and their sizes,
-    prover.poincare_image keeps every certified crossing, and the field's
-    expand and expand_variational count their calls by order.
+    transport order of each full step and the series order of each
+    attempt, the observer of prover.poincare_crossing counts accepted
+    steps and their sizes, prover.poincare_image keeps every certified
+    crossing, the field's expand and expand_variational count their calls
+    by the order reached, and rtbp._dot counts its terms.
     """
 
     def __init__(self, flow, prover, tolerance: float):
@@ -189,44 +199,69 @@ class _Counter:
 
     def reset(self) -> None:
         self.stats = dict(attempts=0, rough_failures=0, sol_err_rejections=0,
-                          full_steps=0, accepted=0, flight_s=0.0)
+                          full_steps=0, reduced_steps=0, accepted=0,
+                          flight_s=0.0, dot_terms=0)
         self.steps: list = []
         self.sizes: list = []
         self.images: list = []
         self.orders: list = []
+        self.series_orders: dict = {}
         self.expand_orders: dict = {}
         self.variational_orders: dict = {}
 
     def __enter__(self) -> "_Counter":
         flow, prover = self.flow, self.prover
         field_cls = prover.RtbpTaylorField
+        rtbp = sys.modules[field_cls.__module__]
         self._saved = (flow._expand_step, prover.poincare_crossing,
                        prover.poincare_image, field_cls.expand,
-                       field_cls.expand_variational)
-        expand_step, crossing, image, expand, variational = self._saved
+                       field_cls.expand_variational, rtbp._dot)
+        expand_step, crossing, image, expand, variational, dot = self._saved
         stats = self.stats
         ex, var = self.expand_orders, self.variational_orders
+        # the running attempt's tube order p + 1, and the order its last
+        # tube series reached
+        tube = [None, None]
 
-        def counted_expand(field, u0, order):
-            ex[order] = ex.get(order, 0) + 1
-            return expand(field, u0, order)
+        def counted_expand(field, u0, order, stop=None):
+            # a tree without the stop rule takes no fourth argument
+            ser = expand(field, u0, order, *([stop] if stop else []))
+            k = len(ser.float_series()[0][0]) - 1
+            ex[k] = ex.get(k, 0) + 1
+            if order == tube[0]:
+                tube[1] = k
+            return ser
 
         def counted_variational(field, sol, v0, order, stop=None):
-            var[order] = var.get(order, 0) + 1
-            return variational(field, sol, v0, order, stop)
+            v = variational(field, sol, v0, order, stop)
+            k = len(v[0][0][0]) - 1
+            var[k] = var.get(k, 0) + 1
+            return v
+
+        def counted_dot(alo, ahi, blo, bhi):
+            stats["dot_terms"] += min(len(alo), len(blo))
+            return dot(alo, ahi, blo, bhi)
 
         def counted_step(field, enc, h, order, *args, **kwargs):
             stats["attempts"] += 1
+            tube[:] = [order + 1, None]
             try:
                 data = expand_step(field, enc, h, order, *args, **kwargs)
             except flow.EnclosureFailure:
                 stats["rough_failures"] += 1
                 raise
+            finally:
+                reached, tube[:] = tube[1], [None, None]
+            if reached is not None:
+                so = self.series_orders
+                so[reached - 1] = so.get(reached - 1, 0) + 1
+                stats["reduced_steps"] += reached <= order
             if data.sol_err > self.tolerance:
                 stats["sol_err_rejections"] += 1
             else:
                 stats["full_steps"] += 1
-                self.steps.append((field, enc, h, order))
+                tol = args[0] if args else kwargs.get("tol", math.inf)
+                self.steps.append((field, enc, h, order, tol))
                 self.orders.append(data.order)
             return data
 
@@ -254,18 +289,23 @@ class _Counter:
         prover.poincare_image = kept_image
         field_cls.expand = counted_expand
         field_cls.expand_variational = counted_variational
+        rtbp._dot = counted_dot
         return self
 
     def __exit__(self, *exc) -> None:
         field_cls = self.prover.RtbpTaylorField
         (self.flow._expand_step, self.prover.poincare_crossing,
          self.prover.poincare_image, field_cls.expand,
-         field_cls.expand_variational) = self._saved
+         field_cls.expand_variational,
+         sys.modules[field_cls.__module__]._dot) = self._saved
 
     def expansion_stats(self) -> dict:
-        """The expand and expand_variational calls by the order asked for,
-        and the order-1 reads of F and DF apart from the longer series."""
+        """The expand and expand_variational calls by the order reached,
+        the order-1 reads of F and DF apart from the longer series, the
+        coefficients all of them formed, and the series orders of the
+        step attempts."""
         ex, var = self.expand_orders, self.variational_orders
+        so = self.series_orders
         return dict(
             expand_calls={str(k): ex[k] for k in sorted(ex)},
             expand_variational_calls={str(k): var[k] for k in sorted(var)},
@@ -273,6 +313,9 @@ class _Counter:
             df_reads=var.get(1, 0),
             series_expansions=sum(ex.values()) - ex.get(1, 0)
             + sum(var.values()) - var.get(1, 0),
+            series_coefficients=sum(k * n for k, n in ex.items())
+            + sum(k * n for k, n in var.items()),
+            series_orders={str(k): so[k] for k in sorted(so)},
         )
 
     def order_stats(self) -> dict:
@@ -334,6 +377,8 @@ def _one_fragment(flow, prover, cfg) -> dict:
         "retried": out.retried,
         "attempts": stats["attempts"],
         "accepted": stats["accepted"],
+        "reduced_steps": stats["reduced_steps"],
+        "dot_terms": stats["dot_terms"],
         **counter.order_stats(),
         **counter.expansion_stats(),
         "flight_s": stats["flight_s"],
@@ -453,7 +498,7 @@ def measure(src: Path, full: bool = False) -> dict:
 
     cfg = prover.ProofConfig.default()
     flights, steps = _fly_endpoints(flow, prover, cfg)
-    field, enc, h, order = steps[len(steps) // 2]
+    field, enc, h, order, tol = steps[len(steps) // 2]
     data = flow._expand_step(field, enc, h, order)
     box = enc.as_box()
     tube = flow.a_priori_enclosure(field, box, h)
@@ -479,7 +524,8 @@ def measure(src: Path, full: bool = False) -> dict:
             lambda: field.expand_variational(ser_x, ident, q),
         "dot_12_x1000":
             lambda: [rtbp._dot(*dot_args) for _ in range(1000)],
-        "expand_step": lambda: flow._expand_step(field, enc, h, order),
+        "expand_step":
+            lambda: flow._expand_step(field, enc, h, order, tol),
         "assemble": lambda: flow._assemble(enc, data, h),
         "horner_image": lambda: flow._horner_vec(ser_m, order, h, sol_tail),
         "tail_stop":

@@ -1,12 +1,15 @@
 """Mutation runs for the trusted kernels of the verdict path.
 
 Each entry of MUTANTS is (file, exact old text, new text, what the new
-text breaks, tests to run).  For each entry the script copies src/,
-tests/ and pyproject.toml into a temporary directory, never touching the
-checkout, replaces the old text in the copy, and runs the named tests
-there with pytest.  A mutant whose tests fail is killed; one whose tests
-pass survives.  It prints one JSON object: the killed and the surviving
-mutants, each with its seconds, and any entry whose run could not start.
+text breaks, tests to run).  The script copies src/, tests/, proofbench/
+and pyproject.toml into temporary directories, never touching the
+checkout.  It first runs each distinct set of named tests once on an
+unmutated copy; then, for each entry, it replaces the old text in a
+fresh copy and runs the named tests there with pytest.  A mutant whose
+tests fail is killed; one whose tests pass survives.  An entry whose
+tests already fail unmutated, or whose run could not start, is an error:
+its failure would say nothing of the mutant.  It prints one JSON object:
+the killed, surviving and error entries, each with its seconds.
 
     python tools/mutants.py            # every entry, a few seconds each
     python tools/mutants.py --check    # each old text occurs exactly once
@@ -76,7 +79,7 @@ MUTANTS = {
         "    try:\n"
         "        hi = math.exp(x.hi)\n",
         "interval.exp trusts libm's exp to 0 ulp",
-        ["tests/test_interval.py"],
+        ["tests/test_interval.py", "tests/test_replay.py"],
     ),
     "a_priori_ball_halved": (
         FLOW,
@@ -148,9 +151,21 @@ MUTANTS = {
     ),
     "image_no_lagrange_tail": (
         FLOW,
-        "    image = _horner_vec(ser_m, order, h, sol_tail)\n",
-        "    image = _horner_vec(ser_m, order, h, [(0.0, 0.0)] * n)\n",
+        "    image = _horner_vec(ser_m, top - 1, h, sol_tail)\n",
+        "    image = _horner_vec(ser_m, top - 1, h, [(0.0, 0.0)] * n)\n",
         "the midpoint's image drops the solution's Lagrange term",
+        ["tests/test_flow.py"],
+    ),
+    "reduced_lagrange_at_p": (
+        FLOW,
+        "    sol_tail, sol_err = _lagrange(ser_z, top, hph)\n"
+        "    if sol_err > tol:\n",
+        "    sol_tail, sol_err = _lagrange(ser_z, top, hph)\n"
+        "    if top <= order:\n"
+        "        sol_tail = _lagrange(ser_z, top - 1, hph)[0]\n"
+        "    if sol_err > tol:\n",
+        "a step stopped below order p takes its Lagrange coefficient at "
+        "p' for the one at p'+1",
         ["tests/test_flow.py"],
     ),
     "cross_no_pk_off": (
@@ -196,6 +211,45 @@ def check() -> list:
     return bad
 
 
+def _copy(tmp: Path) -> None:
+    """The files the tests read, copied from the checkout into tmp."""
+    for d in ("src", "tests", "proofbench"):
+        shutil.copytree(ROOT / d, tmp / d,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", tmp)
+
+
+def _pytest(tmp: Path, tests: list) -> tuple:
+    """(return code, seconds, last pytest line) of the tests in tmp."""
+    env = {**os.environ, "PYTHONPATH": str(tmp / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+         "no:cacheprovider", *tests],
+        cwd=tmp, env=env, capture_output=True, text=True,
+    )
+    seconds = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return (proc.returncode, round(seconds, 1),
+            lines[-1] if lines else proc.stderr[-200:])
+
+
+def baseline(names: list) -> dict:
+    """The return code and last pytest line of each distinct test set of
+    the entries names, run once on an unmutated copy."""
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
+        tmp = Path(tmp)
+        _copy(tmp)
+        for name in names:
+            tests = tuple(MUTANTS[name][4])
+            if tests not in out:
+                code, _, last = _pytest(tmp, list(tests))
+                out[tests] = (code, last)
+    return out
+
+
 def run(name: str) -> tuple:
     """(outcome, seconds, last pytest line) of one mutant: outcome is
     "killed" when its tests fail, "survived" when they pass, else
@@ -203,24 +257,12 @@ def run(name: str) -> tuple:
     path, old, new, _, tests = MUTANTS[name]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
-        for d in ("src", "tests"):
-            shutil.copytree(ROOT / d, tmp / d,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", tmp)
+        _copy(tmp)
         target = tmp / path
         target.write_text(target.read_text().replace(old, new, 1))
-        env = {**os.environ, "PYTHONPATH": str(tmp / "src"),
-               "PYTHONDONTWRITEBYTECODE": "1"}
-        t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", *tests],
-            cwd=tmp, env=env, capture_output=True, text=True,
-        )
-        seconds = time.perf_counter() - t0
-    lines = proc.stdout.strip().splitlines()
-    outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
-    return outcome, round(seconds, 1), lines[-1] if lines else proc.stderr[-200:]
+        code, seconds, last = _pytest(tmp, tests)
+    outcome = {0: "survived", 1: "killed"}.get(code, "error")
+    return outcome, seconds, last
 
 
 def main(argv=None) -> int:
@@ -237,7 +279,14 @@ def main(argv=None) -> int:
     if unknown:
         ap.error(f"unknown mutants: {sorted(unknown)}")
     out = {"killed": {}, "survived": {}, "error": {}}
-    for name in args.names or MUTANTS:
+    names = args.names or list(MUTANTS)
+    unmutated = baseline(names)
+    for name in names:
+        code, last = unmutated[tuple(MUTANTS[name][4])]
+        if code != 0:
+            out["error"][name] = {"breaks": MUTANTS[name][3], "seconds": 0.0,
+                                  "pytest": f"fails unmutated: {last}"}
+            continue
         outcome, seconds, last = run(name)
         out[outcome][name] = {"breaks": MUTANTS[name][3],
                               "seconds": seconds, "pytest": last}
