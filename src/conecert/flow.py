@@ -451,6 +451,7 @@ def _expand_step(
 
     v_z = field.expand_variational(ser_z, column, top, stop=met)
     if top <= order and not met(len(v_z[0][0][0]) - 1, v_z):
+        # the column has not met the cut by p'+1: the full order p
         ser_z = field.expand(tube, order + 1)
         top = order + 1
         sol_tail, sol_err = _lagrange(ser_z, top, hph)

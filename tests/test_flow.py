@@ -523,21 +523,20 @@ def _escape_step_contains_mpmath_shootings(field):
                                  IVector([Interval(1e-7), t, t, t]))
     rec = _Reached(field)
     data = flow._expand_step(rec, enc, h, order, tol)
-    tube_order = rec.reached[-3]  # the tube, thin and box series come last
-    assert data.order < tube_order - 1 < order
-    assert rec.reached[-2:] == [tube_order - 1, data.order]
+    *_, tube, thin, box = rec.reached  # the step's last three series
+    assert box == data.order < thin == tube - 1 < order
     r = max(data.sol_err, data.var_err) / tol
     assert flow._step_factor(r, order) == flow._GROWTH
     assert r <= (flow._SAFETY / flow._GROWTH) ** (order + 1)
     x0 = enc.as_box()
     at_m = _mp_shoot(enc.midpoint, h)
+    tlo, thi = data.transport
     with mp.workdps(30):
         for i in range(4):
             assert mp.mpf(data.image[i].lo) <= at_m[i] <= data.image[i].hi
         for signs in ((1, 1, 1, 1), (-1, -1, -1, -1), (1, -1, 1, -1)):
             x = [c.hi if s > 0 else c.lo for c, s in zip(x0, signs)]
             diff = [a - b for a, b in zip(_mp_shoot(x, h), at_m)]
-            tlo, thi = data.transport
             for i in range(4):
                 # transport (x - m) over the exact x - m, plus the tail
                 lo = hi = 0
@@ -598,7 +597,7 @@ def _closed_form_step(a, flow_at, centre, r, h, order, tol):
     e^(Ah) m, the tail (e^(Ah) - sum_{k <= q} (Ah)^k / k!) (x - m) and
     the assembled set e^(Ah) x, at the corners and 50 inner points x of
     the box; the error ratio is one that _step_factor caps.  Returns the
-    orders the step's expansions reached."""
+    orders the step's expansions reached, in order, and q."""
     mp = pytest.importorskip("mpmath")
     field = _Reached(LinearTaylorField(IMatrix.from_floats(a)))
     enc = enclosure_from_box(IVector([Interval(c - r, c + r) for c in centre]))
@@ -628,7 +627,7 @@ def _closed_form_step(a, flow_at, centre, r, h, order, tol):
             for i in range(2):
                 assert data.tail[i].lo <= rem[i] <= data.tail[i].hi
                 assert end[i].lo <= img[i] <= end[i].hi
-    return field.reached[-3:], data.order
+    return field.reached, data.order
 
 
 @LINEAR_FLOWS
@@ -639,8 +638,9 @@ def test_reduced_step_encloses_the_closed_form_flow(a, flow_at):
     # the column stops by p'+1.  A Lagrange coefficient read at any other
     # order would miss the closed-form image.  [DERIVED] closed-form
     # e^(At) in mpmath
-    (tube, thin, box), q = _closed_form_step(a, flow_at, [0.3, -0.7], 0.1,
-                                             0.3, 12, 1e-2)
+    reached, q = _closed_form_step(a, flow_at, [0.3, -0.7], 0.1, 0.3, 12,
+                                   1e-2)
+    *_, tube, thin, box = reached
     assert tube < 13 and thin == tube - 1 and q == box <= thin
 
 
@@ -649,15 +649,12 @@ def test_unmet_column_falls_back_to_the_full_order():
     # tol 6.2e-3 the tube series meets the cut at order 8 but the column
     # does not, so the step expands the tube series again to p+1 and the
     # thin series to p.  [DERIVED] closed-form e^(At) in mpmath
-    a, flow_at = [[1.0, 1.0], [0.0, -1.0]], (
-        lambda mp, t: [[mp.exp(t), mp.sinh(t)], [0, mp.exp(-t)]])
-    field = _Reached(LinearTaylorField(IMatrix.from_floats(a)))
-    enc = enclosure_from_box(IVector([Interval(-0.3, 0.3)] * 2))
-    flow._expand_step(field, enc, 0.3, 12, 6.2e-3)
-    assert field.reached[-4:-2] == [8, 13]
-    (tube, thin, box), q = _closed_form_step(a, flow_at, [0.0, 0.0], 0.3,
-                                             0.3, 12, 6.2e-3)
-    assert (tube, thin) == (13, 12) and q == box < 12
+    reached, q = _closed_form_step(
+        [[1.0, 1.0], [0.0, -1.0]],
+        lambda mp, t: [[mp.exp(t), mp.sinh(t)], [0, mp.exp(-t)]],
+        [0.0, 0.0], 0.3, 0.3, 12, 6.2e-3,
+    )
+    assert reached[-4:] == [8, 13, 12, q] and q < 12
 
 
 def _shoot(x, h, mu):
