@@ -446,7 +446,8 @@ def test_low_order_step_contains_rtbp_shootings():
     # At order 4 and h = 0.1 the tail vector outweighs the solution
     # Lagrange term; shootings from the corners of the box land in the
     # assembled enclosure.  [DERIVED] scipy RK45 at rtol 1e-12.  Then a
-    # step that the step-size rule's cut stops below order p (below).
+    # step at the proof's settings that the step-size rule's cut stops
+    # below order p, against mpmath shootings.
     scipy_integrate = pytest.importorskip("scipy.integrate")
     field = rtbp_field()
     mu = field.params.mu.mid
