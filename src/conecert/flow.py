@@ -20,9 +20,9 @@ A field gives expand(u0, p), the solution series from the box u0, whose
 float_series() holds its Taylor coefficients through order p as one
 (lo, hi) pair of float lists per component, and
 expand_variational(series, V0, p, stop=None), the series of V' = DF V
-from V0, which may have any number of columns, through order p, or
-through the first order k >= 1 at which stop(k, series) is true, entry
-[i][j] of it the pair of float lists (lo, hi) of entry (i, j).
+from V0 (any number of columns) through order p, or the first k >= 1
+with stop(k, series) true, as entries [i][j] = (lo, hi); it extends the
+solution series to every order it reaches past the series' own.
 flow reads the field through these two only, and every series through
 its float lists only: F over a box is coefficient 1 of its series, and
 DF over a tube coefficient 1 of its variational series from I.
@@ -38,12 +38,11 @@ One Taylor step of order p uses six series expansions, in this order:
   * the variational series over the tube of the one column W u, u = x0 - m
     the current box less its midpoint and W the a-priori bound
     ||V(t) - I||_inf <= e^(L h) - 1, expanded one order at a time up to
-    the first order q+1 <= p'+1 whose coefficient times [h]^(q+1) has
-    magnitude at most sol_err or the cut (q = p' when none does); that
+    the first order q+1 <= p+1 whose coefficient times [h]^(q+1) has
+    magnitude at most sol_err or the cut (q = p when none does); that
     term is the tail vector, the Lagrange term of D(phi_h) applied to
-    every x - m.  A column that reaches p'+1 < p+1 without meeting
-    either expands the tube series again to p+1 and itself to p+1, and
-    the step runs at the full order p;
+    every x - m.  Past p'+1 the column extends the tube series with it,
+    and the step then reads its Lagrange term at q+1 and sets p' = q;
   * a thin series at the midpoint (order p'), which with that Lagrange
     coefficient encloses phi_h(midpoint);
   * an interval series at the current box (order q) and its variational
@@ -418,9 +417,9 @@ def _expand_step(
     max_j |u_j|.  By the mean value theorem phi_h(x) lies in
     phi_h(m) + transport (x - m) + tail for every x in x0, at any q.  The
     column is expanded one order at a time, and q+1 is the first order
-    whose term has magnitude at most sol_err or the cut, or p'+1; the box
-    series and the transport are then expanded to q only.  A column that
-    meets neither by p'+1 < p+1 is expanded again at the full order p."""
+    whose term has magnitude at most sol_err or the cut, or p+1; the box
+    series and the transport are then expanded to q only.  A column past
+    p'+1 extends the tube series with it, and p' becomes q."""
     n = enc.dim
     x0 = enc.as_box()
     tube = a_priori_enclosure(field, x0, h)
@@ -449,14 +448,11 @@ def _expand_step(
         return all(-lo <= sol_err and hi <= sol_err for lo, hi in t) or (
             under(max(max(-lo, hi) for lo, hi in t)))
 
-    v_z = field.expand_variational(ser_z, column, top, stop=met)
-    if top <= order and not met(len(v_z[0][0][0]) - 1, v_z):
-        # the column has not met the cut by p'+1: the full order p
-        ser_z = field.expand(tube, order + 1)
-        top = order + 1
-        sol_tail, sol_err = _lagrange(ser_z, top, hph)
-        v_z = field.expand_variational(ser_z, column, top, stop=met)
+    v_z = field.expand_variational(ser_z, column, order + 1, stop=met)
     q = len(v_z[0][0][0]) - 2  # the column ends at order q + 1
+    if q >= top:  # the column extended the tube series to q + 1
+        top = q + 1
+        sol_tail, sol_err = _lagrange(ser_z, top, hph)
     tail = IVector([_mk(*t) for t in _column_term(v_z, q + 1, hpl, hph)])
     var_err = max(c.mag for c in tail)
 

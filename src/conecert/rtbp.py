@@ -622,6 +622,8 @@ def _dot(alo: list, ahi: list, blo: list, bhi: list) -> tuple:
         # conditionals in place of abs(), min() and max(): no call per term
         elo += (p if p >= 0.0 else -p) + (lo if lo >= 0.0 else -lo)
         ehi += (q if q >= 0.0 else -q) + (hi if hi >= 0.0 else -hi)
+    # the running error bound of the module docstring (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 4.2)
     eta = min(len(alo), len(blo)) * _ETA
     elo = elo * _C + eta
     ehi = ehi * _C + eta
@@ -821,8 +823,8 @@ class RtbpSolutionSeries:
 
     def _partials(self):
         """The (lo, hi) series of Omega_XX, Omega_XY and Omega_YY, one
-        order at a time: the k-th next() appends coefficient k to each of
-        the three and yields them, for k up to the solution's order."""
+        order at a time: the k-th next() appends coefficient k to each
+        and yields them, while k is below the solution's current order."""
         (m1l, m1h), (mul, muh) = self.masses
         s1, s2 = self.s1, self.s2
         (w1l, w1h), (w2l, w2h) = self.w1, self.w2
@@ -834,7 +836,8 @@ class RtbpSolutionSeries:
         uyy = ([], [])
         mix = ([], [])
         uxy = ([], [])
-        for k in range(self.order):
+        k = 0
+        while k < self.order:
             if k:
                 for s, v in ((s1, v1), (s2, v2)):
                     p0, p1 = _power_next(s, v, -2.5, k)
@@ -867,6 +870,7 @@ class RtbpSolutionSeries:
             uxy[0].append(-_nextafter(th * 3.0, _INF))
             uxy[1].append(-_nextafter(tl * 3.0, _NINF))
             yield uxx, uxy, uyy
+            k += 1
 
     def _mass_forcing(self, uxx: tuple, uxy: tuple, k: int) -> tuple:
         """Coefficient k of dP_X'/dmu and of dP_Y'/dmu, as Intervals, from
@@ -913,15 +917,13 @@ class RtbpTaylorField:
     ) -> list:
         """Coefficients V_0..V_order of V' = DF(u(t)) V, V_0 given, as
         entries[i][j] = (lo, hi), the float lists of entry (i, j) indexed
-        by the order.  With stop, the series ends at the first order
-        k >= 1 for which stop(k, entries) is true, on the same lists.
+        by the order; with stop, through the first order k >= 1 for which
+        stop(k, entries) is true.  sol is extended as far as V goes.
 
         V_0 has one row per state component.  For a five-component
         solution its row 4 stays constant (mu' = 0), and column j gets
         the forcing dF/dmu times V_0[4][j] in rows 2 and 3.
         """
-        if order > sol.order:
-            raise ValueError("solution series too short for this order")
         rows = v0.rows
         if len(rows) != sol.dim:
             raise ValueError("V_0 needs one row per state component")
@@ -940,6 +942,8 @@ class RtbpTaylorField:
         omega = sol._partials()
         for k in range(order):
             kk = k + 1
+            if k == sol.order:  # V_kk reads coefficient k of the solution
+                sol.extend()
             uxx, uxy, uyy = next(omega)
             if sol.dim == 5:
                 gx, gy = sol._mass_forcing(uxx, uxy, k)

@@ -238,11 +238,16 @@ class LinearTaylorField:
         self.a = a
         self.dim = n
 
+    def _extend(self, coeffs: list) -> None:
+        """Append coefficient k+1 = A c_k / (k+1), c_k the last one."""
+        k = len(coeffs) - 1
+        coeffs.append(IVector([c * (1.0 / (k + 1))
+                               for c in self.a.matvec(coeffs[k])]))
+
     def expand(self, u0, order: int, stop=None) -> CoeffSeries:
         coeffs = [_as_ivector(u0, self.dim)]
         for k in range(order):
-            coeffs.append(IVector([c * (1.0 / (k + 1))
-                                   for c in self.a.matvec(coeffs[k])]))
+            self._extend(coeffs)
             if stop is not None and stop(k + 1, CoeffSeries(coeffs)):
                 break
         return CoeffSeries(coeffs)
@@ -250,8 +255,12 @@ class LinearTaylorField:
     def expand_variational(
         self, sol, v0: IMatrix, order: int, stop=None
     ) -> list:
+        """As RtbpTaylorField's: sol is extended to each order the
+        column reaches past its own."""
         out = [v0]
         for k in range(order):
+            if k == len(sol.coeffs) - 1:
+                self._extend(sol.coeffs)
             d = Interval(1.0 / (k + 1))
             out.append(IMatrix([[c * d for c in row]
                                 for row in self.a.matmul(out[k]).rows]))

@@ -472,15 +472,26 @@ def test_low_order_step_contains_rtbp_shootings():
     _escape_step_contains_mpmath_shootings(field)
 
 
+def _order(ser) -> int:
+    return len(ser.float_series()[0][0]) - 1
+
+
 class _Reached:
-    """A field that records the order each expand reached."""
+    """A field that keeps each series its expand returns: returned holds
+    their orders at the return, reached their orders now, after any
+    extension by a variational column."""
 
     def __init__(self, field):
-        self.field, self.reached = field, []
+        self.field, self.series, self.returned = field, [], []
+
+    @property
+    def reached(self) -> list:
+        return [_order(ser) for ser in self.series]
 
     def expand(self, u0, order, stop=None):
         ser = self.field.expand(u0, order, stop)
-        self.reached.append(len(ser.float_series()[0][0]) - 1)
+        self.series.append(ser)
+        self.returned.append(_order(ser))
         return ser
 
     def expand_variational(self, *args, **kwargs):
@@ -598,7 +609,7 @@ def _closed_form_step(a, flow_at, centre, r, h, order, tol):
     e^(Ah) m, the tail (e^(Ah) - sum_{k <= q} (Ah)^k / k!) (x - m) and
     the assembled set e^(Ah) x, at the corners and 50 inner points x of
     the box; the error ratio is one that _step_factor caps.  Returns the
-    orders the step's expansions reached, in order, and q."""
+    _Reached field of the step and q."""
     mp = pytest.importorskip("mpmath")
     field = _Reached(LinearTaylorField(IMatrix.from_floats(a)))
     enc = enclosure_from_box(IVector([Interval(c - r, c + r) for c in centre]))
@@ -628,7 +639,7 @@ def _closed_form_step(a, flow_at, centre, r, h, order, tol):
             for i in range(2):
                 assert data.tail[i].lo <= rem[i] <= data.tail[i].hi
                 assert end[i].lo <= img[i] <= end[i].hi
-    return field.reached, data.order
+    return field, data.order
 
 
 @LINEAR_FLOWS
@@ -639,23 +650,26 @@ def test_reduced_step_encloses_the_closed_form_flow(a, flow_at):
     # the column stops by p'+1.  A Lagrange coefficient read at any other
     # order would miss the closed-form image.  [DERIVED] closed-form
     # e^(At) in mpmath
-    reached, q = _closed_form_step(a, flow_at, [0.3, -0.7], 0.1, 0.3, 12,
-                                   1e-2)
-    *_, tube, thin, box = reached
+    field, q = _closed_form_step(a, flow_at, [0.3, -0.7], 0.1, 0.3, 12,
+                                 1e-2)
+    *_, tube, thin, box = field.reached
     assert tube < 13 and thin == tube - 1 and q == box <= thin
 
 
-def test_unmet_column_falls_back_to_the_full_order():
+def test_unmet_column_extends_the_tube_series():
     # On this saddle the tube column outgrows the solution series: at
     # tol 6.2e-3 the tube series meets the cut at order 8 but the column
-    # does not, so the step expands the tube series again to p+1 and the
-    # thin series to p.  [DERIVED] closed-form e^(At) in mpmath
-    reached, q = _closed_form_step(
+    # does not, so the column extends the tube series as it goes on.
+    # Both end at one order p''+1 <= p+1, and the thin and box series
+    # run to p'' = q.  [DERIVED] closed-form e^(At) in mpmath
+    field, q = _closed_form_step(
         [[1.0, 1.0], [0.0, -1.0]],
         lambda mp, t: [[mp.exp(t), mp.sinh(t)], [0, mp.exp(-t)]],
         [0.0, 0.0], 0.3, 0.3, 12, 6.2e-3,
     )
-    assert reached[-4:] == [8, 13, 12, q] and q < 12
+    *_, tube, thin, box = field.reached
+    assert field.returned[-3] == 8 < tube == q + 1 <= 13
+    assert thin == box == q
 
 
 def _shoot(x, h, mu):

@@ -335,6 +335,47 @@ def test_directed_sums_match_the_overflow_first_branches():
         assert repr(_add_up(a, b)) == repr(refarith.add_up(a, b)), (a, b)
 
 
+def _le(x: float, y: Fraction) -> bool:
+    return x == DOWN or (x != UP and Fraction(x) <= y)
+
+
+def _ge(x: float, y: Fraction) -> bool:
+    return x == UP or (x != DOWN and Fraction(x) >= y)
+
+
+def test_directed_sums_are_the_adjacent_floats():
+    # [DERIVED] exact rational sums: for finite a and b, _add_dn(a, b) is
+    # the greatest float at or below a + b and _add_up(a, b) the least at
+    # or above (-inf and inf past the finite range), on random pairs,
+    # near cancellations, equal exponents, subnormals, signed zeros and
+    # overflows.  With an infinite operand an infinite sum gives
+    # maxfloat at its near end, as an overflow does, and inf - inf the
+    # whole line.
+    rng = random.Random(1401)
+    maxf = refarith.MAXF
+    pairs = [(a, b) for a in _SPECIAL for b in _SPECIAL]
+    pairs += [(maxf, 2.0**970), (maxf, 2.0**969), (-maxf, -2.0**970),
+              (-maxf, 2.0**970), (_TINY, -0.0), (-0.0, -0.0)]
+    pairs += [tuple(_random_floats(rng, 2)) for _ in range(1500)]
+    for _ in range(1500):
+        a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 307)
+        pairs.append((a, -a * (1.0 + rng.uniform(-1e-3, 1e-3))))
+        pairs.append((a, a * rng.uniform(0.5, 2.0)))
+    for a, b in pairs:
+        dn, up = _add_dn(a, b), _add_up(a, b)
+        if math.isinf(a) or math.isinf(b):
+            s = a + b
+            want = ((DOWN, UP) if s != s else (maxf, UP) if s > 0
+                    else (DOWN, -maxf))
+            assert (dn, up) == want, (a, b)
+            continue
+        exact = Fraction(a) + Fraction(b)
+        assert _le(dn, exact) and not _le(math.nextafter(dn, UP), exact), (
+            a, b)
+        assert _ge(up, exact) and not _ge(math.nextafter(up, DOWN), exact), (
+            a, b)
+
+
 def test_corner_product_matches_four_corners():
     # [TRIVIAL] the product picks its two corners by sign; the min and max
     # of all four corners with 0 * inf = 0 is the reference, bit for bit,

@@ -36,6 +36,7 @@ from conecert.rtbp import (
     CollisionSingularity,
     K_COEFFS,
     RtbpParams,
+    RtbpSolutionSeries,
     RtbpTaylorField,
     d_total_change,
     dpsi,
@@ -803,12 +804,30 @@ def test_variational_vs_flow_differences():
             assert abs(acc.rows[i][j].mid - fd) < 1e-8
 
 
-def test_variational_order_guard():
+@pytest.mark.parametrize("dim", [4, 5])
+def test_variational_column_extends_a_short_series(dim):
+    """A column asked past its solution series' order 4 extends the
+    series in place, one order ahead of each coefficient it forms: the
+    column and every slot of the series (state, auxiliary and product
+    series) are bit for bit those of an expansion straight to order 12,
+    and a column stopped at order 7 leaves the series at order 7.  The
+    5-d identity's mass column takes the forcing.  [TRIVIAL]"""
     p = band_left()
     tf = RtbpTaylorField(p)
-    ser = tf.expand(IVector.from_floats([-0.8, 0.1, 0.05, -0.7]), 4)
-    with pytest.raises(ValueError):
-        tf.expand_variational(ser, IMatrix.identity(4), 8)
+    r = 1e-9
+    centre = [-0.8, 0.1, 0.05, -0.7] + [p.mu.mid] * (dim == 5)
+    box = IVector([Interval(c - r, c + r) for c in centre])
+    v0 = IMatrix.identity(dim)
+    straight = tf.expand(box, 12)
+    short = tf.expand(box, 4)
+    column = tf.expand_variational(short, v0, 12)
+    assert short.order == 12
+    assert repr(column) == repr(tf.expand_variational(straight, v0, 12))
+    for name in RtbpSolutionSeries.__slots__:
+        assert repr(getattr(short, name)) == repr(getattr(straight, name))
+    stopped = tf.expand(box, 4)
+    tf.expand_variational(stopped, v0, 12, stop=lambda k, v: k == 7)
+    assert stopped.order == 7
 
 
 def test_second_partial_series_matches_jacobian():

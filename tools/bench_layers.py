@@ -20,17 +20,23 @@ A row holds:
     of the full steps, the tube-column coefficients they expanded
     (q + 1 each), the attempts whose series stopped below order p
     (reduced_steps) and the series order p' that each attempt reached
-    (series_orders: p' to attempts; p' + 1 is the order of its tube
-    series, the last one it expanded), the calls of the field's expand
-    and expand_variational by the order reached (a stop rule may end a
-    series before the order asked for), the order-1 calls apart as
-    field_reads (F over a box) and df_reads (DF over a tube) from the
-    series of order 2 and up, the series coefficients all those calls
-    formed (series_coefficients, the orders reached summed over the
-    calls), the terms of every rtbp._dot call (dot_terms, the shorter
-    side's length summed), the P_X and crossing-time widths of the
-    certified image, and the sha256 of the endpoint's report,
-    json.dumps(to_json(), sort_keys=True);
+    (series_orders: p' to attempts; p' + 1 is the order its last tube
+    series ends at, read when the attempt returns, after any extension
+    by the tube column), the calls of the field's expand and
+    expand_variational by the order reached at their return (a stop rule
+    may end a series before the order asked for), the order-1 calls
+    apart as field_reads (F over a box) and df_reads (DF over a tube)
+    from the series of order 2 and up, the series coefficients formed
+    (series_coefficients: the calls of RtbpSolutionSeries.extend, one
+    coefficient each, wherever a series is extended, plus the orders the
+    variational series reached), the coefficients an attempt formed at
+    an order it had formed before in a series from the same start
+    (reformed_coefficients: a solution series from the same box, or a
+    variational one from the same V_0 along a series from the same box;
+    the order-1 reads of F and DF are not counted), the terms of every
+    rtbp._dot call (dot_terms, the shorter side's length summed), the
+    P_X and crossing-time widths of the certified image, and the sha256
+    of the endpoint's report, json.dumps(to_json(), sort_keys=True);
   * layers, median milliseconds over REPEATS calls at the middle expanded
     step of the left flight: expand of the thin midpoint (order p = 20)
     and of the rough tube (box, order p + 1), expand_variational of the
@@ -63,7 +69,8 @@ A row holds:
     (prover.run_fragment): wall seconds, the flights it flew
     (prover.poincare_image calls), their step attempts and accepted
     steps, the transport orders, tube-column coefficients, series orders,
-    expansion counts, series coefficients and dot terms as above,
+    expansion counts, series and reformed coefficients and dot terms as
+    above,
     the largest P_X width of a flight and the crossing-time width;
   * with --full, the default proof (prover.check_homoclinic on
     ProofConfig.default()): verdict, wall seconds, both P_X images, the
@@ -190,7 +197,10 @@ class _Counter:
     attempt, the observer of prover.poincare_crossing counts accepted
     steps and their sizes, prover.poincare_image keeps every certified
     crossing, the field's expand and expand_variational count their calls
-    by the order reached, and rtbp._dot counts its terms.
+    by the order reached, RtbpSolutionSeries.extend counts the solution
+    coefficients, both keep the (start, order) of each coefficient formed
+    in the running attempt to count the reformed ones, and rtbp._dot
+    counts its terms.
     """
 
     def __init__(self, flow, prover, tolerance: float):
@@ -200,7 +210,9 @@ class _Counter:
     def reset(self) -> None:
         self.stats = dict(attempts=0, rough_failures=0, sol_err_rejections=0,
                           full_steps=0, reduced_steps=0, accepted=0,
-                          flight_s=0.0, dot_terms=0)
+                          flight_s=0.0, dot_terms=0,
+                          reformed_coefficients=0)
+        self.extends = 0
         self.steps: list = []
         self.sizes: list = []
         self.images: list = []
@@ -213,29 +225,62 @@ class _Counter:
         flow, prover = self.flow, self.prover
         field_cls = prover.RtbpTaylorField
         rtbp = sys.modules[field_cls.__module__]
+        series_cls = rtbp.RtbpSolutionSeries
         self._saved = (flow._expand_step, prover.poincare_crossing,
                        prover.poincare_image, field_cls.expand,
-                       field_cls.expand_variational, rtbp._dot)
-        expand_step, crossing, image, expand, variational, dot = self._saved
+                       field_cls.expand_variational, rtbp._dot,
+                       series_cls.extend)
+        (expand_step, crossing, image, expand, variational, dot,
+         extend) = self._saved
         stats = self.stats
         ex, var = self.expand_orders, self.variational_orders
-        # the running attempt's tube order p + 1, and the order its last
-        # tube series reached
+        # the running attempt's tube order p + 1 and its last tube series
         tube = [None, None]
+        # the (start, order) of each coefficient the running attempt has
+        # formed, None outside an attempt, and whether an order-1 read runs
+        formed, reading = [None], [False]
+
+        def start(ser):
+            return tuple((lo[0], hi[0]) for lo, hi in ser.float_series())
+
+        def form(key, k):
+            if formed[0] is None or reading[0]:
+                return
+            if (key, k) in formed[0]:
+                stats["reformed_coefficients"] += 1
+            formed[0].add((key, k))
+
+        def counted_extend(ser):
+            self.extends += 1
+            form(start(ser), ser.order + 1)
+            return extend(ser)
 
         def counted_expand(field, u0, order, stop=None):
-            # a tree without the stop rule takes no fourth argument
-            ser = expand(field, u0, order, *([stop] if stop else []))
+            reading[0] = order == 1
+            try:
+                # a tree without the stop rule takes no fourth argument
+                ser = expand(field, u0, order, *([stop] if stop else []))
+            finally:
+                reading[0] = False
             k = len(ser.float_series()[0][0]) - 1
             ex[k] = ex.get(k, 0) + 1
             if order == tube[0]:
-                tube[1] = k
+                tube[1] = ser
             return ser
 
         def counted_variational(field, sol, v0, order, stop=None):
-            v = variational(field, sol, v0, order, stop)
+            reading[0] = order == 1
+            try:
+                v = variational(field, sol, v0, order, stop)
+            finally:
+                reading[0] = False
             k = len(v[0][0][0]) - 1
             var[k] = var.get(k, 0) + 1
+            if order > 1:
+                key = (start(sol), tuple((c.lo, c.hi) for r in v0.rows
+                                         for c in r))
+                for j in range(1, k + 1):
+                    form(key, j)
             return v
 
         def counted_dot(alo, ahi, blo, bhi):
@@ -245,14 +290,16 @@ class _Counter:
         def counted_step(field, enc, h, order, *args, **kwargs):
             stats["attempts"] += 1
             tube[:] = [order + 1, None]
+            formed[0] = set()
             try:
                 data = expand_step(field, enc, h, order, *args, **kwargs)
             except flow.EnclosureFailure:
                 stats["rough_failures"] += 1
                 raise
             finally:
-                reached, tube[:] = tube[1], [None, None]
-            if reached is not None:
+                ser, tube[:], formed[0] = tube[1], [None, None], None
+            if ser is not None:
+                reached = len(ser.float_series()[0][0]) - 1
                 so = self.series_orders
                 so[reached - 1] = so.get(reached - 1, 0) + 1
                 stats["reduced_steps"] += reached <= order
@@ -290,20 +337,22 @@ class _Counter:
         field_cls.expand = counted_expand
         field_cls.expand_variational = counted_variational
         rtbp._dot = counted_dot
+        series_cls.extend = counted_extend
         return self
 
     def __exit__(self, *exc) -> None:
         field_cls = self.prover.RtbpTaylorField
+        rtbp = sys.modules[field_cls.__module__]
         (self.flow._expand_step, self.prover.poincare_crossing,
          self.prover.poincare_image, field_cls.expand,
-         field_cls.expand_variational,
-         sys.modules[field_cls.__module__]._dot) = self._saved
+         field_cls.expand_variational, rtbp._dot,
+         rtbp.RtbpSolutionSeries.extend) = self._saved
 
     def expansion_stats(self) -> dict:
         """The expand and expand_variational calls by the order reached,
         the order-1 reads of F and DF apart from the longer series, the
-        coefficients all of them formed, and the series orders of the
-        step attempts."""
+        coefficients formed (the solution's counted at extend), and the
+        series orders of the step attempts."""
         ex, var = self.expand_orders, self.variational_orders
         so = self.series_orders
         return dict(
@@ -313,7 +362,7 @@ class _Counter:
             df_reads=var.get(1, 0),
             series_expansions=sum(ex.values()) - ex.get(1, 0)
             + sum(var.values()) - var.get(1, 0),
-            series_coefficients=sum(k * n for k, n in ex.items())
+            series_coefficients=self.extends
             + sum(k * n for k, n in var.items()),
             series_orders={str(k): so[k] for k in sorted(so)},
         )
@@ -379,6 +428,7 @@ def _one_fragment(flow, prover, cfg) -> dict:
         "accepted": stats["accepted"],
         "reduced_steps": stats["reduced_steps"],
         "dot_terms": stats["dot_terms"],
+        "reformed_coefficients": stats["reformed_coefficients"],
         **counter.order_stats(),
         **counter.expansion_stats(),
         "flight_s": stats["flight_s"],

@@ -133,6 +133,13 @@ MUTANTS = {
         "interval._a_add_dn, every IArray sum's lower end, rounds to nearest",
         ["tests/test_interval_array.py", "tests/test_replay.py"],
     ),
+    "a_add_up_unnudged": (
+        INTERVAL,
+        "    np.nextafter(s, _INF, out=s, where=~(err <= 0.0))\n",
+        "",
+        "interval._a_add_up, every IArray sum's upper end, rounds to nearest",
+        ["tests/test_interval_array.py", "tests/test_replay.py"],
+    ),
     "matmul_unnudged": (
         INTERVAL,
         "                lo = np.nextafter(lo + plo[..., t, :], _NINF)\n"
@@ -166,6 +173,16 @@ MUTANTS = {
         "    if sol_err > tol:\n",
         "a step stopped below order p takes its Lagrange coefficient at "
         "p' for the one at p'+1",
+        ["tests/test_flow.py"],
+    ),
+    "resumed_lagrange_stale": (
+        FLOW,
+        "    if q >= top:  # the column extended the tube series to q + 1\n"
+        "        top = q + 1\n"
+        "        sol_tail, sol_err = _lagrange(ser_z, top, hph)\n",
+        "",
+        "a step whose column extended the tube series keeps the Lagrange "
+        "term and thin order of the tube series' stop",
         ["tests/test_flow.py"],
     ),
     "cross_no_pk_off": (
