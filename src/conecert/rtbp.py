@@ -62,8 +62,11 @@ falls back to the per-term outward rounding of idot.  Outside the dots
 the pair arithmetic calls the exact-directed sums _add_dn and _add_up
 and nudges each product outward, directly; the squares and the product
 of a distance with X take their corners on float pairs (_sq_ends,
-_mul_ends), as sq and the Interval product round them; the power-rule
-weights j - a (k - j) of r^-3 and r^-5 come from a table built once.
+_mul_ends), as sq and the Interval product round them.  The power-rule
+weights j + 3/2 (k - j) of w = r^-3 come from a table built once, and
+v = r^-5 by the division recurrence.  The mass-weighted sums
+W = (1 - mu) w1 + mu w2 and V = (1 - mu) v1 + mu v2 are formed once per
+coefficient (_wsum) and convolved once wherever the field reads only them.
 """
 
 from __future__ import annotations
@@ -663,22 +666,47 @@ def _start(lo: float, hi: float) -> tuple:
     return [lo], [hi]
 
 
-# the weights j - a (k - j), j < k, of coefficient k of S^a for the two
-# powers the kernel takes, w = s^-3/2 and v = s^-5/2: half-integers, exact
-_POWER_WEIGHTS = {a: [[j - a * (k - j) for j in range(k)] for k in range(64)]
-                  for a in (-1.5, -2.5)}
+def _scale(c: tuple, a0: float, a1: float) -> tuple:
+    """[a0, a1] times the positive float pair c: each end's corner is
+    picked by its sign and nudged outward."""
+    c0, c1 = c
+    return (_nextafter(a0 * (c0 if a0 >= 0.0 else c1), _NINF),
+            _nextafter(a1 * (c1 if a1 >= 0.0 else c0), _INF))
 
 
-def _power_next(s: tuple, pw: tuple, a: float, k: int) -> tuple:
-    """Coefficient k >= 1 of P = S^a, a in {-1.5, -2.5}, from
-    p_0..p_{k-1}.
+def _wsum(m: tuple, al: float, ah: float, bl: float, bh: float) -> tuple:
+    """(1 - mu) [al, ah] + mu [bl, bh], m the masses (1 - mu, mu) as
+    positive float pairs."""
+    (p0, p1), (q0, q1) = _scale(m[0], al, ah), _scale(m[1], bl, bh)
+    return _add_dn(p0, q0), _add_up(p1, q1)
 
-    k s_0 p_k = sum_{j<k} (a (k - j) - j) s_{k-j} p_j, and every weight
-    is negative, so p_k = -(sum_j |w_j| s_{k-j} p_j) / (k s_0).
+
+def _push(series: tuple, pair: tuple) -> None:
+    """Append the coefficient pair (lo, hi) to the (lo, hi) series."""
+    series[0].append(pair[0])
+    series[1].append(pair[1])
+
+
+def _less3(al: float, ah: float, tl: float, th: float) -> tuple:
+    """[al, ah] - 3 [tl, th]."""
+    return (_add_dn(al, -_nextafter(th * 3.0, _INF)),
+            _add_up(ah, -_nextafter(tl * 3.0, _NINF)))
+
+
+# the weights j + 3/2 (k - j), j < k, of coefficient k of w = s^-3/2:
+# half-integers, exact
+_POWER_WEIGHTS = [[j + 1.5 * (k - j) for j in range(k)] for k in range(64)]
+
+
+def _power_next(s: tuple, pw: tuple, k: int) -> tuple:
+    """Coefficient k >= 1 of W = S^-3/2 from w_0..w_{k-1}.
+
+    k s_0 w_k = -sum_{j<k} c_j s_{k-j} w_j with the positive weights
+    c_j = 3/2 (k - j) + j.
     """
     (sl, sh), (pl, ph) = s, pw
-    table = _POWER_WEIGHTS[a]
-    ws = table[k] if k < len(table) else [j - a * (k - j) for j in range(k)]
+    ws = (_POWER_WEIGHTS[k] if k < len(_POWER_WEIGHTS)
+          else [j + 1.5 * (k - j) for j in range(k)])
     tl = [_nextafter(w * x, _NINF) for w, x in zip(ws, sl[k:0:-1])]
     th = [_nextafter(w * x, _INF) for w, x in zip(ws, sh[k:0:-1])]
     n0, n1 = _dot(tl, th, pl, ph)
@@ -697,14 +725,17 @@ class RtbpSolutionSeries:
     field-product series are kept so for the variational recurrence.
     They run one order behind the state: extend forms their coefficient
     k where it forms the state's k + 1, the first coefficient to read
-    it, so no expansion forms one that nothing reads.  A
-    five-component start (X, Y, P_X, P_Y, mu) gives dim 5: mu must be its
-    last component, and float_series() appends the constant mass series.
+    it, so no expansion forms one that nothing reads.  The P_X force
+    convolves d1 w1 and d2 w2 apart and keeps both for the mass column;
+    the P_Y force reads only W = (1 - mu) w1 + mu w2, formed once per
+    coefficient, so Y W is one convolution.  A five-component start
+    (X, Y, P_X, P_Y, mu) gives dim 5: mu must be its last component, and
+    float_series() appends the constant mass series.
     """
 
     __slots__ = (
         "_u", "d1", "d2", "y2", "d1sq", "d2sq", "s1", "s2", "w1", "w2",
-        "d1w1", "d2w2", "yw1", "yw2", "mu", "masses", "order", "dim",
+        "w", "wd", "d1w1", "d2w2", "mu", "masses", "order", "dim",
     )
 
     def __init__(self, u0: IVector, mu: Interval):
@@ -731,12 +762,12 @@ class RtbpSolutionSeries:
         self.s2 = _start(s2.lo, s2.hi)
         self.w1 = _start(w1.lo, w1.hi)
         self.w2 = _start(w2.lo, w2.hi)
-        # coefficients of the products d1 w1, d2 w2, Y w1 and Y w2 that
-        # extend forms for the field, kept for the mass column
+        # W and the products d1 w1 and d2 w2, which extend forms, and
+        # w1 - w2, which _mass_forcing forms
+        self.w = ([], [])
         self.d1w1 = ([], [])
         self.d2w2 = ([], [])
-        self.yw1 = ([], [])
-        self.yw2 = ([], [])
+        self.wd = ([], [])
 
     def extend(self) -> None:
         """Append coefficient order+1 to the state's series, after
@@ -776,41 +807,31 @@ class RtbpSolutionSeries:
                 dsq[1].append(c1)
                 s[0].append(_add_dn(c0, y2l))
                 s[1].append(_add_up(c1, y2h))
-                p0, p1 = _power_next(s, w, -1.5, k)
+                p0, p1 = _power_next(s, w, k)
                 w[0].append(p0)
                 w[1].append(p1)
-        m1, mu = self.masses
-        w1l, w1h = self.w1
-        w2l, w2h = self.w2
-        rw1l, rw1h, rw2l, rw2h = w1l[::-1], w1h[::-1], w2l[::-1], w2h[::-1]
-        # d1 w1, d2 w2, Y w1 and Y w2, kept, then times the positive
-        # constant 1 - mu or mu: the corner is picked by the product's sign
-        scaled = []
-        for (lo, hi), (a0, a1), (c0, c1) in zip(
-            (self.d1w1, self.d2w2, self.yw1, self.yw2),
-            (_dot(self.d1[0], self.d1[1], rw1l, rw1h),
-             _dot(self.d2[0], self.d2[1], rw2l, rw2h),
-             _dot(yl, yh, rw1l, rw1h), _dot(yl, yh, rw2l, rw2h)),
-            (m1, mu, m1, mu),
-        ):
-            lo.append(a0)
-            hi.append(a1)
-            scaled.append(_nextafter(a0 * (c0 if a0 >= 0.0 else c1), _NINF))
-            scaled.append(_nextafter(a1 * (c1 if a1 >= 0.0 else c0), _INF))
-        al, ah, bl, bh, cl, ch, dl, dh = scaled
+        m = self.masses
+        (w1l, w1h), (w2l, w2h), (wl, wh) = self.w1, self.w2, self.w
+        a = _dot(self.d1[0], self.d1[1], w1l[::-1], w1h[::-1])
+        b = _dot(self.d2[0], self.d2[1], w2l[::-1], w2h[::-1])
+        _push(self.d1w1, a)
+        _push(self.d2w2, b)
+        _push(self.w, _wsum(m, w1l[k], w1h[k], w2l[k], w2h[k]))
+        # the P_X force subtracts each scaled product in turn, as
+        # vector_field does; Y W is the P_Y force
+        (a0, a1), (b0, b1) = _scale(m[0], *a), _scale(m[1], *b)
+        cl, ch = _dot(yl, yh, wl[::-1], wh[::-1])
         # coefficient k of the field along the series, divided by the
         # exact integer k + 1 and rounded outward, or not at all by 1
         nudge = _nextafter if k else _exact
-        f3l = _add_dn(-ph[k], -_add_up(ch, dh))
-        f3h = _add_up(-pl[k], -_add_dn(cl, dl))
         xl.append(nudge(_add_dn(pl[k], yl[k]) / kk, _NINF))
         xh.append(nudge(_add_up(ph[k], yh[k]) / kk, _INF))
         yl.append(nudge(_add_dn(ql[k], -xh[k]) / kk, _NINF))
         yh.append(nudge(_add_up(qh[k], -xl[k]) / kk, _INF))
-        pl.append(nudge(_add_dn(_add_dn(ql[k], -ah), -bh) / kk, _NINF))
-        ph.append(nudge(_add_up(_add_up(qh[k], -al), -bl) / kk, _INF))
-        ql.append(nudge(f3l / kk, _NINF))
-        qh.append(nudge(f3h / kk, _INF))
+        pl.append(nudge(_add_dn(_add_dn(ql[k], -a1), -b1) / kk, _NINF))
+        ph.append(nudge(_add_up(_add_up(qh[k], -a0), -b0) / kk, _INF))
+        ql.append(nudge(_add_dn(-ph[k], -ch) / kk, _NINF))
+        qh.append(nudge(_add_up(-pl[k], -cl) / kk, _INF))
         self.order = kk
 
     def float_series(self) -> list:
@@ -824,49 +845,39 @@ class RtbpSolutionSeries:
     def _partials(self):
         """The (lo, hi) series of Omega_XX, Omega_XY and Omega_YY, one
         order at a time: the k-th next() appends coefficient k to each
-        and yields them, while k is below the solution's current order."""
-        (m1l, m1h), (mul, muh) = self.masses
-        s1, s2 = self.s1, self.s2
-        (w1l, w1h), (w2l, w2h) = self.w1, self.w2
-        yl, yh = self._u[1]
-        # v = w / s = s^-5/2
-        v1 = _start(*_div_pos(w1l[0], w1h[0], s1[0][0], s1[1][0]))
-        v2 = _start(*_div_pos(w2l[0], w2h[0], s2[0][0], s2[1][0]))
-        uxx = ([], [])
-        uyy = ([], [])
-        mix = ([], [])
-        uxy = ([], [])
+        and yields them, while k is below the solution's current order.
+        v = w / s by s_0 v_k = w_k - sum_{1 <= i <= k} s_i v_{k-i};
+        Omega_YY = W - 3 Y^2 V, and Omega_XY = -3 Y mix with
+        mix = (1 - mu) d1 v1 + mu d2 v2, which is X V from index 1 plus
+        (1 - mu) d1_0 v1_k + mu d2_0 v2_k, as d1 = d2 = X past index 0."""
+        m = self.masses
+        (xl, xh), (yl, yh) = self._u[:2]
+        (wl, wh), (y2l, y2h) = self.w, self.y2
+        # (1 - mu) d1_0 and mu d2_0
+        c1 = _mul_ends(*m[0], self.d1[0][0], self.d1[1][0])
+        c2 = _mul_ends(*m[1], self.d2[0][0], self.d2[1][0])
+        v1, v2, v = ([], []), ([], []), ([], [])
+        uxx, uxy, uyy, mix = ([], []), ([], []), ([], []), ([], [])
         k = 0
         while k < self.order:
-            if k:
-                for s, v in ((s1, v1), (s2, v2)):
-                    p0, p1 = _power_next(s, v, -2.5, k)
-                    v[0].append(p0)
-                    v[1].append(p1)
-            rv1l, rv1h = v1[0][k::-1], v1[1][k::-1]
-            rv2l, rv2h = v2[0][k::-1], v2[1][k::-1]
-            # (1 - mu) (w1 - 3 p1 v1) + mu (w2 - 3 p2 v2) for Omega_XX and
-            # Omega_YY, and mix = (1 - mu) d1 v1 + mu d2 v2
-            for out, p1, p2 in (
-                (uxx, self.d1sq, self.d2sq),
-                (uyy, self.y2, self.y2),
-                (mix, self.d1, self.d2),
-            ):
-                al, ah = _dot(p1[0], p1[1], rv1l, rv1h)
-                bl, bh = _dot(p2[0], p2[1], rv2l, rv2h)
-                if out is not mix:
-                    al, ah = (_add_dn(w1l[k], -_nextafter(ah * 3.0, _INF)),
-                              _add_up(w1h[k], -_nextafter(al * 3.0, _NINF)))
-                    bl, bh = (_add_dn(w2l[k], -_nextafter(bh * 3.0, _INF)),
-                              _add_up(w2h[k], -_nextafter(bl * 3.0, _NINF)))
-                out[0].append(_add_dn(
-                    _nextafter(al * (m1l if al >= 0.0 else m1h), _NINF),
-                    _nextafter(bl * (mul if bl >= 0.0 else muh), _NINF)))
-                out[1].append(_add_up(
-                    _nextafter(ah * (m1h if ah >= 0.0 else m1l), _INF),
-                    _nextafter(bh * (muh if bh >= 0.0 else mul), _INF)))
-            # Omega_XY = -3 Y mix
-            tl, th = _dot(yl, yh, mix[0][k::-1], mix[1][k::-1])
+            ends = []
+            for s, w, vi, dsq in ((self.s1, self.w1, v1, self.d1sq),
+                                  (self.s2, self.w2, v2, self.d2sq)):
+                tl, th = _dot(s[0][1:], s[1][1:], vi[0][::-1], vi[1][::-1])
+                _push(vi, _div_pos(_add_dn(w[0][k], -th),
+                                   _add_up(w[1][k], -tl), s[0][0], s[1][0]))
+                ends += _less3(w[0][k], w[1][k], *_dot(
+                    dsq[0], dsq[1], vi[0][::-1], vi[1][::-1]))
+            _push(uxx, _wsum(m, *ends))
+            _push(v, _wsum(m, v1[0][k], v1[1][k], v2[0][k], v2[1][k]))
+            rvl, rvh = v[0][::-1], v[1][::-1]
+            _push(uyy, _less3(wl[k], wh[k], *_dot(y2l, y2h, rvl, rvh)))
+            # X V from index 1, then the index-0 terms
+            _push(mix, _dot(xl[1:k + 1] + [c1[0], c2[0]],
+                            xh[1:k + 1] + [c1[1], c2[1]],
+                            rvl[1:] + [v1[0][k], v2[0][k]],
+                            rvh[1:] + [v1[1][k], v2[1][k]]))
+            tl, th = _dot(yl, yh, mix[0][::-1], mix[1][::-1])
             uxy[0].append(-_nextafter(th * 3.0, _INF))
             uxy[1].append(-_nextafter(tl * 3.0, _NINF))
             yield uxx, uxy, uyy
@@ -874,14 +885,19 @@ class RtbpSolutionSeries:
 
     def _mass_forcing(self, uxx: tuple, uxy: tuple, k: int) -> tuple:
         """Coefficient k of dP_X'/dmu and of dP_Y'/dmu, as Intervals, from
-        the products extend formed and the series uxx, uxy of _partials."""
+        the products extend formed, the series uxx, uxy of _partials and
+        Y (w1 - w2); the difference series w1 - w2 is formed here, once
+        per coefficient."""
         (al, ah), (bl, bh) = self.d1w1, self.d2w2
-        (cl, ch), (dl, dh) = self.yw1, self.yw2
+        (w1l, w1h), (w2l, w2h), (dl, dh) = self.w1, self.w2, self.wd
+        for i in range(len(dl), k + 1):
+            dl.append(_add_dn(w1l[i], -w2h[i]))
+            dh.append(_add_up(w1h[i], -w2l[i]))
+        cl, ch = _dot(*self._u[1], dl[k::-1], dh[k::-1])
         return (
             _mk(_add_dn(_add_dn(al[k], -bh[k]), uxx[0][k]),
                 _add_up(_add_up(ah[k], -bl[k]), uxx[1][k])),
-            _mk(_add_dn(_add_dn(cl[k], -dh[k]), uxy[0][k]),
-                _add_up(_add_up(ch[k], -dl[k]), uxy[1][k])),
+            _mk(_add_dn(cl, uxy[0][k]), _add_up(ch, uxy[1][k])),
         )
 
 

@@ -16,8 +16,11 @@ fractions.Fraction pair, must lie inside the returned pair:
   * flow._mul_floats, every entry: the exact dot of an interval row with
     a float column;
   * rtbp._power_next: the exact range of
-    -sum_j w_j [s_(k-j)] [p_j] / (k [s_0]) over its inputs, with the
-    half-integer weights w_j = j - a (k - j) > 0;
+    -sum_j c_j [s_(k-j)] [p_j] / (k [s_0]) over its inputs, with the
+    half-integer weights c_j = j + 3/2 (k - j) of r^-3;
+  * rtbp._scale, a product by a positive mass, and rtbp._wsum, the
+    mass-weighted sum [m1] [a] + [m2] [b]: the least and the greatest
+    corner product, or the sums of them;
   * the numpy kernels of the batched derivative, on a fixed sample of
     entries (first, last and two between) of each kept call:
     interval._a_add_dn and _a_add_up, one end each of the exact sum;
@@ -100,11 +103,11 @@ def _exact_sum(a, b) -> tuple:
     return s, s
 
 
-def _exact_power_next(s, pw, a, k) -> tuple:
+def _exact_power_next(s, pw, k) -> tuple:
     (sl, sh), (pl, ph) = s, pw
     lo = hi = 0
     for j in range(k):
-        w2 = int(2 * (j - Fraction(a) * (k - j)))  # 2 w_j, a positive integer
+        w2 = 2 * j + 3 * (k - j)  # 2 c_j, a positive integer
         cs = _corners(sl[k - j], sh[k - j], pl[j], ph[j])
         lo += w2 * min(cs)
         hi += w2 * max(cs)
@@ -112,6 +115,11 @@ def _exact_power_next(s, pw, a, k) -> tuple:
     qs = [-Fraction(n, den) / (k * Fraction(d))
           for n in (lo, hi) for d in (sl[0], sh[0])]
     return min(qs), max(qs)
+
+
+def _exact_wsum(m, al, ah, bl, bh) -> tuple:
+    (m1l, m1h), (m2l, m2h) = m
+    return _exact_dot([m1l, m2l], [m1h, m2h], [al, bl], [ah, bh])
 
 
 def _mp_exp(lo, hi) -> tuple:
@@ -145,7 +153,7 @@ def _horner_args(los, his, top, h, lo, hi) -> list:
     return [*los[:top + 1], *his[:top + 1], h, lo, hi]
 
 
-def _power_args(s, pw, a, k) -> list:
+def _power_args(s, pw, k) -> list:
     (sl, sh), (pl, ph) = s, pw
     return [*sl[:k + 1], *sh[:k + 1], *pl[:k], *ph[:k]]
 
@@ -212,6 +220,11 @@ KERNELS = {
                       _pair(_exact_quotient, lambda *a: a), STRIDE),
     "rtbp._power_next": (rtbp, "_power_next",
                          _pair(_exact_power_next, _power_args), STRIDE),
+    "rtbp._scale": (rtbp, "_scale", _pair(
+        lambda c, a0, a1: _exact_product(*c, a0, a1),
+        lambda c, *a: [*c, *a]), STRIDE),
+    "rtbp._wsum": (rtbp, "_wsum", _pair(
+        _exact_wsum, lambda m, *ab: [*m[0], *m[1], *ab]), STRIDE),
     "flow._horner": (flow, "_horner", _pair(_exact_horner, _horner_args),
                      STRIDE),
     "flow._mul_floats": (flow, "_mul_floats", _mul_floats_cases, STRIDE),

@@ -681,7 +681,7 @@ def _shoot(x, h, mu):
 
 
 def test_stopped_step_contains_rtbp_shootings():
-    # At the proof's order p = 20, on a box of half-width 1e-8 and
+    # At order p = 20, on a box of half-width 1e-8 and
     # h = 0.1, the tube column stops at q = 3.  Shootings from the box
     # corners land in the assembled enclosure at each corner's initial
     # coordinate.  The image of the midpoint carries sol_err, which would

@@ -941,11 +941,14 @@ def _mp_power_next(s, pw, a, k):
 
 
 def _mp_taylor(x0, mu, order, band=False):
-    """Solution coefficients u[i][k] and variational coefficients
-    V[k][i][j] (V_0 = I) from a point, by the plain recurrences with full
-    convolutions, in mpmath at the caller's precision.  band=True adds
-    the mass as a fifth coordinate with mu' = 0: V is 5 x 5, and every
-    column gets the forcing dF/dmu times its constant row-4 entry."""
+    """Solution coefficients u[i][k], variational coefficients
+    V[k][i][j] (V_0 = I) and the series (Omega_XX, Omega_XY, Omega_YY,
+    dP_X'/dmu, dP_Y'/dmu) through order - 1 from a point, by the plain
+    recurrences with full convolutions, each primary's r^-3 and r^-5
+    series convolved apart, in mpmath at the caller's precision.
+    band=True adds the mass as a fifth coordinate with mu' = 0: V is
+    5 x 5, and every column gets the forcing dF/dmu times its constant
+    row-4 entry."""
     u = [[mpmath.mpf(c)] for c in x0]
     x, y, px, py = u
     m1 = 1 - mu
@@ -1027,7 +1030,7 @@ def _mp_taylor(x0, mu, order, band=False):
         [[cols[j][i][k] for j in range(n)] for i in range(n)]
         for k in range(order + 1)
     ]
-    return u, v
+    return u, v, (uxx, uxy, uyy, gx, gy)
 
 
 def _encloses_mp(iv: Interval, val) -> bool:
@@ -1058,7 +1061,7 @@ def _assert_series_enclose_mp(point: list, box: IVector, rng) -> None:
             var = tf.expand_variational(ser, v0, order)
             for pt in points:
                 mu = mpmath.mpf(pt[4] if n == 5 else tf.params.mu.lo)
-                u, v = _mp_taylor(pt[:4], mu, order, band=n == 5)
+                u, v, _ = _mp_taylor(pt[:4], mu, order, band=n == 5)
                 # a member of V_0: the identity, or a sample of the box
                 w0 = [[mpmath.mpf(rng.uniform(e.lo, e.hi)) for e in row]
                       for row in v0.rows]
@@ -1111,6 +1114,46 @@ def test_kernel_mass_column_encloses_mpmath_coefficients(centre):
         + [Interval(mu - 1e-9, mu + 1e-9)]
     )
     _assert_series_enclose_mp(list(centre) + [mu], box, random.Random(3015))
+
+
+@pytest.mark.parametrize("band", [False, True])
+def test_partial_series_enclose_mpmath(band):
+    """The Omega_XX, Omega_XY and Omega_YY series of _partials through
+    order 21 enclose the 40-digit ones of _mp_taylor, at a point and at
+    points sampled in a box where Y straddles zero; with band, the box
+    carries a mass band as its fifth coordinate, and the mass forcing
+    dP_X'/dmu and dP_Y'/dmu, the latter Y (w1 - w2) + Omega_XY, is
+    checked as well.  The oracle convolves each primary's r^-3 and r^-5
+    series apart, so it checks the mass-weighted sums W and V, the
+    division recurrence of r^-5 and the index-0 terms of the mixed
+    partial from outside the kernel.  [DERIVED]"""
+    order = 21
+    tf = RtbpTaylorField(band_left())
+    mu = tf.params.mu.lo
+    rng = random.Random(1401 + band)
+    centre = [0.8270258829, 0.0, -5.16e-8, 0.9251225636] + [mu] * band
+    r = [1e-6] * 4 + [1e-9] * band
+    box = [Interval(c - e, c + e) for c, e in zip(centre, r)]
+    cases = [(IVector.from_floats(centre), [centre])] * (not band) + [
+        (IVector(box), [[rng.uniform(c.lo, c.hi) for c in box]
+                        for _ in range(3)])]
+    with mpmath.workdps(40):
+        for u0, points in cases:
+            ser = tf.expand(u0, order + 1)
+            *_, omega = ser._partials()
+            series = [[Interval(lo[k], hi[k]) for k in range(order + 1)]
+                      for lo, hi in omega]
+            if band:
+                series += map(list, zip(*(
+                    ser._mass_forcing(*omega[:2], k)
+                    for k in range(order + 1))))
+            for pt in points:
+                _, _, exact = _mp_taylor(pt[:4], mpmath.mpf(pt[4] if band
+                                                            else mu),
+                                         order + 1, band)
+                for got, ref in zip(series, exact):
+                    for k in range(order + 1):
+                        assert _encloses_mp(got[k], ref[k]), (pt, k)
 
 
 def _mp_field(state, mu):
@@ -1315,11 +1358,11 @@ def test_div_pos_encloses_exact_quotient():
         assert r.lo == r.lo and r.hi == r.hi and r.lo <= r.hi
 
 
-def _power_next_per_call(s: tuple, pw: tuple, a: float, k: int) -> tuple:
-    """Coefficient k of S^a with the weights j - a (k - j) built on every
-    call, the form the weight table replaces."""
+def _power_next_per_call(s: tuple, pw: tuple, k: int) -> tuple:
+    """Coefficient k of S^-3/2 with the weights j + 3/2 (k - j) built on
+    every call, the form the weight table replaces."""
     (sl, sh), (pl, ph) = s, pw
-    ws = [j - a * (k - j) for j in range(k)]
+    ws = [j + 1.5 * (k - j) for j in range(k)]
     tl = [math.nextafter(w * x, -math.inf) for w, x in zip(ws, sl[k:0:-1])]
     th = [math.nextafter(w * x, math.inf) for w, x in zip(ws, sh[k:0:-1])]
     n0, n1 = rtbp._dot(tl, th, pl, ph)
@@ -1342,8 +1385,7 @@ def _random_series(rng: random.Random, n: int, head: float) -> tuple:
     return lo, hi
 
 
-@pytest.mark.parametrize("a", [-1.5, -2.5])
-def test_power_next_matches_per_call_weights(a):
+def test_power_next_matches_per_call_weights():
     """The tabled power-rule weights give the coefficients of the
     per-call weights bit for bit, at every order a step reaches.
     [TRIVIAL]"""
@@ -1352,8 +1394,8 @@ def test_power_next_matches_per_call_weights(a):
         for _ in range(5):
             s = _random_series(rng, k + 1, 0.5 + rng.random())
             pw = _random_series(rng, k, rng.uniform(0.5, 2.0))
-            got = rtbp._power_next(s, pw, a, k)
-            ref = _power_next_per_call(s, pw, a, k)
+            got = rtbp._power_next(s, pw, k)
+            ref = _power_next_per_call(s, pw, k)
             assert (repr(got[0]), repr(got[1])) == (repr(ref[0]), repr(ref[1]))
 
 

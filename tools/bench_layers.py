@@ -38,7 +38,7 @@ A row holds:
     P_X and crossing-time widths of the certified image, and the sha256
     of the endpoint's report, json.dumps(to_json(), sort_keys=True);
   * layers, median milliseconds over REPEATS calls at the middle expanded
-    step of the left flight: expand of the thin midpoint (order p = 20)
+    step of the left flight: expand of the thin midpoint (order p = 19)
     and of the rough tube (box, order p + 1), expand_variational of the
     tube series from the one column V_0 = x0 - m, the step's box less its
     midpoint (order p + 1, no stop rule), expand_variational of the box

@@ -156,6 +156,38 @@ MUTANTS = {
         "rtbp._power_next's division by k rounds to nearest",
         ["tests/test_rtbp.py", "tests/test_replay.py"],
     ),
+    "wsum_unnudged": (
+        RTBP,
+        "    return (_nextafter(a0 * (c0 if a0 >= 0.0 else c1), _NINF),\n",
+        "    return (a0 * (c0 if a0 >= 0.0 else c1),\n",
+        "the lower product of rtbp._scale, and so of each mass-weighted "
+        "sum, rounds to nearest",
+        ["tests/test_rtbp.py", "tests/test_replay.py"],
+    ),
+    "mix_no_index0": (
+        RTBP,
+        "                            rvl[1:] + [v1[0][k], v2[0][k]],\n"
+        "                            rvh[1:] + [v1[1][k], v2[1][k]]))\n",
+        "                            rvl[1:], rvh[1:]))\n",
+        "the mixed partial's series drops its index-0 terms "
+        "(1 - mu) d1_0 v1_k + mu d2_0 v2_k",
+        ["tests/test_rtbp.py"],
+    ),
+    "a_mul_unnudged": (
+        INTERVAL,
+        "    return np.nextafter(lo, _NINF), np.nextafter(hi, _INF)\n",
+        "    return lo, hi\n",
+        "interval._a_mul, every IArray product, rounds to nearest",
+        ["tests/test_interval_array.py", "tests/test_replay.py"],
+    ),
+    "a_div_unnudged": (
+        INTERVAL,
+        "    lo = np.nextafter(lo, _NINF)\n"
+        "    hi = np.nextafter(hi, _INF)\n",
+        "",
+        "interval._a_div, every IArray quotient, rounds to nearest",
+        ["tests/test_interval_array.py", "tests/test_replay.py"],
+    ),
     "image_no_lagrange_tail": (
         FLOW,
         "    image = _horner_vec(ser_m, top - 1, h, sol_tail)\n",
