@@ -89,11 +89,11 @@ h_max; a rough enclosure that fails halves h.  poincare_crossing takes
 its steps through one acceptance loop, _advance, which the tests'
 fixed-time integrator shares, and the predicted size carries over from
 step to step.  Its defaults are the settings every flight of the proof
-uses: order p = 19, tol = 3e-15, a first step of 0.02, h_min = 1e-9,
+uses: order p = 19, tol = 3e-14, a first step of 0.02, h_min = 1e-9,
 h_max = 0.12, and a Poincare flight gives up after 12 time units.
 
 The rule also sets each step's order.  An error ratio r at or under
-(0.7 / 2)^(p+1), about 7.6e-10 at p = 19 (2.3e-24 at tol 3e-15), already
+(0.7 / 2)^(p+1), about 7.6e-10 at p = 19 (2.3e-23 at tol 3e-14), already
 gives the largest growth, 2 h, so an error below that cut buys nothing:
 a step expands its series only to the first order p' <= p whose
 Lagrange term meets the cut, and its column stops at the cut too.  Every
@@ -572,12 +572,18 @@ _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.9
 
 # the settings of every flight of the proof (see "Step sizes" above).  A
-# lower order makes more, cheaper steps (Jorba and Zou): orders 16 to 21
-# made 1.11, 1.20, 1.30, 1.34, 1.45 and 1.57 million dot terms over both
-# endpoint flights, and 19 is the least that keeps every endpoint width
-# within 2e-4 of order 20's (P_X +1.8e-4 at 18, +6.6e-4 at 17)
+# lower order or a looser tol gives cheaper or fewer steps (Jorba and Zou).
+# Millions of dot terms (attempts) over both endpoint flights; * marks a
+# P_X width over 2e-4 above its width at 19, 3e-15 with rtbp's former
+# per-primary P_X force (left +5.3e-4 at 19, 5e-14):
+#   tol        3e-15       1e-14       2e-14        3e-14        5e-14
+#   order 18   1.21 (258)  1.10 (246)  1.07 (242)*  1.06 (242)*  1.02 (236)*
+#   order 19   1.24 (244)  1.20 (240)  1.17 (236)   1.12 (230)   1.10 (228)*
+#   order 20   1.34 (236)  1.29 (232)  1.24 (226)   1.20 (224)   1.19 (224)*
+# 19 at 3e-14 takes the fewest attempts unmarked; 18 at 1e-14 makes 2%
+# fewer dot terms in 7% more attempts, and ran no faster
 ORDER = 19
-TOL = 3e-15
+TOL = 3e-14
 H_INIT = 0.02
 H_MIN = 1e-9
 H_MAX = 0.12

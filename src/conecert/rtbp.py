@@ -67,6 +67,8 @@ weights j + 3/2 (k - j) of w = r^-3 come from a table built once, and
 v = r^-5 by the division recurrence.  The mass-weighted sums
 W = (1 - mu) w1 + mu w2 and V = (1 - mu) v1 + mu v2 are formed once per
 coefficient (_wsum) and convolved once wherever the field reads only them.
+As d1 = d2 = X past index 0, the P_X force is one dot, X W plus
+(1 - mu) d1_0 w1_k + mu d2_0 w2_k, and so is d1 w1 - d2 w2 from X (w1 - w2).
 """
 
 from __future__ import annotations
@@ -725,17 +727,17 @@ class RtbpSolutionSeries:
     field-product series are kept so for the variational recurrence.
     They run one order behind the state: extend forms their coefficient
     k where it forms the state's k + 1, the first coefficient to read
-    it, so no expansion forms one that nothing reads.  The P_X force
-    convolves d1 w1 and d2 w2 apart and keeps both for the mass column;
-    the P_Y force reads only W = (1 - mu) w1 + mu w2, formed once per
-    coefficient, so Y W is one convolution.  A five-component start
+    it, so no expansion forms one that nothing reads.  Both forces read
+    W = (1 - mu) w1 + mu w2, formed once per coefficient: the P_Y force
+    is Y W and the P_X force X W plus its index-0 terms, one convolution
+    each, for four and five components alike.  A five-component start
     (X, Y, P_X, P_Y, mu) gives dim 5: mu must be its last component, and
     float_series() appends the constant mass series.
     """
 
     __slots__ = (
-        "_u", "d1", "d2", "y2", "d1sq", "d2sq", "s1", "s2", "w1", "w2",
-        "w", "wd", "d1w1", "d2w2", "mu", "masses", "order", "dim",
+        "_u", "d0", "md0", "y2", "d1sq", "d2sq", "s1", "s2", "w1", "w2",
+        "w", "wd", "mu", "masses", "order", "dim",
     )
 
     def __init__(self, u0: IVector, mu: Interval):
@@ -751,10 +753,12 @@ class RtbpSolutionSeries:
         self.masses = ((m1.lo, m1.hi), (mu.lo, mu.hi))
         self.order = 0
         d1, d2, s1, s2, w1, w2, y2 = _field_terms(x, y, mu)
-        d1sq = sq(d1)
-        d2sq = sq(d2)
-        self.d1 = _start(d1.lo, d1.hi)
-        self.d2 = _start(d2.lo, d2.hi)
+        d1sq, d2sq = sq(d1), sq(d2)
+        # coefficient 0 of d1 and d2, which past it are both X, and the
+        # same times the masses: (1 - mu) d1_0 and mu d2_0
+        self.d0 = ((d1.lo, d1.hi), (d2.lo, d2.hi))
+        self.md0 = tuple(_mul_ends(*m, *d)
+                         for m, d in zip(self.masses, self.d0))
         self.y2 = _start(y2.lo, y2.hi)
         self.d1sq = _start(d1sq.lo, d1sq.hi)
         self.d2sq = _start(d2sq.lo, d2sq.hi)
@@ -762,12 +766,8 @@ class RtbpSolutionSeries:
         self.s2 = _start(s2.lo, s2.hi)
         self.w1 = _start(w1.lo, w1.hi)
         self.w2 = _start(w2.lo, w2.hi)
-        # W and the products d1 w1 and d2 w2, which extend forms, and
-        # w1 - w2, which _mass_forcing forms
-        self.w = ([], [])
-        self.d1w1 = ([], [])
-        self.d2w2 = ([], [])
-        self.wd = ([], [])
+        # W, which extend forms, and w1 - w2, which _mass_forcing forms
+        self.w, self.wd = ([], []), ([], [])
 
     def extend(self) -> None:
         """Append coefficient order+1 to the state's series, after
@@ -777,9 +777,6 @@ class RtbpSolutionSeries:
         (xl, xh), (yl, yh), (pl, ph), (ql, qh) = self._u
         if k:
             x0, x1 = xl[k], xh[k]
-            for lo, hi in (self.d1, self.d2):
-                lo.append(x0)
-                hi.append(x1)
             # squares by symmetry: c_k = 2 sum_{j <= h} a_j a_{k-j}, plus
             # a_{k/2}^2 when k is even; d1 and d2 differ only at index 0
             h = (k - 1) // 2
@@ -795,11 +792,9 @@ class RtbpSolutionSeries:
                 sx0, sx1 = _sq_ends(xl[k // 2], xh[k // 2])
             self.y2[0].append(y2l)
             self.y2[1].append(y2h)
-            for dsq, d, s, w in (
-                (self.d1sq, self.d1, self.s1, self.w1),
-                (self.d2sq, self.d2, self.s2, self.w2),
-            ):
-                t0, t1 = _mul_ends(d[0][0], d[1][0], x0, x1)
+            for dsq, d, s, w in zip((self.d1sq, self.d2sq), self.d0,
+                                    (self.s1, self.s2), (self.w1, self.w2)):
+                t0, t1 = _mul_ends(*d, x0, x1)
                 tl, th = _add_dn(t0, midl), _add_up(t1, midh)
                 c0 = _add_dn(_add_dn(tl, tl), sx0)
                 c1 = _add_up(_add_up(th, th), sx1)
@@ -812,14 +807,11 @@ class RtbpSolutionSeries:
                 w[1].append(p1)
         m = self.masses
         (w1l, w1h), (w2l, w2h), (wl, wh) = self.w1, self.w2, self.w
-        a = _dot(self.d1[0], self.d1[1], w1l[::-1], w1h[::-1])
-        b = _dot(self.d2[0], self.d2[1], w2l[::-1], w2h[::-1])
-        _push(self.d1w1, a)
-        _push(self.d2w2, b)
+        (c1l, c1h), (c2l, c2h) = self.md0
+        # X W plus the index-0 terms is the P_X force, Y W the P_Y force
+        al, ah = _dot(xl[1:kk] + [c1l, c2l], xh[1:kk] + [c1h, c2h],
+                      wl[::-1] + [w1l[k], w2l[k]], wh[::-1] + [w1h[k], w2h[k]])
         _push(self.w, _wsum(m, w1l[k], w1h[k], w2l[k], w2h[k]))
-        # the P_X force subtracts each scaled product in turn, as
-        # vector_field does; Y W is the P_Y force
-        (a0, a1), (b0, b1) = _scale(m[0], *a), _scale(m[1], *b)
         cl, ch = _dot(yl, yh, wl[::-1], wh[::-1])
         # coefficient k of the field along the series, divided by the
         # exact integer k + 1 and rounded outward, or not at all by 1
@@ -828,8 +820,8 @@ class RtbpSolutionSeries:
         xh.append(nudge(_add_up(ph[k], yh[k]) / kk, _INF))
         yl.append(nudge(_add_dn(ql[k], -xh[k]) / kk, _NINF))
         yh.append(nudge(_add_up(qh[k], -xl[k]) / kk, _INF))
-        pl.append(nudge(_add_dn(_add_dn(ql[k], -a1), -b1) / kk, _NINF))
-        ph.append(nudge(_add_up(_add_up(qh[k], -a0), -b0) / kk, _INF))
+        pl.append(nudge(_add_dn(ql[k], -ah) / kk, _NINF))
+        ph.append(nudge(_add_up(qh[k], -al) / kk, _INF))
         ql.append(nudge(_add_dn(-ph[k], -ch) / kk, _NINF))
         qh.append(nudge(_add_up(-pl[k], -cl) / kk, _INF))
         self.order = kk
@@ -853,9 +845,7 @@ class RtbpSolutionSeries:
         m = self.masses
         (xl, xh), (yl, yh) = self._u[:2]
         (wl, wh), (y2l, y2h) = self.w, self.y2
-        # (1 - mu) d1_0 and mu d2_0
-        c1 = _mul_ends(*m[0], self.d1[0][0], self.d1[1][0])
-        c2 = _mul_ends(*m[1], self.d2[0][0], self.d2[1][0])
+        c1, c2 = self.md0
         v1, v2, v = ([], []), ([], []), ([], [])
         uxx, uxy, uyy, mix = ([], []), ([], []), ([], []), ([], [])
         k = 0
@@ -885,18 +875,22 @@ class RtbpSolutionSeries:
 
     def _mass_forcing(self, uxx: tuple, uxy: tuple, k: int) -> tuple:
         """Coefficient k of dP_X'/dmu and of dP_Y'/dmu, as Intervals, from
-        the products extend formed, the series uxx, uxy of _partials and
-        Y (w1 - w2); the difference series w1 - w2 is formed here, once
-        per coefficient."""
-        (al, ah), (bl, bh) = self.d1w1, self.d2w2
+        the series uxx, uxy of _partials and from X and Y times w1 - w2:
+        d1 w1 - d2 w2 is X (w1 - w2) from index 1 plus d1_0 w1_k -
+        d2_0 w2_k, as for the P_X force.  The difference series w1 - w2
+        is formed here, once per coefficient."""
         (w1l, w1h), (w2l, w2h), (dl, dh) = self.w1, self.w2, self.wd
         for i in range(len(dl), k + 1):
             dl.append(_add_dn(w1l[i], -w2h[i]))
             dh.append(_add_up(w1h[i], -w2l[i]))
-        cl, ch = _dot(*self._u[1], dl[k::-1], dh[k::-1])
+        (xl, xh), (yl, yh) = self._u[:2]
+        (d1l, d1h), (d2l, d2h) = self.d0
+        rdl, rdh = dl[k::-1], dh[k::-1]
+        al, ah = _dot(xl[1:k + 1] + [d1l, -d2h], xh[1:k + 1] + [d1h, -d2l],
+                      rdl[1:] + [w1l[k], w2l[k]], rdh[1:] + [w1h[k], w2h[k]])
+        cl, ch = _dot(yl, yh, rdl, rdh)
         return (
-            _mk(_add_dn(_add_dn(al[k], -bh[k]), uxx[0][k]),
-                _add_up(_add_up(ah[k], -bl[k]), uxx[1][k])),
+            _mk(_add_dn(al, uxx[0][k]), _add_up(ah, uxx[1][k])),
             _mk(_add_dn(cl, uxy[0][k]), _add_up(ch, uxy[1][k])),
         )
 

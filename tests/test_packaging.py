@@ -129,8 +129,9 @@ def _attribute_loads(tree: ast.Module, classes) -> list[tuple]:
 def _unused_members(trees: list, bench: set) -> list:
     """The class members of trees that no code outside their own
     definition loads, in rounds until no more drop out: each round
-    ignores the loads inside members already flagged.  A name in bench
-    counts as used."""
+    ignores the loads inside members already flagged.  Each name in a
+    class's __slots__ is a member, so a slot only ever stored is flagged.
+    A name in bench counts as used."""
     classes = {node.name: node for tree in trees for node in tree.body
                if isinstance(node, ast.ClassDef)}
     loads = [x for tree in trees for x in _attribute_loads(tree, classes)]
@@ -139,10 +140,13 @@ def _unused_members(trees: list, bench: set) -> list:
         for node in cls.body:
             targets = getattr(node, "targets", [getattr(node, "target", node)])
             own = {id(sub) for sub in ast.walk(node)}
+            names = [getattr(t, "id", getattr(t, "name", None))
+                     for t in targets]
+            if names == ["__slots__"]:
+                names = [elt.value for elt in node.value.elts]
             members += [
                 (f"{cname}.{name}", name, cname, own)
-                for name in (getattr(t, "id", getattr(t, "name", None))
-                             for t in targets)
+                for name in names
                 if name and not name.startswith("__") and name not in bench
             ]
     unused: list = []
@@ -183,6 +187,19 @@ def test_member_guard_flags_a_member_only_dead_members_read():
         "A().live()\n"
     )
     assert _unused_members([tree], set()) == ["A.dead", "A.helper"]
+
+
+def test_member_guard_flags_a_slot_no_code_loads():
+    # both slots are stored in __init__, only kept is loaded after
+    tree = ast.parse(
+        "class A:\n"
+        "    __slots__ = ('kept', 'stored')\n"
+        "    def __init__(self):\n"
+        "        self.kept = 1\n        self.stored = 2\n"
+        "    def read(self):\n        return self.kept\n"
+        "A().read()\n"
+    )
+    assert _unused_members([tree], set()) == ["A.stored"]
 
 
 def test_every_oracle_is_used_by_a_test():

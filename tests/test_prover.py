@@ -103,8 +103,8 @@ PX_RIGHT_BAND = (2.825e-8, 7.421e-8)
 # P_X and crossing-time widths of the default (left, right) endpoint
 # flights, the reference of the width gate
 ENDPOINT_WIDTHS = (
-    (4.4393384078205825e-10, 1.7423889886458713e-08),
-    (4.453244954640601e-10, 1.8464200834955594e-08),
+    (4.4384018932632535e-10, 1.6767980781651207e-08),
+    (4.451274109884982e-10, 1.7802225471541536e-08),
 )
 
 # Entry widths of the default (left, right) endpoints' derivative over N

@@ -44,7 +44,7 @@ A row holds:
     midpoint (order p + 1, no stop rule), expand_variational of the box
     series from the identity at the step's transport order q (the
     transport's series), 1000 calls of rtbp._dot of length 12 (the tube
-    series' d1 against w1 reversed, coefficients 0..11; the row's
+    series' X against w1 reversed, coefficients 0..11; the row's
     milliseconds read as microseconds per dot), one flow._expand_step at
     the flight's tol, one flow._assemble (the Lohner update) of that
     step, the image Horner of the step (flow._horner_vec of the thin
@@ -563,8 +563,8 @@ def measure(src: Path, full: bool = False) -> dict:
     sol_tail = [(lo[order + 1], hi[order + 1])
                 for lo, hi in ser_z.float_series()]
     v_col = field.expand_variational(ser_z, column, order + 1)
-    (d1l, d1h), (w1l, w1h) = ser_z.d1, ser_z.w1
-    dot_args = (d1l[:12], d1h[:12], w1l[11::-1], w1h[11::-1])
+    (xl, xh), (w1l, w1h) = ser_z.float_series()[0], ser_z.w1
+    dot_args = (xl[:12], xh[:12], w1l[11::-1], w1h[11::-1])
     layers, layers_nominal = _timed_rows({
         "expand_thin_p": lambda: field.expand(mid, order),
         "expand_box_p1": lambda: field.expand(tube, order + 1),

@@ -173,6 +173,27 @@ MUTANTS = {
         "(1 - mu) d1_0 v1_k + mu d2_0 v2_k",
         ["tests/test_rtbp.py"],
     ),
+    "px_force_no_index0": (
+        RTBP,
+        "        al, ah = _dot(xl[1:kk] + [c1l, c2l], xh[1:kk] + [c1h, c2h],\n"
+        "                      wl[::-1] + [w1l[k], w2l[k]], "
+        "wh[::-1] + [w1h[k], w2h[k]])\n",
+        "        al, ah = _dot(xl[1:kk], xh[1:kk], wl[::-1], wh[::-1])\n",
+        "the P_X force's series drops its index-0 terms "
+        "(1 - mu) d1_0 w1_k + mu d2_0 w2_k",
+        ["tests/test_rtbp.py"],
+    ),
+    "mass_forcing_no_index0": (
+        RTBP,
+        "        al, ah = _dot(xl[1:k + 1] + [d1l, -d2h], "
+        "xh[1:k + 1] + [d1h, -d2l],\n"
+        "                      rdl[1:] + [w1l[k], w2l[k]], "
+        "rdh[1:] + [w1h[k], w2h[k]])\n",
+        "        al, ah = _dot(xl[1:k + 1], xh[1:k + 1], rdl[1:], rdh[1:])\n",
+        "d1 w1 - d2 w2 of the mass forcing drops its index-0 terms "
+        "d1_0 w1_k - d2_0 w2_k",
+        ["tests/test_rtbp.py"],
+    ),
     "a_mul_unnudged": (
         INTERVAL,
         "    return np.nextafter(lo, _NINF), np.nextafter(hi, _INF)\n",
