@@ -41,8 +41,8 @@ One Taylor step of order p uses six series expansions, in this order:
     the first order q+1 <= p+1 whose coefficient times [h]^(q+1) has
     magnitude at most sol_err or the cut (q = p when none does); that
     term is the tail vector, the Lagrange term of D(phi_h) applied to
-    every x - m.  Past p'+1 the column extends the tube series with it,
-    and the step then reads its Lagrange term at q+1 and sets p' = q;
+    every x - m.  Past p'+1 the column extends the tube series with it;
+    the solution's Lagrange term stays the one at p'+1;
   * a thin series at the midpoint (order p'), which with that Lagrange
     coefficient encloses phi_h(midpoint);
   * an interval series at the current box (order q) and its variational
@@ -102,16 +102,17 @@ ratio at which _step_factor returns its cap, asked of _step_factor
 itself; a step at an infinite tol (the crossing step) keeps the full
 order.
 
-Poincare crossings monitor the rough tube of every step.  A step whose
-tube is clear of the section is accepted as it is.  A step whose tube
-meets the section is the crossing step when its end set lies strictly
-past the section; any other contact step is halved, and a step below
-h_min is LostCrossing.  A set must therefore pass the section within one
-step: a set wider than a step's travel ends in LostCrossing.  The
-crossing step lands a float time on the section with the midpoint
-series, which does not depend on h and so also encloses the image at
-that time, and projects the set onto the section through the correlated
-mean-value form
+Poincare crossings read the side to cross from off the starting set,
+which must lie strictly off the section (LostCrossing otherwise), and
+monitor the rough tube of every step.  A step whose tube is clear of the
+section is accepted as it is.  A step whose tube meets the section is
+the crossing step when its end set lies strictly past the section; any
+other contact step is halved, and a step below h_min is LostCrossing.
+A set must therefore pass the section within one step: a set wider than
+a step's travel ends in LostCrossing.  The crossing step lands a float
+time on the section with the midpoint series, which does not depend on
+h and so also encloses the image at that time, and projects the set onto
+the section through the correlated mean-value form
 
     P_i in p_i - [F_i(Z)/F_k(Z)] (p_k - value),
 
@@ -226,16 +227,11 @@ class FlowEnclosure:
 
 @dataclass(frozen=True)
 class Section:
-    """Hyperplane {x_index = value} with a required transversal velocity
-    sign: +1 means the coordinate must be increasing at the crossing."""
+    """Hyperplane {x_index = value}.  A flight crosses it from the side
+    its starting set lies on (see poincare_crossing)."""
 
     index: int
     value: float
-    direction: int
-
-    def __post_init__(self):
-        if self.direction not in (-1, 1):
-            raise ValueError("direction must be +1 or -1")
 
 
 # -- rough enclosures -------------------------------------------------------------
@@ -419,7 +415,8 @@ def _expand_step(
     column is expanded one order at a time, and q+1 is the first order
     whose term has magnitude at most sol_err or the cut, or p+1; the box
     series and the transport are then expanded to q only.  A column past
-    p'+1 extends the tube series with it, and p' becomes q."""
+    p'+1 extends the tube series with it; the thin series and the
+    solution's Lagrange term stay at p' and p'+1."""
     n = enc.dim
     x0 = enc.as_box()
     tube = a_priori_enclosure(field, x0, h)
@@ -450,9 +447,6 @@ def _expand_step(
 
     v_z = field.expand_variational(ser_z, column, order + 1, stop=met)
     q = len(v_z[0][0][0]) - 2  # the column ends at order q + 1
-    if q >= top:  # the column extended the tube series to q + 1
-        top = q + 1
-        sol_tail, sol_err = _lagrange(ser_z, top, hph)
     tail = IVector([_mk(*t) for t in _column_term(v_z, q + 1, hpl, hph)])
     var_err = max(c.mag for c in tail)
 
@@ -631,10 +625,12 @@ def _advance(field, enc, h, order, tol, h_min, h_max):
 # -- Poincare crossings ------------------------------------------------------------
 
 
-def _past_section(end: FlowEnclosure, section: Section) -> bool:
-    """Whether the end set of a step lies strictly past the section."""
+def _past_section(end: FlowEnclosure, section: Section,
+                  direction: int) -> bool:
+    """Whether the end set of a step lies strictly past the section, which
+    it crosses increasing (direction 1) or decreasing (-1)."""
     gap = end.as_box()[section.index] - section.value
-    if section.direction < 0:
+    if direction < 0:
         gap = -gap
     return gap.lo > 0.0
 
@@ -673,9 +669,10 @@ def _float_newton_time(ser, h_step, section, order):
     return t
 
 
-def _cross_in_step(field, enc, h_step, section, order):
+def _cross_in_step(field, enc, h_step, section, direction, order):
     """Certified section image for a step whose end lies strictly past the
-    section.  Returns the on-section FlowEnclosure or raises."""
+    section, crossed with the sign direction.  Returns the on-section
+    FlowEnclosure or raises."""
     n = enc.dim
     k = section.index
     # the thin midpoint series lands the float time and then encloses
@@ -686,7 +683,7 @@ def _cross_in_step(field, enc, h_step, section, order):
     data = _expand_step(field, enc, t_star, order, ser_m=ser_m)
     # first-crossing inside the step needs monotone section coordinate
     f_tube = _field_over(field, data.tube)[k]
-    if 0.0 in f_tube or (f_tube.hi < 0.0) != (section.direction < 0):
+    if 0.0 in f_tube or (f_tube.hi < 0.0) != (direction < 0):
         raise TransversalityFailure(
             f"section velocity over the step tube: {f_tube!r}"
         )
@@ -713,7 +710,7 @@ def _cross_in_step(field, enc, h_step, section, order):
         tube = _picard(field, x_star, Interval(-d_time, d_time))
         fz = _field_over(field, tube)
         fzk = fz[k]
-        if 0.0 in fzk or (fzk.hi < 0.0) != (section.direction < 0):
+        if 0.0 in fzk or (fzk.hi < 0.0) != (direction < 0):
             raise TransversalityFailure(
                 f"section velocity over the transition tube: {fzk!r}"
             )
@@ -758,27 +755,24 @@ def poincare_crossing(
 ) -> FlowEnclosure:
     """Certified first crossing of the section.
 
-    The set must start strictly off-section.  Every step's rough tube is
-    checked: a step whose tube stays clear of the section cannot contain
-    a crossing and is accepted.  A step whose tube meets the section and
-    whose end set lies strictly past it is the crossing step, refined
-    into an on-section enclosure via the correlated mean-value projection.
-    Any other step that meets the section, its end set short of the
-    section or straddling it, is retried at half the step size; below
-    h_min the flight is LostCrossing.  observer(enc, tube) is called once
-    per accepted step.
+    The set must start strictly off-section, LostCrossing otherwise; the
+    side it starts on fixes the sign of the crossing.  Every step's rough
+    tube is checked: a step whose tube stays clear of the section cannot
+    contain a crossing and is accepted.  A step whose tube meets the
+    section and whose end set lies strictly past it is the crossing step,
+    refined into an on-section enclosure via the correlated mean-value
+    projection.  Any other step that meets the section, its end set short
+    of the section or straddling it, is retried at half the step size;
+    below h_min the flight is LostCrossing.  observer(enc, tube) is called
+    once per accepted step.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     k = section.index
     g0 = enc.as_box()[k] - section.value
     if 0.0 in g0:
-        raise ValueError("initial set is not strictly off-section")
-    side = 1 if g0.lo > 0.0 else -1
-    if section.direction != -side:
-        raise ValueError(
-            "required crossing sign is inconsistent with the starting side"
-        )
+        raise LostCrossing("initial set is not strictly off-section")
+    direction = -1 if g0.lo > 0.0 else 1
     t_start = enc.time.lo
     h_try = min(h_init, h_max)
     while True:
@@ -794,8 +788,8 @@ def poincare_crossing(
                 observer(enc, data.tube)
             h_try = h_next
             continue
-        if _past_section(end, section):
-            return _cross_in_step(field, enc, h, section, order)
+        if _past_section(end, section, direction):
+            return _cross_in_step(field, enc, h, section, direction, order)
         # shrink the step until its tube clears the section
         h_try = 0.5 * h
         if h_try < h_min:

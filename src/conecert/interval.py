@@ -722,9 +722,6 @@ class IVector:
     def __sub__(self, other: "IVector") -> "IVector":
         return IVector([a - b for a, b in zip(self.c, other.c)])
 
-    def __neg__(self) -> "IVector":
-        return IVector([-a for a in self.c])
-
     def mid(self) -> list[float]:
         return [a.mid for a in self.c]
 

@@ -74,7 +74,6 @@ from .rtbp import (
 )
 
 __all__ = [
-    "StageFailure",
     "ProofConfig",
     "StageResult",
     "CertifiedUnstable",
@@ -96,12 +95,7 @@ __all__ = [
 ]
 
 
-class StageFailure(RuntimeError):
-    """A proof stage could not certify its claim."""
-
-
 _RECOVERABLE = (
-    StageFailure,
     UnverifiedCones,
     ChartError,
     EnclosureFailure,
@@ -274,7 +268,6 @@ class CertifiedUnstable:
 class CrossingResult:
     image: Box
     time: Interval
-    direction: int
 
 
 @dataclass
@@ -615,27 +608,19 @@ def chart_seeded_enclosure(
 
 
 def poincare_image(
-    chart: LocalChart,
-    params: RtbpParams,
-    u_local: Box,
-    band: bool = False,
+    chart: LocalChart, params: RtbpParams, u_local: Box, band: bool = False,
 ) -> CrossingResult:
     """Certified first crossing of {Y = 0} for the chart image of
-    u_local, with the crossing direction derived from the starting side.
+    u_local.  poincare_crossing reads the side to cross from off the
+    launch set, and a launch set that touches {Y = 0} is LostCrossing.
 
     band=True flies the band flight: the mass is a fifth coordinate
     ranging over params.mu, the launch set is chart_seeded_enclosure's
     band set, and the image has five components, mu last.
     """
-    u_orig = total_change(u_local, chart)
-    y = u_orig[1]
-    if 0.0 in y:
-        raise StageFailure("initial set touches the section")
-    direction = 1 if y.hi < 0.0 else -1
     enc = chart_seeded_enclosure(chart, u_local, params.mu if band else None)
-    field_ = RtbpTaylorField(params)
-    crossing = poincare_crossing(field_, enc, Section(1, 0.0, direction))
-    return CrossingResult(crossing.as_box(), crossing.time, direction)
+    crossing = poincare_crossing(RtbpTaylorField(params), enc, Section(1, 0.0))
+    return CrossingResult(crossing.as_box(), crossing.time)
 
 
 # -- the launch chain -------------------------------------------------------------
@@ -704,11 +689,10 @@ def launch_chain(
             detail["subdivision"] = subdivision
         with _stage(out.stages, "cones"):
             out.unstable = certify_unstable(out.chart, b, n_box, out.dfn, cfg)
-        with _stage(out.stages, "poincare") as detail:
+        with _stage(out.stages, "poincare"):
             out.crossing = poincare_image(
                 out.chart, params, out.unstable.U_local, band
             )
-            detail["direction"] = out.crossing.direction
     except _RECOVERABLE as exc:
         out.failure = str(exc)
     return out

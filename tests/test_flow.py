@@ -660,8 +660,9 @@ def test_unmet_column_extends_the_tube_series():
     # On this saddle the tube column outgrows the solution series: at
     # tol 6.2e-3 the tube series meets the cut at order 8 but the column
     # does not, so the column extends the tube series as it goes on.
-    # Both end at one order p''+1 <= p+1, and the thin and box series
-    # run to p'' = q.  [DERIVED] closed-form e^(At) in mpmath
+    # Both end at one order q+1 <= p+1; the thin series stays at p' = 7,
+    # under the Lagrange term at 8, and the box series runs to q.
+    # [DERIVED] closed-form e^(At) in mpmath
     field, q = _closed_form_step(
         [[1.0, 1.0], [0.0, -1.0]],
         lambda mp, t: [[mp.exp(t), mp.sinh(t)], [0, mp.exp(-t)]],
@@ -669,7 +670,7 @@ def test_unmet_column_extends_the_tube_series():
     )
     *_, tube, thin, box = field.reached
     assert field.returned[-3] == 8 < tube == q + 1 <= 13
-    assert thin == box == q
+    assert thin == 7 < box == q
 
 
 def _shoot(x, h, mu):
@@ -811,7 +812,7 @@ def test_halving_recovers_from_large_h():
 def test_crossing_quarter_circle():
     # Rotation from (1,0) to {x=0}: image (0,-1), time pi/2.  [TRIVIAL]
     e0 = enclosure_from_box(IVector.from_floats([1.0, 0.0]))
-    cr = poincare_crossing(harmonic(), e0, Section(0, 0.0, -1), order=15)
+    cr = poincare_crossing(harmonic(), e0, Section(0, 0.0), order=15)
     b = cr.as_box()
     assert 0.0 in b[0] and b[0].width < 1e-300
     assert -1.0 in b[1] and b[1].width < 1e-9
@@ -824,7 +825,7 @@ def test_crossing_saddle_logarithmic_time():
     eps = 0.01
     f = LinearTaylorField(IMatrix.from_floats([[1.0, 0.0], [0.0, -1.0]]))
     e0 = enclosure_from_box(IVector.from_floats([eps, 1.0]))
-    cr = poincare_crossing(f, e0, Section(1, eps, -1), order=15, max_time=20.0)
+    cr = poincare_crossing(f, e0, Section(1, eps), order=15, max_time=20.0)
     assert math.log(1.0 / eps) in cr.time
     assert cr.time.width < 1e-8
     b = cr.as_box()
@@ -840,7 +841,7 @@ def test_crossing_time_width_shrinks_under_subdivision():
     r = 1e-3
     full = IVector([Interval(1.0 - r, 1.0 + r), Interval(-r, r)])
     half = IVector([Interval(1.0 - r / 2, 1.0 + r / 2), Interval(-r / 2, r / 2)])
-    sec = Section(0, 0.0, -1)
+    sec = Section(0, 0.0)
     t_full = poincare_crossing(
         harmonic(), enclosure_from_box(full), sec, order=15
     ).time
@@ -859,7 +860,7 @@ def test_crossing_rtbp_hits_section():
     assert f0[1].hi < 0.0  # heading toward Y = 0 already
     e0 = enclosure_from_box(x0)
     cr = poincare_crossing(
-        field, e0, Section(1, 0.0, -1), order=18, tol=1e-14, max_time=5.0
+        field, e0, Section(1, 0.0), order=18, tol=1e-14, max_time=5.0
     )
     b = cr.as_box()
     assert cr.midpoint[1] == 0.0 and cr.remainder[1].width == 0.0
@@ -868,17 +869,13 @@ def test_crossing_rtbp_hits_section():
 
 
 def test_crossing_validation_errors():
-    sec_bad = Section(0, 0.0, 1)  # wrong required sign for this start
+    # a set that starts on the section has no side to cross from
     e0 = enclosure_from_box(IVector.from_floats([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        poincare_crossing(harmonic(), e0, sec_bad, order=10)
     on_section = enclosure_from_box(IVector.from_floats([0.0, 1.0]))
+    with pytest.raises(LostCrossing, match="not strictly off-section"):
+        poincare_crossing(harmonic(), on_section, Section(0, 0.0), order=10)
     with pytest.raises(ValueError):
-        poincare_crossing(harmonic(), on_section, Section(0, 0.0, -1), order=10)
-    with pytest.raises(ValueError):
-        poincare_crossing(harmonic(), e0, Section(0, 0.0, -1), tol=0.0)
-    with pytest.raises(ValueError):
-        Section(0, 0.0, 2)
+        poincare_crossing(harmonic(), e0, Section(0, 0.0), tol=0.0)
 
 
 def test_crossing_budget_exhaustion():
@@ -887,7 +884,7 @@ def test_crossing_budget_exhaustion():
     e0 = enclosure_from_box(IVector.from_floats([0.0, 0.5]))
     # orbit radius 0.5 never reaches x = 2
     with pytest.raises(LostCrossing):
-        poincare_crossing(f, e0, Section(0, 2.0, 1), order=10, max_time=3.0)
+        poincare_crossing(f, e0, Section(0, 2.0), order=10, max_time=3.0)
 
 
 def test_crossing_tangency_is_refused():
@@ -897,7 +894,7 @@ def test_crossing_tangency_is_refused():
     e0 = enclosure_from_box(IVector.from_floats([-1.0, 1.0, 1.0]))
     with pytest.raises((LostCrossing, TransversalityFailure)):
         poincare_crossing(
-            f, e0, Section(0, -0.5, 1), order=10, max_time=3.0, h_min=1e-6
+            f, e0, Section(0, -0.5), order=10, max_time=3.0, h_min=1e-6
         )
 
 
@@ -909,7 +906,7 @@ def test_crossing_near_tangency_resolution():
     e0 = enclosure_from_box(IVector.from_floats([-1.0, 1.0, 1.0]))
     off = 1e-12
     cr = poincare_crossing(
-        f, e0, Section(0, -0.5 - off, 1), order=10, max_time=3.0, h_min=1e-6
+        f, e0, Section(0, -0.5 - off), order=10, max_time=3.0, h_min=1e-6
     )
     assert 1.0 - math.sqrt(2.0 * off) in cr.time
     e1 = enclosure_from_box(IVector.from_floats([-1.0, 1.0, 1.0]))
@@ -917,7 +914,7 @@ def test_crossing_near_tangency_resolution():
         poincare_crossing(
             f,
             e1,
-            Section(0, -0.5 - 1e-16, 1),
+            Section(0, -0.5 - 1e-16),
             order=10,
             max_time=3.0,
             h_min=1e-6,
@@ -928,7 +925,7 @@ def test_crossing_past_apex_succeeds():
     # Well below the apex the same field crosses transversally.
     f = parabola()
     e0 = enclosure_from_box(IVector.from_floats([-1.0, 1.0, 1.0]))
-    cr = poincare_crossing(f, e0, Section(0, -0.9, 1), order=10, max_time=3.0)
+    cr = poincare_crossing(f, e0, Section(0, -0.9), order=10, max_time=3.0)
     # x(t) = -0.9 at t = 1 - sqrt(0.8): first root of the parabola
     t_exact = 1.0 - math.sqrt(0.8)
     assert t_exact in cr.time
@@ -953,7 +950,7 @@ def test_point_crossing_encloses_the_exact_landing():
         x0, v0 = 0.25 * j, 1.0 + j * 1.37e-6
         cr = poincare_crossing(
             f, enclosure_from_box(IVector.from_floats([x0, v0, 1.0])),
-            Section(1, 1.0, -1),
+            Section(1, 1.0),
         )
         box = cr.as_box()
         with mp.workdps(50):
@@ -967,7 +964,7 @@ def test_point_crossing_encloses_the_exact_landing():
 def _harmonic_box_crossing(r, h_max, observer=None):
     box = IVector([Interval(1.0 - r, 1.0 + r), Interval(-r, r)])
     return poincare_crossing(
-        harmonic(), enclosure_from_box(box), Section(0, 0.0, -1),
+        harmonic(), enclosure_from_box(box), Section(0, 0.0),
         order=15, h_max=h_max, observer=observer,
     )
 

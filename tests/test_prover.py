@@ -106,6 +106,9 @@ ENDPOINT_WIDTHS = (
     (4.4384018932632535e-10, 1.6767980781651207e-08),
     (4.451274109884982e-10, 1.7802225471541536e-08),
 )
+# P_X and crossing-time widths of the band flight over the first default
+# fragment, the band's reference of the width gate
+BAND_WIDTHS = (1.9070758585165636e-08, 9.290239155745895e-08)
 
 # Entry widths of the default (left, right) endpoints' derivative over N
 # and their least cone margins, with the chart's signed-transpose C^-1:
@@ -652,7 +655,7 @@ class TestEndpoints:
             "chart": {"lambda", "v"},
             "derivative": {"subdivision"},
             "cones": set(),
-            "poincare": {"direction"},
+            "poincare": set(),
         }
         assert {"DFN", "cone_margins", "poincare_image", "subboxes"} <= set(
             data
@@ -686,6 +689,15 @@ class TestFragment:
         assert params.mu.is_subset_of(cr.image[4])
         assert cr.time.width <= 1e-6
         assert cr.image[2].width <= 1e-7
+
+    def test_widths_do_not_widen(self, band_flight):
+        # the width gate of the band flight: its P_X and crossing-time
+        # widths at most 2e-4 relative above their values at the time of
+        # writing; narrower passes
+        _, _, cr = band_flight
+        px_w, t_w = BAND_WIDTHS
+        assert cr.image[2].width <= (1.0 + 2e-4) * px_w
+        assert cr.time.width <= (1.0 + 2e-4) * t_w
 
     def test_band_flight_contains_float_shootings(self, band_flight):
         # [DERIVED] scipy DOP853 from the launch set's own points at the
@@ -738,7 +750,7 @@ class TestFragment:
             calls.append((params.mu, chart.mu, band))
             if len(calls) == 1:
                 raise LostCrossing("first flight lost")
-            return CrossingResult(u_local, Interval(float(len(calls))), 1)
+            return CrossingResult(u_local, Interval(float(len(calls))))
 
         monkeypatch.setattr(prover, "poincare_image", flight)
         monkeypatch.setattr(prover, "launch_chain", counted_chain)
@@ -874,7 +886,7 @@ def test_failed_endpoint_flight_flies_once(cfg, monkeypatch):
         calls.append(u_local)
         image = IVector([Interval(0.8), Interval(0.0),
                          Interval(-1e-8, 1e-8), Interval(0.9)])
-        return CrossingResult(image, Interval(8.2), 1)
+        return CrossingResult(image, Interval(8.2))
 
     monkeypatch.setattr(prover, "poincare_image", flight)
     ep = run_endpoint("left", cfg.mu_left, cfg)
@@ -890,6 +902,35 @@ def test_failed_endpoint_flight_flies_once(cfg, monkeypatch):
     assert ep.U_local is calls[0] and ep.cones is not None
 
 
+def test_launch_on_section_is_not_proved(cfg, monkeypatch):
+    # a launch window at the chart origin, x0 = 0 with no transversal
+    # width, has L1 for its chart image, on {Y = 0}: the flight refuses
+    # it before any step, and the endpoint is unverified with that reason
+    # after three verified stages
+    from conecert import flow, prover
+
+    steps = []
+    expand_step = flow._expand_step
+
+    def counted_step(*args, **kwargs):
+        steps.append(args[2])
+        return expand_step(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_expand_step", counted_step)
+    monkeypatch.setattr(prover, "launch_window",
+                        lambda cones, b, r_u: IVector([Interval(0.0)] * 4))
+    ep = run_endpoint("left", cfg.mu_left, cfg)
+    reason = "initial set is not strictly off-section"
+    assert not ep.verified and ep.failure == reason
+    assert [(s.name, s.verified) for s in ep.stages] == [
+        ("chart", True), ("derivative", True), ("cones", True),
+        ("poincare", False),
+    ]
+    assert ep.stages[-1].detail == {"error": reason}
+    assert steps == []
+    assert ep.poincare_image is None and ep.crossing_time is None
+
+
 @pytest.mark.parametrize("side, px", [
     ("left", Interval(-1e-8, 0.0)),
     ("right", Interval(0.0, 1e-8)),
@@ -903,7 +944,7 @@ def test_endpoint_sign_check_is_strict(cfg, monkeypatch, side, px):
     monkeypatch.setattr(
         prover, "launch_chain",
         lambda *args: prover.Launch(
-            crossing=CrossingResult(image, Interval(8.2), 1)
+            crossing=CrossingResult(image, Interval(8.2))
         ),
     )
     ep = run_endpoint(side, cfg.mu_left, cfg)

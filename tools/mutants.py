@@ -228,14 +228,12 @@ MUTANTS = {
         "p' for the one at p'+1",
         ["tests/test_flow.py"],
     ),
-    "resumed_lagrange_stale": (
+    "crossing_side_flipped": (
         FLOW,
-        "    if q >= top:  # the column extended the tube series to q + 1\n"
-        "        top = q + 1\n"
-        "        sol_tail, sol_err = _lagrange(ser_z, top, hph)\n",
-        "",
-        "a step whose column extended the tube series keeps the Lagrange "
-        "term and thin order of the tube series' stop",
+        "    direction = -1 if g0.lo > 0.0 else 1\n",
+        "    direction = 1 if g0.lo > 0.0 else -1\n",
+        "a flight crosses the section toward the side its starting set "
+        "lies on",
         ["tests/test_flow.py"],
     ),
     "cross_no_pk_off": (
