@@ -27,56 +27,51 @@ flow reads the field through these two only, and every series through
 its float lists only: F over a box is coefficient 1 of its series, and
 DF over a tube coefficient 1 of its variational series from I.
 
-One Taylor step of order p uses six series expansions, in this order:
-  * an interval series over the rough tube, expanded one order at a
-    time up to p+1 and stopped at the first order p'+1 whose coefficient
-    times h^(p'+1), the Lagrange term of the solution, has magnitude at
-    most the cut (see Step sizes); its magnitude sol_err is tested
-    first, so a step that fails it pays for no other series;
-  * the variational series over the tube from I (order 1), whose
-    coefficient 1 is DF over the tube, L its infinity norm;
-  * the variational series over the tube of the one column W u, u = x0 - m
-    the current box less its midpoint and W the a-priori bound
-    ||V(t) - I||_inf <= e^(L h) - 1, expanded one order at a time up to
-    the first order q+1 <= p+1 whose coefficient times [h]^(q+1) has
-    magnitude at most sol_err or the cut (q = p when none does); that
-    term is the tail vector, the Lagrange term of D(phi_h) applied to
-    every x - m.  Past p'+1 the column extends the tube series with it;
-    the solution's Lagrange term stays the one at p'+1;
-  * a thin series at the midpoint (order p'), which with that Lagrange
-    coefficient encloses phi_h(midpoint);
-  * an interval series at the current box (order q) and its variational
-    series from I (order q), whose Taylor polynomial [V] is the transport.
-The variational series come back as float (lo, hi) series per
-entry.  [V] and the image of the midpoint are summed by one
-Horner routine on float pairs, [V] kept as the float matrices (lo, hi)
-that the Lohner update reads, and the stop rule and the tail multiply
-the column's float pair at order k by [h^k] as a float pair, all with
-the rounding of the Interval operations they replace.  The mean
-value theorem then gives
-phi_h(m + C r0 + B r) in phi_h(m) + [V] (C r0 + B r) + tail.  For x in
-the box, phi_h(x) - phi_h(m) averages D(phi_h)(y) (x - m) over y on the
-segment from m to x, and by Taylor's theorem in time D(phi_h)(y) is the
-polynomial of order q of the variational series at y plus h^(q+1) times
-coefficient q+1 of the series started at some time t in [0, h] from the
-point phi_t(y) of the tube with V_0 = D(phi_t)(y) in W.  This holds at
-every q <= p, so the column stops as soon as its term no longer matters:
-past that order the box and transport series would only shrink a tail
-already below sol_err, which the step carries anyway, or below the cut.
-The solution's Taylor form holds at every p' <= p in the same way.  When
-the column meets sol_err, var_err <= sol_err, so the error ratio below
-is sol_err / tol.  The products [V] C and [V] B are split into float
-midpoints plus interval defects, which join the tail in the error, and
-the error basis is renewed by Gram-Schmidt on sorted columns to control
-wrapping.  This Lohner update runs on float pairs too, with no BLAS,
-each operation rounded bit for bit as the Interval operation it
-replaces.  A product of
-an interval matrix with a float one ([V] C, [V] B, Q^T Q, Q^-1 times the
-float part of [V] B, and the hull of the set) takes per term the two
-corners picked by the float's sign, with the rounding of idot.
-The float basis Q is orthogonal up to rounding, so Q^-1 is enclosed
-as Q^T plus an entrywise ball of radius ||E|| / (1 - ||E||) ||Q^T||, with
-E = I - Q^T Q in interval arithmetic and ||.|| an upper bound of the
+One Taylor step of order p from the box x0 with midpoint m expands:
+  * the series at x0 through order 3, and the tube from it: Y =
+    sum_{k <= 2} c_k(x0) [0, h]^k + c_3(Z) [0, h]^3 by interval Horner,
+    once Y lies in a box Z grown from Y by hull and inflation, so that
+    every trajectory from x0 stays in Y over [0, h] (the Taylor test of
+    Corliss and Rihm 1996; Nedialkov, Jackson and Corliss 1999, section 4);
+  * a series over the tube, expanded one order at a time up to p+1 and
+    stopped at the first order p'+1 whose coefficient times h^(p'+1), the
+    Lagrange term of the solution, has magnitude at most the cut (see Step
+    sizes); a step whose term sol_err fails tol pays for nothing more;
+  * DF over the tube, coefficient 1 of its variational series from I;
+  * the variational series over the tube of the one column W u, u = x0 - m,
+    up to the first order q+1 <= p+1 whose coefficient times [h]^(q+1) has
+    magnitude at most sol_err or the cut (q = p when none does).  W
+    encloses V(t) = D(phi_t) on [0, h]: ||V(t) - I||_w <= b = e^(L h) - 1
+    in the infinity norm weighted by w > 0, L = max_i sum_j |DF_ij| w_j / w_i,
+    so entry i of W u is u_i + [-b w_i, b w_i], for w = |u| (floored at
+    1e-300; a thin coordinate, such as a band flight's mass, then weighs
+    its column of DF by its own width) and for w = max |u|, whichever is
+    narrower.  That term is the tail vector, the Lagrange term of D(phi_h)
+    applied to every x - m; past p'+1 the column extends the tube series;
+  * a thin series at m (order p'), whose increment sum_{1 <= k <= p'} c_k
+    h^k plus the Lagrange term at p'+1 encloses phi_h(m) - m: c_0 = m
+    exactly, so the image m + increment carries no rounding of order 1;
+  * the variational series from I along the series at x0, which it
+    extends, to order q: its Taylor polynomial [V] is the transport.
+Float pairs carry every series, and one Horner routine sums [V] and the
+increment with the rounding of the Interval operations it replaces.  The
+mean value theorem then gives
+phi_h(m + C r0 + B r) in m + increment + [V] (C r0 + B r) + tail: for x
+in the box, phi_h(x) - phi_h(m) averages D(phi_h)(y) (x - m) over y from m
+to x, and D(phi_h)(y) is the order-q polynomial of the variational series
+at y plus h^(q+1) times coefficient q+1 of the series started at some t
+in [0, h] from phi_t(y) in the tube with V_0 = D(phi_t)(y) in W.  This
+holds at every q <= p, and the solution's form at every p' <= p; when the
+column meets sol_err, var_err <= sol_err.  The Lohner update moves the
+midpoint to m_new = m + mid(increment), splits [V] C and [V] B into float
+midpoints plus interval defects, which join (m - m_new) + increment and
+the tail in the error, and renews the error basis by Gram-Schmidt on
+sorted columns, all on float pairs, rounded bit for bit as the Interval
+operations they replace.  A product of an interval matrix with a float
+one takes per term the two corners picked by the float's sign, with the
+rounding of idot.  Q^-1 of the float basis Q, orthogonal up to rounding,
+is enclosed as Q^T plus an entrywise ball of radius
+||E|| / (1 - ||E||) ||Q^T||, E = I - Q^T Q and ||.|| an upper bound of the
 spectral norm (a Neumann series; EnclosureFailure if ||E|| >= 1/2).
 
 Step sizes.  A step of size h is accepted when its error ratio
@@ -90,17 +85,16 @@ its steps through one acceptance loop, _advance, which the tests'
 fixed-time integrator shares, and the predicted size carries over from
 step to step.  Its defaults are the settings every flight of the proof
 uses: order p = 19, tol = 3e-14, a first step of 0.02, h_min = 1e-9,
-h_max = 0.12, and a Poincare flight gives up after 12 time units.
+h_max = 0.3, and a Poincare flight gives up after 12 time units.
 
 The rule also sets each step's order.  An error ratio r at or under
 (0.7 / 2)^(p+1), about 7.6e-10 at p = 19 (2.3e-23 at tol 3e-14), already
 gives the largest growth, 2 h, so an error below that cut buys nothing:
 a step expands its series only to the first order p' <= p whose
-Lagrange term meets the cut, and its column stops at the cut too.  Every
-such step has r under the cut, so it still predicts 2 h.  The cut is the
-ratio at which _step_factor returns its cap, asked of _step_factor
-itself; a step at an infinite tol (the crossing step) keeps the full
-order.
+Lagrange term meets the cut, and its column stops at the cut too.  The
+cut is the ratio at which _step_factor returns its cap, asked of
+_step_factor itself; a step at an infinite tol (the crossing step) keeps
+the full order.
 
 Poincare crossings read the side to cross from off the starting set,
 which must lie strictly off the section (LostCrossing otherwise), and
@@ -116,8 +110,9 @@ the section through the correlated mean-value form
 
     P_i in p_i - [F_i(Z)/F_k(Z)] (p_k - value),
 
-evaluated jointly over the shared remainder coordinates so that signs
-survive at widths where independent bounds would not.
+Z the tube over [-d, d] around the crossing set (the step's Taylor test,
+both ways in time), evaluated jointly over the shared remainder
+coordinates so that signs survive where independent bounds would not.
 """
 
 from __future__ import annotations
@@ -243,60 +238,65 @@ def _field_over(field, box: Box) -> Box:
                     for lo, hi in field.expand(box, 1).float_series()])
 
 
-def _picard(field, x0: Box, t_range: Interval) -> Box:
-    """Box Z with x0 + t_range * F(Z) contained in Z (all trajectories from
-    x0 over t_range stay in Z)."""
-    f0 = _field_over(field, x0)  # genuinely singular start propagates
-    n = len(x0)
-    scale = max(t_range.mag, 1e-300)
-    pad = [
-        Interval(-2.0 * scale * f0[i].mag - 1e-300,
-                 2.0 * scale * f0[i].mag + 1e-300)
-        for i in range(n)
-    ]
-    z = IVector([x0[i] + pad[i] for i in range(n)])
+_TUBE_ORDER = 2  # m, the order of the tube's Taylor polynomial
+
+
+def _tube(field, ser0, t: Interval) -> Box:
+    """Y = sum_{k <= m} c_k(x0) t^k + c_{m+1}(Z) t^(m+1) by interval Horner
+    in t, returned once Y lies in Z: every trajectory from x0 then stays
+    in Y over t.  ser0 is the series from x0 through order m + 1 or more;
+    Z starts at Y with c_{m+1}(x0) and grows by hull and inflation."""
+    m, ser = _TUBE_ORDER, ser0.float_series()
+    top, z = [_mk(lo[m + 1], hi[m + 1]) for lo, hi in ser], None
     for _ in range(20):
+        cand = []
+        for acc, (lo, hi) in zip(top, ser):
+            for k in range(m, -1, -1):
+                acc = acc * t + _mk(lo[k], hi[k])
+            if not (math.isfinite(acc.lo) and math.isfinite(acc.hi)):
+                raise EnclosureFailure("rough enclosure escaped to infinity")
+            cand.append(acc)
+        if z is not None and IVector(cand).is_subset_of(z):
+            return IVector(cand)
+        pad = [0.1 * c.width + 1e-300 for c in cand]
+        z = IVector([c.hull(c if z is None else z[i]) + Interval(-p, p)
+                     for i, (c, p) in enumerate(zip(cand, pad))])
         try:
-            fz = _field_over(field, z)
+            top = [_mk(lo[m + 1], hi[m + 1])
+                   for lo, hi in field.expand(z, m + 1).float_series()]
         except ArithmeticError as err:
             raise EnclosureFailure(
                 f"rough enclosure inflated into a singularity: {err}"
             ) from err
-        cand = IVector([x0[i] + fz[i] * t_range for i in range(n)])
-        if not all(
-            math.isfinite(cand[i].lo) and math.isfinite(cand[i].hi)
-            for i in range(n)
-        ):
-            raise EnclosureFailure("rough enclosure escaped to infinity")
-        if cand.is_subset_of(z):
-            return cand
-        grown = []
-        for i in range(n):
-            w = 0.1 * cand[i].width + 1e-300
-            grown.append(z[i].hull(cand[i]) + Interval(-w, w))
-        z = IVector(grown)
     raise EnclosureFailure("rough enclosure did not stabilize in 20 attempts")
 
 
-def a_priori_enclosure(field, x0: Box, h: float) -> Box:
-    """First-order Picard enclosure of all trajectories from x0 over [0, h]."""
+def a_priori_enclosure(field, x0, h: float) -> Box:
+    """The tube of all trajectories from the box x0 over [0, h] (_tube).
+    x0 may also be the field's series from the box, through order m + 1
+    or more, which the Taylor step goes on to extend."""
     if h <= 0.0:
         raise ValueError("h must be positive")
-    return _picard(field, x0, Interval(0.0, h))
+    if not hasattr(x0, "float_series"):
+        x0 = field.expand(x0, _TUBE_ORDER + 1)  # a singular start propagates
+    return _tube(field, x0, Interval(0.0, h))
 
 
 # -- the Taylor step --------------------------------------------------------------
 
 
-def _opnorm_inf(v: list) -> float:
-    """Upper bound of ||V_1||_inf, coefficient 1 of v (DF when V_0 = I)."""
+def _growth(v: list, w: list, h: float) -> float:
+    """Upper bound of e^(L h) - 1, L = max_i sum_j |V_1[i][j]| w_j / w_i
+    the norm of V_1, coefficient 1 of v (DF when V_0 = I), weighted by
+    w > 0; it bounds ||V(t) - I||_w over [0, h]."""
     worst = 0.0
-    for row in v:
+    for row, wi in zip(v, w):
         acc = 0.0
-        for lo, hi in row:
-            acc = _add_up(acc, max(abs(lo[1]), abs(hi[1])))
-        worst = max(worst, acc)
-    return worst
+        for (lo, hi), wj in zip(row, w):
+            p = max(abs(lo[1]), abs(hi[1])) * wj
+            acc = _add_up(acc, _nextafter(p, _INF))
+        worst = max(worst, _nextafter(acc / wi, _INF))
+    return _add_up(exp(_mk(worst, worst) * h).hi, -1.0)
 
 
 def _unzip(ends: list) -> tuple:
@@ -330,10 +330,11 @@ def _horner(los: list, his: list, top: int, h: float, lo: float,
 
 
 def _horner_vec(series, order: int, h: float, tail: list) -> IVector:
-    """tail h^(order+1) + sum_{k <= order} c_k h^k, summed by _horner on
-    the series' float lists; tail holds one (lo, hi) pair per component."""
+    """tail h^(order+1) + sum_{1 <= k <= order} c_k h^k, the increment of
+    the series over c_0: _horner on the float lists from c_1, times h;
+    tail holds one (lo, hi) pair per component."""
     return IVector([
-        _mk(*_horner(los, his, order, h, lo, hi))
+        _mk(*_mul_ends(*_horner(los[1:], his[1:], order - 1, h, lo, hi), h, h))
         for (los, his), (lo, hi) in zip(series.float_series(), tail)
     ])
 
@@ -367,16 +368,17 @@ def _column_term(v: list, k: int, hpl: list, hph: list) -> list:
 
 class _StepData:
     """The expansions of one step, the transport as the float matrices
-    (lo, hi) that _assemble and _cross_in_step multiply; image, transport,
-    tail and order are None, and var_err is 0, for a step rejected on
-    sol_err alone."""
+    (lo, hi) that _assemble and _cross_in_step multiply; increment,
+    transport, tail and order are None, and var_err is 0, for a step
+    rejected on sol_err alone."""
 
     __slots__ = (
-        "image", "transport", "tail", "tube", "sol_err", "var_err", "order",
+        "increment", "transport", "tail", "tube", "sol_err", "var_err", "order",
     )
 
-    def __init__(self, image, transport, tail, tube, sol_err, var_err, order):
-        self.image = image  # IVector enclosing phi_h(midpoint)
+    def __init__(self, increment, transport, tail, tube, sol_err, var_err,
+                 order):
+        self.increment = increment  # IVector, phi_h(midpoint) - midpoint
         self.transport = transport  # (lo, hi), polynomial part of D(phi_h)
         self.tail = tail  # IVector, Lagrange term of D(phi_h)(x - midpoint)
         self.tube = tube  # rough enclosure over [0, h]
@@ -396,30 +398,15 @@ def _expand_step(
     field, enc: FlowEnclosure, h: float, order: int, tol: float = math.inf,
     ser_m=None,
 ) -> _StepData:
-    """The six expansions of one step, or only the tube series when the
-    solution Lagrange term exceeds tol; that series is expanded first.
+    """The expansions of one step (see the module docstring), or only the
+    tube and its series when the solution Lagrange term exceeds tol.
     ser_m is the thin series at the midpoint to order p, when the caller
-    has expanded it already; it does not depend on h.
-
-    The tube series stops at the first order p'+1 <= p+1 whose Lagrange
-    term is at or under the cut (_step_factor's cap; none for an infinite
-    tol), and the thin series runs to p'.  The transport is the Taylor
-    polynomial of D(phi_h) over the box x0, of an order q <= p'.  Its
-    Lagrange term is only ever applied to u = x0 - m, so it is carried as
-    the vector tail: coefficient q+1 of the variational column over the
-    tube started from W u, times h^(q+1).  W encloses V(t) for t in
-    [0, h] through ||V(t) - I||_inf <= b = e^(L h) - 1,
-    L = ||Df(tube)||_inf, so (W u)_i is enclosed by u_i + [-b, b]
-    max_j |u_j|.  By the mean value theorem phi_h(x) lies in
-    phi_h(m) + transport (x - m) + tail for every x in x0, at any q.  The
-    column is expanded one order at a time, and q+1 is the first order
-    whose term has magnitude at most sol_err or the cut, or p+1; the box
-    series and the transport are then expanded to q only.  A column past
-    p'+1 extends the tube series with it; the thin series and the
-    solution's Lagrange term stay at p' and p'+1."""
+    has expanded it already; it does not depend on h.  For every x in x0,
+    phi_h(x) lies in m + increment + transport (x - m) + tail."""
     n = enc.dim
     x0 = enc.as_box()
-    tube = a_priori_enclosure(field, x0, h)
+    ser_x = field.expand(x0, _TUBE_ORDER + 1)
+    tube = a_priori_enclosure(field, ser_x, h)
     hpl, hph = _powers(h, order + 1)
 
     def under(err):  # the ratio err / tol is one _step_factor caps
@@ -434,11 +421,14 @@ def _expand_step(
 
     u = [x0[i] - enc.midpoint[i] for i in range(n)]
     ident = IMatrix.identity(n)
-    l_inf = _opnorm_inf(field.expand_variational(ser_z, ident, 1))
-    b = exp(Interval(l_inf) * h) - 1.0
-    r = (b * max(c.mag for c in u)).hi
-    ball = Interval(-r, r)
-    column = IMatrix([[c + ball] for c in u])
+    df = field.expand_variational(ser_z, ident, 1)
+    # |(V(t) - I) u|_i <= b w_i under both weights, |u| and max |u|
+    w = [max(c.mag, 1e-300) for c in u]
+    rad = [_INF] * n
+    for ws in (w, [max(w)] * n):
+        b = _growth(df, ws, h)
+        rad = [min(s, _mul_ends(b, b, x, x)[1]) for s, x in zip(rad, ws)]
+    column = IMatrix([[c + Interval(-s, s)] for c, s in zip(u, rad)])
 
     def met(k, v):  # every entry of the term at most sol_err, or the cut
         t = _column_term(v, k, hpl, hph)
@@ -452,11 +442,10 @@ def _expand_step(
 
     if ser_m is None:
         ser_m = field.expand(IVector.from_floats(enc.midpoint), top - 1)
-    image = _horner_vec(ser_m, top - 1, h, sol_tail)
-    ser_x = field.expand(x0, q)
+    inc = _horner_vec(ser_m, top - 1, h, sol_tail)
     v_x = field.expand_variational(ser_x, ident, q)
     transport = _horner_transport(v_x, q, h)
-    return _StepData(image, transport, tail, tube, sol_err, var_err, q)
+    return _StepData(inc, transport, tail, tube, sol_err, var_err, q)
 
 
 def _orthogonal_inverse(q: list) -> tuple:
@@ -531,15 +520,17 @@ def _assemble(enc: FlowEnclosure, data: _StepData, h: float) -> FlowEnclosure:
     c_new, cdl, cdh = _split(*_mul_floats(tlo, thi, enc.init_basis))
     m_mid, mdl, mdh = _split(*_mul_floats(tlo, thi, enc.basis))
 
-    # err = defect + c_delta r0 + m_delta r + tail, defect = image - m_new
+    # err = defect + c_delta r0 + m_delta r + tail, with the image m + inc
+    # of the midpoint and the defect (m - m_new) + inc
     m_new, elo, ehi = [], [], []
-    for i, (img, t) in enumerate(zip(data.image, data.tail)):
-        m = _mid(img.lo, img.hi)
-        m_new.append(m)
+    for i, (m, inc, t) in enumerate(zip(enc.midpoint, data.increment, data.tail)):
+        mn = m + _mid(inc.lo, inc.hi)
+        m_new.append(mn)
         c0, c1 = _idot_ends(cdl[i], cdh[i], r0lo, r0hi)
         d0, d1 = _idot_ends(mdl[i], mdh[i], rlo, rhi)
-        elo.append(_add_dn(_add_dn(_add_dn(_add_dn(img.lo, -m), c0), d0), t.lo))
-        ehi.append(_add_up(_add_up(_add_up(_add_up(img.hi, -m), c1), d1), t.hi))
+        lo, hi = _add_dn(_add_dn(m, -mn), inc.lo), _add_up(_add_up(m, -mn), inc.hi)
+        elo.append(_add_dn(_add_dn(_add_dn(lo, c0), d0), t.lo))
+        ehi.append(_add_up(_add_up(_add_up(hi, c1), d1), t.hi))
 
     q = _lohner_basis(m_mid, [0.5 * r.width for r in enc.remainder])
     qlo, qhi = _orthogonal_inverse(q)
@@ -566,21 +557,21 @@ _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.9
 
 # the settings of every flight of the proof (see "Step sizes" above).  A
-# lower order or a looser tol gives cheaper or fewer steps (Jorba and Zou).
-# Millions of dot terms (attempts) over both endpoint flights; * marks a
-# P_X width over 2e-4 above its width at 19, 3e-15 with rtbp's former
-# per-primary P_X force (left +5.3e-4 at 19, 5e-14):
-#   tol        3e-15       1e-14       2e-14        3e-14        5e-14
-#   order 18   1.21 (258)  1.10 (246)  1.07 (242)*  1.06 (242)*  1.02 (236)*
-#   order 19   1.24 (244)  1.20 (240)  1.17 (236)   1.12 (230)   1.10 (228)*
-#   order 20   1.34 (236)  1.29 (232)  1.24 (226)   1.20 (224)   1.19 (224)*
-# 19 at 3e-14 takes the fewest attempts unmarked; 18 at 1e-14 makes 2%
-# fewer dot terms in 7% more attempts, and ran no faster
+# lower order or a looser tol gives cheaper or fewer steps (Jorba and Zou);
+# 19 at 3e-14 took the fewest attempts within the width gate over order
+# 18-20 x tol 3e-15-5e-14 at h_max 0.12.  h_max against the tube's order
+# m (_TUBE_ORDER), thousands of dot terms per endpoint flight / in the
+# band flight of fragment 0 (attempts); * marks a gated width wider than
+# with h_max 0.12 and the first-order tube:
+#   h_max    0.25            0.3             0.35
+#   m = 2    452/584 (94)    438/567 (92)    429/558 (91)*
+#   m = 3    456/585 (94)    440/570 (92)    432/561 (91)*
+# 0.3 at m = 2 makes the fewest dot terms unmarked
 ORDER = 19
 TOL = 3e-14
 H_INIT = 0.02
 H_MIN = 1e-9
-H_MAX = 0.12
+H_MAX = 0.3
 MAX_TIME = 12.0
 
 
@@ -694,20 +685,22 @@ def _cross_in_step(field, enc, h_step, section, direction, order):
     m = IMatrix([list(map(_mk, lo, hi)) for lo, hi in zip(*ends)])
     coords = list(enc.init_remainder) + list(enc.remainder)
     tail = data.tail
+    image = IVector([c + x for c, x in zip(data.increment, enc.midpoint)])
     x_star = IVector([
-        data.image[i] + idot(m.rows[i], coords) + tail[i] for i in range(n)
+        image[i] + idot(m.rows[i], coords) + tail[i] for i in range(n)
     ])
 
     # transition tube around the section, both time directions
     g = x_star[k] - section.value
-    f_here = _field_over(field, x_star)[k]
+    ser_star = field.expand(x_star, _TUBE_ORDER + 1)
+    f_here = _mk(*[e[1] for e in ser_star.float_series()[k]])  # F_k(x_star)
     if 0.0 in f_here:
         raise TransversalityFailure(
             f"section velocity on the crossing set: {f_here!r}"
         )
     d_time = 1.2 * (abs(g) / abs(f_here)).hi + 1e-300
     for _ in range(12):
-        tube = _picard(field, x_star, Interval(-d_time, d_time))
+        tube = _tube(field, ser_star, Interval(-d_time, d_time))
         fz = _field_over(field, tube)
         fzk = fz[k]
         if 0.0 in fzk or (fzk.hi < 0.0) != (direction < 0):
@@ -722,7 +715,7 @@ def _cross_in_step(field, enc, h_step, section, direction, order):
         raise EnclosureFailure("transition tube did not capture the crossing")
 
     # correlated projection onto the section
-    pk_off = data.image[k] - section.value
+    pk_off = image[k] - section.value
     mids = []
     rems = []
     for i in range(n):
@@ -732,7 +725,7 @@ def _cross_in_step(field, enc, h_step, section, direction, order):
             continue
         rho = fz[i] / fzk
         terms = [x - rho * y for x, y in zip(m.rows[i], m.rows[k])]
-        row = (data.image[i] - rho * pk_off + idot(terms, coords)
+        row = (image[i] - rho * pk_off + idot(terms, coords)
                + tail[i] - rho * tail[k])
         mids.append(row.mid)
         rems.append(row - mids[-1])

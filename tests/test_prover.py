@@ -103,12 +103,12 @@ PX_RIGHT_BAND = (2.825e-8, 7.421e-8)
 # P_X and crossing-time widths of the default (left, right) endpoint
 # flights, the reference of the width gate
 ENDPOINT_WIDTHS = (
-    (4.4384018932632535e-10, 1.6767980781651207e-08),
-    (4.451274109884982e-10, 1.7802225471541536e-08),
+    (4.4359046165197703e-10, 1.395345883281607e-08),
+    (4.435332814858573e-10, 1.372320568293617e-08),
 )
 # P_X and crossing-time widths of the band flight over the first default
 # fragment, the band's reference of the width gate
-BAND_WIDTHS = (1.9070758585165636e-08, 9.290239155745895e-08)
+BAND_WIDTHS = (1.9064899821046208e-08, 8.796292405577334e-08)
 
 # Entry widths of the default (left, right) endpoints' derivative over N
 # and their least cone margins, with the chart's signed-transpose C^-1:

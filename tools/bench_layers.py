@@ -49,7 +49,9 @@ A row holds:
     the flight's tol, one flow._assemble (the Lohner update) of that
     step, the image Horner of the step (flow._horner_vec of the thin
     series from the tube series' Lagrange coefficient, read off
-    float_series() as the step reads it), and the tube column's stop
+    float_series() as the step reads it: the whole image phi_h(m) on a
+    tree before the tube of order 2, its increment phi_h(m) - m from
+    then on), and the tube column's stop
     rule at orders 1..q+1 of the column series, with the tail at q+1
     (flow._column_term); all but expand_step at the full order p;
   * derivative, median milliseconds of the derivative-over-N stage, the

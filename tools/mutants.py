@@ -83,9 +83,26 @@ MUTANTS = {
     ),
     "a_priori_ball_halved": (
         FLOW,
-        "    ball = Interval(-r, r)\n",
-        "    ball = Interval(-r / 2, r / 2)\n",
-        "the ball e^(L h) - 1 around the transported column is halved",
+        "    column = IMatrix([[c + Interval(-s, s)] for c, s in zip(u, rad)])\n",
+        "    column = IMatrix([[c + Interval(-s / 2, s / 2)] "
+        "for c, s in zip(u, rad)])\n",
+        "the ball b w_i around each entry of the transported column is "
+        "halved",
+        ["tests/test_flow.py"],
+    ),
+    "tube_no_remainder": (
+        FLOW,
+        "        for acc, (lo, hi) in zip(top, ser):\n",
+        "        for acc, (lo, hi) in zip([Interval(0.0)] * len(ser), ser):\n",
+        "the tube drops its remainder term c_(m+1)(Z) t^(m+1)",
+        ["tests/test_flow.py"],
+    ),
+    "defect_no_offset": (
+        FLOW,
+        "        lo, hi = _add_dn(_add_dn(m, -mn), inc.lo), "
+        "_add_up(_add_up(m, -mn), inc.hi)\n",
+        "        lo, hi = inc.lo, inc.hi\n",
+        "the Lohner defect drops the midpoint's offset m - m_new",
         ["tests/test_flow.py"],
     ),
     "orthogonal_inverse_no_radius": (
@@ -211,9 +228,9 @@ MUTANTS = {
     ),
     "image_no_lagrange_tail": (
         FLOW,
-        "    image = _horner_vec(ser_m, top - 1, h, sol_tail)\n",
-        "    image = _horner_vec(ser_m, top - 1, h, [(0.0, 0.0)] * n)\n",
-        "the midpoint's image drops the solution's Lagrange term",
+        "    inc = _horner_vec(ser_m, top - 1, h, sol_tail)\n",
+        "    inc = _horner_vec(ser_m, top - 1, h, [(0.0, 0.0)] * n)\n",
+        "the midpoint's increment drops the solution's Lagrange term",
         ["tests/test_flow.py"],
     ),
     "reduced_lagrange_at_p": (
@@ -238,8 +255,8 @@ MUTANTS = {
     ),
     "cross_no_pk_off": (
         FLOW,
-        "        row = (data.image[i] - rho * pk_off + idot(terms, coords)\n",
-        "        row = (data.image[i] + idot(terms, coords)\n",
+        "        row = (image[i] - rho * pk_off + idot(terms, coords)\n",
+        "        row = (image[i] + idot(terms, coords)\n",
         "the crossing projection drops the midpoint's offset from the "
         "section",
         ["tests/test_flow.py"],
