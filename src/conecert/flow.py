@@ -84,11 +84,15 @@ h_max; a rough enclosure that fails halves h.  poincare_crossing takes
 its steps through one acceptance loop, _advance, which the tests'
 fixed-time integrator shares, and the predicted size carries over from
 step to step.  Its defaults are the settings every flight of the proof
-uses: order p = 19, tol = 3e-14, a first step of 0.02, h_min = 1e-9,
-h_max = 0.3, and a Poincare flight gives up after 12 time units.
+uses: order p = 19, tol = 2.6e-13, a first step of 0.02, h_min = 1e-9,
+h_max = 0.3, and a Poincare flight gives up after 12 time units.  The
+tol sits on the rounding floor of the thin midpoint series, whose
+coefficient 1, F at the midpoint, rtbp narrows to within 2 ulps: with
+F from float kernels alone, tens of ulps wide, h F added more width per
+step than the Lagrange term, and tol was 3e-14.
 
 The rule also sets each step's order.  An error ratio r at or under
-(0.7 / 2)^(p+1), about 7.6e-10 at p = 19 (2.3e-23 at tol 3e-14), already
+(0.7 / 2)^(p+1), about 7.6e-10 at p = 19 (2.0e-22 at tol 2.6e-13), already
 gives the largest growth, 2 h, so an error below that cut buys nothing:
 a step expands its series only to the first order p' <= p whose
 Lagrange term meets the cut, and its column stops at the cut too.  The
@@ -557,18 +561,28 @@ _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.9
 
 # the settings of every flight of the proof (see "Step sizes" above).  A
-# lower order or a looser tol gives cheaper or fewer steps (Jorba and Zou);
-# 19 at 3e-14 took the fewest attempts within the width gate over order
-# 18-20 x tol 3e-15-5e-14 at h_max 0.12.  h_max against the tube's order
-# m (_TUBE_ORDER), thousands of dot terms per endpoint flight / in the
-# band flight of fragment 0 (attempts); * marks a gated width wider than
-# with h_max 0.12 and the first-order tube:
+# lower order or a looser tol gives cheaper or fewer steps (Jorba and Zou).
+# h_max against the tube's order m (_TUBE_ORDER) at tol 3e-14, thousands
+# of dot terms per endpoint flight / in the band flight of fragment 0
+# (attempts); * marks a gated width wider than with h_max 0.12 and the
+# first-order tube:
 #   h_max    0.25            0.3             0.35
 #   m = 2    452/584 (94)    438/567 (92)    429/558 (91)*
 #   m = 3    456/585 (94)    440/570 (92)    432/561 (91)*
-# 0.3 at m = 2 makes the fewest dot terms unmarked
+# 0.3 at m = 2 makes the fewest dot terms unmarked.  Then tol at order 19,
+# with rtbp's decimal F at each thin series' start, the same counts (left
+# flight); * marks a width wider than at tol 3e-14 with the float F: an
+# endpoint's P_X, fragment 0's P_X or crossing time, or the P_X or the
+# crossing time per unit of mass of the whole band as one flight:
+#   3e-14    408/564 (92)    6e-14    395/542 (90)    1.2e-13  382/523 (88)
+#   1.5e-13  376/513 (87)    2e-13    369/502 (86)    2.5e-13  368/502 (86)
+#   2.6e-13  369/502 (86)    2.7e-13  362/492 (85)*   3e-13    361/492 (85)*
+#   5e-13    351/488 (84)*   1e-12    337/470 (82)*
+# and at 2.6e-13 order 17 311/436 (94)*, 18 345/476 (91)*, 20 389/536 (82).
+# 2.6e-13 is the loosest tol unmarked; orders 18 and 17 widen the whole
+# band's crossing time per unit of mass by 25% and 42%
 ORDER = 19
-TOL = 3e-14
+TOL = 2.6e-13
 H_INIT = 0.02
 H_MIN = 1e-9
 H_MAX = 0.3

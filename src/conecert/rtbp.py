@@ -69,12 +69,30 @@ W = (1 - mu) w1 + mu w2 and V = (1 - mu) v1 + mu v2 are formed once per
 coefficient (_wsum) and convolved once wherever the field reads only them.
 As d1 = d2 = X past index 0, the P_X force is one dot, X W plus
 (1 - mu) d1_0 w1_k + mu d2_0 w2_k, and so is d1 w1 - d2 w2 from X (w1 - w2).
+
+A series from a point start, four state components each of zero width
+(flow's thin midpoint series), takes coefficient 1, F at the point, from
+one more evaluation: F in stdlib decimal interval arithmetic at 34
+digits (_point_field), which the kernel's coefficient 1 is intersected
+with before coefficient 2 reads it.  The state's ends enter exactly as
+Decimal(float) and mu ranges over [mu.lo, mu.hi]; each lower end is
+rounded down and each upper end up, in a context of its own
+(ROUND_FLOOR, ROUND_CEILING); sqrt rounds half-even in any context, so
+its result steps one unit outward (next_minus, next_plus); and each end
+converts to the float next outside it, compared exactly as a Decimal.
+At a point mass F so comes out at most 2 ulps wide per component,
+against tens of ulps from the float kernel (P_X' takes several nudged
+products and quotients), and over a mass interval at most 2 ulps plus
+the naive interval extension's range of F over it.  An empty
+intersection raises ArithmeticError: both enclose the same F.  decimal
+is loaded with fractions, which interval imports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from functools import partial
 
 import numpy as np
@@ -719,6 +737,57 @@ def _power_next(s: tuple, pw: tuple, k: int) -> tuple:
     return _nextafter(q0 / k, _NINF), _nextafter(q1 / k, _INF)
 
 
+# the field at a point in decimal interval arithmetic: each lower end
+# rounded down, each upper end up, at 34 digits
+_DN = Context(34, ROUND_FLOOR)
+_UP = Context(34, ROUND_CEILING)
+
+
+def _dscale(c: tuple, a: tuple) -> tuple:
+    """The Decimal pair a times the positive Decimal pair c."""
+    return (_DN.multiply(a[0], c[0] if a[0] >= 0 else c[1]),
+            _UP.multiply(a[1], c[1] if a[1] >= 0 else c[0]))
+
+
+def _dweight(m: tuple, d: tuple, y2: tuple) -> tuple:
+    """m r^-3 for the positive mass pair m, r^2 = d^2 + Y^2.  sqrt rounds
+    half-even in every context, so its ends step one unit outward."""
+    a, b = sorted(e.copy_abs() for e in d)
+    if d[0] < 0 < d[1]:
+        a = 0
+    s0, s1 = _DN.fma(a, a, y2[0]), _UP.fma(b, b, y2[1])
+    r0 = _DN.multiply(s0, _DN.next_minus(_DN.sqrt(s0)))
+    r1 = _UP.multiply(s1, _UP.next_plus(_UP.sqrt(s1)))
+    return _DN.divide(m[0], r1), _UP.divide(m[1], r0)
+
+
+def _outward(lo: Decimal, hi: Decimal) -> tuple:
+    """The floats nearest lo and hi, each stepped outward if inside."""
+    a, b = float(lo), float(hi)
+    return (a if Decimal(a) <= lo else _nextafter(a, _NINF),
+            b if Decimal(b) >= hi else _nextafter(b, _INF))
+
+
+def _point_field(u: list, mu: Interval) -> list:
+    """F at the point state u, four floats, for every mass in mu, as
+    (lo, hi) float pairs (see the module docstring)."""
+    x, y, px, py = map(Decimal, u)
+    m = Decimal(mu.lo), Decimal(mu.hi)
+    y2 = _DN.multiply(y, y), _UP.multiply(y, y)
+    d1 = _DN.subtract(x, m[1]), _UP.subtract(x, m[0])
+    d2 = _DN.add(d1[0], 1), _UP.add(d1[1], 1)
+    w1 = _dweight((_DN.subtract(1, m[1]), _UP.subtract(1, m[0])), d1, y2)
+    w2 = _dweight(m, d2, y2)
+    (a0, a1), (b0, b1) = _dscale(w1, d1), _dscale(w2, d2)
+    c0, c1 = _dscale((_DN.add(w1[0], w2[0]), _UP.add(w1[1], w2[1])), (y, y))
+    return [_outward(*e) for e in (
+        (_DN.add(px, y), _UP.add(px, y)),
+        (_DN.subtract(py, x), _UP.subtract(py, x)),
+        (_DN.subtract(_DN.subtract(py, a1), b1),
+         _UP.subtract(_UP.subtract(py, a0), b0)),
+        (_UP.add(px, c1).copy_negate(), _DN.add(px, c0).copy_negate()))]
+
+
 class RtbpSolutionSeries:
     """Taylor coefficients of one solution, with cached auxiliary series.
 
@@ -825,6 +894,12 @@ class RtbpSolutionSeries:
         ql.append(nudge(_add_dn(-ph[k], -ch) / kk, _NINF))
         qh.append(nudge(_add_up(-pl[k], -cl) / kk, _INF))
         self.order = kk
+        if not k and all(lo[0] == hi[0] for lo, hi in self._u):
+            for (lo, hi), (a, b) in zip(
+                    self._u, _point_field([c[0][0] for c in self._u], self.mu)):
+                lo[1], hi[1] = max(lo[1], a), min(hi[1], b)
+                if lo[1] > hi[1]:
+                    raise ArithmeticError("point field misses the series")
 
     def float_series(self) -> list:
         """The coefficients through the order, as one (lo, hi) pair of

@@ -30,7 +30,12 @@ fractions.Fraction pair, must lie inside the returned pair:
     e^(L h) of the a-priori ball, the one libm function on the verdict
     path): e^lo and e^hi of its argument [lo, hi] from mpmath at 60
     digits, whose rounding, about 1e-60 relative, is far below the
-    2^-53 spacing that a violation would show.
+    2^-53 spacing that a violation would show;
+  * rtbp._point_field, every call (one per thin series, the decimal
+    field that narrows coefficient 1 of a point start): each component
+    of the field at the point at both ends of the mass, from mpmath at
+    60 digits.  The mass of a flight is a point or one ulp wide, over
+    which the field moves monotonically as far as 60 digits can tell.
 
 An entry with a non-finite operand is counted and skipped, and an
 infinite end of the returned pair encloses everything on its side.  The
@@ -41,6 +46,7 @@ the IEEE 1788-2015 requirement on every enclosure.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -122,14 +128,37 @@ def _exact_wsum(m, al, ah, bl, bh) -> tuple:
     return _exact_dot([m1l, m2l], [m1h, m2h], [al, bl], [ah, bh])
 
 
+def _mp_fraction(x) -> Fraction:
+    """The mpf x as an exact Fraction (man_exp drops the sign)."""
+    man, exp2 = x.man_exp
+    return (-man if x < 0 else man) * Fraction(2) ** exp2
+
+
 def _mp_exp(lo, hi) -> tuple:
     """e^lo and e^hi from mpmath at 60 digits, as Fractions."""
-    out = []
     with mpmath.workdps(60):
-        for x in (lo, hi):
-            man, exp2 = mpmath.exp(mpmath.mpf(x)).man_exp
-            out.append(man * Fraction(2) ** exp2)
-    return tuple(out)
+        return tuple(_mp_fraction(mpmath.exp(mpmath.mpf(x))) for x in (lo, hi))
+
+
+@functools.lru_cache(maxsize=8)
+def _mp_fields(u: tuple, mu_lo: float, mu_hi: float) -> list:
+    """F at the point u at each end of the mass, from mpmath at 60
+    digits, as Fractions: one (lesser, greater) pair per component."""
+    ends = []
+    with mpmath.workdps(60):
+        x, y, px, py = map(mpmath.mpf, u)
+        for mu in map(mpmath.mpf, (mu_lo, mu_hi)):
+            w1, w2 = (((x - mu + j) ** 2 + y**2) ** mpmath.mpf(-1.5)
+                      for j in (0, 1))
+            ends.append([_mp_fraction(f) for f in (
+                px + y, py - x,
+                py - (1 - mu) * (x - mu) * w1 - mu * (x - mu + 1) * w2,
+                -px - y * ((1 - mu) * w1 + mu * w2))])
+    return [tuple(sorted(pair)) for pair in zip(*ends)]
+
+
+def _mp_point_field(u, mu_lo, mu_hi, i) -> tuple:
+    return _mp_fields(u, mu_lo, mu_hi)[i]
 
 
 # Each kernel's cases(args, out) yields, per checked entry, the floats the
@@ -205,6 +234,13 @@ def _exp_cases(args, out):
     yield (x.lo, x.hi), _mp_exp, (x.lo, x.hi), out.lo, out.hi
 
 
+def _point_field_cases(args, out):
+    u, mu = args
+    for i, (lo, hi) in enumerate(out):
+        yield ([*u, mu.lo, mu.hi], _mp_point_field,
+               (tuple(u), mu.lo, mu.hi, i), lo, hi)
+
+
 def _mul_floats_cases(args, out):
     alo, ahi, b = args
     for i, (rl, rh) in enumerate(zip(alo, ahi)):
@@ -229,6 +265,7 @@ KERNELS = {
                      STRIDE),
     "flow._mul_floats": (flow, "_mul_floats", _mul_floats_cases, STRIDE),
     "flow.exp": (flow, "exp", _exp_cases, 1),
+    "rtbp._point_field": (rtbp, "_point_field", _point_field_cases, 1),
     **{
         f"{mod.__name__.rsplit('.', 1)[1]}._mul_ends": (
             mod, "_mul_ends", _pair(_exact_product, lambda *a: a), STRIDE,

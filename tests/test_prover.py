@@ -103,12 +103,16 @@ PX_RIGHT_BAND = (2.825e-8, 7.421e-8)
 # P_X and crossing-time widths of the default (left, right) endpoint
 # flights, the reference of the width gate
 ENDPOINT_WIDTHS = (
-    (4.4359046165197703e-10, 1.395345883281607e-08),
-    (4.435332814858573e-10, 1.372320568293617e-08),
+    (4.433903184376075e-10, 3.6691663041210636e-09),
+    (4.4342804972664766e-10, 3.6694629557132434e-09),
 )
 # P_X and crossing-time widths of the band flight over the first default
 # fragment, the band's reference of the width gate
-BAND_WIDTHS = (1.9064899821046208e-08, 8.796292405577334e-08)
+BAND_WIDTHS = (1.906392826711054e-08, 7.933460111075875e-08)
+# P_X width and crossing-time width per unit of mass of the one band
+# flight of replace(ProofConfig.default(), fragments=1), the whole band's
+# reference of the width gate
+WHOLE_BAND_WIDTHS = (1.2086155166629097e-07, 4521.0938958715415)
 
 # Entry widths of the default (left, right) endpoints' derivative over N
 # and their least cone margins, with the chart's signed-transpose C^-1:
@@ -681,6 +685,20 @@ def band_flight(cfg, shared_chains):
     return params, enc, launch.crossing
 
 
+@pytest.fixture(scope="module")
+def whole_band(cfg):
+    # the first attempt of run_fragment on the one fragment of
+    # fragments=1: one band flight over the whole default band
+    one = replace(cfg, fragments=1)
+    lo, hi = one.fragment_intervals()[0]
+    launch = prover.launch_chain(
+        RtbpParams(Interval(lo, hi)), replace(one, alpha_h=one.fragment_alpha_h),
+        one.fragment_subdivision, band=True,
+    )
+    assert launch.failure is None, launch.failure
+    return hi - lo, launch.crossing
+
+
 class TestFragment:
     def test_band_flight_is_thin(self, band_flight):
         # the mass travels as a direction of the set, not as width
@@ -698,6 +716,16 @@ class TestFragment:
         px_w, t_w = BAND_WIDTHS
         assert cr.image[2].width <= (1.0 + 2e-4) * px_w
         assert cr.time.width <= (1.0 + 2e-4) * t_w
+
+    def test_whole_band_widths_do_not_widen(self, whole_band):
+        # the width gate of the whole band as one flight: its P_X width and
+        # its crossing-time width per unit of mass at most 2e-4 relative
+        # above their values at the time of writing.  The per-mass time
+        # moves with the step settings when no other gated width does
+        mass, cr = whole_band
+        px_w, t_per_mass = WHOLE_BAND_WIDTHS
+        assert cr.image[2].width <= (1.0 + 2e-4) * px_w
+        assert cr.time.width / mass <= (1.0 + 2e-4) * t_per_mass
 
     def test_band_flight_contains_float_shootings(self, band_flight):
         # [DERIVED] scipy DOP853 from the launch set's own points at the

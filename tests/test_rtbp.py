@@ -720,6 +720,58 @@ def test_series_first_coefficients():
         assert abs(series_coefficient(ser, 2)[i].mid - 0.5 * dff[i].mid) < 1e-13
 
 
+# midpoints of the default left endpoint flight (four components) and of
+# the band flight over the first default fragment (five, the mass last),
+# read off flow._expand_step near t = 0, 3, 6.08 and 8.02
+FLIGHT_MIDPOINTS = [
+    [-0.8876531471657696, -1.9324446506378376e-08, 1.3153893248576785e-07,
+     -0.8876532012816727],
+    [-0.8874749020971251, -8.603702541219544e-05, 0.0005849685674582635,
+     -0.887715840059324],
+    [-0.49811288167734935, -0.27898056316411896, 0.9826856648337325,
+     -0.9583903907425548],
+    [0.8222096707832911, -0.0147866154736435, 0.08069119015236279,
+     0.9290814141856888],
+    [-0.887653147120059, -1.9324446505186224e-08, 1.3153893248749003e-07,
+     -0.8876532012359621, 0.004253863427],
+    [-0.8874749020515368, -8.603702534933773e-05, 0.0005849685670751962,
+     -0.8877158400135702, 0.004253863427],
+    [-0.4981130525500831, -0.2789804513165657, 0.9826852601633638,
+     -0.9583905091642514, 0.004253863427],
+    [0.8222095767622326, -0.014786767293232375, 0.08069198773351355,
+     0.929081490912586, 0.004253863427],
+]
+
+
+@pytest.mark.parametrize("u", FLIGHT_MIDPOINTS)
+def test_point_start_field_is_ulp_tight(u):
+    # coefficient 1 of a point start holds the 50-digit field at both ends
+    # of the mass: the endpoint's one-ulp mass and its lower end for four
+    # components, the state's own for five; at a point mass it is at most
+    # 2 ulps wide per component  [DERIVED]
+    mu = band_left().mu
+    for m in [mu, Interval(mu.lo)] if len(u) == 4 else [Interval(u[4])]:
+        ser = RtbpTaylorField(RtbpParams(m)).expand(IVector.from_floats(u), 1)
+        coeff = [_mk(lo[1], hi[1]) for lo, hi in ser.float_series()[:4]]
+        with mpmath.workdps(50):
+            for end in (m.lo, m.hi):
+                f = _mp_field([mpmath.mpf(c) for c in u[:4]], mpmath.mpf(end))
+                assert all(map(_encloses_mp, coeff, f)), (coeff, f)
+        if m.lo == m.hi:
+            for c in coeff:
+                assert c.hi <= math.nextafter(
+                    math.nextafter(c.lo, math.inf), math.inf), c
+
+
+def test_point_start_field_disjoint_from_the_kernel_raises(monkeypatch):
+    # an empty intersection is a fault, never a narrower coefficient
+    monkeypatch.setattr(rtbp, "_point_field",
+                        lambda u, mu: [(1e300, 1e300)] * 4)
+    with pytest.raises(ArithmeticError, match="point field"):
+        RtbpTaylorField(band_left()).expand(
+            IVector.from_floats(FLIGHT_MIDPOINTS[2]), 1)
+
+
 def test_series_vs_rk4():
     # RK4 at step 5e-4 as a float reference for the order-20 polynomial at
     # h=0.01.  [DERIVED]

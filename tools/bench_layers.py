@@ -1,14 +1,16 @@
 """Layer bench of the Taylor integrator and of the derivative stage.
 
     python3 tools/bench_layers.py --label LABEL [--row NAME] [--src DIR]
-                                  [--full]
+                                  [--commit SHA] [--full]
 
 Measures the conecert tree under DIR (default: this checkout's src/) and
 records the result as one row of BENCH_<LABEL>.json at the repository
 root.  A row of the same NAME (default: the measured tree's short commit)
 is replaced; other rows are kept, so running the script once on a parent
 checkout's src/ with --row before and once here with --row after gives a
-before/after record.
+before/after record.  The row's commit is read with git from DIR, or
+taken from --commit for a tree that is not a git checkout (a `git
+archive` copy of the parent).
 
 A row holds:
   * flights, per default endpoint: seconds spent in flow.poincare_crossing,
@@ -35,8 +37,9 @@ A row holds:
     variational one from the same V_0 along a series from the same box;
     the order-1 reads of F and DF are not counted), the terms of every
     rtbp._dot call (dot_terms, the shorter side's length summed), the
-    P_X and crossing-time widths of the certified image, and the sha256
-    of the endpoint's report, json.dumps(to_json(), sort_keys=True);
+    P_X and crossing-time widths of the certified image, the sha256 of
+    the endpoint's report, json.dumps(to_json(), sort_keys=True), and the
+    error budget (below);
   * layers, median milliseconds over REPEATS calls at the middle expanded
     step of the left flight: expand of the thin midpoint (order p = 19)
     and of the rough tube (box, order p + 1), expand_variational of the
@@ -73,7 +76,17 @@ A row holds:
     steps, the transport orders, tube-column coefficients, series orders,
     expansion counts, series and reformed coefficients and dot terms as
     above,
-    the largest P_X width of a flight and the crossing-time width;
+    the largest P_X width of a flight and the crossing-time width, and
+    the error budget of its flights;
+  * error_budget, per flight row: the median and the largest value, over
+    the accepted steps (the calls of flow._assemble), of the widths that
+    join the Lohner remainder in a step, each the largest over the
+    components: the midpoint's increment (increment), h times coefficient
+    1 of the thin midpoint series, the field at the midpoint
+    (thin_field_h), twice the solution's Lagrange term (sol_err_2), the
+    tail vector (tail), and the two defect products that _assemble adds,
+    the transport's defect times the initial remainder (init_defect) and
+    times the error remainder (error_defect);
   * with --full, the default proof (prover.check_homoclinic on
     ProofConfig.default()): verdict, wall seconds, both P_X images, the
     number of fragment flights, the largest fragment P_X and
@@ -191,6 +204,33 @@ def _call_counts(calls: dict, package: str, before=None) -> dict:
     return out
 
 
+_BUDGET = ("increment", "thin_field_h", "sol_err_2", "tail", "init_defect",
+           "error_defect")
+
+
+def _step_budget(flow, enc, data, h: float, thin) -> tuple:
+    """The widths of _BUDGET for one accepted step, each the largest over
+    the components; the defect products are formed as _assemble forms
+    them, from the flow module's own helpers."""
+    def widest(pairs):
+        return max(hi - lo for lo, hi in pairs)
+
+    def defect(basis, box):
+        _, dlo, dhi = flow._split(*flow._mul_floats(*data.transport, basis))
+        rlo, rhi = [c.lo for c in box], [c.hi for c in box]
+        return widest(flow._idot_ends(dl, dh, rlo, rhi)
+                      for dl, dh in zip(dlo, dhi))
+
+    return (
+        max(c.width for c in data.increment),
+        h * widest((lo[1], hi[1]) for lo, hi in thin.float_series()),
+        2.0 * data.sol_err,
+        max(c.width for c in data.tail),
+        defect(enc.init_basis, enc.init_remainder),
+        defect(enc.basis, enc.remainder),
+    )
+
+
 class _Counter:
     """Counting wrappers around one tree's flights while entered.
 
@@ -222,6 +262,7 @@ class _Counter:
         self.series_orders: dict = {}
         self.expand_orders: dict = {}
         self.variational_orders: dict = {}
+        self.budget: list = []
 
     def __enter__(self) -> "_Counter":
         flow, prover = self.flow, self.prover
@@ -231,9 +272,9 @@ class _Counter:
         self._saved = (flow._expand_step, prover.poincare_crossing,
                        prover.poincare_image, field_cls.expand,
                        field_cls.expand_variational, rtbp._dot,
-                       series_cls.extend)
+                       series_cls.extend, flow._assemble)
         (expand_step, crossing, image, expand, variational, dot,
-         extend) = self._saved
+         extend, assemble) = self._saved
         stats = self.stats
         ex, var = self.expand_orders, self.variational_orders
         # the running attempt's tube order p + 1 and its last tube series
@@ -241,6 +282,8 @@ class _Counter:
         # the (start, order) of each coefficient the running attempt has
         # formed, None outside an attempt, and whether an order-1 read runs
         formed, reading = [None], [False]
+        # the last series expanded from a point: the step's thin series
+        thin = [None]
 
         def start(ser):
             return tuple((lo[0], hi[0]) for lo, hi in ser.float_series())
@@ -268,6 +311,8 @@ class _Counter:
             ex[k] = ex.get(k, 0) + 1
             if order == tube[0]:
                 tube[1] = ser
+            if all(lo == hi for lo, hi in start(ser)):
+                thin[0] = ser
             return ser
 
         def counted_variational(field, sol, v0, order, stop=None):
@@ -314,6 +359,10 @@ class _Counter:
                 self.orders.append(data.order)
             return data
 
+        def budgeted_assemble(enc, data, h):
+            self.budget.append(_step_budget(flow, enc, data, h, thin[0]))
+            return assemble(enc, data, h)
+
         def timed_crossing(*args, observer=None, **kwargs):
             last = [args[1].time.mid]
 
@@ -340,6 +389,7 @@ class _Counter:
         field_cls.expand_variational = counted_variational
         rtbp._dot = counted_dot
         series_cls.extend = counted_extend
+        flow._assemble = budgeted_assemble
         return self
 
     def __exit__(self, *exc) -> None:
@@ -348,7 +398,7 @@ class _Counter:
         (self.flow._expand_step, self.prover.poincare_crossing,
          self.prover.poincare_image, field_cls.expand,
          field_cls.expand_variational, rtbp._dot,
-         rtbp.RtbpSolutionSeries.extend) = self._saved
+         rtbp.RtbpSolutionSeries.extend, self.flow._assemble) = self._saved
 
     def expansion_stats(self) -> dict:
         """The expand and expand_variational calls by the order reached,
@@ -368,6 +418,14 @@ class _Counter:
             + sum(k * n for k, n in var.items()),
             series_orders={str(k): so[k] for k in sorted(so)},
         )
+
+    def budget_stats(self) -> dict:
+        """The median and the largest of each error-budget entry over the
+        accepted steps counted."""
+        return {
+            key: {"median": statistics.median(vals), "max": max(vals)}
+            for key, vals in zip(_BUDGET, zip(*self.budget))
+        }
 
     def order_stats(self) -> dict:
         """The transport orders of the full steps counted, and the
@@ -405,6 +463,7 @@ def _fly_endpoints(flow, prover, cfg):
             digest=hashlib.sha256(
                 json.dumps(ep.to_json(), sort_keys=True).encode()
             ).hexdigest(),
+            error_budget=counter.budget_stats(),
         )
         if side == "left":
             left_steps = list(counter.steps)
@@ -436,6 +495,7 @@ def _one_fragment(flow, prover, cfg) -> dict:
         "flight_s": stats["flight_s"],
         "px_width_max": max(cr.image[2].width for cr in counter.images),
         "tcross_width": out.crossing_time.width,
+        "error_budget": counter.budget_stats(),
     }
 
 
@@ -543,7 +603,7 @@ def _tail_stop(flow, v, q: int, h: float, order: int, sol_err: float):
     return stops, flow._column_term(v, q + 1, hpl, hph)
 
 
-def measure(src: Path, full: bool = False) -> dict:
+def measure(src: Path, full: bool = False, commit: str | None = None) -> dict:
     sys.path.insert(0, str(src))
     from conecert import flow, prover, rtbp
     from conecert.interval import IMatrix, IVector
@@ -585,7 +645,7 @@ def measure(src: Path, full: bool = False) -> dict:
     })
     derivative, derivative_nominal, derivative_calls = _derivative_layers(cfg)
     row = {
-        "commit": _commit(src),
+        "commit": commit or _commit(src),
         "machine": _machine(),
         "order": order,
         "step_h": h,
@@ -608,10 +668,12 @@ def main() -> None:
     ap.add_argument("--label", required=True)
     ap.add_argument("--row")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--commit",
+                    help="the measured tree's commit, when DIR is no checkout")
     ap.add_argument("--full", action="store_true",
                     help="also run the default proof (minutes)")
     args = ap.parse_args()
-    row = measure(args.src.resolve(), args.full)
+    row = measure(args.src.resolve(), args.full, args.commit)
     row = {"row": args.row or row["commit"], **row}
     path = ROOT / f"BENCH_{args.label}.json"
     record = {"label": args.label, "rows": []}

@@ -181,6 +181,23 @@ MUTANTS = {
         "sum, rounds to nearest",
         ["tests/test_rtbp.py", "tests/test_replay.py"],
     ),
+    "point_field_nearest": (
+        RTBP,
+        "    return (a if Decimal(a) <= lo else _nextafter(a, _NINF),\n"
+        "            b if Decimal(b) >= hi else _nextafter(b, _INF))\n",
+        "    return a, b\n",
+        "the decimal field at a point start converts its ends to the "
+        "nearest floats, not outward",
+        ["tests/test_rtbp.py", "tests/test_replay.py"],
+    ),
+    "point_field_mass_point": (
+        RTBP,
+        "    d1 = _DN.subtract(x, m[1]), _UP.subtract(x, m[0])\n",
+        "    d1 = _DN.subtract(x, m[0]), _UP.subtract(x, m[0])\n",
+        "the decimal field at a point start takes X - mu at the lower "
+        "mass only",
+        ["tests/test_rtbp.py", "tests/test_replay.py"],
+    ),
     "mix_no_index0": (
         RTBP,
         "                            rvl[1:] + [v1[0][k], v2[0][k]],\n"
