@@ -86,10 +86,10 @@ fixed-time integrator shares, and the predicted size carries over from
 step to step.  Its defaults are the settings every flight of the proof
 uses: order p = 19, tol = 2.6e-13, a first step of 0.02, h_min = 1e-9,
 h_max = 0.3, and a Poincare flight gives up after 12 time units.  The
-tol sits on the rounding floor of the thin midpoint series, whose
-coefficient 1, F at the midpoint, rtbp narrows to within 2 ulps: with
-F from float kernels alone, tens of ulps wide, h F added more width per
-step than the Lagrange term, and tol was 3e-14.
+tol is set for a thin midpoint series whose coefficient 1, F at the
+midpoint, rtbp narrows to within 2 ulps: from the float kernels alone F
+is tens of ulps wide, and h times that width would exceed the Lagrange
+term that tol bounds.
 
 The rule also sets each step's order.  An error ratio r at or under
 (0.7 / 2)^(p+1), about 7.6e-10 at p = 19 (2.0e-22 at tol 2.6e-13), already
