@@ -72,20 +72,21 @@ As d1 = d2 = X past index 0, the P_X force is one dot, X W plus
 
 A series from a point start, four state components each of zero width
 (flow's thin midpoint series), takes coefficient 1, F at the point, from
-one more evaluation: F in stdlib decimal interval arithmetic at 34
-digits (_point_field), which the kernel's coefficient 1 is intersected
-with before coefficient 2 reads it.  The state's ends enter exactly as
-Decimal(float) and mu ranges over [mu.lo, mu.hi]; each lower end is
-rounded down and each upper end up, in a context of its own
-(ROUND_FLOOR, ROUND_CEILING); sqrt rounds half-even in any context, so
-its result steps one unit outward (next_minus, next_plus); and each end
-converts to the float next outside it, compared exactly as a Decimal.
-At a point mass F so comes out at most 2 ulps wide per component,
-against tens of ulps from the float kernel (P_X' takes several nudged
-products and quotients), and over a mass interval at most 2 ulps plus
-the naive interval extension's range of F over it.  An empty
-intersection raises ArithmeticError: both enclose the same F.  decimal
-is loaded with fractions, which interval imports.
+one more evaluation: the forces P_X' and P_Y' in stdlib decimal interval
+arithmetic at 34 digits (_point_field), which the kernel's coefficient 1
+is intersected with before coefficient 2 reads it.  X' and Y', each one
+exact-directed sum of two floats, are the tightest enclosures already.
+The state's ends enter exactly as Decimal(float) and mu ranges over
+[mu.lo, mu.hi]; each lower end is rounded down and each upper end up, in
+a context of its own (ROUND_FLOOR, ROUND_CEILING); sqrt rounds half-even
+in any context, so its result steps one unit outward (next_minus,
+next_plus); and each end converts to the float next outside it, compared
+exactly as a Decimal.  At a point mass F so comes out at most 2 ulps
+wide per component, against tens of ulps from the float kernel (P_X'
+takes several nudged products and quotients), and over a mass interval
+at most 2 ulps plus the naive interval extension's range of F over it.
+An empty intersection raises ArithmeticError: both enclose the same F.
+decimal is loaded with fractions, which interval imports.
 """
 
 from __future__ import annotations
@@ -769,8 +770,8 @@ def _outward(lo: Decimal, hi: Decimal) -> tuple:
 
 
 def _point_field(u: list, mu: Interval) -> list:
-    """F at the point state u, four floats, for every mass in mu, as
-    (lo, hi) float pairs (see the module docstring)."""
+    """P_X' and P_Y' at the point state u, four floats, for every mass in
+    mu, as (lo, hi) float pairs (see the module docstring)."""
     x, y, px, py = map(Decimal, u)
     m = Decimal(mu.lo), Decimal(mu.hi)
     y2 = _DN.multiply(y, y), _UP.multiply(y, y)
@@ -781,8 +782,6 @@ def _point_field(u: list, mu: Interval) -> list:
     (a0, a1), (b0, b1) = _dscale(w1, d1), _dscale(w2, d2)
     c0, c1 = _dscale((_DN.add(w1[0], w2[0]), _UP.add(w1[1], w2[1])), (y, y))
     return [_outward(*e) for e in (
-        (_DN.add(px, y), _UP.add(px, y)),
-        (_DN.subtract(py, x), _UP.subtract(py, x)),
         (_DN.subtract(_DN.subtract(py, a1), b1),
          _UP.subtract(_UP.subtract(py, a0), b0)),
         (_UP.add(px, c1).copy_negate(), _DN.add(px, c0).copy_negate()))]
@@ -895,8 +894,8 @@ class RtbpSolutionSeries:
         qh.append(nudge(_add_up(-pl[k], -cl) / kk, _INF))
         self.order = kk
         if not k and all(lo[0] == hi[0] for lo, hi in self._u):
-            for (lo, hi), (a, b) in zip(
-                    self._u, _point_field([c[0][0] for c in self._u], self.mu)):
+            for (lo, hi), (a, b) in zip(self._u[2:], _point_field(
+                    [c[0][0] for c in self._u], self.mu)):
                 lo[1], hi[1] = max(lo[1], a), min(hi[1], b)
                 if lo[1] > hi[1]:
                     raise ArithmeticError("point field misses the series")

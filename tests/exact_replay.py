@@ -32,9 +32,8 @@ fractions.Fraction pair, must lie inside the returned pair:
     digits, whose rounding, about 1e-60 relative, is far below the
     2^-53 spacing that a violation would show;
   * rtbp._point_field, every call (one per thin series, the decimal
-    field that narrows coefficient 1 of a point start): each component
-    of the field at the point at both ends of the mass, from mpmath at
-    60 digits.  The mass of a flight is a point or one ulp wide, over
+    forces that narrow coefficient 1 of a point start): P_X' and P_Y' at
+    the point at both ends of the mass, from mpmath at 60 digits.  The mass of a flight is a point or one ulp wide, over
     which the field moves monotonically as far as 60 digits can tell.
 
 An entry with a non-finite operand is counted and skipped, and an
@@ -236,7 +235,7 @@ def _exp_cases(args, out):
 
 def _point_field_cases(args, out):
     u, mu = args
-    for i, (lo, hi) in enumerate(out):
+    for i, (lo, hi) in enumerate(out, 2):  # P_X' and P_Y'
         yield ([*u, mu.lo, mu.hi], _mp_point_field,
                (tuple(u), mu.lo, mu.hi, i), lo, hi)
 
