@@ -490,9 +490,7 @@ def enclose_DF_over_N(
     pieces come from _n_pieces, an lru_cache of two entries for
     the proof's two N, the endpoints' and the fragments', each at its
     subdivision.  The key is the float.hex of N's ends, so -0.0 and 0.0
-    differ, and the subdivision; the arrays are read-only.  A failed
-    D(psi)^-1 stays cached as its exception, which the batch raises after
-    the field's CollisionSingularity, as without the cache.
+    differ, and the subdivision; the arrays are read-only.
     """
     _check_count("subdivision", subdivision)
     key = tuple((c.lo.hex(), c.hi.hex()) for c in n_box)
@@ -509,8 +507,7 @@ def _n_pieces(key: tuple, subdivision: int) -> tuple:
     axis0 = IArray([a for a, _ in cuts], [b for _, b in cuts])
     terms = _psi_terms(IVector([axis0] + n[1:]))
     for a in terms:
-        if isinstance(a, IArray):
-            a.lo.flags.writeable = a.hi.flags.writeable = False
+        a.lo.flags.writeable = a.hi.flags.writeable = False
     return terms
 
 

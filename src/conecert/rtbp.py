@@ -16,18 +16,19 @@ or a sequence (X, Y, P_X, P_Y) of Intervals or floats.
 The module also builds the local chart at the interior collinear
 libration point: a verified linear change C putting the linearization
 into the Jordan form diag(lambda, -lambda, rot(v)), lambda^2 and -v^2
-from the quadratic formula in interval arithmetic, composed with a cubic
-polynomial change psi that straightens the unstable direction.  C carries
-the symplectic normalization of Jorba and Masdemont (Physica D 132, 1999),
-C^T J C = J' with J = [[0, I], [-I, 0]] in (X, Y, P_X, P_Y) and
-J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
+from the quadratic formula in interval arithmetic, composed with the
+graph chart psi(q) = (x, K_i(x) + y_i) of Capinski and Zgliczynski
+(arXiv:1401.3015), whose cubic K straightens the unstable direction.  C
+carries the symplectic normalization of Jorba and Masdemont (Physica D
+132, 1999), C^T J C = J' with J = [[0, I], [-I, 0]] in (X, Y, P_X, P_Y)
+and J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
 (lambda, -lambda, rotation pair), so C^-1 = -J' C^T J is a signed
-transpose of C with no rounding.  The local Jacobian inverts
-D(Phi) = C D(psi) by that transpose and the closed form of D(psi)^-1,
-never by a linear solve.  Its batch form has a psi half, psi, D(psi),
-D(psi)^-1 and D^2(psi) over the pieces (_psi_terms), which depends only
-on the pieces and not on the mass, so prover computes it once per N and
-subdivision; the mass half, C, C^-1, L1 and the field, runs per call.
+transpose of C with no rounding.  D(psi) = [[1, 0], [K', I]] has the
+inverse [[1, 0], [-K', I]], so the local Jacobian inverts D(Phi) =
+C D(psi) with no division and no linear solve.  Its batch form has a psi
+half, psi, D(psi), D(psi)^-1 and D^2(psi) over the pieces (_psi_terms),
+which reads no mass, so prover computes it once per N and subdivision;
+the mass half, C, C^-1, L1 and the field, runs per call.
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -468,54 +469,38 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
 # -- nonlinear chart -----------------------------------------------------------
 
 
-def _ydot(q, c) -> Interval:
-    """sum y_i c_i over the transversal coordinates y_i = q[i], i = 1..3."""
-    return q[1] * c[0] + q[2] * c[1] + q[3] * c[2]
-
-
 def _chart_terms(q) -> tuple:
-    """(K', K'', a) at q: K_i'(x) and K_i''(x) for i = 1..3 (K_0(x) = x),
-    and a = 1 - sum y_i K_i''(x), with which D(psi)(q) = [[a, -k^T],
-    [k, I]] and k = K'.  psi and dpsi form them from q, and _psi_terms
-    builds D(psi)^-1 and D^2(psi) from them."""
+    """(K', K'') at q, K_i'(x) and K_i''(x) for i = 1..3: D(psi) = [[1, 0],
+    [K', I]], and K_i'' is psi_i's one nonzero second derivative."""
     x = q[0]
     kp = [x * (2.0 * a2 + x * (3.0 * a3)) for a2, a3 in K_COEFFS[1:]]
     kpp = [x * (6.0 * a3) + 2.0 * a2 for a2, a3 in K_COEFFS[1:]]
-    return kp, kpp, 1.0 - _ydot(q, kpp)
+    return kp, kpp
 
 
 def psi(q: IVector) -> IVector:
-    """psi_0 = x - sum y_i K_i'(x); psi_i = K_i(x) + y_i (K_0' = 1), with
+    """The graph chart psi(q) = (x, K_i(x) + y_i), i = 1..3, with
     K_i(x) = x^2 (a2 + a3 x)."""
-    kp = _chart_terms(q)[0]
     x = q[0]
     xsq = sq(x)
-    head = x - _ydot(q, kp)
-    return IVector([head] + [xsq * (a2 + x * a3) + q[i]
-                             for i, (a2, a3) in enumerate(K_COEFFS[1:], 1)])
+    return IVector([x] + [xsq * (a2 + x * a3) + q[i]
+                          for i, (a2, a3) in enumerate(K_COEFFS[1:], 1)])
+
+
+def _unit_lower(col: list) -> IMatrix:
+    """[[1, 0], [col, I]]: D(psi) for col = K', D(psi)^-1 for col = -K'."""
+    return IMatrix([[1.0, 0.0, 0.0, 0.0]]
+                   + [[c] + row for c, row in zip(col, eye(3))])
 
 
 def dpsi(q: IVector) -> IMatrix:
-    k, _, a = _chart_terms(q)
-    return IMatrix([[a] + [-ki for ki in k]]
-                   + [[ki] + row for ki, row in zip(k, eye(3))])
+    return _unit_lower(_chart_terms(q)[0])
 
 
-def _dpsi_inverse_array(terms: tuple) -> IArray:
-    """D(psi)^-1 = [[1/s, m^T], [-m, I - k m^T]], s = a + k^T k and
-    m = k/s, over a batch as one (..., 4, 4) IArray from the chart terms:
-    m is one (..., 3) division and I - k m^T one broadcast product, each
-    entry rounded as by tests/oracles.dpsi_inverse, the scalar form."""
-    kp, _, a = terms
-    s = IArray.stack([a + (sq(kp[0]) + sq(kp[1]) + sq(kp[2]))])
-    k = IArray.stack(kp)
-    m = k / s
-    rest = IArray(np.eye(3)) - k[..., :, None] * m[..., None, :]
-    # axis 0 holds (lo, hi), so each block is written with both ends
-    inv = np.empty((2,) + m.shape[:-1] + (4, 4))
-    inv[..., 0, :1], inv[..., 0, 1:] = _ends(1.0 / s), _ends(m)
-    inv[..., 1:, 0], inv[..., 1:, 1:] = _ends(-m), _ends(rest)
-    return IArray._of(*inv)
+def _dpsi_inverse_array(k: list) -> IArray:
+    """D(psi)^-1 = [[1, 0], [-k, I]], k = K'(x), over a batch as one
+    (..., 4, 4) IArray; no entry is computed, as in oracles.dpsi_inverse."""
+    return IArray.stack(_unit_lower([-c for c in k]))
 
 
 def total_change(q: IVector, chart: LocalChart) -> IVector:
@@ -530,21 +515,16 @@ def d_total_change(q: IVector, chart: LocalChart) -> IMatrix:
 @_quiet
 def _psi_terms(q) -> tuple:
     """psi, D(psi), D(psi)^-1 and D^2(psi) of a batch q as IArrays, the
-    half of local_jacobian_batch that reads no mass.  D^2(psi) stacks the
-    Hessians of psi_0..psi_3, axes (..., b, i, j), rounded as by
-    tests/oracles.d2psi: K_i''' = 6 a3 is constant, and only row and column
-    0 of D^2(psi_0) and entry (0, 0) of the others are not 0.  A failed
-    D(psi)^-1 is its DivisionByZeroInterval, with no traceback."""
-    t = _chart_terms(q)
-    try:
-        inv = _dpsi_inverse_array(t)
-    except DivisionByZeroInterval as exc:
-        inv = exc.with_traceback(None)
-    v = IArray.stack([-_ydot(q, [6.0 * a3 for _, a3 in K_COEFFS[1:]])] + t[1])
+    half of local_jacobian_batch that reads no mass, from one
+    _chart_terms.  D^2(psi) stacks the Hessians of psi_0..psi_3, axes
+    (..., b, i, j): only entry (0, 0) of psi_1..psi_3, K_b''(x), is not
+    0, as in tests/oracles.d2psi."""
+    kp, kpp = _chart_terms(q)
+    v = IArray.stack(kpp)
     d2 = np.zeros((2,) + v.shape[:-1] + (4, 4, 4))
-    d2[..., 0, 0] = _ends(v)
-    d2[..., 0, 0, 1:] = d2[..., 0, 1:, 0] = _ends(-v[..., 1:])
-    return IArray.stack(psi(q)), IArray.stack(dpsi(q)), inv, IArray._of(*d2)
+    d2[..., 1:, 0, 0] = _ends(v)
+    return (IArray.stack(psi(q)), IArray.stack(_unit_lower(kp)),
+            _dpsi_inverse_array(kp), IArray._of(*d2))
 
 
 @_quiet
@@ -556,9 +536,10 @@ def local_jacobian_batch(
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
     C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
-    D^2(psi_b) F_hat.  D(psi)^-1 is in closed form and C^-1 is the
-    chart's C_inv, so nothing is solved.  Each component of q is an
-    IArray along a leading batch axis or an Interval every box shares.
+    D^2(psi_b) F_hat.  D(psi) is unit lower triangular, so its inverse
+    and C^-1, the chart's C_inv, are exact forms and nothing is solved.
+    Each component of q is an IArray along a leading batch axis or an
+    Interval every box shares.
 
     terms are the _psi_terms of q, which read no mass;
     prover.enclose_DF_over_N passes them from a cache of two entries,
@@ -566,11 +547,8 @@ def local_jacobian_batch(
     read-only.  The mass half runs per call, vector_field and
     jacobian sharing one _field_terms, all under one np.errstate.  Entry
     k of the (..., 4, 4) result is bit for bit tests/oracles.local_jacobian
-    on box k.  As there, the field's CollisionSingularity comes before
-    the DivisionByZeroInterval of D(psi)^-1, which terms hold as an
-    exception that this raises after the field, cached or not; when boxes
-    fail, the exception class is one the single-box form raises on some
-    failing box, not necessarily the first.
+    on box k, and a box that reaches a primary raises
+    CollisionSingularity, as there.
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)
@@ -579,8 +557,6 @@ def local_jacobian_batch(
     xs = IVector([x[..., i] for i in range(4)])
     field_terms = _field_terms(xs[0], xs[1], p.mu)
     f = IArray.stack(vector_field(xs, p, field_terms))
-    if isinstance(dpsi_inv, DivisionByZeroInterval):
-        raise DivisionByZeroInterval(*dpsi_inv.args)
     f_hat = dpsi_inv.matmul(c_inv.matmul(f[..., None]))
     # axes (..., b, j): row b is D^2(psi_b) F_hat
     tensor = d2.matmul(f_hat[..., None, :, :])[..., 0]

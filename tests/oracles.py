@@ -31,8 +31,8 @@ line names the library code an oracle checks:
   * symmetry_S: the reversing symmetry of rtbp.vector_field.
   * local_field: F_hat(q) through a verified solve against D(Phi), the
     finite-difference reference of local_jacobian.
-  * dpsi_inverse, d2psi: D(psi)^-1 in closed form and the Hessians of
-    psi on Interval objects, the scalar forms of the arrays that
+  * dpsi_inverse, d2psi: D(psi)^-1 of the graph chart and the Hessians
+    of psi on Interval objects, the scalar forms of the arrays that
     rtbp.local_jacobian_batch builds.
   * local_jacobian: the single-box DF_hat(q), the bit-for-bit reference
     of rtbp.local_jacobian_batch and so of prover.enclose_DF_over_N.
@@ -65,7 +65,6 @@ from conecert.interval import (
     sqrt,
 )
 from conecert.rtbp import (
-    K_COEFFS,
     LocalChart,
     RtbpParams,
     _chart_terms,
@@ -390,37 +389,26 @@ def local_field(q: IVector, chart: LocalChart, p: RtbpParams) -> IVector:
 
 
 def dpsi_inverse(q: IVector) -> IMatrix:
-    """D(psi)(q)^-1 in closed form: with s = a + k^T k, the Schur
-    complement of the identity block of D(psi) = [[a, -k^T], [k, I]],
-
-      D(psi)^-1 = [[1/s, k^T/s], [-k/s, I - k k^T/s]].
-
-    The identity holds for every point selection, so this encloses the
-    inverse on any box whose s excludes 0; where s contains 0 the
-    division raises DivisionByZeroInterval.
-    """
-    k, _, a = _chart_terms(q)
-    s = a + (sq(k[0]) + sq(k[1]) + sq(k[2]))
-    m = [ki / s for ki in k]
+    """D(psi)(q)^-1 of the graph chart: D(psi) = [[1, 0], [k, I]] with
+    k = K'(x) is unit lower triangular, so its inverse is [[1, 0],
+    [-k, I]] for every point selection, and no entry is computed."""
+    k = _chart_terms(q)[0]
+    zero, one = Interval(0.0), Interval(1.0)
     return IMatrix(
-        [[1.0 / s] + m]
-        + [[-m[i]] + [(1.0 if i == j else 0.0) - k[i] * m[j] for j in range(3)]
+        [[one, zero, zero, zero]]
+        + [[-k[i]] + [one if i == j else zero for j in range(3)]
            for i in range(3)]
     )
 
 
 def d2psi(q: IVector) -> list:
-    """Hessians of the four psi components; K_i''' = 6 a3 is constant."""
-    kpp = _chart_terms(q)[1]
+    """Hessians of the four psi components: psi_0 = x has none, and
+    psi_i = K_i(x) + y_i only d^2/dx^2 = K_i''(x)."""
     zero = Interval(0.0)
-    d2_head_xx = -(
-        q[1] * (6.0 * K_COEFFS[1][1])
-        + q[2] * (6.0 * K_COEFFS[2][1])
-        + q[3] * (6.0 * K_COEFFS[3][1])
-    )
-    row0 = [d2_head_xx] + [-c for c in kpp]
-    h = [IMatrix([row0] + [[c, zero, zero, zero] for c in row0[1:]])]
-    return h + [IMatrix([[c, zero, zero, zero]] + [[zero] * 4] * 3) for c in kpp]
+    rest = [[zero] * 4] * 3
+    return [IMatrix([[zero] * 4] + rest)] + [
+        IMatrix([[c, zero, zero, zero]] + rest) for c in _chart_terms(q)[1]
+    ]
 
 
 def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
@@ -428,14 +416,13 @@ def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
     C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
-    D^2(psi_b) F_hat.  D(psi)^-1 is the closed form of dpsi_inverse and
+    D^2(psi_b) F_hat.  D(psi)^-1 is the exact form of dpsi_inverse and
     C^-1 the chart's C_inv, so nothing is solved.  It is the scalar form
     of rtbp.local_jacobian_batch, each scalar function forming its own
     terms where the batch forms the shared ones once and passes them in;
     the same terms in the same order of operations, so every entry of
-    the batch is bit for bit this one.  It also raises as the batch does:
-    the field's CollisionSingularity before dpsi_inverse's
-    DivisionByZeroInterval.
+    the batch is bit for bit this one.  It also raises as the batch does,
+    CollisionSingularity where a box reaches a primary.
     """
     x = total_change(q, chart)
     f = vector_field(x, p)

@@ -1,6 +1,7 @@
 """The names the package declares resolve: every module's __all__ and the
-console scripts of pyproject.toml.  Every public name is also used by the
-library itself, with no exemption: the oracles the tests check the proof
+console scripts of pyproject.toml.  Every public name, and every other
+top-level definition of a library module, is also used by the library
+itself, with no exemption: the oracles the tests check the proof
 against live in tests/oracles.py, and each of them is used by a test.
 The same holds one level down, for the methods, properties and class
 attributes of the library's classes.  No certified number goes through
@@ -94,6 +95,24 @@ def test_every_public_name_is_used_by_the_library():
         for mod in stmts
     }
     unused = _unused_public_names(stmts, public)
+    assert not unused, unused
+
+
+def test_every_definition_is_used_by_the_library():
+    # the same rounds over every top-level function, class and assigned
+    # name of each module, private or not: a helper that no live library
+    # code reads is dead, though no __all__ lists it
+    src = Path(conecert.__file__).resolve().parent
+    stmts = {
+        p.stem: _statements(ast.parse(p.read_text()))
+        for p in src.glob("*.py")
+    }
+    defined = {
+        mod: [n for defines, _ in found for n in defines
+              if not n.startswith("__")]
+        for mod, found in stmts.items()
+    }
+    unused = _unused_public_names(stmts, defined)
     assert not unused, unused
 
 

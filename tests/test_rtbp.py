@@ -22,7 +22,6 @@ import pytest
 from conecert import rtbp
 
 from conecert.interval import (
-    DivisionByZeroInterval,
     IArray,
     IMatrix,
     Interval,
@@ -465,29 +464,6 @@ def test_psi_axis_identities():
             assert ys[i - 1] in out[i] and out[i].width < 1e-15
 
 
-def test_psi_orthogonality():
-    # psi(q) - K(x) is orthogonal to K'(x) by construction, exactly, so the
-    # interval dot product must contain zero.  [TRIVIAL]
-    from conecert.interval import idot
-    from conecert.rtbp import _chart_terms
-
-    rng = random.Random(5)
-    for _ in range(1000):
-        q = IVector.from_floats([rng.uniform(-0.4, 0.4) for _ in range(4)])
-        x = q[0]
-        out = psi(q)
-        diff = [
-            out[0] - x,
-            out[1] - _k_val_float(1, x.mid),
-            out[2] - _k_val_float(2, x.mid),
-            out[3] - _k_val_float(3, x.mid),
-        ]
-        kprime = [Interval(1.0)] + _chart_terms(q)[0]
-        dot = idot(diff, kprime)
-        assert 0.0 in dot
-        assert dot.width < 1e-13
-
-
 def test_dpsi_vs_finite_differences():
     rng = random.Random(9)
     for _ in range(20):
@@ -536,7 +512,7 @@ def _random_boxes(rng: random.Random, n: int) -> list:
 
 
 def test_dpsi_inverse_times_dpsi_contains_identity():
-    # [TRIVIAL] the closed form inverts D(psi) for every point of the box,
+    # [TRIVIAL] [[1, 0], [-k, I]] inverts D(psi) for every point of the box,
     # on Intervals and on the library's array-built batch, which equals
     # the scalar form entry by entry and bit for bit
     boxes = _random_boxes(random.Random(17), 40)
@@ -549,7 +525,7 @@ def test_dpsi_inverse_times_dpsi_contains_identity():
         [IArray([q[c].lo for q in boxes], [q[c].hi for q in boxes])
          for c in range(4)]
     )
-    inv = rtbp._dpsi_inverse_array(rtbp._chart_terms(batch))
+    inv = rtbp._dpsi_inverse_array(rtbp._chart_terms(batch)[0])
     assert inv.shape == (len(boxes), 4, 4)
     prod = inv.matmul(IArray.stack(dpsi(batch)))
     for i in range(4):
@@ -565,52 +541,23 @@ def test_dpsi_inverse_times_dpsi_contains_identity():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_local_jacobian_raises_where_dpsi_is_not_invertible():
-    # [TRIVIAL] at x = 0, k = 0 and s = 1 - y_2 K_2''(0) changes sign at
-    # y_2 = 0.694; the box's image stays far from both primaries, so the
-    # closed-form inverse is what fails, for one box and in a batch
-    p = band_left()
-    ch = jordan_basis(p)
-    q = IVector([0.0, 0.0, Interval(0.6, 0.8), 0.0])
-    vector_field(total_change(q, ch), p)  # raises nothing
-    with pytest.raises(DivisionByZeroInterval):
-        local_jacobian(q, ch, p)
-    batch = IVector([0.0, 0.0, IArray([0.0, 0.6], [1e-3, 0.8]), 0.0])
-    with pytest.raises(DivisionByZeroInterval):
-        local_jacobian_batch(ch, p, rtbp._psi_terms(batch))
-    # through prover.enclose_DF_over_N: the cached failure is raised on
-    # every call, cold and warm, each time as a new exception
-    _n_pieces.cache_clear()
-    raised = []
-    for _ in range(2):
-        with pytest.raises(DivisionByZeroInterval) as info:
-            enclose_DF_over_N(ch, p, q, 2)
-        raised.append(info.value)
-    assert _n_pieces.cache_info().hits == 1
-    assert raised[0] is not raised[1] and raised[0].args == raised[1].args
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_local_jacobian_raises_collision_before_dpsi_inverse():
     # [TRIVIAL] at x = 0 the box's Phi = L1 + C (0, y) holds the smaller
-    # primary (mu - 1, 0), and s = 1 - 2 sum_i a2_i y_i holds 0 as well;
-    # the field fails first, so the single box and the batch both raise
-    # CollisionSingularity, not the DivisionByZeroInterval of D(psi)^-1
+    # primary (mu - 1, 0): the field fails before D(psi)^-1 is applied,
+    # so the single box and the batch both raise CollisionSingularity
     p = band_left()
     ch = jordan_basis(p)
     ys = [Interval(1.54, 1.56), Interval(-0.42, -0.40), Interval(2.42, 2.44)]
     q = IVector([0.0] + ys)
     phi = total_change(q, ch)
     assert p.mu.hi - 1.0 in phi[0] and 0.0 in phi[1]
-    with pytest.raises(DivisionByZeroInterval):
-        dpsi_inverse(q)
     with pytest.raises(CollisionSingularity):
         local_jacobian(q, ch, p)
     with pytest.raises(CollisionSingularity):
         batch = IVector([IArray([0.0, 0.0])] + ys)
         local_jacobian_batch(ch, p, rtbp._psi_terms(batch))
-    # and through prover.enclose_DF_over_N, whose cache keeps the failed
-    # D(psi)^-1 of N's pieces: the field still fails first, cold and warm
+    # and through prover.enclose_DF_over_N, cold and then from the cache
+    # of N's pieces
     _n_pieces.cache_clear()
     for _ in range(2):
         with pytest.raises(CollisionSingularity):

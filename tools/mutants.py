@@ -278,6 +278,20 @@ MUTANTS = {
         "section",
         ["tests/test_flow.py"],
     ),
+    "dpsi_inverse_plus_k": (
+        RTBP,
+        "    return IArray.stack(_unit_lower([-c for c in k]))\n",
+        "    return IArray.stack(_unit_lower(k))\n",
+        "column 0 of the batch's D(psi)^-1 holds +K', not -K'",
+        ["tests/test_rtbp.py", "tests/test_prover.py"],
+    ),
+    "d2psi_no_k2": (
+        RTBP,
+        "    d2[..., 1:, 0, 0] = _ends(v)\n",
+        "",
+        "the batch's D^2(psi) drops its K_b''(x) entries",
+        ["tests/test_rtbp.py", "tests/test_prover.py"],
+    ),
     "cone_shift_no_c": (
         CONES,
         "    shift_x = (n1 + ratio * n2) * 0.5 + c\n",
