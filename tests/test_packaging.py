@@ -83,36 +83,23 @@ def _unused_public_names(stmts: dict, public: dict) -> list:
 
 
 def test_every_public_name_is_used_by_the_library():
+    # every name of __all__ and every other top-level function, class and
+    # assigned name of each module, private or not: a helper that no live
+    # library code reads is dead, though no __all__ lists it
     src = Path(conecert.__file__).resolve().parent
     stmts = {
         p.stem: _statements(ast.parse(p.read_text()))
         for p in src.glob("*.py")
     }
-    public = {
-        mod: [n for n in importlib.import_module(
+    names = {
+        mod: set(importlib.import_module(
             "conecert" if mod == "__init__" else f"conecert.{mod}"
-        ).__all__ if not n.startswith("__")]
-        for mod in stmts
-    }
-    unused = _unused_public_names(stmts, public)
-    assert not unused, unused
-
-
-def test_every_definition_is_used_by_the_library():
-    # the same rounds over every top-level function, class and assigned
-    # name of each module, private or not: a helper that no live library
-    # code reads is dead, though no __all__ lists it
-    src = Path(conecert.__file__).resolve().parent
-    stmts = {
-        p.stem: _statements(ast.parse(p.read_text()))
-        for p in src.glob("*.py")
-    }
-    defined = {
-        mod: [n for defines, _ in found for n in defines
-              if not n.startswith("__")]
+        ).__all__).union(*(defines for defines, _ in found))
         for mod, found in stmts.items()
     }
-    unused = _unused_public_names(stmts, defined)
+    public = {mod: sorted(n for n in found if not n.startswith("__"))
+              for mod, found in names.items()}
+    unused = _unused_public_names(stmts, public)
     assert not unused, unused
 
 

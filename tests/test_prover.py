@@ -182,6 +182,29 @@ def endpoints(cfg, shared_chains):
 _SUBNORMALS = 1e-320
 
 
+def _float_crossing(start, mu: float) -> tuple:
+    """(time, state) of the first crossing of {Y = 0} from start at mass
+    mu by scipy DOP853 (rtol 1e-13), a float reference of a flight."""
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+
+    def on_section(t, y):
+        return y[1]
+
+    on_section.terminal = True
+    sol = scipy_integrate.solve_ivp(
+        lambda t, y: vector_field_floats(y, mu),
+        (0.0, 12.0),
+        start,
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+        events=on_section,
+    )
+    (t_hit,) = sol.t_events[0]
+    (hit,) = sol.y_events[0]
+    return t_hit, hit
+
+
 @pytest.fixture(scope="module")
 def fragment_chart(cfg):
     # the chart over the first default fragment's interval mass
@@ -607,25 +630,9 @@ class TestEndpoints:
         # [DERIVED] scipy DOP853 from the midpoint of the launch window at
         # the mid mass meets {Y = 0} inside the certified crossing time
         # and image, an independent float check of the whole flight
-        scipy_integrate = pytest.importorskip("scipy.integrate")
         for ep in endpoints:
             mu = decimal_to_interval(ep.mu).mid
-
-            def on_section(t, y):
-                return y[1]
-
-            on_section.terminal = True
-            sol = scipy_integrate.solve_ivp(
-                lambda t, y: vector_field_floats(y, mu),
-                (0.0, 12.0),
-                ep.U_original.mid(),
-                method="DOP853",
-                rtol=1e-13,
-                atol=1e-15,
-                events=on_section,
-            )
-            (t_hit,) = sol.t_events[0]
-            (hit,) = sol.y_events[0]
+            t_hit, hit = _float_crossing(ep.U_original.mid(), mu)
             assert t_hit in ep.crossing_time
             for i in (0, 2, 3):
                 assert hit[i] in ep.poincare_image[i]
@@ -637,7 +644,6 @@ class TestEndpoints:
         # negative at mu_left and positive at mu_right, each end shot lands
         # inside its endpoint's certified crossing time and image, and
         # bisection finds the sign change strictly inside the band
-        scipy_integrate = pytest.importorskip("scipy.integrate")
         x0 = endpoints[0].U_local[0]
         assert x0.width == 0.0 and x0 == endpoints[1].U_local[0]
         q = psi(IVector([x0] + [0.0] * 3)).mid()
@@ -647,22 +653,8 @@ class TestEndpoints:
             chart = jordan_basis(RtbpParams(Interval(mu)))
             start = [l1 + sum(c * e for c, e in zip(row, q))
                      for l1, row in zip(chart.L1.mid(), chart.C.mid())]
-
-            def on_section(t, y):
-                return y[1]
-
-            on_section.terminal = True
-            sol = scipy_integrate.solve_ivp(
-                lambda t, y: vector_field_floats(y, mu),
-                (0.0, 12.0),
-                start,
-                method="DOP853",
-                rtol=1e-13,
-                atol=1e-15,
-                events=on_section,
-            )
             shots.append(mu)
-            return sol.t_events[0][0], sol.y_events[0][0]
+            return _float_crossing(start, mu)
 
         ends = [float(cfg.mu_left), float(cfg.mu_right)]
         for ep, mu, sign in zip(endpoints, ends, (-1.0, 1.0)):
@@ -768,30 +760,14 @@ class TestFragment:
         # fragment's ends and middle meets {Y = 0} inside the certified
         # crossing time and image, an independent float check of the
         # band flight and of its mass column
-        scipy_integrate = pytest.importorskip("scipy.integrate")
         params, enc, cr = band_flight
         mu0 = enc.midpoint[4]
-
-        def on_section(t, y):
-            return y[1]
-
-        on_section.terminal = True
         for mu in (params.mu.lo, mu0, params.mu.hi):
             start = [
                 enc.midpoint[i] + enc.init_basis[i][4] * (mu - mu0)
                 for i in range(4)
             ]
-            sol = scipy_integrate.solve_ivp(
-                lambda t, y: vector_field_floats(y, mu),
-                (0.0, 12.0),
-                start,
-                method="DOP853",
-                rtol=1e-13,
-                atol=1e-15,
-                events=on_section,
-            )
-            (t_hit,) = sol.t_events[0]
-            (hit,) = sol.y_events[0]
+            t_hit, hit = _float_crossing(start, mu)
             assert t_hit in cr.time, mu
             for i in (0, 2, 3):
                 assert hit[i] in cr.image[i], (mu, i)
