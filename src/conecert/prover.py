@@ -487,10 +487,10 @@ def enclose_DF_over_N(
     raises ValueError.
 
     The batch's psi half reads no mass: the rtbp._psi_terms of the
-    pieces come from _n_pieces, an lru_cache of two entries for
-    the proof's two N, the endpoints' and the fragments', each at its
-    subdivision.  The key is the float.hex of N's ends, so -0.0 and 0.0
-    differ, and the subdivision; the arrays are read-only.
+    pieces, psi, K' and K'', come from _n_pieces, an lru_cache of two
+    entries for the proof's two N, the endpoints' and the fragments',
+    each at its subdivision.  The key is the float.hex of N's ends, so
+    -0.0 and 0.0 differ, and the subdivision; the arrays are read-only.
     """
     _check_count("subdivision", subdivision)
     key = tuple((c.lo.hex(), c.hi.hex()) for c in n_box)

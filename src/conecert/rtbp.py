@@ -23,12 +23,12 @@ carries the symplectic normalization of Jorba and Masdemont (Physica D
 132, 1999), C^T J C = J' with J = [[0, I], [-I, 0]] in (X, Y, P_X, P_Y)
 and J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
 (lambda, -lambda, rotation pair), so C^-1 = -J' C^T J is a signed
-transpose of C with no rounding.  D(psi) = [[1, 0], [K', I]] has the
-inverse [[1, 0], [-K', I]], so the local Jacobian inverts D(Phi) =
-C D(psi) with no division and no linear solve.  Its batch form has a psi
-half, psi, D(psi), D(psi)^-1 and D^2(psi) over the pieces (_psi_terms),
-which reads no mass, so prover computes it once per N and subdivision;
-the mass half, C, C^-1, L1 and the field, runs per call.
+transpose of C with no rounding.  D(psi) = I + K' e_0^T and the Hessian
+of psi_i is K_i'' e_0 e_0^T, so the chart's derivative enters only as the
+vectors K'(x) and K''(x): no division, no solve and no 4 x 4 D(psi).  The
+local Jacobian's batch form has a psi half, psi, K' and K'' over the
+pieces (_psi_terms), which reads no mass, so prover computes it once per
+N and subdivision; the mass half, C, C^-1, L1 and the field, runs per call.
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -97,8 +97,6 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from functools import partial
 
-import numpy as np
-
 from .interval import (
     DivisionByZeroInterval,
     IArray,
@@ -107,14 +105,13 @@ from .interval import (
     IVector,
     _add_dn,
     _add_up,
-    _ends,
     _idot_ends,
     _lowest,
     _mk,
     _mul_ends,
     _quiet,
     _sq_ends,
-    eye,
+    idot,
     sq,
     sqrt,
 )
@@ -136,7 +133,6 @@ __all__ = [
     "jordan_basis",
     "jordan_residual",
     "psi",
-    "dpsi",
     "total_change",
     "d_total_change",
     "local_jacobian_batch",
@@ -470,8 +466,8 @@ def jordan_basis(p: RtbpParams) -> LocalChart:
 
 
 def _chart_terms(q) -> tuple:
-    """(K', K'') at q, K_i'(x) and K_i''(x) for i = 1..3: D(psi) = [[1, 0],
-    [K', I]], and K_i'' is psi_i's one nonzero second derivative."""
+    """(K', K'') at q, K_i'(x) and K_i''(x) for i = 1..3: D(psi) =
+    I + K' e_0^T, and K_i'' is psi_i's one nonzero second derivative."""
     x = q[0]
     kp = [x * (2.0 * a2 + x * (3.0 * a3)) for a2, a3 in K_COEFFS[1:]]
     kpp = [x * (6.0 * a3) + 2.0 * a2 for a2, a3 in K_COEFFS[1:]]
@@ -487,82 +483,71 @@ def psi(q: IVector) -> IVector:
                           for i, (a2, a3) in enumerate(K_COEFFS[1:], 1)])
 
 
-def _unit_lower(col: list) -> IMatrix:
-    """[[1, 0], [col, I]]: D(psi) for col = K', D(psi)^-1 for col = -K'."""
-    return IMatrix([[1.0, 0.0, 0.0, 0.0]]
-                   + [[c] + row for c, row in zip(col, eye(3))])
-
-
-def dpsi(q: IVector) -> IMatrix:
-    return _unit_lower(_chart_terms(q)[0])
-
-
-def _dpsi_inverse_array(k: list) -> IArray:
-    """D(psi)^-1 = [[1, 0], [-k, I]], k = K'(x), over a batch as one
-    (..., 4, 4) IArray; no entry is computed, as in oracles.dpsi_inverse."""
-    return IArray.stack(_unit_lower([-c for c in k]))
-
-
 def total_change(q: IVector, chart: LocalChart) -> IVector:
     """Phi(q) = L1 + C psi(q), from local to original coordinates."""
     return chart.L1 + chart.C.matvec(psi(q))
 
 
 def d_total_change(q: IVector, chart: LocalChart) -> IMatrix:
-    return chart.C.matmul(dpsi(q))
+    """D(Phi)(q) = C D(psi)(q): C with column 0 replaced by C_0 +
+    C_1:3 K'(x)."""
+    kp = _chart_terms(q)[0]
+    return IMatrix([[r[0] + idot(r[1:], kp)] + r[1:] for r in chart.C.rows])
 
 
 @_quiet
 def _psi_terms(q) -> tuple:
-    """psi, D(psi), D(psi)^-1 and D^2(psi) of a batch q as IArrays, the
-    half of local_jacobian_batch that reads no mass, from one
-    _chart_terms.  D^2(psi) stacks the Hessians of psi_0..psi_3, axes
-    (..., b, i, j): only entry (0, 0) of psi_1..psi_3, K_b''(x), is not
-    0, as in tests/oracles.d2psi."""
+    """psi, K' and K'' of a batch q as (..., 4), (..., 3) and (..., 3)
+    IArrays, the half of local_jacobian_batch that reads no mass, from
+    one _chart_terms."""
     kp, kpp = _chart_terms(q)
-    v = IArray.stack(kpp)
-    d2 = np.zeros((2,) + v.shape[:-1] + (4, 4, 4))
-    d2[..., 1:, 0, 0] = _ends(v)
-    return (IArray.stack(psi(q)), IArray.stack(_unit_lower(kp)),
-            _dpsi_inverse_array(kp), IArray._of(*d2))
+    return IArray.stack(psi(q)), IArray.stack(kp), IArray.stack(kpp)
 
 
 @_quiet
 def local_jacobian_batch(
     chart: LocalChart, p: RtbpParams, terms: tuple
 ) -> IArray:
-    """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T) over a batch q
-    of boxes, in one array pass, from terms = _psi_terms(q) alone.
+    """DF_hat(q) = D(psi)^-1 (M D(psi) - T) over a batch q of boxes, with
+    M = C^-1 DF(Phi) C, in one array pass from terms = _psi_terms(q).
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
-    C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
-    D^2(psi_b) F_hat.  D(psi) is unit lower triangular, so its inverse
-    and C^-1, the chart's C_inv, are exact forms and nothing is solved.
-    Each component of q is an IArray along a leading batch axis or an
-    Interval every box shares.
+    C D(psi), and row b of T is D^2(psi_b) F_hat.  As D(psi) =
+    I + K' e_0^T and D^2(psi_b) = K_b'' e_0 e_0^T, three steps on M give
+    the result: column 0 becomes M_0 + M_1:3 K', rows 1-3 of it lose
+    K'' F_hat_0 (T; F_hat_0 is row 0 of C^-1 F), and rows 1-3 lose K'
+    times row 0 (D(psi)^-1).  C^-1 is the chart's C_inv, so nothing is
+    solved.  Each component of q is an IArray along a leading batch axis
+    or an Interval every box shares.
 
     terms are the _psi_terms of q, which read no mass;
     prover.enclose_DF_over_N passes them from a cache of two entries,
     keyed by the bits of N's ends and the subdivision, whose arrays are
     read-only.  The mass half runs per call, vector_field and
-    jacobian sharing one _field_terms, all under one np.errstate.  Entry
+    jacobian sharing one _field_terms, all under one _quiet.  Entry
     k of the (..., 4, 4) result is bit for bit tests/oracles.local_jacobian
     on box k, and a box that reaches a primary raises
     CollisionSingularity, as there.
     """
     c = IArray.stack(chart.C)
     c_inv = IArray.stack(chart.C_inv)
-    psi_q, dpsi_q, dpsi_inv, d2 = terms
+    psi_q, kp, kpp = terms
     x = IArray.stack(chart.L1) + c.matmul(psi_q[..., None])[..., 0]
     xs = IVector([x[..., i] for i in range(4)])
     field_terms = _field_terms(xs[0], xs[1], p.mu)
     f = IArray.stack(vector_field(xs, p, field_terms))
-    f_hat = dpsi_inv.matmul(c_inv.matmul(f[..., None]))
-    # axes (..., b, j): row b is D^2(psi_b) F_hat
-    tensor = d2.matmul(f_hat[..., None, :, :])[..., 0]
+    f_hat0 = c_inv[:1].matmul(f[..., None])[..., 0]
     df = IArray.stack(jacobian(xs, p, field_terms))
-    c_df_c = c_inv.matmul(df.matmul(c))
-    return dpsi_inv.matmul(c_df_c.matmul(dpsi_q) - tensor)
+    m = c_inv.matmul(df.matmul(c))
+    # the three steps write into m's own end arrays, fresh from matmul
+    lo, hi = m.lo, m.hi
+    col = m[..., 0] + m[..., 1:].matmul(kp[..., None])[..., 0]
+    tail = col[..., 1:] - kpp * f_hat0
+    lo[..., 0], hi[..., 0] = col.lo, col.hi
+    lo[..., 1:, 0], hi[..., 1:, 0] = tail.lo, tail.hi
+    rows = m[..., 1:, :] - kp[..., None] * m[..., :1, :]
+    lo[..., 1:, :], hi[..., 1:, :] = rows.lo, rows.hi
+    return m
 
 
 # -- Taylor series kernel ------------------------------------------------------

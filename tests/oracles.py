@@ -31,11 +31,10 @@ line names the library code an oracle checks:
   * symmetry_S: the reversing symmetry of rtbp.vector_field.
   * local_field: F_hat(q) through a verified solve against D(Phi), the
     finite-difference reference of local_jacobian.
-  * dpsi_inverse, d2psi: D(psi)^-1 of the graph chart and the Hessians
-    of psi on Interval objects, the scalar forms of the arrays that
-    rtbp.local_jacobian_batch builds.
-  * local_jacobian: the single-box DF_hat(q), the bit-for-bit reference
-    of rtbp.local_jacobian_batch and so of prover.enclose_DF_over_N.
+  * local_jacobian: the single-box DF_hat(q) in the same structured form
+    as rtbp.local_jacobian_batch, from K' and K'' with no 4 x 4 form of
+    D(psi), its inverse or its Hessians: the bit-for-bit reference of the
+    batch and so of prover.enclose_DF_over_N.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ from conecert.interval import (
     IVector,
     _mk,
     eye,
+    idot,
     mat_opnorm_upper,
     sq,
     sqrt,
@@ -71,7 +71,6 @@ from conecert.rtbp import (
     _coerce,
     _field_terms,
     d_total_change,
-    dpsi,
     jacobian,
     total_change,
     vector_field,
@@ -388,46 +387,29 @@ def local_field(q: IVector, chart: LocalChart, p: RtbpParams) -> IVector:
     return solve_interval_linear(d_total_change(q, chart), vector_field(x, p))
 
 
-def dpsi_inverse(q: IVector) -> IMatrix:
-    """D(psi)(q)^-1 of the graph chart: D(psi) = [[1, 0], [k, I]] with
-    k = K'(x) is unit lower triangular, so its inverse is [[1, 0],
-    [-k, I]] for every point selection, and no entry is computed."""
-    k = _chart_terms(q)[0]
-    zero, one = Interval(0.0), Interval(1.0)
-    return IMatrix(
-        [[one, zero, zero, zero]]
-        + [[-k[i]] + [one if i == j else zero for j in range(3)]
-           for i in range(3)]
-    )
-
-
-def d2psi(q: IVector) -> list:
-    """Hessians of the four psi components: psi_0 = x has none, and
-    psi_i = K_i(x) + y_i only d^2/dx^2 = K_i''(x)."""
-    zero = Interval(0.0)
-    rest = [[zero] * 4] * 3
-    return [IMatrix([[zero] * 4] + rest)] + [
-        IMatrix([[c, zero, zero, zero]] + rest) for c in _chart_terms(q)[1]
-    ]
-
-
 def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
-    """DF_hat(q) = D(psi)^-1 (C^-1 (DF(Phi) C) D(psi) - T).
+    """DF_hat(q) = D(psi)^-1 (M D(psi) - T), M = C^-1 DF(Phi) C.
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
-    C D(psi): F_hat = D(psi)^-1 C^-1 F(Phi(q)), and row b of T is
-    D^2(psi_b) F_hat.  D(psi)^-1 is the exact form of dpsi_inverse and
-    C^-1 the chart's C_inv, so nothing is solved.  It is the scalar form
-    of rtbp.local_jacobian_batch, each scalar function forming its own
+    C D(psi), and row b of T is D^2(psi_b) F_hat.  D(psi) = I + K' e_0^T
+    and D^2(psi_b) = K_b'' e_0 e_0^T, so column 0 of M becomes
+    M_0 + M_1:3 K', rows 1-3 of it lose K'' F_hat_0, with F_hat_0 row 0
+    of C^-1 F, and rows 1-3 lose K' times row 0; C^-1 is the chart's
+    C_inv, so nothing is solved.  It is the scalar form of
+    rtbp.local_jacobian_batch, each scalar function forming its own
     terms where the batch forms the shared ones once and passes them in;
     the same terms in the same order of operations, so every entry of
     the batch is bit for bit this one.  It also raises as the batch does,
     CollisionSingularity where a box reaches a primary.
     """
     x = total_change(q, chart)
-    f = vector_field(x, p)
-    dpsi_inv = dpsi_inverse(q)
-    f_hat = dpsi_inv.matvec(chart.C_inv.matvec(f))
-    tensor = IMatrix([h.matvec(f_hat) for h in d2psi(q)])
-    c_df_c = chart.C_inv.matmul(jacobian(x, p).matmul(chart.C))
-    return dpsi_inv.matmul(c_df_c.matmul(dpsi(q)) - tensor)
+    kp, kpp = _chart_terms(q)
+    f_hat0 = idot(chart.C_inv.row(0), vector_field(x, p))
+    m = chart.C_inv.matmul(jacobian(x, p).matmul(chart.C)).rows
+    col = [r[0] + idot(r[1:], kp) for r in m]
+    col[1:] = [c - k * f_hat0 for c, k in zip(col[1:], kpp)]
+    top = col[:1] + m[0][1:]
+    return IMatrix([top] + [
+        [a - k * b for a, b in zip([c] + r[1:], top)]
+        for c, r, k in zip(col[1:], m[1:], kp)
+    ])

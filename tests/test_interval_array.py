@@ -212,37 +212,35 @@ def _matrix(entries, rows: int, cols: int) -> IMatrix:
 
 @pytest.mark.parametrize("terms_per_pass", [1, 2, 4])
 def test_matmul_broadcast_shapes_match_imatrix(monkeypatch, terms_per_pass):
-    # the two broadcasts of rtbp.local_jacobian_batch, against
-    # IMatrix.matmul piece by piece, with the product passes of IArray.matmul
-    # cut into 1, 2 or all 4 terms of the sum
+    # the broadcasts of rtbp.local_jacobian_batch, against IMatrix.matmul
+    # piece by piece, with the product passes of IArray.matmul cut into 1,
+    # 2 or all terms of the sum: a shared (4, 4) matrix times a (P, 4, 4)
+    # batch (C^-1 M), a (P, 4, 3) batch times a (P, 3, 1) one (M_1:3 K')
+    # and a shared (1, 4) row times a (P, 4, 1) batch (row 0 of C^-1 F)
     pieces = 6
-    monkeypatch.setattr(interval, "_MATMUL_BLOCK", 16 * pieces * terms_per_pass)
     rng = random.Random(1401)
-    # a shared (4, 4) matrix times a (P, 4, 4) batch
     c = _matrix(_mixed_entries(rng, 16), 4, 4)
-    batch = [_matrix(_mixed_entries(rng, 16), 4, 4) for _ in range(pieces)]
-    got = IArray.stack(c).matmul(IArray.stack([m.rows for m in batch]))
-    assert got.shape == (pieces, 4, 4)
-    for p, m in enumerate(batch):
-        want = c.matmul(m)
-        for i in range(4):
-            for j in range(4):
+    mats = [_matrix(_mixed_entries(rng, 12), 4, 3) for _ in range(pieces)]
+    cols = [_matrix(_mixed_entries(rng, 3), 3, 1) for _ in range(pieces)]
+    row = _matrix(_mixed_entries(rng, 4), 1, 4)
+    vecs = [_matrix(_mixed_entries(rng, 4), 4, 1) for _ in range(pieces)]
+    cases = [
+        (c, [_matrix(_mixed_entries(rng, 16), 4, 4) for _ in range(pieces)],
+         IArray.stack(c), 16),
+        (mats, cols, IArray.stack([m.rows for m in mats]), 4),
+        (row, vecs, IArray.stack(row), 1),
+    ]
+    for left, right, a, entries in cases:
+        # entries per term of one pass: the (..., n, m) result size per piece
+        monkeypatch.setattr(interval, "_MATMUL_BLOCK",
+                            entries * pieces * terms_per_pass)
+        got = a.matmul(IArray.stack([m.rows for m in right]))
+        for p, r in enumerate(right):
+            want = (left[p] if isinstance(left, list) else left).matmul(r)
+            assert got.shape == (pieces,) + want.shape
+            for i, j in np.ndindex(want.shape):
                 assert _same(float(got.lo[p, i, j]), want[i, j].lo)
                 assert _same(float(got.hi[p, i, j]), want[i, j].hi)
-    # a (P, 4, 4, 4) stack of 4 x 4 matrices times a (P, 1, 4, 1) column
-    stack = [[_matrix(_mixed_entries(rng, 16), 4, 4) for _ in range(4)]
-             for _ in range(pieces)]
-    cols = [_mixed_entries(rng, 4) for _ in range(pieces)]
-    got = IArray.stack([[h.rows for h in hs] for hs in stack]).matmul(
-        IArray.stack([[[[v] for v in col]] for col in cols])
-    )
-    assert got.shape == (pieces, 4, 4, 1)
-    for p in range(pieces):
-        for b in range(4):
-            want = stack[p][b].matmul(IMatrix([[v] for v in cols[p]]))
-            for i in range(4):
-                assert _same(float(got.lo[p, b, i, 0]), want[i, 0].lo)
-                assert _same(float(got.hi[p, b, i, 0]), want[i, 0].hi)
 
 
 def test_stack_broadcasts_shared_entries():

@@ -5,7 +5,8 @@ itself, with no exemption: the oracles the tests check the proof
 against live in tests/oracles.py, and each of them is used by a test.
 The same holds one level down, for the methods, properties and class
 attributes of the library's classes.  No certified number goes through
-BLAS, and ** and libm calls stay in the few functions listed below."""
+BLAS, ** and libm calls stay in the few functions listed below, and only
+interval imports numpy."""
 
 from __future__ import annotations
 
@@ -254,6 +255,17 @@ def test_linalg_is_a_leaf_that_only_cones_imports():
     assert not [
         m for m in _imports(src / "linalg.py") if m.split(".")[0] == "numpy"
     ]
+
+
+def test_only_interval_imports_numpy():
+    # every batch of intervals goes through interval.IArray, so numpy is
+    # one module's dependency, a step toward a library without it
+    src = Path(conecert.__file__).resolve().parent
+    importers = {
+        p.stem for p in src.glob("*.py")
+        if any(m.split(".")[0] == "numpy" for m in _imports(p))
+    }
+    assert importers == {"interval"}
 
 
 # the functions allowed a ** or libm call: the step-size choice, exp

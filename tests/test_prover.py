@@ -57,6 +57,7 @@ from conecert.prover import (
     run_fragment,
 )
 from conecert.rtbp import (
+    K_COEFFS,
     RtbpParams,
     jordan_basis,
     libration_L1,
@@ -65,7 +66,12 @@ from conecert.rtbp import (
     total_change,
     vector_field,
 )
-from oracles import local_field, local_jacobian, vector_field_floats
+from oracles import (
+    jacobian_floats,
+    local_field,
+    local_jacobian,
+    vector_field_floats,
+)
 
 MU_LEFT = "0.0042538634220"
 MU_RIGHT = "0.0042538636220"
@@ -413,6 +419,53 @@ class TestBatchedDerivative:
                 assert got[i, j].lo == want[i, j].lo
                 assert got[i, j].hi == want[i, j].hi
 
+    def test_each_piece_contains_float_derivatives(
+        self, cfg, left_setup, monkeypatch
+    ):
+        # [DERIVED] every piece of the left endpoint's batch, before the
+        # hull, contains the dense float64 D(psi)^-1 (M D(psi) - T) at two
+        # points of the piece, with D(psi) and the Hessians of psi formed
+        # in full and C^-1 and D(psi)^-1 applied by LAPACK solves: a check
+        # of the structured form that shares none of its algebra
+        import numpy as np
+
+        params, chart, b = left_setup
+        n_box = build_N(b, cfg)
+        k = cfg.endpoint_subdivision
+        seen = []
+
+        def recording(chart, params, terms):
+            seen.append(local_jacobian_batch(chart, params, terms))
+            return seen[-1]
+
+        monkeypatch.setattr(prover, "local_jacobian_batch", recording)
+        enclose_DF_over_N(chart, params, n_box, k)
+        batch, = seen
+        c = np.array(chart.C.mid())
+        l1 = np.array(chart.L1.mid())
+        mu = params.mu.lo
+        corners = ([e.lo for e in n_box[1:]], [e.hi for e in n_box[1:]])
+        outside = 0
+        cuts = _slice_cuts(n_box[0].lo, n_box[0].hi, k)
+        for piece, (lo, hi) in enumerate(cuts):
+            for t, y in zip((0.25, 0.75), corners):
+                x = lo + t * (hi - lo)
+                kp = [x * (2.0 * a2 + 3.0 * a3 * x) for a2, a3 in K_COEFFS[1:]]
+                kpp = [2.0 * a2 + 6.0 * a3 * x for a2, a3 in K_COEFFS[1:]]
+                dpsi = np.eye(4)
+                dpsi[1:, 0] = kp
+                hess = np.zeros((4, 4, 4))
+                hess[1:, 0, 0] = kpp
+                psi_q = [x] + [x * x * (a2 + a3 * x) + yi
+                               for (a2, a3), yi in zip(K_COEFFS[1:], y)]
+                phi = l1 + c @ np.array(psi_q)
+                f_hat = np.linalg.solve(c @ dpsi, vector_field_floats(phi, mu))
+                m = np.linalg.solve(c, np.array(jacobian_floats(phi, mu)) @ c)
+                want = np.linalg.solve(dpsi, m @ dpsi - hess @ f_hat)
+                outside += int(np.sum((want < batch.lo[piece])
+                                      | (want > batch.hi[piece])))
+        assert outside == 0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_r_u_fails_as_loop(self, cfg, left_setup):
         # [TRIVIAL] r_u = 1 at alpha_h = 0.04 reaches a primary
@@ -487,7 +540,7 @@ class TestDerivativeCache:
         enclose_DF_over_N(chart, params, n_box, 32)
         terms, = seen
         arrays = [t for t in terms if isinstance(t, IArray)]
-        assert len(arrays) == 4
+        assert len(arrays) == 3
         for a in arrays:
             for ends in (a.lo, a.hi):
                 with pytest.raises(ValueError):

@@ -38,7 +38,6 @@ from conecert.rtbp import (
     RtbpSolutionSeries,
     RtbpTaylorField,
     d_total_change,
-    dpsi,
     jacobian,
     jordan_basis,
     jordan_residual,
@@ -50,8 +49,6 @@ from conecert.rtbp import (
     vector_field,
 )
 from oracles import (
-    d2psi,
-    dpsi_inverse,
     hamiltonian,
     jacobi_constant,
     jacobian_floats,
@@ -464,26 +461,33 @@ def test_psi_axis_identities():
             assert ys[i - 1] in out[i] and out[i].width < 1e-15
 
 
-def test_dpsi_vs_finite_differences():
+def test_d_total_change_vs_finite_differences():
+    # [DERIVED] D(Phi) = C D(psi), with K' folded into column 0, against
+    # central differences of Phi at h = 1e-6
+    p = band_left()
+    ch = jordan_basis(p)
     rng = random.Random(9)
     for _ in range(20):
         q0 = [rng.uniform(-0.3, 0.3) for _ in range(4)]
-        d = dpsi(IVector.from_floats(q0))
+        d = d_total_change(IVector.from_floats(q0), ch)
         h = 1e-6
         for j in range(4):
             qp, qm = list(q0), list(q0)
             qp[j] += h
             qm[j] -= h
-            fp = psi(IVector.from_floats(qp))
-            fm = psi(IVector.from_floats(qm))
+            fp = total_change(IVector.from_floats(qp), ch)
+            fm = total_change(IVector.from_floats(qm), ch)
             for i in range(4):
                 fd = (fp[i].mid - fm[i].mid) / (2 * h)
                 assert abs(d.rows[i][j].mid - fd) < 1e-6
 
 
 def test_d2psi_vs_finite_differences():
+    # [DERIVED] K_i'' is the (0, 0) second difference of psi_i, and every
+    # other second difference of psi is 0: the zero pattern the
+    # structured local Jacobian relies on
     q0 = [0.12, -0.07, 0.2, 0.05]
-    hs = d2psi(IVector.from_floats(q0))
+    kpp = rtbp._chart_terms(IVector.from_floats(q0))[1]
     h = 1e-4
     for comp in range(4):
         for a in range(4):
@@ -495,49 +499,8 @@ def test_d2psi_vs_finite_differences():
                     q[b] += db * h
                     pts.append(psi(IVector.from_floats(q))[comp].mid)
                 fd = (pts[0] - pts[1] - pts[2] + pts[3]) / (4 * h * h)
-                assert abs(hs[comp].rows[a][b].mid - fd) < 1e-5
-
-
-def _random_boxes(rng: random.Random, n: int) -> list:
-    """Boxes with their lower corner within 0.1 of the origin, from
-    points up to 1e-2 wide."""
-    boxes = []
-    for _ in range(n):
-        w = rng.choice((0.0, 1e-10, 1e-6, 1e-2)) * rng.random()
-        lows = [rng.uniform(-0.1, 0.1) for _ in range(4)]
-        boxes.append(
-            IVector([Interval(c, c + w * rng.random()) for c in lows])
-        )
-    return boxes
-
-
-def test_dpsi_inverse_times_dpsi_contains_identity():
-    # [TRIVIAL] [[1, 0], [-k, I]] inverts D(psi) for every point of the box,
-    # on Intervals and on the library's array-built batch, which equals
-    # the scalar form entry by entry and bit for bit
-    boxes = _random_boxes(random.Random(17), 40)
-    for q in boxes:
-        prod = dpsi_inverse(q).matmul(dpsi(q))
-        for i in range(4):
-            for j in range(4):
-                assert (1.0 if i == j else 0.0) in prod[i, j], (q, i, j)
-    batch = IVector(
-        [IArray([q[c].lo for q in boxes], [q[c].hi for q in boxes])
-         for c in range(4)]
-    )
-    inv = rtbp._dpsi_inverse_array(rtbp._chart_terms(batch)[0])
-    assert inv.shape == (len(boxes), 4, 4)
-    prod = inv.matmul(IArray.stack(dpsi(batch)))
-    for i in range(4):
-        for j in range(4):
-            e = 1.0 if i == j else 0.0
-            assert (prod.lo[:, i, j] <= e).all() and (e <= prod.hi[:, i, j]).all()
-    for k, q in enumerate(boxes):
-        want = dpsi_inverse(q)
-        for i in range(4):
-            for j in range(4):
-                assert inv.lo[k, i, j] == want[i, j].lo
-                assert inv.hi[k, i, j] == want[i, j].hi
+                want = kpp[comp - 1].mid if comp and a == b == 0 else 0.0
+                assert abs(want - fd) < 1e-5, (comp, a, b)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -572,13 +535,14 @@ def test_chart_fixes_origin():
     phi0 = total_change(q0, ch)
     for a, b in zip(phi0, ch.L1):
         assert (a - b).width < 1e-15 and 0.0 in (a - b)
-    # dpsi(0) is the identity up to outward rounding, so DPhi(0) encloses C
-    # and is at most a few ulps wider
+    # K'(0) is 0 up to outward rounding, so DPhi(0) is C in columns 1-3
+    # exactly, and its column 0 encloses C's and is at most a few ulps
+    # wider
     d = d_total_change(q0, ch)
     for i in range(4):
-        for j in range(4):
-            assert ch.C.rows[i][j].is_subset_of(d.rows[i][j])
-            assert d.rows[i][j].width <= ch.C.rows[i][j].width + 5e-15
+        assert d.rows[i][1:] == ch.C.rows[i][1:]
+        assert ch.C.rows[i][0].is_subset_of(d.rows[i][0])
+        assert d.rows[i][0].width <= ch.C.rows[i][0].width + 5e-15
 
 
 def test_local_field_vanishes_at_origin():

@@ -280,16 +280,24 @@ MUTANTS = {
     ),
     "dpsi_inverse_plus_k": (
         RTBP,
-        "    return IArray.stack(_unit_lower([-c for c in k]))\n",
-        "    return IArray.stack(_unit_lower(k))\n",
-        "column 0 of the batch's D(psi)^-1 holds +K', not -K'",
+        "    rows = m[..., 1:, :] - kp[..., None] * m[..., :1, :]\n",
+        "    rows = m[..., 1:, :] + kp[..., None] * m[..., :1, :]\n",
+        "the batch's D(psi)^-1 step adds K' times row 0 to rows 1-3",
         ["tests/test_rtbp.py", "tests/test_prover.py"],
     ),
     "d2psi_no_k2": (
         RTBP,
-        "    d2[..., 1:, 0, 0] = _ends(v)\n",
-        "",
-        "the batch's D^2(psi) drops its K_b''(x) entries",
+        "    tail = col[..., 1:] - kpp * f_hat0\n",
+        "    tail = col[..., 1:]\n",
+        "the batch drops the K''(x) F_hat_0 term of D^2(psi) F_hat",
+        ["tests/test_rtbp.py", "tests/test_prover.py"],
+    ),
+    "dphi_no_k": (
+        RTBP,
+        "    return IMatrix([[r[0] + idot(r[1:], kp)] + r[1:]"
+        " for r in chart.C.rows])\n",
+        "    return IMatrix([[r[0]] + r[1:] for r in chart.C.rows])\n",
+        "D(Phi) = C D(psi) drops the C_1:3 K' of its column 0",
         ["tests/test_rtbp.py", "tests/test_prover.py"],
     ),
     "cone_shift_no_c": (
