@@ -23,31 +23,19 @@ The internal fast constructor _mk does not check.  Empty intersection is
 represented by None, never by an interval with lo > hi.
 
 Intervals are immutable by convention: no method mutates endpoints, so values
-can be shared freely.
-
-IArray holds a batch of intervals as two float64 arrays, the batch along
-the leading axis, and shares this rounding model: each of its operations
-rounds every entry exactly as the Interval operation does (the same
-float kernels, the same TwoSum-exact sums, the same outward nudges and
-the same 0 * inf = 0 and inf / inf conventions), so a formula evaluated
-on a batch gives, entry by entry, the endpoints the per-entry Interval
-evaluation gives, bit for bit.  It raises the Interval operation's
-exception when any entry would, and never lets a numpy floating-point
-warning escape.  IArray.matmul is the batched twin of IMatrix.matmul
-with the rounding of idot.  Its kernels keep the numpy calls per
-operation few, as they cost more than the arithmetic on tens of entries.
-A float operand of either class is a point interval: a NaN one raises.
+can be shared freely.  A float operand is a point interval: a NaN one
+raises.  The float-pair kernels (_add_dn, _add_up, _mul_ends, _sq_ends,
+_sqrt_ends, _idot_ends) are the operations on (lo, hi) endpoints that
+the Interval methods call, so code written on float pairs with them
+rounds bit for bit as the same formula in Interval objects; _acc_mul
+inlines _mul_ends and the exact-directed sums for matrices of pairs.
 """
 
 from __future__ import annotations
 
-import contextvars
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 _INF = math.inf
 _NINF = -math.inf
@@ -55,7 +43,6 @@ _nextafter = math.nextafter
 
 __all__ = [
     "Interval",
-    "IArray",
     "IVector",
     "IMatrix",
     "Box",
@@ -145,6 +132,58 @@ def _idot_ends(alo, ahi, blo, bhi) -> tuple:
     return lo, hi
 
 
+def _acc_mul(acc: list, a: list, b: list) -> list:
+    """acc + a b for matrices of (lo, hi) float pairs, lists of rows:
+    entry (i, j) rounds as the Interval sum acc_ij + a_i0 b_0j +
+    a_i1 b_1j + ... in that order does, each product's least and greatest
+    corner picked by the signs and nudged outward (a NaN corner, 0 * inf,
+    is 0, as in _mul_ends) and each sum exact-directed by its TwoSum
+    error (as _add_dn and _add_up), all inline.  The local Jacobian
+    (rtbp.local_jacobian) forms every sum of products with it."""
+    cols = list(zip(*b))
+    out = []
+    for acc_row, a_row in zip(acc, a):
+        row = []
+        for (lo, hi), col in zip(acc_row, cols):
+            for (a0, a1), (b0, b1) in zip(a_row, col):
+                if b0 >= 0.0:
+                    p = a0 * (b1 if a0 < 0.0 else b0)
+                    q = a1 * (b0 if a1 < 0.0 else b1)
+                elif b1 <= 0.0:
+                    p = a1 * (b0 if a1 >= 0.0 else b1)
+                    q = a0 * (b1 if a0 >= 0.0 else b0)
+                elif a0 >= 0.0:
+                    p = a1 * b0
+                    q = a1 * b1
+                elif a1 <= 0.0:
+                    p = a0 * b1
+                    q = a0 * b0
+                else:
+                    p = a0 * b1
+                    t = a1 * b0
+                    if t < p:
+                        p = t
+                    q = a0 * b0
+                    t = a1 * b1
+                    if t > q:
+                        q = t
+                p = _nextafter(p if p == p else 0.0, _NINF)
+                q = _nextafter(q if q == q else 0.0, _INF)
+                s = lo + p
+                t = s - lo
+                if not (lo - (s - t)) + (p - t) >= 0.0:
+                    s = _nextafter(s, _NINF) if s == s else _NINF
+                lo = s
+                s = hi + q
+                t = s - hi
+                if not (hi - (s - t)) + (q - t) <= 0.0:
+                    s = _nextafter(s, _INF) if s == s else _INF
+                hi = s
+            row.append((lo, hi))
+        out.append(row)
+    return out
+
+
 def _mid(lo: float, hi: float) -> float:
     """Interval(lo, hi).mid."""
     if lo == _NINF and hi == _INF:
@@ -154,6 +193,16 @@ def _mid(lo: float, hi: float) -> float:
         m = 0.5 * lo + 0.5 * hi
     # Clamp: the reported midpoint must lie inside the interval.
     return min(max(m, lo), hi)
+
+
+def _ends(x) -> tuple:
+    """(lo, hi) of an operand; a float is a point, and a NaN one raises."""
+    if isinstance(x, Interval):
+        return x.lo, x.hi
+    f = float(x)
+    if f != f:
+        raise ValueError("NaN endpoint")
+    return f, f
 
 
 class Interval:
@@ -216,11 +265,8 @@ class Interval:
 
     # -- arithmetic ----------------------------------------------------------
 
-    # A batch operand defers to IArray's reflected operation.
     def __add__(self, other) -> "Interval":
         if not isinstance(other, Interval):
-            if isinstance(other, IArray):
-                return NotImplemented
             other = _mk(*_ends(other))
         return _mk(_add_dn(self.lo, other.lo), _add_up(self.hi, other.hi))
 
@@ -228,8 +274,6 @@ class Interval:
 
     def __sub__(self, other) -> "Interval":
         if not isinstance(other, Interval):
-            if isinstance(other, IArray):
-                return NotImplemented
             other = _mk(*_ends(other))
         return _mk(_add_dn(self.lo, -other.hi), _add_up(self.hi, -other.lo))
 
@@ -239,8 +283,6 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         if not isinstance(other, Interval):
-            if isinstance(other, IArray):
-                return NotImplemented
             return _mk(*_mul_ends(self.lo, self.hi, *_ends(other)))
         return _mk(*_mul_ends(self.lo, self.hi, other.lo, other.hi))
 
@@ -248,8 +290,6 @@ class Interval:
 
     def __truediv__(self, other) -> "Interval":
         if not isinstance(other, Interval):
-            if isinstance(other, IArray):
-                return NotImplemented
             other = _mk(*_ends(other))
         if other.lo <= 0.0 <= other.hi:
             raise DivisionByZeroInterval(f"denominator {other!r} contains zero")
@@ -322,14 +362,17 @@ def _div_unbounded(a: Interval, b: Interval) -> Interval:
 
 def sqrt(x: Interval) -> Interval:
     """Square root.  Requires x.lo >= 0, otherwise DomainError."""
-    if isinstance(x, IArray):
-        return x.sqrt()
     if x.lo < 0.0:
         raise DomainError(f"sqrt of interval containing negatives: {x!r}")
+    return _mk(*_sqrt_ends(x.lo, x.hi))
+
+
+def _sqrt_ends(lo: float, hi: float) -> tuple:
+    """sqrt on the endpoints (lo, hi), 0 <= lo."""
     # math.sqrt is correctly rounded, one nudge per endpoint suffices.
-    lo = _nextafter(math.sqrt(x.lo), _NINF) if x.lo != 0.0 else 0.0
-    hi = _nextafter(math.sqrt(x.hi), _INF) if x.hi != 0.0 else 0.0
-    return _mk(max(lo, 0.0), hi)
+    r0 = _nextafter(math.sqrt(lo), _NINF) if lo != 0.0 else 0.0
+    r1 = _nextafter(math.sqrt(hi), _INF) if hi != 0.0 else 0.0
+    return max(r0, 0.0), r1
 
 
 def _pad2_down(v: float) -> float:
@@ -355,8 +398,6 @@ def exp(x: Interval) -> Interval:
 
 def sq(x: Interval) -> Interval:
     """x*x with the dependency resolved, result always >= 0."""
-    if isinstance(x, IArray):
-        return x.sq()
     return _mk(*_sq_ends(x.lo, x.hi))
 
 
@@ -373,9 +414,9 @@ def _sq_ends(lo: float, hi: float) -> tuple:
 def idot(xs: Sequence[Interval], ys: Sequence[Interval]) -> Interval:
     """Fused interval dot product sum(xs[i] * ys[i]), summed on the
     endpoints by _idot_ends with one outward nudge per term.  The IMatrix
-    products and flow's Lohner update sum with it, and IArray.matmul
-    rounds as it does; the Taylor recurrences (rtbp._dot) fall back to
-    it only for a dot with an infinite or overflowing sum."""
+    products, flow's Lohner update and the local Jacobian's chart image
+    (rtbp.local_jacobian) sum with it; the Taylor recurrences (rtbp._dot)
+    fall back to it only for a dot with an infinite or overflowing sum."""
     return _mk(*_idot_ends([x.lo for x in xs], [x.hi for x in xs],
                            [y.lo for y in ys], [y.hi for y in ys]))
 
@@ -409,286 +450,6 @@ def eye(n: int) -> list[list[float]]:
     return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
 
 
-# -- batches of intervals ----------------------------------------------------
-
-
-# most entries of one product pass of IArray.matmul: past 4096 (32 KB per
-# temporary) the time per entry grows by more than the saved calls
-_MATMUL_BLOCK = 4096
-_QUIET = contextvars.ContextVar("_QUIET", default=False)
-
-
-def _quiet(fn):
-    # Every special value is handled explicitly, so numpy's floating-point
-    # warnings (inf - inf, 0 * inf, overflow) carry no information here.
-    # The outermost wrapped call enters np.errstate once; the calls inside
-    # it, such as the IArray operations of a batch formula, skip it.
-    @functools.wraps(fn)
-    def wrapper(*args):
-        if _QUIET.get():
-            return fn(*args)
-        token = _QUIET.set(True)
-        try:
-            with np.errstate(all="ignore"):
-                return fn(*args)
-        finally:
-            _QUIET.reset(token)
-
-    return wrapper
-
-
-def _lowest(x) -> float:
-    """The lower endpoint of an Interval, the least one of an IArray."""
-    return x.lo if isinstance(x, Interval) else float(x.lo.min())
-
-
-def _ends(x):
-    """(lo, hi) of an operand; a float is a point, and a NaN one raises."""
-    if isinstance(x, (IArray, Interval)):
-        return x.lo, x.hi
-    f = float(x)
-    if f != f:
-        raise ValueError("NaN endpoint")
-    return f, f
-
-
-def _a_add_dn(a, b):
-    # _add_dn entrywise, nudging the sum in place where the error is not
-    # >= 0 (asarray: a 0-d sum is a numpy scalar).  An infinite or
-    # overflowed sum makes the TwoSum error NaN, so the nudge gives -inf
-    # and maxfloat as the scalar branches do; fmax turns the NaN of
-    # inf - inf into -inf.
-    s = np.asarray(a + b)
-    bp = s - a
-    ap = s - bp
-    err = (a - ap) + (b - bp)
-    np.nextafter(s, _NINF, out=s, where=~(err >= 0.0))
-    return np.fmax(s, _NINF)
-
-
-def _a_add_up(a, b):
-    s = np.asarray(a + b)
-    bp = s - a
-    ap = s - bp
-    err = (a - ap) + (b - bp)
-    np.nextafter(s, _INF, out=s, where=~(err <= 0.0))
-    return np.fmin(s, _INF)
-
-
-def _a_mul(alo, ahi, blo, bhi):
-    # Interval * Interval entrywise: min and max over the corner products
-    # with 0 * inf = 0, nudged outward; minimum propagates NaN, so a NaN
-    # minimum flags a 0 * inf corner
-    ps = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    lo = np.minimum(np.minimum(ps[0], ps[1]), np.minimum(ps[2], ps[3]))
-    hi = np.maximum(np.maximum(ps[0], ps[1]), np.maximum(ps[2], ps[3]))
-    if np.isnan(np.minimum.reduce(lo, axis=None)):
-        ps = [np.where(p == p, p, 0.0) for p in ps]
-        lo = np.minimum(np.minimum(ps[0], ps[1]), np.minimum(ps[2], ps[3]))
-        hi = np.maximum(np.maximum(ps[0], ps[1]), np.maximum(ps[2], ps[3]))
-    return np.nextafter(lo, _NINF), np.nextafter(hi, _INF)
-
-
-class IArray:
-    """A batch of closed intervals [lo, hi] held as two float64 arrays.
-
-    The batch runs along the leading axes; a vector or matrix of
-    intervals per batch entry adds trailing axes.  Operands may be
-    IArrays, Intervals or floats, broadcast as numpy arrays are, and
-    every operation follows the Interval rounding model entry by entry
-    (module docstring).  sq and sqrt dispatch here, so formulas written
-    for Interval evaluate on a batch unchanged.
-    """
-
-    __slots__ = ("lo", "hi")
-    # numpy operands defer to the reflected methods below
-    __array_ufunc__ = None
-
-    def __init__(self, lo, hi=None):
-        lo = np.asarray(lo, dtype=float)
-        hi = lo if hi is None else np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape:
-            raise ValueError(f"endpoint shapes differ: {lo.shape}, {hi.shape}")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ValueError("NaN endpoint")
-        if (lo > hi).any():
-            raise ValueError("inverted endpoints")
-        if (lo == _INF).any() or (hi == _NINF).any():
-            raise ValueError("infinite point")
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def _of(cls, lo, hi) -> "IArray":
-        # fast constructor, callers guarantee lo <= hi and no NaN
-        out = cls.__new__(cls)
-        out.lo = lo
-        out.hi = hi
-        return out
-
-    @classmethod
-    def stack(cls, entries) -> "IArray":
-        """One IArray from nested entries: Intervals or IArrays, in
-        sequences, IVectors or IMatrix rows.  The entries' batch shapes
-        broadcast and lead; the nesting, flattened a level at a time,
-        becomes the trailing axes.  No numpy call is made per entry."""
-        flat, nest = [entries], ()
-        while not isinstance(flat[0], (Interval, IArray)):
-            flat = [e.c if isinstance(e, IVector)
-                    else e.rows if isinstance(e, IMatrix) else e for e in flat]
-            nest += (len(flat[0]),)
-            flat = [x for e in flat for x in e]
-        shapes = {e.lo.shape for e in flat if isinstance(e, IArray)}
-        batch = (shapes.pop() if len(shapes) == 1
-                 else np.broadcast_shapes(*shapes))
-        lo = np.empty(batch + (len(flat),))
-        hi = np.empty(batch + (len(flat),))
-        for k, e in enumerate(flat):
-            lo[..., k] = e.lo
-            hi[..., k] = e.hi
-        return cls._of(lo.reshape(batch + nest), hi.reshape(batch + nest))
-
-    @property
-    def shape(self) -> tuple:
-        return self.lo.shape
-
-    def __getitem__(self, idx) -> "IArray":
-        return IArray._of(self.lo[idx], self.hi[idx])
-
-    def __repr__(self) -> str:
-        return f"IArray({self.lo!r}, {self.hi!r})"
-
-    def hull_over(self, axis: int = 0) -> "IArray":
-        """Hull of the entries along one axis, which is removed.  Only
-        the sign of a zero endpoint can differ from a chain of
-        Interval.hull calls."""
-        return IArray._of(self.lo.min(axis=axis), self.hi.max(axis=axis))
-
-    def to_imatrix(self) -> "IMatrix":
-        """The Interval matrix of a 2-d IArray, with float endpoints."""
-        return IMatrix(
-            [
-                list(map(_mk, rl, rh))
-                for rl, rh in zip(self.lo.tolist(), self.hi.tolist())
-            ]
-        )
-
-    # -- arithmetic: the argument order of each kernel call is the one the
-    # Interval operation with the same operands uses
-
-    @_quiet
-    def __add__(self, other) -> "IArray":
-        olo, ohi = _ends(other)
-        return IArray._of(_a_add_dn(self.lo, olo), _a_add_up(self.hi, ohi))
-
-    @_quiet
-    def __radd__(self, other) -> "IArray":
-        olo, ohi = _ends(other)
-        if isinstance(other, Interval):
-            return IArray._of(_a_add_dn(olo, self.lo), _a_add_up(ohi, self.hi))
-        # float + Interval is Interval.__add__ with the float second
-        return IArray._of(_a_add_dn(self.lo, olo), _a_add_up(self.hi, ohi))
-
-    @_quiet
-    def __sub__(self, other) -> "IArray":
-        olo, ohi = _ends(other)
-        return IArray._of(_a_add_dn(self.lo, -ohi), _a_add_up(self.hi, -olo))
-
-    @_quiet
-    def __rsub__(self, other) -> "IArray":
-        olo, ohi = _ends(other)
-        return IArray._of(_a_add_dn(olo, -self.hi), _a_add_up(ohi, -self.lo))
-
-    @_quiet
-    def __mul__(self, other) -> "IArray":
-        if isinstance(other, (IArray, Interval)):
-            return IArray._of(*_a_mul(self.lo, self.hi, other.lo, other.hi))
-        o = _ends(other)[0]
-        lo, hi = (self.lo, self.hi) if o >= 0.0 else (self.hi, self.lo)
-        lo, hi = lo * o, hi * o
-        if not (o != 0.0 and math.isfinite(o)):  # 0 * inf = 0
-            lo = np.where(lo == lo, lo, 0.0)
-            hi = np.where(hi == hi, hi, 0.0)
-        return IArray._of(np.nextafter(lo, _NINF), np.nextafter(hi, _INF))
-
-    __rmul__ = __mul__
-
-    @_quiet
-    def __truediv__(self, other) -> "IArray":
-        return _a_div(self.lo, self.hi, *_ends(other))
-
-    @_quiet
-    def __rtruediv__(self, other) -> "IArray":
-        return _a_div(*_ends(other), self.lo, self.hi)
-
-    def __neg__(self) -> "IArray":
-        return IArray._of(-self.hi, -self.lo)
-
-    @_quiet
-    def sq(self) -> "IArray":
-        """sq entrywise."""
-        lo, hi = self.lo, self.hi
-        ll, hh = lo * lo, hi * hi
-        pos = lo >= 0.0
-        neg = hi <= 0.0
-        small = np.maximum(np.nextafter(np.where(pos, ll, hh), _NINF), 0.0)
-        big = np.where(pos, hh, np.where(neg, ll, np.maximum(ll, hh)))
-        return IArray._of(
-            np.where(pos | neg, small, 0.0), np.nextafter(big, _INF)
-        )
-
-    @_quiet
-    def sqrt(self) -> "IArray":
-        """sqrt entrywise; DomainError if any entry reaches below zero."""
-        lo, hi = self.lo, self.hi
-        if np.logical_or.reduce(lo < 0.0, axis=None):
-            raise DomainError("sqrt of a batch with negative entries")
-        rlo = np.where(lo != 0.0, np.nextafter(np.sqrt(lo), _NINF), 0.0)
-        rhi = np.where(hi != 0.0, np.nextafter(np.sqrt(hi), _INF), 0.0)
-        return IArray._of(np.maximum(rlo, 0.0), rhi)
-
-    @_quiet
-    def matmul(self, other: "IArray") -> "IArray":
-        """Batched twin of IMatrix.matmul: (..., n, k) times (..., k, m),
-        the batch axes broadcast, every entry summed as idot sums it.
-        One _a_mul forms the products of as many k terms as keep its
-        (..., n, k, m) broadcast within _MATMUL_BLOCK entries, all k of
-        them for a small batch; the sum runs over k in order, nudged
-        after each term."""
-        lead = np.broadcast_shapes(self.lo.shape[:-1], other.lo.shape[:-2] + (1,))
-        step = max(1, _MATMUL_BLOCK // max(1, math.prod(lead) * other.lo.shape[-1]))
-        lo = hi = 0.0
-        for t0 in range(0, self.lo.shape[-1], step):
-            ks = slice(t0, t0 + step)
-            plo, phi = _a_mul(
-                self.lo[..., :, ks, None], self.hi[..., :, ks, None],
-                other.lo[..., None, ks, :], other.hi[..., None, ks, :],
-            )
-            for t in range(plo.shape[-2]):
-                lo = np.nextafter(lo + plo[..., t, :], _NINF)
-                hi = np.nextafter(hi + phi[..., t, :], _INF)
-        return IArray._of(lo, hi)
-
-
-def _a_div(alo, ahi, blo, bhi) -> IArray:
-    # Interval.__truediv__ entrywise, with its inf / inf half-lines
-    if np.logical_or.reduce((blo <= 0.0) & (bhi >= 0.0), axis=None):
-        raise DivisionByZeroInterval("a denominator in the batch contains zero")
-    qs = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
-    lo = np.minimum(np.minimum(qs[0], qs[1]), np.minimum(qs[2], qs[3]))
-    hi = np.maximum(np.maximum(qs[0], qs[1]), np.maximum(qs[2], qs[3]))
-    lo = np.nextafter(lo, _NINF)
-    hi = np.nextafter(hi, _INF)
-    if np.isnan(np.minimum.reduce(lo, axis=None)):
-        bad = np.isnan(lo)
-        ends = np.broadcast_arrays(alo, ahi, blo, bhi)
-        for idx in zip(*np.nonzero(bad)):
-            a0, a1, b0, b1 = (float(e[idx]) for e in ends)
-            r = _div_unbounded(_mk(a0, a1), _mk(b0, b1))
-            lo[idx], hi[idx] = r.lo, r.hi
-    return IArray._of(lo, hi)
-
-
 # -- vectors and matrices ----------------------------------------------------
 
 
@@ -699,7 +460,7 @@ class IVector:
 
     def __init__(self, comps: Iterable[Interval | float]):
         self.c = [
-            x if isinstance(x, (Interval, IArray)) else Interval(float(x))
+            x if isinstance(x, Interval) else Interval(float(x))
             for x in comps
         ]
 
@@ -750,7 +511,7 @@ class IMatrix:
     def __init__(self, rows: Iterable[Iterable[Interval | float]]):
         self.rows = [
             [
-                x if isinstance(x, (Interval, IArray)) else Interval(float(x))
+                x if isinstance(x, Interval) else Interval(float(x))
                 for x in row
             ]
             for row in rows

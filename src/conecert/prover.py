@@ -49,7 +49,6 @@ from .flow import (
 )
 from .interval import (
     Box,
-    IArray,
     IMatrix,
     Interval,
     IVector,
@@ -63,12 +62,13 @@ from .rtbp import (
     LocalChart,
     RtbpParams,
     RtbpTaylorField,
-    _psi_terms,
+    _chart_frame,
+    _piece_terms,
     d_total_change,
     jordan_basis,
     libration_L1,
     libration_L1_slope,
-    local_jacobian_batch,
+    local_jacobian,
     psi,
     total_change,
 )
@@ -174,7 +174,7 @@ class ProofConfig:
     c_h: float = 1.0
     c_v: float = 2.8
     endpoint_subdivision: int = 256
-    fragment_subdivision: int = 32
+    fragment_subdivision: int = 8
     fragments: int = 20
     fragment_mu_slices: int = 4
 
@@ -478,37 +478,38 @@ def enclose_DF_over_N(
     while the transversal axes are alpha_h-thin, so uniform splitting
     along axis 0 removes essentially all dependency overestimation.
 
-    The pieces run as one batch along a leading axis
-    (rtbp.local_jacobian_batch) and the hull is one min/max reduction
-    over that axis; each piece's entry is the single-box derivative of
-    the piece, so the hull is the hull of the per-piece derivatives.  A
-    failure of the batch, such as a piece that reaches a primary,
-    propagates as raised; a subdivision that is not an int of at least 1
-    raises ValueError.
+    The pieces run one at a time (rtbp.local_jacobian, on float pairs)
+    and the hull is the least lower and the greatest upper end of each
+    entry over them, the first in piece order on a tie, as a chain of
+    Interval.hull calls takes it.  A failure of a piece, such as one that
+    reaches a primary, propagates as raised; a subdivision that is not an
+    int of at least 1 raises ValueError.
 
-    The batch's psi half reads no mass: the rtbp._psi_terms of the
-    pieces, psi, K' and K'', come from _n_pieces, an lru_cache of two
-    entries for the proof's two N, the endpoints' and the fragments',
-    each at its subdivision.  The key is the float.hex of N's ends, so
-    -0.0 and 0.0 differ, and the subdivision; the arrays are read-only.
+    The pieces' half that reads no mass, the rtbp._piece_terms of each
+    piece, comes from _n_pieces, an lru_cache of two entries for the
+    proof's two N, the endpoints' and the fragments', each at its
+    subdivision.  The key is the float.hex of N's ends, so -0.0 and 0.0
+    differ, and the subdivision; the cached terms are tuples.  The
+    chart's half, rtbp._chart_frame, is formed once per call.
     """
     _check_count("subdivision", subdivision)
     key = tuple((c.lo.hex(), c.hi.hex()) for c in n_box)
-    terms = _n_pieces(key, subdivision)
-    return local_jacobian_batch(chart, params, terms).hull_over(0).to_imatrix()
+    frame = _chart_frame(chart, params)
+    ends = [local_jacobian(frame, piece)
+            for piece in _n_pieces(key, subdivision)]
+    lo = [min(e) for e in zip(*[lo for lo, _ in ends])]
+    hi = [max(e) for e in zip(*[hi for _, hi in ends])]
+    return IMatrix([[Interval(lo[k], hi[k]) for k in range(i, i + 4)]
+                    for i in range(0, 16, 4)])
 
 
 @functools.lru_cache(maxsize=2)
 def _n_pieces(key: tuple, subdivision: int) -> tuple:
-    """The rtbp._psi_terms of N, from the float.hex pairs of key, split
-    along axis 0 into subdivision pieces, every array read-only."""
+    """The rtbp._piece_terms of the pieces of N, from the float.hex
+    pairs of key, split along axis 0 into subdivision pieces."""
     n = [Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in key]
-    cuts = _slice_cuts(n[0].lo, n[0].hi, subdivision)
-    axis0 = IArray([a for a, _ in cuts], [b for _, b in cuts])
-    terms = _psi_terms(IVector([axis0] + n[1:]))
-    for a in terms:
-        a.lo.flags.writeable = a.hi.flags.writeable = False
-    return terms
+    return tuple(_piece_terms(IVector([Interval(a, b)] + n[1:]))
+                 for a, b in _slice_cuts(n[0].lo, n[0].hi, subdivision))
 
 
 def _split_blocks(dfn: IMatrix):

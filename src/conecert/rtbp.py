@@ -26,9 +26,14 @@ and J' = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) in the chart order
 transpose of C with no rounding.  D(psi) = I + K' e_0^T and the Hessian
 of psi_i is K_i'' e_0 e_0^T, so the chart's derivative enters only as the
 vectors K'(x) and K''(x): no division, no solve and no 4 x 4 D(psi).  The
-local Jacobian's batch form has a psi half, psi, K' and K'' over the
-pieces (_psi_terms), which reads no mass, so prover computes it once per
-N and subdivision; the mass half, C, C^-1, L1 and the field, runs per call.
+local Jacobian runs one piece of N at a time on float pairs
+(local_jacobian) from a piece half, psi, K' and K'' (_piece_terms), which
+reads no mass, so prover computes it once per N and subdivision, and a
+chart half (_chart_frame), formed once per chart.
+
+The field terms, F and Omega are written once, on float pairs
+(_field_terms, _force, _omega); jacobian, the series start and
+local_jacobian call them, and so does the tests' Interval form of F.
 
 A state may carry the mass as a fifth coordinate, (X, Y, P_X, P_Y, mu)
 with mu' = 0.  RtbpTaylorField then reads mu from the state, and the
@@ -99,18 +104,17 @@ from functools import partial
 
 from .interval import (
     DivisionByZeroInterval,
-    IArray,
     IMatrix,
     Interval,
     IVector,
     _add_dn,
+    _acc_mul,
     _add_up,
     _idot_ends,
-    _lowest,
     _mk,
     _mul_ends,
-    _quiet,
     _sq_ends,
+    _sqrt_ends,
     idot,
     sq,
     sqrt,
@@ -126,7 +130,6 @@ __all__ = [
     "RtbpParams",
     "LocalChart",
     "K_COEFFS",
-    "vector_field",
     "jacobian",
     "libration_L1",
     "libration_L1_slope",
@@ -135,7 +138,7 @@ __all__ = [
     "psi",
     "total_change",
     "d_total_change",
-    "local_jacobian_batch",
+    "local_jacobian",
     "RtbpTaylorField",
     "RtbpSolutionSeries",
 ]
@@ -179,61 +182,77 @@ def _coerce(s, sizes: tuple = (4,)) -> tuple:
     return comps
 
 
-def _field_terms(x: Interval, y: Interval, mu: Interval) -> tuple:
+def _masses(mu: tuple) -> tuple:
+    """(1 - mu, mu) as float pairs from the mass pair mu, both positive."""
+    return (_add_dn(1.0, -mu[1]), _add_up(1.0, -mu[0])), mu
+
+
+def _field_terms(x: tuple, y: tuple, mu: tuple) -> tuple:
     """(d1, d2, s1, s2, w1, w2, Y^2) with s_i = r_i^2 and w_i = r_i^-3,
-    the terms that the field, its Jacobian and the series start share.
-    Raises CollisionSingularity when an r_i^2 reaches 0."""
-    d1 = x - mu
-    d2 = d1 + 1.0
-    ysq = sq(y)
-    s1 = sq(d1) + ysq
-    s2 = sq(d2) + ysq
-    low1, low2 = _lowest(s1), _lowest(s2)
-    if low1 <= 0.0 or low2 <= 0.0:
-        # the least ends only: a batch's full enclosures would make the
-        # message as long as the batch
+    as (lo, hi) float pairs from the pairs x, y and mu: the terms that
+    the field, its Jacobian, the series start and the local Jacobian
+    share.  Raises CollisionSingularity when an r_i^2 reaches 0."""
+    d1 = _add_dn(x[0], -mu[1]), _add_up(x[1], -mu[0])
+    d2 = _add_dn(d1[0], 1.0), _add_up(d1[1], 1.0)
+    ysq = _sq_ends(*y)
+    (a0, a1), (b0, b1) = _sq_ends(*d1), _sq_ends(*d2)
+    s1 = _add_dn(a0, ysq[0]), _add_up(a1, ysq[1])
+    s2 = _add_dn(b0, ysq[0]), _add_up(b1, ysq[1])
+    if s1[0] <= 0.0 or s2[0] <= 0.0:
         raise CollisionSingularity(
             "distance enclosure touches a primary: "
-            f"least r1^2={low1:.3e}, least r2^2={low2:.3e}"
+            f"least r1^2={s1[0]:.3e}, least r2^2={s2[0]:.3e}"
         )
     return d1, d2, s1, s2, _inv_r3(s1), _inv_r3(s2), ysq
 
 
-def _inv_r3(s: Interval) -> Interval:
-    # s = r^2, returns r^-3 = 1 / (s sqrt(s))
-    return 1.0 / (s * sqrt(s))
+def _inv_r3(s: tuple) -> tuple:
+    """r^-3 = 1 / (s sqrt(s)) for the positive pair s = r^2."""
+    p0, p1 = _mul_ends(*s, *_sqrt_ends(*s))
+    if p0 <= 0.0:  # s sqrt(s) underflowed
+        raise DivisionByZeroInterval(f"r^3 of r^2 = {s} reaches 0")
+    return _div_pos(1.0, 1.0, p0, p1)
 
 
-def vector_field(s, p: RtbpParams, terms: tuple | None = None) -> IVector:
-    """F(s); terms are the _field_terms of s, formed here if not given."""
-    x, y, px, py = _coerce(s)
-    mu = p.mu
-    m1 = 1.0 - mu
-    d1, d2, _, _, w1, w2, _ = terms or _field_terms(x, y, mu)
-    return IVector([px + y, py - x, py - m1 * (d1 * w1) - mu * (d2 * w2),
-                    -px - y * (m1 * w1 + mu * w2)])
+def _force(s: list, m: tuple, t: tuple) -> list:
+    """F at the state s, four (lo, hi) pairs, for the masses m = _masses
+    and the _field_terms t of s."""
+    (x0, x1), (y0, y1), (p0, p1), (q0, q1) = s
+    d1, d2, _, _, w1, w2, _ = t
+    a0, a1 = _scale(m[0], *_mul_ends(*d1, *w1))
+    b0, b1 = _scale(m[1], *_mul_ends(*d2, *w2))
+    c0, c1 = _mul_ends(y0, y1, *_wsum(m, *w1, *w2))
+    return [(_add_dn(p0, y0), _add_up(p1, y1)),
+            (_add_dn(q0, -x1), _add_up(q1, -x0)),
+            (_add_dn(_add_dn(q0, -a1), -b1), _add_up(_add_up(q1, -a0), -b0)),
+            (_add_dn(-p1, -c1), _add_up(-p0, -c0))]
 
 
-def _second_partials(y, mu: Interval, terms: tuple) -> tuple:
-    """Omega_XX, Omega_XY, Omega_YY of the gradient part of the field."""
-    d1, d2, s1, s2, w1, w2, ysq = terms
-    m1 = 1.0 - mu
-    v1, v2 = w1 / s1, w2 / s2
-    uxx = m1 * (w1 - 3.0 * (sq(d1) * v1)) + mu * (w2 - 3.0 * (sq(d2) * v2))
-    uxy = (m1 * (d1 * v1) + mu * (d2 * v2)) * y * (-3.0)
-    uyy = m1 * (w1 - 3.0 * (ysq * v1)) + mu * (w2 - 3.0 * (ysq * v2))
+def _omega(y: tuple, m: tuple, t: tuple) -> tuple:
+    """Omega_XX, Omega_XY, Omega_YY, the second partials of the gradient
+    part of the field, as pairs, whose negatives fill rows 2 and 3 of
+    DF; m and t as for _force."""
+    d1, d2, s1, s2, w1, w2, ysq = t
+    v1, v2 = _div_pos(*w1, *s1), _div_pos(*w2, *s2)
+    uxx = _wsum(m, *_less3(*w1, *_mul_ends(*_sq_ends(*d1), *v1)),
+                *_less3(*w2, *_mul_ends(*_sq_ends(*d2), *v2)))
+    mix = _wsum(m, *_mul_ends(*d1, *v1), *_mul_ends(*d2, *v2))
+    uxy = _mul_ends(*_mul_ends(*mix, *y), -3.0, -3.0)
+    uyy = _wsum(m, *_less3(*w1, *_mul_ends(*ysq, *v1)),
+                *_less3(*w2, *_mul_ends(*ysq, *v2)))
     return uxx, uxy, uyy
 
 
-def jacobian(s, p: RtbpParams, terms: tuple | None = None) -> IMatrix:
-    """DF(s); terms as for vector_field."""
-    x, y, px, py = _coerce(s)
-    terms = terms or _field_terms(x, y, p.mu)
-    uxx, uxy, uyy = _second_partials(y, p.mu, terms)
+def jacobian(s, p: RtbpParams) -> IMatrix:
+    """DF(s)."""
+    x, y = ((c.lo, c.hi) for c in _coerce(s)[:2])
+    mu = p.mu.lo, p.mu.hi
+    uxx, uxy, uyy = _omega(y, _masses(mu), _field_terms(x, y, mu))
     z = Interval(0.0)
     one = Interval(1.0)
+    xx, xy, yy = (_mk(-b, -a) for a, b in (uxx, uxy, uyy))
     return IMatrix([[z, one, one, z], [-one, z, z, one],
-                    [-uxx, -uxy, z, one], [-uxy, -uyy, -one, z]])
+                    [xx, xy, z, one], [xy, yy, -one, z]])
 
 
 # -- libration point ----------------------------------------------------------
@@ -495,59 +514,82 @@ def d_total_change(q: IVector, chart: LocalChart) -> IMatrix:
     return IMatrix([[r[0] + idot(r[1:], kp)] + r[1:] for r in chart.C.rows])
 
 
-@_quiet
-def _psi_terms(q) -> tuple:
-    """psi, K' and K'' of a batch q as (..., 4), (..., 3) and (..., 3)
-    IArrays, the half of local_jacobian_batch that reads no mass, from
-    one _chart_terms."""
+def _piece_terms(q) -> tuple:
+    """psi, K' and K'' of the box q, the half of local_jacobian that
+    reads no mass, as the columns of (lo, hi) pairs it reads: psi(q),
+    K'(x), -K''(x) and -K'(x)."""
     kp, kpp = _chart_terms(q)
-    return IArray.stack(psi(q)), IArray.stack(kp), IArray.stack(kpp)
+    return tuple(
+        tuple(((e.lo, e.hi),) for e in v)
+        for v in (psi(q), kp, [-e for e in kpp], [-e for e in kp])
+    )
 
 
-@_quiet
-def local_jacobian_batch(
-    chart: LocalChart, p: RtbpParams, terms: tuple
-) -> IArray:
-    """DF_hat(q) = D(psi)^-1 (M D(psi) - T) over a batch q of boxes, with
-    M = C^-1 DF(Phi) C, in one array pass from terms = _psi_terms(q).
+def _chart_frame(chart: LocalChart, p: RtbpParams) -> tuple:
+    """The half of local_jacobian that reads no piece, formed once per
+    chart, as matrices of (lo, hi) pairs: L1 and C for Phi, row 0 of
+    C^-1 for F_hat_0, rows C_3 and -C_2 and rows C_0 and C_1 of C for
+    rows 2-3 of DF C, columns 2-3 of C^-1 and M0 = C^-1[:, 0:2]
+    (rows 0-1 of DF C), then the mass and the masses.  M0 is the part of
+    M = C^-1 DF C that the field does not move: rows 0-1 of DF C are
+    C_1 + C_2 and C_3 - C_0, as rows 0-1 of DF are constant."""
+    c, ci = chart.C.rows, chart.C_inv.rows
+    cols = list(zip(*c))
+    top = [[k[1] + k[2] for k in cols], [k[3] - k[0] for k in cols]]
+    m0 = [[r[0] * t0 + r[1] * t1 for t0, t1 in zip(*top)] for r in ci]
+    mu = p.mu.lo, p.mu.hi
+    mats = ([[e] for e in chart.L1], c, ci[:1], [c[3], [-e for e in c[2]]],
+            c[:2], [r[2:] for r in ci], m0)
+    return tuple([[(e.lo, e.hi) for e in row] for row in m] for m in mats) + (
+        mu, _masses(mu))
+
+
+# the accumulators of a sum of products that starts from 0
+_ZERO_COL = [[(0.0, 0.0)]] * 4
+
+
+def local_jacobian(frame: tuple, piece: tuple) -> tuple:
+    """DF_hat(q) = D(psi)^-1 (M D(psi) - T) over one piece q of N, with
+    M = C^-1 DF(Phi) C, as (lo, hi): two row-major lists of 16 floats.
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
-    C D(psi), and row b of T is D^2(psi_b) F_hat.  As D(psi) =
-    I + K' e_0^T and D^2(psi_b) = K_b'' e_0 e_0^T, three steps on M give
-    the result: column 0 becomes M_0 + M_1:3 K', rows 1-3 of it lose
-    K'' F_hat_0 (T; F_hat_0 is row 0 of C^-1 F), and rows 1-3 lose K'
-    times row 0 (D(psi)^-1).  C^-1 is the chart's C_inv, so nothing is
-    solved.  Each component of q is an IArray along a leading batch axis
-    or an Interval every box shares.
+    C D(psi), and row b of T is D^2(psi_b) F_hat.  DF enters only
+    through Omega: rows 2-3 of DF C are C_3 - Omega_XX C_0 - Omega_XY C_1
+    and -C_2 - Omega_XY C_0 - Omega_YY C_1, so M = M0 + C^-1[:, 2:4]
+    (rows 2-3) with M0 from the chart.  As D(psi) = I + K' e_0^T and
+    D^2(psi_b) = K_b'' e_0 e_0^T, three steps on M give the result:
+    column 0 becomes M_0 + M_1:3 K', rows 1-3 of it lose K'' F_hat_0
+    (T; F_hat_0 is row 0 of C^-1 F), and rows 1-3 lose K' times row 0
+    (D(psi)^-1).  C^-1 is the chart's C_inv, so nothing is solved.
 
-    terms are the _psi_terms of q, which read no mass;
-    prover.enclose_DF_over_N passes them from a cache of two entries,
-    keyed by the bits of N's ends and the subdivision, whose arrays are
-    read-only.  The mass half runs per call, vector_field and
-    jacobian sharing one _field_terms, all under one _quiet.  Entry
-    k of the (..., 4, 4) result is bit for bit tests/oracles.local_jacobian
-    on box k, and a box that reaches a primary raises
-    CollisionSingularity, as there.
+    frame is the chart's _chart_frame and piece the box's _piece_terms.
+    Everything runs on float pairs: F and Omega come from _force and
+    _omega, and every sum of products, C psi(q) of Phi = L1 + C psi(q)
+    and F_hat_0 included, runs inline in _acc_mul, so every entry is bit
+    for bit the same formula in Interval objects, the tests' oracle
+    local_jacobian_intervals.  A piece that reaches a primary raises
+    CollisionSingularity.
     """
-    c = IArray.stack(chart.C)
-    c_inv = IArray.stack(chart.C_inv)
-    psi_q, kp, kpp = terms
-    x = IArray.stack(chart.L1) + c.matmul(psi_q[..., None])[..., 0]
-    xs = IVector([x[..., i] for i in range(4)])
-    field_terms = _field_terms(xs[0], xs[1], p.mu)
-    f = IArray.stack(vector_field(xs, p, field_terms))
-    f_hat0 = c_inv[:1].matmul(f[..., None])[..., 0]
-    df = IArray.stack(jacobian(xs, p, field_terms))
-    m = c_inv.matmul(df.matmul(c))
-    # the three steps write into m's own end arrays, fresh from matmul
-    lo, hi = m.lo, m.hi
-    col = m[..., 0] + m[..., 1:].matmul(kp[..., None])[..., 0]
-    tail = col[..., 1:] - kpp * f_hat0
-    lo[..., 0], hi[..., 0] = col.lo, col.hi
-    lo[..., 1:, 0], hi[..., 1:, 0] = tail.lo, tail.hi
-    rows = m[..., 1:, :] - kp[..., None] * m[..., :1, :]
-    lo[..., 1:, :], hi[..., 1:, :] = rows.lo, rows.hi
-    return m
+    l1, c, ci0, r_acc, c01, ci23, m0, mu, m = frame
+    psi_q, kp, nkpp, nkp = piece
+    # C psi(q) summed from 0, then L1 added: one rounding at L1's scale
+    u = [(_add_dn(a0, s0), _add_up(a1, s1)) for ((a0, a1),), ((s0, s1),)
+         in zip(l1, _acc_mul(_ZERO_COL, c, psi_q))]
+    t = _field_terms(u[0], u[1], mu)
+    (f0,), = _acc_mul(_ZERO_COL, ci0, [[e] for e in _force(u, m, t)])
+    (xx0, xx1), (xy0, xy1), (yy0, yy1) = _omega(u[1], m, t)
+    # rows 2-3 of DF C, with -Omega as DF holds it, then M
+    xy = -xy1, -xy0
+    dfc = _acc_mul(r_acc, [[(-xx1, -xx0), xy], [xy, (-yy1, -yy0)]], c01)
+    mm = _acc_mul(m0, ci23, dfc)
+    # column 0 gains M_1:3 K', and rows 1-3 of it lose K'' F_hat_0
+    col = _acc_mul([r[:1] for r in mm], [r[1:] for r in mm], kp)
+    col[1:] = _acc_mul(col[1:], nkpp, [[f0]])
+    # D(psi)^-1: rows 1-3 lose K' times row 0
+    top = col[0] + mm[0][1:]
+    rows = _acc_mul([e + r[1:] for e, r in zip(col[1:], mm[1:])], nkp, [top])
+    out = top + [e for row in rows for e in row]
+    return [e[0] for e in out], [e[1] for e in out]
 
 
 # -- Taylor series kernel ------------------------------------------------------
@@ -777,24 +819,23 @@ class RtbpSolutionSeries:
         x, y, px, py = comps[:4]
         self._u = [_start(c.lo, c.hi) for c in (x, y, px, py)]
         self.mu = mu
-        m1 = 1.0 - mu
         # (1 - mu) and mu as float pairs, both strictly positive
-        self.masses = ((m1.lo, m1.hi), (mu.lo, mu.hi))
+        self.masses = _masses((mu.lo, mu.hi))
         self.order = 0
-        d1, d2, s1, s2, w1, w2, y2 = _field_terms(x, y, mu)
-        d1sq, d2sq = sq(d1), sq(d2)
+        d1, d2, s1, s2, w1, w2, y2 = _field_terms(
+            (x.lo, x.hi), (y.lo, y.hi), self.masses[1])
         # coefficient 0 of d1 and d2, which past it are both X, and the
         # same times the masses: (1 - mu) d1_0 and mu d2_0
-        self.d0 = ((d1.lo, d1.hi), (d2.lo, d2.hi))
+        self.d0 = (d1, d2)
         self.md0 = tuple(_mul_ends(*m, *d)
                          for m, d in zip(self.masses, self.d0))
-        self.y2 = _start(y2.lo, y2.hi)
-        self.d1sq = _start(d1sq.lo, d1sq.hi)
-        self.d2sq = _start(d2sq.lo, d2sq.hi)
-        self.s1 = _start(s1.lo, s1.hi)
-        self.s2 = _start(s2.lo, s2.hi)
-        self.w1 = _start(w1.lo, w1.hi)
-        self.w2 = _start(w2.lo, w2.hi)
+        self.y2 = _start(*y2)
+        self.d1sq = _start(*_sq_ends(*d1))
+        self.d2sq = _start(*_sq_ends(*d2))
+        self.s1 = _start(*s1)
+        self.s2 = _start(*s2)
+        self.w1 = _start(*w1)
+        self.w2 = _start(*w2)
         # W, which extend forms, and w1 - w2, which _mass_forcing forms
         self.w, self.wd = ([], []), ([], [])
 

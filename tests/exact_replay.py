@@ -3,8 +3,7 @@
 The soundness tests of the kernels draw random or hand-picked inputs.
 The replay checks the proof's own call stream instead: Replay.install
 wraps the float kernels at module level, and keeps every STRIDE-th call
-of each scalar kernel and every call of the numpy kernels, which run a
-few hundred times per chain.  The exact range of a kept call, a
+of each.  The exact range of a kept call, a
 fractions.Fraction pair, must lie inside the returned pair:
 
   * the products (_mul_ends) and quotients (rtbp._div_pos): the least and
@@ -21,11 +20,9 @@ fractions.Fraction pair, must lie inside the returned pair:
   * rtbp._scale, a product by a positive mass, and rtbp._wsum, the
     mass-weighted sum [m1] [a] + [m2] [b]: the least and the greatest
     corner product, or the sums of them;
-  * the numpy kernels of the batched derivative, on a fixed sample of
-    entries (first, last and two between) of each kept call:
-    interval._a_add_dn and _a_add_up, one end each of the exact sum;
-    interval._a_mul and _a_div, the corner products and quotients; and
-    IArray.matmul, the exact dot of a row with a column;
+  * rtbp._acc_mul, the local Jacobian's inline products and sums, every
+    entry acc_ij + sum_t a_it b_tj: the accumulator's ends plus the sums
+    of the least and of the greatest corner products over the terms;
   * interval.exp as flow binds it, every call (one per step, the
     e^(L h) of the a-priori ball, the one libm function on the verdict
     path): e^lo and e^hi of its argument [lo, hi] from mpmath at 60
@@ -51,7 +48,6 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from conecert import flow, interval, rtbp
 
@@ -186,46 +182,21 @@ def _power_args(s, pw, k) -> list:
     return [*sl[:k + 1], *sh[:k + 1], *pl[:k], *ph[:k]]
 
 
-def _sample(shape) -> list:
-    """The fixed sample of entries of an array of this shape."""
-    n = math.prod(shape)
-    return [np.unravel_index(f, shape)
-            for f in sorted({0, n // 3, 2 * n // 3, n - 1})] if n else []
+def _acc_mul_cases(args, out):
+    acc, a, b = args
+    cols = list(zip(*b))
+    for acc_row, a_row, out_row in zip(acc, a, out):
+        for (lo, hi), col, (out0, out1) in zip(acc_row, cols, out_row):
+            terms = ([e[0] for e in a_row], [e[1] for e in a_row],
+                     [e[0] for e in col], [e[1] for e in col])
+            yield ([lo, hi, *_dot_args(*terms)], _exact_acc, (lo, hi, terms),
+                   out0, out1)
 
 
-def _add_cases(up: bool):
-    """_a_add_up (up) or _a_add_dn: one end of the exact sum a + b."""
-    def cases(args, out):
-        out = np.asarray(out)
-        ends = np.broadcast_arrays(*args)
-        for idx in _sample(out.shape):
-            a, b = (float(e[idx]) for e in ends)
-            s = float(out[idx])
-            pair = (None, s) if up else (s, None)
-            yield (a, b), _exact_sum, (a, b), *pair
-    return cases
-
-
-def _corner_cases(exact):
-    """_a_mul or _a_div: four end arrays in, (lo, hi) or an IArray out."""
-    def cases(args, out):
-        lo, hi = (out.lo, out.hi) if isinstance(out, interval.IArray) else out
-        ends = np.broadcast_arrays(*args)
-        for idx in _sample(lo.shape):
-            ab = tuple(float(e[idx]) for e in ends)
-            yield ab, exact, ab, float(lo[idx]), float(hi[idx])
-    return cases
-
-
-def _matmul_cases(args, out):
-    a, b = args
-    ends = np.broadcast_arrays(a.lo[..., :, :, None], a.hi[..., :, :, None],
-                               b.lo[..., None, :, :], b.hi[..., None, :, :])
-    for idx in _sample(out.lo.shape):
-        pick = idx[:-1] + (slice(None),) + idx[-1:]
-        terms = [e[pick].tolist() for e in ends]
-        yield ([x for t in terms for x in t], _exact_dot, terms,
-               float(out.lo[idx]), float(out.hi[idx]))
+def _exact_acc(lo, hi, terms) -> tuple:
+    """[lo, hi] + sum_t a_t b_t exactly."""
+    dlo, dhi = _exact_dot(*terms)
+    return Fraction(lo) + dlo, Fraction(hi) + dhi
 
 
 def _exp_cases(args, out):
@@ -251,6 +222,7 @@ def _mul_floats_cases(args, out):
 # name: (owner, attribute, cases, keep every n-th call)
 KERNELS = {
     "rtbp._dot": (rtbp, "_dot", _pair(_exact_dot, _dot_args), STRIDE),
+    "rtbp._acc_mul": (rtbp, "_acc_mul", _acc_mul_cases, STRIDE),
     "rtbp._div_pos": (rtbp, "_div_pos",
                       _pair(_exact_quotient, lambda *a: a), STRIDE),
     "rtbp._power_next": (rtbp, "_power_next",
@@ -277,11 +249,6 @@ KERNELS = {
         )
         for mod in (interval, flow, rtbp)
     },
-    "interval._a_add_dn": (interval, "_a_add_dn", _add_cases(up=False), 1),
-    "interval._a_add_up": (interval, "_a_add_up", _add_cases(up=True), 1),
-    "interval._a_mul": (interval, "_a_mul", _corner_cases(_exact_product), 1),
-    "interval._a_div": (interval, "_a_div", _corner_cases(_exact_quotient), 1),
-    "IArray.matmul": (interval.IArray, "matmul", _matmul_cases, 1),
 }
 
 

@@ -23,18 +23,23 @@ line names the library code an oracle checks:
   * integrate_to_time: flight to a fixed time through _advance, the
     acceptance loop of flow.poincare_crossing, checked against known
     solutions and float integrations.
+  * vector_field: F(s) in Interval objects from the library's own
+    float-pair field (rtbp._force), which the series start and the local
+    Jacobian read, for the checks of F against floats, energy, symmetry
+    and the flights.
   * hamiltonian, jacobi_constant: the conserved energy by two routes
-    that cross-check each other, for rtbp.vector_field and the flights.
+    that cross-check each other, for vector_field and the flights.
   * vector_field_floats, jacobian_floats: double-precision twins of
-    rtbp.vector_field and rtbp.jacobian, for the float integrations
-    that flights and the Taylor kernel must contain.
-  * symmetry_S: the reversing symmetry of rtbp.vector_field.
+    vector_field and rtbp.jacobian, for the float integrations that
+    flights and the Taylor kernel must contain.
+  * symmetry_S: the reversing symmetry of vector_field.
   * local_field: F_hat(q) through a verified solve against D(Phi), the
-    finite-difference reference of local_jacobian.
-  * local_jacobian: the single-box DF_hat(q) in the same structured form
-    as rtbp.local_jacobian_batch, from K' and K'' with no 4 x 4 form of
-    D(psi), its inverse or its Hessians: the bit-for-bit reference of the
-    batch and so of prover.enclose_DF_over_N.
+    finite-difference reference of local_jacobian_intervals.
+  * local_jacobian_intervals: the single-box DF_hat(q) in Interval
+    objects, in the same structured form as rtbp.local_jacobian, from
+    K' and K'' with no 4 x 4 form of D(psi), its inverse or its Hessians:
+    the bit-for-bit reference of the float-pair kernel and so of
+    prover.enclose_DF_over_N.
 """
 
 from __future__ import annotations
@@ -70,10 +75,12 @@ from conecert.rtbp import (
     _chart_terms,
     _coerce,
     _field_terms,
+    _force,
+    _masses,
     d_total_change,
     jacobian,
+    psi,
     total_change,
-    vector_field,
 )
 
 # -- interval ----------------------------------------------------------------
@@ -312,10 +319,24 @@ def integrate_to_time(
 # -- three-body problem ------------------------------------------------------------
 
 
+def vector_field(s, p: RtbpParams) -> IVector:
+    """F(s), the Interval form of rtbp._force."""
+    u = [(c.lo, c.hi) for c in _coerce(s)]
+    mu = p.mu.lo, p.mu.hi
+    t = _field_terms(u[0], u[1], mu)
+    return IVector([_mk(*e) for e in _force(u, _masses(mu), t)])
+
+
+def _r_squared(x: Interval, y: Interval, mu: Interval) -> tuple:
+    """r1^2 and r2^2 as Intervals, from the field's own terms."""
+    t = _field_terms((x.lo, x.hi), (y.lo, y.hi), (mu.lo, mu.hi))
+    return _mk(*t[2]), _mk(*t[3])
+
+
 def hamiltonian(s, p: RtbpParams) -> Interval:
     x, y, px, py = _coerce(s)
     mu = p.mu
-    _, _, s1, s2, _, _, _ = _field_terms(x, y, mu)
+    s1, s2 = _r_squared(x, y, mu)
     kinetic = (sq(px) + sq(py)) * 0.5 + y * px - x * py
     return kinetic - (1.0 - mu) / sqrt(s1) - mu / sqrt(s2)
 
@@ -328,7 +349,7 @@ def jacobi_constant(s, p: RtbpParams) -> Interval:
     """
     x, y, px, py = _coerce(s)
     mu = p.mu
-    _, _, s1, s2, _, _, _ = _field_terms(x, y, mu)
+    s1, s2 = _r_squared(x, y, mu)
     omega = (sq(x) + sq(y)) * 0.5 + (1.0 - mu) / sqrt(s1) + mu / sqrt(s2)
     xdot = px + y
     ydot = py - x
@@ -336,7 +357,7 @@ def jacobi_constant(s, p: RtbpParams) -> Interval:
 
 
 def vector_field_floats(x, mu: float) -> tuple:
-    """Double precision twin of rtbp.vector_field."""
+    """Double precision twin of vector_field."""
     X, Y, PX, PY = (float(c) for c in x)
     d1 = X - mu
     d2 = d1 + 1.0
@@ -382,34 +403,51 @@ def symmetry_S(s):
 
 def local_field(q: IVector, chart: LocalChart, p: RtbpParams) -> IVector:
     """F_hat(q) through the verified solve D(Phi) F_hat = F(Phi(q)),
-    independent of the closed form of local_jacobian."""
+    independent of the closed form of local_jacobian_intervals."""
     x = total_change(q, chart)
     return solve_interval_linear(d_total_change(q, chart), vector_field(x, p))
 
 
-def local_jacobian(q: IVector, chart: LocalChart, p: RtbpParams) -> IMatrix:
+def local_jacobian_intervals(
+    q: IVector, chart: LocalChart, p: RtbpParams
+) -> IMatrix:
     """DF_hat(q) = D(psi)^-1 (M D(psi) - T), M = C^-1 DF(Phi) C.
 
     This differentiates D(psi) F_hat = C^-1 F(Phi(q)), since D(Phi) =
-    C D(psi), and row b of T is D^2(psi_b) F_hat.  D(psi) = I + K' e_0^T
-    and D^2(psi_b) = K_b'' e_0 e_0^T, so column 0 of M becomes
-    M_0 + M_1:3 K', rows 1-3 of it lose K'' F_hat_0, with F_hat_0 row 0
-    of C^-1 F, and rows 1-3 lose K' times row 0; C^-1 is the chart's
-    C_inv, so nothing is solved.  It is the scalar form of
-    rtbp.local_jacobian_batch, each scalar function forming its own
-    terms where the batch forms the shared ones once and passes them in;
-    the same terms in the same order of operations, so every entry of
-    the batch is bit for bit this one.  It also raises as the batch does,
+    C D(psi), and row b of T is D^2(psi_b) F_hat.  C psi(q) of
+    Phi = L1 + C psi(q) and F_hat_0 = row 0 of C^-1 F are sums of
+    Interval products from 0, left to right.  Rows 0-1 of DF C are C_1 + C_2 and C_3 - C_0, and rows 2-3 read DF's rows 2-3, -Omega, so
+    M = C^-1[:, 0:2] (rows 0-1) + C^-1[:, 2:4] (rows 2-3), summed in
+    that order.  D(psi) = I + K' e_0^T and D^2(psi_b) = K_b'' e_0 e_0^T,
+    so column 0 of M becomes M_0 + M_1:3 K', rows 1-3 of it lose
+    K'' F_hat_0, with F_hat_0 row 0 of C^-1 F, and rows 1-3 lose K' times
+    row 0; C^-1 is the chart's C_inv, so nothing is solved.  It is the
+    Interval-object form of rtbp.local_jacobian: the same terms in the
+    same order of operations, so every entry of the float-pair kernel is
+    bit for bit this one.  It also raises as the kernel does,
     CollisionSingularity where a box reaches a primary.
     """
-    x = total_change(q, chart)
+    c, ci = chart.C.rows, chart.C_inv.rows
+    y, z = psi(q), Interval(0.0)
+    x = [l + (z + r[0] * y[0] + r[1] * y[1] + r[2] * y[2] + r[3] * y[3])
+         for l, r in zip(chart.L1, c)]
     kp, kpp = _chart_terms(q)
-    f_hat0 = idot(chart.C_inv.row(0), vector_field(x, p))
-    m = chart.C_inv.matmul(jacobian(x, p).matmul(chart.C)).rows
-    col = [r[0] + idot(r[1:], kp) for r in m]
-    col[1:] = [c - k * f_hat0 for c, k in zip(col[1:], kpp)]
+    f = vector_field(x, p)
+    f_hat0 = (z + ci[0][0] * f[0] + ci[0][1] * f[1] + ci[0][2] * f[2]
+              + ci[0][3] * f[3])
+    df = jacobian(x, p).rows
+    dfc = [
+        [c[1][k] + c[2][k] for k in range(4)],
+        [c[3][k] - c[0][k] for k in range(4)],
+        [c[3][k] + df[2][0] * c[0][k] + df[2][1] * c[1][k] for k in range(4)],
+        [-c[2][k] + df[3][0] * c[0][k] + df[3][1] * c[1][k] for k in range(4)],
+    ]
+    m = [[r[0] * dfc[0][k] + r[1] * dfc[1][k] + r[2] * dfc[2][k]
+          + r[3] * dfc[3][k] for k in range(4)] for r in ci]
+    col = [r[0] + r[1] * kp[0] + r[2] * kp[1] + r[3] * kp[2] for r in m]
+    col[1:] = [e - k * f_hat0 for e, k in zip(col[1:], kpp)]
     top = col[:1] + m[0][1:]
     return IMatrix([top] + [
-        [a - k * b for a, b in zip([c] + r[1:], top)]
-        for c, r, k in zip(col[1:], m[1:], kp)
+        [a - k * b for a, b in zip([e] + r[1:], top)]
+        for e, r, k in zip(col[1:], m[1:], kp)
     ])

@@ -38,7 +38,7 @@ from conecert.flow import (
     a_priori_enclosure,
     poincare_crossing,
 )
-from conecert.rtbp import RtbpParams, RtbpTaylorField, vector_field
+from conecert.rtbp import RtbpParams, RtbpTaylorField
 from oracles import (
     CoeffSeries,
     LinearTaylorField,
@@ -48,6 +48,7 @@ from oracles import (
     matrix_coefficient,
     matrix_series,
     series_coefficient,
+    vector_field,
     vector_field_floats,
     verified_inverse,
 )

@@ -5,14 +5,17 @@ itself, with no exemption: the oracles the tests check the proof
 against live in tests/oracles.py, and each of them is used by a test.
 The same holds one level down, for the methods, properties and class
 attributes of the library's classes.  No certified number goes through
-BLAS, ** and libm calls stay in the few functions listed below, and only
-interval imports numpy."""
+BLAS, ** and libm calls stay in the few functions listed below, and no
+library module imports numpy, nor does the package depend on it."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -252,20 +255,35 @@ def test_linalg_is_a_leaf_that_only_cones_imports():
         p.stem for p in src.glob("*.py") if "conecert.linalg" in _imports(p)
     }
     assert importers == {"cones"}
-    assert not [
-        m for m in _imports(src / "linalg.py") if m.split(".")[0] == "numpy"
-    ]
 
 
-def test_only_interval_imports_numpy():
-    # every batch of intervals goes through interval.IArray, so numpy is
-    # one module's dependency, a step toward a library without it
+def test_no_library_module_imports_numpy():
+    # every certified number is formed in Interval objects or on float
+    # pairs, so the library has no numpy import and no numpy dependency;
+    # numpy stays a test extra, for the float oracles
     src = Path(conecert.__file__).resolve().parent
     importers = {
         p.stem for p in src.glob("*.py")
         if any(m.split(".")[0] == "numpy" for m in _imports(p))
     }
-    assert importers == {"interval"}
+    assert not importers, importers
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert not [d for d in project.get("dependencies", [])
+                if d.startswith("numpy")]
+    assert any(d.startswith("numpy") for d in
+               project["optional-dependencies"]["test"])
+
+
+def test_importing_the_prover_loads_no_numpy():
+    # the whole proof imports with numpy absent from sys.modules, in a
+    # fresh interpreter, since this one has loaded it for the oracles
+    code = ("import sys, conecert.prover, conecert.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy loaded'")
+    env = {**os.environ, "PYTHONPATH": str(Path(conecert.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # the functions allowed a ** or libm call: the step-size choice, exp
@@ -330,8 +348,6 @@ def _non_ieee_calls(mod: str, tree: ast.Module) -> list:
 
 def test_certified_path_has_no_blas_and_only_listed_libm():
     src = Path(conecert.__file__).resolve().parent
-    assert not [m for m in _imports(src / "flow.py")
-                if m.split(".")[0] == "numpy"]
     found = [v for p in sorted(src.glob("*.py"))
              for v in _non_ieee_calls(p.stem, ast.parse(p.read_text()))]
     assert not found, found

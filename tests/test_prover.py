@@ -33,7 +33,6 @@ from conecert import prover
 from conecert.flow import LostCrossing
 from conecert.interval import (
     DomainError,
-    IArray,
     IMatrix,
     Interval,
     IVector,
@@ -59,17 +58,19 @@ from conecert.prover import (
 from conecert.rtbp import (
     K_COEFFS,
     RtbpParams,
+    _chart_frame,
+    _piece_terms,
     jordan_basis,
     libration_L1,
-    local_jacobian_batch,
+    local_jacobian,
     psi,
     total_change,
-    vector_field,
 )
 from oracles import (
     jacobian_floats,
     local_field,
-    local_jacobian,
+    local_jacobian_intervals,
+    vector_field,
     vector_field_floats,
 )
 
@@ -276,7 +277,7 @@ class TestFixedPoint:
             f = np.array([c.mid for c in local_field(bx, chart, params)])
             j = np.array(
                 [[e.mid for e in row]
-                 for row in local_jacobian(bx, chart, params).rows]
+                 for row in local_jacobian_intervals(bx, chart, params).rows]
             )
             x = x - np.linalg.solve(j, f)
         assert all(abs(float(v)) <= 1e-14 for v in x)
@@ -316,7 +317,7 @@ class TestDerivativeOverN:
         params, chart, b = left_setup
         n_box = build_N(b, cfg)
         one = enclose_DF_over_N(chart, params, n_box, 1)
-        direct = local_jacobian(n_box, chart, params)
+        direct = local_jacobian_intervals(n_box, chart, params)
         for i in range(4):
             for j in range(4):
                 assert one[i, j].lo == direct[i, j].lo
@@ -359,12 +360,17 @@ class TestDerivativeOverN:
         assert -2.2519 <= dfn[3, 2].lo and dfn[3, 2].hi <= -2.2517
 
 
+def _pieces(n_box, k) -> list:
+    """The k boxes enclose_DF_over_N splits n_box into."""
+    return [IVector([Interval(a, b)] + list(n_box)[1:])
+            for a, b in _slice_cuts(n_box[0].lo, n_box[0].hi, k)]
+
+
 def _loop_hull(chart, params, n_box, k):
-    """[DF(N)] as the hull of one scalar local_jacobian per piece."""
+    """[DF(N)] as the hull of one Interval-object oracle per piece."""
     out = None
-    for a, b in _slice_cuts(n_box[0].lo, n_box[0].hi, k):
-        piece = IVector([Interval(a, b), n_box[1], n_box[2], n_box[3]])
-        m = local_jacobian(piece, chart, params)
+    for piece in _pieces(n_box, k):
+        m = local_jacobian_intervals(piece, chart, params)
         out = m if out is None else IMatrix([
             [x.hull(y) for x, y in zip(rx, ry)]
             for rx, ry in zip(out.rows, m.rows)
@@ -393,37 +399,53 @@ def slice_setup(cfg):
     return params, chart, build_N(b, frag)
 
 
+def _bits(m: IMatrix) -> list:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(e.lo.hex(), e.hi.hex()) for row in m.rows for e in row]
+
+
 class TestBatchedDerivative:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # enclose_DF_over_N runs rtbp.local_jacobian, the float-pair kernel,
+    # once per piece and takes the hull
+
     @pytest.mark.parametrize("k", [1, 7, 64])
     def test_left_endpoint_equals_loop(self, cfg, left_setup, k):
-        # [TRIVIAL] one array pass gives the per-piece hull bit for bit
+        # [TRIVIAL] the kernel's hull is the oracle's hull bit for bit
         params, chart, b = left_setup
         n_box = build_N(b, cfg)
         got = enclose_DF_over_N(chart, params, n_box, k)
-        want = _loop_hull(chart, params, n_box, k)
-        for i in range(4):
-            for j in range(4):
-                assert got[i, j].lo == want[i, j].lo
-                assert got[i, j].hi == want[i, j].hi
+        assert _bits(got) == _bits(_loop_hull(chart, params, n_box, k))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [1, 7, 64])
     def test_mass_slice_equals_loop(self, slice_setup, k):
         # [TRIVIAL] the same over an interval-valued mass parameter
         params, chart, n_box = slice_setup
         got = enclose_DF_over_N(chart, params, n_box, k)
-        want = _loop_hull(chart, params, n_box, k)
-        for i in range(4):
-            for j in range(4):
-                assert got[i, j].lo == want[i, j].lo
-                assert got[i, j].hi == want[i, j].hi
+        assert _bits(got) == _bits(_loop_hull(chart, params, n_box, k))
+
+    @pytest.mark.parametrize("which", ["endpoint", "slice"])
+    def test_every_piece_is_the_oracle_bit_for_bit(
+        self, cfg, left_setup, slice_setup, which
+    ):
+        # [TRIVIAL] each piece of the left endpoint's 256 and of the mass
+        # slice's 8, before the hull: the float-pair kernel gives the
+        # Interval oracle's endpoints, the sign of a zero included
+        if which == "endpoint":
+            params, chart, b = left_setup
+            n_box, k = build_N(b, cfg), cfg.endpoint_subdivision
+        else:
+            (params, chart, n_box), k = slice_setup, cfg.fragment_subdivision
+        frame = _chart_frame(chart, params)
+        for piece in _pieces(n_box, k):
+            lo, hi = local_jacobian(frame, _piece_terms(piece))
+            want = local_jacobian_intervals(piece, chart, params)
+            assert [(a.hex(), b.hex()) for a, b in zip(lo, hi)] == _bits(want)
 
     def test_each_piece_contains_float_derivatives(
         self, cfg, left_setup, monkeypatch
     ):
-        # [DERIVED] every piece of the left endpoint's batch, before the
-        # hull, contains the dense float64 D(psi)^-1 (M D(psi) - T) at two
+        # [DERIVED] every piece of the left endpoint, before the hull,
+        # contains the dense float64 D(psi)^-1 (M D(psi) - T) at two
         # points of the piece, with D(psi) and the Hessians of psi formed
         # in full and C^-1 and D(psi)^-1 applied by LAPACK solves: a check
         # of the structured form that shares none of its algebra
@@ -434,20 +456,20 @@ class TestBatchedDerivative:
         k = cfg.endpoint_subdivision
         seen = []
 
-        def recording(chart, params, terms):
-            seen.append(local_jacobian_batch(chart, params, terms))
+        def recording(frame, piece):
+            seen.append(local_jacobian(frame, piece))
             return seen[-1]
 
-        monkeypatch.setattr(prover, "local_jacobian_batch", recording)
+        monkeypatch.setattr(prover, "local_jacobian", recording)
         enclose_DF_over_N(chart, params, n_box, k)
-        batch, = seen
+        assert len(seen) == k
         c = np.array(chart.C.mid())
         l1 = np.array(chart.L1.mid())
         mu = params.mu.lo
         corners = ([e.lo for e in n_box[1:]], [e.hi for e in n_box[1:]])
         outside = 0
         cuts = _slice_cuts(n_box[0].lo, n_box[0].hi, k)
-        for piece, (lo, hi) in enumerate(cuts):
+        for (lo, hi), (got_lo, got_hi) in zip(cuts, seen):
             for t, y in zip((0.25, 0.75), corners):
                 x = lo + t * (hi - lo)
                 kp = [x * (2.0 * a2 + 3.0 * a3 * x) for a2, a3 in K_COEFFS[1:]]
@@ -461,12 +483,11 @@ class TestBatchedDerivative:
                 phi = l1 + c @ np.array(psi_q)
                 f_hat = np.linalg.solve(c @ dpsi, vector_field_floats(phi, mu))
                 m = np.linalg.solve(c, np.array(jacobian_floats(phi, mu)) @ c)
-                want = np.linalg.solve(dpsi, m @ dpsi - hess @ f_hat)
-                outside += int(np.sum((want < batch.lo[piece])
-                                      | (want > batch.hi[piece])))
+                want = np.linalg.solve(dpsi, m @ dpsi - hess @ f_hat).ravel()
+                outside += int(np.sum((want < np.array(got_lo))
+                                      | (want > np.array(got_hi))))
         assert outside == 0
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_r_u_fails_as_loop(self, cfg, left_setup):
         # [TRIVIAL] r_u = 1 at alpha_h = 0.04 reaches a primary
         params, chart, b = left_setup
@@ -477,8 +498,7 @@ class TestBatchedDerivative:
         with pytest.raises(want) as info:
             enclose_DF_over_N(chart, params, n_box, 8)
         assert type(info.value) is want
-        # the endpoint reports the batch failure as one short line, not
-        # as the reprs of its 256 pieces
+        # the endpoint reports the failure as one short line
         ep = run_endpoint("left", cfg.mu_left, wide)
         assert not ep.verified
         stage = ep.stages[-1]
@@ -487,32 +507,29 @@ class TestBatchedDerivative:
         assert "\n" not in ep.failure and len(ep.failure) < 300
 
 
-def _bits(m: IMatrix) -> list:
-    # float.hex tells -0.0 from 0.0, which == does not
-    return [(e.lo.hex(), e.hi.hex()) for row in m.rows for e in row]
-
-
-def _record_batches(monkeypatch) -> list:
-    """The psi terms of every batch enclose_DF_over_N runs from now on."""
+def _record_pieces(monkeypatch) -> list:
+    """The piece terms of every local_jacobian call enclose_DF_over_N
+    makes from now on."""
     seen = []
 
-    def recording(chart, params, terms):
-        seen.append(terms)
-        return local_jacobian_batch(chart, params, terms)
+    def recording(frame, piece):
+        seen.append(piece)
+        return local_jacobian(frame, piece)
 
-    monkeypatch.setattr(prover, "local_jacobian_batch", recording)
+    monkeypatch.setattr(prover, "local_jacobian", recording)
     return seen
 
 
 class TestDerivativeCache:
-    # enclose_DF_over_N takes the mass-free psi half of its batch from
-    # the cache prover._n_pieces, keyed by N and the subdivision
+    # enclose_DF_over_N takes the mass-free piece half of each
+    # local_jacobian call from the cache prover._n_pieces, keyed by N and
+    # the subdivision
 
     @pytest.mark.parametrize("kind", ["endpoints", "slices"])
     def test_warm_equals_cold(self, cfg, kind):
         # [TRIVIAL] the entry one mass filled serves another mass over the
         # same N bit for bit: the endpoints' N at 256 pieces, and the
-        # first fragment's mass slices' N at 32
+        # first fragment's mass slices' N at 8
         if kind == "endpoints":
             c, k = cfg, cfg.endpoint_subdivision
             masses = [decimal_to_interval(m) for m in (MU_LEFT, MU_RIGHT)]
@@ -534,17 +551,22 @@ class TestDerivativeCache:
         assert warm == cold
 
     def test_cached_arrays_refuse_writes(self, slice_setup, monkeypatch):
-        # [TRIVIAL] every caller shares the cached arrays
+        # [TRIVIAL] every caller shares the cached terms, tuples of float
+        # tuples, which no caller can change
         params, chart, n_box = slice_setup
-        seen = _record_batches(monkeypatch)
-        enclose_DF_over_N(chart, params, n_box, 32)
-        terms, = seen
-        arrays = [t for t in terms if isinstance(t, IArray)]
-        assert len(arrays) == 3
-        for a in arrays:
-            for ends in (a.lo, a.hi):
-                with pytest.raises(ValueError):
-                    ends[...] = 0.0
+        seen = _record_pieces(monkeypatch)
+        enclose_DF_over_N(chart, params, n_box, 8)
+        assert len(seen) == 8
+        for piece in seen:
+            assert isinstance(piece, tuple) and len(piece) == 4
+            for column in piece:
+                assert isinstance(column, tuple)
+                for row in column:
+                    (lo, hi), = row
+                    assert isinstance(row, tuple)
+                    assert type(lo) is float and type(hi) is float
+                with pytest.raises(TypeError):
+                    column[0] = ((0.0, 0.0),)
 
     def test_negative_zero_end_has_its_own_entry(
         self, cfg, left_setup, monkeypatch

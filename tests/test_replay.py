@@ -22,5 +22,6 @@ def test_every_kept_kernel_call_encloses_its_exact_range(shared_chains):
     # infinite endpoint, which these flights never reach
     assert all(r.kept[n] for n in KERNELS if n != "rtbp._idot_ends"), r.kept
     assert r.kept["rtbp._dot"] > 1000 and r.kept["rtbp._div_pos"] > 100, r.kept
+    assert r.kept["rtbp._acc_mul"] > 100, r.kept
     assert not r.violations, (
         len(r.violations), r.violations[:3], r.kept, r.skipped)

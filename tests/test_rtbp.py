@@ -22,7 +22,6 @@ import pytest
 from conecert import rtbp
 
 from conecert.interval import (
-    IArray,
     IMatrix,
     Interval,
     IVector,
@@ -43,20 +42,20 @@ from conecert.rtbp import (
     jordan_residual,
     libration_L1,
     libration_L1_slope,
-    local_jacobian_batch,
+    local_jacobian,
     psi,
     total_change,
-    vector_field,
 )
 from oracles import (
     hamiltonian,
     jacobi_constant,
     jacobian_floats,
     local_field,
-    local_jacobian,
+    local_jacobian_intervals,
     matrix_coefficient,
     series_coefficient,
     symmetry_S,
+    vector_field,
     vector_field_floats,
     verified_inverse,
 )
@@ -503,11 +502,11 @@ def test_d2psi_vs_finite_differences():
                 assert abs(want - fd) < 1e-5, (comp, a, b)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_local_jacobian_raises_collision_before_dpsi_inverse():
     # [TRIVIAL] at x = 0 the box's Phi = L1 + C (0, y) holds the smaller
     # primary (mu - 1, 0): the field fails before D(psi)^-1 is applied,
-    # so the single box and the batch both raise CollisionSingularity
+    # so the Interval oracle and the float-pair kernel both raise
+    # CollisionSingularity
     p = band_left()
     ch = jordan_basis(p)
     ys = [Interval(1.54, 1.56), Interval(-0.42, -0.40), Interval(2.42, 2.44)]
@@ -515,10 +514,9 @@ def test_local_jacobian_raises_collision_before_dpsi_inverse():
     phi = total_change(q, ch)
     assert p.mu.hi - 1.0 in phi[0] and 0.0 in phi[1]
     with pytest.raises(CollisionSingularity):
-        local_jacobian(q, ch, p)
+        local_jacobian_intervals(q, ch, p)
     with pytest.raises(CollisionSingularity):
-        batch = IVector([IArray([0.0, 0.0])] + ys)
-        local_jacobian_batch(ch, p, rtbp._psi_terms(batch))
+        local_jacobian(rtbp._chart_frame(ch, p), rtbp._piece_terms(q))
     # and through prover.enclose_DF_over_N, cold and then from the cache
     # of N's pieces
     _n_pieces.cache_clear()
@@ -557,7 +555,7 @@ def test_local_field_vanishes_at_origin():
 def test_local_jacobian_jordan_structure():
     p = band_left()
     ch = jordan_basis(p)
-    d = local_jacobian(IVector([0.0] * 4), ch, p)
+    d = local_jacobian_intervals(IVector([0.0] * 4), ch, p)
     assert ch.lam.intersect(d.rows[0][0]) is not None
     assert (-ch.lam).intersect(d.rows[1][1]) is not None
     assert ch.v.intersect(d.rows[2][3]) is not None
@@ -575,7 +573,7 @@ def test_local_field_and_jacobian_finite_differences():
     p = band_left()
     ch = jordan_basis(p)
     q0 = [1e-3, 2e-3, -1e-3, 5e-4]
-    d = local_jacobian(IVector.from_floats(q0), ch, p)
+    d = local_jacobian_intervals(IVector.from_floats(q0), ch, p)
     h = 1e-6
     for j in range(4):
         qp, qm = list(q0), list(q0)

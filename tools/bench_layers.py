@@ -60,9 +60,10 @@ A row holds:
   * derivative, median milliseconds of the derivative-over-N stage, the
     proof's one derivative path: prover.enclose_DF_over_N over the left
     endpoint's N in 256 pieces and over the first default mass slice's N
-    in 32 pieces, each cold (the cache of the batch's psi half,
+    in 8 pieces, each cold (the cache of the pieces' mass-free half,
     prover._n_pieces, cleared before every call, outside the timing) and
-    warm (the _warm rows: the cache holds the call's N), and of the
+    warm (the _warm rows: the cache holds the call's N), each also in
+    microseconds per piece (the _us_per_piece rows), and of the
     chart stage before it: rtbp.jordan_basis at the left endpoint's mass
     and over the same mass slice (REPEATS calls each); and
     derivative_calls, the Python-level calls one call of each of the
@@ -519,11 +520,12 @@ def _derivative_layers(cfg) -> tuple[dict, dict, dict]:
         *cfg.fragment_intervals()[0], cfg.fragment_mu_slices
     )[0]
     s_params, s_chart, s_n_box = setup(interval.Interval(lo, hi), frag)
+    pieces = {"enclose_DF_over_N_256": 256, "enclose_DF_over_N_8_slice": 8}
     dfn = {
         "enclose_DF_over_N_256":
             (prover.enclose_DF_over_N, (chart, params, n_box, 256)),
-        "enclose_DF_over_N_32_slice":
-            (prover.enclose_DF_over_N, (s_chart, s_params, s_n_box, 32)),
+        "enclose_DF_over_N_8_slice":
+            (prover.enclose_DF_over_N, (s_chart, s_params, s_n_box, 8)),
     }
     clear = prover._n_pieces.cache_clear
     fns = {name: partial(fn, *args) for name, (fn, args) in dfn.items()}
@@ -531,6 +533,13 @@ def _derivative_layers(cfg) -> tuple[dict, dict, dict]:
     warm_ms, warm_nominal = _timed_rows(
         {name + "_warm": fn for name, fn in fns.items()}
     )
+    # microseconds per piece: the row's milliseconds over its pieces
+    for rows in (ms, nominal, warm_ms, warm_nominal):
+        rows.update({
+            f"{name}_us_per_piece": 1e3 * rows[name] / pieces[
+                name.removesuffix("_warm")]
+            for name in list(rows)
+        })
     package = str(Path(prover.__file__).parent) + os.sep
     calls = _call_counts(dfn, package, before=clear)
     calls.update({

@@ -143,29 +143,6 @@ MUTANTS = {
         "interval._add_dn nudges an inexact sum upward",
         ["tests/test_interval.py", "tests/test_replay.py"],
     ),
-    "a_add_dn_unnudged": (
-        INTERVAL,
-        "    np.nextafter(s, _NINF, out=s, where=~(err >= 0.0))\n",
-        "",
-        "interval._a_add_dn, every IArray sum's lower end, rounds to nearest",
-        ["tests/test_interval_array.py", "tests/test_replay.py"],
-    ),
-    "a_add_up_unnudged": (
-        INTERVAL,
-        "    np.nextafter(s, _INF, out=s, where=~(err <= 0.0))\n",
-        "",
-        "interval._a_add_up, every IArray sum's upper end, rounds to nearest",
-        ["tests/test_interval_array.py", "tests/test_replay.py"],
-    ),
-    "matmul_unnudged": (
-        INTERVAL,
-        "                lo = np.nextafter(lo + plo[..., t, :], _NINF)\n"
-        "                hi = np.nextafter(hi + phi[..., t, :], _INF)\n",
-        "                lo = lo + plo[..., t, :]\n"
-        "                hi = hi + phi[..., t, :]\n",
-        "IArray.matmul's sums over k round to nearest",
-        ["tests/test_interval_array.py", "tests/test_replay.py"],
-    ),
     "power_next_div_k_unnudged": (
         RTBP,
         "    return _nextafter(q0 / k, _NINF), _nextafter(q1 / k, _INF)\n",
@@ -228,21 +205,6 @@ MUTANTS = {
         "d1_0 w1_k - d2_0 w2_k",
         ["tests/test_rtbp.py"],
     ),
-    "a_mul_unnudged": (
-        INTERVAL,
-        "    return np.nextafter(lo, _NINF), np.nextafter(hi, _INF)\n",
-        "    return lo, hi\n",
-        "interval._a_mul, every IArray product, rounds to nearest",
-        ["tests/test_interval_array.py", "tests/test_replay.py"],
-    ),
-    "a_div_unnudged": (
-        INTERVAL,
-        "    lo = np.nextafter(lo, _NINF)\n"
-        "    hi = np.nextafter(hi, _INF)\n",
-        "",
-        "interval._a_div, every IArray quotient, rounds to nearest",
-        ["tests/test_interval_array.py", "tests/test_replay.py"],
-    ),
     "image_no_lagrange_tail": (
         FLOW,
         "    inc = _horner_vec(ser_m, top - 1, h, sol_tail)\n",
@@ -280,17 +242,37 @@ MUTANTS = {
     ),
     "dpsi_inverse_plus_k": (
         RTBP,
-        "    rows = m[..., 1:, :] - kp[..., None] * m[..., :1, :]\n",
-        "    rows = m[..., 1:, :] + kp[..., None] * m[..., :1, :]\n",
-        "the batch's D(psi)^-1 step adds K' times row 0 to rows 1-3",
+        "    rows = _acc_mul([e + r[1:] for e, r in zip(col[1:], mm[1:])], "
+        "nkp, [top])\n",
+        "    rows = _acc_mul([e + r[1:] for e, r in zip(col[1:], mm[1:])], "
+        "kp, [top])\n",
+        "local_jacobian's D(psi)^-1 step adds K' times row 0 to rows 1-3",
         ["tests/test_rtbp.py", "tests/test_prover.py"],
     ),
     "d2psi_no_k2": (
         RTBP,
-        "    tail = col[..., 1:] - kpp * f_hat0\n",
-        "    tail = col[..., 1:]\n",
-        "the batch drops the K''(x) F_hat_0 term of D^2(psi) F_hat",
+        "    col[1:] = _acc_mul(col[1:], nkpp, [[f0]])\n",
+        "",
+        "local_jacobian drops the K''(x) F_hat_0 term of D^2(psi) F_hat",
         ["tests/test_rtbp.py", "tests/test_prover.py"],
+    ),
+    "acc_mul_corner_swapped": (
+        INTERVAL,
+        "                if b0 >= 0.0:\n"
+        "                    p = a0 * (b1 if a0 < 0.0 else b0)\n",
+        "                if b0 >= 0.0:\n"
+        "                    p = a0 * (b0 if a0 < 0.0 else b1)\n",
+        "the local Jacobian's products by a nonnegative factor take the "
+        "wrong lower corner (interval._acc_mul)",
+        ["tests/test_prover.py::TestBatchedDerivative", "tests/test_replay.py"],
+    ),
+    "acc_mul_sum_nearest": (
+        INTERVAL,
+        "                    s = _nextafter(s, _NINF) if s == s else _NINF\n",
+        "                    pass\n",
+        "the local Jacobian's sums round their lower ends to nearest "
+        "(interval._acc_mul)",
+        ["tests/test_prover.py::TestBatchedDerivative", "tests/test_replay.py"],
     ),
     "dphi_no_k": (
         RTBP,
