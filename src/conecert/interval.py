@@ -414,9 +414,9 @@ def _sq_ends(lo: float, hi: float) -> tuple:
 def idot(xs: Sequence[Interval], ys: Sequence[Interval]) -> Interval:
     """Fused interval dot product sum(xs[i] * ys[i]), summed on the
     endpoints by _idot_ends with one outward nudge per term.  The IMatrix
-    products, flow's Lohner update and the local Jacobian's chart image
-    (rtbp.local_jacobian) sum with it; the Taylor recurrences (rtbp._dot)
-    fall back to it only for a dot with an infinite or overflowing sum."""
+    products and flow's Lohner update sum with it; the Taylor recurrences
+    (rtbp._dot) fall back to it only for a dot with an infinite or
+    overflowing sum."""
     return _mk(*_idot_ends([x.lo for x in xs], [x.hi for x in xs],
                            [y.lo for y in ys], [y.hi for y in ys]))
 

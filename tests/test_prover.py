@@ -562,8 +562,8 @@ class TestDerivativeCache:
             for column in piece:
                 assert isinstance(column, tuple)
                 for row in column:
-                    (lo, hi), = row
                     assert isinstance(row, tuple)
+                    (lo, hi), = row
                     assert type(lo) is float and type(hi) is float
                 with pytest.raises(TypeError):
                     column[0] = ((0.0, 0.0),)
